@@ -77,6 +77,7 @@ from . import __version__
 from .analysis import format_table, predicted_bounds
 from .errors import GraphError, ServeError, SnapshotError, StreamError
 from .core.driver import EstimatorConfig, TriangleCountEstimator
+from .core.estimator import PASS_BUDGET_PER_ROUND
 from .core.exact_reference import ExactStreamingCounter
 from .generators import standard_suite, workload_by_name
 from .graph.properties import summary
@@ -357,10 +358,13 @@ def _graceful_signals(checkpoint_dir: Optional[str]) -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _print_estimate(result, repetitions: int) -> None:
+def _print_estimate(result) -> None:
     print(f"estimate:  {result.estimate:.1f}")
     print(f"rounds:    {len(result.rounds)}")
-    print(f"passes:    {result.passes_total} total ({6 * repetitions} max per round)")
+    print(
+        f"passes:    {result.passes_total} total "
+        f"({PASS_BUDGET_PER_ROUND} max per round)"
+    )
     if result.sweeps_wasted or result.passes_wasted:
         print(
             f"sweeps:    {result.sweeps_total} tape sweeps "
@@ -413,7 +417,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             result = TriangleCountEstimator(config).estimate(stream, kappa=args.kappa)
     except KeyboardInterrupt:
         return _interrupted(checkpoint_dir)
-    _print_estimate(result, args.repetitions)
+    _print_estimate(result)
     return 0
 
 
@@ -449,8 +453,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             result = resume_from(snap, stream, overrides=overrides)
     except KeyboardInterrupt:
         return _interrupted(checkpoint_dir)
-    repetitions = int((snap.payload.get("config") or {}).get("repetitions", 1))
-    _print_estimate(result, repetitions)
+    _print_estimate(result)
     return 0
 
 

@@ -14,9 +14,10 @@ guard rails keep everything inside the space budget:
   ``kappa/(2*eps)`` the triangle is left unassigned (line 18; such "heavy"
   triangles carry at most ``2*eps*T`` triangles in total by Lemma 5.12).
 
-This module implements the procedure *batched*: Algorithm 2 discovers all of
-its candidate triangles in pass 4, then a single
-:meth:`StreamingAssigner.assign` call resolves every ``Assignment(tau)``
+The procedure runs *batched*: Algorithm 2 discovers all of its candidate
+triangles in pass 4, then one assignment stage
+(:func:`repro.core.parallel._assign_program`, wrapped at ``k = 1`` by
+:meth:`StreamingAssigner.assign`) resolves every ``Assignment(tau)``
 simultaneously in two further passes (passes 5 and 6 of the overall
 six-pass estimator):
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol
 
 from ..graph.adjacency import Graph
 from ..graph.triangles import per_edge_triangle_counts
@@ -199,7 +200,7 @@ class _Bundle:
 def replay_incident_rows(incident_rows: list, offer) -> None:
     """Replay a fused-sweep incident buffer through a per-edge callback.
 
-    The buffer is what :func:`repro.core.estimator.pass45_closure_and_collect`
+    The buffer is what :func:`repro.core.estimator.stage_pass45`
     collected during the fused pass-4/5 sweep: every tape edge incident to
     a *superset* of the assignment stage's tracked vertices, in stream
     order (``(k, 2)`` blocks on the chunked engines, edge tuples on the
@@ -222,7 +223,7 @@ def stage_closure_hits(
     meter: SpaceMeter,
     chunked: bool,
 ) -> "RoundStage":
-    """Build the pass-6 closure-counting stage (single and parallel runners).
+    """Build the pass-6 closure-counting stage.
 
     Row ``i`` pairs one light candidate edge's owner bundle with the edge's
     far endpoint ``others[i]``; ``finish()`` counts, per row, how many of
@@ -268,19 +269,6 @@ def stage_closure_hits(
 
         return RoundStage(plans=[kernels.EdgeReplayPlan(visit)], finish=lambda: hits)
     return RoundStage(fold=CallbackFold(visit), finish=lambda: hits)
-
-
-def closure_hit_counts(
-    scheduler: PassScheduler,
-    bundle_rows: List[_Bundle],
-    others: List[Vertex],
-    meter: SpaceMeter,
-    chunked: bool,
-) -> List[int]:
-    """Pass-6 closure counting as one dedicated sweep (see :func:`stage_closure_hits`)."""
-    from .stages import execute_stage
-
-    return execute_stage(scheduler, stage_closure_hits(bundle_rows, others, meter, chunked))
 
 
 def _closure_hits_vectorized_stage(
@@ -427,127 +415,29 @@ class StreamingAssigner:
     ) -> Dict[Triangle, Optional[Edge]]:
         """Resolve assignments for all distinct triangles in two passes.
 
-        When the fused sweep engine already collected the incident edges
-        during pass 4, ``incident_rows`` carries that buffer and pass 5
-        replays it instead of opening a pass of its own (the pass was
-        charged by the fused group) - results are bit-identical either
-        way.
+        The ``k = 1`` case of the round programs' assignment stage
+        (:func:`repro.core.parallel._assign_program`), each stage run as a
+        private sweep on ``scheduler``.  When the fused sweep engine
+        already collected the incident edges during pass 4,
+        ``incident_rows`` carries that buffer and pass 5 replays it
+        instead of opening a pass of its own (the pass was charged by the
+        fused group) - results are bit-identical either way.
         """
-        distinct = sorted(set(triangles))
+        from .parallel import _assign_program, drive_round
+
+        distinct = set(triangles)
         if not distinct:
             return {}
-        edges = sorted({f for t in distinct for f in triangle_edges(t)})
-        chunked = engine.use_chunks(scheduler.stream)
-
-        degree, bundles = self._pass5_degrees_and_samples(
-            scheduler, edges, chunked, incident_rows
+        program = _assign_program(
+            self._plan,
+            [self._rng],
+            [distinct],
+            self._meter,
+            engine.use_chunks(scheduler.stream),
+            incident_rows,
+            track=lambda stage: stage,
         )
-        estimates = self._pass6_estimate_te(scheduler, edges, degree, bundles, chunked)
-        return self._resolve(distinct, estimates)
-
-    # -- pass 5 --------------------------------------------------------------
-
-    def _pass5_degrees_and_samples(
-        self,
-        scheduler: PassScheduler,
-        edges: List[Edge],
-        chunked: bool = False,
-        incident_rows: Optional[list] = None,
-    ) -> Tuple[Dict[Vertex, int], Dict[Vertex, _Bundle]]:
-        """Count degrees of all candidate-edge endpoints and sample neighbors.
-
-        One bundle of ``s`` reservoirs per *vertex* (shared by every
-        candidate edge that vertex may end up owning; see module docstring
-        for why sharing is sound).  The heavy-edge degree counters and the
-        reservoir bundles only react to edges incident to a candidate
-        endpoint, so the chunked engine pre-filters the tape to exactly
-        those edges and replays the identical update sequence on them.
-        """
-        s = self._plan.s
-        bundles: Dict[Vertex, _Bundle] = {}
-        for f in edges:
-            for endpoint in f:
-                if endpoint not in bundles:
-                    bundles[endpoint] = _Bundle(s)
-        degree: Dict[Vertex, int] = {v: 0 for v in bundles}
-        self._meter.allocate(s * len(bundles), "assignment-reservoirs")
-        self._meter.allocate(len(degree), "assignment-degrees")
-
-        rng = derive_sample_generator(self._rng)
-
-        def offer(a: Vertex, b: Vertex) -> None:
-            if a in degree:
-                k = degree[a] + 1
-                degree[a] = k
-                bundles[a].offer(b, k, rng)
-            if b in degree:
-                k = degree[b] + 1
-                degree[b] = k
-                bundles[b].offer(a, k, rng)
-
-        if incident_rows is not None:
-            # Fused sweep: pass 5's tape reads already happened during the
-            # pass-4 sweep; replay the buffered superset (no pass opened).
-            replay_incident_rows(incident_rows, offer)
-        elif chunked:
-            from . import kernels
-
-            kernels.scan_incident_edges(scheduler, degree, engine.chunk_size(), offer)
-        else:
-            for a, b in scheduler.new_pass():
-                offer(a, b)
-        for bundle in bundles.values():  # deterministic construction order
-            bundle.flush(rng)
-        return degree, bundles
-
-    # -- pass 6 --------------------------------------------------------------
-
-    def _pass6_estimate_te(
-        self,
-        scheduler: PassScheduler,
-        edges: List[Edge],
-        degree: Dict[Vertex, int],
-        bundles: Dict[Vertex, _Bundle],
-        chunked: bool = False,
-    ) -> Dict[Edge, float]:
-        """Check wedge closures and return ``Y_f`` per candidate edge."""
-        estimates: Dict[Edge, float] = {}
-        light: List[Edge] = []
-        light_others: List[Vertex] = []
-        for f in edges:
-            u, v = f
-            d_f = min(degree[u], degree[v])
-            if d_f > self._plan.degree_cutoff:
-                estimates[f] = float("inf")  # Algorithm 3 line 9
-                continue
-            estimates[f] = 0.0
-            # Section 3 convention: N(e) is the lower-degree endpoint's
-            # neighborhood, ties to the second endpoint.
-            owner = u if degree[u] < degree[v] else v
-            light.append(f)
-            light_others.append(v if owner == u else u)
-        bundle_rows = [bundles[u if other == v else v] for (u, v), other in zip(light, light_others)]
-        hits = closure_hit_counts(scheduler, bundle_rows, light_others, self._meter, chunked)
-        s = self._plan.s
-        for f, hit_count in zip(light, hits):
-            u, v = f
-            estimates[f] = min(degree[u], degree[v]) * hit_count / s
-        return estimates
-
-    # -- resolution ------------------------------------------------------------
-
-    def _resolve(
-        self, distinct: List[Triangle], estimates: Dict[Edge, float]
-    ) -> Dict[Triangle, Optional[Edge]]:
-        out: Dict[Triangle, Optional[Edge]] = {}
-        for t in distinct:
-            # Minimum Y_f with canonical-edge tie-break, for consistency.
-            best_edge = min(triangle_edges(t), key=lambda f: (estimates[f], f))
-            if estimates[best_edge] > self._plan.assignment_cutoff:
-                out[t] = None  # Algorithm 3 line 18: return bottom
-            else:
-                out[t] = best_edge
-        return out
+        return drive_round(scheduler, program)[0]
 
 
 class ExactAssigner:

@@ -15,6 +15,16 @@ sublinear-estimation literature (e.g. Eden et al.):
 Each halving doubles the sample sizes, so the total space is dominated by
 the final, accepted round - i.e. still ``O~(m * kappa / T)``.  A graph with
 no triangles walks the guess below 1 and yields estimate 0.
+
+The loop has exactly one implementation, :func:`estimate_program`: a
+generator that yields the stage batches each tape sweep must serve and
+reports every committed round boundary.  Everything else drives it.
+:meth:`TriangleCountEstimator.estimate` serves the batches on private
+per-window schedulers and turns retry, degradation and crash-resume into
+one primitive - restart the program from a committed boundary
+(:class:`ResumeState`); :func:`run_estimate_program` serves them on one
+scheduler; the serving layer merges the batches of many programs into
+shared sweeps.
 """
 
 from __future__ import annotations
@@ -24,11 +34,10 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from ..errors import (
-    EstimationError,
     ParameterError,
     SnapshotFormatError,
     SnapshotMismatchError,
@@ -42,17 +51,11 @@ from . import engine
 from . import faults as faults_module
 from . import snapshot as snapshot_module
 from .engine import engine_overrides
-from .estimator import (
-    PASS_BUDGET_PER_ROUND,
-    AssignerFactory,
-    SinglePassStackResult,
-    run_single_estimate,
-)
+from .estimator import PASS_BUDGET_PER_ROUND, SinglePassStackResult
 from .faults import FailureReport, RecoveryContext
 from .params import ParameterPlan, PlanConstants
+from .stages import TaggedStage, sweep_tagged_stages
 
-if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from .stages import TaggedStage
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ class EstimatorConfig:
         over six shared passes - the paper's accounting (Theorem 5.1's
         constant passes cover the whole ensemble, and the reported space is
         the ensemble total).  ``False`` runs repetitions sequentially (6
-        passes each, per-run space); also the fallback whenever a custom
-        ``assigner_factory`` is injected.
+        passes each, per-run space).
     engine_mode:
         Optional execution-engine override for this estimator's runs:
         ``"auto"`` | ``"chunked"`` | ``"python"`` | ``"sharded"`` (see
@@ -121,11 +123,10 @@ class EstimatorConfig:
         speculation-only sweeps as :attr:`EstimateResult.sweeps_wasted`.
         ``None`` keeps the global ``REPRO_SPECULATE`` policy (off by
         default).  Speculation disengages - falling back to the
-        sequential loop - whenever a ``t_hint`` (single round), a custom
-        ``assigner_factory``, plain ``share_passes=False``, or a
-        ``space_budget_words`` cap is in force (a speculative round
-        tripping the Markov abort must not fail a run the sequential
-        driver would have finished).
+        sequential loop - whenever a ``t_hint`` (single round),
+        ``share_passes=False``, or a ``space_budget_words`` cap is in
+        force (a speculative round tripping the Markov abort must not fail
+        a run the sequential loop would have finished).
     speculate_depth:
         Optional override of the maximum rounds per speculative window
         (``>= 2``; ``2`` reproduces the original round-pair driver
@@ -244,7 +245,10 @@ class ResumeState:
     is the root generator's ``getstate()`` at the boundary and
     ``rng_stack`` the (normally empty between rounds) speculative
     checkpoint stack; ``degradations`` are the recovery ladder's recorded
-    reports up to the snapshot.
+    reports up to the snapshot.  ``num_edges`` / ``num_vertices`` are the
+    stream statistics read before the first round: a boundary the loop
+    reported carries them so a restart need not re-read the stream, while
+    a decoded snapshot leaves them ``None`` (the resume re-reads them).
     """
 
     round_index: int
@@ -257,6 +261,8 @@ class ResumeState:
     rng_state: tuple
     rng_stack: Tuple[tuple, ...]
     degradations: Tuple[FailureReport, ...]
+    num_edges: Optional[int] = None
+    num_vertices: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -335,7 +341,6 @@ class TriangleCountEstimator:
         self,
         stream: EdgeStream,
         kappa: int,
-        assigner_factory: Optional[AssignerFactory] = None,
         _resume: Optional[ResumeState] = None,
     ) -> EstimateResult:
         """Estimate the triangle count of ``stream``.
@@ -349,8 +354,6 @@ class TriangleCountEstimator:
             takes this as a promise on the input class; Theorem 1.2's bound
             degrades gracefully if the supplied value over-estimates the
             true degeneracy (space grows linearly in the bound).
-        assigner_factory:
-            Optional override of the ``IsAssigned`` implementation.
         _resume:
             Internal: restored snapshot state (use :func:`resume_from`).
         """
@@ -372,460 +375,133 @@ class TriangleCountEstimator:
         ):
             # The recovery scope installs the retry policy, arms the fault
             # plan, and collects FailureReports; on exit it unwinds any
-            # shm/prefetch tiers the ladder dropped (the serial tier is
-            # unwound by engine_overrides above).
+            # shm/prefetch tiers the ladder dropped (the serial and
+            # speculation tiers are unwound by engine_overrides above).
             with faults_module.recovery_scope(
                 policy=faults_module.policy_from_env(cfg.max_retries, cfg.task_timeout),
                 plan=cfg.faults,
             ) as recovery:
-                return self._estimate(stream, kappa, assigner_factory, recovery, _resume)
+                return self._estimate(stream, kappa, recovery, _resume)
 
     def _estimate(
         self,
         stream: EdgeStream,
         kappa: int,
-        assigner_factory: Optional[AssignerFactory],
         recovery: RecoveryContext,
-        resume: Optional[ResumeState] = None,
+        resume: Optional[ResumeState],
     ) -> EstimateResult:
+        """Drive :func:`estimate_program` on private sweeps, restarting it
+        from its last committed round boundary after a transient failure.
+
+        Each window the program opens gets a fresh :class:`PassScheduler`
+        budgeted at six passes per round.  A failure books the aborted
+        attempt's sweeps and passes as wasted and restarts the program
+        from the last boundary it reported - the root generator rewound to
+        the boundary state, so a retry re-draws bit-identical per-rep
+        generators and the committed trajectory never depends on how many
+        attempts a round took.  Retries back off under the
+        :class:`~repro.core.faults.RetryPolicy`; once they run out the
+        ladder (:func:`~repro.core.faults.pick_step`) drops one tier and
+        the restarted program picks up the new engine policy.  The stream
+        statistics reads before the first round run inside the program, so
+        they recover through the same loop.
+        """
         cfg = self._config
-        if kappa < 1:
-            raise ParameterError(f"kappa must be >= 1, got {kappa}")
-
-        def recovering(read):
-            """Run a pre-round stream read under the retry/degrade policy.
-
-            The statistics sweep happens before any round - no RNG to
-            rewind, no pass accounting to book - so recovery is a plain
-            retry loop: transient failures retry with backoff, and on
-            exhaustion the tiers a serial in-process read stands on (the
-            prefetch thread for text streams, the mapping for mmap tapes
-            with a text twin) are dropped before propagating.
-            """
-            from ..streams import file as file_module
-            from ..streams import tape as tape_module
-            from ..streams.file import FileEdgeStream
-            from ..streams.tape import MmapEdgeStream
-
-            attempts = 0
-            while True:
-                try:
-                    return read()
-                except Exception as exc:
-                    if not faults_module.is_transient(exc):
-                        raise
-                    attempts += 1
-                    if attempts < recovery.policy.max_attempts:
-                        delay = recovery.policy.backoff_delay(attempts)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    if isinstance(stream, FileEdgeStream) and file_module.prefetch_enabled():
-                        faults_module.degrade(
-                            faults_module.ACTION_SYNC_READS,
-                            faults_module.site_of(exc),
-                            attempts,
-                            exc,
-                        )
-                        attempts = 0
-                        continue
-                    if (
-                        isinstance(stream, MmapEdgeStream)
-                        and stream.has_text_twin
-                        and tape_module.mmap_enabled()
-                    ):
-                        faults_module.degrade(
-                            faults_module.ACTION_TEXT,
-                            faults_module.site_of(exc),
-                            attempts,
-                            exc,
-                        )
-                        attempts = 0
-                        continue
-                    raise
-
-        m = recovering(lambda: len(stream))
-        if m == 0:
-            return EstimateResult(
-                estimate=0.0,
-                rounds=[],
-                space_words_peak=0,
-                passes_total=0,
-                final_plan=None,
-                sweeps_total=0,
-                degradations=tuple(recovery.reports),
-            )
-        # The model assumes n is known a priori (Table 1 notes this is the
-        # standard assumption); one statistics pass recovers an upper bound.
-        n = recovering(lambda: stream.stats().num_vertices_upper)
         root = make_rng(cfg.seed)
+        if resume is not None:
+            recovery.reports.extend(resume.degradations)
+        checkpoint_dir = snapshot_module.resolve_checkpoint_dir(cfg.checkpoint_dir)
+        writer: Optional[snapshot_module.SnapshotWriter] = None
+        committed: Optional[ResumeState] = None  # the last boundary reported
+        schedulers: List[PassScheduler] = []  # the windows since that boundary
+        depth = 0  # the depth of the window in flight
+        attempts = 0
 
-        guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
-
-        rounds: List[GuessRound] = []
-        space_peak = 0
-        passes_total = 0
-        sweeps_total = 0
-        sweeps_wasted = 0
-        passes_wasted = 0
-        final_plan: Optional[ParameterPlan] = None
-        estimate = 0.0
-
-        def build_plan(t_guess: float) -> ParameterPlan:
-            return ParameterPlan.build(
-                num_vertices=n,
-                num_edges=m,
-                kappa=kappa,
-                t_guess=t_guess,
-                epsilon=cfg.epsilon,
-                mode=cfg.mode,
-                constants=cfg.constants,
+        def on_window(window_depth: int) -> None:
+            nonlocal depth
+            depth = window_depth
+            schedulers.append(
+                PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * window_depth)
             )
 
-        def spawn_round(round_index: int) -> List[random.Random]:
-            return [
-                spawn(root, f"round{round_index}/rep{rep}")
-                for rep in range(cfg.repetitions)
-            ]
-
-        def result(final_estimate: float) -> EstimateResult:
-            return EstimateResult(
-                estimate=final_estimate,
-                rounds=rounds,
-                space_words_peak=space_peak,
-                passes_total=passes_total,
-                final_plan=final_plan,
-                sweeps_total=sweeps_total,
-                sweeps_wasted=sweeps_wasted,
-                passes_wasted=passes_wasted,
-                degradations=tuple(recovery.reports),
-            )
-
-        def record_round(
-            t_guess: float, runs: List[SinglePassStackResult], plan: ParameterPlan
-        ) -> Tuple[float, bool]:
-            """Append one committed round and apply the acceptance rule."""
-            nonlocal final_plan, estimate
-            med = median([run.estimate for run in runs])
-            accepted = cfg.t_hint is not None or med >= t_guess / 2.0
-            rounds.append(
-                GuessRound(
-                    t_guess=t_guess, runs=runs, median_estimate=med, accepted=accepted
-                )
-            )
-            final_plan = plan
-            estimate = med
-            return med, accepted
-
-        share = cfg.share_passes and assigner_factory is None
-        # Speculative round fusion preserves the sequential loop's
-        # semantics only where the sequential loop actually has rounds to
-        # fuse and no per-run abort can fire mid-window; everywhere else
-        # it disengages.
-        speculative = (
-            engine.speculate()
-            and share
-            and cfg.t_hint is None
-            and cfg.space_budget_words is None
-        )
-
-        def window_depth(round_index: int) -> int:
-            return _pick_window_depth(
-                guesses,
-                round_index,
-                engine.speculate_depth(),
-                rounds[-1].median_estimate if rounds else None,
-            )
-
-        def attempt_window(
-            round_index: int, depth: int, sched_cell: List[PassScheduler]
-        ) -> Tuple[str, int | float]:
-            """One speculative-window attempt over rounds ``round_index..+depth-1``."""
-            nonlocal space_peak, passes_total, sweeps_total, sweeps_wasted, passes_wasted
-            from .speculate import PASSES_PER_ROUND, run_speculative_window
-
-            window_guesses = guesses[round_index : round_index + depth]
-            plans = [build_plan(g) for g in window_guesses]
-            rng_lists = [spawn_round(round_index)]
-            # Checkpoint the root generator before each speculative
-            # round's spawns: if an earlier round accepts, the
-            # sequential driver would never have drawn the later
-            # rounds' generators, and rewinding to the checkpoint of
-            # the first discarded round keeps the root's consumption
-            # bit-identical to the sequential trajectory.
-            checkpoints = []
-            for j in range(1, depth):
-                checkpoints.append(root.getstate())
-                rng_lists.append(spawn_round(round_index + j))
-            meters = [SpaceMeter() for _ in range(depth)]
-            # The scheduler is built here rather than inside the window so
-            # that a failed attempt's sweep counters stay readable for the
-            # retry loop's wasted-work bookkeeping.
-            scheduler = PassScheduler(stream, max_passes=PASSES_PER_ROUND * depth)
-            sched_cell.append(scheduler)
-            try:
-                window = run_speculative_window(
-                    stream, plans, rng_lists, meters, scheduler=scheduler
-                )
-            except BaseException:
-                # A failed shared sweep aborts the whole window; the
-                # speculative rounds' RNG consumption must not leak
-                # into the root generator's state (callers observing
-                # the root - or retrying against it - would diverge
-                # from the sequential trajectory).
-                root.setstate(checkpoints[0])
-                raise
-            # Walk the window in sequential order: commit every round
-            # up to (and including) the first acceptance.
-            committed = 0
-            accepted = False
-            med = 0.0
-            for j in range(depth):
-                space_peak = max(space_peak, meters[j].peak_words)
-                passes_total += window.results[j][0].passes_used
-                med, accepted = record_round(
-                    window_guesses[j], window.results[j], plans[j]
-                )
-                committed += 1
-                if accepted:
-                    break
-            try:
-                if committed < depth:
-                    # The suffix is work the sequential driver would
-                    # never have run: drop its results and meters,
-                    # rewind the root RNG past its spawns, and book
-                    # the sweeps that served only it as wasted.
-                    window.discard_from(committed)
-                    root.setstate(checkpoints[committed - 1])
-                    for j in range(committed, depth):
-                        passes_wasted += window.results[j][0].passes_used
-            finally:
-                sweeps_total += window.sweeps_committed
-                sweeps_wasted += window.sweeps_wasted
-            return ("accepted", med) if accepted else ("advance", depth)
-
-        def attempt_sequential(
-            round_index: int, t_guess: float, sched_cell: List[PassScheduler]
-        ) -> Tuple[str, int | float]:
-            """One sequential round attempt (shared passes or per-rep runs)."""
-            nonlocal space_peak, passes_total, sweeps_total
-            plan = build_plan(t_guess)
-            runs: List[SinglePassStackResult] = []
-            if share:
-                # The paper's accounting: all repetitions in parallel over
-                # six shared passes; space is the ensemble total.
-                from .parallel import run_parallel_estimates
-
-                rngs = spawn_round(round_index)
-                meter = SpaceMeter(budget_words=cfg.space_budget_words)
-                scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND)
-                sched_cell.append(scheduler)
-                runs = run_parallel_estimates(
-                    stream, plan, rngs, meter=meter, scheduler=scheduler
-                )
-                space_peak = max(space_peak, meter.peak_words)
-                passes_total += runs[0].passes_used if runs else 0
-                sweeps_total += runs[0].sweeps_used if runs else 0
-            else:
-                # Commit the bookkeeping only once *all* repetitions have
-                # succeeded: a retry of this round must not double-count
-                # the reps that completed before the failure.
-                for rep in range(cfg.repetitions):
-                    rng = spawn(root, f"round{round_index}/rep{rep}")
-                    meter = SpaceMeter(budget_words=cfg.space_budget_words)
-                    runs.append(
-                        run_single_estimate(
-                            stream,
-                            plan,
-                            rng,
-                            meter=meter,
-                            assigner_factory=assigner_factory,
-                        )
+        def on_boundary(state: ResumeState) -> None:
+            nonlocal committed, writer, attempts
+            schedulers.clear()
+            # A restart re-reports the boundary it started from; that one
+            # is neither progress nor a new snapshot.
+            if committed is None or state.round_index != committed.round_index:
+                attempts = 0
+                if checkpoint_dir is not None and writer is None:
+                    # Built after the stats reads: fingerprinting a generic
+                    # stream is itself a sweep of it.
+                    writer = snapshot_module.SnapshotWriter(
+                        checkpoint_dir,
+                        config_digest=snapshot_module.config_hash(_config_state(cfg), kappa),
+                        fingerprint=snapshot_module.stream_fingerprint(stream),
+                        every=cfg.snapshot_every,
+                        keep=cfg.snapshot_keep,
                     )
-                for run in runs:
-                    space_peak = max(space_peak, run.space_words_peak)
-                    passes_total += run.passes_used
-                    sweeps_total += run.sweeps_used
-            med, accepted = record_round(t_guess, runs, plan)
-            return ("accepted", med) if accepted else ("advance", 1)
+                if writer is not None:
+                    writer.boundary(
+                        state.round_index,
+                        _boundary_payload(cfg, kappa, state, recovery.reports),
+                    )
+            committed = state
 
-        def pick_step(exc: BaseException, depth: int) -> Optional[str]:
-            """The degradation ladder: which tier to drop for this failure.
-
-            Prefers the step matching the failure's classified site, then
-            falls through the ladder in order; ``None`` when no applicable
-            tier is left to drop (the failure then propagates).
-            """
-            from ..streams import file as file_module
-            from ..streams import shm
-            from ..streams import tape as tape_module
-            from ..streams.file import FileEdgeStream
-            from ..streams.tape import MmapEdgeStream
-
-            mmap_tier = (
-                isinstance(stream, MmapEdgeStream)
-                and stream.has_text_twin
-                and tape_module.mmap_enabled()
-            )
-            applicable: List[str] = []
-            if engine.effective_workers() > 1 and not recovery.serial_degraded:
-                applicable.append(faults_module.ACTION_SERIAL)
-            if engine.effective_workers() > 1 and shm.shm_enabled():
-                applicable.append(faults_module.ACTION_PICKLE)
-            if isinstance(stream, FileEdgeStream) and file_module.prefetch_enabled():
-                applicable.append(faults_module.ACTION_SYNC_READS)
-            if mmap_tier:
-                applicable.append(faults_module.ACTION_TEXT)
-            if depth >= 2 and not recovery.speculation_degraded:
-                applicable.append(faults_module.ACTION_SEQUENTIAL)
-            if not applicable:
-                return None
-            preferred = {
-                faults_module.WORKER_CRASH: faults_module.ACTION_SERIAL,
-                faults_module.TASK_TIMEOUT: faults_module.ACTION_SERIAL,
-                faults_module.SHM_ATTACH: faults_module.ACTION_PICKLE,
-                faults_module.FILE_READ: (
-                    faults_module.ACTION_TEXT
-                    if mmap_tier
-                    else faults_module.ACTION_SYNC_READS
-                ),
-            }.get(faults_module.site_of(exc))
-            return preferred if preferred in applicable else applicable[0]
-
-        def run_round(round_index: int, t_guess: float) -> Tuple[str, int | float]:
-            """Run one guessing step to completion, retrying and degrading.
-
-            Returns ``("accepted", median)`` or ``("advance", k)`` with
-            ``k`` the number of rounds the step committed.  Every failed
-            attempt rewinds the root generator to the state it had before
-            the attempt's spawns, so a retry re-draws bit-identical
-            per-rep generators and the committed trajectory never depends
-            on how many attempts the round took.
-            """
-            nonlocal sweeps_wasted, passes_wasted
-            base_state = root.getstate()
-            attempts = 0
+        start = resume
+        try:
             while True:
-                depth = (
-                    window_depth(round_index)
-                    if speculative and not recovery.speculation_degraded
-                    else 1
+                program = estimate_program(
+                    stream,
+                    kappa,
+                    cfg,
+                    start=start,
+                    root=root,
+                    on_window=on_window,
+                    on_boundary=on_boundary,
                 )
-                sched_cell: List[PassScheduler] = []
                 try:
-                    if depth >= 2:
-                        return attempt_window(round_index, depth, sched_cell)
-                    return attempt_sequential(round_index, t_guess, sched_cell)
+                    outcome = _drive(
+                        program, lambda batch: sweep_tagged_stages(schedulers[-1], batch)
+                    )
                 except Exception as exc:
                     if not faults_module.is_transient(exc):
                         raise
                     attempts += 1
-                    if sched_cell:
-                        # The aborted attempt's physical sweeps are real
-                        # traversals lost to the failure - booked as
-                        # wasted, never as committed work.
-                        sweeps_wasted += sched_cell[0].sweeps_used
-                        passes_wasted += sched_cell[0].passes_used
                     if attempts < recovery.policy.max_attempts:
-                        root.setstate(base_state)
                         delay = recovery.policy.backoff_delay(attempts)
                         if delay > 0:
                             time.sleep(delay)
-                        continue
-                    step = pick_step(exc, depth)
-                    if step is None:
-                        # No tier left to drop: propagate without touching
-                        # the root state (a window attempt has already
-                        # rewound its own speculative spawns).
-                        raise
-                    faults_module.degrade(
-                        step, faults_module.site_of(exc), attempts, exc
-                    )
-                    attempts = 0
-                    root.setstate(base_state)
-
-        round_index = 0
-        if resume is not None:
-            # Restore the loop state the snapshot captured: the committed
-            # trajectory, the accounting totals, the recovery reports, and
-            # - the linchpin of bit-identity - the root generator's exact
-            # state at the boundary.  The guesses list is recomputed above
-            # from (m, kappa, config), which the snapshot's config hash
-            # and stream fingerprint have already pinned.
-            rounds.extend(resume.rounds)
-            space_peak = resume.space_words_peak
-            passes_total = resume.passes_total
-            sweeps_total = resume.sweeps_total
-            sweeps_wasted = resume.sweeps_wasted
-            passes_wasted = resume.passes_wasted
-            if rounds:
-                estimate = rounds[-1].median_estimate
-                final_plan = build_plan(rounds[-1].t_guess)
-            root.setstate(resume.rng_state)
-            recovery.reports.extend(resume.degradations)
-            round_index = resume.round_index
-
-        writer: Optional[snapshot_module.SnapshotWriter] = None
-        checkpoint_dir = snapshot_module.resolve_checkpoint_dir(cfg.checkpoint_dir)
-        if checkpoint_dir is not None:
-            writer = snapshot_module.SnapshotWriter(
-                checkpoint_dir,
-                config_digest=snapshot_module.config_hash(_config_state(cfg), kappa),
-                fingerprint=snapshot_module.stream_fingerprint(stream),
-                every=cfg.snapshot_every,
-                keep=cfg.snapshot_keep,
-            )
-
-        def boundary_payload(next_round: int) -> Dict[str, object]:
-            """The full estimator state entering round ``next_round``."""
-            return {
-                "kappa": kappa,
-                "config": _config_state(cfg),
-                "round_index": next_round,
-                "rounds": [_round_state(r) for r in rounds],
-                "accounting": {
-                    "space_words_peak": space_peak,
-                    "passes_total": passes_total,
-                    "sweeps_total": sweeps_total,
-                    "sweeps_wasted": sweeps_wasted,
-                    "passes_wasted": passes_wasted,
-                },
-                # Between rounds the speculative checkpoint stack is always
-                # empty (windows rewind or commit before the boundary); the
-                # format still carries it for the dynamic-stream roadmap.
-                "rng": {"state": encode_state(root.getstate()), "stack": []},
-                "degradations": [dataclasses.asdict(rep) for rep in recovery.reports],
-                # Round-boundary state holds no live reservoirs (each round
-                # rebuilds its own); the slot is the extension point for
-                # mid-pass checkpoints (see sampling.reservoir.state_dict).
-                "reservoirs": {},
-            }
-
-        try:
-            if writer is not None:
-                writer.boundary(round_index, boundary_payload(round_index))
-            while round_index < len(guesses):
-                t_guess = guesses[round_index]
-                if t_guess < 1.0 and cfg.t_hint is None:
-                    break  # fewer than one triangle remains plausible: answer 0
-                verdict, value = run_round(round_index, t_guess)
-                if verdict == "accepted":
-                    return result(float(value))
-                round_index += int(value)
-                if writer is not None:
-                    writer.boundary(round_index, boundary_payload(round_index))
+                    else:
+                        step = faults_module.pick_step(exc, stream, depth, recovery)
+                        if step is None:
+                            raise  # no tier left to drop: the failure is the answer
+                        faults_module.degrade(step, faults_module.site_of(exc), attempts, exc)
+                        attempts = 0
+                    start = committed if committed is not None else resume
+                    if start is not None:
+                        # The aborted attempt's sweeps were real traversals
+                        # lost to the failure: wasted, never committed.
+                        start = dataclasses.replace(
+                            start,
+                            sweeps_wasted=start.sweeps_wasted
+                            + sum(s.sweeps_used for s in schedulers),
+                            passes_wasted=start.passes_wasted
+                            + sum(s.passes_used for s in schedulers),
+                        )
+                    schedulers.clear()
+                    depth = 0
+                    continue
+                return dataclasses.replace(
+                    outcome.result, degradations=tuple(recovery.reports)
+                )
         except (KeyboardInterrupt, SystemExit):
             # Process shutdown mid-round: the root generator may be
             # mid-window, so the durable state is the *retained boundary*
-            # document, not the live locals - flush it and re-raise.
+            # document, not the live program - flush it and re-raise.
             if writer is not None:
                 writer.write_final()
             raise
-
-        if cfg.t_hint is not None:  # pragma: no cover - hint rounds always accept
-            raise EstimationError("hinted round did not record a result")
-        # All guesses rejected: consistent with a (near-)triangle-free graph.
-        return result(0.0 if estimate < 1.0 else estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +509,7 @@ class TriangleCountEstimator:
 
 
 def _guess_schedule(cfg: EstimatorConfig, upper: float) -> List[float]:
-    """The geometric guess sequence the loop will walk (or the single hint).
-
-    Shared by the in-process driver and :func:`estimate_program` so the
-    two can never disagree on the trajectory.
-    """
+    """The geometric guess sequence the loop will walk (or the single hint)."""
     if cfg.t_hint is not None:
         if cfg.t_hint <= 0:
             raise ParameterError(f"t_hint must be positive, got {cfg.t_hint}")
@@ -886,12 +558,11 @@ def _pick_window_depth(
 class ProgramOutcome:
     """What :func:`estimate_program` returns when it runs to completion.
 
-    ``result`` reproduces the solo driver's :class:`EstimateResult` for
-    the same seed and config - including the sweep accounting, which the
-    program books against *private* ledgers so the numbers match a solo
-    run even when its stages physically rode sweeps shared with other
-    jobs.  ``root_state`` is the root generator's final ``getstate()``
-    (the bit-identity witness the parity tests compare).
+    ``result`` is the estimate's :class:`EstimateResult`, its sweep
+    accounting booked against *private* ledgers so the numbers match a
+    solo run even when its stages physically rode sweeps shared with
+    other jobs.  ``root_state`` is the root generator's final
+    ``getstate()`` (the bit-identity witness the parity tests compare).
     ``discarded_owners`` lists the owner tags of discarded speculation;
     an entity driving many programs on one shared scheduler applies them
     via ``discard_owner`` so the *physical* committed/wasted split stays
@@ -908,50 +579,62 @@ def estimate_program(
     kappa: int,
     config: Optional[EstimatorConfig] = None,
     owner_prefix: str = "",
+    *,
+    start: Optional[ResumeState] = None,
+    root: Optional[random.Random] = None,
+    on_window: Optional[Callable[[int], None]] = None,
+    on_boundary: Optional[Callable[[ResumeState], None]] = None,
 ) -> "Generator[List[TaggedStage], None, ProgramOutcome]":
-    """The whole guessing loop as a stage program: yields, never sweeps.
+    """The guessing loop as a stage program: yields, never sweeps.
 
-    The generator inversion of :meth:`TriangleCountEstimator.estimate`'s
-    clean path: it yields each pending batch of owner-tagged stages (one
-    batch per tape sweep the solo driver would perform) and leaves the
+    The one implementation of the loop.  It yields each pending batch of
+    owner-tagged stages (one batch per tape sweep) and leaves the
     *execution* of those sweeps to whoever drives it -
-    :func:`run_estimate_program` with a private scheduler, or the serving
-    layer's per-tape scheduler, which merges batches from many live
-    programs into shared traversals.  Stage owners are tagged
+    :meth:`TriangleCountEstimator.estimate` with private per-window
+    schedulers, :func:`run_estimate_program` with one scheduler, or the
+    serving layer's per-tape scheduler, which merges batches from many
+    live programs into shared traversals.  Stage owners are tagged
     ``f"{owner_prefix}w{window}.{round_tag}"``, so on a shared scheduler
     ``owner_report(owner_prefix)`` recovers this job's slice and each
     discard names one window's round unambiguously.
 
-    Bit-identity contract: for the same ``(stream, kappa, config)``, the
-    returned :class:`ProgramOutcome` carries an estimate, rounds
-    trajectory, ``passes_total``, sweep accounting, and final root-RNG
-    state identical to a clean solo
-    :meth:`~TriangleCountEstimator.estimate` run under the same ambient
-    engine policy - regardless of what else rode the physical sweeps.
+    Each *window* is ``depth`` guessing rounds run in lockstep
+    (:func:`~repro.core.speculate.window_program`): ``depth > 1`` only
+    under speculation, which disengages for a ``t_hint`` (single round),
+    ``share_passes=False``, or a ``space_budget_words`` cap (a
+    speculative round tripping the Markov abort must not fail a run the
+    sequential loop would have finished).  With ``share_passes=False``
+    every repetition is a window of its own: one ``k = 1`` round with its
+    own meter and its own sweeps.  The engine policy (speculation, depth,
+    chunking) is read when the program starts.
 
-    Restrictions: ``share_passes`` must be on (the default) and
-    ``space_budget_words`` must be unset - a per-run Markov abort fires
-    mid-sweep, and on a shared traversal that would fail jobs the solo
-    driver would have finished.  The retry/degradation ladder and
-    snapshot writing stay with the solo driver; a failed sweep simply
-    propagates to (and through) the driving entity, which must ``close()``
-    the generator so round programs clean up.
+    Restart contract: ``start`` is a committed round boundary to continue
+    from (a decoded snapshot, or a state this program reported) and
+    ``root`` the root generator to continue on (built by
+    :func:`make_rng` when omitted); the program restores the boundary's
+    root state itself.  ``on_window(depth)`` is called as each window
+    opens and ``on_boundary(state)`` at every committed boundary,
+    including the start one - a driver that restarts from the last
+    reported state reproduces the uninterrupted run bit for bit.  A
+    failed sweep propagates to (and through) the driving entity, which
+    must ``close()`` the generator so round programs clean up.
     """
     cfg = config if config is not None else EstimatorConfig()
     if kappa < 1:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
-    if not cfg.share_passes:
-        raise ParameterError("estimate_program requires share_passes=True")
-    if cfg.space_budget_words is not None:
-        raise ParameterError(
-            "estimate_program does not support space_budget_words: a Markov "
-            "abort inside a shared sweep would fail co-riding jobs"
-        )
     from ..streams.multipass import OwnerLedger
     from .speculate import _owner_tags, window_program
 
-    m = len(stream)
-    root = make_rng(cfg.seed)
+    if root is None:
+        root = make_rng(cfg.seed)
+    if start is not None and start.num_vertices is not None:
+        m, n = start.num_edges, start.num_vertices
+    else:
+        # The model assumes n is known a priori (Table 1 notes this is the
+        # standard assumption); one statistics pass recovers an upper bound.
+        m = len(stream)
+        n = stream.stats().num_vertices_upper if m else 0
+    degradations = start.degradations if start is not None else ()
     if m == 0:
         return ProgramOutcome(
             result=EstimateResult(
@@ -960,23 +643,19 @@ def estimate_program(
                 space_words_peak=0,
                 passes_total=0,
                 final_plan=None,
-                sweeps_total=0,
+                degradations=degradations,
             ),
             root_state=root.getstate(),
         )
-    n = stream.stats().num_vertices_upper
     chunked = engine.use_chunks(stream)
-    guesses = _guess_schedule(cfg, 2.0 * m * kappa)
-
-    rounds: List[GuessRound] = []
-    space_peak = 0
-    passes_total = 0
-    sweeps_total = 0
-    sweeps_wasted = 0
-    passes_wasted = 0
-    final_plan: Optional[ParameterPlan] = None
-    estimate = 0.0
-    discarded: List[str] = []
+    speculative = (
+        engine.speculate()
+        and cfg.share_passes
+        and cfg.t_hint is None
+        and cfg.space_budget_words is None
+    )
+    max_depth = engine.speculate_depth()
+    guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
 
     def build_plan(t_guess: float) -> ParameterPlan:
         return ParameterPlan.build(
@@ -995,94 +674,168 @@ def estimate_program(
             for rep in range(cfg.repetitions)
         ]
 
-    speculative = engine.speculate() and cfg.t_hint is None
-    round_index = 0
+    base = start if start is not None else ResumeState(
+        round_index=0,
+        rounds=[],
+        space_words_peak=0,
+        passes_total=0,
+        sweeps_total=0,
+        sweeps_wasted=0,
+        passes_wasted=0,
+        rng_state=root.getstate(),
+        rng_stack=(),
+        degradations=(),
+    )
+    # The boundary pins the whole loop state - above all the root
+    # generator's exact state, the linchpin of bit-identity.  The guesses
+    # are recomputed from (m, kappa, config), which a snapshot's config
+    # hash and stream fingerprint have already pinned.
+    root.setstate(base.rng_state)
+    round_index = base.round_index
+    rounds: List[GuessRound] = list(base.rounds)
+    space_peak = base.space_words_peak
+    passes_total = base.passes_total
+    sweeps_total = base.sweeps_total
+    sweeps_wasted = base.sweeps_wasted
+    passes_wasted = base.passes_wasted
+    final_plan = build_plan(rounds[-1].t_guess) if rounds else None
+    estimate = rounds[-1].median_estimate if rounds else 0.0
+    discarded: List[str] = []
     window_seq = 0
+
+    def boundary() -> ResumeState:
+        return ResumeState(
+            round_index=round_index,
+            rounds=list(rounds),
+            space_words_peak=space_peak,
+            passes_total=passes_total,
+            sweeps_total=sweeps_total,
+            sweeps_wasted=sweeps_wasted,
+            passes_wasted=passes_wasted,
+            rng_state=root.getstate(),
+            rng_stack=(),
+            degradations=degradations,
+            num_edges=m,
+            num_vertices=n,
+        )
+
+    def window(plans, rng_lists, meters):
+        """Yield one window's batches; return its results, owners, ledger."""
+        nonlocal window_seq
+        owners = [f"{owner_prefix}w{window_seq}.{tag}" for tag in _owner_tags(len(plans))]
+        window_seq += 1
+        if on_window is not None:
+            on_window(len(plans))
+        # A private ledger mirrors a solo scheduler's sweep accounting: one
+        # entry per yielded batch (= one solo sweep), so the result's sweep
+        # totals match a solo run no matter how the driving entity
+        # physically served the batches.
+        ledger = OwnerLedger()
+        program = window_program(m, plans, rng_lists, meters, chunked, owners)
+        try:
+            batch = next(program)
+            while True:
+                ledger.record([owner for owner, _ in batch])
+                yield batch
+                batch = program.send(None)
+        except StopIteration as stop:
+            return stop.value, owners, ledger
+        finally:
+            program.close()
+
+    def commit(t_guess: float, runs: List[SinglePassStackResult], plan: ParameterPlan) -> bool:
+        """Append one committed round and apply the acceptance rule."""
+        nonlocal final_plan, estimate
+        med = median([run.estimate for run in runs])
+        accepted = cfg.t_hint is not None or med >= t_guess / 2.0
+        rounds.append(
+            GuessRound(t_guess=t_guess, runs=runs, median_estimate=med, accepted=accepted)
+        )
+        final_plan = plan
+        estimate = med
+        return accepted
+
+    if on_boundary is not None:
+        on_boundary(boundary())
     accepted = False
     while round_index < len(guesses):
         t_guess = guesses[round_index]
         if t_guess < 1.0 and cfg.t_hint is None:
             break  # fewer than one triangle remains plausible: answer 0
-        depth = (
-            _pick_window_depth(
-                guesses,
-                round_index,
-                engine.speculate_depth(),
-                rounds[-1].median_estimate if rounds else None,
-            )
-            if speculative
-            else 1
-        )
-        window_guesses = guesses[round_index : round_index + depth]
-        plans = [build_plan(g) for g in window_guesses]
-        rng_lists = [spawn_round(round_index)]
-        # Checkpoint the root generator before each speculative round's
-        # spawns, exactly as the solo driver's window does: an acceptance
-        # rewinds past the discarded rounds' draws (see attempt_window).
-        checkpoints = []
-        for j in range(1, depth):
-            checkpoints.append(root.getstate())
-            rng_lists.append(spawn_round(round_index + j))
-        meters = [SpaceMeter() for _ in range(depth)]
-        owners = [
-            f"{owner_prefix}w{window_seq}.{tag}" for tag in _owner_tags(depth)
-        ]
-        window_seq += 1
-        # A private ledger mirrors the solo scheduler's sweep accounting:
-        # one entry per yielded batch (= one solo sweep), so the result's
-        # sweep totals match a solo run no matter how the driving entity
-        # physically served the batches.
-        ledger = OwnerLedger()
-        program = window_program(m, plans, rng_lists, meters, chunked, owners)
-        try:
-            try:
-                batch = next(program)
-                while True:
-                    ledger.record([owner for owner, _ in batch])
-                    yield batch
-                    batch = program.send(None)
-            except StopIteration as stop:
-                window_results = stop.value
-        except BaseException:
-            if checkpoints:
-                root.setstate(checkpoints[0])
-            raise
-        finally:
-            program.close()
-        # Walk the window in sequential order: commit every round up to
-        # (and including) the first acceptance, discard the rest.
-        committed = 0
-        med = 0.0
-        for j in range(depth):
-            space_peak = max(space_peak, meters[j].peak_words)
-            passes_total += window_results[j][0].passes_used
-            med = median([run.estimate for run in window_results[j]])
-            accepted = cfg.t_hint is not None or med >= window_guesses[j] / 2.0
-            rounds.append(
-                GuessRound(
-                    t_guess=window_guesses[j],
-                    runs=window_results[j],
-                    median_estimate=med,
-                    accepted=accepted,
+        if not cfg.share_passes:
+            # Repetitions one after another, six passes and a meter each.
+            plan = build_plan(t_guess)
+            runs: List[SinglePassStackResult] = []
+            for rep in range(cfg.repetitions):
+                rng = spawn(root, f"round{round_index}/rep{rep}")
+                meter = SpaceMeter(budget_words=cfg.space_budget_words)
+                results, _, _ = yield from window([plan], [[rng]], [meter])
+                runs.append(results[0][0])
+            for run in runs:
+                space_peak = max(space_peak, run.space_words_peak)
+                passes_total += run.passes_used
+                sweeps_total += run.sweeps_used
+            accepted = commit(t_guess, runs, plan)
+            round_index += 1
+        else:
+            # The paper's accounting: all repetitions in parallel over six
+            # shared passes; space is the ensemble total.
+            depth = (
+                _pick_window_depth(
+                    guesses,
+                    round_index,
+                    max_depth,
+                    rounds[-1].median_estimate if rounds else None,
                 )
+                if speculative
+                else 1
             )
-            final_plan = plans[j]
-            estimate = med
-            committed += 1
-            if accepted:
-                break
-        if committed < depth:
-            for owner in owners[committed:]:
-                ledger.discard(owner)
-                discarded.append(owner)
-            root.setstate(checkpoints[committed - 1])
-            for j in range(committed, depth):
-                passes_wasted += window_results[j][0].passes_used
-        sweeps_total += ledger.sweeps_committed
-        sweeps_wasted += ledger.sweeps_wasted
+            window_guesses = guesses[round_index : round_index + depth]
+            plans = [build_plan(g) for g in window_guesses]
+            rng_lists = [spawn_round(round_index)]
+            # Checkpoint the root generator before each speculative round's
+            # spawns: if an earlier round accepts, the sequential loop would
+            # never have drawn the later rounds' generators, and rewinding to
+            # the checkpoint of the first discarded round keeps the root's
+            # consumption bit-identical to the sequential trajectory.
+            checkpoints = []
+            for j in range(1, depth):
+                checkpoints.append(root.getstate())
+                rng_lists.append(spawn_round(round_index + j))
+            meters = [SpaceMeter(budget_words=cfg.space_budget_words) for _ in range(depth)]
+            try:
+                results, owners, ledger = yield from window(plans, rng_lists, meters)
+            except BaseException:
+                # A failed shared sweep aborts the whole window; the
+                # speculative rounds' RNG consumption must not leak into the
+                # root generator's state.
+                if checkpoints:
+                    root.setstate(checkpoints[0])
+                raise
+            # Walk the window in sequential order: commit every round up
+            # to (and including) the first acceptance, discard the rest.
+            committed = 0
+            for j in range(depth):
+                space_peak = max(space_peak, meters[j].peak_words)
+                passes_total += results[j][0].passes_used
+                accepted = commit(window_guesses[j], results[j], plans[j])
+                committed += 1
+                if accepted:
+                    break
+            if committed < depth:
+                for owner in owners[committed:]:
+                    ledger.discard(owner)
+                    discarded.append(owner)
+                root.setstate(checkpoints[committed - 1])
+                for j in range(committed, depth):
+                    passes_wasted += results[j][0].passes_used
+            sweeps_total += ledger.sweeps_committed
+            sweeps_wasted += ledger.sweeps_wasted
+            round_index += committed
         if accepted:
             break
-        round_index += depth
+        if on_boundary is not None:
+            on_boundary(boundary())
     if not accepted and estimate < 1.0:
         # All guesses rejected: consistent with a (near-)triangle-free graph.
         estimate = 0.0
@@ -1096,10 +849,27 @@ def estimate_program(
             sweeps_total=sweeps_total,
             sweeps_wasted=sweeps_wasted,
             passes_wasted=passes_wasted,
+            degradations=degradations,
         ),
         root_state=root.getstate(),
         discarded_owners=tuple(discarded),
     )
+
+
+def _drive(
+    program: "Generator[List[TaggedStage], None, ProgramOutcome]",
+    sweep: Callable[[List[TaggedStage]], object],
+) -> ProgramOutcome:
+    """Serve every batch ``program`` yields with ``sweep``; always close it."""
+    try:
+        batch = next(program)
+        while True:
+            sweep(batch)
+            batch = program.send(None)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        program.close()
 
 
 def run_estimate_program(
@@ -1110,26 +880,17 @@ def run_estimate_program(
 ) -> ProgramOutcome:
     """Drive :func:`estimate_program` to completion on its own sweeps.
 
-    The reference solo harness for the program path (and the parity
-    baseline the serving tests compare against): each yielded batch runs
-    as a private fused sweep on ``scheduler`` (a fresh unbudgeted one by
-    default), and discarded speculation is booked on it so its physical
-    committed/wasted split agrees with the returned result.
+    Each yielded batch runs as a private fused sweep on ``scheduler`` (a
+    fresh unbudgeted one by default), and discarded speculation is booked
+    on it so its physical committed/wasted split agrees with the returned
+    result.  No retry or snapshots: a failure propagates.
     """
-    from .stages import sweep_tagged_stages
-
     if scheduler is None:
         scheduler = PassScheduler(stream)
-    program = estimate_program(stream, kappa, config)
-    try:
-        batch = next(program)
-        while True:
-            sweep_tagged_stages(scheduler, batch)
-            batch = program.send(None)
-    except StopIteration as stop:
-        outcome = stop.value
-    finally:
-        program.close()
+    outcome = _drive(
+        estimate_program(stream, kappa, config),
+        lambda batch: sweep_tagged_stages(scheduler, batch),
+    )
     for owner in outcome.discarded_owners:
         scheduler.discard_owner(owner)
     return outcome
@@ -1189,6 +950,37 @@ def _round_from_state(state: Dict[str, object]) -> GuessRound:
     )
 
 
+def _boundary_payload(
+    cfg: EstimatorConfig,
+    kappa: int,
+    state: ResumeState,
+    degradations: List[FailureReport],
+) -> Dict[str, object]:
+    """The snapshot document of the estimator state at one round boundary."""
+    return {
+        "kappa": kappa,
+        "config": _config_state(cfg),
+        "round_index": state.round_index,
+        "rounds": [_round_state(r) for r in state.rounds],
+        "accounting": {
+            "space_words_peak": state.space_words_peak,
+            "passes_total": state.passes_total,
+            "sweeps_total": state.sweeps_total,
+            "sweeps_wasted": state.sweeps_wasted,
+            "passes_wasted": state.passes_wasted,
+        },
+        # Between rounds the speculative checkpoint stack is always empty
+        # (windows rewind or commit before the boundary); the format still
+        # carries it for the dynamic-stream roadmap.
+        "rng": {"state": encode_state(state.rng_state), "stack": []},
+        "degradations": [dataclasses.asdict(rep) for rep in degradations],
+        # Round-boundary state holds no live reservoirs (each round
+        # rebuilds its own); the slot is the extension point for mid-pass
+        # checkpoints (see sampling.reservoir.state_dict).
+        "reservoirs": {},
+    }
+
+
 def _resume_state(payload: Dict[str, object]) -> ResumeState:
     """Decode a snapshot payload into loop state; malformed documents that
     passed the CRC (a writer bug, not disk damage) still raise the typed
@@ -1218,7 +1010,6 @@ def resume_from(
     source: "Union[str, snapshot_module.Snapshot]",
     stream: EdgeStream,
     config: Optional[EstimatorConfig] = None,
-    assigner_factory: Optional[AssignerFactory] = None,
     overrides: Optional[Dict[str, object]] = None,
 ) -> EstimateResult:
     """Resume an interrupted estimate from a durable snapshot.
@@ -1280,6 +1071,4 @@ def resume_from(
             "the run that wrote this snapshot"
         )
     state = _resume_state(payload)
-    return TriangleCountEstimator(config).estimate(
-        stream, kappa, assigner_factory, _resume=state
-    )
+    return TriangleCountEstimator(config).estimate(stream, kappa, _resume=state)

@@ -1,8 +1,8 @@
 """Section 5: Algorithm 2 - the six-pass triangle estimator.
 
-One invocation of :func:`run_single_estimate` produces one sample of the
-random variable ``X`` from Algorithm 2 line 13.  The pass layout matches
-Theorem 5.1's six passes:
+One Algorithm 2 instance produces one sample of the random variable ``X``
+from Algorithm 2 line 13.  The pass layout matches Theorem 5.1's six
+passes:
 
 ====  =====================================================================
 pass  work
@@ -19,7 +19,7 @@ pass  work
       endpoint of ``e``
 4     check which wedges ``{e, w}`` close triangles by watching for the one
       missing edge of each wedge
-5-6   :class:`~repro.core.assignment.StreamingAssigner` resolves
+5-6   Algorithm 3 (:mod:`repro.core.assignment`) resolves
       ``Assignment(tau)`` for all distinct candidate triangles (Section 5.1);
       skipped entirely when pass 4 found no triangles
 ====  =====================================================================
@@ -27,15 +27,17 @@ pass  work
 The estimate is ``X = (m / r) * d_R * Y`` with ``Y`` the fraction of draws
 whose triangle was assigned to the drawn edge (Algorithm 2 line 13).
 
-Every pass is implemented once, *multi-instance*: ``k`` independent
-Algorithm 2 instances share each sweep of the tape (the paper's parallel
-accounting - see :mod:`repro.core.parallel`, which drives these same
-functions with ``k > 1``), while :func:`run_single_estimate` is simply the
-``k = 1`` case.  On the chunked engines each pass is a
-:class:`~repro.core.executor.PassPlan` executed - serially or sharded
-across worker processes - by the shared executor spine; on the pure-Python
-engine the reference per-edge scans below run instead.  All three are
-seed-for-seed bit-identical.
+This module holds the passes as *stage builders* (``stage_pass1`` ...
+``stage_pass45``): each returns the :class:`~repro.core.stages.RoundStage`
+one sweep of the tape must serve.  Every stage is multi-instance - ``k``
+independent Algorithm 2 instances share each sweep (the paper's parallel
+accounting) - and :func:`~repro.core.parallel.round_program` strings them
+into a round; :func:`run_single_estimate` is its ``k = 1`` case.  On the
+chunked engines a stage is a set of
+:class:`~repro.core.executor.PassPlan` objects executed - serially or
+sharded across worker processes - by the shared executor spine; on the
+pure-Python engine the reference per-edge folds below run instead.  All
+three are seed-for-seed bit-identical.
 """
 
 from __future__ import annotations
@@ -47,28 +49,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sampling.discrete import CumulativeSampler
 from ..streams.base import EdgeStream
-from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
 from ..types import Edge, Triangle, Vertex, canonical_edge, canonical_triangle
-from . import engine
-from .assignment import Assigner, SampleSource, StreamingAssigner, derive_sample_generator
+from .assignment import Assigner, SampleSource
 from .params import ParameterPlan
-from .stages import (  # noqa: F401 - re-exported for stage-builder callers
-    CallbackFold,
-    EdgeFold,
-    RoundStage,
-    drive_folds,
-    execute_stage,
-    sweep_stages,
-)
+from .stages import EdgeFold, RoundStage
 
 AssignerFactory = Callable[[ParameterPlan, random.Random, SpaceMeter], Assigner]
 
 #: Theorem 5.1's constant-pass budget: one guessing round - however many
 #: parallel instances it carries - opens at most six logical passes.  The
-#: single and parallel runners budget their schedulers with it directly;
-#: the k-deep speculative driver budgets ``6 * k`` for a window of ``k``
-#: rounds (:data:`repro.core.speculate.PASSES_PER_ROUND` re-exports it).
+#: round runners budget their schedulers with it directly; the driver
+#: budgets ``6 * k`` for a window of ``k`` speculative rounds.
 PASS_BUDGET_PER_ROUND = 6
 
 #: Opaque per-draw key used by the shared passes: ``(instance, slot)``.
@@ -124,6 +116,8 @@ def run_single_estimate(
 ) -> SinglePassStackResult:
     """Run Algorithm 2 once and return one sample of ``X`` with diagnostics.
 
+    The ``k = 1`` case of :func:`~repro.core.parallel.run_parallel_estimates`.
+
     Parameters
     ----------
     stream:
@@ -135,71 +129,25 @@ def run_single_estimate(
     meter:
         Space meter to charge; a fresh unlimited one is created if omitted.
     assigner_factory:
-        Builds the ``IsAssigned`` implementation; defaults to the streaming
-        Algorithm 3.  Tests inject :class:`~repro.core.assignment.ExactAssigner`
-        here to isolate Algorithm 2's error from Algorithm 3's.
+        Replaces the streaming Algorithm 3 with an assigner that consumes
+        no passes (``passes_required == 0``); tests and the ablations
+        inject :class:`~repro.core.assignment.ExactAssigner` here to
+        isolate Algorithm 2's error from Algorithm 3's.  Such runs never
+        fuse passes 4 and 5 (there is no pass 5 to fuse).
     """
+    from .parallel import run_parallel_estimates
+
     meter = meter if meter is not None else SpaceMeter()
-    m = len(stream)
-    if m != plan.num_edges:
-        raise ValueError(f"stream has {m} edges but plan was built for {plan.num_edges}")
-    scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND)
-    chunked = engine.use_chunks(stream)
-    if assigner_factory is None:
-        assigner: Assigner = StreamingAssigner(plan, rng, meter)
-    else:
+    assign = None
+    if assigner_factory is not None:
         assigner = assigner_factory(plan, rng, meter)
-    # All of the run's own sampling variates flow through one derived
-    # source (vectorized block draws when NumPy is present); the assigner
-    # derives its own at pass 5.  Both engines share this code, so the
-    # variate stream is identical between them.
-    sources = [derive_sample_generator(rng)]
+        if assigner.passes_required:
+            raise ValueError("an injected assigner must consume no passes")
 
-    sampled = pass1_uniform_samples(scheduler, plan.r, m, sources, meter, chunked)
-    vertex_degree = pass2_degree_table(scheduler, sampled, meter, chunked)
-    draws, owners, ells, d_rs = draw_weighted_edges(sampled, vertex_degree, plan, sources, meter)
-    apexes = pass3_neighbor_apexes(scheduler, owners, vertex_degree, sources, meter, chunked)
+        def assign(triangles):
+            return assigner.assign(None, triangles)
 
-    # The default streaming assigner can replay a pre-collected incident
-    # buffer, which lets pass 4 (closure watch) and pass 5 (assignment
-    # sampling) share one fused tape sweep; injected assigners run their
-    # own passes, so fusing is only engaged for the default.
-    fused = engine.fuse() and assigner_factory is None
-    if fused:
-        candidates, incident = pass45_closure_and_collect(
-            scheduler, draws, owners, apexes, meter, chunked
-        )
-    else:
-        candidates = pass4_closure_triangles(scheduler, draws, owners, apexes, meter, chunked)
-        incident = None
-
-    distinct = {t for t in candidates[0] if t is not None}
-    if not distinct:
-        assignment: Dict[Triangle, Optional[Edge]] = {}
-    elif fused:
-        assignment = assigner.assign(scheduler, distinct, incident_rows=incident)  # type: ignore[call-arg]
-    else:
-        assignment = assigner.assign(scheduler, distinct)
-
-    hits = 0
-    for edge, triangle in zip(draws[0], candidates[0]):
-        if triangle is not None and assignment.get(triangle) == edge:
-            hits += 1
-    y = hits / ells[0]
-    estimate = (m / plan.r) * d_rs[0] * y
-
-    return SinglePassStackResult(
-        estimate=estimate,
-        r=plan.r,
-        ell=ells[0],
-        d_r=d_rs[0],
-        wedges_closed=sum(1 for t in candidates[0] if t is not None),
-        assigned_hits=hits,
-        distinct_candidate_triangles=len(distinct),
-        passes_used=scheduler.passes_used,
-        space_words_peak=meter.peak_words,
-        sweeps_used=scheduler.sweeps_used,
-    )
+    return run_parallel_estimates(stream, plan, [rng], meter, assign=assign)[0]
 
 
 def _neighborhood_owner(e: Edge, vertex_degree: Dict[Vertex, int]) -> Vertex:
@@ -290,31 +238,6 @@ def stage_pass1(
     return RoundStage(fold=fold, finish=finish)
 
 
-def pass1_uniform_samples(
-    scheduler: PassScheduler,
-    r: int,
-    m: int,
-    sources: List,
-    meter: SpaceMeter,
-    chunked: bool = False,
-) -> List[List[Edge]]:
-    """Pass 1: ``r`` i.i.d. uniform edges per instance, one shared sweep."""
-    return execute_stage(scheduler, stage_pass1(r, m, sources, meter, chunked))
-
-
-def collect_position_slots(pass_iter, slots_by_position: Dict[int, list], total: int) -> dict:
-    """Shared pass-1 scan: serve pre-drawn stream positions (Python engine).
-
-    ``slots_by_position`` maps stream position -> list of opaque slot keys
-    (``(instance, slot)`` pairs in the shared passes); returns
-    ``{slot key: edge}``.  The pass is abandoned once all ``total`` slots
-    are filled.
-    """
-    fold = _PositionSlotsFold(slots_by_position, total)
-    drive_folds(pass_iter, [fold])
-    return fold.result()
-
-
 class _TrackedDegreeFold(EdgeFold):
     """Pass-2 fold: streaming degree counters for the tracked endpoints."""
 
@@ -358,16 +281,6 @@ def stage_pass2(
         )
     fold = _TrackedDegreeFold(tracked)
     return RoundStage(fold=fold, finish=lambda: fold.tracked)
-
-
-def pass2_degree_table(
-    scheduler: PassScheduler,
-    sampled: List[List[Edge]],
-    meter: SpaceMeter,
-    chunked: bool = False,
-) -> Dict[Vertex, int]:
-    """Pass 2: one shared degree table for all endpoints of all instances."""
-    return execute_stage(scheduler, stage_pass2(sampled, meter, chunked))
 
 
 def draw_weighted_edges(
@@ -524,32 +437,6 @@ def stage_pass3(
     return RoundStage(fold=fold, finish=finish)
 
 
-def pass3_neighbor_apexes(
-    scheduler: PassScheduler,
-    owners: List[List[Vertex]],
-    degree: Dict[Vertex, int],
-    sources: List,
-    meter: SpaceMeter,
-    chunked: bool = False,
-) -> List[List[Optional[Vertex]]]:
-    """Pass 3: per-draw uniform neighbor samples, all instances at once."""
-    return execute_stage(scheduler, stage_pass3(owners, degree, sources, meter, chunked))
-
-
-def serve_neighbor_positions(pass_iter, pending: Dict[Vertex, list]) -> dict:
-    """Shared pass-3 scan: serve per-owner incident-stream positions.
-
-    ``pending`` maps owner -> list of ``(position, payload)`` pairs, where
-    the payload is an opaque draw key (an ``(instance, draw)`` pair in the
-    shared passes); positions index the owner's incident sub-stream,
-    0-based.  Returns ``{payload: neighbor}``.  The pass is abandoned once
-    every request is served.
-    """
-    fold = _NeighborServeFold(pending)
-    drive_folds(pass_iter, [fold])
-    return fold.result()
-
-
 def _closure_watch_tables(
     draws: List[List[Edge]],
     owners: List[List[Vertex]],
@@ -668,18 +555,6 @@ def stage_pass4(
     return _stage_watch_scan(watch, wedges, draws, chunked)
 
 
-def pass4_closure_triangles(
-    scheduler: PassScheduler,
-    draws: List[List[Edge]],
-    owners: List[List[Vertex]],
-    apexes: List[List[Optional[Vertex]]],
-    meter: SpaceMeter,
-    chunked: bool = False,
-) -> List[List[Optional[Triangle]]]:
-    """Pass 4: resolve which wedges ``{e, w}`` close, all instances at once."""
-    return execute_stage(scheduler, stage_pass4(draws, owners, apexes, meter, chunked))
-
-
 def stage_pass45(
     draws: List[List[Edge]],
     owners: List[List[Vertex]],
@@ -760,15 +635,3 @@ def stage_pass45(
         return _fan_out_closure(fused_fold.closed, wedges, draws), fused_fold.incident
 
     return RoundStage(fold=fused_fold, passes=2, finish=finish)
-
-
-def pass45_closure_and_collect(
-    scheduler: PassScheduler,
-    draws: List[List[Edge]],
-    owners: List[List[Vertex]],
-    apexes: List[List[Optional[Vertex]]],
-    meter: SpaceMeter,
-    chunked: bool = False,
-) -> Tuple[List[List[Optional[Triangle]]], Optional[list]]:
-    """Fused passes 4+5 as one sweep (see :func:`stage_pass45`)."""
-    return execute_stage(scheduler, stage_pass45(draws, owners, apexes, meter, chunked))

@@ -399,6 +399,9 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
         tape_module.set_mmap(False)
         ctx.mmap_degraded = True
     elif action == ACTION_SEQUENTIAL:
+        from . import engine
+
+        engine._apply(None, None, speculative=False)
         ctx.speculation_degraded = True
     elif action == ACTION_NO_SNAPSHOT:
         # The writer itself stops persisting (see core.snapshot); the
@@ -409,6 +412,54 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
     ctx.reports.append(
         FailureReport(site=site, action=action, attempts=attempts, cause=repr(cause))
     )
+
+
+def pick_step(
+    exc: BaseException, stream, depth: int, ctx: RecoveryContext
+) -> Optional[str]:
+    """The degradation ladder: which tier to drop for this failure.
+
+    ``depth`` is the speculative window in flight when ``exc`` struck
+    (``0`` before the first round).  Prefers the step matching the
+    failure's classified site, then falls through the ladder in order;
+    ``None`` when no applicable tier is left to drop (the failure then
+    propagates).
+    """
+    from ..streams import file as file_module
+    from ..streams import shm
+    from ..streams import tape as tape_module
+    from . import engine
+
+    mmap_tier = (
+        isinstance(stream, tape_module.MmapEdgeStream)
+        and stream.has_text_twin
+        and tape_module.mmap_enabled()
+    )
+    sharded = engine.effective_workers() > 1
+    applicable = [
+        action
+        for action, available in (
+            (ACTION_SERIAL, sharded and not ctx.serial_degraded),
+            (ACTION_PICKLE, sharded and shm.shm_enabled()),
+            (
+                ACTION_SYNC_READS,
+                isinstance(stream, file_module.FileEdgeStream)
+                and file_module.prefetch_enabled(),
+            ),
+            (ACTION_TEXT, mmap_tier),
+            (ACTION_SEQUENTIAL, depth >= 2 and not ctx.speculation_degraded),
+        )
+        if available
+    ]
+    if not applicable:
+        return None
+    preferred = {
+        WORKER_CRASH: ACTION_SERIAL,
+        TASK_TIMEOUT: ACTION_SERIAL,
+        SHM_ATTACH: ACTION_PICKLE,
+        FILE_READ: ACTION_TEXT if mmap_tier else ACTION_SYNC_READS,
+    }.get(site_of(exc))
+    return preferred if preferred in applicable else applicable[0]
 
 
 def is_transient(exc: BaseException) -> bool:

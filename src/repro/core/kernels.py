@@ -579,37 +579,8 @@ def count_tracked_degrees(
     return run_plan(scheduler, DegreeCountPlan(tracked_ids), chunk_size=chunk_size)
 
 
-def scan_incident_edges(
-    scheduler: PassScheduler,
-    tracked_ids: Sequence[Vertex],
-    chunk_size: int,
-    visit: Callable[[Vertex, Vertex], None],
-) -> None:
-    """Pass-3/5 scan: replay edges with a tracked endpoint to ``visit``."""
-    run_plan(scheduler, IncidentEdgePlan(tracked_ids, visit), chunk_size=chunk_size)
-
-
-def collect_neighbor_positions(
-    scheduler: PassScheduler,
-    owner_ids: np.ndarray,
-    request_owner_index: np.ndarray,
-    request_positions: np.ndarray,
-    chunk_size: int,
-) -> np.ndarray:
-    """Pass-3 scan: the neighbor at each requested incident-stream position."""
-    plan = NeighborPositionPlan(owner_ids, request_owner_index, request_positions)
-    return run_plan(scheduler, plan, chunk_size=chunk_size)
-
-
 def scan_watch_keys(
     scheduler: PassScheduler, keys: Sequence[Edge], chunk_size: int
 ) -> Set[Edge]:
     """Pass-4/6 scan: which watched edges appear anywhere on the tape."""
     return run_plan(scheduler, WatchKeyPlan(keys), chunk_size=chunk_size)
-
-
-def scan_packed_keys(
-    scheduler: PassScheduler, packed_keys: np.ndarray, chunk_size: int
-) -> np.ndarray:
-    """Pass-6 scan: occurrence counts of pre-packed uint64 edge keys."""
-    return run_plan(scheduler, PackedKeyCountPlan(packed_keys), chunk_size=chunk_size)

@@ -10,9 +10,11 @@ instances over exactly six shared passes.
 
 The pass implementations themselves live in :mod:`repro.core.estimator`
 (``stage_pass1`` ... ``stage_pass45``) - they are multi-instance by
-construction and the single runner is their ``k = 1`` case, so both
-runners ride the same executor spine (serial, chunked, or sharded across
-worker processes) with no duplicated pass loops.
+construction, and the single runner
+(:func:`~repro.core.estimator.run_single_estimate`) is this module's
+``k = 1`` case, so every runner rides the same executor spine (serial,
+chunked, or sharded across worker processes) with no duplicated pass
+loops.
 
 Sharing rules (what may be shared without breaking independence):
 
@@ -28,27 +30,28 @@ Sharing rules (what may be shared without breaking independence):
   per-instance, driven by that instance's own RNG - instances remain
   mutually independent, as the median-of-runs combiner requires.
 
-The assignment stage is a multi-instance replication of
-:class:`~repro.core.assignment.StreamingAssigner` (same two passes, same
-cutoffs), with bundles keyed by ``(instance, vertex)``.
+The assignment stage (:func:`_assign_program`) is Algorithm 3 for every
+instance at once, with bundles keyed by ``(instance, vertex)``;
+:class:`~repro.core.assignment.StreamingAssigner` drives it at ``k = 1``.
 
 The whole round is expressed as a **round program**
 (:func:`round_program`): a generator that yields one
 :class:`~repro.core.stages.RoundStage` per tape sweep it needs and
 receives the stage's result back, returning the per-instance results when
 done.  :func:`run_parallel_estimates` drives one program with one private
-sweep per stage - the sequential behaviour - while the speculative driver
-(:mod:`repro.core.speculate`) drives the programs of ``k`` *independent
-guessing rounds* in lockstep, merging their same-numbered stages into
-single shared sweeps.  The program neither knows nor cares which runner
-drives it, which is what keeps speculative execution bit-identical to
-sequential execution at any depth.
+sweep per stage, while the guessing loop
+(:func:`repro.core.driver.estimate_program`, through
+:func:`repro.core.speculate.window_program`) drives the programs of ``k``
+*independent guessing rounds* in lockstep, merging their same-numbered
+stages into single shared sweeps.  The program neither knows nor cares
+which runner drives it, which is what keeps speculative execution
+bit-identical to sequential execution at any depth.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
@@ -63,8 +66,6 @@ from .assignment import (
 )
 from .estimator import (
     PASS_BUDGET_PER_ROUND,
-    CallbackFold,
-    RoundStage,
     SinglePassStackResult,
     draw_weighted_edges,
     stage_pass1,
@@ -74,10 +75,15 @@ from .estimator import (
     stage_pass45,
 )
 from .params import ParameterPlan
+from .stages import CallbackFold, RoundStage
 
 #: A round program: yields the stages it needs, receives each stage's
 #: ``finish()`` value back, and returns the per-instance results.
 RoundProgram = Generator[RoundStage, object, List[SinglePassStackResult]]
+
+#: A zero-pass replacement for Algorithm 3: one instance's distinct
+#: candidate triangles -> their assigned edges (``None`` = unassigned).
+AssignHook = Callable[[set], Dict[Triangle, Optional[Edge]]]
 
 
 def run_parallel_estimates(
@@ -85,23 +91,20 @@ def run_parallel_estimates(
     plan: ParameterPlan,
     rngs: List[random.Random],
     meter: Optional[SpaceMeter] = None,
-    scheduler: Optional[PassScheduler] = None,
+    assign: Optional[AssignHook] = None,
 ) -> List[SinglePassStackResult]:
     """Run ``len(rngs)`` independent Algorithm 2 instances in six passes.
 
     Returns one :class:`SinglePassStackResult` per instance; every result
     reports the *shared* pass count (at most 6) and the ensemble's peak
     space (the paper's accounting - parallel copies coexist in memory).
-    ``scheduler`` optionally supplies the pass scheduler (the recovery
-    layer passes one in so a failed round's sweeps stay readable from the
-    caller); it must be fresh and budgeted for one round.
+    ``assign`` replaces passes 5-6 (see :func:`round_program`).
     """
     meter = meter if meter is not None else SpaceMeter()
-    if scheduler is None:
-        scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND)
+    scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND)
     chunked = engine.use_chunks(stream)
     return drive_round(
-        scheduler, round_program(len(stream), plan, rngs, meter, chunked)
+        scheduler, round_program(len(stream), plan, rngs, meter, chunked, assign)
     )
 
 
@@ -125,6 +128,7 @@ def round_program(
     rngs: List[random.Random],
     meter: SpaceMeter,
     chunked: bool,
+    assign: Optional[AssignHook] = None,
 ) -> RoundProgram:
     """One guessing-loop round (``k`` parallel instances) as a stage program.
 
@@ -135,6 +139,10 @@ def round_program(
     is the logical passes this round charged and ``sweeps_used`` the
     number of stages it rode (its solo sweep count) - regardless of
     whether the driver shared the physical traversals.
+
+    ``assign`` (the ablations' hook) resolves each instance's candidate
+    triangles without a pass in place of Algorithm 3; passes 4 and 5 then
+    never fuse, since there is no pass 5.
     """
     k = len(rngs)
     if k < 1:
@@ -158,7 +166,7 @@ def round_program(
     degree = yield track(stage_pass2(sampled, meter, chunked))
     draws, owners, ells, d_rs = draw_weighted_edges(sampled, degree, plan, sources, meter)
     apexes = yield track(stage_pass3(owners, degree, sources, meter, chunked))
-    if engine.fuse():
+    if engine.fuse() and assign is None:
         # Fused sweep engine: the closure watch (pass 4) and the
         # assignment stage's incident reads (pass 5) share one traversal;
         # the buffered superset is replayed below once closure is known.
@@ -172,9 +180,12 @@ def round_program(
     distinct_by_instance: List[set] = [
         {t for t in candidates[j] if t is not None} for j in range(k)
     ]
-    assignments = yield from _assign_program(
-        plan, rngs, distinct_by_instance, meter, chunked, incident, track
-    )
+    if assign is None:
+        assignments = yield from _assign_program(
+            plan, rngs, distinct_by_instance, meter, chunked, incident, track
+        )
+    else:
+        assignments = [assign(distinct) if distinct else {} for distinct in distinct_by_instance]
 
     results: List[SinglePassStackResult] = []
     for j in range(k):

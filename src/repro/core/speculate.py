@@ -11,62 +11,54 @@ programs in lockstep with each pass-``j`` stage of every live round served
 by **one** shared tape sweep, and decide afterwards:
 
 * every round up to (and including) the first acceptance is exactly a
-  round the sequential driver would have run - **commit the prefix**.  A
+  round the sequential loop would have run - **commit the prefix**.  A
   fully rejected window commits whole and the loop speculates the next
   window, so multi-round estimates consume ~``1/k`` of the physical
   sweeps the sequential loop would have;
-* everything *after* the first acceptance is work the sequential driver
+* everything *after* the first acceptance is work the sequential loop
   would never have done - **discard the suffix**.  Its results and meters
   are dropped, the root generator is rewound past its speculative spawns
-  (the driver does this, restoring the checkpoint taken before the first
-  discarded round's spawns), and the sweeps that served *only* discarded
-  rounds are booked as **wasted**
-  (:attr:`~repro.streams.multipass.PassScheduler.sweeps_wasted`).  Sweeps
-  shared with a committed round stay committed - that traversal was
-  needed regardless, so acceptance costs no extra committed sweeps.
+  (to the checkpoint taken before the first discarded round's spawns),
+  and the sweeps that served *only* discarded rounds are booked as
+  **wasted**.  Sweeps shared with a committed round stay committed - that
+  traversal was needed regardless, so acceptance costs no extra
+  committed sweeps.
+
+:func:`window_program` is the lockstep window as a stage program; the
+commit/discard walk and the root rewind live in the guessing loop itself
+(:func:`repro.core.driver.estimate_program`), whose every round - a
+sequential one too - is a window (of depth 1 when not speculating).
 
 Bit-identity contract: each round's program
 (:func:`~repro.core.parallel.round_program`) folds exactly the per-edge /
 per-chunk sequence it would fold with private sweeps (see
-:func:`~repro.core.stages.sweep_stages`), and all randomness is strictly
-per-round, so every committed estimate, diagnostic, and logical-pass count
-is bit-identical to the sequential driver **at any depth** - at any worker
-count, fused or not, shared memory on or off.  Depth 2 is exactly the
-round-pair driver this module started as (:func:`run_speculative_pair`
-remains as its adapter).
+:func:`~repro.core.stages.sweep_stages`, re-exported here as the function
+that serves a window's batches), and all randomness is strictly per-round,
+so every committed estimate, diagnostic, and logical-pass count is
+bit-identical to the sequential loop **at any depth** - at any worker
+count, fused or not, shared memory on or off.
 
-Cleanup contract: if a shared sweep raises (stream I/O error, worker
-failure), the window closes every still-live round program before the
-exception propagates, so their generator ``finally`` blocks run; the
-driver's commit/discard bookkeeping - including the root-RNG rewind - is
-exception-safe on its side (see the speculative branch of
-:meth:`~repro.core.driver.TriangleCountEstimator.estimate`).
+Cleanup contract: if a shared sweep raises, closing the window program
+closes every still-live round program before the exception propagates, so
+their generator ``finally`` blocks run.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Generator, List, Sequence
 
-from ..streams.base import EdgeStream
-from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
-from . import engine
-from .estimator import PASS_BUDGET_PER_ROUND, SinglePassStackResult
+from .estimator import SinglePassStackResult
 from .parallel import round_program
 from .params import ParameterPlan
-from .stages import TaggedStage, sweep_stages
+from .stages import TaggedStage, sweep_stages  # noqa: F401 - serves the windows
 
 #: Owner tags for the scheduler's committed/wasted sweep accounting.  The
 #: window tags position ``0`` with :data:`PRIMARY` and position ``j >= 1``
 #: with ``f"{SPECULATIVE}{j}"``.
 PRIMARY = "round"
 SPECULATIVE = "speculative"
-
-#: Logical-pass budget per round inside a window (Theorem 5.1's constant,
-#: shared with the sequential runners' schedulers).
-PASSES_PER_ROUND = PASS_BUDGET_PER_ROUND
 
 
 def _owner_tags(depth: int) -> List[str]:
@@ -86,8 +78,8 @@ def window_program(
     Drives ``len(plans)`` independent round programs in lockstep, yielding
     at each step the pending owner-tagged stages of every still-running
     round as one batch.  The *caller* executes each batch - as one fused
-    sweep (:func:`run_speculative_window`), or merged with other windows'
-    batches on a shared scheduler (the serving layer) - then resumes the
+    sweep (the solo driver), or merged with other windows' batches on a
+    shared scheduler (the serving layer) - then resumes the
     program with ``send(None)``; the program collects each stage's
     ``finish()`` itself.  Returns the per-round result lists, aligned with
     ``owners``.
@@ -126,168 +118,3 @@ def window_program(
         for program in programs.values():
             program.close()
     return [results[owner] for owner in owners]
-
-
-@dataclass
-class SpeculativeWindow:
-    """Outcome of one fused ``k``-round window, before any verdicts.
-
-    ``results[j]`` holds round ``j``'s per-instance results (each carrying
-    that round's *own* logical-pass and solo-sweep accounting); the sweep
-    properties expose the window's shared physical traversals.  The driver
-    walks the rounds in order, commits every result up to the first
-    acceptance, and calls :meth:`discard_from` with the index of the first
-    round the sequential driver would never have run, after which
-    :attr:`sweeps_committed` / :attr:`sweeps_wasted` report the split.
-    """
-
-    results: List[List[SinglePassStackResult]]
-    _owners: List[str] = field(repr=False)
-    _scheduler: PassScheduler = field(repr=False)
-
-    @property
-    def depth(self) -> int:
-        """Number of rounds the window ran."""
-        return len(self.results)
-
-    @property
-    def sweeps_used(self) -> int:
-        """Physical tape sweeps the fused window performed."""
-        return self._scheduler.sweeps_used
-
-    @property
-    def sweeps_committed(self) -> int:
-        """Sweeps serving committed work (all of them until a discard)."""
-        return self._scheduler.sweeps_committed
-
-    @property
-    def sweeps_wasted(self) -> int:
-        """Sweeps that served only discarded rounds (0 until a discard)."""
-        return self._scheduler.sweeps_wasted
-
-    def discard_from(self, index: int) -> None:
-        """Book rounds ``index..depth-1`` as discarded speculation (idempotent).
-
-        Sweeps that served only discarded rounds move to
-        :attr:`sweeps_wasted`; sweeps shared with any committed round stay
-        committed.
-        """
-        for owner in self._owners[index:]:
-            self._scheduler.discard_owner(owner)
-
-
-def run_speculative_window(
-    stream: EdgeStream,
-    plans: Sequence[ParameterPlan],
-    rng_lists: Sequence[List[random.Random]],
-    meters: Sequence[SpaceMeter],
-    scheduler: "PassScheduler | None" = None,
-) -> SpeculativeWindow:
-    """Run ``len(plans)`` independent guessing rounds through shared sweeps.
-
-    All rounds' programs advance in lockstep: at each step the pending
-    stages (one per still-running round) execute as a single fused sweep,
-    tagged with the rounds it serves.  When a round finishes early (a
-    round with no candidate triangles skips its assignment stages), the
-    others continue on sweeps tagged without it - the sweeps a later
-    discard can declare wasted are exactly those no committed round rode.
-
-    The per-round results are bit-identical to running each round through
-    :func:`~repro.core.parallel.run_parallel_estimates` on its own.
-
-    If a shared sweep raises, every still-live round program is closed
-    before the exception propagates (their ``finally`` blocks run); the
-    scheduler - and with it the window's sweep accounting - is abandoned
-    with the exception (unless the caller passed its own ``scheduler``,
-    which the recovery layer does precisely to keep reading the aborted
-    window's sweep counts for its wasted-work bookkeeping).
-    """
-    depth = len(plans)
-    if depth < 1:
-        raise ValueError("a speculative window needs at least one round")
-    if len(rng_lists) != depth or len(meters) != depth:
-        raise ValueError("plans, rng_lists, and meters must align per round")
-    if scheduler is None:
-        scheduler = PassScheduler(stream, max_passes=PASSES_PER_ROUND * depth)
-    chunked = engine.use_chunks(stream)
-    m = len(stream)
-    owners = _owner_tags(depth)
-    program = window_program(m, plans, rng_lists, meters, chunked, owners)
-    try:
-        batch = next(program)
-        while True:
-            sweep_stages(
-                scheduler,
-                [stage for _, stage in batch],
-                owners=[owner for owner, _ in batch],
-            )
-            batch = program.send(None)
-    except StopIteration as stop:
-        results = stop.value
-    finally:
-        program.close()
-    return SpeculativeWindow(
-        results=results,
-        _owners=owners,
-        _scheduler=scheduler,
-    )
-
-
-@dataclass
-class SpeculativePair:
-    """Depth-2 adapter: one primary round plus one speculative round.
-
-    Kept as the stable surface of the original round-pair driver;
-    internally every pair is a two-round :class:`SpeculativeWindow`.
-    """
-
-    primary: List[SinglePassStackResult]
-    speculative: List[SinglePassStackResult]
-    _window: SpeculativeWindow = field(repr=False)
-
-    @property
-    def sweeps_used(self) -> int:
-        """Physical tape sweeps the fused pair performed."""
-        return self._window.sweeps_used
-
-    @property
-    def sweeps_committed(self) -> int:
-        """Sweeps serving committed work (all of them until a discard)."""
-        return self._window.sweeps_committed
-
-    @property
-    def sweeps_wasted(self) -> int:
-        """Sweeps that served only discarded speculation (0 until a discard)."""
-        return self._window.sweeps_wasted
-
-    def discard_speculative(self) -> None:
-        """Book the speculative round's solo sweeps as wasted (idempotent)."""
-        self._window.discard_from(1)
-
-
-def run_speculative_pair(
-    stream: EdgeStream,
-    plan_primary: ParameterPlan,
-    rngs_primary: List[random.Random],
-    meter_primary: SpaceMeter,
-    plan_speculative: ParameterPlan,
-    rngs_speculative: List[random.Random],
-    meter_speculative: SpaceMeter,
-) -> SpeculativePair:
-    """Run two independent guessing rounds through shared tape sweeps.
-
-    The depth-2 case of :func:`run_speculative_window`, returning the
-    original pair surface (``primary`` / ``speculative`` results and the
-    :meth:`~SpeculativePair.discard_speculative` verdict hook).
-    """
-    window = run_speculative_window(
-        stream,
-        [plan_primary, plan_speculative],
-        [rngs_primary, rngs_speculative],
-        [meter_primary, meter_speculative],
-    )
-    return SpeculativePair(
-        primary=window.results[0],
-        speculative=window.results[1],
-        _window=window,
-    )

@@ -48,6 +48,21 @@ class TestEstimate:
         assert "estimate:" in out
         assert "plan:" in out
 
+    def test_pass_bound_is_the_per_round_budget(self, wheel_file, capsys):
+        # All repetitions of a round share six passes (Theorem 5.1), so the
+        # bound does not scale with --repetitions.
+        code = main(
+            ["estimate", wheel_file, "--kappa", "3", "--seed", "1", "--repetitions", "5"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+
+        def field(key):
+            return next(line for line in out.splitlines() if line.startswith(key))
+
+        assert field("passes:").endswith("(6 max per round)")
+        assert int(field("passes:").split()[1]) <= 6 * int(field("rounds:").split()[1])
+
     def test_kappa_required(self, wheel_file):
         with pytest.raises(SystemExit):
             main(["estimate", wheel_file])

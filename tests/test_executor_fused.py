@@ -178,14 +178,16 @@ class TestSweepAccounting:
     def test_no_wedges_falls_back_to_plain_pass4(self):
         # No apex sampled at all: nothing to speculate on, so the fused
         # path must not charge the pass-5 logical pass either.
-        from repro.core.estimator import pass45_closure_and_collect
+        from repro.core.estimator import stage_pass45
+        from repro.core.stages import execute_stage
         from repro.streams import SpaceMeter
 
         stream = InMemoryEdgeStream([(0, 1), (2, 3)], validate=False)
         scheduler = PassScheduler(stream, max_passes=6)
         with engine.engine_overrides("chunked", 2, 1, True):
-            candidates, incident = pass45_closure_and_collect(
-                scheduler, [[(0, 1)]], [[0]], [[None]], SpaceMeter(), chunked=True
+            candidates, incident = execute_stage(
+                scheduler,
+                stage_pass45([[(0, 1)]], [[0]], [[None]], SpaceMeter(), chunked=True),
             )
         assert candidates == [[None]]
         assert incident is None

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import engine, executor
-from repro.core.estimator import pass4_closure_triangles, run_single_estimate
+from repro.core.estimator import run_single_estimate, stage_pass4
 from repro.core.kernels import (
     DegreeCountPlan,
     NeighborPositionPlan,
@@ -29,6 +29,7 @@ from repro.core.kernels import (
 )
 from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
+from repro.core.stages import execute_stage
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.generators import planted_triangles_graph, rmat_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
@@ -148,8 +149,9 @@ class TestParallelRunnerSharded:
             scheduler = PassScheduler(stream)
             with engine.engine_overrides("chunked", 2, workers):
                 results.append(
-                    pass4_closure_triangles(
-                        scheduler, draws, owners, apexes, SpaceMeter(), chunked=True
+                    execute_stage(
+                        scheduler,
+                        stage_pass4(draws, owners, apexes, SpaceMeter(), chunked=True),
                     )
                 )
         assert results[0] == results[1] == [[(0, 1, 2)], [(0, 1, 2)]]

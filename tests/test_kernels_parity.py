@@ -18,10 +18,11 @@ import pytest
 
 from repro.core import engine
 from repro.core.estimator import run_single_estimate
+from repro.core.executor import run_plan
 from repro.core.kernels import (
+    IncidentEdgePlan,
     collect_stream_positions,
     count_tracked_degrees,
-    scan_incident_edges,
     scan_watch_keys,
 )
 from repro.core.parallel import run_parallel_estimates
@@ -153,7 +154,7 @@ class TestKernelPrimitives:
         edges = [(0, 1), (2, 3), (1, 4), (5, 6), (4, 7)]
         scheduler = PassScheduler(InMemoryEdgeStream(edges))
         got = []
-        scan_incident_edges(scheduler, [4], 2, lambda u, v: got.append((u, v)))
+        run_plan(scheduler, IncidentEdgePlan([4], lambda u, v: got.append((u, v))), chunk_size=2)
         assert got == [(1, 4), (4, 7)]
 
     def test_scan_watch_keys_subset(self):

@@ -2,10 +2,10 @@
 
 Three strata, matching the layer's own structure:
 
-* **program parity** - :func:`~repro.core.driver.estimate_program` /
-  :func:`~repro.core.driver.run_estimate_program` reproduce the solo
-  driver bit-for-bit (estimate, trajectory, accounting, final root-RNG
-  state) across speculation settings;
+* **program parity** - :func:`~repro.core.driver.run_estimate_program`
+  reproduces the solo driver bit-for-bit (estimate, trajectory,
+  accounting, final root-RNG state) across speculation settings, and
+  both match the sequential reference in ``tests/reference_loop.py``;
 * **shared scheduler** - N concurrent jobs on one
   :class:`~repro.serve.scheduler.SweepScheduler` each match their solo
   run exactly while the tape performs strictly fewer physical sweeps
@@ -27,6 +27,7 @@ from typing import Iterator, List
 import pytest
 
 import repro.core.driver as driver_module
+from reference_loop import assert_matches_reference, reference_estimate
 from repro.core.driver import (
     EstimatorConfig,
     TriangleCountEstimator,
@@ -143,7 +144,12 @@ class TestEstimateProgramParity:
             outcome = run_estimate_program(
                 InMemoryEdgeStream(edges), KAPPA, config
             )
+            reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
         _assert_outcome_matches_solo(outcome, solo_result, solo_root)
+        # Both drive the one loop; the independent reference anchors it.
+        assert_matches_reference(
+            outcome.result, outcome.root_state, reference, speculated=speculative
+        )
 
     def test_empty_stream(self):
         outcome = run_estimate_program(

@@ -1,10 +1,11 @@
-"""Speculative round-pair fusion: commit/discard protocol and accounting.
+"""Speculative round fusion: commit/discard protocol and accounting.
 
 The randomized cross-mode matrix (``test_parity_matrix.py``) pins
-bit-identity wholesale; these tests pin the *mechanics*: the pair runner
-against the sequential runner, the scheduler's committed/wasted sweep
-split, the driver's discard-and-rewind path, the acceptance-imminent
-speculation throttle, and the knob plumbing from environment to config.
+bit-identity wholesale; these tests pin the *mechanics*: the lockstep
+window program against the sequential runner, the scheduler's
+committed/wasted sweep split, the driver's discard-and-rewind path, the
+acceptance-imminent speculation throttle, and the knob plumbing from
+environment to config.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ import pytest
 
 from repro.core import engine
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
+from repro.core.estimator import PASS_BUDGET_PER_ROUND
 from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
-from repro.core.speculate import (
-    PRIMARY,
-    SPECULATIVE,
-    run_speculative_pair,
-    run_speculative_window,
-)
+from repro.core.speculate import PRIMARY, SPECULATIVE, _owner_tags, window_program
+from repro.core.stages import sweep_tagged_stages
 from repro.errors import StreamError
 from repro.generators import barabasi_albert_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
@@ -40,6 +38,30 @@ def _plan(graph, t_guess, kappa=None):
     return ParameterPlan.build(
         graph.num_vertices, graph.num_edges, kappa, float(t_guess), 0.25
     )
+
+
+def _run_window(stream, plans, rng_lists, meters):
+    """Drive ``window_program`` the way the driver does: one fused sweep
+    per yielded batch on a scheduler budgeted at six passes per round.
+
+    Returns the per-round results, the rounds' owner tags, and the
+    scheduler (for the committed/wasted sweep split).
+    """
+    scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * len(plans))
+    owners = _owner_tags(len(plans))
+    program = window_program(
+        len(stream), plans, rng_lists, meters, engine.use_chunks(stream), owners
+    )
+    try:
+        batch = next(program)
+        while True:
+            sweep_tagged_stages(scheduler, batch)
+            batch = program.send(None)
+    except StopIteration as stop:
+        results = stop.value
+    finally:
+        program.close()
+    return results, owners, scheduler
 
 
 class TestSchedulerSweepAccounting:
@@ -93,18 +115,19 @@ class TestPairRunner:
         with engine.engine_overrides(mode, 64, workers, fuse):
             solo_a = run_parallel_estimates(stream, plan_a, rngs())
             solo_b = run_parallel_estimates(stream, plan_b, rngs())
-            pair = run_speculative_pair(
-                stream, plan_a, rngs(), SpaceMeter(), plan_b, rngs(), SpaceMeter()
+            (primary, speculative), owners, scheduler = _run_window(
+                stream, [plan_a, plan_b], [rngs(), rngs()], [SpaceMeter(), SpaceMeter()]
             )
-        assert pair.primary == solo_a
-        assert pair.speculative == solo_b
+        assert primary == solo_a
+        assert speculative == solo_b
         # The pair's physical sweeps cover both rounds in the sweeps of
         # (at most) the larger round alone.
-        assert pair.sweeps_used <= max(solo_a[0].sweeps_used, solo_b[0].sweeps_used) + 2
-        assert pair.sweeps_used < solo_a[0].sweeps_used + solo_b[0].sweeps_used
-        assert pair.sweeps_wasted == 0
-        pair.discard_speculative()
-        assert pair.sweeps_committed + pair.sweeps_wasted == pair.sweeps_used
+        sweeps = scheduler.sweeps_used
+        assert sweeps <= max(solo_a[0].sweeps_used, solo_b[0].sweeps_used) + 2
+        assert sweeps < solo_a[0].sweeps_used + solo_b[0].sweeps_used
+        assert scheduler.sweeps_wasted == 0
+        scheduler.discard_owner(owners[1])
+        assert scheduler.sweeps_committed + scheduler.sweeps_wasted == sweeps
 
     def test_pair_meters_match_solo_meters(self):
         graph = wheel_graph(150)
@@ -120,14 +143,11 @@ class TestPairRunner:
                 stream, plan_b, [random.Random(2)], meter=meter_b_solo
             )
             meter_a, meter_b = SpaceMeter(), SpaceMeter()
-            run_speculative_pair(
+            _run_window(
                 stream,
-                plan_a,
-                [random.Random(1)],
-                meter_a,
-                plan_b,
-                [random.Random(2)],
-                meter_b,
+                [plan_a, plan_b],
+                [[random.Random(1)], [random.Random(2)]],
+                [meter_a, meter_b],
             )
         assert meter_a.peak_words == meter_a_solo.peak_words
         assert meter_b.peak_words == meter_b_solo.peak_words
@@ -147,54 +167,57 @@ class TestWindowRunner:
 
         with engine.engine_overrides("chunked", 64, 1, False):
             solo = [run_parallel_estimates(stream, plan, rngs()) for plan in plans]
-            window = run_speculative_window(
+            results, _, scheduler = _run_window(
                 stream, plans, [rngs() for _ in plans], [SpaceMeter() for _ in plans]
             )
-        assert window.depth == depth
+        assert len(results) == depth
         for j in range(depth):
-            assert window.results[j] == solo[j]
+            assert results[j] == solo[j]
         # The window's physical sweeps cover every round in (at most) the
         # sweeps of the largest round alone, plus stragglers.
-        assert window.sweeps_used < sum(r[0].sweeps_used for r in solo)
-        assert window.sweeps_wasted == 0
+        assert scheduler.sweeps_used < sum(r[0].sweeps_used for r in solo)
+        assert scheduler.sweeps_wasted == 0
 
     def test_discard_from_books_suffix_only(self):
         graph = barabasi_albert_graph(150, 4, random.Random(5))
         stream = _stream(graph)
         plans = [_plan(graph, 2.0 * graph.num_edges / (2.0 ** j)) for j in range(3)]
-        window = run_speculative_window(
+        results, owners, scheduler = _run_window(
             stream,
             plans,
             [[random.Random(40 + j)] for j in range(3)],
             [SpaceMeter() for _ in range(3)],
         )
-        window.discard_from(1)
-        window.discard_from(1)  # idempotent
-        assert window.sweeps_committed + window.sweeps_wasted == window.sweeps_used
+        for _ in range(2):  # idempotent
+            for owner in owners[1:]:
+                scheduler.discard_owner(owner)
+        assert (
+            scheduler.sweeps_committed + scheduler.sweeps_wasted == scheduler.sweeps_used
+        )
         # Every sweep the primary round rode stays committed.
-        assert window.sweeps_committed >= window.results[0][0].sweeps_used
+        assert scheduler.sweeps_committed >= results[0][0].sweeps_used
 
     def test_window_pass_budget_scales_with_depth(self):
         graph = wheel_graph(100)
         stream = _stream(graph)
         plans = [_plan(graph, 400.0 / (2.0 ** j)) for j in range(4)]
-        window = run_speculative_window(
+        results, _, _ = _run_window(
             stream,
             plans,
             [[random.Random(j + 1)] for j in range(4)],
             [SpaceMeter() for _ in range(4)],
         )
         for j in range(4):
-            assert window.results[j][0].passes_used <= 6
+            assert results[j][0].passes_used <= 6
 
     def test_window_validates_alignment(self):
         graph = wheel_graph(20)
         stream = _stream(graph)
         plan = _plan(graph, 40.0)
         with pytest.raises(ValueError, match="align"):
-            run_speculative_window(stream, [plan], [], [SpaceMeter()])
+            next(window_program(len(stream), [plan], [], [SpaceMeter()], False, [PRIMARY]))
         with pytest.raises(ValueError, match="at least one round"):
-            run_speculative_window(stream, [], [], [])
+            next(window_program(len(stream), [], [], [], False, []))
 
 
 def _first_discard_instance():
@@ -495,17 +518,15 @@ class TestKnobPlumbing:
         stream = _stream(graph)
         plan_a = _plan(graph, 200.0)
         plan_b = _plan(graph, 100.0)
-        pair = run_speculative_pair(
+        (primary, speculative), _, scheduler = _run_window(
             stream,
-            plan_a,
-            [random.Random(1)],
-            SpaceMeter(),
-            plan_b,
-            [random.Random(2)],
-            SpaceMeter(),
+            [plan_a, plan_b],
+            [[random.Random(1)], [random.Random(2)]],
+            [SpaceMeter(), SpaceMeter()],
         )
-        assert pair.primary[0].passes_used <= 6
-        assert pair.speculative[0].passes_used <= 6
+        assert primary[0].passes_used <= 6
+        assert speculative[0].passes_used <= 6
+        assert scheduler.passes_used <= 2 * PASS_BUDGET_PER_ROUND
 
 
 class TestOwnersTags:
