@@ -60,7 +60,8 @@ appends nothing, and exits non-zero if the measured chunked speedup (or
 the sharded speedup, when the box has the cores for it) regressed to
 below half of the last committed ``BENCH_engine.json`` entry, if the
 fused engine came out slower than the unfused sharded engine on the same
-sweep, if the speculative driver's multi-round physical sweep count
+sweep (both wall-clock comparisons take medians of interleaved pairs),
+if the speculative driver's multi-round physical sweep count
 failed to come in under the sequential driver's, if depth-3 windows
 performed more physical sweeps than depth-2 pairs on the canonical
 workload, if recovering from injected worker crashes cost more than
@@ -88,6 +89,7 @@ import os
 import pathlib
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -246,8 +248,43 @@ def _sharded_scan_bench(scale: str, workers: int, repeats: int = 3) -> dict:
     }
 
 
-def run_sharded_comparison(scale: str, repeats: int = 3) -> dict:
-    """Serial-chunked vs sharded executor: E9 end-to-end plus a scan bench."""
+#: Interleaved timing pairs behind the sharded and fused wall-clock gates.
+TIMING_PAIRS = 15
+
+
+def _paired_medians(run_a, run_b, pairs: int = TIMING_PAIRS) -> tuple:
+    """``(median_a, median_b, result_a, result_b)`` over interleaved runs.
+
+    Alternating ``a, b, a, b, ...`` exposes both sides to the same load
+    drift on a shared box, and the median ignores the odd descheduled
+    run that decides a best-of-3 of ~30 ms timings.
+    """
+    times: tuple = ([], [])
+    results = [None, None]
+    for _ in range(pairs):
+        for side, run in enumerate((run_a, run_b)):
+            start = time.perf_counter()
+            results[side] = run()
+            times[side].append(time.perf_counter() - start)
+    return statistics.median(times[0]), statistics.median(times[1]), results[0], results[1]
+
+
+def _estimate_under(stream, plan, *overrides):
+    """A zero-argument E9 estimate under ``engine_overrides(*overrides)``."""
+
+    def run():
+        with engine_overrides(*overrides):
+            return run_single_estimate(stream, plan, random.Random(3))
+
+    return run
+
+
+def run_sharded_comparison(scale: str) -> dict:
+    """Serial-chunked vs sharded executor: E9 end-to-end plus a scan bench.
+
+    The E9 rows time :data:`TIMING_PAIRS` interleaved serial/sharded
+    pairs and report the median of each side.
+    """
     if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
         return {"scale": scale, "have_numpy": False}
     # Always exercise a real pool (>= 2 workers), even on a single-core box
@@ -259,18 +296,14 @@ def run_sharded_comparison(scale: str, repeats: int = 3) -> dict:
     totals = {"serial": 0.0, "sharded": 0.0}
     for n in ENGINE_SIZES[scale][-2:]:  # the two largest sweep sizes
         graph, t, stream, plan = _e9_instance(n)
-        times = {}
-        results = {}
-        for label, w in (("serial", 1), ("sharded", workers)):
-            with engine_overrides("chunked", None, w):
-                best = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    results[label] = run_single_estimate(stream, plan, random.Random(3))
-                    best = min(best, time.perf_counter() - start)
-            times[label] = best
-            totals[label] += best
-        assert results["serial"] == results["sharded"], "sharded parity violated"
+        serial_sec, sharded_sec, serial, sharded = _paired_medians(
+            _estimate_under(stream, plan, "chunked", None, 1),
+            _estimate_under(stream, plan, "chunked", None, workers),
+        )
+        times = {"serial": serial_sec, "sharded": sharded_sec}
+        for label in times:
+            totals[label] += times[label]
+        assert serial == sharded, "sharded parity violated"
         rows.append(
             {
                 "n": n,
@@ -281,12 +314,13 @@ def run_sharded_comparison(scale: str, repeats: int = 3) -> dict:
             }
         )
         print(f"[bench-suite] sharded n={n}: {rows[-1]}")
-    scan = _sharded_scan_bench(scale, workers, repeats)
+    scan = _sharded_scan_bench(scale, workers)
     print(f"[bench-suite] sharded scan bench: {scan}")
     return {
         "scale": scale,
         "workers": workers,
         "cpu_count": os.cpu_count(),
+        "timing": f"median of {TIMING_PAIRS} interleaved pairs",
         "rows": rows,
         "total_serial_sec": round(totals["serial"], 4),
         "total_sharded_sec": round(totals["sharded"], 4),
@@ -295,7 +329,7 @@ def run_sharded_comparison(scale: str, repeats: int = 3) -> dict:
     }
 
 
-def run_fused_comparison(scale: str, repeats: int = 3) -> dict:
+def run_fused_comparison(scale: str) -> dict:
     """Unfused vs fused sweep engine at matched worker count (E9 sweep).
 
     Both columns run the sharded executor; the fused column additionally
@@ -303,7 +337,9 @@ def run_fused_comparison(scale: str, repeats: int = 3) -> dict:
     incident collection) into shared tape sweeps.  Estimates are asserted
     bit-identical and the fused runs are asserted to perform strictly
     fewer physical sweeps; the speedup is per-plan (unfused) time over
-    fused time, so >= 1.0 means fusing paid for its bookkeeping.
+    fused time, so >= 1.0 means fusing paid for its bookkeeping.  Each
+    row times :data:`TIMING_PAIRS` interleaved per-plan/fused pairs and
+    reports the median of each side.
     """
     if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
         return {"scale": scale, "have_numpy": False}
@@ -313,17 +349,14 @@ def run_fused_comparison(scale: str, repeats: int = 3) -> dict:
     sweep_counts = {}
     for n in ENGINE_SIZES[scale][-2:]:  # the two largest sweep sizes
         graph, t, stream, plan = _e9_instance(n)
-        times = {}
-        results = {}
-        for label, fused in (("per_plan", False), ("fused", True)):
-            with engine_overrides("chunked", None, workers, fused):
-                best = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    results[label] = run_single_estimate(stream, plan, random.Random(3))
-                    best = min(best, time.perf_counter() - start)
-            times[label] = best
-            totals[label] += best
+        per_plan_sec, fused_sec, per_plan, fused = _paired_medians(
+            _estimate_under(stream, plan, "chunked", None, workers, False),
+            _estimate_under(stream, plan, "chunked", None, workers, True),
+        )
+        times = {"per_plan": per_plan_sec, "fused": fused_sec}
+        results = {"per_plan": per_plan, "fused": fused}
+        for label in times:
+            totals[label] += times[label]
         assert results["per_plan"].estimate == results["fused"].estimate, (
             "fused parity violated"
         )
@@ -356,6 +389,7 @@ def run_fused_comparison(scale: str, repeats: int = 3) -> dict:
         "scale": scale,
         "workers": workers,
         "cpu_count": os.cpu_count(),
+        "timing": f"median of {TIMING_PAIRS} interleaved pairs",
         "rows": rows,
         "sweeps": sweep_counts,
         "total_per_plan_sec": round(totals["per_plan"], 4),
@@ -1000,7 +1034,8 @@ def run_smoke(output: pathlib.Path) -> int:
     are compared - at matching scale only - with a 2x slack factor
     (machine noise and shared CI boxes make tighter gates flaky), and the
     sharded gate only arms on multi-core machines where fan-out can win
-    at all.
+    at all.  The sharded and fused speedups are ratios of medians over
+    :data:`TIMING_PAIRS` interleaved pairs (see :func:`_paired_medians`).
     """
     current_engine = run_engine_comparison("tiny")
     current_sharded = run_sharded_comparison("tiny")

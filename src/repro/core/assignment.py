@@ -241,7 +241,7 @@ def stage_closure_hits(
     :class:`~repro.core.kernels.EdgeReplayPlan` on the chunked engines, so
     the stage can still share a fused sweep; a pass is a pass either way).
     """
-    from .stages import CallbackFold, RoundStage
+    from .stages import CallbackFold, RoundStage, charge_prefilter
 
     if chunked and bundle_rows:
         stage = _closure_hits_vectorized_stage(bundle_rows, others, meter)
@@ -256,6 +256,7 @@ def stage_closure_hits(
                 continue
             watch.setdefault(canonical_edge(other, w), []).append(row)
     meter.allocate(2 * len(watch) + sum(len(v) for v in watch.values()), "assignment-watch")
+    charge_prefilter(meter, len(watch))
     hits = [0] * len(bundle_rows)
 
     def visit(u: Vertex, v: Vertex) -> None:
@@ -287,7 +288,7 @@ def _closure_hits_vectorized_stage(
     import numpy as np
 
     from . import kernels
-    from .stages import RoundStage
+    from .stages import RoundStage, charge_prefilter
 
     lengths = np.fromiter(
         (len(bundle.values) for bundle in bundle_rows), np.int64, count=len(bundle_rows)
@@ -328,6 +329,7 @@ def _closure_hits_vectorized_stage(
     # Same accounting as the watch table: 2 words per distinct watched edge
     # plus 1 per watcher entry (slot multiplicities included).
     meter.allocate(2 * len(unique_keys) + int(entry_counts.sum()), "assignment-watch")
+    charge_prefilter(meter, len(unique_keys))
     plan = kernels.PackedKeyCountPlan(unique_keys)
 
     def finish() -> List[int]:

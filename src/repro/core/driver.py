@@ -375,8 +375,9 @@ class TriangleCountEstimator:
         ):
             # The recovery scope installs the retry policy, arms the fault
             # plan, and collects FailureReports; on exit it unwinds any
-            # shm/prefetch tiers the ladder dropped (the serial and
-            # speculation tiers are unwound by engine_overrides above).
+            # shm/prefetch tiers the ladder dropped (the serial tier is
+            # unwound by engine_overrides above; the sequential tier only
+            # lives in the restarted program's config).
             with faults_module.recovery_scope(
                 policy=faults_module.policy_from_env(cfg.max_retries, cfg.task_timeout),
                 plan=cfg.faults,
@@ -454,7 +455,10 @@ class TriangleCountEstimator:
                 program = estimate_program(
                     stream,
                     kappa,
-                    cfg,
+                    # The ladder's sequential step: restart without speculation.
+                    dataclasses.replace(cfg, speculate=False)
+                    if recovery.speculation_degraded
+                    else cfg,
                     start=start,
                     root=root,
                     on_window=on_window,
@@ -506,6 +510,24 @@ class TriangleCountEstimator:
 
 # ---------------------------------------------------------------------------
 # the guessing loop as pure schedule helpers and as a stage program
+
+
+def _sweep_policy(cfg: EstimatorConfig) -> Tuple[bool, bool, int]:
+    """``(fuse, speculate, speculate_depth)``: the config's, else the ambient policy.
+
+    Read once when a program starts, so a program driven outside the solo
+    driver's ``engine_overrides`` scope (a served job, or
+    :func:`run_estimate_program`) still honours its own config.  As in
+    :func:`repro.core.engine.engine_overrides`, an explicit depth with
+    ``speculate`` unset implies speculation.
+    """
+    fuse = cfg.fuse if cfg.fuse is not None else engine.fuse()
+    if cfg.speculate is not None:
+        speculate = cfg.speculate
+    else:
+        speculate = cfg.speculate_depth is not None or engine.speculate()
+    depth = cfg.speculate_depth if cfg.speculate_depth is not None else engine.speculate_depth()
+    return fuse, speculate, depth
 
 
 def _guess_schedule(cfg: EstimatorConfig, upper: float) -> List[float]:
@@ -605,8 +627,9 @@ def estimate_program(
     speculative round tripping the Markov abort must not fail a run the
     sequential loop would have finished).  With ``share_passes=False``
     every repetition is a window of its own: one ``k = 1`` round with its
-    own meter and its own sweeps.  The engine policy (speculation, depth,
-    chunking) is read when the program starts.
+    own meter and its own sweeps.  Fusion and speculation (on/off and
+    depth) come from ``config``, falling back to the ambient engine policy;
+    chunking is the ambient policy.  All are read when the program starts.
 
     Restart contract: ``start`` is a committed round boundary to continue
     from (a decoded snapshot, or a state this program reported) and
@@ -648,13 +671,13 @@ def estimate_program(
             root_state=root.getstate(),
         )
     chunked = engine.use_chunks(stream)
+    fuse, speculate, max_depth = _sweep_policy(cfg)
     speculative = (
-        engine.speculate()
+        speculate
         and cfg.share_passes
         and cfg.t_hint is None
         and cfg.space_budget_words is None
     )
-    max_depth = engine.speculate_depth()
     guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
 
     def build_plan(t_guess: float) -> ParameterPlan:
@@ -731,7 +754,7 @@ def estimate_program(
         # totals match a solo run no matter how the driving entity
         # physically served the batches.
         ledger = OwnerLedger()
-        program = window_program(m, plans, rng_lists, meters, chunked, owners)
+        program = window_program(m, plans, rng_lists, meters, chunked, owners, fuse)
         try:
             batch = next(program)
             while True:

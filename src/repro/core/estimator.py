@@ -53,7 +53,7 @@ from ..streams.space import SpaceMeter
 from ..types import Edge, Triangle, Vertex, canonical_edge, canonical_triangle
 from .assignment import Assigner, SampleSource
 from .params import ParameterPlan
-from .stages import EdgeFold, RoundStage
+from .stages import EdgeFold, RoundStage, charge_prefilter
 
 AssignerFactory = Callable[[ParameterPlan, random.Random, SpaceMeter], Assigner]
 
@@ -268,6 +268,7 @@ def stage_pass2(
             tracked[u] = 0
             tracked[v] = 0
     meter.allocate(len(tracked), "degrees")
+    charge_prefilter(meter, len(tracked))
     if chunked:
         import numpy as np
 
@@ -380,6 +381,7 @@ def stage_pass3(
     total_draws = sum(len(instance_owners) for instance_owners in owners)
     distinct_owners = {owner for instance_owners in owners for owner in instance_owners}
     meter.allocate(total_draws + len(distinct_owners), "neighbor-reservoirs")
+    charge_prefilter(meter, len(distinct_owners))
     vectorized = isinstance(sources[0], SampleSource) if sources else False
     if vectorized:
         import numpy as np
@@ -465,6 +467,7 @@ def _closure_watch_tables(
             wedges[j][i] = canonical_triangle(u, v, w)
             watch.setdefault(canonical_edge(other, w), []).append((j, i))
     meter.allocate(2 * len(watch) + sum(len(v) for v in watch.values()), "closure-watch")
+    charge_prefilter(meter, len(watch))
     return watch, wedges
 
 
@@ -610,6 +613,7 @@ def stage_pass45(
             passes=base.passes,
             finish=lambda: (base.finish(), None),
         )
+    charge_prefilter(meter, len(superset))
     if chunked:
         from . import kernels
 

@@ -23,8 +23,8 @@ cooperating pieces:
   thread -> synchronous reads, mmap tape -> its registered text twin,
   speculative window -> sequential rounds.
   Each step is recorded as a :class:`FailureReport` on the active
-  :class:`RecoveryContext` and surfaces on
-  ``EstimateResult.degradations``.
+  :class:`RecoveryContext`, surfaces on ``EstimateResult.degradations``,
+  and is logged as a warning on the ``"repro"`` logger.
 
 * :class:`FaultPlan` - pluggable deterministic fault injection.  A plan
   maps named sites to the 0-based occurrence indices at which the site
@@ -44,6 +44,7 @@ the task).
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 from contextlib import contextmanager
@@ -59,6 +60,8 @@ from ..errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
+
+_log = logging.getLogger("repro")
 
 # ---------------------------------------------------------------------------
 # fault sites
@@ -367,7 +370,7 @@ def task_injection() -> Optional[str]:
 
 
 def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None:
-    """Apply one ladder step under the active recovery context and record it.
+    """Apply one ladder step under the active recovery context; record and log it.
 
     Without a context (bare executor calls outside an estimate) this is a
     no-op: the caller handles its own sweep-local fallback and no global
@@ -399,9 +402,8 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
         tape_module.set_mmap(False)
         ctx.mmap_degraded = True
     elif action == ACTION_SEQUENTIAL:
-        from . import engine
-
-        engine._apply(None, None, speculative=False)
+        # The driver restarts the program with speculation off in its
+        # config (programs read speculation from their config).
         ctx.speculation_degraded = True
     elif action == ACTION_NO_SNAPSHOT:
         # The writer itself stops persisting (see core.snapshot); the
@@ -411,6 +413,9 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
         raise ValueError(f"unknown degradation action {action!r}")
     ctx.reports.append(
         FailureReport(site=site, action=action, attempts=attempts, cause=repr(cause))
+    )
+    _log.warning(
+        "degraded %s after %d failed attempt(s) at %s: %r", action, attempts, site, cause
     )
 
 

@@ -16,6 +16,15 @@ original call signatures and simply run the matching plan through
 :func:`~repro.core.executor.run_plan`, so every caller - serial or
 sharded - goes through one execution spine.
 
+Every tracked-set test is *prefiltered*: each plan that asks "which block
+values are tracked keys?" builds one :class:`KeySet` at construction - the
+sorted keys plus a hashed presence table of at least 8 slots per key - and
+ships it as (part of) its spec.  The kernels hash the whole block, gather
+from the table, and run the exact ``searchsorted`` only on the survivors
+(about a tenth of the endpoints on the canonical tapes).  The table is
+charged to the round's meter as ``kernel-prefilter`` words by the stage
+that builds the plan (:func:`~repro.core.stages.charge_prefilter`).
+
 Plan-to-pass map (Algorithm 2 / Algorithm 3 of the paper):
 
 ====================================  =====================================
@@ -27,11 +36,13 @@ plan                                  pass it accelerates
                                       merge fills slots keyed by the sorted
                                       rank, so shard order is irrelevant)
 :class:`DegreeCountPlan`              pass 2 - degrees of the endpoints of
-                                      ``R`` (id remap via ``searchsorted``
-                                      + ``bincount``; merge sums the
-                                      per-shard count tables)
+                                      ``R`` (id remap via the prefiltered
+                                      :class:`KeySet` + ``bincount``;
+                                      merge sums the per-shard count
+                                      tables)
 :class:`IncidentEdgePlan`             passes 3 and 5 - only edges incident
-                                      to a tracked owner matter; matched
+                                      to a tracked owner (prefiltered
+                                      :class:`KeySet` test) matter; matched
                                       edges are replayed to a callback in
                                       stream order, so the caller's
                                       sequential RNG consumption runs
@@ -44,17 +55,20 @@ plan                                  pass it accelerates
                                       the closure watch and the assignment
                                       stage's sampling share one sweep
 :class:`NeighborPositionPlan`         pass 3 - the neighbor at each
-                                      requested (owner, occurrence) event;
-                                      shards report per-batch occurrence
-                                      counts and hits, merged in stream-
-                                      offset order
+                                      requested (owner, occurrence) event
+                                      (owners found via the prefiltered
+                                      :class:`KeySet`); shards report
+                                      per-batch occurrence counts and
+                                      hits, merged in stream-offset order
 :class:`WatchKeyPlan`                 passes 4 and 6 - closure watches:
                                       which of the wedges' missing edges
                                       appear anywhere on the tape (packed
-                                      64-bit keys; merge unions the hit
-                                      sets)
+                                      64-bit keys in a prefiltered
+                                      :class:`KeySet`; merge unions the
+                                      hit sets)
 :class:`PackedKeyCountPlan`           pass 6 - occurrence counts of packed
-                                      watch keys (merge sums)
+                                      watch keys (prefiltered
+                                      :class:`KeySet`; merge sums)
 :class:`EdgeReplayPlan`               any pass - identity kernel + per-row
                                       parent-side replay; the plan-shaped
                                       fallback for scans with no
@@ -84,27 +98,61 @@ import numpy as np
 from ..streams.multipass import PassScheduler
 from ..types import Edge, Vertex
 from .executor import PassPlan, run_plan
+from .stages import prefilter_bits
 
 #: Vertex ids must stay below this for the packed-key scans; larger ids
 #: take the per-row set-membership fallback.
 PACK_LIMIT = 1 << 32
 
 
-def _membership(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Boolean mask of which ``values`` occur in ``sorted_ids`` (sorted)."""
-    if len(sorted_ids) == 0:
-        return np.zeros(len(values), dtype=bool)
-    idx = np.searchsorted(sorted_ids, values)
-    np.minimum(idx, len(sorted_ids) - 1, out=idx)
-    return sorted_ids[idx] == values
+#: Fibonacci-hashing multiplier (2^64 / golden ratio, odd).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _lookup(sorted_ids: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indices, found)`` of ``values`` in ``sorted_ids`` (sorted)."""
-    idx = np.searchsorted(sorted_ids, values)
-    np.minimum(idx, max(len(sorted_ids) - 1, 0), out=idx)
-    found = sorted_ids[idx] == values if len(sorted_ids) else np.zeros(len(values), dtype=bool)
-    return idx, found
+class KeySet:
+    """A plan's tracked keys: sorted unique keys plus a presence table.
+
+    The table is a power-of-two ``bool`` array of
+    :func:`~repro.core.stages.prefilter_bits` slots (at least
+    :data:`~repro.core.stages.PREFILTER_SLOTS_PER_KEY` per key), indexed
+    by the multiplicative hash ``(key * 0x9E3779B97F4A7C15) >> (64 - bits)``
+    over the key's 64-bit pattern.  A clear slot proves absence, so the
+    exact binary search runs only on the block values whose slot is set.
+    Keys may be int64 vertex ids or uint64 packed edge keys; probes must
+    share the keys' dtype.
+
+    Pickling ships the keys alone (``__reduce__``); the receiving process
+    rebuilds the table, once per spec group in a sharded worker.
+    """
+
+    __slots__ = ("keys", "table", "_shift")
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+        bits = prefilter_bits(len(keys))
+        self._shift = np.uint64(64 - bits)
+        self.table = np.zeros(1 << bits, dtype=bool)
+        self.table[self._slots(keys)] = True
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __reduce__(self):
+        return KeySet, (self.keys,)
+
+    def _slots(self, values: np.ndarray) -> np.ndarray:
+        slots = values.view(np.uint64) * _HASH_MULTIPLIER
+        slots >>= self._shift
+        return slots
+
+    def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, ranks)``: where ``values`` hold a key, and its index."""
+        survivors = np.flatnonzero(self.table[self._slots(values)])
+        probes = values[survivors]
+        ranks = np.searchsorted(self.keys, probes)
+        np.minimum(ranks, len(self.keys) - 1, out=ranks)  # no survivors if empty
+        hit = self.keys[ranks] == probes
+        return survivors[hit], ranks[hit]
 
 
 def pack_canonical_rows(rows: np.ndarray) -> Optional[np.ndarray]:
@@ -180,15 +228,15 @@ class PositionCollectPlan(PassPlan):
 # pass 2 - tracked-vertex degree counting
 
 
-def _degree_kernel(spec: np.ndarray, start_row: int, rows: np.ndarray):
+def _degree_kernel(spec: KeySet, start_row: int, rows: np.ndarray):
     """Per-block ``bincount`` of tracked-endpoint occurrences."""
-    tracked_ids = spec
-    if len(tracked_ids) == 0:
+    tracked = spec
+    if len(tracked) == 0:
         return None
-    idx, found = _lookup(tracked_ids, rows.reshape(-1))
-    if not found.any():
+    ranks = tracked.find(rows.reshape(-1))[1]
+    if not len(ranks):
         return None
-    return np.bincount(idx[found], minlength=len(tracked_ids))
+    return np.bincount(ranks, minlength=len(tracked))
 
 
 class DegreeCountPlan(PassPlan):
@@ -203,10 +251,10 @@ class DegreeCountPlan(PassPlan):
     kernel = staticmethod(_degree_kernel)
 
     def __init__(self, tracked_ids: np.ndarray) -> None:
-        self._ids = tracked_ids
+        self._ids = KeySet(tracked_ids)
         self._counts = np.zeros(len(tracked_ids), dtype=np.int64)
 
-    def spec(self) -> np.ndarray:
+    def spec(self) -> KeySet:
         return self._ids
 
     def absorb(self, partial) -> None:
@@ -223,13 +271,13 @@ class DegreeCountPlan(PassPlan):
 # passes 3 and 5 - edges incident to a tracked owner, replayed in order
 
 
-def _incident_kernel(spec: np.ndarray, start_row: int, rows: np.ndarray):
+def _incident_kernel(spec: KeySet, start_row: int, rows: np.ndarray):
     """The block's rows with a tracked endpoint, in stream order."""
-    tracked_ids = spec
-    if len(tracked_ids) == 0:
+    tracked = spec
+    if len(tracked) == 0:
         return None
-    hit = _membership(tracked_ids, rows[:, 0])
-    hit |= _membership(tracked_ids, rows[:, 1])
+    hit = np.zeros(len(rows), dtype=bool)
+    hit[tracked.find(rows.reshape(-1))[0] >> 1] = True
     sel = np.flatnonzero(hit)
     if not len(sel):
         return None
@@ -258,10 +306,10 @@ class IncidentCollectPlan(PassPlan):
     kernel = staticmethod(_incident_kernel)
 
     def __init__(self, tracked_ids: Sequence[Vertex]) -> None:
-        self._ids = np.asarray(sorted(set(tracked_ids)), dtype=np.int64)
+        self._ids = KeySet(np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
         self._blocks: List[np.ndarray] = []
 
-    def spec(self) -> np.ndarray:
+    def spec(self) -> KeySet:
         return self._ids
 
     def absorb(self, partial) -> None:
@@ -288,10 +336,10 @@ class IncidentEdgePlan(PassPlan):
     kernel = staticmethod(_incident_kernel)
 
     def __init__(self, tracked_ids: Sequence[Vertex], visit: Callable[[Vertex, Vertex], None]) -> None:
-        self._ids = np.asarray(sorted(set(tracked_ids)), dtype=np.int64)
+        self._ids = KeySet(np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
         self._visit = visit
 
-    def spec(self) -> np.ndarray:
+    def spec(self) -> KeySet:
         return self._ids
 
     def absorb(self, partial) -> None:
@@ -356,18 +404,17 @@ def _neighbor_kernel(spec, start_row: int, rows: np.ndarray):
     rank >= local rank, so ranks beyond the largest requested position of
     an owner can never match and are dropped in the worker).
     """
-    owner_ids, max_position = spec
+    owners, max_position = spec
     endpoints = rows.reshape(-1)
     neighbors = rows[:, ::-1].reshape(-1)
-    idx, tracked = _lookup(owner_ids, endpoints)
-    if not tracked.any():
+    positions, event_owner = owners.find(endpoints)
+    if not len(positions):
         return None
-    event_owner = idx[tracked]
-    event_neighbor = neighbors[tracked]
+    event_neighbor = neighbors[positions]
     order = np.argsort(event_owner, kind="stable")
     grouped_owner = event_owner[order]
-    counts = np.bincount(grouped_owner, minlength=len(owner_ids))
-    starts = np.zeros(len(owner_ids) + 1, dtype=np.int64)
+    counts = np.bincount(grouped_owner, minlength=len(owners))
+    starts = np.zeros(len(owners) + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     local = np.arange(len(grouped_owner), dtype=np.int64) - starts[grouped_owner]
     keep = local <= max_position[grouped_owner]
@@ -397,7 +444,7 @@ class NeighborPositionPlan(PassPlan):
         request_owner_index: np.ndarray,
         request_positions: np.ndarray,
     ) -> None:
-        self._owner_ids = owner_ids
+        self._owners = KeySet(owner_ids)
         self._total = len(request_positions)
         request_keys = request_owner_index.astype(np.uint64)
         request_keys <<= np.uint64(32)
@@ -413,7 +460,7 @@ class NeighborPositionPlan(PassPlan):
         self._served = 0
 
     def spec(self):
-        return self._owner_ids, self._max_position
+        return self._owners, self._max_position
 
     def absorb(self, partial) -> None:
         counts, owners, local, neighbors = partial
@@ -454,10 +501,10 @@ def _watch_kernel(spec, start_row: int, rows: np.ndarray):
             # packed key; scan only the rows that still could.
             small = rows[(rows < PACK_LIMIT).all(axis=1)]
             packed_block = pack_canonical_rows(small)
-        idx, hit = _lookup(packed_keys, packed_block)
-        if not hit.any():
+        ranks = packed_keys.find(packed_block)[1]
+        if not len(ranks):
             return None
-        return np.unique(idx[hit])
+        return np.unique(ranks)
     if key_index is None:
         return None  # no watched keys at all
     # Keys beyond the 32-bit packing: per-row membership against the
@@ -477,9 +524,9 @@ class WatchKeyPlan(PassPlan):
     When several estimator instances watch overlapping keys the caller
     passes the *union* once - the scan cost is per unique key, and the
     per-instance fan-out happens on the caller's side of the result.
-    The spec ships the packed key array alone when the keys fit the 32-bit
-    packing; only overflowing key sets ship the key -> rank index for the
-    per-row fallback.
+    The spec ships the packed keys' :class:`KeySet` when the keys fit the
+    32-bit packing; only overflowing key sets ship the key -> rank index
+    for the per-row fallback.
     """
 
     name = "pass4/watch"
@@ -487,11 +534,12 @@ class WatchKeyPlan(PassPlan):
 
     def __init__(self, keys: Sequence[Edge]) -> None:
         self._key_list = sorted(keys)
-        self._packed = (
+        packed = (
             pack_canonical_rows(np.asarray(self._key_list, dtype=np.int64).reshape(-1, 2))
             if self._key_list
             else None
         )
+        self._packed = KeySet(packed) if packed is not None else None
         self._key_index = (
             {key: i for i, key in enumerate(self._key_list)}
             if self._key_list and self._packed is None
@@ -512,7 +560,7 @@ class WatchKeyPlan(PassPlan):
         return {key for key, ok in zip(self._key_list, self._seen.tolist()) if ok}
 
 
-def _packed_count_kernel(spec: np.ndarray, start_row: int, rows: np.ndarray):
+def _packed_count_kernel(spec: KeySet, start_row: int, rows: np.ndarray):
     """Per-block occurrence ``bincount`` of the packed watch keys."""
     packed_keys = spec
     if len(packed_keys) == 0:
@@ -521,10 +569,10 @@ def _packed_count_kernel(spec: np.ndarray, start_row: int, rows: np.ndarray):
     if packed_block is None:
         small = rows[(rows < PACK_LIMIT).all(axis=1)]
         packed_block = pack_canonical_rows(small)
-    idx, hit = _lookup(packed_keys, packed_block)
-    if not hit.any():
+    ranks = packed_keys.find(packed_block)[1]
+    if not len(ranks):
         return None
-    return np.bincount(idx[hit], minlength=len(packed_keys))
+    return np.bincount(ranks, minlength=len(packed_keys))
 
 
 class PackedKeyCountPlan(PassPlan):
@@ -545,10 +593,10 @@ class PackedKeyCountPlan(PassPlan):
     kernel = staticmethod(_packed_count_kernel)
 
     def __init__(self, packed_keys: np.ndarray) -> None:
-        self._keys = packed_keys
+        self._keys = KeySet(packed_keys)
         self._counts = np.zeros(len(packed_keys), dtype=np.int64)
 
-    def spec(self) -> np.ndarray:
+    def spec(self) -> KeySet:
         return self._keys
 
     def absorb(self, partial) -> None:

@@ -75,7 +75,7 @@ from .estimator import (
     stage_pass45,
 )
 from .params import ParameterPlan
-from .stages import CallbackFold, RoundStage
+from .stages import CallbackFold, RoundStage, charge_prefilter
 
 #: A round program: yields the stages it needs, receives each stage's
 #: ``finish()`` value back, and returns the per-instance results.
@@ -129,6 +129,7 @@ def round_program(
     meter: SpaceMeter,
     chunked: bool,
     assign: Optional[AssignHook] = None,
+    fuse: Optional[bool] = None,
 ) -> RoundProgram:
     """One guessing-loop round (``k`` parallel instances) as a stage program.
 
@@ -142,7 +143,8 @@ def round_program(
 
     ``assign`` (the ablations' hook) resolves each instance's candidate
     triangles without a pass in place of Algorithm 3; passes 4 and 5 then
-    never fuse, since there is no pass 5.
+    never fuse, since there is no pass 5.  ``fuse`` selects the fused
+    pass-4/5 sweep (``None``: the ambient :func:`repro.core.engine.fuse`).
     """
     k = len(rngs)
     if k < 1:
@@ -166,7 +168,9 @@ def round_program(
     degree = yield track(stage_pass2(sampled, meter, chunked))
     draws, owners, ells, d_rs = draw_weighted_edges(sampled, degree, plan, sources, meter)
     apexes = yield track(stage_pass3(owners, degree, sources, meter, chunked))
-    if engine.fuse() and assign is None:
+    if fuse is None:
+        fuse = engine.fuse()
+    if fuse and assign is None:
         # Fused sweep engine: the closure watch (pass 4) and the
         # assignment stage's incident reads (pass 5) share one traversal;
         # the buffered superset is replayed below once closure is known.
@@ -279,14 +283,14 @@ def _assign_program(
         # Fused sweep: the tape reads happened during the pass-4 sweep;
         # replaying the buffered superset consumes no pass.
         replay_incident_rows(incident_rows, offer)
-    elif chunked:
-        from . import kernels
-
-        yield track(
-            RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)])
-        )
     else:
-        yield track(RoundStage(fold=CallbackFold(offer)))
+        charge_prefilter(meter, len(degree))
+        if chunked:
+            from . import kernels
+
+            yield track(RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)]))
+        else:
+            yield track(RoundStage(fold=CallbackFold(offer)))
     for (j, _), bundle in bundles.items():  # deterministic construction order
         bundle.flush(sample_rngs[j])
 

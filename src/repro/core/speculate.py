@@ -46,7 +46,7 @@ their generator ``finally`` blocks run.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from ..streams.space import SpaceMeter
 from .estimator import SinglePassStackResult
@@ -72,6 +72,7 @@ def window_program(
     meters: Sequence[SpaceMeter],
     chunked: bool,
     owners: Sequence[str],
+    fuse: Optional[bool] = None,
 ) -> Generator[List[TaggedStage], None, List[List[SinglePassStackResult]]]:
     """The lockstep window as a stage program: yields, never sweeps.
 
@@ -82,7 +83,8 @@ def window_program(
     shared scheduler (the serving layer) - then resumes the
     program with ``send(None)``; the program collects each stage's
     ``finish()`` itself.  Returns the per-round result lists, aligned with
-    ``owners``.
+    ``owners``.  ``fuse`` is passed to every
+    :func:`~repro.core.parallel.round_program`.
 
     Cleanup contract: if the caller's sweep raises, closing this generator
     (which a ``finally`` in the caller must do) closes every still-live
@@ -94,7 +96,7 @@ def window_program(
     if len(rng_lists) != depth or len(meters) != depth or len(owners) != depth:
         raise ValueError("plans, rng_lists, meters, and owners must align per round")
     programs = {
-        owner: round_program(m, plans[j], rng_lists[j], meters[j], chunked)
+        owner: round_program(m, plans[j], rng_lists[j], meters[j], chunked, fuse=fuse)
         for j, owner in enumerate(owners)
     }
     stages = {}

@@ -22,11 +22,14 @@ bit-identical whether a stage's sweep was private or shared.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..streams.multipass import PassScheduler
 from ..types import Vertex
 from . import engine
+
+if TYPE_CHECKING:
+    from ..streams.space import SpaceMeter
 
 
 class RoundStage:
@@ -50,6 +53,27 @@ class RoundStage:
     def finish(self):
         """The stage result (valid only after its sweep has executed)."""
         return self._finish() if self._finish is not None else None
+
+
+#: Minimum presence-table slots per tracked key of the chunked kernels'
+#: membership prefilter (:class:`~repro.core.kernels.KeySet`).
+PREFILTER_SLOTS_PER_KEY = 8
+
+
+def prefilter_bits(num_keys: int) -> int:
+    """log2 of the presence-table size for ``num_keys`` keys (>= 8 slots)."""
+    return max(3, (PREFILTER_SLOTS_PER_KEY * num_keys - 1).bit_length())
+
+
+def charge_prefilter(meter: "SpaceMeter", num_keys: int) -> None:
+    """Charge a pass's membership prefilter: one word per 8 one-byte slots.
+
+    Charged on every engine - the Python path's dict lookups stand in for
+    the same index - so space accounting stays engine-independent.  An
+    empty key set charges nothing: its kernels return before probing.
+    """
+    if num_keys:
+        meter.allocate((1 << prefilter_bits(num_keys)) // 8, "kernel-prefilter")
 
 
 class EdgeFold:

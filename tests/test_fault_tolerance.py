@@ -22,6 +22,7 @@ fault x engine product is behind the ``slow`` marker.
 
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
@@ -443,6 +444,35 @@ class TestDegradationLadder:
         _assert_bit_identical(clean, faulted)
         actions = [r.action for r in faulted[0].degradations]
         assert actions == [faults.ACTION_SYNC_READS, faults.ACTION_SEQUENTIAL]
+
+    def test_each_ladder_step_logs_a_warning(self, tape, caplog):
+        """A library caller sees every recorded step on the ``repro``
+        logger, not only on ``EstimateResult.degradations``."""
+        cfg = EstimatorConfig(
+            seed=6,
+            repetitions=3,
+            engine_mode="chunked",
+            workers=1,
+            speculate=True,
+            speculate_depth=3,
+            faults="file.read@0;sweep.mid_stage@1",
+            max_retries=0,
+        )
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            result = TriangleCountEstimator(cfg).estimate(FileEdgeStream(tape), kappa=4)
+        records = [r for r in caplog.records if r.name == "repro"]
+        assert len(records) == len(result.degradations) == 2
+        for record, report in zip(records, result.degradations):
+            assert record.levelno == logging.WARNING
+            assert report.action in record.getMessage()
+            assert report.site in record.getMessage()
+
+    def test_clean_run_logs_nothing(self, tape, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            TriangleCountEstimator(EstimatorConfig(seed=6)).estimate(
+                FileEdgeStream(tape), kappa=4
+            )
+        assert not [r for r in caplog.records if r.name == "repro"]
 
     def test_no_tier_left_propagates_the_failure(self):
         """A persistent serial failure with nothing to degrade must still

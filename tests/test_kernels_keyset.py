@@ -1,0 +1,136 @@
+"""The scan kernels' membership prefilter (:class:`repro.core.kernels.KeySet`).
+
+``KeySet.find`` - the one membership primitive of the scan kernels - must
+agree exactly with a plain ``np.searchsorted`` membership test whatever
+the hash table says: a set slot only admits a value to the exact search,
+never decides it.  Checked on int64 vertex ids and on uint64 packed edge
+keys (including values at and above 2^63, where the signed and unsigned
+orders differ), on empty and single-key sets, and on blocks that hit
+every key or none.  The pickle contract - keys only, table rebuilt on
+load - keeps sharded spec bytes the size of the keys themselves.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.kernels import KeySet
+from repro.core.stages import PREFILTER_SLOTS_PER_KEY, charge_prefilter
+from repro.streams import SpaceMeter
+
+INT64 = st.integers(min_value=0, max_value=(1 << 63) - 1)
+UINT64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+HIGH_UINT64 = st.integers(min_value=1 << 63, max_value=(1 << 64) - 1)
+
+
+def _reference(keys: np.ndarray, values: np.ndarray):
+    """Plain binary-search membership: ``(found mask, rank per value)``."""
+    if len(keys) == 0:
+        return np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=np.int64)
+    ranks = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[ranks] == values, ranks
+
+
+def _check(keys: np.ndarray, values: np.ndarray) -> None:
+    keyset = KeySet(keys)
+    found, ranks = _reference(keys, values)
+    positions, got_ranks = keyset.find(values)
+    assert positions.tolist() == np.flatnonzero(found).tolist()
+    assert got_ranks.tolist() == ranks[found].tolist()
+
+
+def _keys(raw, dtype) -> np.ndarray:
+    return np.unique(np.asarray(raw, dtype=dtype))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INT64, max_size=300), st.lists(INT64, max_size=300), st.data())
+def test_vertex_ids_match_searchsorted(raw_keys, raw_values, data):
+    keys = _keys(raw_keys, np.int64)
+    # Mix in real hits so both outcomes are exercised.
+    hits = data.draw(st.lists(st.sampled_from(keys.tolist()), max_size=50)) if len(keys) else []
+    _check(keys, np.asarray(raw_values + hits, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(UINT64, HIGH_UINT64), max_size=300),
+    st.lists(st.one_of(UINT64, HIGH_UINT64), max_size=300),
+    st.data(),
+)
+def test_packed_keys_match_searchsorted(raw_keys, raw_values, data):
+    keys = _keys(raw_keys, np.uint64)
+    hits = data.draw(st.lists(st.sampled_from(keys.tolist()), max_size=50)) if len(keys) else []
+    _check(keys, np.asarray(raw_values + hits, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_empty_set_finds_nothing(dtype):
+    values = np.arange(1000, dtype=dtype)
+    _check(np.empty(0, dtype=dtype), values)
+    assert len(KeySet(np.empty(0, dtype=dtype))) == 0
+
+
+@pytest.mark.parametrize("key", [0, 7, (1 << 32) + 5, (1 << 63) + 3, (1 << 64) - 1])
+def test_single_key(key):
+    dtype = np.uint64 if key >= 1 << 63 else np.int64
+    keys = np.asarray([key], dtype=dtype)
+    values = np.asarray([key, key ^ 1, key, 0, 1], dtype=dtype)
+    _check(keys, values)
+
+
+def test_all_hit_and_no_hit_blocks():
+    rng = np.random.default_rng(3)
+    keys = np.unique(rng.integers(0, 1 << 40, size=5000, dtype=np.int64))
+    all_hit = rng.choice(keys, size=20_000)
+    _check(keys, all_hit)
+    assert len(KeySet(keys).find(all_hit)[0]) == len(all_hit)
+    no_hit = keys[:-1] + 1  # strictly between consecutive distinct keys, or past them
+    no_hit = no_hit[~np.isin(no_hit, keys)]
+    _check(keys, no_hit)
+    assert len(KeySet(keys).find(no_hit)[0]) == 0
+
+
+def test_probes_on_a_strided_column():
+    # The incident kernel probes each endpoint column of a (k, 2) block.
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 5000, size=(4096, 2), dtype=np.int64)
+    keys = np.unique(rng.integers(0, 5000, size=300, dtype=np.int64))
+    for column in (rows[:, 0], rows[:, 1]):
+        _check(keys, column)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 59_518])
+def test_table_size_and_space_charge(n):
+    keyset = KeySet(np.arange(n, dtype=np.int64) * 7919)
+    slots = len(keyset.table)
+    assert slots & (slots - 1) == 0  # a power of two
+    assert PREFILTER_SLOTS_PER_KEY * n <= slots < 2 * PREFILTER_SLOTS_PER_KEY * n
+    meter = SpaceMeter()
+    charge_prefilter(meter, n)
+    assert meter.peak_breakdown() == {"kernel-prefilter": keyset.table.nbytes // 8}
+
+
+def test_empty_set_charges_nothing():
+    meter = SpaceMeter()
+    charge_prefilter(meter, 0)
+    assert meter.peak_words == 0
+
+
+@pytest.mark.parametrize("dtype,high", [(np.int64, 1 << 40), (np.uint64, 1 << 64)])
+def test_pickle_ships_keys_and_rebuilds_the_table(dtype, high):
+    rng = np.random.default_rng(7)
+    keys = np.unique(rng.integers(0, high, size=20_000, dtype=dtype))
+    keyset = KeySet(keys)
+    data = pickle.dumps(keyset, protocol=pickle.HIGHEST_PROTOCOL)
+    restored = pickle.loads(data)
+    assert restored.keys.dtype == keys.dtype
+    assert np.array_equal(restored.keys, keys)
+    assert np.array_equal(restored.table, keyset.table)
+    keys_only = pickle.dumps(keys, protocol=pickle.HIGHEST_PROTOCOL)
+    assert abs(len(data) - len(keys_only)) <= 1024

@@ -268,6 +268,40 @@ class TestSweepScheduler:
         _assert_outcome_matches_solo(survivor.outcome, solo_result, solo_root)
 
 
+class TestConfigEngineKnobs:
+    """A config's fuse / speculate_depth reach every driver of the loop,
+    not only the solo driver's ``engine_overrides`` scope."""
+
+    @pytest.mark.parametrize(
+        "knobs", [{"fuse": True}, {"speculate_depth": 3}], ids=["fuse", "depth3"]
+    )
+    def test_program_and_served_job_match_solo(self, knobs):
+        edges = barabasi_albert_graph(400, 4, random.Random(1)).edge_list()
+        config = EstimatorConfig(seed=5, **knobs)
+        # The ambient policy disagrees with the config: only a program
+        # that reads its own config can match the solo run.
+        with engine_overrides(fused=False, speculative=False):
+            solo, _ = _solo_with_root(edges, 4, config)
+            plain, _ = _solo_with_root(edges, 4, EstimatorConfig(seed=5))
+            outcome = run_estimate_program(InMemoryEdgeStream(edges), 4, config)
+            shared = SweepScheduler(InMemoryEdgeStream(edges))
+            job = _job_for(shared.stream, 4, config)
+            shared.submit(job)
+            shared.start()
+            try:
+                assert job.wait(120.0)
+            finally:
+                shared.shutdown()
+        assert job.error is None
+        assert solo.sweeps_total < plain.sweeps_total  # the knob matters here
+        for result in (outcome.result, job.outcome.result):
+            assert (result.estimate, result.passes_total, result.sweeps_total) == (
+                solo.estimate,
+                solo.passes_total,
+                solo.sweeps_total,
+            )
+
+
 @pytest.fixture
 def ba_file(tmp_path):
     path = tmp_path / "ba.txt"
