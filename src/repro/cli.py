@@ -345,6 +345,13 @@ def _graceful_signals(checkpoint_dir: Optional[str]) -> Iterator[None]:
     if checkpoint_dir is None:
         yield
         return
+    # NumPy imports ``numpy.random`` lazily, on the first round's sample
+    # draws; an interrupt raised while its extension modules initialise
+    # is lost, and the run would finish with exit 0 as if never signalled.
+    try:
+        import numpy.random  # noqa: F401
+    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
+        pass
     def _terminate(signum, frame):  # pragma: no cover - exercised via subprocess
         raise KeyboardInterrupt
     try:

@@ -12,7 +12,8 @@ estimates".  This package is that generalization as a service:
   in lockstep, merging their pending stage batches so one physical
   traversal serves every job's current stages;
 * :mod:`repro.serve.registry` - tapes keyed by content fingerprint, so
-  jobs naming different paths to identical bytes share a scheduler;
+  jobs naming different paths to identical bytes share a scheduler,
+  and text inputs are converted once to a private tape on first touch;
 * :mod:`repro.serve.cache` - served results keyed by
   ``(tape fingerprint, trajectory config hash, seed)`` under the
   snapshot module's config-hash discipline: a repeated request does

@@ -5,7 +5,8 @@ connection) and/or a minimal localhost HTTP endpoint (one JSON request
 per POST) - both carrying the vocabulary of
 :mod:`repro.serve.protocol`.  The event loop only parses requests and
 shuttles bytes; everything that touches a tape happens on worker
-threads: opening/fingerprinting in :meth:`TapeRegistry.entry_for`, and
+threads: opening, fingerprinting and the one-time conversion of text
+inputs to tapes in :meth:`TapeRegistry.entry_for`, and
 the sweeps themselves on each tape's
 :class:`~repro.serve.scheduler.SweepScheduler` thread, with request
 handlers parked on ``asyncio.to_thread(job.wait)`` until their job
@@ -296,6 +297,8 @@ class EstimateServer:
                 {
                     "fingerprint": entry.fingerprint_hex,
                     "path": entry.path,
+                    "source": entry.source,
+                    "convert_s": entry.convert_s,
                     "jobs_submitted": entry.jobs_submitted,
                     "jobs_completed": entry.scheduler.jobs_completed,
                     "jobs_failed": entry.scheduler.jobs_failed,

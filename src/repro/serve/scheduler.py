@@ -111,13 +111,18 @@ class SweepScheduler:
             self._pending.append(job)
             self._wake.notify()
 
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop after draining the already-submitted jobs."""
+    def shutdown(self, timeout: float = 10.0) -> bool:
+        """Stop after draining the already-submitted jobs.
+
+        Returns whether the sweep thread has exited within ``timeout``.
+        """
         with self._wake:
             self._stop = True
             self._wake.notify()
-        if self._thread is not None:
-            self._thread.join(timeout)
+        if self._thread is None:
+            return True
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
 
     # -- the lockstep loop ------------------------------------------------
 

@@ -12,9 +12,13 @@ classified once, not re-tokenized by the batch parser) and canonicalize
 each batch with vectorized min/max, so the per-line Python interpreter
 cost of :meth:`__iter__` is paid only on
 the pure-Python fallback path.  Batch parsing runs on a double-buffered
-reader thread (:data:`PREFETCH_CHUNKS` ahead of the consumer), so parse
-and pass-kernel scan overlap; ``REPRO_FILE_PREFETCH=0`` forces inline
-parsing.
+reader thread (:data:`PREFETCH_CHUNKS` ahead of the consumer);
+``REPRO_FILE_PREFETCH=0`` forces inline parsing.  The thread does not
+buy an overlap of parse and scan in practice: ``loadtxt`` holds the
+interpreter lock, and a solo estimate on the 330k-edge perfbench
+serve-text input (54 sweeps, 2-core x86_64) measured a median 9.8 s with
+prefetch, 9.1 s inline, and 1.1 s on its ``.etape`` conversion (which
+itself takes 0.16 s).
 """
 
 from __future__ import annotations
@@ -136,10 +140,11 @@ class FileEdgeStream(EdgeStream):
         Parsing runs on a **double-buffered reader thread**: while the
         caller scans chunk ``i``, the thread is already parsing chunk
         ``i + 1`` (a bounded queue of :data:`PREFETCH_CHUNKS` keeps it one
-        step ahead), so file parse and pass kernels overlap instead of
-        alternating.  The chunk sequence is exactly that of the synchronous
-        parser; set ``REPRO_FILE_PREFETCH=0`` to disable the thread and
-        parse inline.
+        step ahead).  Because ``loadtxt`` holds the interpreter lock, the
+        measured gain is nil (see the module docstring: 9.8 s with the
+        thread, 9.1 s inline).  The chunk sequence is exactly that of the
+        synchronous parser; set ``REPRO_FILE_PREFETCH=0`` to disable the
+        thread and parse inline.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -35,8 +35,10 @@ checksum is computed by the writer (which touches every byte anyway) and
 verified on demand by :func:`verify_tape` - *not* at open, which would
 forfeit the O(1) ``stats``.  :func:`tape_fingerprint` hashes the header
 plus a strided sample of payload rows into a content fingerprint that is
-stable across byte-identical rewrites and cheap even for huge tapes -
-the future estimate cache keys on it.
+stable across byte-identical rewrites and cheap even for huge tapes.
+:func:`~repro.core.snapshot.stream_fingerprint` wraps it for tapes, and
+that digest is what snapshots bind to and what the serving daemon keys
+its tape registry and result cache on.
 
 **Degradation contract** (see :mod:`repro.core.faults`): a stream with a
 registered *text twin* (the edge-list file the tape was converted from)
@@ -215,8 +217,11 @@ def tape_fingerprint(path: Union[str, "os.PathLike[str]"]) -> str:
     including the first and last rows) additionally bind the fingerprint
     to payload bytes directly, so it is stable across byte-identical
     rewrites, changes whenever content changes, and costs O(1) reads on
-    tapes of any size.  This is the cache key a future estimate-serving
-    daemon would use.
+    tapes of any size.  :func:`~repro.core.snapshot.stream_fingerprint`
+    wraps it (domain-tagged) for tape inputs, and the serving daemon
+    keys its tape registry and result cache on that digest; a text input
+    is keyed by the text's own fingerprint instead, even though the
+    daemon serves it from a converted tape.
     """
     path = os.fspath(path)
     header = read_header(path)

@@ -19,14 +19,18 @@ Three strata, matching the layer's own structure:
 from __future__ import annotations
 
 import json
+import os
 import random
 import socket
+import sys
 import threading
+import time
 from typing import Iterator, List
 
 import pytest
 
 import repro.core.driver as driver_module
+import repro.serve.registry as registry_module
 from reference_loop import assert_matches_reference, reference_estimate
 from repro.core.driver import (
     EstimatorConfig,
@@ -34,14 +38,15 @@ from repro.core.driver import (
     run_estimate_program,
 )
 from repro.core.engine import engine_overrides
+from repro.core.snapshot import stream_fingerprint
 from repro.generators import barabasi_albert_graph, wheel_graph
 from repro.io import write_edgelist
-from repro.serve import SweepScheduler
+from repro.serve import SweepScheduler, TapeRegistry
 from repro.serve.daemon import background_server
 from repro.serve.jobs import Job
 from repro.serve.protocol import request_http, request_unix, root_rng_digest
 from repro.serve.scheduler import next_job_id
-from repro.streams import InMemoryEdgeStream
+from repro.streams import FileEdgeStream, InMemoryEdgeStream, write_tape
 from repro.streams.base import EdgeStream
 from repro.streams.multipass import OwnerLedger
 from repro.types import Edge
@@ -466,3 +471,130 @@ class TestDaemon:
         with background_server(socket_path=sock, batch_window=0.0):
             reply = request_unix(sock, {"op": "shutdown"})
         assert reply == {"ok": True, "stopping": True}
+
+
+class TestTextConversion:
+    """Text inputs are converted to a daemon-private tape once, on first
+    touch; every served result stays bit-identical to a solo text run."""
+
+    def test_text_request_matches_solo_text_run(self, ba_file, tmp_path):
+        config = EstimatorConfig(seed=7, repetitions=3)
+        outcome = run_estimate_program(FileEdgeStream(ba_file), KAPPA, config)
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0):
+            document = request_unix(sock, _estimate_request(ba_file, seed=7))
+            stats = request_unix(sock, {"op": "stats"})
+        _assert_document_matches_solo(document, outcome.result, outcome.root_state)
+        (tape,) = stats["tapes"]
+        assert tape["source"] == "text"
+        assert tape["convert_s"] > 0
+        # Still keyed by the text's own fingerprint, not the tape's.
+        text_key = stream_fingerprint(FileEdgeStream(ba_file)).hex()
+        assert tape["fingerprint"] == document["tape_fingerprint"] == text_key
+
+    def test_preconverted_tape_returns_the_same_result(self, ba_file, tmp_path):
+        tape_path = str(tmp_path / "ba.etape")
+        write_tape(ba_file, tape_path)
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0):
+            from_text = request_unix(sock, _estimate_request(ba_file, seed=5))
+            from_tape = request_unix(sock, _estimate_request(tape_path, seed=5))
+            stats = request_unix(sock, {"op": "stats"})
+        for field in ("estimate", "rounds", "passes_total", "sweeps_total",
+                      "root_rng_sha256"):
+            assert from_tape[field] == from_text[field]
+        sources = {t["path"]: (t["source"], t["convert_s"]) for t in stats["tapes"]}
+        assert sources[tape_path] == ("tape", 0.0)
+        assert sources[ba_file][0] == "text"
+
+    def test_concurrent_first_requests_convert_once(
+        self, ba_file, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_write_tape = registry_module.write_tape
+
+        def slow_write_tape(source, path):
+            calls.append(path)
+            time.sleep(0.3)  # both requests arrive while this one converts
+            return real_write_tape(source, path)
+
+        monkeypatch.setattr(registry_module, "write_tape", slow_write_tape)
+        sock = str(tmp_path / "serve.sock")
+        responses = {}
+        with background_server(socket_path=sock, batch_window=0.25) as server:
+            threads = [
+                threading.Thread(
+                    target=lambda s=seed: responses.__setitem__(
+                        s, request_unix(sock, _estimate_request(ba_file, s))
+                    )
+                )
+                for seed in (3, 9)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+            assert not any(t.is_alive() for t in threads)
+            listing = sorted(os.listdir(server.registry.tape_dir))
+            stats = request_unix(sock, {"op": "stats"})
+
+        assert all(responses[s]["ok"] for s in (3, 9))
+        assert len(calls) == 1
+        assert len(listing) == 1 and listing[0].endswith(".etape")
+        assert len(stats["tapes"]) == 1
+
+    def test_malformed_text_is_a_typed_error_and_leaves_nothing(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1 2\n2 x\n")
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0) as server:
+            reply = request_unix(sock, _estimate_request(str(bad), seed=1))
+            stats = request_unix(sock, {"op": "stats"})
+            tape_dir = server.registry.tape_dir
+            leftovers = os.listdir(tape_dir) if tape_dir else []
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "StreamError"
+        assert f"{bad}:3" in reply["error"]["message"]
+        assert stats["tapes"] == []
+        assert leftovers == []
+
+    def test_private_directory_removed_on_exit(self, ba_file, tmp_path):
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0) as server:
+            assert request_unix(sock, _estimate_request(ba_file, seed=2))["ok"]
+            tape_dir = server.registry.tape_dir
+            assert os.path.isdir(tape_dir)
+        assert not os.path.exists(tape_dir)
+
+    def test_registry_single_flight_under_thread_stress(self, ba_file, monkeypatch):
+        calls = []
+        real_write_tape = registry_module.write_tape
+
+        def counting_write_tape(source, path):
+            calls.append(path)
+            return real_write_tape(source, path)
+
+        monkeypatch.setattr(registry_module, "write_tape", counting_write_tape)
+        registry = TapeRegistry()
+        entries = []
+        barrier = threading.Barrier(8)
+
+        def open_entry():
+            barrier.wait()
+            entries.append(registry.entry_for(ba_file))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=open_entry) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            registry.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(entries) == 8 and all(e is entries[0] for e in entries)
+        assert not os.path.exists(registry.tape_dir)
