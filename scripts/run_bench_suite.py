@@ -7,9 +7,10 @@ Ten stages:
    (default ``tiny`` - a smoke pass over every ``benchmarks/bench_*.py``);
 2. a chunked-vs-pure-Python engine comparison on the E9 BA-family sweep,
    asserting seed-for-seed identical estimates while timing both engines;
-3. a sharded-vs-serial comparison of the pass executor: the E9 sweep's
+3. a threaded-vs-serial comparison of the pass executor: the E9 sweep's
    largest sizes end to end plus a synthetic single-pass degree scan,
-   serial chunked against a worker pool (results asserted identical);
+   serial chunked against a sweep thread pool (results asserted
+   identical);
 4. a fused-vs-per-plan comparison of the sweep engine at matched worker
    count: identical estimates asserted, strictly fewer physical tape
    sweeps asserted, wall-clock speedup recorded;
@@ -22,12 +23,12 @@ Ten stages:
    physical sweeps and wall clock at depths 1 (sequential), 2, 3, and 4,
    bit-identity asserted at every depth and deeper windows asserted to
    never perform more sweeps than the depth-2 pair driver;
-7. a fault-recovery overhead measurement: the canonical sharded
+7. a fault-recovery overhead measurement: the canonical threaded
    multi-round estimate run clean and again with the deterministic fault
-   harness crashing a worker on each of the first few sweeps -
+   harness crashing a task on each of the first few sweeps -
    bit-identical results and an unchanged physical sweep count asserted
    (recovery retries tasks, it never re-sweeps the tape), the wall-clock
-   overhead of the pool respawns recorded;
+   overhead of the retries recorded;
 8. a text-vs-binary tape format comparison: the canonical file-backed
    workload read as a text edge list and as its ``.etape`` conversion
    (mmap zero-copy ingest) - raw sweep throughput (edges/sec) measured
@@ -287,7 +288,7 @@ def run_sharded_comparison(scale: str) -> dict:
     """
     if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
         return {"scale": scale, "have_numpy": False}
-    # Always exercise a real pool (>= 2 workers), even on a single-core box
+    # Always exercise real threads (>= 2 workers), even on a single-core box
     # where that can only show overhead - the recorded cpu_count says which
     # regime the numbers came from, and the smoke gate only arms the
     # sharded regression check on multi-core machines.
@@ -587,18 +588,18 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
 
 
 def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
-    """Recovery overhead: a clean sharded run vs one worker crash per sweep.
+    """Recovery overhead: a clean threaded run vs one task crash per sweep.
 
     The canonical multi-round workload (file-backed, fused, workers=2) is
     estimated twice: once clean, once with the fault harness crashing a
-    worker on each of the first few sweeps (every sweep at tiny scale is
-    a single pool task, so ``worker.crash@k`` kills sweep ``k``'s first
-    attempt; the cap keeps the pool-respawn bill bounded on slow boxes).
-    Estimates, trajectories, and logical-pass totals are asserted
-    bit-identical, and no degradation may be recorded - this measures
-    *recovery*, not the ladder.  The wall-clock overhead is dominated by
-    pool respawns; the sweep counts show recovery costs no extra tape
-    traversals beyond the retried rounds' waste (gated at <= 2x clean).
+    task on each of the first few sweeps (every sweep at tiny scale is a
+    single task, so ``worker.crash@k`` crashes sweep ``k``'s first
+    attempt; the cap keeps the retry backoff bounded).  Estimates,
+    trajectories, and logical-pass totals are asserted bit-identical, and
+    no degradation may be recorded - this measures *recovery*, not the
+    ladder.  The wall-clock overhead is the retries' backoff; the sweep
+    counts show recovery costs no extra tape traversals beyond the
+    retried rounds' waste (gated at <= 2x clean).
     """
     if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
         return {"scale": scale, "have_numpy": False}
@@ -1115,7 +1116,7 @@ def run_smoke(output: pathlib.Path) -> int:
     # The fault-recovery gate is deterministic: recovery from injected
     # worker crashes must complete with bit-identical results (asserted
     # inside the stage) and cost at most 2x the clean run's physical
-    # sweeps - recovery is retried tasks and pool respawns, not re-sweeps,
+    # sweeps - recovery is retried tasks, not re-sweeps,
     # so anything past that slack means retries are re-reading the tape.
     recovery_rows = current_fault_recovery.get("rows", [])
     for row in recovery_rows:

@@ -11,15 +11,15 @@ Commands
 [--engine auto|chunked|python|sharded] [--chunk-size C] [--workers W]
 [--fuse | --no-fuse] [--speculate | --no-speculate] [--speculate-depth K]``
     The paper's estimator on the file's stream; ``--engine``/``--workers``
-    select the execution engine (sharded = chunked kernels fanned across
-    worker processes, seed-for-seed identical to the serial engines),
+    select the execution engine and the threads per sweep (default: all
+    cores; seed-for-seed identical at any count),
     ``--fuse`` turns on the fused sweep engine (independent pass plans of
     each round share physical tape sweeps; identical estimates, fewer
     stream traversals), and ``--speculate`` additionally fuses guessing-loop
     round *windows* (up to ``--speculate-depth`` pre-drawn rounds run
     alongside round i; the prefix up to the first acceptance is committed
     and the rest discarded; identical estimates, ~depth-fold fewer sweeps
-    on multi-round estimates).  ``--max-retries`` / ``--task-timeout`` tune
+    on multi-round estimates).  ``--max-retries`` tunes
     the fault-tolerant execution layer and ``--faults`` injects
     deterministic failures for testing; any tier the recovery ladder had
     to drop is reported as a ``degraded:`` line.
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the sharded pass executor (1 = in-process)",
+        help="threads per sweep (default: all cores; 1 = serial)",
     )
     p_est.add_argument(
         "--fuse",
@@ -168,16 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "retries per failed unit of work before the recovery ladder "
             "degrades a tier (0 = degrade immediately; default: "
             "REPRO_MAX_RETRIES policy, 2)"
-        ),
-    )
-    p_est.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help=(
-            "per-task deadline in seconds for sharded pool tasks - an "
-            "overstaying task is presumed hung and retried on a fresh pool "
-            "(default: REPRO_TASK_TIMEOUT policy, wait indefinitely)"
         ),
     )
     p_est.add_argument(
@@ -244,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_resume.add_argument("--speculate-depth", type=int, default=None)
     p_resume.add_argument("--max-retries", type=int, default=None)
-    p_resume.add_argument("--task-timeout", type=float, default=None)
     _add_snapshot_arguments(p_resume)
 
     p_sinfo = sub.add_parser(
@@ -412,7 +401,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         speculate=args.speculate,
         speculate_depth=args.speculate_depth,
         max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
         faults=args.faults,
         checkpoint_dir=args.checkpoint_dir,
         snapshot_every=args.snapshot_every,
@@ -444,7 +432,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             ("speculate", args.speculate),
             ("speculate_depth", args.speculate_depth),
             ("max_retries", args.max_retries),
-            ("task_timeout", args.task_timeout),
             ("checkpoint_dir", args.checkpoint_dir),
             ("snapshot_every", args.snapshot_every),
             ("snapshot_keep", args.snapshot_keep),

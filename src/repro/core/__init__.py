@@ -17,10 +17,10 @@ Layout follows the paper:
 * :mod:`~repro.core.exact_reference` - a store-everything exact one-pass
   counter used as ground truth and as the "no space bound" reference row.
 
-Three execution engines back every pass: the pure-Python reference loops,
-the chunked NumPy kernels of :mod:`~repro.core.kernels`, and the sharded
-pass executor of :mod:`~repro.core.executor` that fans those kernels
-across worker processes - selected per stream by :mod:`~repro.core.engine`
+Two execution engines back every pass: the pure-Python reference loops
+and the chunked NumPy kernels of :mod:`~repro.core.kernels`, which the
+pass executor of :mod:`~repro.core.executor` runs on a thread per core -
+selected per stream by :mod:`~repro.core.engine`
 (seed-for-seed identical results; see the engine module for the policy
 knobs: mode, chunk size, workers, fused sweeps, round-pair speculation).
 Passes are expressed as *stages* (:mod:`~repro.core.stages`) and rounds as

@@ -98,8 +98,8 @@ class EstimatorConfig:
     chunk_size:
         Optional edges-per-chunk override for the chunked/sharded engines.
     workers:
-        Optional worker-process count for the sharded pass executor
-        (``1`` = in-process).  ``None`` keeps the global setting.
+        Optional thread count per sweep (``1`` = serial).  ``None`` keeps
+        the global setting (default: all cores on the NumPy engines).
     fuse:
         Optional override of the fused sweep engine: each round's closure
         watch (pass 4) and assignment sampling (pass 5) share one physical
@@ -140,15 +140,10 @@ class EstimatorConfig:
         asking to speculate.
     max_retries:
         Optional override of how many times a failed unit of work (a
-        sharded task, a round attempt) is retried before the recovery
+        threaded sweep task, a round attempt) is retried before the recovery
         ladder degrades a tier (:mod:`repro.core.faults`).  ``0`` disables
         retries but keeps the degradation ladder.  ``None`` keeps the
         ``REPRO_MAX_RETRIES`` policy (default 2).
-    task_timeout:
-        Optional per-task deadline (seconds) for sharded pool tasks; a
-        task overstaying it is presumed hung, its workers are killed, and
-        the task is retried on a fresh pool.  ``None`` keeps the
-        ``REPRO_TASK_TIMEOUT`` policy (default: wait indefinitely).
     faults:
         Optional deterministic fault-injection plan: a
         :class:`~repro.core.faults.FaultPlan` or a spec string such as
@@ -193,7 +188,6 @@ class EstimatorConfig:
     speculate: Optional[bool] = None
     speculate_depth: Optional[int] = None
     max_retries: Optional[int] = None
-    task_timeout: Optional[float] = None
     faults: "str | object | None" = None
     checkpoint_dir: Optional[str] = None
     snapshot_every: Optional[int] = None
@@ -215,8 +209,6 @@ class EstimatorConfig:
             )
         if self.max_retries is not None and self.max_retries < 0:
             raise ParameterError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ParameterError(f"task_timeout must be positive, got {self.task_timeout}")
         if self.faults is not None and not isinstance(self.faults, faults_module.FaultPlan):
             faults_module.FaultPlan.parse(str(self.faults))  # validate eagerly
         if self.snapshot_every is not None and self.snapshot_every < 1:
@@ -375,11 +367,11 @@ class TriangleCountEstimator:
         ):
             # The recovery scope installs the retry policy, arms the fault
             # plan, and collects FailureReports; on exit it unwinds any
-            # shm/prefetch tiers the ladder dropped (the serial tier is
+            # prefetch/mmap tiers the ladder dropped (the serial tier is
             # unwound by engine_overrides above; the sequential tier only
             # lives in the restarted program's config).
             with faults_module.recovery_scope(
-                policy=faults_module.policy_from_env(cfg.max_retries, cfg.task_timeout),
+                policy=faults_module.policy_from_env(cfg.max_retries),
                 plan=cfg.faults,
             ) as recovery:
                 return self._estimate(stream, kappa, recovery, _resume)

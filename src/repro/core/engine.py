@@ -1,4 +1,4 @@
-"""Execution-engine selection: pure Python, chunked NumPy, or sharded.
+"""Execution-engine selection: pure Python or chunked NumPy, serial or threaded.
 
 Every pass of the estimator stack exists in seed-for-seed equivalent
 implementations:
@@ -9,29 +9,30 @@ implementations:
   checks against;
 * the **chunked path** (:mod:`repro.core.kernels`) - edges arrive in
   ``(k, 2)`` int64 NumPy blocks via
-  :meth:`~repro.streams.multipass.PassScheduler.new_pass_chunks` and each
-  pass does its heavy scanning with vectorized array operations, consuming
-  randomness in exactly the same order as the Python path so results are
-  bit-identical;
-* the **sharded path** (:mod:`repro.core.executor`) - the same chunked
-  pass plans, fanned out across a process pool and merged deterministically,
-  still bit-identical for the same seeds.  Sharding engages whenever the
-  chunked path runs with ``workers > 1``; the ``"sharded"`` mode forces
-  the chunked path and defaults the worker count to the machine's cores
-  when none was set explicitly.
+  :meth:`~repro.streams.multipass.PassScheduler.new_fused_pass_chunks` and
+  each pass does its heavy scanning with vectorized array operations,
+  consuming randomness in exactly the same order as the Python path so
+  results are bit-identical.  The sweep loop (:mod:`repro.core.executor`)
+  runs the kernels on ``workers`` threads, still bit-identical for the
+  same seeds at any thread count.
 
 This module is the single switchboard deciding which path runs.  The policy
 (``"auto"`` by default) uses the chunked path whenever NumPy is importable
 and the stream advertises a native chunk producer
 (:attr:`~repro.streams.base.EdgeStream.supports_native_chunks`); iterator-only
 streams stay on the Python path, where the generic batching fallback would
-add overhead without removing the per-edge interpreter cost.
+add overhead without removing the per-edge interpreter cost.  ``"chunked"``
+forces the chunked path; ``"sharded"`` is accepted as its synonym.
+
+The worker count defaults to the machine's cores on every NumPy engine
+mode (``"python"`` always runs one thread); an explicit count wins, and
+``1`` means the kernels run inline on the sweeping thread.
 
 The mode, chunk size, and worker count can be forced globally
 (:func:`set_engine`), per block (:func:`engine_overrides` - what the parity
 suite and benchmarks use), or at process start via the environment:
 ``REPRO_ENGINE`` (``auto`` | ``chunked`` | ``python`` | ``sharded``) and
-``REPRO_WORKERS`` (a positive integer; ``1`` means in-process).
+``REPRO_WORKERS`` (a positive integer; ``1`` means serial).
 
 The policy is **process-global, not thread-local**: ``engine_overrides``
 (and therefore per-config engine selection on
@@ -104,8 +105,8 @@ def _initial_speculate_depth() -> int:
 
 _mode: str = _initial_mode()
 _chunk_size: int = DEFAULT_CHUNK_EDGES
-#: ``None`` = never set explicitly (mode ``"sharded"`` may then default it
-#: to the core count); an explicit ``1`` always means in-process.
+#: ``None`` = never set explicitly (the NumPy modes then default it to the
+#: core count); an explicit ``1`` always means serial.
 _workers: Optional[int] = _initial_workers()
 #: Fused sweeps: independent pass plans of one round share a physical tape
 #: sweep (see :func:`repro.core.executor.run_plans`).  Estimates are
@@ -136,7 +137,7 @@ def chunk_size() -> int:
 
 
 def workers() -> int:
-    """The configured worker-process count (``1`` means in-process)."""
+    """The explicitly configured thread count per sweep (``1`` when unset)."""
     return _workers if _workers is not None else 1
 
 
@@ -156,18 +157,17 @@ def speculate_depth() -> int:
 
 
 def effective_workers() -> int:
-    """The worker count the executor should actually use.
+    """The thread count the executor should actually use per sweep.
 
-    An explicitly configured count always wins (``1`` = serial in-process
-    execution, even under mode ``"sharded"``); with no explicit count,
-    mode ``"sharded"`` defaults to the machine's CPU count and every other
-    mode stays in-process.
+    An explicitly configured count always wins (``1`` = the kernels run
+    inline, under any mode); with no explicit count every NumPy engine
+    mode uses the machine's CPU count and ``"python"`` stays serial.
     """
     if _workers is not None:
         return _workers
-    if _mode == "sharded":
-        return os.cpu_count() or 1
-    return 1
+    if _mode == "python" or not HAVE_NUMPY:
+        return 1
+    return os.cpu_count() or 1
 
 
 def _check_chunk(chunk: Optional[int]) -> None:
@@ -225,8 +225,8 @@ def set_engine(
     """Set the global engine policy (and optionally chunk size / workers / fusing).
 
     ``"chunked"`` forces the kernels even for iterator-only streams (their
-    generic batching fallback feeds the kernels); ``"sharded"`` does the
-    same and additionally fans passes across worker processes;
+    generic batching fallback feeds the kernels); ``"sharded"`` is its
+    synonym;
     ``"python"`` forces the reference path; ``"auto"`` picks per stream.
     ``fused`` toggles the fused-sweep execution of each round's independent
     pass plans (any engine mode; estimates are identical either way);

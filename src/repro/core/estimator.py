@@ -35,9 +35,9 @@ accounting) - and :func:`~repro.core.parallel.round_program` strings them
 into a round; :func:`run_single_estimate` is its ``k = 1`` case.  On the
 chunked engines a stage is a set of
 :class:`~repro.core.executor.PassPlan` objects executed - serially or
-sharded across worker processes - by the shared executor spine; on the
+on several threads - by the shared executor spine; on the
 pure-Python engine the reference per-edge folds below run instead.  All
-three are seed-for-seed bit-identical.
+of them are seed-for-seed bit-identical.
 """
 
 from __future__ import annotations

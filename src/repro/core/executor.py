@@ -1,9 +1,10 @@
-"""The sharded pass executor: one execution spine for every chunked pass.
+"""The pass executor: one sweep loop for every chunked pass.
 
 Every pass of the estimator stack is a fold with three separable parts:
 
-* a tiny **spec** - the pass's read-only state (sorted position arrays,
-  tracked-id tables, packed watch keys), cheap to pickle;
+* a read-only **spec** - the pass's lookup state (sorted position arrays,
+  tracked-id :class:`~repro.core.kernels.KeySet` tables, packed watch
+  keys), shared by every kernel call of the sweep;
 * a pure **kernel** - a function of ``(spec, start_row, rows)`` mapping one
   contiguous block of tape rows (with its global row offset) to a small
   *partial* result, touching no shared state and consuming no randomness;
@@ -12,79 +13,55 @@ Every pass of the estimator stack is a fold with three separable parts:
   (RNG replay on matched edges, occurrence numbering) lives.
 
 :class:`PassPlan` is the declarative description of one such pass.
-:func:`run_plans` is the executor: it drives any set of *mutually
-independent* plans through **one** sweep of the tape (a fused pass group
-on the :class:`~repro.streams.multipass.PassScheduler`: one logical pass
-per plan, one physical sweep), and :func:`run_plan` is its single-plan
-case.  Two strategies:
+:func:`run_plans` drives any set of *mutually independent* plans through
+**one** sweep of the tape (a fused pass group on the
+:class:`~repro.streams.multipass.PassScheduler`: one logical pass per plan,
+one physical sweep), and :func:`run_plan` is its single-plan case.
 
-* **serial** (``workers <= 1``) - one chunk sweep in-process; every still-
-  active plan's kernel runs on the shared chunk and absorbs immediately,
-  honoring each plan's early-abandon hints (``finished`` / ``stop_row``)
-  exactly like the pre-executor kernels did.  The sweep ends as soon as
-  every plan is done;
-* **sharded** (``workers > 1``) - the same chunk stream is split into
-  batches of consecutive chunks and dealt round-robin to a process pool;
-  each task carries the specs of all still-active plans and returns a
-  tuple of partials (the kernels being pure functions of ``(rows, spec)``
-  is what makes this safe).  The parent absorbs returned partials strictly
-  in submission order per plan, so every fold sees the identical sequence
-  it would have seen serially and results are bit-identical to the serial
-  strategy - and to per-plan :func:`run_plan` execution - for the same
-  seeds, whatever the worker count.
+The sweep loop pulls zero-copy chunks from the scheduler, batches
+consecutive chunks into *tasks* of at least :data:`TASK_ROWS_FLOOR` rows
+(at the default chunk size a task is one chunk, so nothing is copied), and
+absorbs the tasks' partials strictly FIFO in stream order on the calling
+thread.  A task is every still-active plan's kernel over the task's block.
+With ``workers > 1`` tasks run on a lazily created, process-wide
+:class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads:
+NumPy releases the GIL in the hashing, gathers, ``searchsorted`` and
+``bincount`` the kernels are made of, so the threads scan in parallel over
+the same mmap or in-memory rows.  With ``workers == 1`` the same loop calls
+the kernels inline.  Because kernels are pure and only the calling thread
+absorbs, in stream order, every fold sees the sequence it would see
+serially: results are bit-identical at any thread count.
 
-Sharded block transport is **zero-copy by default**: chunk *handles* from
-the scheduler either name row ranges of a stream-owned shared-memory
-segment (:class:`~repro.streams.memory.InMemoryEdgeStream` mirrors its
-backing array once, then every task ships ``(name, start, rows)``
-descriptors and workers map the rows directly), or carry parsed blocks
-(:class:`~repro.streams.file.FileEdgeStream`) which the executor spools
-into per-task segments - one memcpy instead of a pickle round trip.
-``REPRO_SHM=0``, or any shared-memory failure, falls back to pickled
-blocks with identical results (see :mod:`repro.streams.shm`).
+Early stop: a plan that reports ``finished()`` or is past its
+``stop_row()`` receives no more partials, the sweep stops reading once
+every plan is done, and at most ``INFLIGHT_PER_WORKER * workers`` tasks
+are in flight at a time.
 
-The merge discipline per partial type (summed ``bincount`` degree tables,
-position/occurrence hits applied in stream-offset order, unioned
-packed-key watch hits) lives in the concrete plans in
-:mod:`repro.core.kernels`; this module only guarantees the ordering and
-the process plumbing.
+Pass accounting: a sweep is exactly one physical sweep - and a group of
+``n`` plans ``n`` logical passes - against the scheduler's budget,
+whatever the thread count.
 
-Pass accounting: the parent drives the one sanctioned scheduler iterator
-per plan group, so a sharded pass is still exactly one logical pass - and
-a fused group of ``n`` plans is ``n`` logical passes on **one** physical
-sweep - against the :class:`~repro.streams.multipass.PassScheduler`
-budget.  Worker pools are created lazily per worker count, reused across
-passes and runs, and torn down at interpreter exit (or explicitly via
-:func:`shutdown_pools`).
-
-**Fault tolerance** (see :mod:`repro.core.faults`): because kernels are
-pure and absorption is stream-ordered, a failed task can simply be rerun -
-the recomputed partial is bit-identical to what the first attempt would
-have produced.  ``_run_sharded`` keeps every in-flight task resubmittable
-(its blocks and spool segment live until the partial is absorbed) and
-applies the active :class:`~repro.core.faults.RetryPolicy`: a broken pool
-is invalidated and respawned (so one crashed worker never poisons later
-``run_plans`` calls), a task timeout kills the hung workers before the
-respawn, and an shm attach failure retries and then falls back to pickled
-blocks.  When retries exhaust, the sweep *degrades* instead of failing:
-the remaining tasks run in-process through the identical kernel/absorb
-path, which preserves bit-identity and costs no extra tape sweeps.
+**Fault tolerance** (see :mod:`repro.core.faults`): the ``worker.crash``
+injection site makes a task raise :class:`~repro.errors.WorkerCrashError`
+on its thread.  A pure kernel can simply be rerun, so the active
+:class:`~repro.core.faults.RetryPolicy` resubmits the task; once retries
+are exhausted the sweep degrades ``sharded->serial`` and finishes inline,
+bit-identically and without another tape sweep.  Any other kernel error
+propagates.  On every exit path the queued tasks are cancelled and the
+running ones waited for before the chunk iterator closes, so no kernel
+outlives the rows it reads.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import os
-import pickle
+import threading
 import time
 from abc import ABC, abstractmethod
-from collections import OrderedDict, deque
-from concurrent.futures import BrokenExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..errors import ShmTransportError
-from ..streams import shm
+from ..errors import WorkerCrashError
 from . import engine, faults
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
@@ -92,25 +69,24 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
 
     from ..streams.multipass import PassScheduler
 
-#: Batches dealt to the pool are padded with consecutive chunks until they
-#: reach at least this many rows, so tiny chunk sizes do not drown the pool
-#: in per-task overhead.  Tests shrink it to force multi-batch merges.
+#: Consecutive chunks are batched into one task until it holds at least
+#: this many rows, so tiny chunk sizes do not drown the threads in
+#: per-task overhead.  Tests shrink it to force multi-task sweeps.
 TASK_ROWS_FLOOR = 16384
 
-#: Upper bound on in-flight pool tasks, as a multiple of the worker count.
-#: Bounds parent-side memory while keeping every worker busy.
+#: Upper bound on in-flight tasks, as a multiple of the worker count.
+#: Bounds memory held by unabsorbed partials while keeping every thread busy.
 INFLIGHT_PER_WORKER = 2
 
 
 class PassPlan(ABC):
     """Declarative description of one chunked pass (see module docstring).
 
-    Concrete plans set :attr:`kernel` to a *module-level* function (it is
-    pickled by reference into worker processes) and implement the
-    parent-side fold.  ``absorb`` is always called in stream order; plans
-    whose partials are commutative (summed counts, unioned hits) simply
-    don't depend on that, while order-sensitive plans (occurrence
-    numbering, RNG replay) rely on it.
+    Concrete plans set :attr:`kernel` and implement the fold.  ``absorb``
+    is always called in stream order on the sweeping thread; plans whose
+    partials are commutative (summed counts, unioned hits) simply don't
+    depend on that, while order-sensitive plans (occurrence numbering,
+    RNG replay) rely on it.
 
     ``finished()`` returning ``True`` declares the rest of the tape dead
     *and* any not-yet-absorbed partials discardable - the executor may
@@ -120,14 +96,14 @@ class PassPlan(ABC):
     #: Human-readable pass label, for diagnostics.
     name: str = "pass"
 
-    #: ``kernel(spec, start_row, rows) -> partial | None``; must be a
-    #: module-level function (picklable by reference) and pure: no shared
-    #: state, no randomness, output a function of its arguments only.
+    #: ``kernel(spec, start_row, rows) -> partial | None``; must be pure -
+    #: no shared state, no randomness, output a function of its arguments
+    #: only - because it runs on pool threads concurrently with others.
     kernel: Callable[[Any, int, "numpy.ndarray"], Any]
 
     @abstractmethod
     def spec(self) -> Any:
-        """The small picklable read-only state shipped to every kernel call."""
+        """The read-only state handed to every kernel call of the sweep."""
 
     @abstractmethod
     def absorb(self, partial: Any) -> None:
@@ -146,117 +122,28 @@ class PassPlan(ABC):
         """The pass result, read after the scan completes or abandons."""
 
 
-#: Worker-side cache of decoded spec tuples, keyed by the parent's group
-#: token.  Every task ships the pre-pickled spec bytes (a memcpy, not a
-#: fresh serialization), but each worker decodes them only once per group.
-_SPEC_CACHE_SLOTS = 8
-_worker_specs: "OrderedDict[str, Any]" = OrderedDict()
-
-#: Parent-side group-token source (unique per process + pass group).
-_group_tokens = itertools.count()
+_POOLS: Dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
 
 
-def _decode_specs(token: str, spec_bytes: bytes) -> Any:
-    specs = _worker_specs.get(token)
-    if token not in _worker_specs:
-        specs = pickle.loads(spec_bytes)
-        _worker_specs[token] = specs
-        while len(_worker_specs) > _SPEC_CACHE_SLOTS:
-            _worker_specs.popitem(last=False)
-    return specs
-
-
-def _run_shard(
-    kernels: Sequence[Callable],
-    token: str,
-    spec_bytes: bytes,
-    active: Sequence[int],
-    start_row: int,
-    blocks: List,
-    inject: Optional[str] = None,
-) -> tuple:
-    """Pool task: one kernel invocation per active plan over a chunk batch.
-
-    ``blocks`` entries are raw ndarrays or shared-memory descriptors (see
-    :func:`repro.streams.shm.resolve_block`); ``active`` indexes into the
-    group's plans and the returned tuple of partials aligns with it.
-
-    ``inject`` carries a parent-side fault-injection verdict (decided once
-    per task by :func:`repro.core.faults.task_injection`; resubmissions
-    ship ``None``): ``"crash"`` kills the worker process, ``"hang"`` makes
-    the task overstay any per-task timeout, ``"shm"`` simulates a failed
-    segment attach.
-    """
-    import numpy as np
-
-    if inject == "crash":
-        os._exit(1)
-    elif inject == "hang":
-        time.sleep(3600)
-    elif inject == "shm":
-        raise ShmTransportError(f"injected fault: {faults.SHM_ATTACH}")
-    specs = _decode_specs(token, spec_bytes)
-    arrays = [shm.resolve_block(block) for block in blocks]
-    rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
-    return tuple(kernels[i](specs[i], start_row, rows) for i in active)
-
-
-_POOLS: Dict[int, Any] = {}
-
-
-def _get_pool(workers: int):
-    """The shared process pool for ``workers``, created on first use.
-
-    Workers use the ``spawn`` start method: passes may have a prefetch
-    reader thread live (:class:`~repro.streams.file.FileEdgeStream`), and
-    forking a multi-threaded parent can hand a child a lock frozen in the
-    held state.  Spawned workers cost a fresh interpreter each, but pools
-    are cached for the life of the process, so the cost is paid once per
-    worker count.
-    """
-    pool = _POOLS.get(workers)
-    if pool is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        )
-        _POOLS[workers] = pool
-    return pool
-
-
-def _invalidate_pool(workers: int, pool: Any = None, kill: bool = False) -> None:
-    """Drop (and shut down) the cached pool for ``workers``.
-
-    Called when a pool is observed broken (``BrokenProcessPool``) or hung
-    (task timeout) so the *next* ``_get_pool`` call spawns a fresh one -
-    a crashed worker must never poison subsequent ``run_plans`` calls.
-    ``kill=True`` terminates the worker processes first: a hung worker
-    never observes ``shutdown()``, and waiting on it would hang the parent
-    (including the ``atexit`` hook) forever.
-    """
-    cached = _POOLS.get(workers)
-    if pool is None:
-        pool = cached
-    if cached is not None and cached is pool:
-        _POOLS.pop(workers, None)
-    if pool is None:
-        return
-    if kill:
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The shared ``workers``-thread pool, created on first use."""
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-sweep"
+            )
+        return pool
 
 
 def shutdown_pools() -> None:
-    """Tear down every lazily-created worker pool (idempotent)."""
-    while _POOLS:
-        _, pool = _POOLS.popitem()
+    """Tear down the sweep thread pools (idempotent; the next sweep recreates them)."""
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-atexit.register(shutdown_pools)
 
 
 def run_plan(
@@ -269,9 +156,8 @@ def run_plan(
 
     ``chunk_size`` and ``workers`` default to the global engine policy
     (:func:`repro.core.engine.chunk_size` /
-    :func:`repro.core.engine.effective_workers`).  With ``workers > 1``
-    the pass is sharded across the process pool; results are bit-identical
-    to the serial strategy either way.
+    :func:`repro.core.engine.effective_workers`).  Results are
+    bit-identical at any worker count.
     """
     return run_plans(scheduler, [plan], chunk_size=chunk_size, workers=workers)[0]
 
@@ -302,11 +188,9 @@ def run_plans(
     if not plans:
         raise ValueError("run_plans needs at least one plan")
     chunk = chunk_size if chunk_size is not None else engine.chunk_size()
-    shard_count = workers if workers is not None else engine.effective_workers()
+    threads = workers if workers is not None else engine.effective_workers()
     charged = passes if passes is not None else len(plans)
-    if shard_count > 1 and not all(plan.finished() for plan in plans):
-        return _run_sharded(scheduler, plans, chunk, shard_count, charged, owners)
-    return _run_serial(scheduler, plans, chunk, charged, owners)
+    return _sweep(scheduler, plans, chunk, threads, charged, owners)
 
 
 class _PlanState:
@@ -329,62 +213,25 @@ class _PlanState:
             self.done = True
 
 
-def _run_serial(
-    scheduler: "PassScheduler",
-    plans: Sequence[PassPlan],
-    chunk: int,
-    passes: int,
-    owners: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    states = [_PlanState(plan) for plan in plans]
-    specs = [plan.spec() for plan in plans]
-    offset = 0
-    chunks = scheduler.new_fused_pass_chunks(chunk, passes=passes, owners=owners)
-    try:
-        for block in chunks:
-            offset += len(block)
-            for state, spec in zip(states, specs):
-                if not state.done:
-                    state.absorb(state.plan.kernel(spec, offset - len(block), block), offset)
-            if all(state.done for state in states):
-                break  # the rest of the sweep is dead tape for every plan
-    finally:
-        chunks.close()
-    return [plan.result() for plan in plans]
+class _Task:
+    """One block of consecutive rows and the plans still scanning it."""
 
+    __slots__ = ("active", "start", "end", "rows", "future", "partials", "attempts")
 
-class _ShardTask:
-    """One sharded chunk batch, kept resubmittable until absorbed.
-
-    The blocks (and the per-task spool segment, when one was created) stay
-    alive until the task's partial is folded in, so any failed attempt can
-    be rerun with the identical inputs - the retry invariant of
-    :mod:`repro.core.faults`.  ``inject`` is the parent-side fault verdict
-    for the *first* submission only.
-    """
-
-    __slots__ = ("future", "active", "start", "end", "segment", "blocks", "attempts", "inject")
-
-    def __init__(
-        self,
-        active: tuple,
-        start: int,
-        end: int,
-        segment: Any,
-        blocks: List,
-        inject: Optional[str],
-    ) -> None:
-        self.future: Any = None
+    def __init__(self, active: tuple, start: int, rows: "numpy.ndarray") -> None:
         self.active = active
         self.start = start
-        self.end = end
-        self.segment = segment
-        self.blocks = blocks
+        self.end = start + len(rows)
+        self.rows = rows
+        self.future: Optional[Future] = None
+        self.partials: tuple = ()
         self.attempts = 0
-        self.inject = inject
+
+    def done(self) -> bool:
+        return self.future is None or self.future.done()
 
 
-def _run_sharded(
+def _sweep(
     scheduler: "PassScheduler",
     plans: Sequence[PassPlan],
     chunk: int,
@@ -393,256 +240,100 @@ def _run_sharded(
     owners: Optional[Sequence[str]] = None,
 ) -> List[Any]:
     policy = faults.active_policy()
-    pool = _get_pool(workers)
-    token = f"{os.getpid()}:{next(_group_tokens)}"
-    spec_bytes = pickle.dumps(
-        tuple(plan.spec() for plan in plans), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    kernels = tuple(plan.kernel for plan in plans)
     states = [_PlanState(plan) for plan in plans]
-    task_rows = max(chunk, TASK_ROWS_FLOOR)
-    max_inflight = max(2, INFLIGHT_PER_WORKER * workers)
+    specs = [plan.spec() for plan in plans]
+    kernels = [plan.kernel for plan in plans]
+    pool = _pool(workers) if workers > 1 else None
+    inline = pool is None  # degraded sweeps finish inline too
+    task_rows = chunk if inline else max(chunk, TASK_ROWS_FLOOR)
+    max_inflight = INFLIGHT_PER_WORKER * workers
 
-    # In-flight tasks, strictly FIFO = stream order; absorption happens
-    # only at the head, so the fold sequence matches serial execution.
-    window: "deque[_ShardTask]" = deque()
-    batch_refs: List = []  # shared-memory descriptors (stream-owned segments)
-    batch_blocks: List = []  # raw ndarrays (pickled or spooled per task)
+    # Tasks in stream order; only the head is ever absorbed.
+    window: "deque[_Task]" = deque()
+    batch: List["numpy.ndarray"] = []
     batch_rows = 0
-    batch_start = 0
     offset = 0
-    inline = False  # degraded: remaining tasks run in-process
-    pool_strikes = 0  # pool-level breakages observed during this sweep
-    strike_cap = max(2, policy.max_attempts)
 
-    def absorb_task(task: _ShardTask, partials: tuple) -> None:
-        if task.segment is not None:
-            task.segment.destroy()
-            task.segment = None
-        for i, partial in zip(task.active, partials):
-            states[i].absorb(partial, task.end)
+    def compute(task: _Task, crash: bool = False) -> tuple:
+        if crash:
+            raise WorkerCrashError(f"injected fault: {faults.WORKER_CRASH}")
+        return tuple(kernels[i](specs[i], task.start, task.rows) for i in task.active)
 
-    def drain_inline() -> None:
-        # The degraded path: compute each pending task in-process through
-        # the identical kernel/absorb sequence - bit-identical results,
-        # no further pool exposure, no extra tape sweeps.  Tasks stay in
-        # the window until absorbed so the cleanup path owns their spools.
-        while window:
-            task = window[0]
-            partials = _run_shard(kernels, token, spec_bytes, task.active, task.start, task.blocks)
-            window.popleft()
-            absorb_task(task, partials)
-
-    def submit(task: _ShardTask) -> None:
-        inject, task.inject = task.inject, None
-        task.future = pool.submit(
-            _run_shard, kernels, token, spec_bytes, task.active, task.start, task.blocks, inject
-        )
-
-    def rebuild_pool(kill: bool = False) -> None:
-        nonlocal pool
-        _invalidate_pool(workers, pool, kill=kill)
-        pool = _get_pool(workers)
-
-    def resubmit_pending() -> None:
-        # After a pool rebuild: completed results survived the breakage,
-        # everything else reruns (FIFO, so stream order is preserved).
-        for task in window:
-            future = task.future
-            if future is not None and future.done() and future.exception() is None:
-                continue
-            submit(task)
-
-    def degrade_serial(site: str, attempts: int, cause: BaseException, pending=None) -> None:
-        nonlocal inline
-        inline = True
-        faults.degrade(faults.ACTION_SERIAL, site, attempts, cause)
-        if pending is not None:
-            window.append(pending)
-        drain_inline()
-
-    def dispatch(task: _ShardTask) -> None:
-        nonlocal pool_strikes
-        if inline:
-            window.append(task)
-            drain_inline()
-            return
-        while True:
-            try:
-                submit(task)
-            except BrokenExecutor as exc:
-                # A pool broken *at submit* (e.g. poisoned by an earlier
-                # run with retries disabled): rebuild and try again, up to
-                # the policy bound, then finish the sweep in-process.
-                pool_strikes += 1
-                task.attempts += 1
-                rebuild_pool()
-                if pool_strikes >= strike_cap or task.attempts >= policy.max_attempts:
-                    degrade_serial(faults.WORKER_CRASH, task.attempts, exc, pending=task)
-                    return
-                resubmit_pending()
-                continue
-            window.append(task)
-            return
-
-    def handle_failure(task: _ShardTask, exc: BaseException) -> None:
-        """Recover the window head's failed attempt, or re-raise.
-
-        Retries leave the head task in the window with a fresh future;
-        exhausted retries step down a tier (serial execution for crashes
-        and timeouts, pickled blocks for shm failures) and keep going.
-        Anything not classified as recoverable - kernel bugs above all -
-        propagates unchanged.
-        """
-        nonlocal pool_strikes
-        if isinstance(exc, BrokenExecutor):
-            task.attempts += 1
-            pool_strikes += 1
-            rebuild_pool()
-            if task.attempts >= policy.max_attempts or pool_strikes >= strike_cap:
-                degrade_serial(faults.WORKER_CRASH, task.attempts, exc)
-                return
-            time.sleep(policy.backoff_delay(task.attempts))
-            resubmit_pending()
-        elif isinstance(exc, TimeoutError):
-            task.attempts += 1
-            # A hung worker never observes shutdown(); kill the processes
-            # before respawning or the parent would wait on them forever.
-            rebuild_pool(kill=True)
-            if task.attempts >= policy.max_attempts:
-                degrade_serial(faults.TASK_TIMEOUT, task.attempts, exc)
-                return
-            time.sleep(policy.backoff_delay(task.attempts))
-            resubmit_pending()
-        elif isinstance(exc, ShmTransportError):
-            task.attempts += 1
-            if task.attempts >= policy.max_attempts:
-                # Degrade the transport, not the executor: materialize the
-                # rows parent-side, resubmit them pickled, and stop minting
-                # new descriptors for the rest of the process run.
-                import numpy as np
-
-                materialized = [np.array(shm.resolve_block(b), copy=True) for b in task.blocks]
-                if task.segment is not None:
-                    task.segment.destroy()
-                    task.segment = None
-                task.blocks = materialized
-                shm.disable_shm()
-                faults.degrade(faults.ACTION_PICKLE, faults.SHM_ATTACH, task.attempts, exc)
-                submit(task)
-                return
-            time.sleep(policy.backoff_delay(task.attempts))
-            submit(task)
+    def flush() -> None:
+        nonlocal batch, batch_rows
+        if len(batch) == 1:
+            rows = batch[0]
         else:
-            raise exc
+            import numpy as np
+
+            rows = np.concatenate(batch)
+        active = tuple(i for i, state in enumerate(states) if not state.done)
+        task = _Task(active, offset - batch_rows, rows)
+        batch, batch_rows = [], 0
+        crash = pool is not None and faults.task_injection()
+        window.append(task)
+        if inline:
+            task.partials = compute(task)
+        else:
+            task.future = pool.submit(compute, task, crash)
+
+    def recover(task: _Task, exc: WorkerCrashError) -> None:
+        # Retry on the pool while attempts remain, then finish inline.
+        nonlocal inline
+        task.attempts += 1
+        if not inline and task.attempts < policy.max_attempts:
+            time.sleep(policy.backoff_delay(task.attempts))
+            task.future = pool.submit(compute, task)
+            return
+        if not inline:
+            inline = True
+            faults.degrade(faults.ACTION_SERIAL, faults.WORKER_CRASH, task.attempts, exc)
+        task.future = None
+        task.partials = compute(task)
 
     def absorb_next() -> None:
         task = window[0]
-        try:
-            if policy.timeout is not None:
-                partials = task.future.result(timeout=policy.timeout)
-            else:
-                partials = task.future.result()
-        except (BrokenExecutor, TimeoutError, ShmTransportError) as exc:
-            handle_failure(task, exc)
-            return
+        while task.future is not None:
+            try:
+                task.partials = task.future.result()
+                task.future = None
+            except WorkerCrashError as exc:
+                recover(task, exc)
         window.popleft()
-        absorb_task(task, partials)
+        for i, partial in zip(task.active, task.partials):
+            states[i].absorb(partial, task.end)
 
-    def flush_batch() -> None:
-        nonlocal batch_refs, batch_blocks, batch_rows
-        active = tuple(i for i, state in enumerate(states) if not state.done)
-        blocks: List = shm.coalesce_refs(batch_refs)
-        segment = None
-        if batch_blocks:
-            segment = shm.new_segment_from_blocks(batch_blocks)
-            if segment is not None:
-                blocks.append(segment.block_ref(0, segment.rows))
-            else:  # shared memory unavailable: pickle the rows
-                blocks.extend(batch_blocks)
-        task = _ShardTask(
-            active,
-            batch_start,
-            batch_start + batch_rows,
-            segment,
-            blocks,
-            faults.task_injection(),
-        )
-        batch_refs = []
-        batch_blocks = []
-        batch_rows = 0
-        try:
-            dispatch(task)
-        except BaseException:
-            # A task that never reached the window (a non-pool submit
-            # failure) would otherwise orphan its freshly spooled segment:
-            # every error path below releases only window-tracked spools.
-            if task.segment is not None and task not in window:
-                task.segment.destroy()
-            raise
-
-    handles = scheduler.new_pass_chunk_handles(chunk, passes=passes, owners=owners)
+    chunks = scheduler.new_fused_pass_chunks(chunk, passes=passes, owners=owners)
     try:
-        try:
-            for handle in handles:
-                if not batch_rows:
-                    batch_start = offset
-                if handle.ref is not None:
-                    batch_refs.append(handle.ref)
-                else:
-                    batch_blocks.append(handle.block)
-                batch_rows += handle.rows
-                offset += handle.rows
-                if batch_rows >= task_rows:
-                    flush_batch()
-                    while len(window) >= max_inflight:
-                        absorb_next()
-                    # Opportunistic drain: fold whatever already completed
-                    # so early-abandon can trigger before the window fills.
-                    while window and window[0].future is not None and window[0].future.done():
-                        absorb_next()
-                if all(state.done for state in states):
-                    break
-                stops = [state.stop for state in states if not state.done]
-                if all(stop is not None for stop in stops) and offset >= max(stops):
-                    break
-            if batch_rows and not all(state.done for state in states):
-                flush_batch()
-        finally:
-            handles.close()
-        while window:
+        for block in chunks:
+            batch.append(block)
+            batch_rows += len(block)
+            offset += len(block)
+            if batch_rows >= task_rows:
+                flush()
+                # Absorb what already completed, so early stop can trigger
+                # before the window fills; block only when it is full.
+                while window and (len(window) >= max_inflight or window[0].done()):
+                    absorb_next()
             if all(state.done for state in states):
-                # The remaining tasks scan dead tape a per-plan sweep would
-                # never have read: cancel what hasn't started and discard
-                # results *and failures* of what has - a dead-tape worker
-                # error must not fail a pass group whose results are
-                # complete.
-                task = window.popleft()
-                try:
-                    future = task.future
-                    if future is not None and not future.cancel():
-                        try:
-                            future.result(timeout=policy.timeout)
-                        except TimeoutError:
-                            # Don't leave a hung worker behind the next
-                            # sweep's submissions (or the exit hook).
-                            rebuild_pool(kill=True)
-                        except Exception:
-                            pass
-                finally:
-                    # Release the spool even if waiting on the dead-tape
-                    # task re-raised something beyond Exception (e.g. an
-                    # interrupt): once popped, no other path frees it.
-                    if task.segment is not None:
-                        task.segment.destroy()
-                continue
+                break  # the rest of the sweep is dead tape for every plan
+            stops = [state.stop for state in states if not state.done]
+            if all(stop is not None for stop in stops) and offset >= max(stops):
+                break
+        if batch_rows and not all(state.done for state in states):
+            flush()
+        while window and not all(state.done for state in states):
             absorb_next()
-    except BaseException:
-        for task in window:  # abort: drop what's in flight
-            if task.future is not None:
-                task.future.cancel()
-            if task.segment is not None:
-                task.segment.destroy()
-        window.clear()
-        raise
+    finally:
+        try:
+            # Tasks left over scan dead tape (or the sweep is failing):
+            # drop the queued ones and let the running ones finish.  Their
+            # results and errors are discarded unread - a dead-tape error
+            # must not fail a pass group whose results are complete.
+            pending = [task.future for task in window if task.future is not None]
+            for future in pending:
+                future.cancel()
+            wait(pending)
+        finally:
+            chunks.close()
     return [plan.result() for plan in plans]

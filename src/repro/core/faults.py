@@ -1,35 +1,34 @@
 """Fault model for the execution engine: retry, degradation, injection.
 
-The sharded engine's determinism argument (pure per-chunk kernels plus
+The executor's determinism argument (pure per-chunk kernels plus
 stream-ordered absorption, see :mod:`repro.core.executor`) does more than
 make every execution mode bit-identical - it makes *recovery* bit-identical
-too.  A task that died on a worker crash recomputes the exact same partial
-when resubmitted; a round whose shared sweep aborted mid-stage replays the
-exact same trajectory once the root generator is rewound (the PR 5
-checkpoint machinery).  This module packages that argument into three
+too.  A task that crashed on its worker thread recomputes the exact same
+partial when resubmitted; a round whose shared sweep aborted mid-stage
+replays the exact same trajectory once the root generator is rewound (the
+PR 5 checkpoint machinery).  This module packages that argument into three
 cooperating pieces:
 
 * :class:`RetryPolicy` - deterministic retry with exponential backoff.
   ``max_attempts`` bounds attempts per failure site, ``backoff_base``
   seeds the exponential delay, ``jitter_seed`` derives the (deterministic)
-  jitter stream - never the estimator's root RNG - and ``timeout`` is the
-  per-task result deadline for sharded pool tasks.  Defaults come from
-  ``REPRO_MAX_RETRIES`` (extra attempts after the first) and
-  ``REPRO_TASK_TIMEOUT`` (seconds).
+  jitter stream - never the estimator's root RNG.  The default comes
+  from ``REPRO_MAX_RETRIES`` (extra attempts after the first).
 
 * the **degradation ladder** - when retries exhaust at one tier the run
   drops a tier and re-executes instead of failing the estimate:
-  sharded -> serial execution, shm transport -> pickled blocks, prefetch
-  thread -> synchronous reads, mmap tape -> its registered text twin,
-  speculative window -> sequential rounds.
+  threaded -> serial sweep (``sharded->serial``, only for a failure at
+  the executor's own ``worker.crash`` site), prefetch thread ->
+  synchronous reads, mmap tape -> its registered text twin, speculative
+  window -> sequential rounds, snapshots -> skipped.
   Each step is recorded as a :class:`FailureReport` on the active
   :class:`RecoveryContext`, surfaces on ``EstimateResult.degradations``,
   and is logged as a warning on the ``"repro"`` logger.
 
 * :class:`FaultPlan` - pluggable deterministic fault injection.  A plan
   maps named sites to the 0-based occurrence indices at which the site
-  fires, e.g. ``"worker.crash@2;shm.attach@40;sweep.mid_stage@3"``.  Sites
-  count their events process-wide while the plan is installed (sharded
+  fires, e.g. ``"worker.crash@2;file.read@40;sweep.mid_stage@3"``.  Sites
+  count their events process-wide while the plan is installed (threaded
   task submissions, sweep openings, parsed file chunks), and each index
   fires exactly once, so a fault lands at a reproducible point of the
   execution no matter which mode runs it.  Plans come from the
@@ -37,9 +36,8 @@ cooperating pieces:
   field, or explicitly via :func:`fault_scope` in tests.
 
 State is process-global, matching :mod:`repro.core.engine`'s switchboard:
-one estimate runs at a time per process and worker processes re-derive
-nothing from it (injection decisions are made parent-side and shipped with
-the task).
+one estimate runs at a time per process, and injection decisions are made
+on the sweeping thread, never on a worker thread.
 """
 
 from __future__ import annotations
@@ -54,10 +52,8 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from ..errors import (
     ParameterError,
     ReproError,
-    ShmTransportError,
     SnapshotWriteError,
     StreamReadError,
-    TaskTimeoutError,
     WorkerCrashError,
 )
 
@@ -66,25 +62,19 @@ _log = logging.getLogger("repro")
 # ---------------------------------------------------------------------------
 # fault sites
 
-#: A sharded pool task's worker process dies (``os._exit``) mid-task.
+#: A threaded sweep task crashes on its worker thread.
 WORKER_CRASH = "worker.crash"
-#: A worker fails to attach the task's shared-memory segment.
-SHM_ATTACH = "shm.attach"
 #: A chunked file parse fails (raised from the prefetch thread when active).
 FILE_READ = "file.read"
 #: The tape dies after the first item of a scheduler sweep.
 SWEEP_MID_STAGE = "sweep.mid_stage"
-#: A sharded pool task hangs past the per-task timeout.
-TASK_TIMEOUT = "task.timeout"
 #: Persisting a round-boundary snapshot to the checkpoint dir fails.
 SNAPSHOT_WRITE = "snapshot.write"
 
 ALL_SITES = (
     WORKER_CRASH,
-    SHM_ATTACH,
     FILE_READ,
     SWEEP_MID_STAGE,
-    TASK_TIMEOUT,
     SNAPSHOT_WRITE,
 )
 
@@ -92,7 +82,6 @@ ALL_SITES = (
 # degradation actions
 
 ACTION_SERIAL = "sharded->serial"
-ACTION_PICKLE = "shm->pickle"
 ACTION_SYNC_READS = "prefetch->sync"
 ACTION_TEXT = "mmap->text"
 ACTION_SEQUENTIAL = "speculative->sequential"
@@ -101,7 +90,6 @@ ACTION_NO_SNAPSHOT = "snapshot->skip"
 #: Ladder order used when the failure's preferred step is unavailable.
 LADDER = (
     ACTION_SERIAL,
-    ACTION_PICKLE,
     ACTION_SYNC_READS,
     ACTION_TEXT,
     ACTION_SEQUENTIAL,
@@ -133,17 +121,12 @@ class RetryPolicy:
     backoff_base: float = 0.02
     #: Seed for the jitter stream (independent of the estimator root RNG).
     jitter_seed: int = 0
-    #: Per-task result deadline in seconds for sharded pool tasks, or
-    #: ``None`` to wait indefinitely (hangs are then not recoverable).
-    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ParameterError("max_attempts must be >= 1")
         if self.backoff_base < 0:
             raise ParameterError("backoff_base must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ParameterError("timeout must be positive")
 
     def backoff_delay(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (1-based), deterministic in
@@ -165,14 +148,12 @@ class RetryPolicy:
         return self.max_attempts - 1
 
 
-def policy_from_env(
-    max_retries: Optional[int] = None, timeout: Optional[float] = None
-) -> RetryPolicy:
-    """Build a :class:`RetryPolicy` from the environment knobs.
+def policy_from_env(max_retries: Optional[int] = None) -> RetryPolicy:
+    """Build a :class:`RetryPolicy` from the environment knob.
 
-    ``max_retries`` / ``timeout`` override ``REPRO_MAX_RETRIES`` /
-    ``REPRO_TASK_TIMEOUT``; malformed environment values raise
-    :class:`~repro.errors.ParameterError` like any other bad parameter.
+    ``max_retries`` overrides ``REPRO_MAX_RETRIES``; a malformed
+    environment value raises :class:`~repro.errors.ParameterError` like
+    any other bad parameter.
     """
     if max_retries is None:
         raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
@@ -183,15 +164,8 @@ def policy_from_env(
                 raise ParameterError(f"REPRO_MAX_RETRIES must be an integer, got {raw!r}")
     if max_retries is not None and max_retries < 0:
         raise ParameterError("max retries must be >= 0")
-    if timeout is None:
-        raw = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
-        if raw:
-            try:
-                timeout = float(raw)
-            except ValueError:
-                raise ParameterError(f"REPRO_TASK_TIMEOUT must be a number, got {raw!r}")
     attempts = 3 if max_retries is None else max_retries + 1
-    return RetryPolicy(max_attempts=attempts, timeout=timeout)
+    return RetryPolicy(max_attempts=attempts)
 
 
 class FaultPlan:
@@ -304,7 +278,6 @@ class RecoveryContext:
     reports: List[FailureReport] = field(default_factory=list)
     #: Ladder flags - which tiers this context has already dropped.
     speculation_degraded: bool = False
-    shm_degraded: bool = False
     prefetch_degraded: bool = False
     mmap_degraded: bool = False
     serial_degraded: bool = False
@@ -313,7 +286,6 @@ class RecoveryContext:
     def applied(self, action: str) -> bool:
         return {
             ACTION_SERIAL: self.serial_degraded,
-            ACTION_PICKLE: self.shm_degraded,
             ACTION_SYNC_READS: self.prefetch_degraded,
             ACTION_TEXT: self.mmap_degraded,
             ACTION_SEQUENTIAL: self.speculation_degraded,
@@ -349,24 +321,14 @@ def fires(site: str) -> bool:
     return plan is not None and plan.fires(site)
 
 
-def task_injection() -> Optional[str]:
-    """Injection verdict for one *new* sharded task submission.
+def task_injection() -> bool:
+    """Whether one *new* threaded sweep task should crash (``worker.crash``).
 
-    Consulted parent-side exactly once per first submission (retries of
-    the same task are not new events): ``"crash"`` makes the worker die,
-    ``"hang"`` makes it sleep past any timeout, ``"shm"`` makes it raise
-    :class:`~repro.errors.ShmTransportError`.
+    Consulted on the sweeping thread exactly once per first submission
+    (retries of the same task are not new events); a crashing task raises
+    :class:`~repro.errors.WorkerCrashError` on its worker thread.
     """
-    plan = _active_plan
-    if plan is None:
-        return None
-    if plan.fires(WORKER_CRASH):
-        return "crash"
-    if plan.fires(TASK_TIMEOUT):
-        return "hang"
-    if plan.fires(SHM_ATTACH):
-        return "shm"
-    return None
+    return fires(WORKER_CRASH)
 
 
 def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None:
@@ -386,11 +348,6 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
 
         engine._apply(None, 1)
         ctx.serial_degraded = True
-    elif action == ACTION_PICKLE:
-        from ..streams import shm
-
-        shm.disable_shm()
-        ctx.shm_degraded = True
     elif action == ACTION_SYNC_READS:
         from ..streams import file as file_module
 
@@ -428,10 +385,11 @@ def pick_step(
     (``0`` before the first round).  Prefers the step matching the
     failure's classified site, then falls through the ladder in order;
     ``None`` when no applicable tier is left to drop (the failure then
-    propagates).
+    propagates).  ``sharded->serial`` is offered only for a failure at the
+    executor's own ``worker.crash`` site: serial sweeps read the same
+    tape, so dropping threads cannot help a sweep or read fault.
     """
     from ..streams import file as file_module
-    from ..streams import shm
     from ..streams import tape as tape_module
     from . import engine
 
@@ -440,12 +398,12 @@ def pick_step(
         and stream.has_text_twin
         and tape_module.mmap_enabled()
     )
-    sharded = engine.effective_workers() > 1
+    site = site_of(exc)
+    threaded = site == WORKER_CRASH and engine.effective_workers() > 1
     applicable = [
         action
         for action, available in (
-            (ACTION_SERIAL, sharded and not ctx.serial_degraded),
-            (ACTION_PICKLE, sharded and shm.shm_enabled()),
+            (ACTION_SERIAL, threaded and not ctx.serial_degraded),
             (
                 ACTION_SYNC_READS,
                 isinstance(stream, file_module.FileEdgeStream)
@@ -460,25 +418,20 @@ def pick_step(
         return None
     preferred = {
         WORKER_CRASH: ACTION_SERIAL,
-        TASK_TIMEOUT: ACTION_SERIAL,
-        SHM_ATTACH: ACTION_PICKLE,
         FILE_READ: ACTION_TEXT if mmap_tier else ACTION_SYNC_READS,
-    }.get(site_of(exc))
+    }.get(site)
     return preferred if preferred in applicable else applicable[0]
 
 
 def is_transient(exc: BaseException) -> bool:
     """Whether retrying or degrading can plausibly help with ``exc``.
 
-    Worker crashes, task timeouts, shm transport failures, and stream
-    *read* errors are transient; every other library error (budget
-    violations, protocol misuse, bad parameters) is deterministic and
-    retrying would just replay it.  Bare ``OSError`` from outside the
+    Worker crashes and stream *read* errors are transient; every other
+    library error (budget violations, protocol misuse, bad parameters) is
+    deterministic and retrying would just replay it.  Bare ``OSError`` from outside the
     library (user streams raising ``IOError``) counts as transient.
     """
-    if isinstance(
-        exc, (WorkerCrashError, TaskTimeoutError, ShmTransportError, StreamReadError)
-    ):
+    if isinstance(exc, (WorkerCrashError, StreamReadError)):
         return True
     if isinstance(exc, ReproError):
         return False
@@ -489,10 +442,6 @@ def site_of(exc: BaseException) -> str:
     """The fault site an exception is classified under (for reports)."""
     if isinstance(exc, WorkerCrashError):
         return WORKER_CRASH
-    if isinstance(exc, TaskTimeoutError):
-        return TASK_TIMEOUT
-    if isinstance(exc, ShmTransportError):
-        return SHM_ATTACH
     if isinstance(exc, SnapshotWriteError):
         return SNAPSHOT_WRITE
     return FILE_READ if isinstance(exc, (StreamReadError, OSError)) else "unknown"
@@ -529,7 +478,7 @@ def recovery_scope(
     (``REPRO_FAULTS`` when not given, counters re-armed), and a fresh
     :class:`RecoveryContext` collecting :class:`FailureReport` entries.
     On exit the previous installation is restored and *transient*
-    degradations are unwound: a shm or prefetch tier dropped by this
+    degradations are unwound: a prefetch or mmap tier dropped by this
     context's ladder is re-enabled so one failing estimate does not
     degrade the rest of the process.  (The serial tier lives in the engine
     switchboard and is unwound by ``engine_overrides``.)
@@ -542,11 +491,9 @@ def recovery_scope(
     if ctx.plan is not None:
         ctx.plan.reset()
     from ..streams import file as file_module
-    from ..streams import shm
     from ..streams import tape as tape_module
 
     saved = (_active_policy, _active_plan, _active_recovery)
-    saved_shm_enabled = shm.shm_enabled()
     saved_prefetch_enabled = file_module.prefetch_enabled()
     saved_mmap_enabled = tape_module.mmap_enabled()
     _active_policy, _active_plan, _active_recovery = ctx.policy, ctx.plan, ctx
@@ -554,8 +501,6 @@ def recovery_scope(
         yield ctx
     finally:
         _active_policy, _active_plan, _active_recovery = saved
-        if ctx.shm_degraded and saved_shm_enabled:
-            shm._set_enabled(True)
         if ctx.prefetch_degraded and saved_prefetch_enabled:
             file_module.set_prefetch(True)
         if ctx.mmap_degraded and saved_mmap_enabled:

@@ -6,20 +6,20 @@ tables, counters) is updated by a full scan of the edge tape.  The pure
 Python implementations pay one interpreter iteration *per edge* for that
 scan; at a million edges the interpreter, not the algorithm, dominates.
 
-Each pass here is a :class:`~repro.core.executor.PassPlan`: a picklable
-*spec*, a pure module-level *kernel* over ``(spec, start_row, rows)``
-blocks, and an ordered *absorb* fold - which is exactly the decomposition
-the sharded executor needs to fan one pass out across worker processes
-while staying bit-identical to the serial scan (see
-:mod:`repro.core.executor`).  The public functions at the bottom keep the
-original call signatures and simply run the matching plan through
+Each pass here is a :class:`~repro.core.executor.PassPlan`: a read-only
+*spec*, a pure *kernel* over ``(spec, start_row, rows)`` blocks, and an
+ordered *absorb* fold - which is exactly the decomposition the executor
+needs to run one pass's blocks on several threads while staying
+bit-identical to the serial scan (see :mod:`repro.core.executor`).  The
+public functions at the bottom keep the original call signatures and
+simply run the matching plan through
 :func:`~repro.core.executor.run_plan`, so every caller - serial or
-sharded - goes through one execution spine.
+threaded - goes through one execution spine.
 
 Every tracked-set test is *prefiltered*: each plan that asks "which block
 values are tracked keys?" builds one :class:`KeySet` at construction - the
 sorted keys plus a hashed presence table of at least 8 slots per key - and
-ships it as (part of) its spec.  The kernels hash the whole block, gather
+hands it out as (part of) its spec.  The kernels hash the whole block, gather
 from the table, and run the exact ``searchsorted`` only on the survivors
 (about a tenth of the endpoints on the canonical tapes).  The table is
 charged to the round's meter as ``kernel-prefilter`` words by the stage
@@ -121,8 +121,8 @@ class KeySet:
     Keys may be int64 vertex ids or uint64 packed edge keys; probes must
     share the keys' dtype.
 
-    Pickling ships the keys alone (``__reduce__``); the receiving process
-    rebuilds the table, once per spec group in a sharded worker.
+    A built set is never mutated, so every sweep thread probes the same
+    instance concurrently.
     """
 
     __slots__ = ("keys", "table", "_shift")
@@ -136,9 +136,6 @@ class KeySet:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __reduce__(self):
-        return KeySet, (self.keys,)
 
     def _slots(self, values: np.ndarray) -> np.ndarray:
         slots = values.view(np.uint64) * _HASH_MULTIPLIER
@@ -367,8 +364,7 @@ class EdgeReplayPlan(PassPlan):
     stream order.  Used when a scan has no vectorized kernel (watched keys
     overflowing the 64-bit packing) but must still be expressible as a
     :class:`~repro.core.executor.PassPlan` so it can share a chunked sweep
-    with other plans.  Sharded execution ships whole blocks through the
-    pool - correct but wasteful, acceptable for the rare fallback.
+    with other plans.
     """
 
     name = "fallback/replay"

@@ -12,8 +12,8 @@ The pass implementations themselves live in :mod:`repro.core.estimator`
 (``stage_pass1`` ... ``stage_pass45``) - they are multi-instance by
 construction, and the single runner
 (:func:`~repro.core.estimator.run_single_estimate`) is this module's
-``k = 1`` case, so every runner rides the same executor spine (serial,
-chunked, or sharded across worker processes) with no duplicated pass
+``k = 1`` case, so every runner rides the same executor spine (pure
+Python, or chunked on one or more threads) with no duplicated pass
 loops.
 
 Sharing rules (what may be shared without breaking independence):

@@ -36,7 +36,7 @@ per-chunk sequence it would fold with private sweeps (see
 that serves a window's batches), and all randomness is strictly per-round,
 so every committed estimate, diagnostic, and logical-pass count is
 bit-identical to the sequential loop **at any depth** - at any worker
-count, fused or not, shared memory on or off.
+count, fused or not.
 
 Cleanup contract: if a shared sweep raises, closing the window program
 closes every still-live round program before the exception propagates, so

@@ -108,31 +108,12 @@ class SnapshotWriteError(SnapshotError, StreamReadError):
 
 
 class WorkerCrashError(ReproError):
-    """Raised when a sharded worker process died executing a pass task.
+    """Raised when a threaded sweep task crashed on its worker thread.
 
-    Wraps ``concurrent.futures.process.BrokenProcessPool``: the pool that
-    observed the crash is unusable and must be rebuilt.  The executor does
-    that itself (and retries or degrades per the active
-    :class:`~repro.core.faults.RetryPolicy`); this error escapes only when
-    recovery is exhausted.
-    """
-
-
-class TaskTimeoutError(ReproError):
-    """Raised when a sharded pass task exceeded the per-task timeout.
-
-    A hung worker cannot be distinguished from a merely slow one, so the
-    executor kills and respawns the pool before retrying the task.
-    """
-
-
-class ShmTransportError(ReproError):
-    """Raised when the shared-memory chunk transport fails.
-
-    Examples: a worker attaching a segment that has vanished, or an
-    injected ``shm.attach`` fault.  Classified as retryable; exhausted
-    retries degrade the transport to pickled blocks
-    (:func:`repro.streams.shm.disable_shm`).
+    Raised by the injected ``worker.crash`` fault.  The executor reruns
+    the task (kernels are pure) and, once the active
+    :class:`~repro.core.faults.RetryPolicy` is exhausted, finishes the
+    sweep inline; this error never escapes the executor.
     """
 
 

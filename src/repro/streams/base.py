@@ -78,22 +78,6 @@ class EdgeStream(ABC):
         if buffer:
             yield np.array(buffer, dtype=np.int64).reshape(-1, 2)
 
-    def iter_chunk_handles(self, chunk_size: int = DEFAULT_CHUNK_EDGES):
-        """Start a fresh pass delivered as :class:`~repro.streams.shm.ChunkHandle`\\ s.
-
-        The handle stream is what the *sharded* executor consumes: each
-        handle reports its row count and carries the rows either as a plain
-        array (this generic wrapper around :meth:`iter_chunks`) or as a
-        descriptor into a shared-memory segment owned by the stream
-        (streams that can, e.g. :class:`~repro.streams.memory.InMemoryEdgeStream`,
-        override this so worker processes read the rows with zero copies).
-        The sequence of rows is exactly one :meth:`iter_chunks` pass.
-        """
-        from .shm import ChunkHandle
-
-        for block in self.iter_chunks(chunk_size):
-            yield ChunkHandle(rows=len(block), block=block)
-
     def stats(self) -> "StreamStats":
         """Compute single-pass stream statistics (n, m, max vertex id).
 

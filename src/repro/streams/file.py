@@ -171,8 +171,7 @@ class FileEdgeStream(EdgeStream):
         (one extra sweep of an already-failing file) so the raised
         :class:`~repro.errors.StreamError` carries the standard
         line-numbered message wherever the chunks were consumed - a plain
-        chunked pass, the prefetch reader thread, or the sharded executor
-        mid-way through shared-memory spooling.
+        chunked pass, the prefetch reader thread, or a threaded sweep.
         """
         import numpy as np
 

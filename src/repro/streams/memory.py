@@ -46,8 +46,6 @@ class InMemoryEdgeStream(EdgeStream):
             self._edges = list(edges)  # type: ignore[arg-type]
         self._array: Optional["numpy.ndarray"] = None
         self._stats: Optional[StreamStats] = None
-        self._segment = None  # lazy shared-memory mirror (sharded passes only)
-        self._segment_failed = False
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self._edges)
@@ -70,54 +68,6 @@ class InMemoryEdgeStream(EdgeStream):
         array = self._backing_array()
         for start in range(0, len(array), chunk_size):
             yield array[start : start + chunk_size]
-
-    def _shared_segment(self):
-        """The shared-memory mirror of the backing array, or ``None``.
-
-        Built lazily on first *sharded* use (serial passes never pay for
-        it): one copy of the tape into a
-        :class:`~repro.streams.shm.SharedEdgeSegment`, after which every
-        sharded pass ships zero-copy ``(name, start, rows)`` descriptors
-        instead of pickled row blocks.  The segment lives as long as the
-        stream (a finalizer unlinks it) and any creation failure falls
-        back to the pickled transport permanently for this stream.
-        """
-        if self._segment is None and not self._segment_failed:
-            from . import shm
-
-            if not shm.shm_enabled():
-                self._segment_failed = True
-                return None
-            try:
-                self._segment = shm.SharedEdgeSegment.from_array(self._backing_array())
-            except (OSError, ImportError):  # pragma: no cover - no /dev/shm
-                shm.disable_shm()
-                self._segment_failed = True
-        return self._segment
-
-    def iter_chunk_handles(self, chunk_size: int = DEFAULT_CHUNK_EDGES):
-        """Chunk handles backed by the shared segment (descriptors, no rows).
-
-        Falls back to the generic array-carrying handles when shared memory
-        is unavailable.  Chunk boundaries match :meth:`iter_chunks` exactly.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        from . import shm
-
-        # Consult the transport switch per pass (not only at segment-build
-        # time): a recovery-layer shm->pickle degradation must stop an
-        # already-mirrored stream from handing out segment descriptors.
-        segment = self._shared_segment() if shm.shm_enabled() else None
-        if segment is None:
-            yield from super().iter_chunk_handles(chunk_size)
-            return
-        from .shm import ChunkHandle
-
-        m = len(self._edges)
-        for start in range(0, m, chunk_size):
-            rows = min(chunk_size, m - start)
-            yield ChunkHandle(rows=rows, ref=segment.block_ref(start, rows))
 
     def stats(self) -> StreamStats:
         """One-pass stream statistics, computed once and cached.

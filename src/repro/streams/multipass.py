@@ -42,8 +42,6 @@ from .base import DEFAULT_CHUNK_EDGES, EdgeStream
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     import numpy
 
-    from .shm import ChunkHandle
-
 
 def _mid_stage_fault_fires() -> bool:
     # Imported lazily: repro.streams loads during repro.core's own import.
@@ -273,16 +271,13 @@ class PassScheduler:
         chunk_size: int = DEFAULT_CHUNK_EDGES,
         passes: int = 1,
         owners: Optional[Iterable[str]] = None,
-    ) -> Iterator["ChunkHandle"]:
-        """Open ``passes`` logical passes delivered as chunk *handles*.
+    ) -> Iterator["numpy.ndarray"]:
+        """Former name of :meth:`new_fused_pass_chunks`, kept for callers.
 
-        Handles are what the sharded executor ships to worker processes:
-        they carry either the rows themselves or a zero-copy shared-memory
-        descriptor (see :meth:`~repro.streams.base.EdgeStream.iter_chunk_handles`).
-        Accounting matches :meth:`new_fused_pass_chunks`.
+        Every sweep now hands out the zero-copy chunks themselves; the
+        executor opens its sweeps through :meth:`new_fused_pass_chunks`.
         """
-        self._open_passes(passes, owners)
-        return self._run_pass_chunk_handles(chunk_size)
+        return self.new_fused_pass_chunks(chunk_size, passes=passes, owners=owners)
 
     def _open_passes(self, count: int, owners: Optional[Iterable[str]] = None) -> None:
         if count < 1:
@@ -347,20 +342,6 @@ class PassScheduler:
         try:
             for chunk in source:
                 yield chunk
-        finally:
-            self._pass_open = False
-            if injector is not None:
-                injector.close()
-
-    def _run_pass_chunk_handles(self, chunk_size: int) -> Iterator["ChunkHandle"]:
-        injector: Optional[Iterator] = None
-        source: Iterable = self._stream.iter_chunk_handles(chunk_size)
-        if self._fault_mid_sweep:
-            injector = self._inject_mid_sweep(source)
-            source = injector
-        try:
-            for handle in source:
-                yield handle
         finally:
             self._pass_open = False
             if injector is not None:

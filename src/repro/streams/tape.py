@@ -2,20 +2,17 @@
 
 Multi-pass estimates re-read the whole tape once per physical sweep, and
 on the text path every sweep re-runs the batched parser - which is why
-the file stream grew a prefetch thread and per-task shared-memory
-spooling.  The ``.etape`` format stores the *parsed* tape once: a
-64-byte header followed by the edges as a contiguous C-order
-little-endian ``int64[m, 2]`` array.  Re-sweeps then become
-memory-bandwidth-bound instead of parse-bound:
+the file stream grew a prefetch thread.  The ``.etape`` format stores
+the *parsed* tape once: a 64-byte header followed by the edges as a
+contiguous C-order little-endian ``int64[m, 2]`` array.  Re-sweeps then
+become memory-bandwidth-bound instead of parse-bound:
 
 * :meth:`MmapEdgeStream.iter_chunks` yields zero-copy read-only slices
   of the memory-mapped payload (no parsing, no allocation per sweep);
 * ``stats()`` / ``len()`` come straight from the header in O(1) - no
   statistics sweep at all;
-* sharded tasks ship tiny ``("tape", path, start, rows)`` descriptors
-  (:func:`resolve_tape_block`) that each worker resolves against its own
-  mapping of the same file - no shm spooling, and the prefetch thread is
-  bypassed entirely (both are artifacts of text parsing).
+* threaded sweeps hand those same slices to every worker thread, so the
+  prefetch thread (an artifact of text parsing) is bypassed entirely.
 
 Header layout (64 bytes, all integers little-endian)::
 
@@ -56,7 +53,6 @@ import hashlib
 import os
 import struct
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
@@ -64,7 +60,6 @@ from ..errors import StreamError, StreamReadError, TapeFormatError
 from ..types import Edge
 from .base import DEFAULT_CHUNK_EDGES, EdgeStream, StreamStats
 from .file import FileEdgeStream, _maybe_inject_read_fault
-from .shm import ROW_BYTES, TAPE_TAG, ChunkHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     import numpy
@@ -76,6 +71,9 @@ MAGIC = b"\x89ETAPE\r\n"
 
 #: Current (and only) format version.
 VERSION = 1
+
+#: Bytes per edge row: two int64 endpoints.
+ROW_BYTES = 16
 
 #: Fixed header size; the payload starts at this offset.
 HEADER_BYTES = 64
@@ -519,28 +517,6 @@ class MmapEdgeStream(EdgeStream):
             _maybe_inject_read_fault(self._path)
             yield rows[start : start + chunk_size]
 
-    def iter_chunk_handles(self, chunk_size: int = DEFAULT_CHUNK_EDGES):
-        """Sharded pass: ship ``(path, start, rows)`` descriptors, no spooling.
-
-        Each handle names a row range of the tape file itself; workers
-        map the file once (:func:`resolve_tape_block`) and slice it
-        zero-copy, so the executor neither pickles rows nor spools them
-        into shared-memory segments.  Consecutive descriptors coalesce
-        like shm refs, so a whole task batch is usually one descriptor.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        delegate = self._delegate()
-        if delegate is not None:
-            yield from delegate.iter_chunk_handles(chunk_size)
-            return
-        self._check_intact()
-        m = self._header.num_edges
-        for start in range(0, m, chunk_size):
-            _maybe_inject_read_fault(self._path)
-            rows = min(chunk_size, m - start)
-            yield ChunkHandle(rows=rows, ref=(TAPE_TAG, self._path, start, rows))
-
     def stats(self) -> StreamStats:
         """O(1): both statistics come straight from the header."""
         return StreamStats(
@@ -555,51 +531,3 @@ class MmapEdgeStream(EdgeStream):
         if self._fingerprint is None:
             self._fingerprint = tape_fingerprint(self._path)
         return self._fingerprint
-
-
-# ---------------------------------------------------------------------------
-# worker side
-
-#: Worker-side cache of mapped tapes, keyed by absolute path (mirrors the
-#: shm attach cache: tiny, LRU, one mapping per tape per worker).
-_MAP_SLOTS = 4
-_mapped: "OrderedDict[str, numpy.ndarray]" = OrderedDict()
-
-
-def _map_payload(path: str) -> "numpy.ndarray":
-    rows = _mapped.get(path)
-    if rows is None:
-        import numpy as np
-
-        try:
-            flat = np.memmap(path, dtype=np.dtype("<i8"), mode="r", offset=HEADER_BYTES)
-        except (OSError, ValueError) as exc:
-            raise StreamReadError(f"{path}: cannot map tape payload: {exc}") from exc
-        if flat.size % 2:
-            raise TapeFormatError(f"{path}: truncated tape payload ({flat.nbytes} bytes)")
-        rows = flat.reshape(-1, 2)
-        _mapped[path] = rows
-        while len(_mapped) > _MAP_SLOTS:
-            _mapped.popitem(last=False)
-    else:
-        _mapped.move_to_end(path)
-    return rows
-
-
-def resolve_tape_block(block) -> "numpy.ndarray":
-    """Resolve one ``(TAPE_TAG, path, start, rows)`` descriptor to rows.
-
-    Called from :func:`repro.streams.shm.resolve_block` on both the
-    worker side (sharded tasks) and the parent side (materializing a
-    task's blocks when the descriptor transport degrades).  A descriptor
-    past the end of the file - a tape truncated after dispatch - raises
-    :class:`~repro.errors.TapeFormatError` rather than returning a short
-    read.
-    """
-    _, path, start, rows = block
-    mapped = _map_payload(path)
-    if start + rows > len(mapped):
-        raise TapeFormatError(
-            f"{path}: tape descriptor ({start}, {rows}) past payload end ({len(mapped)} rows)"
-        )
-    return mapped[start : start + rows]

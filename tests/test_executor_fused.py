@@ -7,8 +7,7 @@ These tests pin the two contracts the engine is built on:
 
 * **parity** - for the same seeds, estimates (and every sampling-derived
   diagnostic) are bit-identical across ``fuse`` on/off, every engine, and
-  workers in {1, 2, 4}, including the shared-memory and pickled block
-  transports;
+  workers in {1, 2, 4};
 * **fewer sweeps** - fused runs consume strictly fewer physical tape
   sweeps than unfused runs whenever a round finds wedges, while logical
   pass accounting (the paper's budget) is unchanged.
@@ -37,7 +36,6 @@ from repro.errors import PassBudgetExceeded
 from repro.generators import planted_triangles_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
 from repro.streams import InMemoryEdgeStream, PassScheduler
-from repro.streams import shm
 from repro.streams.file import FileEdgeStream
 from repro.streams.transforms import shuffled
 
@@ -285,45 +283,3 @@ class TestRunPlansMerges:
             )
             flat = [tuple(row) for block in blocks for row in block.tolist()]
             assert flat == [(5, 10), (3, 5), (5, 6)]
-
-
-class TestSharedMemoryTransport:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pickled_fallback_is_bit_identical(self, workers, monkeypatch):
-        stream, plan = _stream_and_plan(wheel_graph(110))
-        with engine.engine_overrides("chunked", 43, workers, True):
-            via_shm = run_single_estimate(stream, plan, random.Random(9))
-        monkeypatch.setattr(shm, "_disabled", True)
-        fresh = InMemoryEdgeStream(list(stream), validate=False)
-        with engine.engine_overrides("chunked", 43, workers, True):
-            via_pickle = run_single_estimate(fresh, plan, random.Random(9))
-        assert via_pickle == via_shm
-
-    def test_stream_owned_segment_is_reused_and_finalized(self):
-        edges = [(i, i + 1) for i in range(500)]
-        stream = InMemoryEdgeStream(edges, validate=False)
-        if not shm.shm_enabled():  # pragma: no cover - REPRO_SHM=0 run
-            pytest.skip("shared memory disabled")
-        handles = list(stream.iter_chunk_handles(64))
-        names = {h.ref[1] for h in handles if h.ref is not None}
-        assert len(names) == 1  # one segment backs every chunk
-        assert sum(h.rows for h in handles) == len(edges)
-        segment = stream._shared_segment()
-        assert list(stream.iter_chunk_handles(64))[0].ref[1] == segment.name
-        segment.destroy()  # idempotent owner-side cleanup
-        segment.destroy()
-
-    def test_spooled_segments_are_released(self):
-        # File-backed chunks are spooled into per-task segments which must
-        # all be unlinked once the pass completes.
-        before = dict(shm._live_segments)
-        edges = [(i, i + 1) for i in range(2000)]
-        stream = InMemoryEdgeStream(edges, validate=False)
-        monkey_failed = stream._segment_failed
-        stream._segment_failed = True  # force the spool path for this stream
-        scheduler = PassScheduler(stream)
-        ids = np.array([0, 1], dtype=np.int64)
-        executor.run_plan(scheduler, DegreeCountPlan(ids), chunk_size=64, workers=2)
-        stream._segment_failed = monkey_failed
-        if shm.shm_enabled():
-            assert dict(shm._live_segments) == before  # nothing leaked

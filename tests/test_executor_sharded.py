@@ -1,20 +1,24 @@
-"""Sharded pass-executor parity: bit-identical across worker counts.
+"""Threaded pass-executor parity: bit-identical across worker counts.
 
-The sharded executor (:mod:`repro.core.executor`) must produce exactly the
+The executor (:mod:`repro.core.executor`) must produce exactly the
 results of the serial chunked engine - and therefore of the pure-Python
-reference path - for the same seeds, whatever the worker count, batch
+reference path - for the same seeds, whatever the thread count, batch
 size, or chunk boundaries.  These tests pin that invariant end to end
-(single runner, parallel runner, driver, file streams) and at the plan
-level, including the cross-instance unique-key dedup fan-out of passes 4
-and 6.
+(single runner, parallel runner, driver, file and tape streams) and at
+the plan level, including the cross-instance unique-key dedup fan-out of
+passes 4 and 6, plus the sweep loop's own contracts: FIFO absorption,
+early stop, cleanup on a failing kernel, and no child processes.
 
-Worker pools are real processes (reused across tests); the task-batch
-floor is shrunk so even tiny test streams split into many shard tasks.
+The thread pools are process-wide (reused across tests); the task-batch
+floor is shrunk so even tiny test streams split into many tasks.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from repro.core.stages import execute_stage
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.generators import planted_triangles_graph, rmat_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
-from repro.streams import InMemoryEdgeStream, PassScheduler, SpaceMeter
+from repro.streams import InMemoryEdgeStream, MmapEdgeStream, PassScheduler, SpaceMeter, write_tape
 from repro.streams.file import FileEdgeStream
 from repro.streams.transforms import shuffled
 
@@ -276,3 +280,255 @@ class TestEngineKnobs:
             EstimatorConfig(workers=0)
         with pytest.raises(ParameterError):
             EstimatorConfig(engine_mode="turbo")
+
+
+# ---------------------------------------------------------------------------
+# the sweep loop itself
+
+
+def _edge_rows(m=3000, seed=4):
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(400), rng.randrange(400)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    order = sorted(edges)
+    rng.shuffle(order)
+    return order
+
+
+@pytest.fixture(scope="module")
+def streams(tmp_path_factory):
+    """The same edge sequence as an in-memory, a text, and a tape stream."""
+    edges = _edge_rows()
+    root = tmp_path_factory.mktemp("sweep")
+    text = root / "edges.txt"
+    text.write_text("".join(f"{u} {v}\n" for u, v in edges), encoding="utf-8")
+    tape = root / "edges.etape"
+    write_tape(text, tape)
+    return edges, {
+        "memory": lambda: InMemoryEdgeStream(edges, validate=False),
+        "text": lambda: FileEdgeStream(text),
+        "tape": lambda: MmapEdgeStream(tape),
+    }
+
+
+def _plans(edges):
+    """One plan of every early-stop shape plus two full-tape plans."""
+    positions = np.array([5, 17, 900, 17, 1200], dtype=np.int64)  # stop_row 1201
+    early_keys = [edges[3], edges[40]]  # both seen early: finished() mid-sweep
+    late_keys = [edges[-1], (398, 399) if (398, 399) not in set(edges) else edges[0]]
+    owners = np.array(sorted({edges[0][0], edges[7][1]}), dtype=np.int64)
+    return [
+        PositionCollectPlan(positions),
+        WatchKeyPlan(early_keys),
+        WatchKeyPlan(late_keys),
+        DegreeCountPlan(np.arange(0, 400, 7, dtype=np.int64)),
+        NeighborPositionPlan(owners, np.array([0, 1, 1], dtype=np.int64),
+                             np.array([0, 3, 11], dtype=np.int64)),
+    ]
+
+
+def _normalize(results):
+    return [r.tolist() if isinstance(r, np.ndarray) else r for r in results]
+
+
+@pytest.mark.parametrize("kind", ["memory", "text", "tape"])
+def test_run_plans_identical_at_every_worker_count(streams, kind):
+    edges, make = streams
+    reference = None
+    for workers in (1, 2, 4):
+        scheduler = PassScheduler(make[kind]())
+        got = _normalize(
+            executor.run_plans(scheduler, _plans(edges), chunk_size=37, workers=workers)
+        )
+        assert scheduler.passes_used == 5 and scheduler.sweeps_used == 1
+        if reference is None:
+            reference = got
+        assert got == reference, (kind, workers)
+    # The early-abandon plans really did stop early, and are right.
+    assert reference[0] == [edges[p] for p in (5, 17, 900, 17, 1200)]
+    assert reference[1] == {edges[3], edges[40]}
+    # Each early-abandon plan alone, too: the sweep stops reading early.
+    for plan_index in (0, 1):
+        for workers in (1, 2, 4):
+            alone = executor.run_plan(
+                PassScheduler(make[kind]()),
+                _plans(edges)[plan_index],
+                chunk_size=37,
+                workers=workers,
+            )
+            assert alone == reference[plan_index], (kind, plan_index, workers)
+
+
+def test_more_threads_than_cores_under_fast_switching(streams):
+    """Stress: 8 threads, a 10 µs switch interval, every plan shape at
+    once; any lost or reordered absorb would change a result."""
+    import sys
+
+    edges, make = streams
+    serial = _normalize(
+        executor.run_plans(PassScheduler(make["tape"]()), _plans(edges), chunk_size=19, workers=1)
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            got = executor.run_plans(
+                PassScheduler(make["tape"]()), _plans(edges), chunk_size=19, workers=8
+            )
+            assert _normalize(got) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _OrderPlan(executor.PassPlan):
+    """Records the start row of every absorbed partial."""
+
+    name = "test/order"
+
+    @staticmethod
+    def kernel(spec, start_row, rows):
+        if start_row == 0:
+            time.sleep(0.3)  # task 0 finishes last
+        return start_row
+
+    def __init__(self):
+        self.seen = []
+
+    def spec(self):
+        return None
+
+    def absorb(self, partial):
+        self.seen.append(partial)
+
+    def result(self):
+        return self.seen
+
+
+class _SlowChunks(InMemoryEdgeStream):
+    """Hands out chunks slowly, so later tasks finish before task 0."""
+
+    def iter_chunks(self, chunk_size):
+        for block in super().iter_chunks(chunk_size):
+            time.sleep(0.02)
+            yield block
+
+
+def test_absorb_stays_fifo_when_the_first_task_is_slowest(monkeypatch):
+    edges = _edge_rows(400)
+    starts = list(range(0, 400, 32))
+    order = executor.run_plan(
+        PassScheduler(_SlowChunks(edges, validate=False)),
+        _OrderPlan(),
+        chunk_size=32,
+        workers=4,
+    )
+    assert order == starts
+    # An order-sensitive real plan, its first task delayed the same way.
+    real = NeighborPositionPlan.kernel
+
+    def slow_first(spec, start_row, rows):
+        if start_row == 0:
+            time.sleep(0.3)
+        return real(spec, start_row, rows)
+
+    def occurrences(workers):
+        plan = NeighborPositionPlan(
+            np.array([edges[0][0]], dtype=np.int64),
+            np.zeros(6, dtype=np.int64),
+            np.arange(6, dtype=np.int64),
+        )
+        scheduler = PassScheduler(_SlowChunks(edges, validate=False))
+        return executor.run_plan(scheduler, plan, chunk_size=32, workers=workers).tolist()
+
+    serial = occurrences(1)
+    monkeypatch.setattr(NeighborPositionPlan, "kernel", staticmethod(slow_first))
+    assert occurrences(4) == serial
+
+
+class _FailingPlan(executor.PassPlan):
+    """Slow kernels that count themselves in and out; one block raises."""
+
+    name = "test/failing"
+    lock = threading.Lock()
+    running = 0
+    entered = 0
+
+    @staticmethod
+    def kernel(spec, start_row, rows):
+        cls = _FailingPlan
+        with cls.lock:
+            cls.running += 1
+            cls.entered += 1
+        try:
+            time.sleep(0.02)
+            if start_row == spec:
+                raise RuntimeError("kernel blew up")
+            return None
+        finally:
+            with cls.lock:
+                cls.running -= 1
+
+    def __init__(self, fail_at):
+        self._fail_at = fail_at
+
+    def spec(self):
+        return self._fail_at
+
+    def absorb(self, partial):
+        pass
+
+    def result(self):
+        return None
+
+
+def test_raising_kernel_propagates_and_leaves_nothing_running():
+    edges = _edge_rows(2000)
+    scheduler = PassScheduler(InMemoryEdgeStream(edges, validate=False))
+    with pytest.raises(RuntimeError, match="kernel blew up"):
+        executor.run_plan(scheduler, _FailingPlan(fail_at=64), chunk_size=32, workers=2)
+    assert _FailingPlan.entered >= 2
+    assert _FailingPlan.running == 0  # every started kernel finished first
+    # The pass closed: the scheduler opens its next sweep normally.
+    counts = executor.run_plan(
+        scheduler, DegreeCountPlan(np.arange(10, dtype=np.int64)), chunk_size=32, workers=2
+    )
+    assert scheduler.passes_used == 2
+    assert counts.tolist() == executor.run_plan(
+        PassScheduler(InMemoryEdgeStream(edges, validate=False)),
+        DegreeCountPlan(np.arange(10, dtype=np.int64)),
+        workers=1,
+    ).tolist()
+
+
+def _sweep_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-sweep")]
+
+
+def test_shutdown_pools_then_run_plans_recreates_the_pool():
+    edges = _edge_rows(500)
+    ids = np.arange(50, dtype=np.int64)
+
+    def degrees(workers):
+        scheduler = PassScheduler(InMemoryEdgeStream(edges, validate=False))
+        return executor.run_plan(scheduler, DegreeCountPlan(ids), chunk_size=16, workers=workers)
+
+    expected = degrees(1).tolist()
+    assert degrees(2).tolist() == expected
+    executor.shutdown_pools()
+    executor.shutdown_pools()  # idempotent
+    assert not _sweep_threads()
+    assert degrees(2).tolist() == expected
+    assert _sweep_threads()
+
+
+def test_threaded_estimate_starts_no_child_process():
+    graph = wheel_graph(150)
+    stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(0)))
+    result = TriangleCountEstimator(
+        EstimatorConfig(engine_mode="sharded", workers=2, chunk_size=41, seed=3, repetitions=3)
+    ).estimate(stream, kappa=3)
+    assert result.estimate > 0
+    assert multiprocessing.active_children() == []

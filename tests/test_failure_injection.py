@@ -14,7 +14,6 @@ exactly the class of exception the harness cannot type for us.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Iterator
 
@@ -229,59 +228,3 @@ class TestSpeculativeCleanupPaths:
             spawn(expected, f"round0/rep{rep}")
         assert captured, "instrumentation never saw the root generator"
         assert captured[-1].getstate() == expected.getstate()
-
-    def test_sharded_sweep_failure_releases_spooled_segments(self, tmp_path, monkeypatch):
-        numpy = pytest.importorskip("numpy")
-        from repro.core import executor
-        from repro.core.kernels import DegreeCountPlan
-        from repro.streams import shm
-        from repro.streams.file import FileEdgeStream
-
-        if not shm.shm_enabled():
-            pytest.skip("shared-memory transport disabled on this platform")
-        path = tmp_path / "tape.edges"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(2000)), encoding="utf-8")
-        stream = FileEdgeStream(path)
-        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
-
-        created = []
-        real_new_segment = shm.new_segment_from_blocks
-
-        def recording_new_segment(blocks):
-            segment = real_new_segment(blocks)
-            if segment is not None:
-                created.append(segment)
-            return segment
-
-        monkeypatch.setattr(shm, "new_segment_from_blocks", recording_new_segment)
-        pool = executor._get_pool(2)
-        real_submit = pool.submit
-        calls = {"count": 0}
-
-        def failing_submit(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 3:
-                raise RuntimeError("injected pool failure")
-            return real_submit(*args, **kwargs)
-
-        monkeypatch.setattr(pool, "submit", failing_submit)
-        scheduler = PassScheduler(stream)
-        tracked = numpy.arange(100, dtype=numpy.int64)
-        with pytest.raises(RuntimeError, match="injected pool failure") as excinfo:
-            executor.run_plan(
-                scheduler, DegreeCountPlan(tracked), chunk_size=64, workers=2
-            )
-        # While the exception (and therefore every in-flight frame) is
-        # still alive, no owned segment may remain: the error path has to
-        # unlink explicitly, not lean on the GC safety net.
-        assert created, "failure injection never spooled a segment"
-        assert all(not segment._finalizer.alive for segment in created), (
-            "spooled segments survived the failed sweep"
-        )
-        assert not shm.live_segment_names()
-        if os.path.isdir("/dev/shm"):
-            for segment in created:
-                assert not os.path.exists(f"/dev/shm/{segment.name}"), (
-                    f"stale shared-memory entry {segment.name}"
-                )
-        del excinfo

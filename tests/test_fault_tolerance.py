@@ -4,14 +4,13 @@ Three layers under test, all driven by the deterministic injection
 harness in :mod:`repro.core.faults`:
 
 * **Plumbing** - `FaultPlan` spec parsing, `RetryPolicy` determinism,
-  environment knobs (`REPRO_FAULTS`, `REPRO_MAX_RETRIES`,
-  `REPRO_TASK_TIMEOUT`).
+  environment knobs (`REPRO_FAULTS`, `REPRO_MAX_RETRIES`).
 * **Recovery invariant** - an estimate that suffers injected faults but
-  recovers (retries, pool rebuilds, transport fallbacks) returns results
+  recovers (task retries, round restarts) returns results
   *bit-identical* to the fault-free run: estimates, guessing trajectory,
   logical-pass totals, and the root generator's final state.
 * **Degradation ladder** - when retries exhaust, the run drops a tier
-  (sharded->serial, shm->pickle, prefetch->sync, mmap tape->text twin,
+  (sharded->serial, prefetch->sync, mmap tape->text twin,
   speculative->sequential)
   instead of failing, records each step on
   ``EstimateResult.degradations``, and still produces identical numbers.
@@ -55,10 +54,10 @@ class TestFaultPlan:
         assert fired == [False, True, False, True, False, True, False]
 
     def test_parse_multiple_sites_count_independently(self):
-        plan = FaultPlan.parse("worker.crash@0;shm.attach@1")
+        plan = FaultPlan.parse("worker.crash@0;file.read@1")
         assert plan.fires(faults.WORKER_CRASH)
-        assert not plan.fires(faults.SHM_ATTACH)
-        assert plan.fires(faults.SHM_ATTACH)
+        assert not plan.fires(faults.FILE_READ)
+        assert plan.fires(faults.FILE_READ)
 
     def test_reset_rearms_consumed_events(self):
         plan = FaultPlan.parse("file.read@0")
@@ -94,22 +93,19 @@ class TestRetryPolicy:
         with pytest.raises(ParameterError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ParameterError):
-            RetryPolicy(timeout=0.0)
+            RetryPolicy(backoff_base=-1.0)
 
     def test_policy_from_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
         policy = faults.policy_from_env()
         assert policy.max_attempts == 6
         assert policy.retries == 5
-        assert policy.timeout == 2.5
 
     def test_policy_from_env_rejects_malformed(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
         with pytest.raises(ParameterError):
             faults.policy_from_env()
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "2")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "-1")
         with pytest.raises(ParameterError):
             faults.policy_from_env()
 
@@ -177,10 +173,10 @@ def _assert_bit_identical(clean, faulted):
 class TestRecoveryBitIdentity:
     def test_canonical_run_recovers_bit_identically(self, tape, monkeypatch):
         """The PR's acceptance scenario: a file-backed multi-round estimate
-        at workers=2, fused, speculate_depth=3, with a worker crash, an shm
-        attach failure, and a mid-sweep stream error injected in distinct
-        places - completing without error and bit-identical to the clean
-        run, with no tier degraded (retries recovered everything)."""
+        at workers=2, fused, speculate_depth=3, with two worker crashes and
+        a mid-sweep stream error injected in distinct places - completing
+        without error and bit-identical to the clean run, with no tier
+        degraded (retries recovered everything)."""
         pytest.importorskip("numpy")
         from repro.core import executor
 
@@ -201,7 +197,7 @@ class TestRecoveryBitIdentity:
         faulted = _run(
             stream,
             EstimatorConfig(
-                **base, faults="worker.crash@1;shm.attach@3;sweep.mid_stage@2"
+                **base, faults="worker.crash@1,3;sweep.mid_stage@2"
             ),
         )
         _assert_bit_identical(clean, faulted)
@@ -245,27 +241,6 @@ class TestRecoveryBitIdentity:
         _assert_bit_identical(clean, faulted)
         assert faulted[0].degradations == ()
 
-    def test_task_timeout_recovers_on_a_fresh_pool(self, tape, monkeypatch):
-        """A hung worker (injected ``task.timeout``) trips the per-task
-        deadline; the pool is killed and rebuilt and the task retried.
-        Recovery may or may not need to drop the sharded tier depending on
-        machine speed - either way the numbers must match the clean run."""
-        pytest.importorskip("numpy")
-        from repro.core import executor
-
-        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 256)
-        base = dict(
-            seed=5, repetitions=3, engine_mode="sharded", workers=2, chunk_size=256
-        )
-        stream = FileEdgeStream(tape)
-        stream.stats()
-        clean = _run(stream, EstimatorConfig(**base))
-        faulted = _run(
-            stream,
-            EstimatorConfig(**base, faults="task.timeout@0", task_timeout=5.0),
-        )
-        _assert_bit_identical(clean, faulted)
-
     @pytest.mark.slow
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("fuse", [False, True])
@@ -276,14 +251,12 @@ class TestRecoveryBitIdentity:
             "sweep.mid_stage@1",
             "file.read@2",
             "worker.crash@1",
-            "shm.attach@2",
-            "task.timeout@0",
         ],
     )
     def test_full_parity_matrix(self, tape, monkeypatch, workers, fuse, depth, spec):
         site = spec.split("@")[0]
-        if workers == 1 and site in ("worker.crash", "shm.attach", "task.timeout"):
-            pytest.skip("pool-only fault site")
+        if workers == 1 and site == "worker.crash":
+            pytest.skip("thread-pool-only fault site")
         pytest.importorskip("numpy")
         from repro.core import executor
 
@@ -297,7 +270,6 @@ class TestRecoveryBitIdentity:
             fuse=fuse,
             speculate=depth >= 2,
             speculate_depth=depth if depth >= 2 else None,
-            task_timeout=5.0 if site == "task.timeout" else None,
         )
         stream = FileEdgeStream(tape)
         stream.stats()
@@ -336,9 +308,9 @@ class TestDegradationLadder:
         assert reports[0].cause
 
     def test_engine_survives_pool_poisoning(self, tape, monkeypatch):
-        """Satellite bugfix: a BrokenProcessPool must not poison the cached
-        pool.  After a crash-degraded estimate, the broken pool is out of
-        the cache and the next sharded estimate runs clean."""
+        """A crash-degraded estimate must not degrade the next one: the
+        serial tier is scoped to the estimate that dropped it, so the next
+        threaded estimate runs clean and bit-identical."""
         pytest.importorskip("numpy")
         from repro.core import executor
 
@@ -348,40 +320,13 @@ class TestDegradationLadder:
         )
         stream = FileEdgeStream(tape)
         stream.stats()
-        broken = executor._get_pool(2)
         faulted = _run(
             stream, EstimatorConfig(**base, faults="worker.crash@0", max_retries=0)
         )
         assert faulted[0].degradations  # the crash really was injected
-        assert executor._POOLS.get(2) is not broken
         clean_after = _run(stream, EstimatorConfig(**base))
         _assert_bit_identical(clean_after, faulted)
         assert clean_after[0].degradations == ()
-
-    def test_shm_failure_degrades_to_pickled_blocks(self, tape, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.core import executor
-        from repro.streams import shm
-
-        if not shm.shm_enabled():
-            pytest.skip("shared-memory transport disabled on this platform")
-        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
-        base = dict(
-            seed=7, repetitions=3, engine_mode="sharded", workers=2, chunk_size=64
-        )
-        stream = FileEdgeStream(tape)
-        stream.stats()
-        clean = _run(stream, EstimatorConfig(**base))
-        faulted = _run(
-            stream, EstimatorConfig(**base, faults="shm.attach@0", max_retries=0)
-        )
-        _assert_bit_identical(clean, faulted)
-        reports = faulted[0].degradations
-        assert [r.action for r in reports] == [faults.ACTION_PICKLE]
-        assert reports[0].site == faults.SHM_ATTACH
-        # The degradation was scoped to the failing estimate: the recovery
-        # scope re-enabled the transport on exit.
-        assert shm.shm_enabled()
 
     def test_file_read_failure_degrades_prefetch(self, tape):
         stream = FileEdgeStream(tape)

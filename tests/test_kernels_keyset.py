@@ -6,13 +6,10 @@ the hash table says: a set slot only admits a value to the exact search,
 never decides it.  Checked on int64 vertex ids and on uint64 packed edge
 keys (including values at and above 2^63, where the signed and unsigned
 orders differ), on empty and single-key sets, and on blocks that hit
-every key or none.  The pickle contract - keys only, table rebuilt on
-load - keeps sharded spec bytes the size of the keys themselves.
+every key or none.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -120,17 +117,3 @@ def test_empty_set_charges_nothing():
     meter = SpaceMeter()
     charge_prefilter(meter, 0)
     assert meter.peak_words == 0
-
-
-@pytest.mark.parametrize("dtype,high", [(np.int64, 1 << 40), (np.uint64, 1 << 64)])
-def test_pickle_ships_keys_and_rebuilds_the_table(dtype, high):
-    rng = np.random.default_rng(7)
-    keys = np.unique(rng.integers(0, high, size=20_000, dtype=dtype))
-    keyset = KeySet(keys)
-    data = pickle.dumps(keyset, protocol=pickle.HIGHEST_PROTOCOL)
-    restored = pickle.loads(data)
-    assert restored.keys.dtype == keys.dtype
-    assert np.array_equal(restored.keys, keys)
-    assert np.array_equal(restored.table, keyset.table)
-    keys_only = pickle.dumps(keys, protocol=pickle.HIGHEST_PROTOCOL)
-    assert abs(len(data) - len(keys_only)) <= 1024

@@ -1,12 +1,12 @@
 """Randomized cross-mode parity matrix: one estimator, every execution mode.
 
 The engine now has enough independent execution knobs - engine mode,
-worker count, fused sweeps, speculative round pairs, shared-memory
-transport - that hand-picked parity cases cannot cover the cross
-products.  This suite runs seeded random graphs (Erdos-Renyi, power-law
-preferential attachment, and star/clique pathologies) through the full
-knob matrix and pins the three contracts every mode must honor against
-the pure-Python sequential reference:
+thread count, fused sweeps, speculative round windows - that hand-picked
+parity cases cannot cover the cross products.  This suite runs seeded
+random graphs (Erdos-Renyi, power-law preferential attachment, and
+star/clique pathologies) through the full knob matrix and pins the three
+contracts every mode must honor against the pure-Python sequential
+reference:
 
 * **bit-identical estimates**: the final estimate, the whole guessing
   trajectory (every round's guess, median, verdict), and every per-run
@@ -50,7 +50,7 @@ from repro.generators import (
 )
 from repro.graph import count_triangles, degeneracy
 from repro.io import write_edgelist
-from repro.streams import FileEdgeStream, InMemoryEdgeStream, MmapEdgeStream, shm, write_tape
+from repro.streams import FileEdgeStream, InMemoryEdgeStream, MmapEdgeStream, write_tape
 from repro.streams.transforms import shuffled
 
 REPETITIONS = 3
@@ -63,15 +63,12 @@ GRAPHS = [
     ("clique", lambda: complete_graph(18), 9),
 ]
 
-#: (engine_mode, workers, shm_enabled) execution substrates.  Shared
-#: memory only participates when a worker pool exists to ship blocks to.
+#: (engine_mode, workers) execution substrates.
 SUBSTRATES = [
-    ("python", 1, True),
-    ("chunked", 1, True),
-    ("chunked", 2, True),
-    ("chunked", 2, False),
-    ("chunked", 4, True),
-    ("chunked", 4, False),
+    ("python", 1),
+    ("chunked", 1),
+    ("chunked", 2),
+    ("chunked", 4),
 ]
 
 #: The fusion tiers ``(fuse, speculate, speculate_depth)``.  Depth only
@@ -204,22 +201,15 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
     ref_trajectory = _trajectory(reference)
     tier_accounting = {}
 
-    for mode, workers, shm_enabled in substrates:
+    for mode, workers in substrates:
         for fuse, speculate, depth in tiers:
-            monkeypatch.setattr(shm, "_disabled", not shm_enabled)
-            try:
-                result, root_state, child_draws = _run_instrumented(
-                    monkeypatch,
-                    stream,
-                    kappa,
-                    _config(mode, workers, fuse, speculate, depth, seed),
-                )
-            finally:
-                monkeypatch.setattr(shm, "_disabled", False)
-            label = (
-                f"{graph_name}/{mode}/w{workers}/shm{int(shm_enabled)}"
-                f"/f{int(fuse)}s{int(speculate)}d{depth}"
+            result, root_state, child_draws = _run_instrumented(
+                monkeypatch,
+                stream,
+                kappa,
+                _config(mode, workers, fuse, speculate, depth, seed),
             )
+            label = f"{graph_name}/{mode}/w{workers}/f{int(fuse)}s{int(speculate)}d{depth}"
 
             # Bit-identical estimates and statistical trajectory.
             assert result.estimate == reference.estimate, label
@@ -231,7 +221,7 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
             assert child_draws == ref_child_draws, label
 
             # Accounting depends only on the fusion tier (fuse x speculate
-            # x depth), never on the substrate (engine / workers / shm):
+            # x depth), never on the substrate (engine / workers):
             # the first run of each tier pins passes, sweeps, waste,
             # space, and the per-run accounting trajectory for every
             # other substrate.
@@ -297,16 +287,16 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
 
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_parity_matrix_fast_tier(monkeypatch, name, build, seed):
-    """Representative subset: serial python + chunked, one pooled substrate,
+    """Representative subset: serial python + chunked, one threaded substrate,
     the depth axis sampled (one tier each at depths 2, 3, and 4)."""
-    fast_substrates = [("python", 1, True), ("chunked", 1, True), ("chunked", 2, True)]
+    fast_substrates = [("python", 1), ("chunked", 1), ("chunked", 2)]
     _check_matrix(monkeypatch, name, build, seed, fast_substrates, TIERS_FAST)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_parity_matrix_full(monkeypatch, name, build, seed):
-    """The full matrix: workers {1,2,4} x shm on/off x fuse x depth {2,3,4}."""
+    """The full matrix: workers {1,2,4} x fuse x depth {2,3,4}."""
     _check_matrix(monkeypatch, name, build, seed, SUBSTRATES, TIERS_FULL)
 
 
@@ -321,23 +311,16 @@ def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substra
     header = write_tape(txt, tape)
     assert header.num_edges == graph.num_edges
 
-    for mode, workers, shm_enabled in substrates:
+    for mode, workers in substrates:
         for fuse, speculate, depth in tiers:
             config = _config(mode, workers, fuse, speculate, depth, seed)
-            monkeypatch.setattr(shm, "_disabled", not shm_enabled)
-            try:
-                text_result, text_root, text_draws = _run_instrumented(
-                    monkeypatch, FileEdgeStream(txt), kappa, config
-                )
-                tape_result, tape_root, tape_draws = _run_instrumented(
-                    monkeypatch, MmapEdgeStream(tape), kappa, config
-                )
-            finally:
-                monkeypatch.setattr(shm, "_disabled", False)
-            label = (
-                f"{name}/{mode}/w{workers}/shm{int(shm_enabled)}"
-                f"/f{int(fuse)}s{int(speculate)}d{depth}"
+            text_result, text_root, text_draws = _run_instrumented(
+                monkeypatch, FileEdgeStream(txt), kappa, config
             )
+            tape_result, tape_root, tape_draws = _run_instrumented(
+                monkeypatch, MmapEdgeStream(tape), kappa, config
+            )
+            label = f"{name}/{mode}/w{workers}/f{int(fuse)}s{int(speculate)}d{depth}"
             assert tape_result.estimate == text_result.estimate, label
             assert _trajectory(tape_result, accounting=True) == _trajectory(
                 text_result, accounting=True
@@ -348,12 +331,11 @@ def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substra
             assert tape_draws == text_draws, label
 
 
-#: Tape-axis fast tier: both serial engines plus a pooled substrate with
-#: shm on and off, across the sampled fusion/depth tiers.
+#: Tape-axis fast tier: the reference engine plus a threaded substrate,
+#: across the sampled fusion/depth tiers.
 FORMAT_SUBSTRATES_FAST = [
-    ("python", 1, True),
-    ("chunked", 2, True),
-    ("chunked", 2, False),
+    ("python", 1),
+    ("chunked", 2),
 ]
 
 #: The fast tier samples two graph families; the full product runs slow.
@@ -374,7 +356,7 @@ def test_tape_format_parity_fast_tier(monkeypatch, tmp_path, name, build, seed):
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_tape_format_parity_full(monkeypatch, tmp_path, name, build, seed):
     """Text vs binary tape over the full knob product: workers {1,2,4} x
-    shm on/off x fuse x depth {2,3,4}."""
+    fuse x depth {2,3,4}."""
     _check_format_parity(monkeypatch, tmp_path, name, build, seed, SUBSTRATES, TIERS_FULL)
 
 
@@ -388,6 +370,6 @@ def test_parity_matrix_random_orders(monkeypatch):
             f"er-order{order_seed}",
             lambda g=graph: g,
             order_seed,
-            [("python", 1, True), ("chunked", 2, True), ("chunked", 2, False)],
+            [("python", 1), ("chunked", 2)],
             TIERS_FULL,
         )

@@ -489,6 +489,24 @@ class TestResumeBitIdentity:
         with pytest.raises(SnapshotFormatError):
             resume_from(str(target), stream)
 
+    def test_retired_config_field_still_resumes(self, tape, tmp_path):
+        """Snapshots written before ``task_timeout`` was retired carry it in
+        their config document; the unknown key is dropped on resume and
+        the run continues bit-identically."""
+        ckdir = tmp_path / "ck"
+        stream, clean = self._checkpointed(tape, ckdir)
+        name = _snapshots_in(ckdir)[0]
+        snap = snapshot.read_snapshot(ckdir / name)
+        legacy = dict(snap.payload)
+        legacy["config"] = dict(legacy["config"], task_timeout=5.0)
+        data = snapshot.encode_snapshot(
+            legacy, snap.round_index, snap.config_hash, snap.fingerprint
+        )
+        target = tmp_path / "legacy.esnap"
+        target.write_bytes(data)
+        resumed = _resume(str(target), stream)
+        _assert_bit_identical(clean, resumed)
+
 
 # ---------------------------------------------------------------------------
 # snapshot writes under the fault machinery

@@ -274,19 +274,14 @@ class TestBatchParseDiagnostics:
             for _ in stream.iter_chunks(chunk_size=1):
                 pass
 
-    def test_sharded_pass_with_shm_spooling_line_numbered_error(
-        self, tmp_path, monkeypatch
-    ):
+    def test_threaded_pass_line_numbered_error(self, tmp_path, monkeypatch):
         import numpy as np
 
         from repro.core import executor
         from repro.core.kernels import DegreeCountPlan
-        from repro.streams import shm
         from repro.streams.multipass import PassScheduler
 
         monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 1)
-        monkeypatch.setattr(shm, "_disabled", False)
-        assert shm.shm_enabled()
         path = tmp_path / "big_bad.txt"
         good = [f"{i} {i + 1}" for i in range(64)]
         path.write_text("\n".join(good + ["77 oops"] + good) + "\n")
@@ -296,51 +291,3 @@ class TestBatchParseDiagnostics:
             executor.run_plan(
                 PassScheduler(stream), plan, chunk_size=8, workers=2
             )
-
-    def test_shm_off_and_forced_failure_identical_results(
-        self, tmp_path, monkeypatch
-    ):
-        import numpy as np
-
-        from repro.core import executor
-        from repro.core.kernels import DegreeCountPlan
-        from repro.streams import shm
-        from repro.streams.multipass import PassScheduler
-
-        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 1)
-        path = tmp_path / "good.txt"
-        rng = np.random.default_rng(3)
-        rows = rng.integers(0, 40, size=(400, 2))
-        rows[:, 1] += rows[:, 0] + 1
-        path.write_text("\n".join(f"{u} {v}" for u, v in rows.tolist()) + "\n")
-        tracked = np.arange(50, dtype=np.int64)
-
-        def run_once():
-            stream = FileEdgeStream(path)
-            return executor.run_plan(
-                PassScheduler(stream),
-                DegreeCountPlan(tracked),
-                chunk_size=16,
-                workers=2,
-            ).tolist()
-
-        monkeypatch.setattr(shm, "_disabled", False)
-        with_shm = run_once()
-
-        # REPRO_SHM=0: transport disabled up front, blocks are pickled.
-        monkeypatch.setattr(shm, "_disabled", True)
-        without_shm = run_once()
-        assert without_shm == with_shm
-
-        # Forced failure: the first segment allocation raises, the
-        # transport disables itself mid-run, and results are unchanged.
-        monkeypatch.setattr(shm, "_disabled", False)
-
-        class ExplodingSegment:
-            def __init__(self, rows):
-                raise OSError("simulated shm exhaustion")
-
-        monkeypatch.setattr(shm, "SharedEdgeSegment", ExplodingSegment)
-        after_failure = run_once()
-        assert after_failure == with_shm
-        assert not shm.shm_enabled()  # the failure disabled the transport
