@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run the benchmark suite and record the engine perf trajectory.
 
-Ten stages:
+Eleven stages:
 
 1. (optional) the repo's experiment regenerators at ``REPRO_BENCH_SCALE``
    (default ``tiny`` - a smoke pass over every ``benchmarks/bench_*.py``);
@@ -47,6 +47,10 @@ Ten stages:
    its solo run (estimate, pass/sweep totals, root-RNG digest) and the
    tape's physical sweep count asserted strictly under the solo runs'
    sum - the cross-job sweep-sharing payoff, measured deterministically.
+11. a shared-probe measurement: one serial sweep of three degree plans
+   against one sweep of one, on a synthetic tape (medians of interleaved
+   pairs, results asserted equal to per-plan sweeps) - plans of one key
+   space probe each block once, so the ratio stays near 1.
 
 The results are *appended* to ``BENCH_engine.json`` at the repo root (a
 JSON array, one record per run), so successive PRs accumulate the speedup
@@ -56,7 +60,7 @@ uses) so a crash mid-append can never truncate it; if a previous crash
 *did* leave it unreadable, the corrupt file is backed up alongside and
 the history restarts rather than aborting the run.
 
-``--smoke`` is the CI regression gate: it reruns stages 2-10 at tiny scale,
+``--smoke`` is the CI regression gate: it reruns stages 2-11 at tiny scale,
 appends nothing, and exits non-zero if the measured chunked speedup (or
 the sharded speedup, when the box has the cores for it) regressed to
 below half of the last committed ``BENCH_engine.json`` entry, if the
@@ -70,7 +74,8 @@ workload, if recovering from injected worker crashes cost more than
 throughput fell below the text parser's, or if round-boundary
 snapshotting failed resume parity or cost more than 2x the clean wall
 clock, or if concurrently-served same-tape jobs failed to come in under
-the solo runs' summed sweep count - wired into the tier-1 flow as an
+the solo runs' summed sweep count, or if the three-plan shared-probe sweep
+cost more than 2x the one-plan sweep - wired into the tier-1 flow as an
 opt-in pytest
 (``tests/test_bench_smoke.py``, ``REPRO_SMOKE=1``).
 
@@ -328,6 +333,62 @@ def run_sharded_comparison(scale: str) -> dict:
         "total_speedup": round(totals["serial"] / totals["sharded"], 2),
         "scan": scan,
     }
+
+
+#: Tracked-id counts of the shared-probe stage's three degree plans (the
+#: key-set sizes of one robust-grid speculation window).
+SHARED_PROBE_IDS = (240, 479, 960)
+
+
+def run_shared_probe_comparison(scale: str) -> dict:
+    """One sweep of three degree plans against one sweep of one.
+
+    The three plans probe one key space, so the sweep probes each block
+    once against the union of their ids; the ratio of the two medians
+    (over :data:`TIMING_PAIRS` interleaved pairs, serial executor) is
+    what the third and second plan cost on top of the first - ~1 when
+    sharing pays, ~3 when every plan probes the block itself.  The
+    shared sweep's results are asserted equal to per-plan sweeps.
+    """
+    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
+        return {"scale": scale, "have_numpy": False}
+    import numpy as np
+
+    from repro.core.executor import run_plan, run_plans
+    from repro.core.kernels import DegreeCountPlan
+    from repro.streams.multipass import PassScheduler
+
+    m = SCAN_EDGES[scale]
+    rng = np.random.default_rng(1)
+    raw = rng.integers(0, 1 << 20, size=(m, 2), dtype=np.int64)
+    raw[:, 1] += 1 + raw[:, 0]  # u < v, no self-loops
+    stream = InMemoryEdgeStream([tuple(row) for row in raw.tolist()], validate=False)
+    endpoints = np.unique(raw)
+    tracked = [np.sort(rng.choice(endpoints, size=n, replace=False)) for n in SHARED_PROBE_IDS]
+
+    def sweep(ids):
+        def run():
+            plans = [DegreeCountPlan(keys) for keys in ids]
+            return run_plans(PassScheduler(stream), plans, chunk_size=65536, workers=1)
+
+        return run
+
+    one_sec, three_sec, _, shared = _paired_medians(sweep(tracked[-1:]), sweep(tracked))
+    solo = [run_plan(PassScheduler(stream), DegreeCountPlan(keys), workers=1) for keys in tracked]
+    assert all(a.tolist() == b.tolist() for a, b in zip(shared, solo)), "shared probe parity violated"
+    result = {
+        "scale": scale,
+        "edges": m,
+        "tracked_ids": list(SHARED_PROBE_IDS),
+        "workers": 1,
+        "cpu_count": os.cpu_count(),
+        "timing": f"median of {TIMING_PAIRS} interleaved pairs",
+        "one_plan_sec": round(one_sec, 5),
+        "three_plans_sec": round(three_sec, 5),
+        "ratio": round(three_sec / one_sec, 2),
+    }
+    print(f"[bench-suite] shared probe: {result}")
+    return result
 
 
 def run_fused_comparison(scale: str) -> dict:
@@ -1041,6 +1102,7 @@ def run_smoke(output: pathlib.Path) -> int:
     current_engine = run_engine_comparison("tiny")
     current_sharded = run_sharded_comparison("tiny")
     current_fused = run_fused_comparison("tiny")
+    current_shared_probe = run_shared_probe_comparison("tiny")
     current_speculative = run_speculative_comparison("tiny")
     current_depth_sweep = run_speculative_depth_sweep("tiny")
     current_fault_recovery = run_fault_recovery("tiny")
@@ -1077,6 +1139,14 @@ def run_smoke(output: pathlib.Path) -> int:
     if measured_fused is not None and measured_fused < 0.9:
         failures.append(
             f"fused engine slower than unfused sharded: {measured_fused}x (< 0.9x floor)"
+        )
+    # Plans sharing a sweep probe each block once per key space, so three
+    # degree plans must cost well under three single-plan sweeps (~1.1x
+    # when the union probe is shared, ~2.5-3x when each plan probes).
+    shared_ratio = current_shared_probe.get("ratio")
+    if shared_ratio is not None and shared_ratio > 2.0:
+        failures.append(
+            f"shared probe not shared: 3-plan sweep {shared_ratio}x a 1-plan sweep (> 2.0x)"
         )
     # The speculation gate is deterministic (sweep counts, not wall clock):
     # a speculative multi-round run must not exceed the sequential sweep
@@ -1206,6 +1276,7 @@ def main() -> int:
     record["engine_comparison"] = run_engine_comparison(args.scale)
     record["sharded_comparison"] = run_sharded_comparison(args.scale)
     record["fused_comparison"] = run_fused_comparison(args.scale)
+    record["shared_probe"] = run_shared_probe_comparison(args.scale)
     record["speculative_comparison"] = run_speculative_comparison(args.scale)
     record["speculative_depth_sweep"] = run_speculative_depth_sweep(args.scale)
     record["fault_recovery"] = run_fault_recovery(args.scale)

@@ -51,8 +51,9 @@ Commands
 ``estimate`` (and ``resume``) accept ``--checkpoint-dir``: the driver
 then writes an atomic ``.esnap`` snapshot after every committed round
 (cadence ``--snapshot-every``, rotation ``--snapshot-keep``), and a
-SIGTERM/SIGINT mid-run flushes a final snapshot before exiting 130, so
-the run can be continued with ``repro resume``.
+SIGINT mid-run, or SIGTERM (honoured at the next round boundary), flushes
+a final snapshot before exiting 130, so the run can be continued with
+``repro resume``.
 
 Every command taking an input file auto-detects its format by magic
 bytes, so text edge lists and ``.etape`` tapes are interchangeable.
@@ -76,7 +77,7 @@ from typing import Iterator, List, Optional
 from . import __version__
 from .analysis import format_table, predicted_bounds
 from .errors import GraphError, ServeError, SnapshotError, StreamError
-from .core.driver import EstimatorConfig, TriangleCountEstimator
+from .core.driver import EstimatorConfig, TriangleCountEstimator, stop_requested
 from .core.estimator import PASS_BUDGET_PER_ROUND
 from .core.exact_reference import ExactStreamingCounter
 from .generators import standard_suite, workload_by_name
@@ -322,11 +323,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _graceful_signals(checkpoint_dir: Optional[str]) -> Iterator[None]:
-    """Convert SIGTERM into ``KeyboardInterrupt`` while checkpointing.
+    """Stop at the next round boundary on SIGTERM while checkpointing.
 
-    The driver's guessing loop flushes a final snapshot on
-    ``KeyboardInterrupt``/``SystemExit`` before re-raising; SIGINT already
-    arrives as ``KeyboardInterrupt``, so only SIGTERM needs translating.
+    The handler only sets :data:`repro.core.driver.stop_requested`; the
+    driver reads it at each committed round boundary, flushes a final
+    snapshot and raises ``KeyboardInterrupt`` (SIGINT still raises it at
+    once, and the driver flushes the retained boundary then too).
     Installed only when a checkpoint dir is in force (there is nothing
     durable to flush otherwise) and only where a handler may be installed
     (the main thread).
@@ -334,15 +336,11 @@ def _graceful_signals(checkpoint_dir: Optional[str]) -> Iterator[None]:
     if checkpoint_dir is None:
         yield
         return
-    # NumPy imports ``numpy.random`` lazily, on the first round's sample
-    # draws; an interrupt raised while its extension modules initialise
-    # is lost, and the run would finish with exit 0 as if never signalled.
-    try:
-        import numpy.random  # noqa: F401
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        pass
-    def _terminate(signum, frame):  # pragma: no cover - exercised via subprocess
-        raise KeyboardInterrupt
+
+    def _terminate(signum, frame):
+        stop_requested.set()
+
+    stop_requested.clear()
     try:
         previous = signal.signal(signal.SIGTERM, _terminate)
     except ValueError:  # pragma: no cover - non-main thread embedding
@@ -352,6 +350,7 @@ def _graceful_signals(checkpoint_dir: Optional[str]) -> Iterator[None]:
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+        stop_requested.clear()
 
 
 def _print_estimate(result) -> None:

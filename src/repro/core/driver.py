@@ -33,6 +33,7 @@ import dataclasses
 import math
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
@@ -56,6 +57,12 @@ from .faults import FailureReport, RecoveryContext
 from .params import ParameterPlan, PlanConstants
 from .stages import TaggedStage, sweep_tagged_stages
 
+#: Set from a signal handler (the CLI's SIGTERM) to stop a running
+#: estimate at its next committed round boundary: the driver persists that
+#: boundary, flushes the final snapshot and raises ``KeyboardInterrupt``.
+#: Raising from the handler itself could land inside any C-extension
+#: import or NumPy call; a flag is read only where stopping is clean.
+stop_requested = threading.Event()
 
 
 @dataclass(frozen=True)
@@ -440,6 +447,8 @@ class TriangleCountEstimator:
                         _boundary_payload(cfg, kappa, state, recovery.reports),
                     )
             committed = state
+            if stop_requested.is_set():
+                raise KeyboardInterrupt("stop requested at a round boundary")
 
         start = resume
         try:

@@ -32,6 +32,14 @@ the kernels inline.  Because kernels are pure and only the calling thread
 absorbs, in stream order, every fold sees the sequence it would see
 serially: results are bit-identical at any thread count.
 
+Shared probes: a plan whose spec holds a keyed membership probe reports
+it through :meth:`PassPlan.probe`.  At sweep start the active plans'
+probes are grouped by key space; a space with two or more probes gets one
+union probe for the sweep (:class:`~repro.core.kernels.SharedProbe`), so
+each task probes its block once per key space and each kernel takes its
+own hits from it.  A space with one probe keeps the plan's own table:
+single-plan sweeps run exactly as before.
+
 Early stop: a plan that reports ``finished()`` or is past its
 ``stop_row()`` receives no more partials, the sweep stops reading once
 every plan is done, and at most ``INFLIGHT_PER_WORKER * workers`` tasks
@@ -115,6 +123,11 @@ class PassPlan(ABC):
 
     def stop_row(self) -> Optional[int]:
         """Static row bound past which the tape is dead, or ``None``."""
+        return None
+
+    def probe(self) -> Optional[Any]:
+        """The plan's keyed membership probe (:class:`~repro.core.kernels.Probe`),
+        if its spec holds one; probes of one key space share a sweep's union."""
         return None
 
     @abstractmethod
@@ -304,6 +317,7 @@ def _sweep(
             states[i].absorb(partial, task.end)
 
     chunks = scheduler.new_fused_pass_chunks(chunk, passes=passes, owners=owners)
+    shared = _share_probes(plans, states)
     try:
         for block in chunks:
             batch.append(block)
@@ -336,4 +350,25 @@ def _sweep(
             wait(pending)
         finally:
             chunks.close()
+            for probe in shared:
+                probe.shared = None
     return [plan.result() for plan in plans]
+
+
+def _share_probes(plans: Sequence[PassPlan], states: Sequence[_PlanState]) -> List[Any]:
+    """Bind the active plans' probes to one union per key space.
+
+    Returns the probes bound to a union (to unbind when the sweep ends);
+    a key space probed by one plan only keeps that plan's own table.
+    """
+    spaces: Dict[Any, List[Any]] = {}
+    for plan, state in zip(plans, states):
+        probe = None if state.done else plan.probe()
+        if probe is not None and len(probe):
+            spaces.setdefault(probe.space, []).append(probe)
+    shared: List[Any] = []
+    for space, probes in spaces.items():
+        space.share(probes)
+        if len(probes) > 1:
+            shared.extend(probes)
+    return shared

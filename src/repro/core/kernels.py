@@ -17,13 +17,25 @@ simply run the matching plan through
 threaded - goes through one execution spine.
 
 Every tracked-set test is *prefiltered*: each plan that asks "which block
-values are tracked keys?" builds one :class:`KeySet` at construction - the
-sorted keys plus a hashed presence table of at least 8 slots per key - and
-hands it out as (part of) its spec.  The kernels hash the whole block, gather
-from the table, and run the exact ``searchsorted`` only on the survivors
-(about a tenth of the endpoints on the canonical tapes).  The table is
-charged to the round's meter as ``kernel-prefilter`` words by the stage
-that builds the plan (:func:`~repro.core.stages.charge_prefilter`).
+values are tracked keys?" holds its sorted keys in a :class:`Probe` of one
+:class:`KeySpace` - block endpoints (:data:`VERTEX`) or packed canonical
+edges (:data:`EDGE`) - and hands it out as (part of) its spec.  Probing
+builds a :class:`KeySet`: the keys plus a hashed presence table of at least
+8 slots per key.  The kernels hash the whole block, gather from the table,
+and run the exact ``searchsorted`` only on the survivors (about a tenth of
+the endpoints on the canonical tapes).  The table is charged to the
+round's meter as ``kernel-prefilter`` words by the stage that builds the
+plan (:func:`~repro.core.stages.charge_prefilter`).
+
+Co-riders share probes: when two or more active plans of one sweep probe
+the same key space (speculative rounds, a fused pass-4/5 group, co-served
+jobs), the executor binds them to one :class:`SharedProbe` over the union
+of their keys.  Each task then probes its block once per key space, and
+every plan keeps the hits on its own keys, re-ranked among them - the
+exact ``(positions, ranks)`` its own table would give, so partials and
+results are unchanged.  A plan alone in its key space probes its own table
+exactly as before.  The union table has exactly the slots of the members'
+tables together, so the per-plan charges still account for it.
 
 Plan-to-pass map (Algorithm 2 / Algorithm 3 of the paper):
 
@@ -37,12 +49,12 @@ plan                                  pass it accelerates
                                       rank, so shard order is irrelevant)
 :class:`DegreeCountPlan`              pass 2 - degrees of the endpoints of
                                       ``R`` (id remap via the prefiltered
-                                      :class:`KeySet` + ``bincount``;
+                                      vertex :class:`Probe` + ``bincount``;
                                       merge sums the per-shard count
                                       tables)
 :class:`IncidentEdgePlan`             passes 3 and 5 - only edges incident
                                       to a tracked owner (prefiltered
-                                      :class:`KeySet` test) matter; matched
+                                      vertex :class:`Probe`) matter; matched
                                       edges are replayed to a callback in
                                       stream order, so the caller's
                                       sequential RNG consumption runs
@@ -57,18 +69,18 @@ plan                                  pass it accelerates
 :class:`NeighborPositionPlan`         pass 3 - the neighbor at each
                                       requested (owner, occurrence) event
                                       (owners found via the prefiltered
-                                      :class:`KeySet`); shards report
+                                      vertex :class:`Probe`); shards report
                                       per-batch occurrence counts and
                                       hits, merged in stream-offset order
 :class:`WatchKeyPlan`                 passes 4 and 6 - closure watches:
                                       which of the wedges' missing edges
                                       appear anywhere on the tape (packed
-                                      64-bit keys in a prefiltered
-                                      :class:`KeySet`; merge unions the
+                                      64-bit keys in a prefiltered edge
+                                      :class:`Probe`; merge unions the
                                       hit sets)
 :class:`PackedKeyCountPlan`           pass 6 - occurrence counts of packed
-                                      watch keys (prefiltered
-                                      :class:`KeySet`; merge sums)
+                                      watch keys (prefiltered edge
+                                      :class:`Probe`; merge sums)
 :class:`EdgeReplayPlan`               any pass - identity kernel + per-row
                                       parent-side replay; the plan-shaped
                                       fallback for scans with no
@@ -91,6 +103,7 @@ the affected chunk (correct, just slower).
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -116,7 +129,10 @@ class KeySet:
     :func:`~repro.core.stages.prefilter_bits` slots (at least
     :data:`~repro.core.stages.PREFILTER_SLOTS_PER_KEY` per key), indexed
     by the multiplicative hash ``(key * 0x9E3779B97F4A7C15) >> (64 - bits)``
-    over the key's 64-bit pattern.  A clear slot proves absence, so the
+    over the key's 64-bit pattern.  Given an explicit ``slots`` count (a
+    :class:`SharedProbe`'s union), the table has exactly that many slots and
+    the hash's top 32 bits are scaled to them: ``(h >> 32) * slots >> 32``
+    (``slots`` below 2^32).  A clear slot proves absence, so the
     exact binary search runs only on the block values whose slot is set.
     Keys may be int64 vertex ids or uint64 packed edge keys; probes must
     share the keys' dtype.
@@ -125,13 +141,17 @@ class KeySet:
     instance concurrently.
     """
 
-    __slots__ = ("keys", "table", "_shift")
+    __slots__ = ("keys", "table", "_shift", "_range")
 
-    def __init__(self, keys: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, slots: Optional[int] = None) -> None:
         self.keys = keys
-        bits = prefilter_bits(len(keys))
-        self._shift = np.uint64(64 - bits)
-        self.table = np.zeros(1 << bits, dtype=bool)
+        if slots is None:
+            bits = prefilter_bits(len(keys))
+            self._shift, self._range = np.uint64(64 - bits), None
+            slots = 1 << bits
+        else:
+            self._shift, self._range = np.uint64(32), np.uint64(slots)
+        self.table = np.zeros(slots, dtype=bool)
         self.table[self._slots(keys)] = True
 
     def __len__(self) -> int:
@@ -140,6 +160,9 @@ class KeySet:
     def _slots(self, values: np.ndarray) -> np.ndarray:
         slots = values.view(np.uint64) * _HASH_MULTIPLIER
         slots >>= self._shift
+        if self._range is not None:
+            slots *= self._range
+            slots >>= np.uint64(32)
         return slots
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -160,6 +183,126 @@ def pack_canonical_rows(rows: np.ndarray) -> Optional[np.ndarray]:
     packed <<= np.uint64(32)
     packed |= rows[:, 1].astype(np.uint64)
     return packed
+
+
+def _packed_block(rows: np.ndarray) -> np.ndarray:
+    """The block's packed edge keys; rows with ids beyond the packing are
+    dropped (they cannot match any packed key)."""
+    packed = pack_canonical_rows(rows)
+    if packed is None:
+        packed = pack_canonical_rows(rows[(rows < PACK_LIMIT).all(axis=1)])
+    return packed
+
+
+class KeySpace:
+    """What a block's rows are probed as: its endpoints, or its packed edges.
+
+    Probes of one space see the same values for the same block, so the
+    executor lets the plans of a sweep that probe one space share one
+    union probe (:meth:`share`).
+    """
+
+    __slots__ = ("name", "values")
+
+    def __init__(self, name: str, values: Callable[[np.ndarray], np.ndarray]) -> None:
+        self.name = name
+        self.values = values
+
+    def share(self, probes: Sequence["Probe"]) -> None:
+        """Bind one sweep's non-empty probes of this space for the sweep.
+
+        A lone probe builds its own table and probes exactly as it would
+        outside a sweep; two or more are bound to one
+        :class:`SharedProbe` over the union of their keys.  The union's
+        table has exactly as many slots as the members' own tables
+        together - at least 8 per union key, since each member has at
+        least 8 per key - so the members' ``kernel-prefilter`` charges
+        are exactly the union's size.
+        """
+        if len(probes) == 1:
+            probes[0].own()
+            return
+        keys = np.unique(np.concatenate([probe.keys for probe in probes]))
+        slots = sum(1 << prefilter_bits(len(probe)) for probe in probes)
+        union = SharedProbe(self, keys, slots)
+        for probe in probes:
+            probe.shared = union
+
+
+#: Vertex-keyed plans probe every endpoint of the block.
+VERTEX = KeySpace("vertex", lambda rows: rows.reshape(-1))
+#: Edge-keyed plans probe the block's packed canonical edges.
+EDGE = KeySpace("edge", _packed_block)
+
+
+class SharedProbe:
+    """The union of several plans' keys in one key space, for one sweep.
+
+    ``find`` probes a block once per task: the first plan's kernel of the
+    task computes it and the task's other kernels reuse it.  The memo
+    holds one block per thread, keyed by the task's ``start_row`` (a
+    task's block is fixed for the sweep, and a retried task reruns the
+    same block), and lives with this object, so it never outlives the
+    sweep.
+    """
+
+    __slots__ = ("space", "keys", "_keyset", "_memo")
+
+    def __init__(self, space: KeySpace, keys: np.ndarray, slots: int) -> None:
+        self.space = space
+        self.keys = keys
+        self._keyset = KeySet(keys, slots)
+        self._memo = threading.local()
+
+    def find(self, start_row: int, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The union's ``(positions, ranks)`` for the block at ``start_row``."""
+        memo = self._memo
+        if getattr(memo, "start_row", None) != start_row:
+            memo.hits = self._keyset.find(self.space.values(rows))
+            memo.start_row = start_row
+        return memo.hits
+
+
+class Probe:
+    """One plan's membership test: its sorted keys in one :class:`KeySpace`.
+
+    A plan holds its keys, not a table: probed alone, the probe builds the
+    plan's own :class:`KeySet` (at sweep start, or on first use); bound to
+    a sweep's :class:`SharedProbe` by :meth:`KeySpace.share`, it reads the
+    union's hits and keeps those that are its own keys, re-ranked against
+    them by ``searchsorted``.  Either way ``find`` returns what the plan's
+    own ``KeySet.find`` would: the ascending positions of its keys in the
+    block's probe values and their ranks among its keys.
+    """
+
+    __slots__ = ("space", "keys", "shared", "_own")
+
+    def __init__(self, space: KeySpace, keys: np.ndarray) -> None:
+        self.space = space
+        self.keys = keys
+        self.shared: Optional[SharedProbe] = None
+        self._own: Optional[KeySet] = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def own(self) -> KeySet:
+        """The plan's own table, built on first use."""
+        if self._own is None:
+            self._own = KeySet(self.keys)
+        return self._own
+
+    def find(self, start_row: int, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, ranks)`` of the plan's keys among the block's probe values."""
+        shared = self.shared
+        if shared is None:
+            return self.own().find(self.space.values(rows))
+        positions, union_ranks = shared.find(start_row, rows)
+        values = shared.keys[union_ranks]
+        ranks = np.searchsorted(self.keys, values)
+        np.minimum(ranks, len(self.keys) - 1, out=ranks)
+        hit = self.keys[ranks] == values
+        return positions[hit], ranks[hit]
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +368,12 @@ class PositionCollectPlan(PassPlan):
 # pass 2 - tracked-vertex degree counting
 
 
-def _degree_kernel(spec: KeySet, start_row: int, rows: np.ndarray):
+def _degree_kernel(spec: Probe, start_row: int, rows: np.ndarray):
     """Per-block ``bincount`` of tracked-endpoint occurrences."""
     tracked = spec
     if len(tracked) == 0:
         return None
-    ranks = tracked.find(rows.reshape(-1))[1]
+    ranks = tracked.find(start_row, rows)[1]
     if not len(ranks):
         return None
     return np.bincount(ranks, minlength=len(tracked))
@@ -248,10 +391,13 @@ class DegreeCountPlan(PassPlan):
     kernel = staticmethod(_degree_kernel)
 
     def __init__(self, tracked_ids: np.ndarray) -> None:
-        self._ids = KeySet(tracked_ids)
+        self._ids = Probe(VERTEX, tracked_ids)
         self._counts = np.zeros(len(tracked_ids), dtype=np.int64)
 
-    def spec(self) -> KeySet:
+    def spec(self) -> Probe:
+        return self._ids
+
+    def probe(self) -> Probe:
         return self._ids
 
     def absorb(self, partial) -> None:
@@ -268,13 +414,13 @@ class DegreeCountPlan(PassPlan):
 # passes 3 and 5 - edges incident to a tracked owner, replayed in order
 
 
-def _incident_kernel(spec: KeySet, start_row: int, rows: np.ndarray):
+def _incident_kernel(spec: Probe, start_row: int, rows: np.ndarray):
     """The block's rows with a tracked endpoint, in stream order."""
     tracked = spec
     if len(tracked) == 0:
         return None
     hit = np.zeros(len(rows), dtype=bool)
-    hit[tracked.find(rows.reshape(-1))[0] >> 1] = True
+    hit[tracked.find(start_row, rows)[0] >> 1] = True
     sel = np.flatnonzero(hit)
     if not len(sel):
         return None
@@ -303,10 +449,13 @@ class IncidentCollectPlan(PassPlan):
     kernel = staticmethod(_incident_kernel)
 
     def __init__(self, tracked_ids: Sequence[Vertex]) -> None:
-        self._ids = KeySet(np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
+        self._ids = Probe(VERTEX, np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
         self._blocks: List[np.ndarray] = []
 
-    def spec(self) -> KeySet:
+    def spec(self) -> Probe:
+        return self._ids
+
+    def probe(self) -> Probe:
         return self._ids
 
     def absorb(self, partial) -> None:
@@ -333,10 +482,13 @@ class IncidentEdgePlan(PassPlan):
     kernel = staticmethod(_incident_kernel)
 
     def __init__(self, tracked_ids: Sequence[Vertex], visit: Callable[[Vertex, Vertex], None]) -> None:
-        self._ids = KeySet(np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
+        self._ids = Probe(VERTEX, np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
         self._visit = visit
 
-    def spec(self) -> KeySet:
+    def spec(self) -> Probe:
+        return self._ids
+
+    def probe(self) -> Probe:
         return self._ids
 
     def absorb(self, partial) -> None:
@@ -401,12 +553,11 @@ def _neighbor_kernel(spec, start_row: int, rows: np.ndarray):
     an owner can never match and are dropped in the worker).
     """
     owners, max_position = spec
-    endpoints = rows.reshape(-1)
-    neighbors = rows[:, ::-1].reshape(-1)
-    positions, event_owner = owners.find(endpoints)
+    positions, event_owner = owners.find(start_row, rows)
     if not len(positions):
         return None
-    event_neighbor = neighbors[positions]
+    # The far endpoint of flattened endpoint 2i + j is 2i + (1 - j).
+    event_neighbor = rows.reshape(-1)[positions ^ 1]
     order = np.argsort(event_owner, kind="stable")
     grouped_owner = event_owner[order]
     counts = np.bincount(grouped_owner, minlength=len(owners))
@@ -440,7 +591,7 @@ class NeighborPositionPlan(PassPlan):
         request_owner_index: np.ndarray,
         request_positions: np.ndarray,
     ) -> None:
-        self._owners = KeySet(owner_ids)
+        self._owners = Probe(VERTEX, owner_ids)
         self._total = len(request_positions)
         request_keys = request_owner_index.astype(np.uint64)
         request_keys <<= np.uint64(32)
@@ -457,6 +608,9 @@ class NeighborPositionPlan(PassPlan):
 
     def spec(self):
         return self._owners, self._max_position
+
+    def probe(self) -> Probe:
+        return self._owners
 
     def absorb(self, partial) -> None:
         counts, owners, local, neighbors = partial
@@ -491,13 +645,7 @@ def _watch_kernel(spec, start_row: int, rows: np.ndarray):
     """Indices (into the sorted key list) of watched keys seen in the block."""
     packed_keys, key_index = spec
     if packed_keys is not None:
-        packed_block = pack_canonical_rows(rows)
-        if packed_block is None:
-            # Overflowing ids (> 32 bits) in this block cannot match any
-            # packed key; scan only the rows that still could.
-            small = rows[(rows < PACK_LIMIT).all(axis=1)]
-            packed_block = pack_canonical_rows(small)
-        ranks = packed_keys.find(packed_block)[1]
+        ranks = packed_keys.find(start_row, rows)[1]
         if not len(ranks):
             return None
         return np.unique(ranks)
@@ -520,9 +668,9 @@ class WatchKeyPlan(PassPlan):
     When several estimator instances watch overlapping keys the caller
     passes the *union* once - the scan cost is per unique key, and the
     per-instance fan-out happens on the caller's side of the result.
-    The spec ships the packed keys' :class:`KeySet` when the keys fit the
-    32-bit packing; only overflowing key sets ship the key -> rank index
-    for the per-row fallback.
+    The spec holds the packed keys' edge :class:`Probe` when the keys fit
+    the 32-bit packing; only overflowing key sets hold the key -> rank
+    index for the per-row fallback, which has no key space to share.
     """
 
     name = "pass4/watch"
@@ -535,7 +683,7 @@ class WatchKeyPlan(PassPlan):
             if self._key_list
             else None
         )
-        self._packed = KeySet(packed) if packed is not None else None
+        self._packed = Probe(EDGE, packed) if packed is not None else None
         self._key_index = (
             {key: i for i, key in enumerate(self._key_list)}
             if self._key_list and self._packed is None
@@ -545,6 +693,9 @@ class WatchKeyPlan(PassPlan):
 
     def spec(self):
         return self._packed, self._key_index
+
+    def probe(self) -> Optional[Probe]:
+        return self._packed
 
     def absorb(self, partial) -> None:
         self._seen[partial] = True
@@ -556,16 +707,12 @@ class WatchKeyPlan(PassPlan):
         return {key for key, ok in zip(self._key_list, self._seen.tolist()) if ok}
 
 
-def _packed_count_kernel(spec: KeySet, start_row: int, rows: np.ndarray):
+def _packed_count_kernel(spec: Probe, start_row: int, rows: np.ndarray):
     """Per-block occurrence ``bincount`` of the packed watch keys."""
     packed_keys = spec
     if len(packed_keys) == 0:
         return None
-    packed_block = pack_canonical_rows(rows)
-    if packed_block is None:
-        small = rows[(rows < PACK_LIMIT).all(axis=1)]
-        packed_block = pack_canonical_rows(small)
-    ranks = packed_keys.find(packed_block)[1]
+    ranks = packed_keys.find(start_row, rows)[1]
     if not len(ranks):
         return None
     return np.bincount(ranks, minlength=len(packed_keys))
@@ -589,10 +736,13 @@ class PackedKeyCountPlan(PassPlan):
     kernel = staticmethod(_packed_count_kernel)
 
     def __init__(self, packed_keys: np.ndarray) -> None:
-        self._keys = KeySet(packed_keys)
+        self._keys = Probe(EDGE, packed_keys)
         self._counts = np.zeros(len(packed_keys), dtype=np.int64)
 
-    def spec(self) -> KeySet:
+    def spec(self) -> Probe:
+        return self._keys
+
+    def probe(self) -> Probe:
         return self._keys
 
     def absorb(self, partial) -> None:

@@ -18,6 +18,9 @@ with a **single** shared traversal.  Each stage still receives exactly the fold 
 have received alone (plans via the executor's per-plan partial streams,
 folds via :func:`drive_folds`'s per-fold early-abandon), so results are
 bit-identical whether a stage's sweep was private or shared.
+On the chunked engines the shared traversal also shares the membership
+probes: the plans of one key space probe each block once, against the
+union of their keys (see :mod:`repro.core.kernels`).
 """
 
 from __future__ import annotations

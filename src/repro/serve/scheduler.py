@@ -21,6 +21,11 @@ its solo run.  The jobs need not be in the same round, or even the same
 phase: job A's pass-4 stage can ride the same traversal as job B's
 pass-1 stage.
 
+Co-riding jobs share compute as well as the read: plans of different
+jobs that probe one key space (tracked vertex ids, packed watch edges)
+probe each block once against the union of their keys (see
+:class:`~repro.core.kernels.SharedProbe`), each taking its own hits.
+
 Admission happens at step boundaries: a job submitted while a sweep is
 in flight joins at the next step (its first-round stages co-ride from
 then on).  Commit/discard is per job - each program books its own
