@@ -20,9 +20,12 @@ Eleven stages:
    asserted to never exceed - and on multi-round estimates to beat - the
    sequential sweep count, wall-clock speedup recorded;
 6. a speculation *depth* sweep on a file-backed multi-round workload:
-   physical sweeps and wall clock at depths 1 (sequential), 2, 3, and 4,
-   bit-identity asserted at every depth and deeper windows asserted to
-   never perform more sweeps than the depth-2 pair driver;
+   physical sweeps and wall clock at depths 1 (sequential), 2, 3, 4 and
+   the default schedule, bit-identity asserted at every depth and deeper
+   windows asserted to never perform more sweeps than the depth-2 pair
+   driver; then sequential vs the default on a dense disjoint-K8
+   workload (the default's worst case: an early acceptance in the first,
+   unclipped window);
 7. a fault-recovery overhead measurement: the canonical threaded
    multi-round estimate run clean and again with the deterministic fault
    harness crashing a task on each of the first few sweeps -
@@ -69,7 +72,9 @@ sweep (both wall-clock comparisons take medians of interleaved pairs),
 if the speculative driver's multi-round physical sweep count
 failed to come in under the sequential driver's, if depth-3 windows
 performed more physical sweeps than depth-2 pairs on the canonical
-workload, if recovering from injected worker crashes cost more than
+workload, if the default schedule's physical sweeps were not under the
+sequential count there, if the default discarded more than six passes
+on the K8 workload, if recovering from injected worker crashes cost more than
 2x the clean run's physical sweeps, or if the mmap tape's raw sweep
 throughput fell below the text parser's, or if round-boundary
 snapshotting failed resume parity or cost more than 2x the clean wall
@@ -104,7 +109,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro import __version__  # noqa: E402
-from repro.core import engine_overrides  # noqa: E402
+from repro.core import engine, engine_overrides  # noqa: E402
 from repro.core.engine import HAVE_NUMPY  # noqa: E402
 from repro.core.estimator import run_single_estimate  # noqa: E402
 from repro.core.params import ParameterPlan  # noqa: E402
@@ -560,21 +565,81 @@ def run_speculative_comparison(scale: str, repeats: int = 3) -> dict:
     }
 
 
+#: Disjoint K8s in the depth sweep's dense workload (kappa = 7, T = 2m):
+#: the estimate accepts in round 2 or 3, inside the first 4-deep window.
+K8_CLIQUES = {"tiny": 2_000, "small": 8_000, "medium": 35_000}
+
+
+def _timed_estimate(stream, kappa: int, config, repeats: int, **policy):
+    """Best-of-``repeats`` wall clock and the last result, under ``policy``."""
+    from repro.core.driver import TriangleCountEstimator
+
+    best = float("inf")
+    with engine_overrides(**policy):
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = TriangleCountEstimator(config).estimate(stream, kappa=kappa)
+            best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _dense_default_rows(scale: str, repeats: int) -> list:
+    """Sequential vs the default schedule on disjoint K8s.
+
+    The first window has no median for the expected-waste cap to clip,
+    so a dense input that accepts early is the default's worst case: at
+    most the window's last round (six passes) may be discarded.
+    """
+    from repro.core.driver import EstimatorConfig
+    from repro.graph import Graph
+
+    cliques = K8_CLIQUES[scale]
+    graph = Graph(
+        edges=[(8 * b + i, 8 * b + j) for b in range(cliques) for i in range(8) for j in range(i + 1, 8)]
+    )
+    stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(2)))
+    config = EstimatorConfig(seed=3, engine_mode="chunked", workers=1)
+    rows = []
+    for label, policy in (
+        ("sequential", dict(speculative=False)),
+        ("default", dict(speculative=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)),
+    ):
+        best, result = _timed_estimate(stream, 7, config, repeats, **policy)
+        rows.append(
+            {
+                "schedule": label,
+                "cliques": cliques,
+                "m": graph.num_edges,
+                "rounds": len(result.rounds),
+                "estimate": result.estimate,
+                "physical": result.sweeps_total + result.sweeps_wasted,
+                "passes_wasted": result.passes_wasted,
+                "sec": round(best, 5),
+            }
+        )
+        print(f"[bench-suite] k8 {label}: {rows[-1]}")
+    assert rows[0]["estimate"] == rows[1]["estimate"], "default schedule parity violated"
+    return rows
+
+
 def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     """Physical sweeps and wall clock as a function of speculation depth.
 
     One canonical multi-round workload - the E9 sweep's largest size,
     written to disk so every sweep re-parses the tape - estimated by the
-    sequential driver (depth 1) and by speculative windows of depth 2, 3,
-    and 4.  Estimates, trajectories, and logical-pass totals are asserted
-    bit-identical at every depth, and no deeper window may perform more
-    physical sweeps (committed + wasted) than the depth-2 pair driver.
+    sequential driver (depth 1), by speculative windows of depth 2, 3,
+    and 4, and by the default schedule (no speculation field set, the
+    shipped policy in force).  Estimates, trajectories, and logical-pass
+    totals are asserted bit-identical at every depth, and no deeper
+    window may perform more physical sweeps (committed + wasted) than the
+    depth-2 pair driver.  A dense disjoint-K8 workload then compares the
+    default against sequential (:func:`_dense_default_rows`).
     """
     if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
         return {"scale": scale, "have_numpy": False}
     import tempfile
 
-    from repro.core.driver import EstimatorConfig, TriangleCountEstimator
+    from repro.core.driver import EstimatorConfig
     from repro.io import write_edgelist
     from repro.streams.file import FileEdgeStream
 
@@ -587,23 +652,15 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     rows = []
     results = {}
     try:
-        for depth in (1, 2, 3, 4):
-            config = EstimatorConfig(
-                seed=3,
-                repetitions=3,
-                engine_mode="chunked",
-                workers=1,
-                fuse=True,
-                speculate=depth > 1,
-                speculate_depth=max(2, depth),
-            )
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                results[depth] = TriangleCountEstimator(config).estimate(
-                    stream, kappa=5
-                )
-                best = min(best, time.perf_counter() - start)
+        base = dict(seed=3, repetitions=3, engine_mode="chunked", workers=1, fuse=True)
+        default_policy = dict(speculative=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)
+        for depth in (1, 2, 3, 4, "default"):
+            if depth == "default":
+                config, policy = EstimatorConfig(**base), default_policy
+            else:
+                fields = dict(speculate=depth > 1, speculate_depth=max(2, depth))
+                config, policy = EstimatorConfig(**base, **fields), {}
+            best, results[depth] = _timed_estimate(stream, 5, config, repeats, **policy)
             result = results[depth]
             baseline = results[1]
             assert result.estimate == baseline.estimate, "depth parity violated"
@@ -644,6 +701,7 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
         "workers": 1,
         "cpu_count": os.cpu_count(),
         "rows": rows,
+        "k8_rows": _dense_default_rows(scale, repeats),
         "total_speedup": rows[-1]["speedup_vs_sequential"] if rows else None,
     }
 
@@ -1183,6 +1241,29 @@ def run_smoke(output: pathlib.Path) -> int:
             )
     elif current_depth_sweep.get("have_numpy", True):
         failures.append("speculative depth sweep produced no rows")
+    # The default-schedule gates are deterministic too: with no
+    # speculation field set, the canonical multi-round workload must take
+    # fewer physical sweeps than sequential, and the dense K8 workload -
+    # whose first window the waste cap cannot clip - may discard at most
+    # one round's six passes.
+    if depth_rows:
+        default_row, sequential_row = depth_rows.get("default"), depth_rows.get(1)
+        if default_row is None or sequential_row is None:
+            failures.append("speculative depth sweep missing default/sequential rows")
+        elif default_row["physical"] >= sequential_row["physical"]:
+            failures.append(
+                "default schedule saved no sweeps: "
+                f"{default_row['physical']} physical vs sequential's {sequential_row['physical']}"
+            )
+        k8_default = [
+            row for row in current_depth_sweep.get("k8_rows", []) if row["schedule"] == "default"
+        ]
+        if not k8_default:
+            failures.append("speculative depth sweep produced no K8 default row")
+        elif k8_default[0]["passes_wasted"] > 6:
+            failures.append(
+                f"default schedule wasted {k8_default[0]['passes_wasted']} passes on K8s (> 6)"
+            )
     # The fault-recovery gate is deterministic: recovery from injected
     # worker crashes must complete with bit-identical results (asserted
     # inside the stage) and cost at most 2x the clean run's physical

@@ -15,11 +15,12 @@ Commands
     cores; seed-for-seed identical at any count),
     ``--fuse`` turns on the fused sweep engine (independent pass plans of
     each round share physical tape sweeps; identical estimates, fewer
-    stream traversals), and ``--speculate`` additionally fuses guessing-loop
-    round *windows* (up to ``--speculate-depth`` pre-drawn rounds run
-    alongside round i; the prefix up to the first acceptance is committed
-    and the rest discarded; identical estimates, ~depth-fold fewer sweeps
-    on multi-round estimates).  ``--max-retries`` tunes
+    stream traversals), and speculation - on by default, ``--no-speculate``
+    turns it off - fuses guessing-loop round *windows* (up to
+    ``--speculate-depth`` rounds, default 4, run alongside round i; the
+    prefix up to the first acceptance is committed and the rest
+    discarded; identical estimates, ~depth-fold fewer sweeps on
+    multi-round estimates).  ``--max-retries`` tunes
     the fault-tolerant execution layer and ``--faults`` injects
     deterministic failures for testing; any tier the recovery ladder had
     to drop is reported as a ``degraded:`` line.
@@ -148,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "speculate-depth-1 pre-drawn later rounds share each pass's tape "
             "sweep; the prefix up to the first acceptance is committed and the "
             "rest discarded (identical estimates, ~depth-fold fewer sweeps on "
-            "multi-round estimates; default: REPRO_SPECULATE policy)"
+            "multi-round estimates; default: REPRO_SPECULATE policy, on unless "
+            "REPRO_SPECULATE=0; --no-speculate runs one round per window)"
         ),
     )
     p_est.add_argument(
@@ -157,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "max rounds per speculative window, >= 2 (2 = the original round-pair "
-            "driver; default: REPRO_SPECULATE_DEPTH policy).  Implies --speculate "
+            "driver; default: REPRO_SPECULATE_DEPTH policy, 4).  Implies --speculate "
             "unless --no-speculate is given explicitly"
         ),
     )

@@ -22,11 +22,11 @@ and the chunked NumPy kernels of :mod:`~repro.core.kernels`, which the
 pass executor of :mod:`~repro.core.executor` runs on a thread per core -
 selected per stream by :mod:`~repro.core.engine`
 (seed-for-seed identical results; see the engine module for the policy
-knobs: mode, chunk size, workers, fused sweeps, round-pair speculation).
+knobs: mode, chunk size, workers, fused sweeps, speculative round windows).
 Passes are expressed as *stages* (:mod:`~repro.core.stages`) and rounds as
 stage *programs* (:mod:`~repro.core.parallel`), which is what lets the
-speculative driver (:mod:`~repro.core.speculate`) run two guessing rounds
-through shared tape sweeps without perturbing a single bit of the result.
+speculative driver (:mod:`~repro.core.speculate`) run several guessing
+rounds through shared tape sweeps without perturbing a single bit of the result.
 """
 
 from .engine import engine_mode, engine_overrides, set_engine

@@ -128,8 +128,9 @@ class EstimatorConfig:
         ``k``-deep window finishes multi-round estimates in ~``1/k`` of
         the committed sweeps, while an acceptance books the
         speculation-only sweeps as :attr:`EstimateResult.sweeps_wasted`.
-        ``None`` keeps the global ``REPRO_SPECULATE`` policy (off by
-        default).  Speculation disengages - falling back to the
+        ``None`` keeps the global ``REPRO_SPECULATE`` policy (on by
+        default; ``False`` runs the sequential loop, one round per
+        window).  Speculation disengages - falling back to the
         sequential loop - whenever a ``t_hint`` (single round),
         ``share_passes=False``, or a ``space_budget_words`` cap is in
         force (a speculative round tripping the Markov abort must not fail
@@ -142,7 +143,7 @@ class EstimatorConfig:
         predicts which upcoming guess will accept, and the window never
         speculates past it (a predicted-accepting round runs solo).
         ``None`` keeps the global ``REPRO_SPECULATE_DEPTH`` policy
-        (default 2).  An explicit depth implies ``speculate=True`` unless
+        (default 4).  An explicit depth implies ``speculate=True`` unless
         ``speculate=False`` is given explicitly - asking for a depth is
         asking to speculate.
     max_retries:

@@ -76,31 +76,25 @@ def _initial_fuse() -> bool:
     return os.environ.get("REPRO_FUSE", "").strip().lower() in ("1", "true", "on")
 
 
-#: Depth-2 speculation is the original round-pair driver; it is the
-#: default because its worst case (one discarded round) is the mildest.
-DEFAULT_SPECULATE_DEPTH = 2
-
-
-def _valid_env_depth() -> Optional[int]:
-    raw = os.environ.get("REPRO_SPECULATE_DEPTH", "").strip()
-    if raw.isdigit() and int(raw) >= 2:
-        return int(raw)
-    return None
+#: Four-deep windows are the deepest that beat the sequential loop on
+#: every input measured (DESIGN.md's depth table).  The first window has
+#: no median for the expected-waste cap to clip, but round ``k`` accepts
+#: only a median of at least ``m kappa / 2**k`` while a kappa-degenerate
+#: graph has ``T <= m (kappa - 1) / 2``: a median within ``(1 + eps) T``
+#: never accepts round 0, nor round 1 when ``eps < 1 / (kappa - 1)``
+#: (``kappa <= 4`` at the default ``eps = 0.25``).
+DEFAULT_SPECULATE_DEPTH = 4
 
 
 def _initial_speculate() -> bool:
-    raw = os.environ.get("REPRO_SPECULATE")
-    if raw is not None:
-        return raw.strip().lower() in ("1", "true", "on")
-    # A valid REPRO_SPECULATE_DEPTH with REPRO_SPECULATE unset implies
-    # speculation - asking for a depth is asking to speculate, at the
-    # environment entry point just like at the config/CLI ones.
-    return _valid_env_depth() is not None
+    """On unless ``REPRO_SPECULATE`` is set to something other than on."""
+    raw = os.environ.get("REPRO_SPECULATE", "").strip().lower()
+    return raw in ("", "1", "true", "on")
 
 
 def _initial_speculate_depth() -> int:
-    depth = _valid_env_depth()
-    return depth if depth is not None else DEFAULT_SPECULATE_DEPTH
+    raw = os.environ.get("REPRO_SPECULATE_DEPTH", "").strip()
+    return int(raw) if raw.isdigit() and int(raw) >= 2 else DEFAULT_SPECULATE_DEPTH
 
 
 _mode: str = _initial_mode()
@@ -113,15 +107,15 @@ _workers: Optional[int] = _initial_workers()
 #: seed-for-seed identical either way; fusing trades a little extra
 #: speculative space for strictly fewer stream sweeps.
 _fuse: bool = _initial_fuse()
-#: Speculative round fusion: the guessing loop runs round ``i`` and up to
-#: ``speculate_depth - 1`` pre-drawn later rounds through shared sweeps,
-#: committing the prefix up to the first acceptance and discarding the
-#: rest (see :mod:`repro.core.speculate`).  Estimates are bit-identical
-#: either way, at any depth.
+#: Speculative round fusion (on by default): the guessing loop runs round
+#: ``i`` and up to ``speculate_depth - 1`` pre-drawn later rounds through
+#: shared sweeps, committing the prefix up to the first acceptance and
+#: discarding the rest (see :mod:`repro.core.speculate`).  Estimates are
+#: bit-identical either way, at any depth; ``REPRO_SPECULATE=0`` turns it off.
 _speculate: bool = _initial_speculate()
-#: How many guessing rounds one speculative window may fuse (>= 2).  Depth
-#: 2 is the original round-pair driver; the driver's expected-waste cap
-#: may choose a shallower window per round (see
+#: How many guessing rounds one speculative window may fuse (>= 2; default
+#: 4).  Depth 2 is the original round-pair driver; the driver's
+#: expected-waste cap may choose a shallower window per round (see
 #: :mod:`repro.core.driver`).  ``REPRO_SPECULATE_DEPTH`` seeds it.
 _speculate_depth: int = _initial_speculate_depth()
 
@@ -152,7 +146,7 @@ def speculate() -> bool:
 
 
 def speculate_depth() -> int:
-    """Maximum rounds per speculative window (>= 2; 2 = round pairs)."""
+    """Maximum rounds per speculative window (>= 2; default 4; 2 = round pairs)."""
     return _speculate_depth
 
 

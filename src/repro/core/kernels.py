@@ -163,7 +163,9 @@ class KeySet:
         if self._range is not None:
             slots *= self._range
             slots >>= np.uint64(32)
-        return slots
+        # Every slot is below the table length, so the int64 view is exact;
+        # indexing with it skips NumPy's uint64 -> intp copy.
+        return slots.view(np.int64)
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(positions, ranks)``: where ``values`` hold a key, and its index."""

@@ -451,7 +451,13 @@ class MmapEdgeStream(EdgeStream):
             )
 
     def _rows(self) -> "numpy.ndarray":
-        """The ``(m, 2)`` read-only mapped payload, mapped once per stream."""
+        """The ``(m, 2)`` read-only mapped payload, mapped once per stream.
+
+        A plain-ndarray view whose base is the ``np.memmap``: slicing and
+        viewing an ``np.memmap`` runs its Python ``__array_finalize__``
+        per chunk and per kernel reshape; the view keeps the map alive
+        without that cost.
+        """
         if self._rows_map is None:
             import numpy as np
 
@@ -465,7 +471,7 @@ class MmapEdgeStream(EdgeStream):
                         mode="r",
                         offset=HEADER_BYTES,
                         shape=(self._header.num_edges, 2),
-                    )
+                    ).view(np.ndarray)
                 except (OSError, ValueError) as exc:
                     raise StreamReadError(
                         f"{self._path}: cannot map tape payload: {exc}"

@@ -149,7 +149,7 @@ class TestResumeMatchesReference:
     @pytest.mark.parametrize(
         "extra",
         [
-            dict(engine_mode="chunked"),
+            dict(engine_mode="chunked", speculate=False),
             dict(engine_mode="python", speculate=True, speculate_depth=3),
             dict(engine_mode="chunked", share_passes=False),
         ],
@@ -184,7 +184,7 @@ class TestRecoveryMatchesReference:
     @pytest.mark.parametrize(
         "extra,spec,actions",
         [
-            (dict(), "sweep.mid_stage@1", []),
+            (dict(speculate=False), "sweep.mid_stage@1", []),
             (dict(speculate=True, speculate_depth=3), "sweep.mid_stage@2", []),
             (dict(share_passes=False), "sweep.mid_stage@4", []),
             (
@@ -232,9 +232,9 @@ class TestRecoveryMatchesReference:
 class TestServedJobsMatchReference:
     def test_co_riding_jobs(self, edges):
         configs = [
-            EstimatorConfig(seed=3, repetitions=3),
-            EstimatorConfig(seed=9, repetitions=5),
-            EstimatorConfig(seed=21, repetitions=3, max_rounds=4),
+            EstimatorConfig(seed=3, repetitions=3, speculate=False),
+            EstimatorConfig(seed=9, repetitions=5, speculate=False),
+            EstimatorConfig(seed=21, repetitions=3, max_rounds=4, speculate=False),
         ]
         shared = SweepScheduler(InMemoryEdgeStream(edges))
         jobs = []

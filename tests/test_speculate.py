@@ -356,9 +356,10 @@ class TestDriverCommitDiscard:
         graph = barabasi_albert_graph(300, 4, random.Random(2))
         stream = _stream(graph)
         base = dict(seed=11, repetitions=3, speculate=True)
-        default = TriangleCountEstimator(EstimatorConfig(**base)).estimate(
-            stream, kappa=4
-        )
+        with engine.engine_overrides(speculate_depth=2):
+            default = TriangleCountEstimator(EstimatorConfig(**base)).estimate(
+                stream, kappa=4
+            )
         explicit = TriangleCountEstimator(
             EstimatorConfig(speculate_depth=2, **base)
         ).estimate(stream, kappa=4)
@@ -419,7 +420,7 @@ class TestKnobPlumbing:
         monkeypatch.setenv("REPRO_SPECULATE", "off")
         assert engine._initial_speculate() is False
         monkeypatch.delenv("REPRO_SPECULATE")
-        assert engine._initial_speculate() is False
+        assert engine._initial_speculate() is True
 
     def test_engine_overrides_restores_speculate(self):
         before = engine.speculate()
@@ -452,7 +453,7 @@ class TestKnobPlumbing:
         assert engine._initial_speculate() is False
         monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "1")  # invalid depth
         monkeypatch.delenv("REPRO_SPECULATE")
-        assert engine._initial_speculate() is False
+        assert engine._initial_speculate() is True
 
     def test_config_depth_alone_implies_speculation(self):
         graph = barabasi_albert_graph(300, 4, random.Random(2))
