@@ -200,7 +200,7 @@ class _Bundle:
 def replay_incident_rows(incident_rows: list, offer) -> None:
     """Replay a fused-sweep incident buffer through a per-edge callback.
 
-    The buffer is what :func:`repro.core.estimator.stage_pass45`
+    The buffer is what :func:`repro.core.estimator.stage_closure`
     collected during the fused pass-4/5 sweep: every tape edge incident to
     a *superset* of the assignment stage's tracked vertices, in stream
     order (``(k, 2)`` blocks on the chunked engines, edge tuples on the

@@ -52,7 +52,7 @@ from ..streams.base import DEFAULT_CHUNK_EDGES, EdgeStream
 
 _MODES = ("auto", "chunked", "python", "sharded")
 
-try:  # NumPy is an optional accelerator, never a hard dependency.
+try:  # NumPy is a declared dependency; this flag gates the remaining fallbacks.
     import numpy  # noqa: F401
 
     HAVE_NUMPY = True

@@ -28,16 +28,27 @@ The estimate is ``X = (m / r) * d_R * Y`` with ``Y`` the fraction of draws
 whose triangle was assigned to the drawn edge (Algorithm 2 line 13).
 
 This module holds the passes as *stage builders* (``stage_pass1`` ...
-``stage_pass45``): each returns the :class:`~repro.core.stages.RoundStage`
-one sweep of the tape must serve.  Every stage is multi-instance - ``k``
-independent Algorithm 2 instances share each sweep (the paper's parallel
-accounting) - and :func:`~repro.core.parallel.round_program` strings them
-into a round; :func:`run_single_estimate` is its ``k = 1`` case.  On the
-chunked engines a stage is a set of
-:class:`~repro.core.executor.PassPlan` objects executed - serially or
-on several threads - by the shared executor spine; on the
-pure-Python engine the reference per-edge folds below run instead.  All
-of them are seed-for-seed bit-identical.
+``stage_pass3``, :func:`stage_closure`): each returns the
+:class:`~repro.core.stages.RoundStage` one sweep of the tape must serve.
+Every stage is multi-instance - ``k`` independent Algorithm 2 instances
+share each sweep (the paper's parallel accounting) - and
+:func:`~repro.core.parallel.round_program` strings them into a round;
+:func:`run_single_estimate` is its ``k = 1`` case.  On the chunked
+engines a stage is a set of :class:`~repro.core.executor.PassPlan`
+objects executed - serially or on several threads - by the shared
+executor spine; on the pure-Python engine the reference per-edge folds
+below run instead.  All of them are seed-for-seed bit-identical.
+
+Between sweeps the round state is NumPy arrays on every engine (the
+folds finish into the same arrays the plans do, so the offline work has
+one implementation): ``R`` is a ``(k, r, 2)`` array, the pass-2 degree
+table sorted ``(ids, counts)`` arrays read with ``searchsorted``, and the
+draws, owners and apexes per-instance arrays (:data:`NO_APEX` for an
+unserved draw).  The closure watch is the sorted unique missing edges
+plus each watching draw's key index, and pass 4 finishes, per instance,
+into the sorted ``(ell, 3)`` wedge triangles and a closed mask.
+:func:`stage_pass4` / :func:`stage_pass45` are the same pass over
+per-instance lists, for callers holding edge tuples.
 """
 
 from __future__ import annotations
@@ -45,12 +56,15 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..sampling.discrete import CumulativeSampler
 from ..streams.base import EdgeStream
 from ..streams.space import SpaceMeter
-from ..types import Edge, Triangle, Vertex, canonical_edge, canonical_triangle
+from ..types import Edge, Vertex, canonical_triangle
+from . import kernels
 from .assignment import Assigner, SampleSource
 from .params import ParameterPlan
 from .stages import EdgeFold, RoundStage, charge_prefilter
@@ -63,8 +77,11 @@ AssignerFactory = Callable[[ParameterPlan, random.Random, SpaceMeter], Assigner]
 #: budgets ``6 * k`` for a window of ``k`` speculative rounds.
 PASS_BUDGET_PER_ROUND = 6
 
-#: Opaque per-draw key used by the shared passes: ``(instance, slot)``.
-DrawKey = Tuple[int, int]
+#: The pass-2 degree table: sorted unique vertex ids and their degrees.
+DegreeTable = Tuple[np.ndarray, np.ndarray]
+
+#: A draw's apex when its pass-3 position was never served.
+NO_APEX = -1
 
 
 @dataclass(frozen=True)
@@ -150,92 +167,69 @@ def run_single_estimate(
     return run_parallel_estimates(stream, plan, [rng], meter, assign=assign)[0]
 
 
-def _neighborhood_owner(e: Edge, vertex_degree: Dict[Vertex, int]) -> Vertex:
-    """Owner of ``N(e)``: the lower-degree endpoint (Section 3 convention).
-
-    ``N(e) = N(u)`` if ``d_u < d_v``, else ``N(v)`` - so ties go to the
-    canonical second endpoint, exactly as in the paper's definition.
-    """
-    u, v = e
-    return u if vertex_degree[u] < vertex_degree[v] else v
-
-
 # ---------------------------------------------------------------------------
 # the shared multi-instance passes (k instances, one sweep each), each
 # expressed as a stage builder (build the request, run the sweep, finish)
 
 
-class _PositionSlotsFold(EdgeFold):
+def _degrees_of(degrees: DegreeTable, vertices: np.ndarray) -> np.ndarray:
+    """Look up the pass-2 degrees of tracked ``vertices`` (any shape)."""
+    ids, counts = degrees
+    return counts[np.searchsorted(ids, vertices)]
+
+
+def _split(values: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
+    """Cut a flat per-draw array back into per-instance pieces."""
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
+class _PositionFold(EdgeFold):
     """Pass-1 fold: serve pre-drawn stream positions (Python engine)."""
 
     can_finish_early = True
 
-    __slots__ = ("_slots_by_position", "_filled", "_remaining", "_position")
+    __slots__ = ("_order", "_wanted", "_edges", "_position")
 
-    def __init__(self, slots_by_position: Dict[int, list], total: int) -> None:
-        self._slots_by_position = slots_by_position
-        self._filled: dict = {}
-        self._remaining = total
+    def __init__(self, positions: np.ndarray) -> None:
+        self._order = np.argsort(positions, kind="stable")
+        self._wanted = positions[self._order].tolist()
+        self._edges: List[Edge] = []  # the edge at each sorted position
         self._position = 0
 
     def edge(self, u: Vertex, v: Vertex) -> None:
-        slots = self._slots_by_position.get(self._position)
-        if slots:
-            edge = (u, v)
-            for key in slots:
-                self._filled[key] = edge
-            self._remaining -= len(slots)
+        wanted, edges = self._wanted, self._edges
+        while len(edges) < len(wanted) and wanted[len(edges)] == self._position:
+            edges.append((u, v))
         self._position += 1
 
     def done(self) -> bool:
-        return self._remaining == 0
+        return len(self._edges) == len(self._wanted)
 
-    def result(self) -> dict:
-        assert self._remaining == 0, "stream ended with unserved sample positions"
-        return self._filled
+    def rows(self) -> np.ndarray:
+        assert self.done(), "stream ended with unserved sample positions"
+        rows = np.empty((len(self._wanted), 2), dtype=np.int64)
+        rows[self._order] = np.asarray(self._edges, dtype=np.int64).reshape(-1, 2)
+        return rows
 
 
 def stage_pass1(
-    r: int, m: int, sources: List, meter: SpaceMeter, chunked: bool
+    r: int, m: int, sources: List[SampleSource], meter: SpaceMeter, chunked: bool
 ) -> RoundStage:
     """Build the pass-1 stage: ``r`` i.i.d. uniform edges per instance.
 
     Positions are pre-drawn in instance-then-slot order on every engine, so
     the per-instance variate streams stay aligned; the sweep abandons once
     every slot is served (the scheduler counts abandoned passes exactly
-    like consumed ones).
+    like consumed ones).  ``finish()`` is ``R`` as a ``(k, r, 2)`` array.
     """
     k = len(sources)
     meter.allocate(2 * r * k, "R")
-    if isinstance(sources[0], SampleSource):
-        import numpy as np
-
-        positions = np.concatenate(
-            [(sources[j].uniforms(r) * m).astype(np.int64) for j in range(k)]
-        )
-        if chunked:
-            from . import kernels
-
-            plan = kernels.PositionCollectPlan(positions)
-
-            def finish_chunked() -> List[List[Edge]]:
-                flat = plan.result()
-                return [flat[j * r : (j + 1) * r] for j in range(k)]
-
-            return RoundStage(plans=[plan], finish=finish_chunked)
-        position_list = positions.tolist()
-    else:  # pragma: no cover - exercised only without NumPy
-        position_list = [sources[j].randrange(m) for j in range(k) for _ in range(r)]
-    slots_by_position: Dict[int, List[DrawKey]] = {}
-    for flat_slot, position in enumerate(position_list):
-        slots_by_position.setdefault(position, []).append(divmod(flat_slot, r))
-    fold = _PositionSlotsFold(slots_by_position, r * k)
-
-    def finish() -> List[List[Edge]]:
-        filled = fold.result()
-        return [[filled[(j, slot)] for slot in range(r)] for j in range(k)]
-
-    return RoundStage(fold=fold, finish=finish)
+    positions = np.concatenate([(source.uniforms(r) * m).astype(np.int64) for source in sources])
+    if chunked:
+        plan = kernels.PositionCollectPlan(positions)
+        return RoundStage(plans=[plan], finish=lambda: plan.rows().reshape(k, r, 2))
+    fold = _PositionFold(positions)
+    return RoundStage(fold=fold, finish=lambda: fold.rows().reshape(k, r, 2))
 
 
 class _TrackedDegreeFold(EdgeFold):
@@ -243,8 +237,8 @@ class _TrackedDegreeFold(EdgeFold):
 
     __slots__ = ("tracked",)
 
-    def __init__(self, tracked: Dict[Vertex, int]) -> None:
-        self.tracked = tracked
+    def __init__(self, ids: np.ndarray) -> None:
+        self.tracked = dict.fromkeys(ids.tolist(), 0)
 
     def edge(self, u: Vertex, v: Vertex) -> None:
         tracked = self.tracked
@@ -253,67 +247,58 @@ class _TrackedDegreeFold(EdgeFold):
         if v in tracked:
             tracked[v] += 1
 
+    def counts(self) -> np.ndarray:
+        return np.fromiter(self.tracked.values(), np.int64, count=len(self.tracked))
 
-def stage_pass2(
-    sampled: List[List[Edge]], meter: SpaceMeter, chunked: bool
-) -> RoundStage:
+
+def stage_pass2(sampled: np.ndarray, meter: SpaceMeter, chunked: bool) -> RoundStage:
     """Build the pass-2 stage: one shared degree table for all endpoints.
 
     Degrees are deterministic functions of the stream, so every instance
     reading the same table is exact, not a statistical shortcut.
+    ``finish()`` is the table as sorted ``(ids, counts)`` arrays.
     """
-    tracked: Dict[Vertex, int] = {}
-    for instance in sampled:
-        for u, v in instance:
-            tracked[u] = 0
-            tracked[v] = 0
-    meter.allocate(len(tracked), "degrees")
-    charge_prefilter(meter, len(tracked))
+    ids = kernels.sorted_unique(sampled.reshape(-1))
+    meter.allocate(len(ids), "degrees")
+    charge_prefilter(meter, len(ids))
     if chunked:
-        import numpy as np
-
-        from . import kernels
-
-        ids = np.array(sorted(tracked), dtype=np.int64)
         plan = kernels.DegreeCountPlan(ids)
-        return RoundStage(
-            plans=[plan],
-            finish=lambda: dict(zip(ids.tolist(), plan.result().tolist())),
-        )
-    fold = _TrackedDegreeFold(tracked)
-    return RoundStage(fold=fold, finish=lambda: fold.tracked)
+        return RoundStage(plans=[plan], finish=lambda: (ids, plan.result()))
+    fold = _TrackedDegreeFold(ids)
+    return RoundStage(fold=fold, finish=lambda: (ids, fold.counts()))
 
 
 def draw_weighted_edges(
-    sampled: List[List[Edge]],
-    degree: Dict[Vertex, int],
+    sampled: np.ndarray,
+    degrees: DegreeTable,
     plan: ParameterPlan,
-    sources: List,
+    sources: List[SampleSource],
     meter: SpaceMeter,
-) -> Tuple[List[List[Edge]], List[List[Vertex]], List[int], List[float]]:
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[int], List[float]]:
     """Offline step between passes 2 and 3: the ``d_e``-proportional draws.
 
     Per instance: resolve ``ell`` from the realized ``d_R`` (Lemma 5.7),
     draw ``ell`` indices of ``R`` proportional to ``d_e``, and precompute
-    each draw's neighborhood owner.  Returns ``(draws, owners, ells, d_rs)``
-    indexed by instance.
+    each draw's neighborhood owner - the lower-degree endpoint, ties going
+    to the second one (``N(e) = N(u)`` if ``d_u < d_v``, else ``N(v)``,
+    the Section 3 convention).  Returns ``(draws, owners, ells, d_rs)``
+    indexed by instance: ``(ell, 2)`` and ``(ell,)`` arrays, ints, floats.
     """
-    draws: List[List[Edge]] = []
-    owners: List[List[Vertex]] = []
+    endpoint_degrees = _degrees_of(degrees, sampled)
+    weights = endpoint_degrees.min(axis=2)
+    draws: List[np.ndarray] = []
+    owners: List[np.ndarray] = []
     ells: List[int] = []
     d_rs: List[float] = []
-    for j, instance in enumerate(sampled):
-        weights = [float(min(degree[u], degree[v])) for u, v in instance]
-        d_r = sum(weights)
+    for j, source in enumerate(sources):
+        sampler = CumulativeSampler(weights[j])
+        d_r = sampler.total_weight
         ell = plan.ell(d_r)
-        sampler = CumulativeSampler(weights)
-        if isinstance(sources[j], SampleSource):
-            slots = sampler.draw_many_from_uniforms(sources[j].uniforms(ell))
-        else:  # pragma: no cover - exercised only without NumPy
-            slots = sampler.draw_many(sources[j], ell)
-        instance_draws = [instance[slot] for slot in slots]
-        draws.append(instance_draws)
-        owners.append([_neighborhood_owner(e, degree) for e in instance_draws])
+        slots = sampler.draw_many_from_uniforms(source.uniforms(ell))
+        drawn = sampled[j][slots]
+        drawn_degrees = endpoint_degrees[j][slots]
+        draws.append(drawn)
+        owners.append(np.where(drawn_degrees[:, 0] < drawn_degrees[:, 1], drawn[:, 0], drawn[:, 1]))
         ells.append(ell)
         d_rs.append(d_r)
         meter.allocate(2 * ell, "draws")
@@ -325,16 +310,19 @@ class _NeighborServeFold(EdgeFold):
 
     can_finish_early = True
 
-    __slots__ = ("_pending", "_served", "_seen", "_cursor", "_unserved")
+    __slots__ = ("_pending", "_apexes", "_seen", "_cursor", "_unserved")
 
-    def __init__(self, pending: Dict[Vertex, list]) -> None:
+    def __init__(self, owners: np.ndarray, positions: np.ndarray) -> None:
+        pending: Dict[Vertex, List[Tuple[int, int]]] = {}
+        for request, (owner, position) in enumerate(zip(owners.tolist(), positions.tolist())):
+            pending.setdefault(owner, []).append((position, request))
         for entries in pending.values():
             entries.sort()
         self._pending = pending
-        self._served: dict = {}
-        self._seen: Dict[Vertex, int] = {owner: 0 for owner in pending}
-        self._cursor: Dict[Vertex, int] = {owner: 0 for owner in pending}
-        self._unserved = sum(len(entries) for entries in pending.values())
+        self._apexes = [NO_APEX] * len(owners)
+        self._seen: Dict[Vertex, int] = dict.fromkeys(pending, 0)
+        self._cursor: Dict[Vertex, int] = dict.fromkeys(pending, 0)
+        self._unserved = len(owners)
 
     def edge(self, u: Vertex, v: Vertex) -> None:
         for owner, neighbor in ((u, v), (v, u)):
@@ -345,7 +333,7 @@ class _NeighborServeFold(EdgeFold):
             self._seen[owner] = occurrence + 1
             at = self._cursor[owner]
             while at < len(entries) and entries[at][0] == occurrence:
-                self._served[entries[at][1]] = neighbor
+                self._apexes[entries[at][1]] = neighbor
                 at += 1
                 self._unserved -= 1
             self._cursor[owner] = at
@@ -353,14 +341,14 @@ class _NeighborServeFold(EdgeFold):
     def done(self) -> bool:
         return self._unserved == 0
 
-    def result(self) -> dict:
-        return self._served
+    def apexes(self) -> np.ndarray:
+        return np.asarray(self._apexes, dtype=np.int64)
 
 
 def stage_pass3(
-    owners: List[List[Vertex]],
-    degree: Dict[Vertex, int],
-    sources: List,
+    owners: List[np.ndarray],
+    degrees: DegreeTable,
+    sources: List[SampleSource],
     meter: SpaceMeter,
     chunked: bool,
 ) -> RoundStage:
@@ -375,170 +363,200 @@ def stage_pass3(
     the pass is abandoned once every draw is served.  The chunked engines
     resolve the (owner, occurrence) events entirely vectorized
     (:class:`~repro.core.kernels.NeighborPositionPlan`); results are
-    identical across engines by construction.
+    identical across engines by construction.  ``finish()`` is, per
+    instance, the apex of each draw (:data:`NO_APEX` when unserved).
     """
-    k = len(sources)
-    total_draws = sum(len(instance_owners) for instance_owners in owners)
-    distinct_owners = {owner for instance_owners in owners for owner in instance_owners}
-    meter.allocate(total_draws + len(distinct_owners), "neighbor-reservoirs")
-    charge_prefilter(meter, len(distinct_owners))
-    vectorized = isinstance(sources[0], SampleSource) if sources else False
-    if vectorized:
-        import numpy as np
-
-        position_lists = []
-        for j in range(k):
-            degrees = np.fromiter(
-                (degree[o] for o in owners[j]), np.int64, count=len(owners[j])
-            )
-            position_lists.append(
-                (sources[j].uniforms(len(owners[j])) * degrees).astype(np.int64)
-            )
-        if chunked:
-            from . import kernels
-
-            owner_ids = np.asarray(sorted(distinct_owners), dtype=np.int64)
-            flat_owners = np.asarray(
-                [owner for instance_owners in owners for owner in instance_owners],
-                dtype=np.int64,
-            )
-            owner_index = np.searchsorted(owner_ids, flat_owners)
-            plan = kernels.NeighborPositionPlan(
-                owner_ids, owner_index, np.concatenate(position_lists)
-            )
-
-            def finish_chunked() -> List[List[Optional[Vertex]]]:
-                found = plan.result()
-                apexes = []
-                at = 0
-                for j in range(k):
-                    row = found[at : at + len(owners[j])].tolist()
-                    apexes.append([None if w < 0 else int(w) for w in row])
-                    at += len(owners[j])
-                return apexes
-
-            return RoundStage(plans=[plan], finish=finish_chunked)
-        positions = [p.tolist() for p in position_lists]
-    else:  # pragma: no cover - exercised only without NumPy
-        positions = [
-            [sources[j].randrange(degree[o]) for o in owners[j]] for j in range(k)
+    sizes = [len(instance_owners) for instance_owners in owners]
+    requests = np.concatenate(owners)
+    owner_ids, owner_index = kernels.sorted_unique(requests, return_inverse=True)
+    meter.allocate(len(requests) + len(owner_ids), "neighbor-reservoirs")
+    charge_prefilter(meter, len(owner_ids))
+    positions = np.concatenate(
+        [
+            (source.uniforms(len(draw_owners)) * _degrees_of(degrees, draw_owners)).astype(np.int64)
+            for source, draw_owners in zip(sources, owners)
         ]
-    pending: Dict[Vertex, List[Tuple[int, DrawKey]]] = {}
-    for j, instance_owners in enumerate(owners):
-        for i, owner in enumerate(instance_owners):
-            pending.setdefault(owner, []).append((positions[j][i], (j, i)))
-    fold = _NeighborServeFold(pending)
-
-    def finish() -> List[List[Optional[Vertex]]]:
-        served = fold.result()
-        return [
-            [served.get((j, i)) for i in range(len(owners[j]))]
-            for j in range(len(owners))
-        ]
-
-    return RoundStage(fold=fold, finish=finish)
+    )
+    if chunked:
+        plan = kernels.NeighborPositionPlan(owner_ids, owner_index, positions)
+        return RoundStage(plans=[plan], finish=lambda: _split(plan.result(), sizes))
+    fold = _NeighborServeFold(requests, positions)
+    return RoundStage(fold=fold, finish=lambda: _split(fold.apexes(), sizes))
 
 
-def _closure_watch_tables(
-    draws: List[List[Edge]],
-    owners: List[List[Vertex]],
-    apexes: List[List[Optional[Vertex]]],
+def _closure_watch(
+    draws: List[np.ndarray],
+    owners: List[np.ndarray],
+    apexes: List[np.ndarray],
     meter: SpaceMeter,
-) -> Tuple[Dict[Edge, List[DrawKey]], List[List[Optional[Triangle]]]]:
-    """The pass-4 watch table and per-draw wedge triangles (no scan yet).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pass-4 watch and per-draw wedge triangles (no scan yet).
 
     For a draw with edge ``(u, v)`` and apex ``w`` sampled from the owner's
     neighborhood, the only missing edge is (other endpoint, ``w``).  The
-    watch table is keyed by that missing edge, so overlapping watches
-    across instances collapse to *one* unique-key scan; hits fan back out
-    to every ``(instance, draw)`` watcher.
+    watch is keyed by that missing edge, so overlapping watches across
+    instances collapse to *one* unique-key scan; hits fan back out to
+    every watching draw.  Returns ``(triangles, watchers, keys, inverse)``
+    over the instances' concatenated draws: the sorted ``(n, 3)`` triangle
+    per draw (meaningful for wedges only), the indices of the wedge draws,
+    the sorted unique missing edges, and each watcher's key index.
     """
-    watch: Dict[Edge, List[DrawKey]] = {}
-    wedges: List[List[Optional[Triangle]]] = [
-        [None] * len(draws[j]) for j in range(len(draws))
-    ]
-    for j in range(len(draws)):
-        for i, ((u, v), owner, w) in enumerate(zip(draws[j], owners[j], apexes[j])):
-            if w is None:
-                continue
-            other = v if owner == u else u
-            if w == other:
-                continue  # sampled the edge's own endpoint; not a wedge
-            wedges[j][i] = canonical_triangle(u, v, w)
-            watch.setdefault(canonical_edge(other, w), []).append((j, i))
-    meter.allocate(2 * len(watch) + sum(len(v) for v in watch.values()), "closure-watch")
-    charge_prefilter(meter, len(watch))
-    return watch, wedges
-
-
-def _fan_out_closure(
-    closed: Dict[DrawKey, bool],
-    wedges: List[List[Optional[Triangle]]],
-    draws: List[List[Edge]],
-) -> List[List[Optional[Triangle]]]:
-    """The closed triangle per draw (``None`` for open wedges)."""
-    return [
-        [wedges[j][i] if closed.get((j, i)) else None for i in range(len(draws[j]))]
-        for j in range(len(draws))
-    ]
+    drawn = np.concatenate(draws)
+    owner = np.concatenate(owners)
+    apex = np.concatenate(apexes)
+    u, v = drawn[:, 0], drawn[:, 1]
+    other = np.where(owner == u, v, u)
+    # No apex, or the edge's own endpoint sampled: not a wedge.
+    wedge = (apex != NO_APEX) & (apex != other)
+    triangles = np.sort(np.column_stack((u, v, apex)), axis=1)
+    repeated = wedge & (
+        (triangles[:, 0] == triangles[:, 1]) | (triangles[:, 1] == triangles[:, 2])
+    )
+    if repeated.any():
+        at = int(np.argmax(repeated))
+        canonical_triangle(int(u[at]), int(v[at]), int(apex[at]))  # raises GraphError
+    watchers = np.flatnonzero(wedge)
+    missing = np.sort(np.column_stack((other[watchers], apex[watchers])), axis=1)
+    keys, inverse = kernels.unique_edge_rows(missing)
+    meter.allocate(2 * len(keys) + len(watchers), "closure-watch")
+    charge_prefilter(meter, len(keys))
+    return triangles, watchers, keys, inverse
 
 
 class _WatchFold(EdgeFold):
     """Pass-4 fold: mark watched missing edges seen anywhere on the tape."""
 
-    __slots__ = ("watch", "closed")
+    __slots__ = ("index", "seen")
 
-    def __init__(self, watch: Dict[Edge, List[DrawKey]]) -> None:
-        self.watch = watch
-        self.closed: Dict[DrawKey, bool] = {}
+    def __init__(self, keys: np.ndarray) -> None:
+        self.index = {key: i for i, key in enumerate(map(tuple, keys.tolist()))}
+        self.seen = np.zeros(len(keys), dtype=bool)
 
     def edge(self, u: Vertex, v: Vertex) -> None:
-        for key in self.watch.get((u, v), ()):
-            self.closed[key] = True
+        i = self.index.get((u, v))
+        if i is not None:
+            self.seen[i] = True
 
 
-class _FusedWatchCollectFold(EdgeFold):
+class _FusedWatchCollectFold(_WatchFold):
     """Fused pass-4/5 fold: closure watch plus wedge-superset buffering."""
 
-    __slots__ = ("watch", "closed", "superset", "incident")
+    __slots__ = ("superset", "incident")
 
-    def __init__(self, watch: Dict[Edge, List[DrawKey]], superset: set) -> None:
-        self.watch = watch
-        self.closed: Dict[DrawKey, bool] = {}
-        self.superset = superset
-        self.incident: list = []
+    def __init__(self, keys: np.ndarray, superset: np.ndarray) -> None:
+        super().__init__(keys)
+        self.superset = set(superset.tolist())
+        self.incident: List[Edge] = []
 
     def edge(self, u: Vertex, v: Vertex) -> None:
-        for key in self.watch.get((u, v), ()):
-            self.closed[key] = True
+        super().edge(u, v)
         if u in self.superset or v in self.superset:
             self.incident.append((u, v))
 
 
-def _stage_watch_scan(
-    watch: Dict[Edge, List[DrawKey]],
-    wedges: List[List[Optional[Triangle]]],
-    draws: List[List[Edge]],
+def stage_closure(
+    draws: List[np.ndarray],
+    owners: List[np.ndarray],
+    apexes: List[np.ndarray],
+    meter: SpaceMeter,
     chunked: bool,
+    fuse: bool = False,
 ) -> RoundStage:
-    """One dedicated pass-4 watch scan over prebuilt tables (one pass)."""
+    """Build the pass-4 stage - or, with ``fuse``, fused passes 4+5.
+
+    Pass 4 resolves which wedges ``{e, w}`` close (see
+    :func:`_closure_watch` for the watch and its cross-instance dedup).
+    ``finish()`` returns ``(closures, incident_rows)``: per instance, the
+    sorted ``(ell, 3)`` wedge triangle of each draw and the mask of draws
+    whose wedge closed; ``incident_rows`` is ``None`` unless fused.
+
+    Fused, the closure watch and the assignment stage's incident reads
+    (pass 5) share one sweep.  The assignment stage replays the edges
+    incident to the candidate triangles' vertices - a set only known once
+    pass 4 resolves which wedges closed.  Fusing the two is still exact
+    because the replayed fold ignores untracked endpoints: this sweep
+    *buffers* the edges incident to every **wedge** vertex (a superset of
+    every possible candidate vertex, fixed before the sweep), and the
+    caller replays the buffer through the pass-5 per-edge logic after
+    closure is known.  The replayed sequence - and therefore every degree
+    counter and every sample bundle's RNG consumption - is identical to
+    what a dedicated pass-5 sweep would have produced, so estimates are
+    bit-identical to unfused execution; the speculative buffer (metered as
+    ``fused-incident-buffer``) is the space this trades for one fewer
+    sweep of the tape.  ``incident_rows`` is the buffered incident
+    sequence in stream order (``(k, 2)`` blocks on the chunked engines,
+    edge tuples on the Python path) for
+    :func:`~repro.core.assignment.replay_incident_rows`.
+
+    Sweep accounting: a round whose wedges close saves exactly one sweep
+    (6 instead of 6 unfused passes over 5 sweeps).  A round with wedges
+    but no closures charges the speculative pass-5 logical pass without
+    saving a sweep (unfused execution would have skipped passes 5-6
+    entirely); a round with no wedges at all runs the plain pass-4 scan
+    and speculates nothing.  Fused sweeps per estimate are therefore
+    never more than unfused, and strictly fewer as soon as any round
+    finds a candidate triangle.
+    """
+    triangles, watchers, keys, inverse = _closure_watch(draws, owners, apexes, meter)
+    sizes = [len(instance_draws) for instance_draws in draws]
+
+    def closures(seen: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        closed = np.zeros(len(triangles), dtype=bool)
+        closed[watchers] = seen[inverse]
+        return list(zip(_split(triangles, sizes), _split(closed, sizes)))
+
+    # No wedges at all: there is nothing pass 5 could ever track, so
+    # speculating would charge a logical pass for provably dead work.
+    if not (fuse and len(keys)):
+        if chunked:
+            plan = kernels.WatchKeyPlan(keys)
+            return RoundStage(plans=[plan], finish=lambda: (closures(plan.seen), None))
+        fold = _WatchFold(keys)
+        return RoundStage(fold=fold, finish=lambda: (closures(fold.seen), None))
+    superset = kernels.sorted_unique(triangles[watchers].reshape(-1))
+    charge_prefilter(meter, len(superset))
     if chunked:
-        from . import kernels
+        watch_plan = kernels.WatchKeyPlan(keys)
+        collect_plan = kernels.IncidentCollectPlan(superset)
 
-        plan = kernels.WatchKeyPlan(list(watch))
+        def finish_chunked():
+            incident = collect_plan.result()
+            meter.allocate(
+                2 * sum(len(block) for block in incident), "fused-incident-buffer"
+            )
+            return closures(watch_plan.seen), incident
 
-        def finish_chunked() -> List[List[Optional[Triangle]]]:
-            closed: Dict[DrawKey, bool] = {}
-            for found in plan.result():
-                for key in watch[found]:
-                    closed[key] = True
-            return _fan_out_closure(closed, wedges, draws)
+        return RoundStage(plans=[watch_plan, collect_plan], finish=finish_chunked)
+    fused_fold = _FusedWatchCollectFold(keys, superset)
 
-        return RoundStage(plans=[plan], finish=finish_chunked)
-    fold = _WatchFold(watch)
-    return RoundStage(
-        fold=fold, finish=lambda: _fan_out_closure(fold.closed, wedges, draws)
+    def finish():
+        meter.allocate(2 * len(fused_fold.incident), "fused-incident-buffer")
+        return closures(fused_fold.seen), fused_fold.incident
+
+    return RoundStage(fold=fused_fold, passes=2, finish=finish)
+
+
+def _listed_closure(draws, owners, apexes, meter, chunked, fuse) -> RoundStage:
+    """:func:`stage_closure` for per-instance lists: ``None`` apexes in,
+    the closed triangle per draw (or ``None``) out."""
+    stage = stage_closure(
+        [np.asarray(d, dtype=np.int64).reshape(-1, 2) for d in draws],
+        [np.asarray(o, dtype=np.int64) for o in owners],
+        [np.asarray([NO_APEX if w is None else w for w in a], dtype=np.int64) for a in apexes],
+        meter,
+        chunked,
+        fuse,
     )
+
+    def finish():
+        closures, incident = stage.finish()
+        triangles = [
+            [tuple(t) if c else None for t, c in zip(tri.tolist(), closed.tolist())]
+            for tri, closed in closures
+        ]
+        return (triangles, incident) if fuse else triangles
+
+    return RoundStage(plans=stage.plans, fold=stage.fold, passes=stage.passes, finish=finish)
 
 
 def stage_pass4(
@@ -548,14 +566,12 @@ def stage_pass4(
     meter: SpaceMeter,
     chunked: bool,
 ) -> RoundStage:
-    """Build the pass-4 stage: resolve which wedges ``{e, w}`` close.
+    """The pass-4 stage over per-instance lists (``None``: no apex).
 
-    See :func:`_closure_watch_tables` for the watch-table construction and
-    the cross-instance dedup.  ``finish()`` is the closed triangle per
-    draw, or ``None``.
+    ``finish()`` is, per instance, the closed triangle per draw or
+    ``None``; :func:`stage_closure` is the array form the rounds use.
     """
-    watch, wedges = _closure_watch_tables(draws, owners, apexes, meter)
-    return _stage_watch_scan(watch, wedges, draws, chunked)
+    return _listed_closure(draws, owners, apexes, meter, chunked, fuse=False)
 
 
 def stage_pass45(
@@ -565,77 +581,9 @@ def stage_pass45(
     meter: SpaceMeter,
     chunked: bool,
 ) -> RoundStage:
-    """Fused passes 4+5: closure watch and incident collection, one sweep.
+    """Fused passes 4+5 over per-instance lists (see :func:`stage_pass4`).
 
-    The assignment stage (pass 5) replays the edges incident to the
-    candidate triangles' vertices - a set only known once pass 4 resolves
-    which wedges closed.  Fusing the two is still exact because the
-    replayed fold ignores untracked endpoints: this sweep *buffers* the
-    edges incident to every **wedge** vertex (a superset of every possible
-    candidate vertex, fixed before the sweep), and the caller replays the
-    buffer through the pass-5 per-edge logic after closure is known.  The
-    replayed sequence - and therefore every degree counter and every
-    sample bundle's RNG consumption - is identical to what a dedicated
-    pass-5 sweep would have produced, so estimates are bit-identical to
-    unfused execution; the speculative buffer (metered as
-    ``fused-incident-buffer``) is the space this trades for one fewer
-    sweep of the tape.
-
-    Sweep accounting: a round whose wedges close saves exactly one sweep
-    (6 instead of 6 unfused passes over 5 sweeps).  A round with wedges
-    but no closures charges the speculative pass-5 logical pass without
-    saving a sweep (unfused execution would have skipped passes 5-6
-    entirely); a round with no wedges at all falls back to the plain
-    pass-4 scan and speculates nothing.  Fused sweeps per estimate are
-    therefore never more than unfused, and strictly fewer as soon as any
-    round finds a candidate triangle.
-
-    ``finish()`` returns ``(candidates, incident_rows)`` where
-    ``incident_rows`` is the buffered incident sequence in stream order
-    (``(k, 2)`` blocks on the chunked engines, edge tuples on the Python
-    path) for :func:`replay_incident_rows` - or ``None`` when nothing was
-    speculated.
+    ``finish()`` returns ``(candidates, incident_rows)``; see
+    :func:`stage_closure` for the fusion and its accounting.
     """
-    watch, wedges = _closure_watch_tables(draws, owners, apexes, meter)
-    superset = {
-        endpoint for row in wedges for t in row if t is not None for endpoint in t
-    }
-    if not watch:
-        # No wedges at all: there is nothing pass 5 could ever track, so
-        # speculating would charge a logical pass for provably dead work.
-        # Run the plain pass-4 scan (which resolves to "no candidates")
-        # and let the caller skip the assignment stage, exactly like
-        # unfused execution does on such rounds.
-        base = _stage_watch_scan(watch, wedges, draws, chunked)
-        return RoundStage(
-            plans=base.plans,
-            fold=base.fold,
-            passes=base.passes,
-            finish=lambda: (base.finish(), None),
-        )
-    charge_prefilter(meter, len(superset))
-    if chunked:
-        from . import kernels
-
-        watch_plan = kernels.WatchKeyPlan(list(watch))
-        collect_plan = kernels.IncidentCollectPlan(superset)
-
-        def finish_chunked():
-            closed: Dict[DrawKey, bool] = {}
-            for key_edge in watch_plan.result():
-                for key in watch[key_edge]:
-                    closed[key] = True
-            incident = collect_plan.result()
-            meter.allocate(
-                2 * sum(len(block) for block in incident), "fused-incident-buffer"
-            )
-            return _fan_out_closure(closed, wedges, draws), incident
-
-        return RoundStage(plans=[watch_plan, collect_plan], finish=finish_chunked)
-    fused_fold = _FusedWatchCollectFold(watch, superset)
-
-    def finish():
-        meter.allocate(2 * len(fused_fold.incident), "fused-incident-buffer")
-        return _fan_out_closure(fused_fold.closed, wedges, draws), fused_fold.incident
-
-    return RoundStage(fold=fused_fold, passes=2, finish=finish)
+    return _listed_closure(draws, owners, apexes, meter, chunked, fuse=True)

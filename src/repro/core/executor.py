@@ -182,7 +182,8 @@ def run_plans(
     workers: Optional[int] = None,
     passes: Optional[int] = None,
     owners: Optional[Sequence[str]] = None,
-) -> List[Any]:
+    results: bool = True,
+) -> Optional[List[Any]]:
     """Execute independent ``plans`` through **one** sweep of ``scheduler``.
 
     Opens ``len(plans)`` logical passes served by a single physical sweep
@@ -196,14 +197,17 @@ def run_plans(
     ``passes`` overrides the logical-pass charge for the group (defaults to
     ``len(plans)``); ``owners`` tags the sweep for the scheduler's
     committed/wasted accounting (the speculative round-pair driver tags
-    shared sweeps with the rounds they serve).
+    shared sweeps with the rounds they serve).  ``results=False`` returns
+    ``None`` instead of the results: round stages read their plans' state
+    in their own finish step, so nothing is converted for them.
     """
     if not plans:
         raise ValueError("run_plans needs at least one plan")
     chunk = chunk_size if chunk_size is not None else engine.chunk_size()
     threads = workers if workers is not None else engine.effective_workers()
     charged = passes if passes is not None else len(plans)
-    return _sweep(scheduler, plans, chunk, threads, charged, owners)
+    _sweep(scheduler, plans, chunk, threads, charged, owners)
+    return [plan.result() for plan in plans] if results else None
 
 
 class _PlanState:
@@ -251,7 +255,7 @@ def _sweep(
     workers: int,
     passes: int,
     owners: Optional[Sequence[str]] = None,
-) -> List[Any]:
+) -> None:
     policy = faults.active_policy()
     states = [_PlanState(plan) for plan in plans]
     specs = [plan.spec() for plan in plans]
@@ -352,7 +356,6 @@ def _sweep(
             chunks.close()
             for probe in shared:
                 probe.shared = None
-    return [plan.result() for plan in plans]
 
 
 def _share_probes(plans: Sequence[PassPlan], states: Sequence[_PlanState]) -> List[Any]:

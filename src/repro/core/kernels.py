@@ -45,8 +45,10 @@ plan                                  pass it accelerates
 :class:`PositionCollectPlan`          pass 1 - collect the ``r`` pre-drawn
                                       uniform positions of the sample ``R``
                                       (sorted positions + ``searchsorted``;
-                                      merge fills slots keyed by the sorted
-                                      rank, so shard order is irrelevant)
+                                      merge is one fancy-index store into
+                                      the ``(r, 2)`` rows, keyed by the
+                                      sorted rank, so shard order is
+                                      irrelevant)
 :class:`DegreeCountPlan`              pass 2 - degrees of the endpoints of
                                       ``R`` (id remap via the prefiltered
                                       vertex :class:`Probe` + ``bincount``;
@@ -72,12 +74,15 @@ plan                                  pass it accelerates
                                       vertex :class:`Probe`); shards report
                                       per-batch occurrence counts and
                                       hits, merged in stream-offset order
+                                      (matched request ranges expanded
+                                      with ``np.repeat``, duplicates
+                                      included)
 :class:`WatchKeyPlan`                 passes 4 and 6 - closure watches:
                                       which of the wedges' missing edges
                                       appear anywhere on the tape (packed
                                       64-bit keys in a prefiltered edge
-                                      :class:`Probe`; merge unions the
-                                      hit sets)
+                                      :class:`Probe`; merge marks the
+                                      seen mask of the sorted unique keys)
 :class:`PackedKeyCountPlan`           pass 6 - occurrence counts of packed
                                       watch keys (prefiltered edge
                                       :class:`Probe`; merge sums)
@@ -99,12 +104,15 @@ accounting are bit-identical between engines and across worker counts.
 Vertex ids must fit in unsigned 32 bits for the packed-key scans; streams
 with larger ids transparently fall back to per-row set membership inside
 the affected chunk (correct, just slower).
+
+Dedupes go through :func:`sorted_unique` (a sort plus a neighbour mask,
+equal to ``np.unique``) and, for edge rows, :func:`unique_edge_rows`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -187,6 +195,40 @@ def pack_canonical_rows(rows: np.ndarray) -> Optional[np.ndarray]:
     return packed
 
 
+def sorted_unique(values: np.ndarray, return_inverse: bool = False):
+    """``np.unique`` of a 1-D array by a sort and a neighbour mask.
+
+    Same values and dtype as ``np.unique(values)`` (which takes a slower
+    hash path for integer inputs when no inverse is asked for); with
+    ``return_inverse`` also each value's index in the result.
+    """
+    order = np.argsort(values) if return_inverse else None
+    ordered = values[order] if return_inverse else np.sort(values)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    unique = ordered[first]
+    if not return_inverse:
+        return unique
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return unique, inverse
+
+
+def unique_edge_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``(u, v)`` rows of an ``(n, 2)`` array, and each row's
+    index among them: by packed keys, or row-wise past :data:`PACK_LIMIT`."""
+    packed = pack_canonical_rows(rows)
+    if packed is None:
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return unique, inverse.reshape(-1)
+    keys, inverse = sorted_unique(packed, return_inverse=True)
+    unique = np.empty((len(keys), 2), dtype=np.int64)
+    unique[:, 0] = keys >> np.uint64(32)
+    unique[:, 1] = keys & np.uint64(PACK_LIMIT - 1)
+    return unique, inverse
+
+
 def _packed_block(rows: np.ndarray) -> np.ndarray:
     """The block's packed edge keys; rows with ids beyond the packing are
     dropped (they cannot match any packed key)."""
@@ -224,7 +266,7 @@ class KeySpace:
         if len(probes) == 1:
             probes[0].own()
             return
-        keys = np.unique(np.concatenate([probe.keys for probe in probes]))
+        keys = sorted_unique(np.concatenate([probe.keys for probe in probes]))
         slots = sum(1 << prefilter_bits(len(probe)) for probe in probes)
         union = SharedProbe(self, keys, slots)
         for probe in probes:
@@ -328,7 +370,9 @@ class PositionCollectPlan(PassPlan):
     order preserved in the result); the pass is abandoned as soon as the
     largest requested position has been served.  Merge is order-free: each
     partial carries its rank range into the sorted position array, and a
-    stream position lives in exactly one block.
+    stream position lives in exactly one block.  :meth:`rows` is the
+    ``(r, 2)`` array of collected edges; :meth:`result` the same edges as
+    tuples.
     """
 
     name = "pass1/positions"
@@ -338,7 +382,7 @@ class PositionCollectPlan(PassPlan):
         self._r = len(positions)
         self._order = np.argsort(positions, kind="stable")
         self._sorted = positions[self._order]
-        self._collected: List[Optional[Edge]] = [None] * self._r
+        self._rows = np.empty((self._r, 2), dtype=np.int64)
         self._served = 0
 
     def spec(self) -> np.ndarray:
@@ -346,9 +390,7 @@ class PositionCollectPlan(PassPlan):
 
     def absorb(self, partial) -> None:
         lo, rows = partial
-        slots = self._order[lo : lo + len(rows)]
-        for slot, (u, v) in zip(slots.tolist(), rows.tolist()):
-            self._collected[slot] = (u, v)
+        self._rows[self._order[lo : lo + len(rows)]] = rows
         self._served = max(self._served, lo + len(rows))
 
     def finished(self) -> bool:
@@ -357,13 +399,17 @@ class PositionCollectPlan(PassPlan):
     def stop_row(self) -> Optional[int]:
         return int(self._sorted[-1]) + 1 if self._r else 0
 
-    def result(self) -> List[Edge]:
+    def rows(self) -> np.ndarray:
+        """The edge at each requested position, as an ``(r, 2)`` array."""
         if self._served < self._r:
             raise ValueError(
                 f"stream ended with unserved sample positions "
                 f"(max requested {int(self._sorted[-1]) if self._r else -1})"
             )
-        return self._collected  # type: ignore[return-value]
+        return self._rows
+
+    def result(self) -> List[Edge]:
+        return list(map(tuple, self.rows().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +496,8 @@ class IncidentCollectPlan(PassPlan):
     name = "pass5/incident-collect"
     kernel = staticmethod(_incident_kernel)
 
-    def __init__(self, tracked_ids: Sequence[Vertex]) -> None:
-        self._ids = Probe(VERTEX, np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
+    def __init__(self, tracked_ids: Union[Sequence[Vertex], np.ndarray]) -> None:
+        self._ids = Probe(VERTEX, sorted_unique(np.asarray(tracked_ids, dtype=np.int64)))
         self._blocks: List[np.ndarray] = []
 
     def spec(self) -> Probe:
@@ -625,11 +671,12 @@ class NeighborPositionPlan(PassPlan):
             hi = np.searchsorted(self._sorted_request_keys, event_keys, side="right")
             matched = np.flatnonzero(hi > lo)
             if len(matched):
-                neighbor_list = neighbors[matched].tolist()
-                for event, neighbor in zip(matched.tolist(), neighbor_list):
-                    for at in range(lo[event], hi[event]):
-                        self._out[self._request_order[at]] = neighbor
-                        self._served += 1
+                # Expand each matched event's request range [lo, hi).
+                runs = hi[matched] - lo[matched]
+                ends = np.cumsum(runs)
+                at = np.arange(ends[-1]) + np.repeat(lo[matched] - ends + runs, runs)
+                self._out[self._request_order[at]] = np.repeat(neighbors[matched], runs)
+                self._served += int(ends[-1])
         self._base += counts
 
     def finished(self) -> bool:
@@ -670,28 +717,27 @@ class WatchKeyPlan(PassPlan):
     When several estimator instances watch overlapping keys the caller
     passes the *union* once - the scan cost is per unique key, and the
     per-instance fan-out happens on the caller's side of the result.
-    The spec holds the packed keys' edge :class:`Probe` when the keys fit
-    the 32-bit packing; only overflowing key sets hold the key -> rank
-    index for the per-row fallback, which has no key space to share.
+    ``keys`` are canonical edges (tuples or an ``(n, 2)`` array), kept as
+    their sorted unique rows; :attr:`seen` is the mask of those rows found
+    on the tape and :meth:`result` the set of found edges.  The spec holds
+    the packed keys' edge :class:`Probe` when the keys fit the 32-bit
+    packing; only overflowing key sets hold the key -> rank index for the
+    per-row fallback, which has no key space to share.
     """
 
     name = "pass4/watch"
     kernel = staticmethod(_watch_kernel)
 
-    def __init__(self, keys: Sequence[Edge]) -> None:
-        self._key_list = sorted(keys)
-        packed = (
-            pack_canonical_rows(np.asarray(self._key_list, dtype=np.int64).reshape(-1, 2))
-            if self._key_list
-            else None
-        )
+    def __init__(self, keys: Union[Sequence[Edge], np.ndarray]) -> None:
+        self._rows = unique_edge_rows(np.asarray(keys, dtype=np.int64).reshape(-1, 2))[0]
+        packed = pack_canonical_rows(self._rows) if len(self._rows) else None
         self._packed = Probe(EDGE, packed) if packed is not None else None
         self._key_index = (
-            {key: i for i, key in enumerate(self._key_list)}
-            if self._key_list and self._packed is None
+            {key: i for i, key in enumerate(map(tuple, self._rows.tolist()))}
+            if len(self._rows) and self._packed is None
             else None
         )
-        self._seen = np.zeros(len(self._key_list), dtype=bool)
+        self.seen = np.zeros(len(self._rows), dtype=bool)
 
     def spec(self):
         return self._packed, self._key_index
@@ -700,13 +746,13 @@ class WatchKeyPlan(PassPlan):
         return self._packed
 
     def absorb(self, partial) -> None:
-        self._seen[partial] = True
+        self.seen[partial] = True
 
     def finished(self) -> bool:
-        return bool(self._seen.all())
+        return bool(self.seen.all())
 
     def result(self) -> Set[Edge]:
-        return {key for key, ok in zip(self._key_list, self._seen.tolist()) if ok}
+        return set(map(tuple, self._rows[self.seen].tolist()))
 
 
 def _packed_count_kernel(spec: Probe, start_row: int, rows: np.ndarray):

@@ -9,8 +9,9 @@ accounting: :func:`run_parallel_estimates` executes ``k`` independent
 instances over exactly six shared passes.
 
 The pass implementations themselves live in :mod:`repro.core.estimator`
-(``stage_pass1`` ... ``stage_pass45``) - they are multi-instance by
-construction, and the single runner
+(``stage_pass1`` ... ``stage_pass3``, ``stage_closure``) - they are
+multi-instance by construction, pass their state between sweeps as NumPy
+arrays on every engine, and the single runner
 (:func:`~repro.core.estimator.run_single_estimate`) is this module's
 ``k = 1`` case, so every runner rides the same executor spine (pure
 Python, or chunked on one or more threads) with no duplicated pass
@@ -68,11 +69,10 @@ from .estimator import (
     PASS_BUDGET_PER_ROUND,
     SinglePassStackResult,
     draw_weighted_edges,
+    stage_closure,
     stage_pass1,
     stage_pass2,
     stage_pass3,
-    stage_pass4,
-    stage_pass45,
 )
 from .params import ParameterPlan
 from .stages import CallbackFold, RoundStage, charge_prefilter
@@ -165,25 +165,27 @@ def round_program(
         return stage
 
     sampled = yield track(stage_pass1(plan.r, m, sources, meter, chunked))
-    degree = yield track(stage_pass2(sampled, meter, chunked))
-    draws, owners, ells, d_rs = draw_weighted_edges(sampled, degree, plan, sources, meter)
-    apexes = yield track(stage_pass3(owners, degree, sources, meter, chunked))
+    degrees = yield track(stage_pass2(sampled, meter, chunked))
+    draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, plan, sources, meter)
+    apexes = yield track(stage_pass3(owners, degrees, sources, meter, chunked))
     if fuse is None:
         fuse = engine.fuse()
-    if fuse and assign is None:
-        # Fused sweep engine: the closure watch (pass 4) and the
-        # assignment stage's incident reads (pass 5) share one traversal;
-        # the buffered superset is replayed below once closure is known.
-        candidates, incident = yield track(
-            stage_pass45(draws, owners, apexes, meter, chunked)
-        )
-    else:
-        candidates = yield track(stage_pass4(draws, owners, apexes, meter, chunked))
-        incident = None
+    # Fused sweep engine: the closure watch (pass 4) and the assignment
+    # stage's incident reads (pass 5) share one traversal; the buffered
+    # superset is replayed below once closure is known.
+    closures, incident = yield track(
+        stage_closure(draws, owners, apexes, meter, chunked, fuse=fuse and assign is None)
+    )
 
-    distinct_by_instance: List[set] = [
-        {t for t in candidates[j] if t is not None} for j in range(k)
+    # Per instance: each closed wedge's triangle and its drawn edge.
+    closed_by_instance: List[Tuple[List[Triangle], List[Edge]]] = [
+        (
+            list(map(tuple, triangles[closed].tolist())),
+            list(map(tuple, drawn[closed].tolist())),
+        )
+        for (triangles, closed), drawn in zip(closures, draws)
     ]
+    distinct_by_instance: List[set] = [set(triangles) for triangles, _ in closed_by_instance]
     if assign is None:
         assignments = yield from _assign_program(
             plan, rngs, distinct_by_instance, meter, chunked, incident, track
@@ -192,11 +194,8 @@ def round_program(
         assignments = [assign(distinct) if distinct else {} for distinct in distinct_by_instance]
 
     results: List[SinglePassStackResult] = []
-    for j in range(k):
-        hits = 0
-        for edge, triangle in zip(draws[j], candidates[j]):
-            if triangle is not None and assignments[j].get(triangle) == edge:
-                hits += 1
+    for j, (triangles, edges) in enumerate(closed_by_instance):
+        hits = sum(1 for t, edge in zip(triangles, edges) if assignments[j].get(t) == edge)
         y = hits / ells[j]
         estimate = (m / plan.r) * d_rs[j] * y
         results.append(
@@ -205,7 +204,7 @@ def round_program(
                 r=plan.r,
                 ell=ells[j],
                 d_r=d_rs[j],
-                wedges_closed=sum(1 for t in candidates[j] if t is not None),
+                wedges_closed=len(triangles),
                 assigned_hits=hits,
                 distinct_candidate_triangles=len(distinct_by_instance[j]),
                 passes_used=charged_passes,

@@ -168,6 +168,7 @@ def sweep_stages(
             chunk_size=engine.chunk_size(),
             passes=passes,
             owners=owners,
+            results=False,
         )
         return
     if any(stage.plans is not None for stage in stages):

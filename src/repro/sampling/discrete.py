@@ -10,9 +10,10 @@ nowhere near a bottleneck and the cumulative method is simpler to audit.)
 
 from __future__ import annotations
 
-import bisect
 import random
-from typing import Sequence
+from typing import Sequence, Union
+
+import numpy as np
 
 
 class CumulativeSampler:
@@ -21,19 +22,21 @@ class CumulativeSampler:
     Parameters
     ----------
     weights:
-        Non-negative weights; at least one must be positive.
+        Non-negative weights (a sequence or a 1-D array); at least one must
+        be positive.  The cumulative weights are a left-to-right running
+        sum (``np.cumsum``), so the total is exactly the sequential sum.
     """
 
-    def __init__(self, weights: Sequence[float]) -> None:
-        if not weights:
+    def __init__(self, weights: Union[Sequence[float], np.ndarray]) -> None:
+        values = np.asarray(weights, dtype=np.float64)
+        if not len(values):
             raise ValueError("weights must be non-empty")
-        cumulative: list[float] = []
-        total = 0.0
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise ValueError(f"negative weight {w} at index {i}")
-            total += w
-            cumulative.append(total)
+        negative = np.flatnonzero(values < 0)
+        if len(negative):
+            i = int(negative[0])
+            raise ValueError(f"negative weight {weights[i]} at index {i}")
+        cumulative = np.cumsum(values)
+        total = float(cumulative[-1])
         if total <= 0:
             raise ValueError("all weights are zero")
         self._cumulative = cumulative
@@ -47,7 +50,7 @@ class CumulativeSampler:
     def draw(self, rng: random.Random) -> int:
         """Return one index distributed proportionally to the weights."""
         u = rng.random() * self._total
-        index = bisect.bisect_right(self._cumulative, u)
+        index = int(np.searchsorted(self._cumulative, u, side="right"))
         # Guard the measure-zero edge case u == total (floating point).
         return min(index, len(self._cumulative) - 1)
 
@@ -57,16 +60,13 @@ class CumulativeSampler:
             raise ValueError(f"count must be non-negative, got {count}")
         return [self.draw(rng) for _ in range(count)]
 
-    def draw_many_from_uniforms(self, uniforms) -> list[int]:
+    def draw_many_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`draw_many` over pre-drawn uniform variates.
 
-        ``uniforms`` is a NumPy array of [0, 1) variates, one per draw;
-        each is mapped through the same cumulative-weight inversion as
-        :meth:`draw` (``searchsorted`` right-bisection with the identical
-        measure-zero guard).
+        ``uniforms`` is an array of [0, 1) variates, one per draw; each is
+        mapped through the same cumulative-weight inversion as :meth:`draw`
+        (right-bisection with the identical measure-zero guard).  Returns
+        the drawn indices as an int64 array.
         """
-        import numpy as np
-
-        cumulative = np.asarray(self._cumulative)
-        index = np.searchsorted(cumulative, uniforms * self._total, side="right")
-        return np.minimum(index, len(cumulative) - 1).tolist()
+        index = np.searchsorted(self._cumulative, uniforms * self._total, side="right")
+        return np.minimum(index, len(self._cumulative) - 1)
