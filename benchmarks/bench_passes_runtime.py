@@ -2,22 +2,20 @@
 
 Confirms the constant-pass discipline measured end to end (6 passes per
 Algorithm 2 run, 3 with the degree oracle, 1 for the exact counter) and
-times the estimator across a size sweep of the BA family - once per
-execution engine (pure Python, chunked NumPy, the sharded pass executor,
-and the fused sweep engine on top of sharding), so the table doubles as
-the engine speedup report.  All engines produce bit-identical estimates
-(``tests/test_kernels_parity.py``, ``tests/test_executor_sharded.py``,
-and ``tests/test_executor_fused.py``), so the columns differ only in
-speed - the fused column additionally performs strictly fewer physical
-tape sweeps (pass 4 and pass 5 share one traversal).
+times the estimator across a size sweep of the BA family - serially, on
+several threads, and with the fused sweep engine on top of the threads,
+so the table doubles as the executor speedup report.  All three produce
+bit-identical estimates (``tests/test_executor_sharded.py`` and
+``tests/test_executor_fused.py``), so the columns differ only in speed -
+the fused column additionally performs strictly fewer physical tape
+sweeps (pass 4 and pass 5 share one traversal).
 
 Reproduction target: per-run passes never exceed their stated constants;
 wall time grows near-linearly in m (each pass is one sweep; sample sizes at
-fixed T/m ratio stay bounded); the chunked engine beats the pure-Python
-path by >= 5x on the sweep total.  The sharded column reports the
-worker-pool win over serial chunked - process fan-out only pays off on a
-multi-core box and at sizes where kernel work dominates task shipping, so
-at small scales (or one core) expect ratios at or below 1x.
+fixed T/m ratio stay bounded).  The sharded column reports the thread win
+over serial - it only pays off on a multi-core box and at sizes where
+kernel work dominates task dispatch, so at small scales (or one core)
+expect ratios at or below 1x.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import time
 from repro import EstimatorConfig
 from repro.analysis import format_table
 from repro.core import DegreeOracle, IdealEstimator, engine_overrides
-from repro.core.engine import HAVE_NUMPY
 from repro.core.exact_reference import ExactStreamingCounter
 from repro.core.params import ParameterPlan
 from repro.core.estimator import run_single_estimate
@@ -40,21 +37,22 @@ from repro.streams.transforms import shuffled
 
 SIZES = {"tiny": [250, 500], "small": [500, 1000, 2000, 4000], "medium": [1000, 2000, 4000, 8000, 16000]}
 
-#: Worker processes for the sharded engine column.
+#: Threads per sweep for the sharded engine column.
 SHARD_WORKERS = min(4, os.cpu_count() or 1)
 
 
 def run_passes_runtime(scale: str, seeds: range) -> None:
     rows = []
-    totals = {"python": 0.0, "chunked": 0.0, "sharded": 0.0, "fused": 0.0}
-    # (label, engine mode, worker count, fused); sharded = chunked kernels
-    # fanned across the process pool by the shared executor, fused = the
-    # same sharded engine with each round's independent plans grouped into
-    # shared tape sweeps (identical estimates, fewer sweeps).
-    engines = [("python", "python", None, False), ("chunked", "chunked", 1, False)]
-    if HAVE_NUMPY:
-        engines.append(("sharded", "chunked", SHARD_WORKERS, False))
-        engines.append(("fused", "chunked", SHARD_WORKERS, True))
+    totals = {"chunked": 0.0, "sharded": 0.0, "fused": 0.0}
+    # (label, worker count, fused); sharded = the kernels fanned across
+    # threads by the shared executor, fused = the same with each round's
+    # independent plans grouped into shared tape sweeps (identical
+    # estimates, fewer sweeps).
+    engines = [
+        ("chunked", 1, False),
+        ("sharded", SHARD_WORKERS, False),
+        ("fused", SHARD_WORKERS, True),
+    ]
     for n in SIZES[scale]:
         graph = barabasi_albert_graph(n, 5, random.Random(1))
         t = count_triangles(graph)
@@ -65,8 +63,8 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
         )
         engine_times = {}
         results = {}
-        for label, mode, workers, fused in engines if HAVE_NUMPY else engines[:1]:
-            with engine_overrides(mode, None, workers, fused):
+        for label, workers, fused in engines:
+            with engine_overrides("chunked", None, workers, fused):
                 best = float("inf")
                 for _ in seeds:
                     start = time.perf_counter()
@@ -74,20 +72,15 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
                     best = min(best, time.perf_counter() - start)
             engine_times[label] = best
             totals[label] += best
-        if HAVE_NUMPY:
-            # Same seed, same answer: the engines differ only in speed.
-            assert results["python"] == results["chunked"] == results["sharded"]
-            # The fused engine differs only in sweep/space accounting.
-            assert results["fused"].estimate == results["sharded"].estimate
-            assert results["fused"].sweeps_used <= results["sharded"].sweeps_used
-            if results["fused"].distinct_candidate_triangles:
-                # A round with candidates is where fusing saves its sweep.
-                assert results["fused"].sweeps_used < results["sharded"].sweeps_used
-        else:  # pragma: no cover - degrade to a single-engine table
-            for label in ("chunked", "sharded", "fused"):
-                engine_times[label] = engine_times["python"]
-                totals[label] += engine_times["python"]
-        single = results["python" if not HAVE_NUMPY else "sharded"]
+        # Same seed, same answer: the thread counts differ only in speed.
+        assert results["chunked"] == results["sharded"]
+        # The fused engine differs only in sweep/space accounting.
+        assert results["fused"].estimate == results["sharded"].estimate
+        assert results["fused"].sweeps_used <= results["sharded"].sweeps_used
+        if results["fused"].distinct_candidate_triangles:
+            # A round with candidates is where fusing saves its sweep.
+            assert results["fused"].sweeps_used < results["sharded"].sweeps_used
+        single = results["sharded"]
 
         oracle_result = IdealEstimator(
             DegreeOracle(graph), copies=200, rng=random.Random(4)
@@ -102,11 +95,9 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
                 single.passes_used,
                 oracle_result.passes_used,
                 exact_result.passes_used,
-                engine_times["python"],
                 engine_times["chunked"],
                 engine_times["sharded"],
                 engine_times["fused"],
-                engine_times["python"] / max(engine_times["chunked"], 1e-9),
                 engine_times["chunked"] / max(engine_times["sharded"], 1e-9),
                 engine_times["sharded"] / max(engine_times["fused"], 1e-9),
                 graph.num_edges / max(engine_times["chunked"], 1e-9),
@@ -125,11 +116,9 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
                 "alg2 passes",
                 "oracle passes",
                 "exact passes",
-                "python sec",
                 "chunked sec",
                 f"sharded sec (w={SHARD_WORKERS})",
                 f"fused sec (w={SHARD_WORKERS})",
-                "chunk speedup",
                 "shard speedup",
                 "fuse speedup",
                 "edges/sec",
@@ -137,15 +126,14 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
             rows,
             caption=(
                 "E9: pass constants and runtime scaling (BA family, one Algorithm 2 "
-                "run per engine; identical estimates)"
+                "run per engine setting; identical estimates)"
             ),
         )
     )
     print(
-        f"sweep total: python {totals['python']:.3f}s, chunked {totals['chunked']:.3f}s, "
+        f"sweep total: chunked {totals['chunked']:.3f}s, "
         f"sharded {totals['sharded']:.3f}s, fused {totals['fused']:.3f}s "
         f"(workers={SHARD_WORKERS}), "
-        f"chunk speedup {totals['python'] / max(totals['chunked'], 1e-9):.1f}x, "
         f"shard speedup {totals['chunked'] / max(totals['sharded'], 1e-9):.2f}x, "
         f"fuse speedup {totals['sharded'] / max(totals['fused'], 1e-9):.2f}x"
     )

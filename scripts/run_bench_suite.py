@@ -5,8 +5,8 @@ Eleven stages:
 
 1. (optional) the repo's experiment regenerators at ``REPRO_BENCH_SCALE``
    (default ``tiny`` - a smoke pass over every ``benchmarks/bench_*.py``);
-2. a chunked-vs-pure-Python engine comparison on the E9 BA-family sweep,
-   asserting seed-for-seed identical estimates while timing both engines;
+2. the serial engine's wall clock on the E9 BA-family sweep (best of
+   three per size);
 3. a threaded-vs-serial comparison of the pass executor: the E9 sweep's
    largest sizes end to end plus a synthetic single-pass degree scan,
    serial chunked against a sweep thread pool (results asserted
@@ -64,9 +64,10 @@ uses) so a crash mid-append can never truncate it; if a previous crash
 the history restarts rather than aborting the run.
 
 ``--smoke`` is the CI regression gate: it reruns stages 2-11 at tiny scale,
-appends nothing, and exits non-zero if the measured chunked speedup (or
-the sharded speedup, when the box has the cores for it) regressed to
-below half of the last committed ``BENCH_engine.json`` entry, if the
+appends nothing, and exits non-zero if the serial E9 sweep total took more
+than twice the last committed tiny ``BENCH_engine.json`` entry's, if the
+sharded speedup (when the box has the cores for it) regressed to below
+half of the last committed entry's, if the
 fused engine came out slower than the unfused sharded engine on the same
 sweep (both wall-clock comparisons take medians of interleaved pairs),
 if the speculative driver's multi-round physical sweep count
@@ -110,7 +111,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro import __version__  # noqa: E402
 from repro.core import engine, engine_overrides  # noqa: E402
-from repro.core.engine import HAVE_NUMPY  # noqa: E402
 from repro.core.estimator import run_single_estimate  # noqa: E402
 from repro.core.params import ParameterPlan  # noqa: E402
 from repro.generators import barabasi_albert_graph  # noqa: E402
@@ -171,50 +171,24 @@ def _e9_instance(n: int):
 
 
 def run_engine_comparison(scale: str, repeats: int = 3) -> dict:
-    """Time both engines on the E9 sweep; identical results are asserted."""
+    """Time the serial engine on the E9 sweep (best of ``repeats`` per size)."""
     rows = []
-    totals = {"python": 0.0, "chunked": 0.0}
+    total = 0.0
     for n in ENGINE_SIZES[scale]:
         graph, t, stream, plan = _e9_instance(n)
-        times = {}
-        results = {}
-        for mode in ("python", "chunked") if HAVE_NUMPY else ("python",):
-            # Pin workers=1: a REPRO_WORKERS environment must not silently
-            # turn the serial-chunked baseline into a sharded run.
-            with engine_overrides(mode, None, 1):
-                best = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    results[mode] = run_single_estimate(stream, plan, random.Random(3))
-                    best = min(best, time.perf_counter() - start)
-            times[mode] = best
-            totals[mode] += best
-        if HAVE_NUMPY:
-            assert results["python"] == results["chunked"], "engine parity violated"
-        speedup = times["python"] / times["chunked"] if HAVE_NUMPY else None
-        rows.append(
-            {
-                "n": n,
-                "m": graph.num_edges,
-                "triangles": t,
-                "python_sec": round(times["python"], 5),
-                "chunked_sec": round(times.get("chunked", float("nan")), 5) if HAVE_NUMPY else None,
-                "speedup": round(speedup, 2) if speedup else None,
-            }
-        )
+        # Pin workers=1: a REPRO_WORKERS environment must not silently
+        # turn the serial baseline into a sharded run.
+        with engine_overrides("chunked", None, 1):
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                run_single_estimate(stream, plan, random.Random(3))
+                best = min(best, time.perf_counter() - start)
+        total += best
+        rows.append({"n": n, "m": graph.num_edges, "triangles": t, "chunked_sec": round(best, 5)})
         print(f"[bench-suite] n={n}: {rows[-1]}")
-    total_speedup = (
-        round(totals["python"] / totals["chunked"], 2) if HAVE_NUMPY and totals["chunked"] else None
-    )
-    print(f"[bench-suite] engine sweep total speedup: {total_speedup}x")
-    return {
-        "scale": scale,
-        "have_numpy": HAVE_NUMPY,
-        "rows": rows,
-        "total_python_sec": round(totals["python"], 4),
-        "total_chunked_sec": round(totals["chunked"], 4) if HAVE_NUMPY else None,
-        "total_speedup": total_speedup,
-    }
+    print(f"[bench-suite] engine sweep total: {total:.4f}s")
+    return {"scale": scale, "rows": rows, "total_chunked_sec": round(total, 4)}
 
 
 def _sharded_scan_bench(scale: str, workers: int, repeats: int = 3) -> dict:
@@ -296,8 +270,6 @@ def run_sharded_comparison(scale: str) -> dict:
     The E9 rows time :data:`TIMING_PAIRS` interleaved serial/sharded
     pairs and report the median of each side.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     # Always exercise real threads (>= 2 workers), even on a single-core box
     # where that can only show overhead - the recorded cpu_count says which
     # regime the numbers came from, and the smoke gate only arms the
@@ -355,8 +327,6 @@ def run_shared_probe_comparison(scale: str) -> dict:
     sharing pays, ~3 when every plan probes the block itself.  The
     shared sweep's results are asserted equal to per-plan sweeps.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import numpy as np
 
     from repro.core.executor import run_plan, run_plans
@@ -408,8 +378,6 @@ def run_fused_comparison(scale: str) -> dict:
     row times :data:`TIMING_PAIRS` interleaved per-plan/fused pairs and
     reports the median of each side.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     workers = max(2, min(4, os.cpu_count() or 1))
     rows = []
     totals = {"per_plan": 0.0, "fused": 0.0}
@@ -479,8 +447,6 @@ def run_speculative_comparison(scale: str, repeats: int = 3) -> dict:
     the sequential run's, and to be strictly fewer whenever the estimate
     took more than one round.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import tempfile
 
     from repro.core.driver import EstimatorConfig, TriangleCountEstimator
@@ -635,8 +601,6 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     depth-2 pair driver.  A dense disjoint-K8 workload then compares the
     default against sequential (:func:`_dense_default_rows`).
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import tempfile
 
     from repro.core.driver import EstimatorConfig
@@ -720,8 +684,6 @@ def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
     counts show recovery costs no extra tape traversals beyond the
     retried rounds' waste (gated at <= 2x clean).
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import tempfile
 
     from repro.core.driver import EstimatorConfig, TriangleCountEstimator
@@ -803,8 +765,6 @@ def run_tape_format_comparison(scale: str, repeats: int = 3) -> dict:
       passes) - the storage format must be invisible to the sampling
       layer - with the wall-clock speedup recorded.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import tempfile
 
     import numpy as np
@@ -919,8 +879,6 @@ def run_snapshot_overhead(scale: str, repeats: int = 3) -> dict:
       total; the kill -9 subprocess variant is pinned in
       ``tests/test_snapshot.py``).
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import shutil
     import tempfile
 
@@ -1018,8 +976,6 @@ def run_serve_throughput(scale: str, repeats: int = 1, jobs: int = 3) -> dict:
     daemon's whole value proposition, gated deterministically on sweep
     counts rather than wall clock.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - the CI image bakes NumPy in
-        return {"scale": scale, "have_numpy": False}
     import shutil
     import tempfile
     import threading
@@ -1133,28 +1089,28 @@ def _load_history(path: pathlib.Path) -> list:
     return existing if isinstance(existing, list) else [existing]
 
 
-def _last_speedup(path: pathlib.Path, section: str, scale: str):
-    """Newest recorded ``total_speedup`` for ``section`` measured at ``scale``.
+def _last_speedup(path: pathlib.Path, section: str, scale: str, key: str = "total_speedup"):
+    """Newest recorded ``key`` (default ``total_speedup``) for ``section`` at ``scale``.
 
-    Speedups are only comparable between runs of the same sweep sizes, so
-    the gate baselines against the most recent record whose comparison was
-    taken at the same scale (records from other scales are skipped).
+    Measurements are only comparable between runs of the same sweep sizes,
+    so the gate baselines against the most recent record whose comparison
+    was taken at the same scale (records from other scales are skipped).
     """
     for record in reversed(_load_history(path)):
         comparison = record.get(section) or {}
         if comparison.get("scale") == scale:
-            return comparison.get("total_speedup")
+            return comparison.get(key)
     return None
 
 
 def run_smoke(output: pathlib.Path) -> int:
     """Tiny-scale regression gate against the last ``BENCH_engine.json`` entry.
 
-    Parity is asserted unconditionally (any drift fails loudly).  Speedups
-    are compared - at matching scale only - with a 2x slack factor
-    (machine noise and shared CI boxes make tighter gates flaky), and the
-    sharded gate only arms on multi-core machines where fan-out can win
-    at all.  The sharded and fused speedups are ratios of medians over
+    Parity is asserted unconditionally (any drift fails loudly).  The
+    serial E9 sweep time and the speedups are compared - at matching scale
+    only - with a 2x slack factor (machine noise and shared CI boxes make
+    tighter gates flaky), and the sharded gate only arms on multi-core
+    machines where fan-out can win at all.  The sharded and fused speedups are ratios of medians over
     :data:`TIMING_PAIRS` interleaved pairs (see :func:`_paired_medians`).
     """
     current_engine = run_engine_comparison("tiny")
@@ -1168,13 +1124,11 @@ def run_smoke(output: pathlib.Path) -> int:
     current_snapshot = run_snapshot_overhead("tiny")
     current_serve = run_serve_throughput("tiny")
     failures = []
-    baseline = _last_speedup(output, "engine_comparison", "tiny")
-    measured = current_engine.get("total_speedup")
-    # `is not None` (not truthiness): a measured speedup of 0.0 is the
-    # *largest* regression and must trip the gate, not disable it.
-    if baseline is not None and measured is not None and measured < 0.5 * baseline:
+    baseline = _last_speedup(output, "engine_comparison", "tiny", "total_chunked_sec")
+    measured = current_engine["total_chunked_sec"]
+    if baseline is not None and measured > 2.0 * baseline:
         failures.append(
-            f"chunked speedup regressed: {measured}x vs last recorded {baseline}x"
+            f"serial E9 sweep regressed: {measured}s vs last recorded {baseline}s (> 2x)"
         )
     last_sharded = _last_speedup(output, "sharded_comparison", "tiny")
     measured_sharded = current_sharded.get("total_speedup")
@@ -1222,7 +1176,7 @@ def run_smoke(output: pathlib.Path) -> int:
                 f"speculative driver sweeps not under sequential at n={row['n']}: "
                 f"{physical} vs {sequential_sweeps}"
             )
-    if not speculative_rows and current_speculative.get("have_numpy", True):
+    if not speculative_rows:
         failures.append("speculative comparison produced no sweep counts")
     # The depth gate is likewise deterministic: on the canonical workload
     # a depth-3 window must come in at or under the depth-2 pair driver's
@@ -1239,7 +1193,7 @@ def run_smoke(output: pathlib.Path) -> int:
                 f"{depth_rows[3]['physical']} physical sweeps vs depth-2's "
                 f"{depth_rows[2]['physical']}"
             )
-    elif current_depth_sweep.get("have_numpy", True):
+    else:
         failures.append("speculative depth sweep produced no rows")
     # The default-schedule gates are deterministic too: with no
     # speculation field set, the canonical multi-round workload must take
@@ -1276,7 +1230,7 @@ def run_smoke(output: pathlib.Path) -> int:
                 "fault recovery swept the tape too often: "
                 f"{row['faulted_sweeps']} vs clean {row['clean_sweeps']}"
             )
-    if not recovery_rows and current_fault_recovery.get("have_numpy", True):
+    if not recovery_rows:
         failures.append("fault recovery stage produced no rows")
     # The tape-format gate: the whole point of the binary format is that a
     # mapped sweep skips parsing entirely, so its raw sweep throughput
@@ -1289,7 +1243,7 @@ def run_smoke(output: pathlib.Path) -> int:
                 "mmap tape sweep slower than text parsing: "
                 f"{row['mmap_sweep_eps']} vs {row['text_sweep_eps']} edges/sec"
             )
-    if not tape_rows and current_tape_format.get("have_numpy", True):
+    if not tape_rows:
         failures.append("tape format comparison produced no rows")
     # The snapshot gate: resume parity is asserted inside the stage (a
     # non-identical resume raises); here we re-check the recorded flag so
@@ -1297,9 +1251,7 @@ def run_smoke(output: pathlib.Path) -> int:
     # one small atomic write per committed round must not dominate the
     # round itself (2x slack for fsync latency on shared CI disks).
     snapshot_rows = current_snapshot.get("rows", [])
-    if not current_snapshot.get("resumed_identical", False) and current_snapshot.get(
-        "have_numpy", True
-    ):
+    if not current_snapshot.get("resumed_identical", False):
         failures.append("snapshot stage did not verify a bit-identical resume")
     for row in snapshot_rows:
         overhead = row.get("overhead_x")
@@ -1307,7 +1259,7 @@ def run_smoke(output: pathlib.Path) -> int:
             failures.append(
                 f"round-boundary snapshotting too expensive: {overhead}x clean wall clock"
             )
-    if not snapshot_rows and current_snapshot.get("have_numpy", True):
+    if not snapshot_rows:
         failures.append("snapshot overhead stage produced no rows")
     # The serving gate is deterministic: concurrent same-tape jobs must be
     # bit-identical to their solo runs (asserted inside the stage) AND
@@ -1321,7 +1273,7 @@ def run_smoke(output: pathlib.Path) -> int:
                 "serving daemon saved no sweeps: "
                 f"{row['shared_sweeps']} shared vs {row['solo_sweeps']} solo"
             )
-    if not serve_rows and current_serve.get("have_numpy", True):
+    if not serve_rows:
         failures.append("serve throughput stage produced no rows")
     if serve_rows and not current_serve.get("parity", False):
         failures.append("serve throughput stage did not verify parity")
@@ -1337,7 +1289,7 @@ def main() -> int:
     parser.add_argument("--scale", default=os.environ.get("REPRO_BENCH_SCALE", "tiny"),
                         choices=("tiny", "small", "medium"))
     parser.add_argument("--skip-pytest", action="store_true",
-                        help="only run the engine comparisons")
+                        help="only run the engine measurements")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny-scale regression gate vs the last recorded entry; appends nothing")
     parser.add_argument("--output", default=str(REPO / "BENCH_engine.json"))

@@ -8,11 +8,11 @@ Commands
 ``exact <edgelist>``
     One-pass exact triangle count with space/pass accounting.
 ``estimate <edgelist> --kappa K [--epsilon E] [--seed S] [--repetitions R]
-[--engine auto|chunked|python|sharded] [--chunk-size C] [--workers W]
+[--engine auto|chunked|sharded] [--chunk-size C] [--workers W]
 [--fuse | --no-fuse] [--speculate | --no-speculate] [--speculate-depth K]``
-    The paper's estimator on the file's stream; ``--engine``/``--workers``
-    select the execution engine and the threads per sweep (default: all
-    cores; seed-for-seed identical at any count),
+    The paper's estimator on the file's stream; ``--workers`` sets the
+    threads per sweep (default: all cores; seed-for-seed identical at any
+    count; ``--engine`` names are synonyms of the one engine),
     ``--fuse`` turns on the fused sweep engine (independent pass plans of
     each round share physical tape sweeps; identical estimates, fewer
     stream traversals), and speculation - on by default, ``--no-speculate``
@@ -77,7 +77,8 @@ from typing import Iterator, List, Optional
 
 from . import __version__
 from .analysis import format_table, predicted_bounds
-from .errors import GraphError, ServeError, SnapshotError, StreamError
+from .errors import GraphError, ParameterError, ServeError, SnapshotError, StreamError
+from .core import engine
 from .core.driver import EstimatorConfig, TriangleCountEstimator, stop_requested
 from .core.estimator import PASS_BUDGET_PER_ROUND
 from .core.exact_reference import ExactStreamingCounter
@@ -94,6 +95,15 @@ from .streams.tape import (
     verify_tape,
     write_tape,
 )
+
+
+def _engine_mode(value: str) -> str:
+    """``--engine`` values: a usage error (exit 2) names the removed engine."""
+    try:
+        engine.check_mode(value)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,11 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--engine",
         default=None,
-        choices=["auto", "chunked", "python", "sharded"],
-        help="execution engine (default: global REPRO_ENGINE policy)",
+        type=_engine_mode,
+        metavar="{auto,chunked,sharded}",
+        help="engine mode name (synonyms of the one engine)",
     )
     p_est.add_argument(
-        "--chunk-size", type=int, default=None, help="edges per chunk for the chunked engines"
+        "--chunk-size", type=int, default=None, help="edges per chunk of every sweep"
     )
     p_est.add_argument(
         "--workers",
@@ -226,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument(
         "--engine",
         default=None,
-        choices=["auto", "chunked", "python", "sharded"],
-        help="override the snapshot's stored engine (results are engine-independent)",
+        type=_engine_mode,
+        metavar="{auto,chunked,sharded}",
+        help="override the snapshot's stored engine mode name (synonyms)",
     )
     p_resume.add_argument("--chunk-size", type=int, default=None)
     p_resume.add_argument("--workers", type=int, default=None)
@@ -553,25 +565,15 @@ def _first_mismatch(source, tape, chunk_size: int) -> Optional[int]:
     """Index of the first differing edge between two streams, or ``None``."""
     import itertools
 
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - NumPy baked into CI
-        np = None
+    import numpy as np
+
     at = 0
-    if np is not None:
-        for a, b in itertools.zip_longest(
-            source.iter_chunks(chunk_size), tape.iter_chunks(chunk_size)
-        ):
-            if a is None or b is None or len(a) != len(b):
-                return at + (0 if a is None or b is None else min(len(a), len(b)))
-            if not np.array_equal(a, b):
-                return at + int(np.flatnonzero((np.asarray(a) != np.asarray(b)).any(axis=1))[0])
-            at += len(a)
-        return None
-    for a, b in itertools.zip_longest(source, tape):  # pragma: no cover - fallback
-        if a != b:
-            return at
-        at += 1
+    for a, b in itertools.zip_longest(source.iter_chunks(chunk_size), tape.iter_chunks(chunk_size)):
+        if a is None or b is None or len(a) != len(b):
+            return at + (0 if a is None or b is None else min(len(a), len(b)))
+        if not np.array_equal(a, b):
+            return at + int(np.flatnonzero((np.asarray(a) != np.asarray(b)).any(axis=1))[0])
+        at += len(a)
     return None
 
 

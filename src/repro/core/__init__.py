@@ -17,12 +17,11 @@ Layout follows the paper:
 * :mod:`~repro.core.exact_reference` - a store-everything exact one-pass
   counter used as ground truth and as the "no space bound" reference row.
 
-Two execution engines back every pass: the pure-Python reference loops
-and the chunked NumPy kernels of :mod:`~repro.core.kernels`, which the
-pass executor of :mod:`~repro.core.executor` runs on a thread per core -
-selected per stream by :mod:`~repro.core.engine`
-(seed-for-seed identical results; see the engine module for the policy
-knobs: mode, chunk size, workers, fused sweeps, speculative round windows).
+One engine backs every pass: the chunked NumPy kernels of
+:mod:`~repro.core.kernels`, which the pass executor of
+:mod:`~repro.core.executor` runs on a thread per core (seed-for-seed
+identical results at any count; see :mod:`~repro.core.engine` for the
+knobs: chunk size, workers, fused sweeps, speculative round windows).
 Passes are expressed as *stages* (:mod:`~repro.core.stages`) and rounds as
 stage *programs* (:mod:`~repro.core.parallel`), which is what lets the
 speculative driver (:mod:`~repro.core.speculate`) run several guessing

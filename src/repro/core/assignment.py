@@ -41,10 +41,9 @@ Two implementation choices worth flagging against the paper's pseudocode:
   time by the multiplicity factors.
 * **i.i.d. neighborhood samples**: each of the ``s`` sample slots is an
   independent single-item reservoir.  Updating ``s`` slots per incident
-  stream edge naively costs ``O(s)``; on the ``k``-th incident edge each
-  slot flips with probability ``1/k``, so the flipping subset is drawn
-  directly with geometric skips, for ``O(d + s log d)`` total work per
-  bundle instead of ``O(s * d)``.
+  stream edge naively costs ``O(s)``; :class:`_Bundle` keeps the slot
+  multiset in counts form and resolves buffered offers in batches, for
+  ``O(min(d, s) log d)`` total work per bundle instead of ``O(s * d)``.
 
 :class:`ExactAssigner` is a test/benchmark double that applies the ideal
 min-``t_e`` rule using ground-truth counts from the graph substrate.
@@ -52,16 +51,17 @@ min-``t_e`` rule using ground-truth counts from the graph substrate.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, Iterable, List, Optional, Protocol
+
+import numpy as np
 
 from ..graph.adjacency import Graph
 from ..graph.triangles import per_edge_triangle_counts
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
 from ..types import Edge, Triangle, Vertex, canonical_edge, triangle_edges
-from . import engine
+from . import kernels
 from .params import ParameterPlan
 
 
@@ -82,21 +82,14 @@ class Assigner(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-if engine.HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the CI image bakes NumPy in
-    _np = None
-
-
 class _Bundle:
     """``s`` independent single-item neighbor reservoirs for one vertex.
 
     The defining invariant: after ``k`` offers, the ``s`` slots are i.i.d.
     uniform samples of the ``k`` offered neighbors.  Only the *multiset* of
-    slot values is ever observed (pass 6 counts closing wedges), so with
-    NumPy available the bundle stores the compressed form - distinct
-    ``values`` with slot ``counts`` summing to ``s`` - and updates it in
-    batches:
+    slot values is ever observed (pass 6 counts closing wedges), so the
+    bundle stores the compressed form - distinct ``values`` with slot
+    ``counts`` summing to ``s`` - and updates it in batches:
 
     * offers buffer up; a flush resolves the whole batch at once.  If the
       state is a multiset of ``s`` uniform samples over ``k0`` offers and
@@ -111,66 +104,37 @@ class _Bundle:
       neighborhood costs ``O(min(d, s) log d)`` total work however large
       ``s`` is.
 
-    Without NumPy the bundle keeps explicit slots and draws the adopting
-    subset per offer with geometric skips from the caller's stdlib RNG -
-    the same distribution, different random bits.
-
     Callers must :meth:`flush` (in a deterministic bundle order) after the
     pass ends and before reading samples.
     """
 
-    __slots__ = ("capacity", "values", "counts", "_buffer", "_seen", "slots")
+    __slots__ = ("capacity", "values", "counts", "_buffer", "_seen")
 
     def __init__(self, s: int) -> None:
         self.capacity = s
-        if _np is not None:
-            self.values = _np.empty(0, dtype=_np.int64)
-            self.counts = _np.empty(0, dtype=_np.int64)
-            self._buffer: List[Vertex] = []
-            self._seen = 0
-        else:  # pragma: no cover - the CI image bakes NumPy in
-            self.slots = [None] * s
+        self.values = np.empty(0, dtype=np.int64)
+        self.counts = np.empty(0, dtype=np.int64)
+        self._buffer: List[Vertex] = []
+        self._seen = 0
 
-    def offer(self, neighbor: Vertex, k: int, rng) -> None:
-        """Offer the ``k``-th neighbor (1-based) to every slot independently.
+    def offer(self, neighbor: Vertex, rng: "SampleSource") -> None:
+        """Offer the next neighbor to every slot independently."""
+        buffer = self._buffer
+        buffer.append(neighbor)
+        # Threshold doubles with the offer count, starting at 32 (small
+        # neighborhoods resolve in a single end-of-pass flush).
+        if len(buffer) >= max(32, min(self._seen, max(self.capacity, 1024))):
+            self.flush(rng)
 
-        ``rng`` is a :class:`SampleSource` on the NumPy path and a
-        :class:`random.Random` on the fallback path.
-        """
-        if _np is not None:
-            buffer = self._buffer
-            buffer.append(neighbor)
-            # Threshold doubles with the offer count, starting at 32 (small
-            # neighborhoods resolve in a single end-of-pass flush).
-            if len(buffer) >= max(32, min(self._seen, max(self.capacity, 1024))):
-                self.flush(rng)
-            return
-        slots = self.slots  # pragma: no cover - exercised only without NumPy
-        if k == 1:  # pragma: no cover
-            for j in range(len(slots)):
-                slots[j] = neighbor
-            return
-        # Geometric skips over the slot indices with success prob 1/k.
-        log_fail = math.log1p(-1.0 / k)  # pragma: no cover
-        j = -1
-        s = len(slots)
-        while True:
-            j += 1 + int(math.log(1.0 - rng.random()) / log_fail)
-            if j >= s:
-                return
-            slots[j] = neighbor
-
-    def flush(self, rng) -> None:
+    def flush(self, rng: "SampleSource") -> None:
         """Resolve all buffered offers with one batched thinning + spread."""
-        if _np is None:
-            return  # pragma: no cover - sequential path has no buffer
         buffer = self._buffer
         c = len(buffer)
         if c == 0:
             return
         k0 = self._seen
-        new_values = _np.asarray(buffer, dtype=_np.int64)
-        spread = _np.full(c, 1.0 / c)
+        new_values = np.asarray(buffer, dtype=np.int64)
+        spread = np.full(c, 1.0 / c)
         generator = rng.generator
         if k0 == 0:
             self.values = new_values
@@ -179,8 +143,8 @@ class _Bundle:
             kept = generator.binomial(self.counts, k0 / (k0 + c))
             adopted = int(self.capacity - kept.sum())
             new_counts = generator.multinomial(adopted, spread)
-            values = _np.concatenate((self.values, new_values))
-            counts = _np.concatenate((kept, new_counts))
+            values = np.concatenate((self.values, new_values))
+            counts = np.concatenate((kept, new_counts))
             occupied = counts > 0
             self.values = values[occupied]
             self.counts = counts[occupied]
@@ -189,12 +153,10 @@ class _Bundle:
 
     def sample_values(self) -> List[Optional[Vertex]]:
         """The slot multiset as plain ints (all ``None`` if never offered)."""
-        if _np is not None:
-            assert not self._buffer, "bundle read before final flush"
-            if self._seen == 0:
-                return [None] * self.capacity
-            return _np.repeat(self.values, self.counts).tolist()
-        return list(self.slots)  # pragma: no cover - exercised only without NumPy
+        assert not self._buffer, "bundle read before final flush"
+        if self._seen == 0:
+            return [None] * self.capacity
+        return np.repeat(self.values, self.counts).tolist()
 
 
 def replay_incident_rows(incident_rows: list, offer) -> None:
@@ -203,25 +165,20 @@ def replay_incident_rows(incident_rows: list, offer) -> None:
     The buffer is what :func:`repro.core.estimator.stage_closure`
     collected during the fused pass-4/5 sweep: every tape edge incident to
     a *superset* of the assignment stage's tracked vertices, in stream
-    order (``(k, 2)`` blocks on the chunked engines, edge tuples on the
-    Python path).  ``offer`` must ignore untracked endpoints - exactly the
-    contract of the pass-5 fold - so replaying the superset produces the
-    identical update (and RNG-consumption) sequence a live incident scan
-    would have, without consuming a pass.
+    order, as ``(k, 2)`` blocks.  ``offer`` must ignore untracked
+    endpoints - exactly the contract of the pass-5 callback - so replaying
+    the superset produces the identical update (and RNG-consumption)
+    sequence a live incident scan would have, without consuming a pass.
     """
-    for batch in incident_rows:
-        if isinstance(batch, tuple):  # Python engine: one edge per entry
-            offer(batch[0], batch[1])
-        else:  # chunked engines: (k, 2) blocks
-            for u, v in batch.tolist():
-                offer(u, v)
+    for block in incident_rows:
+        for u, v in block.tolist():
+            offer(u, v)
 
 
 def stage_closure_hits(
     bundle_rows: List[_Bundle],
     others: List[Vertex],
     meter: SpaceMeter,
-    chunked: bool,
 ) -> "RoundStage":
     """Build the pass-6 closure-counting stage.
 
@@ -231,19 +188,18 @@ def stage_closure_hits(
     one pass, even with no rows (the pass budget accounting of the
     six-pass layout does not depend on the candidate set).
 
-    The chunked engine builds every watched key in one packed-key
-    expression and resolves per-key *occurrence counts* with a single
-    vectorized scan (:class:`~repro.core.kernels.PackedKeyCountPlan`) -
-    occurrence-weighted, not presence-based, so the engines stay
-    bit-identical even on unvalidated tapes with repeated edges.  The
-    reference watch-table path below is also the fallback when vertex ids
-    overflow the 32-bit packing (a per-row replay - chunk-paced via
-    :class:`~repro.core.kernels.EdgeReplayPlan` on the chunked engines, so
-    the stage can still share a fused sweep; a pass is a pass either way).
+    Every watched key is built in one packed-key expression and per-key
+    *occurrence counts* resolve with a single vectorized scan
+    (:class:`~repro.core.kernels.PackedKeyCountPlan`) - occurrence-weighted,
+    not presence-based, so repeated edges on unvalidated tapes count the
+    way the per-edge reference counts them.  When vertex ids overflow the
+    32-bit packing the watch table below runs instead, as a per-row replay
+    (:class:`~repro.core.kernels.EdgeReplayPlan`, chunk-paced so the stage
+    can still share a fused sweep; a pass is a pass either way).
     """
-    from .stages import CallbackFold, RoundStage, charge_prefilter
+    from .stages import RoundStage, charge_prefilter
 
-    if chunked and bundle_rows:
+    if bundle_rows:
         stage = _closure_hits_vectorized_stage(bundle_rows, others, meter)
         if stage is not None:
             return stage
@@ -265,11 +221,7 @@ def stage_closure_hits(
             for row in watchers:
                 hits[row] += 1
 
-    if chunked:
-        from . import kernels
-
-        return RoundStage(plans=[kernels.EdgeReplayPlan(visit)], finish=lambda: hits)
-    return RoundStage(fold=CallbackFold(visit), finish=lambda: hits)
+    return RoundStage(plans=[kernels.EdgeReplayPlan(visit)], finish=lambda: hits)
 
 
 def _closure_hits_vectorized_stage(
@@ -283,11 +235,8 @@ def _closure_hits_vectorized_stage(
     counts), so the watched keys are built entry-wise over the ragged
     concatenation of all bundles - ``O(sum_f min(d_f, s))`` work - and hit
     counts weight each fired key by its slot multiplicity, exactly like
-    the reference watch table over the expanded slots.
+    the watch table over the expanded slots.
     """
-    import numpy as np
-
-    from . import kernels
     from .stages import RoundStage, charge_prefilter
 
     lengths = np.fromiter(
@@ -349,8 +298,8 @@ class SampleSource:
     drawing them through per-call ``Generator`` methods costs microseconds
     of call overhead each.  This source draws 16k at a time and hands out
     zero-copy slices, so a flush pays one slice plus the arithmetic.
-    Consumption order is deterministic given the flush sequence, which both
-    execution engines replay identically.
+    Consumption order is deterministic given the flush sequence, which is
+    the same at any chunk size and thread count.
     """
 
     __slots__ = ("_gen", "_block", "_pos")
@@ -381,17 +330,11 @@ class SampleSource:
 def derive_sample_generator(rng: random.Random):
     """Derive the vectorized sample source for one run's bundles.
 
-    Draws exactly one 64-bit value from ``rng`` (keeping the stdlib RNG
-    stream aligned across engines) and seeds a :class:`SampleSource` from
-    it; returns ``rng`` itself when NumPy is unavailable.  Both execution
-    engines call this at the same point and then consume the source on the
-    same matched edges in the same order, so results stay seed-for-seed
-    identical between them.
+    Draws exactly one 64-bit value from ``rng`` and seeds a
+    :class:`SampleSource` from it, so the stdlib RNG stream advances by
+    the same amount however the source is consumed afterwards.
     """
-    seed = rng.getrandbits(64)
-    if engine.HAVE_NUMPY:
-        return SampleSource(_np.random.default_rng(seed))
-    return rng  # pragma: no cover - the CI image bakes NumPy in
+    return SampleSource(np.random.default_rng(rng.getrandbits(64)))
 
 
 class StreamingAssigner:
@@ -435,7 +378,6 @@ class StreamingAssigner:
             [self._rng],
             [distinct],
             self._meter,
-            engine.use_chunks(scheduler.stream),
             incident_rows,
             track=lambda stage: stage,
         )

@@ -98,15 +98,15 @@ class EstimatorConfig:
         the ensemble total).  ``False`` runs repetitions sequentially (6
         passes each, per-run space).
     engine_mode:
-        Optional execution-engine override for this estimator's runs:
-        ``"auto"`` | ``"chunked"`` | ``"python"`` | ``"sharded"`` (see
-        :mod:`repro.core.engine`).  ``None`` (default) keeps the global
-        policy.  Results are seed-for-seed identical across engines.
+        Optional engine mode name: ``"auto"`` | ``"chunked"`` |
+        ``"sharded"``, synonyms of the one engine (see
+        :mod:`repro.core.engine`).  The removed ``"python"`` engine is
+        rejected with :class:`~repro.errors.ParameterError`.
     chunk_size:
-        Optional edges-per-chunk override for the chunked/sharded engines.
+        Optional edges-per-chunk override for every sweep.
     workers:
         Optional thread count per sweep (``1`` = serial).  ``None`` keeps
-        the global setting (default: all cores on the NumPy engines).
+        the global setting (default: all cores).
     fuse:
         Optional override of the fused sweep engine: each round's closure
         watch (pass 4) and assignment sampling (pass 5) share one physical
@@ -211,10 +211,8 @@ class EstimatorConfig:
         if self.workers is not None and self.workers < 1:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
         engine._check_depth(self.speculate_depth)  # one validator, one message
-        if self.engine_mode is not None and self.engine_mode not in engine._MODES:
-            raise ParameterError(
-                f"engine_mode must be one of {engine._MODES}, got {self.engine_mode!r}"
-            )
+        if self.engine_mode is not None:
+            engine.check_mode(self.engine_mode)
         if self.max_retries is not None and self.max_retries < 0:
             raise ParameterError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.faults is not None and not isinstance(self.faults, faults_module.FaultPlan):
@@ -672,7 +670,6 @@ def estimate_program(
             ),
             root_state=root.getstate(),
         )
-    chunked = engine.use_chunks(stream)
     fuse, speculate, max_depth = _sweep_policy(cfg)
     speculative = (
         speculate
@@ -756,7 +753,7 @@ def estimate_program(
         # totals match a solo run no matter how the driving entity
         # physically served the batches.
         ledger = OwnerLedger()
-        program = window_program(m, plans, rng_lists, meters, chunked, owners, fuse)
+        program = window_program(m, plans, rng_lists, meters, owners, fuse)
         try:
             batch = next(program)
             while True:
@@ -945,9 +942,16 @@ def _config_state(cfg: EstimatorConfig) -> Dict[str, object]:
 
 
 def _config_from_state(state: Dict[str, object]) -> EstimatorConfig:
-    """Rebuild an :class:`EstimatorConfig` from a snapshot's document."""
+    """Rebuild an :class:`EstimatorConfig` from a snapshot's document.
+
+    A snapshot written under the removed ``"python"`` engine resumes on
+    the one engine: the mode is not part of the config hash, and every
+    engine produced bit-identical results.
+    """
     known = {f.name for f in dataclasses.fields(EstimatorConfig)}
     kwargs = {key: value for key, value in state.items() if key in known}
+    if kwargs.get("engine_mode") == engine.RETIRED_MODE:
+        kwargs["engine_mode"] = None
     constants = kwargs.get("constants")
     if constants is not None:
         kwargs["constants"] = PlanConstants(*constants)
@@ -1053,8 +1057,9 @@ def resume_from(
     content fingerprint or the config's trajectory hash disagrees with
     the header -- is the hard :class:`~repro.errors.SnapshotMismatchError`.
     Engine and robustness knobs are *outside* the hash: a run
-    checkpointed under ``--engine python`` may resume under the sharded
-    engine (results are bit-identical across engines), which ``config``
+    checkpointed at one worker count may resume at another (results are
+    bit-identical at any count), and one checkpointed under the removed
+    ``"python"`` engine resumes on the one engine; ``config``
     or ``overrides`` (a dict of :class:`EstimatorConfig` field
     replacements applied over the snapshot's stored config) select.
 

@@ -1,38 +1,28 @@
-"""Execution-engine selection: pure Python or chunked NumPy, serial or threaded.
+"""Execution-engine settings: chunk size, threads per sweep, sweep schedule.
 
-Every pass of the estimator stack exists in seed-for-seed equivalent
-implementations:
+Every pass of the estimator stack runs as NumPy plans
+(:mod:`repro.core.kernels`): edges arrive in ``(k, 2)`` int64 blocks via
+:meth:`~repro.streams.multipass.PassScheduler.new_fused_pass_chunks`, each
+pass does its scanning with vectorized array operations, and the sweep
+loop (:mod:`repro.core.executor`) runs the kernels on ``workers`` threads,
+bit-identical for the same seeds at any thread count.
 
-* the **pure-Python path** - one interpreter iteration per stream edge,
-  exactly as written in the original modules.  Always available, easy to
-  audit against the paper's pseudocode, and the reference the parity suite
-  checks against;
-* the **chunked path** (:mod:`repro.core.kernels`) - edges arrive in
-  ``(k, 2)`` int64 NumPy blocks via
-  :meth:`~repro.streams.multipass.PassScheduler.new_fused_pass_chunks` and
-  each pass does its heavy scanning with vectorized array operations,
-  consuming randomness in exactly the same order as the Python path so
-  results are bit-identical.  The sweep loop (:mod:`repro.core.executor`)
-  runs the kernels on ``workers`` threads, still bit-identical for the
-  same seeds at any thread count.
+There is one engine.  ``engine_mode`` still accepts ``"auto"``,
+``"chunked"`` and ``"sharded"`` - synonyms, kept so existing configs,
+scripts and environments keep working.  The per-edge ``"python"`` engine
+was removed: asking for it raises :class:`~repro.errors.ParameterError`
+rather than silently running something else (a snapshot that recorded it
+resumes on the one engine - see :func:`repro.core.driver.resume_from`).
 
-This module is the single switchboard deciding which path runs.  The policy
-(``"auto"`` by default) uses the chunked path whenever NumPy is importable
-and the stream advertises a native chunk producer
-(:attr:`~repro.streams.base.EdgeStream.supports_native_chunks`); iterator-only
-streams stay on the Python path, where the generic batching fallback would
-add overhead without removing the per-edge interpreter cost.  ``"chunked"``
-forces the chunked path; ``"sharded"`` is accepted as its synonym.
+The worker count defaults to the machine's cores; an explicit count wins,
+and ``1`` means the kernels run inline on the sweeping thread.
 
-The worker count defaults to the machine's cores on every NumPy engine
-mode (``"python"`` always runs one thread); an explicit count wins, and
-``1`` means the kernels run inline on the sweeping thread.
-
-The mode, chunk size, and worker count can be forced globally
-(:func:`set_engine`), per block (:func:`engine_overrides` - what the parity
-suite and benchmarks use), or at process start via the environment:
-``REPRO_ENGINE`` (``auto`` | ``chunked`` | ``python`` | ``sharded``) and
-``REPRO_WORKERS`` (a positive integer; ``1`` means serial).
+The chunk size, worker count and sweep schedule (fusion, speculation and
+its depth) can be forced globally (:func:`set_engine`), per block
+(:func:`engine_overrides` - what the parity suite and benchmarks use), or
+at process start via the environment: ``REPRO_WORKERS`` (a positive
+integer; ``1`` means serial), ``REPRO_FUSE``, ``REPRO_SPECULATE`` and
+``REPRO_SPECULATE_DEPTH``.  ``REPRO_ENGINE`` is read for the mode name.
 
 The policy is **process-global, not thread-local**: ``engine_overrides``
 (and therefore per-config engine selection on
@@ -44,24 +34,38 @@ engine settings - run differing configurations in separate processes.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from ..errors import ParameterError
-from ..streams.base import DEFAULT_CHUNK_EDGES, EdgeStream
+from ..streams.base import DEFAULT_CHUNK_EDGES
 
-_MODES = ("auto", "chunked", "python", "sharded")
+#: Accepted ``engine_mode`` names: synonyms of the one engine.
+_MODES = ("auto", "chunked", "sharded")
 
-try:  # NumPy is a declared dependency; this flag gates the remaining fallbacks.
-    import numpy  # noqa: F401
+#: The removed per-edge engine's name (rejected, never mapped silently).
+RETIRED_MODE = "python"
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-    HAVE_NUMPY = False
+
+def check_mode(mode: str) -> None:
+    """Reject an engine mode that is not one of :data:`_MODES`."""
+    if mode == RETIRED_MODE:
+        raise ParameterError(
+            f"engine mode {RETIRED_MODE!r} was removed: every pass now runs the NumPy "
+            f"plans; use one of {_MODES} (all the same engine)"
+        )
+    if mode not in _MODES:
+        raise ParameterError(f"engine mode must be one of {_MODES}, got {mode!r}")
 
 
 def _initial_mode() -> str:
     mode = os.environ.get("REPRO_ENGINE", "auto").strip().lower()
+    if mode == RETIRED_MODE:
+        warnings.warn(
+            f"REPRO_ENGINE={RETIRED_MODE}: that engine was removed; using the NumPy plans",
+            stacklevel=2,
+        )
     return mode if mode in _MODES else "auto"
 
 
@@ -99,8 +103,8 @@ def _initial_speculate_depth() -> int:
 
 _mode: str = _initial_mode()
 _chunk_size: int = DEFAULT_CHUNK_EDGES
-#: ``None`` = never set explicitly (the NumPy modes then default it to the
-#: core count); an explicit ``1`` always means serial.
+#: ``None`` = never set explicitly (it then defaults to the core count);
+#: an explicit ``1`` always means serial.
 _workers: Optional[int] = _initial_workers()
 #: Fused sweeps: independent pass plans of one round share a physical tape
 #: sweep (see :func:`repro.core.executor.run_plans`).  Estimates are
@@ -121,12 +125,12 @@ _speculate_depth: int = _initial_speculate_depth()
 
 
 def engine_mode() -> str:
-    """The engine policy in force: ``auto``, ``chunked``, ``python``, or ``sharded``."""
+    """The engine mode name in force: ``auto``, ``chunked`` or ``sharded`` (synonyms)."""
     return _mode
 
 
 def chunk_size() -> int:
-    """Edges per chunk used by the chunked path."""
+    """Edges per chunk of every sweep."""
     return _chunk_size
 
 
@@ -154,13 +158,10 @@ def effective_workers() -> int:
     """The thread count the executor should actually use per sweep.
 
     An explicitly configured count always wins (``1`` = the kernels run
-    inline, under any mode); with no explicit count every NumPy engine
-    mode uses the machine's CPU count and ``"python"`` stays serial.
+    inline); with no explicit count it is the machine's CPU count.
     """
     if _workers is not None:
         return _workers
-    if _mode == "python" or not HAVE_NUMPY:
-        return 1
     return os.cpu_count() or 1
 
 
@@ -218,10 +219,8 @@ def set_engine(
 ) -> None:
     """Set the global engine policy (and optionally chunk size / workers / fusing).
 
-    ``"chunked"`` forces the kernels even for iterator-only streams (their
-    generic batching fallback feeds the kernels); ``"sharded"`` is its
-    synonym;
-    ``"python"`` forces the reference path; ``"auto"`` picks per stream.
+    ``mode`` is one of the synonyms ``"auto"``, ``"chunked"`` or
+    ``"sharded"`` (see :func:`check_mode`).
     ``fused`` toggles the fused-sweep execution of each round's independent
     pass plans (any engine mode; estimates are identical either way);
     ``speculative`` toggles the guessing loop's speculative round fusion
@@ -232,10 +231,7 @@ def set_engine(
     rejected call leaves the policy untouched.
     """
     global _mode
-    if mode not in _MODES:
-        raise ParameterError(f"engine mode must be one of {_MODES}, got {mode!r}")
-    if mode in ("chunked", "sharded") and not HAVE_NUMPY:
-        raise ParameterError(f"engine mode {mode!r} requires NumPy, which is not installed")
+    check_mode(mode)
     _apply(chunk, num_workers, fused, speculative, speculate_depth)
     _mode = mode
 
@@ -253,10 +249,7 @@ def engine_overrides(
     and/or speculative round fusion (on/off and window depth).
 
     Only *explicit* arguments are validated and applied; ``None`` leaves
-    the corresponding setting untouched (in particular, an environment-
-    forced ``chunked``/``sharded`` mode on a NumPy-less box is tolerated
-    here - it degrades at :func:`use_chunks` - rather than rejected on
-    every entry).  Restoration is unconditional.
+    the corresponding setting untouched.  Restoration is unconditional.
     """
     global _mode, _chunk_size, _workers, _fuse, _speculate, _speculate_depth
     saved = (_mode, _chunk_size, _workers, _fuse, _speculate, _speculate_depth)
@@ -268,12 +261,3 @@ def engine_overrides(
         yield
     finally:
         (_mode, _chunk_size, _workers, _fuse, _speculate, _speculate_depth) = saved
-
-
-def use_chunks(stream: EdgeStream) -> bool:
-    """Decide whether the chunked kernels should run for ``stream``."""
-    if _mode == "python" or not HAVE_NUMPY:
-        return False
-    if _mode in ("chunked", "sharded"):
-        return True
-    return stream.supports_native_chunks

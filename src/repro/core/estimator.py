@@ -33,22 +33,18 @@ This module holds the passes as *stage builders* (``stage_pass1`` ...
 Every stage is multi-instance - ``k`` independent Algorithm 2 instances
 share each sweep (the paper's parallel accounting) - and
 :func:`~repro.core.parallel.round_program` strings them into a round;
-:func:`run_single_estimate` is its ``k = 1`` case.  On the chunked
-engines a stage is a set of :class:`~repro.core.executor.PassPlan`
-objects executed - serially or on several threads - by the shared
-executor spine; on the pure-Python engine the reference per-edge folds
-below run instead.  All of them are seed-for-seed bit-identical.
+:func:`run_single_estimate` is its ``k = 1`` case.  A stage is a set of
+pass plans (:mod:`repro.core.kernels`) executed - serially or on several
+threads, bit-identically - by the shared executor spine.  The per-edge
+folds in ``tests/reference_passes.py`` are each pass's reference oracle.
 
-Between sweeps the round state is NumPy arrays on every engine (the
-folds finish into the same arrays the plans do, so the offline work has
-one implementation): ``R`` is a ``(k, r, 2)`` array, the pass-2 degree
-table sorted ``(ids, counts)`` arrays read with ``searchsorted``, and the
-draws, owners and apexes per-instance arrays (:data:`NO_APEX` for an
-unserved draw).  The closure watch is the sorted unique missing edges
-plus each watching draw's key index, and pass 4 finishes, per instance,
-into the sorted ``(ell, 3)`` wedge triangles and a closed mask.
-:func:`stage_pass4` / :func:`stage_pass45` are the same pass over
-per-instance lists, for callers holding edge tuples.
+Between sweeps the round state is NumPy arrays: ``R`` is a ``(k, r, 2)``
+array, the pass-2 degree table sorted ``(ids, counts)`` arrays read with
+``searchsorted``, and the draws, owners and apexes per-instance arrays
+(:data:`NO_APEX` for an unserved draw).  The closure watch is the sorted
+unique missing edges plus each watching draw's key index, and pass 4
+finishes, per instance, into the sorted ``(ell, 3)`` wedge triangles and
+a closed mask.
 """
 
 from __future__ import annotations
@@ -56,18 +52,18 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sampling.discrete import CumulativeSampler
 from ..streams.base import EdgeStream
 from ..streams.space import SpaceMeter
-from ..types import Edge, Vertex, canonical_triangle
+from ..types import canonical_triangle
 from . import kernels
 from .assignment import Assigner, SampleSource
 from .params import ParameterPlan
-from .stages import EdgeFold, RoundStage, charge_prefilter
+from .stages import RoundStage, charge_prefilter
 
 AssignerFactory = Callable[[ParameterPlan, random.Random, SpaceMeter], Assigner]
 
@@ -183,75 +179,22 @@ def _split(values: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
     return np.split(values, np.cumsum(sizes)[:-1])
 
 
-class _PositionFold(EdgeFold):
-    """Pass-1 fold: serve pre-drawn stream positions (Python engine)."""
-
-    can_finish_early = True
-
-    __slots__ = ("_order", "_wanted", "_edges", "_position")
-
-    def __init__(self, positions: np.ndarray) -> None:
-        self._order = np.argsort(positions, kind="stable")
-        self._wanted = positions[self._order].tolist()
-        self._edges: List[Edge] = []  # the edge at each sorted position
-        self._position = 0
-
-    def edge(self, u: Vertex, v: Vertex) -> None:
-        wanted, edges = self._wanted, self._edges
-        while len(edges) < len(wanted) and wanted[len(edges)] == self._position:
-            edges.append((u, v))
-        self._position += 1
-
-    def done(self) -> bool:
-        return len(self._edges) == len(self._wanted)
-
-    def rows(self) -> np.ndarray:
-        assert self.done(), "stream ended with unserved sample positions"
-        rows = np.empty((len(self._wanted), 2), dtype=np.int64)
-        rows[self._order] = np.asarray(self._edges, dtype=np.int64).reshape(-1, 2)
-        return rows
-
-
-def stage_pass1(
-    r: int, m: int, sources: List[SampleSource], meter: SpaceMeter, chunked: bool
-) -> RoundStage:
+def stage_pass1(r: int, m: int, sources: List[SampleSource], meter: SpaceMeter) -> RoundStage:
     """Build the pass-1 stage: ``r`` i.i.d. uniform edges per instance.
 
-    Positions are pre-drawn in instance-then-slot order on every engine, so
-    the per-instance variate streams stay aligned; the sweep abandons once
+    Positions are pre-drawn in instance-then-slot order, so the
+    per-instance variate streams stay aligned; the sweep abandons once
     every slot is served (the scheduler counts abandoned passes exactly
     like consumed ones).  ``finish()`` is ``R`` as a ``(k, r, 2)`` array.
     """
     k = len(sources)
     meter.allocate(2 * r * k, "R")
     positions = np.concatenate([(source.uniforms(r) * m).astype(np.int64) for source in sources])
-    if chunked:
-        plan = kernels.PositionCollectPlan(positions)
-        return RoundStage(plans=[plan], finish=lambda: plan.rows().reshape(k, r, 2))
-    fold = _PositionFold(positions)
-    return RoundStage(fold=fold, finish=lambda: fold.rows().reshape(k, r, 2))
+    plan = kernels.PositionCollectPlan(positions)
+    return RoundStage(plans=[plan], finish=lambda: plan.rows().reshape(k, r, 2))
 
 
-class _TrackedDegreeFold(EdgeFold):
-    """Pass-2 fold: streaming degree counters for the tracked endpoints."""
-
-    __slots__ = ("tracked",)
-
-    def __init__(self, ids: np.ndarray) -> None:
-        self.tracked = dict.fromkeys(ids.tolist(), 0)
-
-    def edge(self, u: Vertex, v: Vertex) -> None:
-        tracked = self.tracked
-        if u in tracked:
-            tracked[u] += 1
-        if v in tracked:
-            tracked[v] += 1
-
-    def counts(self) -> np.ndarray:
-        return np.fromiter(self.tracked.values(), np.int64, count=len(self.tracked))
-
-
-def stage_pass2(sampled: np.ndarray, meter: SpaceMeter, chunked: bool) -> RoundStage:
+def stage_pass2(sampled: np.ndarray, meter: SpaceMeter) -> RoundStage:
     """Build the pass-2 stage: one shared degree table for all endpoints.
 
     Degrees are deterministic functions of the stream, so every instance
@@ -261,11 +204,8 @@ def stage_pass2(sampled: np.ndarray, meter: SpaceMeter, chunked: bool) -> RoundS
     ids = kernels.sorted_unique(sampled.reshape(-1))
     meter.allocate(len(ids), "degrees")
     charge_prefilter(meter, len(ids))
-    if chunked:
-        plan = kernels.DegreeCountPlan(ids)
-        return RoundStage(plans=[plan], finish=lambda: (ids, plan.result()))
-    fold = _TrackedDegreeFold(ids)
-    return RoundStage(fold=fold, finish=lambda: (ids, fold.counts()))
+    plan = kernels.DegreeCountPlan(ids)
+    return RoundStage(plans=[plan], finish=lambda: (ids, plan.result()))
 
 
 def draw_weighted_edges(
@@ -305,52 +245,11 @@ def draw_weighted_edges(
     return draws, owners, ells, d_rs
 
 
-class _NeighborServeFold(EdgeFold):
-    """Pass-3 fold: serve per-owner incident-stream positions."""
-
-    can_finish_early = True
-
-    __slots__ = ("_pending", "_apexes", "_seen", "_cursor", "_unserved")
-
-    def __init__(self, owners: np.ndarray, positions: np.ndarray) -> None:
-        pending: Dict[Vertex, List[Tuple[int, int]]] = {}
-        for request, (owner, position) in enumerate(zip(owners.tolist(), positions.tolist())):
-            pending.setdefault(owner, []).append((position, request))
-        for entries in pending.values():
-            entries.sort()
-        self._pending = pending
-        self._apexes = [NO_APEX] * len(owners)
-        self._seen: Dict[Vertex, int] = dict.fromkeys(pending, 0)
-        self._cursor: Dict[Vertex, int] = dict.fromkeys(pending, 0)
-        self._unserved = len(owners)
-
-    def edge(self, u: Vertex, v: Vertex) -> None:
-        for owner, neighbor in ((u, v), (v, u)):
-            entries = self._pending.get(owner)
-            if entries is None:
-                continue
-            occurrence = self._seen[owner]
-            self._seen[owner] = occurrence + 1
-            at = self._cursor[owner]
-            while at < len(entries) and entries[at][0] == occurrence:
-                self._apexes[entries[at][1]] = neighbor
-                at += 1
-                self._unserved -= 1
-            self._cursor[owner] = at
-
-    def done(self) -> bool:
-        return self._unserved == 0
-
-    def apexes(self) -> np.ndarray:
-        return np.asarray(self._apexes, dtype=np.int64)
-
-
 def stage_pass3(
     owners: List[np.ndarray],
     degrees: DegreeTable,
     sources: List[SampleSource],
     meter: SpaceMeter,
-    chunked: bool,
 ) -> RoundStage:
     """Build the pass-3 stage: per-draw uniform neighbor samples.
 
@@ -360,10 +259,9 @@ def stage_pass3(
     incident sub-stream from its instance's own sample source (preserving
     cross-instance independence) and the scan just captures the neighbors
     at the requested positions.  No randomness is consumed mid-pass, and
-    the pass is abandoned once every draw is served.  The chunked engines
-    resolve the (owner, occurrence) events entirely vectorized
-    (:class:`~repro.core.kernels.NeighborPositionPlan`); results are
-    identical across engines by construction.  ``finish()`` is, per
+    the pass is abandoned once every draw is served.  The (owner,
+    occurrence) events resolve entirely vectorized
+    (:class:`~repro.core.kernels.NeighborPositionPlan`).  ``finish()`` is, per
     instance, the apex of each draw (:data:`NO_APEX` when unserved).
     """
     sizes = [len(instance_owners) for instance_owners in owners]
@@ -377,11 +275,8 @@ def stage_pass3(
             for source, draw_owners in zip(sources, owners)
         ]
     )
-    if chunked:
-        plan = kernels.NeighborPositionPlan(owner_ids, owner_index, positions)
-        return RoundStage(plans=[plan], finish=lambda: _split(plan.result(), sizes))
-    fold = _NeighborServeFold(requests, positions)
-    return RoundStage(fold=fold, finish=lambda: _split(fold.apexes(), sizes))
+    plan = kernels.NeighborPositionPlan(owner_ids, owner_index, positions)
+    return RoundStage(plans=[plan], finish=lambda: _split(plan.result(), sizes))
 
 
 def _closure_watch(
@@ -423,43 +318,11 @@ def _closure_watch(
     return triangles, watchers, keys, inverse
 
 
-class _WatchFold(EdgeFold):
-    """Pass-4 fold: mark watched missing edges seen anywhere on the tape."""
-
-    __slots__ = ("index", "seen")
-
-    def __init__(self, keys: np.ndarray) -> None:
-        self.index = {key: i for i, key in enumerate(map(tuple, keys.tolist()))}
-        self.seen = np.zeros(len(keys), dtype=bool)
-
-    def edge(self, u: Vertex, v: Vertex) -> None:
-        i = self.index.get((u, v))
-        if i is not None:
-            self.seen[i] = True
-
-
-class _FusedWatchCollectFold(_WatchFold):
-    """Fused pass-4/5 fold: closure watch plus wedge-superset buffering."""
-
-    __slots__ = ("superset", "incident")
-
-    def __init__(self, keys: np.ndarray, superset: np.ndarray) -> None:
-        super().__init__(keys)
-        self.superset = set(superset.tolist())
-        self.incident: List[Edge] = []
-
-    def edge(self, u: Vertex, v: Vertex) -> None:
-        super().edge(u, v)
-        if u in self.superset or v in self.superset:
-            self.incident.append((u, v))
-
-
 def stage_closure(
     draws: List[np.ndarray],
     owners: List[np.ndarray],
     apexes: List[np.ndarray],
     meter: SpaceMeter,
-    chunked: bool,
     fuse: bool = False,
 ) -> RoundStage:
     """Build the pass-4 stage - or, with ``fuse``, fused passes 4+5.
@@ -474,8 +337,8 @@ def stage_closure(
     (pass 5) share one sweep.  The assignment stage replays the edges
     incident to the candidate triangles' vertices - a set only known once
     pass 4 resolves which wedges closed.  Fusing the two is still exact
-    because the replayed fold ignores untracked endpoints: this sweep
-    *buffers* the edges incident to every **wedge** vertex (a superset of
+    because the replayed pass-5 callback ignores untracked endpoints: this
+    sweep *buffers* the edges incident to every **wedge** vertex (a superset of
     every possible candidate vertex, fixed before the sweep), and the
     caller replays the buffer through the pass-5 per-edge logic after
     closure is known.  The replayed sequence - and therefore every degree
@@ -484,8 +347,7 @@ def stage_closure(
     bit-identical to unfused execution; the speculative buffer (metered as
     ``fused-incident-buffer``) is the space this trades for one fewer
     sweep of the tape.  ``incident_rows`` is the buffered incident
-    sequence in stream order (``(k, 2)`` blocks on the chunked engines,
-    edge tuples on the Python path) for
+    sequence in stream order, as ``(k, 2)`` blocks, for
     :func:`~repro.core.assignment.replay_incident_rows`.
 
     Sweep accounting: a round whose wedges close saves exactly one sweep
@@ -507,83 +369,16 @@ def stage_closure(
 
     # No wedges at all: there is nothing pass 5 could ever track, so
     # speculating would charge a logical pass for provably dead work.
+    watch_plan = kernels.WatchKeyPlan(keys)
     if not (fuse and len(keys)):
-        if chunked:
-            plan = kernels.WatchKeyPlan(keys)
-            return RoundStage(plans=[plan], finish=lambda: (closures(plan.seen), None))
-        fold = _WatchFold(keys)
-        return RoundStage(fold=fold, finish=lambda: (closures(fold.seen), None))
+        return RoundStage(plans=[watch_plan], finish=lambda: (closures(watch_plan.seen), None))
     superset = kernels.sorted_unique(triangles[watchers].reshape(-1))
     charge_prefilter(meter, len(superset))
-    if chunked:
-        watch_plan = kernels.WatchKeyPlan(keys)
-        collect_plan = kernels.IncidentCollectPlan(superset)
-
-        def finish_chunked():
-            incident = collect_plan.result()
-            meter.allocate(
-                2 * sum(len(block) for block in incident), "fused-incident-buffer"
-            )
-            return closures(watch_plan.seen), incident
-
-        return RoundStage(plans=[watch_plan, collect_plan], finish=finish_chunked)
-    fused_fold = _FusedWatchCollectFold(keys, superset)
+    collect_plan = kernels.IncidentCollectPlan(superset)
 
     def finish():
-        meter.allocate(2 * len(fused_fold.incident), "fused-incident-buffer")
-        return closures(fused_fold.seen), fused_fold.incident
+        incident = collect_plan.result()
+        meter.allocate(2 * sum(len(block) for block in incident), "fused-incident-buffer")
+        return closures(watch_plan.seen), incident
 
-    return RoundStage(fold=fused_fold, passes=2, finish=finish)
-
-
-def _listed_closure(draws, owners, apexes, meter, chunked, fuse) -> RoundStage:
-    """:func:`stage_closure` for per-instance lists: ``None`` apexes in,
-    the closed triangle per draw (or ``None``) out."""
-    stage = stage_closure(
-        [np.asarray(d, dtype=np.int64).reshape(-1, 2) for d in draws],
-        [np.asarray(o, dtype=np.int64) for o in owners],
-        [np.asarray([NO_APEX if w is None else w for w in a], dtype=np.int64) for a in apexes],
-        meter,
-        chunked,
-        fuse,
-    )
-
-    def finish():
-        closures, incident = stage.finish()
-        triangles = [
-            [tuple(t) if c else None for t, c in zip(tri.tolist(), closed.tolist())]
-            for tri, closed in closures
-        ]
-        return (triangles, incident) if fuse else triangles
-
-    return RoundStage(plans=stage.plans, fold=stage.fold, passes=stage.passes, finish=finish)
-
-
-def stage_pass4(
-    draws: List[List[Edge]],
-    owners: List[List[Vertex]],
-    apexes: List[List[Optional[Vertex]]],
-    meter: SpaceMeter,
-    chunked: bool,
-) -> RoundStage:
-    """The pass-4 stage over per-instance lists (``None``: no apex).
-
-    ``finish()`` is, per instance, the closed triangle per draw or
-    ``None``; :func:`stage_closure` is the array form the rounds use.
-    """
-    return _listed_closure(draws, owners, apexes, meter, chunked, fuse=False)
-
-
-def stage_pass45(
-    draws: List[List[Edge]],
-    owners: List[List[Vertex]],
-    apexes: List[List[Optional[Vertex]]],
-    meter: SpaceMeter,
-    chunked: bool,
-) -> RoundStage:
-    """Fused passes 4+5 over per-instance lists (see :func:`stage_pass4`).
-
-    ``finish()`` returns ``(candidates, incident_rows)``; see
-    :func:`stage_closure` for the fusion and its accounting.
-    """
-    return _listed_closure(draws, owners, apexes, meter, chunked, fuse=True)
+    return RoundStage(plans=[watch_plan, collect_plan], finish=finish)

@@ -180,7 +180,6 @@ def run_plans(
     plans: Sequence[PassPlan],
     chunk_size: Optional[int] = None,
     workers: Optional[int] = None,
-    passes: Optional[int] = None,
     owners: Optional[Sequence[str]] = None,
     results: bool = True,
 ) -> Optional[List[Any]]:
@@ -194,9 +193,8 @@ def run_plans(
     are bit-identical to per-plan execution at any worker count.  Returns
     the plans' results in order.
 
-    ``passes`` overrides the logical-pass charge for the group (defaults to
-    ``len(plans)``); ``owners`` tags the sweep for the scheduler's
-    committed/wasted accounting (the speculative round-pair driver tags
+    ``owners`` tags the sweep for the scheduler's committed/wasted
+    accounting (the speculative round-pair driver tags
     shared sweeps with the rounds they serve).  ``results=False`` returns
     ``None`` instead of the results: round stages read their plans' state
     in their own finish step, so nothing is converted for them.
@@ -205,8 +203,7 @@ def run_plans(
         raise ValueError("run_plans needs at least one plan")
     chunk = chunk_size if chunk_size is not None else engine.chunk_size()
     threads = workers if workers is not None else engine.effective_workers()
-    charged = passes if passes is not None else len(plans)
-    _sweep(scheduler, plans, chunk, threads, charged, owners)
+    _sweep(scheduler, plans, chunk, threads, owners)
     return [plan.result() for plan in plans] if results else None
 
 
@@ -253,7 +250,6 @@ def _sweep(
     plans: Sequence[PassPlan],
     chunk: int,
     workers: int,
-    passes: int,
     owners: Optional[Sequence[str]] = None,
 ) -> None:
     policy = faults.active_policy()
@@ -320,7 +316,7 @@ def _sweep(
         for i, partial in zip(task.active, task.partials):
             states[i].absorb(partial, task.end)
 
-    chunks = scheduler.new_fused_pass_chunks(chunk, passes=passes, owners=owners)
+    chunks = scheduler.new_fused_pass_chunks(chunk, passes=len(plans), owners=owners)
     shared = _share_probes(plans, states)
     try:
         for block in chunks:

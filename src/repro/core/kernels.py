@@ -1,10 +1,10 @@
-"""Vectorized pass kernels for the chunked stream engine, as executor plans.
+"""Vectorized pass kernels, as executor plans: every pass of the estimator.
 
 The six passes of Algorithm 2 (plus Algorithm 3's two assignment passes)
 share a common shape: a tiny amount of per-run state (samples, watch
-tables, counters) is updated by a full scan of the edge tape.  The pure
-Python implementations pay one interpreter iteration *per edge* for that
-scan; at a million edges the interpreter, not the algorithm, dominates.
+tables, counters) is updated by a full scan of the edge tape.  A per-edge
+implementation pays one interpreter iteration *per edge* for that scan; at
+a million edges the interpreter, not the algorithm, dominates.
 
 Each pass here is a :class:`~repro.core.executor.PassPlan`: a read-only
 *spec*, a pure *kernel* over ``(spec, start_row, rows)`` blocks, and an
@@ -94,12 +94,14 @@ plan                                  pass it accelerates
                                       fused sweep
 ====================================  =====================================
 
-Seed-for-seed parity with the Python path is a hard invariant, enforced by
-``tests/test_kernels_parity.py`` and ``tests/test_executor_sharded.py``:
-the kernels consume no randomness at all (all RNG draws happen either
-before the scan or in the parent on the same matched edges in the same
-stream order), so estimates, diagnostics, pass counts, and space
-accounting are bit-identical between engines and across worker counts.
+Seed-for-seed parity with the per-edge reference folds of
+``tests/reference_passes.py`` is a hard invariant, enforced by
+``tests/test_kernels_parity.py`` and pinned end to end by
+``tests/test_engine_golden.py``: the kernels consume no randomness at all
+(all RNG draws happen either before the scan or in the parent on the same
+matched edges in the same stream order), so estimates, diagnostics, pass
+counts, and space accounting are bit-identical at any chunk size and
+worker count.
 
 Vertex ids must fit in unsigned 32 bits for the packed-key scans; streams
 with larger ids transparently fall back to per-row set membership inside

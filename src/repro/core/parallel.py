@@ -11,11 +11,10 @@ instances over exactly six shared passes.
 The pass implementations themselves live in :mod:`repro.core.estimator`
 (``stage_pass1`` ... ``stage_pass3``, ``stage_closure``) - they are
 multi-instance by construction, pass their state between sweeps as NumPy
-arrays on every engine, and the single runner
+arrays, and the single runner
 (:func:`~repro.core.estimator.run_single_estimate`) is this module's
-``k = 1`` case, so every runner rides the same executor spine (pure
-Python, or chunked on one or more threads) with no duplicated pass
-loops.
+``k = 1`` case, so every runner rides the same executor spine (on one or
+more threads) with no duplicated pass loops.
 
 Sharing rules (what may be shared without breaking independence):
 
@@ -58,7 +57,7 @@ from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
 from ..types import Edge, Triangle, Vertex, triangle_edges
-from . import engine
+from . import engine, kernels
 from .assignment import (
     _Bundle,
     derive_sample_generator,
@@ -75,7 +74,7 @@ from .estimator import (
     stage_pass3,
 )
 from .params import ParameterPlan
-from .stages import CallbackFold, RoundStage, charge_prefilter
+from .stages import RoundStage, charge_prefilter
 
 #: A round program: yields the stages it needs, receives each stage's
 #: ``finish()`` value back, and returns the per-instance results.
@@ -102,10 +101,7 @@ def run_parallel_estimates(
     """
     meter = meter if meter is not None else SpaceMeter()
     scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND)
-    chunked = engine.use_chunks(stream)
-    return drive_round(
-        scheduler, round_program(len(stream), plan, rngs, meter, chunked, assign)
-    )
+    return drive_round(scheduler, round_program(len(stream), plan, rngs, meter, assign))
 
 
 def drive_round(
@@ -127,7 +123,6 @@ def round_program(
     plan: ParameterPlan,
     rngs: List[random.Random],
     meter: SpaceMeter,
-    chunked: bool,
     assign: Optional[AssignHook] = None,
     fuse: Optional[bool] = None,
 ) -> RoundProgram:
@@ -152,8 +147,8 @@ def round_program(
     if m != plan.num_edges:
         raise ValueError(f"stream has {m} edges but plan was built for {plan.num_edges}")
     # One derived sample source per instance, consumed in instance order at
-    # every stage - cross-instance independence and engine parity both hold
-    # (see derive_sample_generator).
+    # every stage - cross-instance independence holds (see
+    # derive_sample_generator).
     sources = [derive_sample_generator(rngs[j]) for j in range(k)]
     charged_passes = 0
     stages_rode = 0
@@ -164,17 +159,17 @@ def round_program(
         stages_rode += 1
         return stage
 
-    sampled = yield track(stage_pass1(plan.r, m, sources, meter, chunked))
-    degrees = yield track(stage_pass2(sampled, meter, chunked))
+    sampled = yield track(stage_pass1(plan.r, m, sources, meter))
+    degrees = yield track(stage_pass2(sampled, meter))
     draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, plan, sources, meter)
-    apexes = yield track(stage_pass3(owners, degrees, sources, meter, chunked))
+    apexes = yield track(stage_pass3(owners, degrees, sources, meter))
     if fuse is None:
         fuse = engine.fuse()
     # Fused sweep engine: the closure watch (pass 4) and the assignment
     # stage's incident reads (pass 5) share one traversal; the buffered
     # superset is replayed below once closure is known.
     closures, incident = yield track(
-        stage_closure(draws, owners, apexes, meter, chunked, fuse=fuse and assign is None)
+        stage_closure(draws, owners, apexes, meter, fuse=fuse and assign is None)
     )
 
     # Per instance: each closed wedge's triangle and its drawn edge.
@@ -188,7 +183,7 @@ def round_program(
     distinct_by_instance: List[set] = [set(triangles) for triangles, _ in closed_by_instance]
     if assign is None:
         assignments = yield from _assign_program(
-            plan, rngs, distinct_by_instance, meter, chunked, incident, track
+            plan, rngs, distinct_by_instance, meter, incident, track
         )
     else:
         assignments = [assign(distinct) if distinct else {} for distinct in distinct_by_instance]
@@ -220,7 +215,6 @@ def _assign_program(
     rngs: List[random.Random],
     distinct_by_instance: List[set],
     meter: SpaceMeter,
-    chunked: bool,
     incident_rows: Optional[list],
     track,
 ) -> Generator[RoundStage, object, List[Dict[Triangle, Optional[Edge]]]]:
@@ -262,21 +256,18 @@ def _assign_program(
     meter.allocate(s * len(bundles), "assignment-reservoirs")
     meter.allocate(len(degree), "assignment-degrees")
     # One vectorized sample generator per instance, derived in instance
-    # order at this fixed point so both engines consume the stdlib RNGs
-    # identically (see derive_sample_generator).
+    # order at this fixed point (see derive_sample_generator).
     sample_rngs = [derive_sample_generator(rngs[j]) for j in range(k)]
 
     def offer(a: Vertex, b: Vertex) -> None:
         if a in degree:
             degree[a] += 1
-            count = degree[a]
             for j, bundle in by_vertex[a]:
-                bundle.offer(b, count, sample_rngs[j])
+                bundle.offer(b, sample_rngs[j])
         if b in degree:
             degree[b] += 1
-            count = degree[b]
             for j, bundle in by_vertex[b]:
-                bundle.offer(a, count, sample_rngs[j])
+                bundle.offer(a, sample_rngs[j])
 
     if incident_rows is not None:
         # Fused sweep: the tape reads happened during the pass-4 sweep;
@@ -284,18 +275,13 @@ def _assign_program(
         replay_incident_rows(incident_rows, offer)
     else:
         charge_prefilter(meter, len(degree))
-        if chunked:
-            from . import kernels
-
-            yield track(RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)]))
-        else:
-            yield track(RoundStage(fold=CallbackFold(offer)))
+        yield track(RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)]))
     for (j, _), bundle in bundles.items():  # deterministic construction order
         bundle.flush(sample_rngs[j])
 
     # Pass 6: closure watch per (instance, edge).  Heavy edges (degree over
     # the cutoff) get infinite estimates up front; the remaining light rows
-    # are resolved by the engine-appropriate closure counter.
+    # are resolved by one closure-counting sweep.
     estimates: List[Dict[Edge, float]] = [dict() for _ in range(k)]
     light: List[Tuple[int, Edge]] = []
     light_others: List[Vertex] = []
@@ -313,9 +299,7 @@ def _assign_program(
             light_owners.append(owner)
             light_others.append(v if owner == u else u)
     bundle_rows = [bundles[(j, owner)] for (j, _), owner in zip(light, light_owners)]
-    hit_counts = yield track(
-        stage_closure_hits(bundle_rows, light_others, meter, chunked)
-    )
+    hit_counts = yield track(stage_closure_hits(bundle_rows, light_others, meter))
     for (j, f), hit_count in zip(light, hit_counts):
         u, v = f
         estimates[j][f] = min(degree[u], degree[v]) * hit_count / s

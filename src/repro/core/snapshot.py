@@ -56,6 +56,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..errors import (
     ParameterError,
     SnapshotFormatError,
@@ -147,8 +149,8 @@ def config_hash(state: Dict[str, object], kappa: int) -> bytes:
     parameter-plan mode and constants, the hint, the budget and round
     caps, and the pass-sharing switch, plus the promise ``kappa``.
     Engine and robustness knobs are deliberately excluded: results are
-    bit-identical across engines, so a run checkpointed under one engine
-    may legitimately resume under another.
+    bit-identical at any engine setting, so a run checkpointed under one
+    setting may legitimately resume under another.
     """
     relevant = {
         key: state.get(key)
@@ -203,8 +205,9 @@ def stream_fingerprint(stream) -> bytes:
     stream with a different digest is refused.  Tapes reuse their own
     :func:`~repro.streams.tape.tape_fingerprint`; text files hash their
     size plus strided byte samples (bounded reads at any size); anything
-    else - in-memory streams included - hashes the edge sequence itself.
-    Each source kind is domain-tagged so a tape and a text file never
+    else - in-memory streams included - hashes the edge sequence itself,
+    as little-endian int64 pairs read through :meth:`iter_chunks`.  Each
+    source kind is domain-tagged so a tape and a text file never
     collide by accident.
     """
     from ..streams.file import FileEdgeStream
@@ -217,16 +220,8 @@ def stream_fingerprint(stream) -> bytes:
     if isinstance(stream, FileEdgeStream):
         return _file_fingerprint(stream.path, b"esnap/text:")
     digest = hashlib.sha256(b"esnap/stream:")
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        np = None
-    if np is not None and stream.supports_native_chunks:
-        for block in stream.iter_chunks():
-            digest.update(np.ascontiguousarray(block, dtype="<i8").tobytes())
-    else:
-        for u, v in stream:
-            digest.update(struct.pack("<qq", u, v))
+    for block in stream.iter_chunks():
+        digest.update(np.ascontiguousarray(block, dtype="<i8").tobytes())
     return digest.digest()
 
 

@@ -30,8 +30,8 @@ commit/discard walk and the root rewind live in the guessing loop itself
 sequential one too - is a window (of depth 1 when not speculating).
 
 Bit-identity contract: each round's program
-(:func:`~repro.core.parallel.round_program`) folds exactly the per-edge /
-per-chunk sequence it would fold with private sweeps (see
+(:func:`~repro.core.parallel.round_program`) folds exactly the per-chunk
+sequence it would fold with private sweeps (see
 :func:`~repro.core.stages.sweep_stages`, re-exported here as the function
 that serves a window's batches), and all randomness is strictly per-round,
 so every committed estimate, diagnostic, and logical-pass count is
@@ -70,7 +70,6 @@ def window_program(
     plans: Sequence[ParameterPlan],
     rng_lists: Sequence[List[random.Random]],
     meters: Sequence[SpaceMeter],
-    chunked: bool,
     owners: Sequence[str],
     fuse: Optional[bool] = None,
 ) -> Generator[List[TaggedStage], None, List[List[SinglePassStackResult]]]:
@@ -96,7 +95,7 @@ def window_program(
     if len(rng_lists) != depth or len(meters) != depth or len(owners) != depth:
         raise ValueError("plans, rng_lists, meters, and owners must align per round")
     programs = {
-        owner: round_program(m, plans[j], rng_lists[j], meters[j], chunked, fuse=fuse)
+        owner: round_program(m, plans[j], rng_lists[j], meters[j], fuse=fuse)
         for j, owner in enumerate(owners)
     }
     stages = {}

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from .adjacency import Graph
 
 
@@ -62,14 +64,10 @@ def core_decomposition(graph: Graph) -> CoreDecomposition:
     same core numbers and a valid degeneracy ordering (every vertex in a
     frontier has residual degree <= kappa counting frontier-mates and
     later vertices, so its later-neighbor count is <= kappa regardless of
-    intra-frontier order).  The bucket-queue reference implementation is
-    kept as the no-NumPy fallback.
+    intra-frontier order).  ``tests/test_graph_degeneracy.py`` pins the
+    core numbers against the bucket-queue reference
+    (:func:`_core_decomposition_bucketqueue`).
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        return _core_decomposition_bucketqueue(graph)
-
     n = graph.num_vertices
     if n == 0:
         return CoreDecomposition(degeneracy=0, ordering=[], core_numbers={})
@@ -90,7 +88,7 @@ def core_decomposition(graph: Graph) -> CoreDecomposition:
         ordering_parts.append(frontier)
         present[frontier] = False
         remaining -= len(frontier)
-        touched = _gather_neighbors(np, indptr, indices, frontier)
+        touched = _gather_neighbors(indptr, indices, frontier)
         touched = touched[present[touched]]
         if len(touched):
             degrees -= np.bincount(touched, minlength=n)
@@ -108,7 +106,7 @@ def core_decomposition(graph: Graph) -> CoreDecomposition:
     )
 
 
-def _gather_neighbors(np, indptr, indices, verts):
+def _gather_neighbors(indptr, indices, verts):
     """Concatenated CSR neighbor slices of ``verts`` (vectorized gather)."""
     counts = indptr[verts + 1] - indptr[verts]
     total = int(counts.sum())
@@ -188,16 +186,10 @@ def degeneracy_ordering(graph: Graph) -> List[int]:
     ``bin_start[d]`` the front of each degree bucket, so each removal
     updates all touched neighbors with a few vectorized moves per distinct
     neighbor degree instead of one interpreter iteration per edge.  The
-    NumPy path and the pure-Python fallback implement the same abstract
-    peel (same bucket moves, same tie-breaks) and return identical
-    orderings; ``tests/test_graph_degeneracy.py`` pins that parity against
-    the Matula-Beck bucket-queue reference.
+    pure-Python :func:`_strict_ordering_reference` implements the same
+    abstract peel (same bucket moves, same tie-breaks);
+    ``tests/test_graph_degeneracy.py`` pins the two orderings equal.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        return _strict_ordering_reference(graph)
-
     n = graph.num_vertices
     if n == 0:
         return []
@@ -259,8 +251,7 @@ def _strict_ordering_reference(graph: Graph) -> List[int]:
     Implements the identical abstract algorithm (dense ids in ascending
     vertex order, sorted adjacency, same batched bucket moves and
     tie-breaks) with scalar loops, so the two paths return *equal*
-    orderings - this is the parity oracle for the vectorized peel, and the
-    fallback when NumPy is absent.
+    orderings - this is the parity oracle for the vectorized peel.
     """
     vertex_ids = sorted(graph.degrees())
     n = len(vertex_ids)

@@ -2,14 +2,14 @@
 
 Three exact counters are provided:
 
-* :func:`count_triangles` - edge-iterator in the Chiba-Nishizeki style: for
-  every edge, intersect the neighborhood of the lower-degree endpoint with
-  the other endpoint's neighborhood.  Runs in ``O(sum_e d_e) = O(m * kappa)``
-  (Lemma 3.1), which is the very bound the paper's space analysis rests on.
+* :func:`count_triangles` - degree-oriented wedge checking in the
+  Chiba-Nishizeki style, vectorized with NumPy.  Runs in
+  ``O(sum_e min(d_u, d_v)) = O(m * kappa)`` (Lemma 3.1), which is the very
+  bound the paper's space analysis rests on.
 * :func:`count_triangles_node_iterator` - classic wedge-checking per vertex,
   kept as an independent implementation for cross-checking.
-* :func:`enumerate_triangles` - compact-forward enumeration along a
-  degeneracy ordering; yields each triangle exactly once.
+* :func:`enumerate_triangles` - out-wedge closure along a degeneracy
+  ordering; yields each triangle exactly once.
 
 The module also computes the per-edge triangle counts ``t_e`` and the
 paper's *ideal assignment rule* (Section 4 / Section 5.1): assign every
@@ -21,7 +21,9 @@ approximates this rule; tests compare against the exact one computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator
+
+import numpy as np
 
 from ..types import Edge, Triangle, canonical_edge, triangle_edges
 from .adjacency import Graph
@@ -43,17 +45,10 @@ def count_triangles(graph: Graph) -> int:
     triangle becomes exactly one out-wedge at its lowest-ranked vertex.
     The wedges are enumerated per out-degree class with NumPy (one
     ``triu_indices`` expansion per class) and closed by a packed-key
-    membership test against the sorted edge array, replacing the
-    per-edge Python set intersections of the reference implementation
-    (kept below as the no-NumPy fallback).
+    membership test against the sorted edge array.
     """
     if graph.num_edges == 0:
         return 0
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        return _count_triangles_setintersect(graph)
-
     csr = graph.csr()
     n = csr.num_vertices
     deg = csr.degrees
@@ -96,17 +91,6 @@ def count_triangles(graph: Graph) -> int:
     return total
 
 
-def _count_triangles_setintersect(graph: Graph) -> int:
-    """Reference edge-iterator counter (per-edge set intersections)."""
-    total = 0
-    for u, v in graph.edges():
-        nu, nv = graph.neighbors(u), graph.neighbors(v)
-        small, large = (nu, nv) if len(nu) <= len(nv) else (nv, nu)
-        total += sum(1 for w in small if w in large)
-    assert total % 3 == 0
-    return total // 3
-
-
 def count_triangles_node_iterator(graph: Graph) -> int:
     """Exact triangle count via per-vertex wedge checking.
 
@@ -125,12 +109,12 @@ def count_triangles_node_iterator(graph: Graph) -> int:
     return total
 
 
-def _iter_triangle_row_blocks(graph: Graph, np) -> Iterator["object"]:
+def _iter_triangle_row_blocks(graph: Graph) -> Iterator[np.ndarray]:
     """Yield the graph's triangles as dense-index ``(B, 3)`` blocks.
 
     Orients every edge along a degeneracy ordering (each vertex then has at
-    most ``kappa`` out-neighbors - the same ``O(m * kappa)`` bound as the
-    reference compact-forward enumeration) and closes the out-wedges with a
+    most ``kappa`` out-neighbors, the ``O(m * kappa)`` bound of
+    compact-forward enumeration) and closes the out-wedges with a
     packed-key membership test against the sorted CSR edge array, batched
     per out-degree class exactly like :func:`count_triangles`.  Each yielded
     block is bounded by :data:`_WEDGE_BATCH` wedges, so consumers stream
@@ -188,42 +172,17 @@ def _iter_triangle_row_blocks(graph: Graph, np) -> Iterator["object"]:
 def enumerate_triangles(graph: Graph) -> Iterator[Triangle]:
     """Yield each triangle exactly once, in canonical ``a < b < c`` form.
 
-    With NumPy the triangles come from a vectorized out-wedge closure over
-    the cached CSR view (:func:`_iter_triangle_row_blocks`, streamed in
-    bounded blocks); the reference compact-forward enumeration along a
-    degeneracy ordering is kept as the no-NumPy fallback.  Both run in
-    ``O(m * kappa)``; only the yield order differs (neither is part of the
-    contract - each triangle appears exactly once, canonically sorted).
+    The triangles come from a vectorized out-wedge closure over the cached
+    CSR view (:func:`_iter_triangle_row_blocks`, streamed in bounded
+    blocks) in ``O(m * kappa)``.  The yield order is not part of the
+    contract: each triangle appears exactly once, canonically sorted.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        yield from _enumerate_triangles_reference(graph)
-        return
     ids = None
-    for rows in _iter_triangle_row_blocks(graph, np):
+    for rows in _iter_triangle_row_blocks(graph):
         if ids is None:
             ids = graph.csr().vertex_ids
         for a, b, c in ids[rows].tolist():
             yield (a, b, c)
-
-
-def _enumerate_triangles_reference(graph: Graph) -> Iterator[Triangle]:
-    """Reference compact-forward enumeration (per-vertex set checks)."""
-    ordering = degeneracy_ordering(graph)
-    position = {v: i for i, v in enumerate(ordering)}
-    out_neighbors: Dict[int, List[int]] = {
-        v: sorted((w for w in graph.neighbors(v) if position[w] > position[v]), key=position.__getitem__)
-        for v in ordering
-    }
-    for v in ordering:
-        outs = out_neighbors[v]
-        for i, a in enumerate(outs):
-            na = graph.neighbors(a)
-            for b in outs[i + 1 :]:
-                if b in na:
-                    x, y, z = sorted((v, a, b))
-                    yield (x, y, z)
 
 
 def triangles_through_edge(graph: Graph, edge: Edge) -> int:
@@ -237,16 +196,11 @@ def triangles_through_edge(graph: Graph, edge: Edge) -> int:
 def per_edge_triangle_counts(graph: Graph) -> Dict[Edge, int]:
     """Return ``{e: t_e}`` for every edge (zero entries included).
 
-    With NumPy the counts are one vectorized fold over the CSR triangle
-    array: each triangle's three edges are mapped to their rank in the
-    sorted packed edge-key array (``searchsorted``) and accumulated with
-    ``bincount`` - no per-triangle Python iteration.  Falls back to the
-    reference per-triangle loop without NumPy.
+    The counts are one vectorized fold over the CSR triangle array: each
+    triangle's three edges are mapped to their rank in the sorted packed
+    edge-key array (``searchsorted``) and accumulated with ``bincount`` -
+    no per-triangle Python iteration.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        return _per_edge_triangle_counts_reference(graph)
     if graph.num_edges == 0:
         return {}
     csr = graph.csr()
@@ -257,7 +211,7 @@ def per_edge_triangle_counts(graph: Graph) -> Dict[Edge, int]:
     edge_lo, edge_hi = src[undirected], dst[undirected]
     edge_keys = edge_lo * n + edge_hi  # sorted by CSR construction
     totals = np.zeros(len(edge_keys), dtype=np.int64)
-    for rows in _iter_triangle_row_blocks(graph, np):
+    for rows in _iter_triangle_row_blocks(graph):
         for i, j in ((0, 1), (0, 2), (1, 2)):
             keys = rows[:, i] * n + rows[:, j]
             totals += np.bincount(
@@ -268,15 +222,6 @@ def per_edge_triangle_counts(graph: Graph) -> Dict[Edge, int]:
         (u, v): c
         for u, v, c in zip(ids[edge_lo].tolist(), ids[edge_hi].tolist(), totals.tolist())
     }
-
-
-def _per_edge_triangle_counts_reference(graph: Graph) -> Dict[Edge, int]:
-    """Reference per-triangle accumulation (no-NumPy fallback)."""
-    counts: Dict[Edge, int] = {e: 0 for e in graph.edges()}
-    for t in enumerate_triangles(graph):
-        for e in triangle_edges(t):
-            counts[e] += 1
-    return counts
 
 
 def per_vertex_triangle_counts(graph: Graph) -> Dict[int, int]:

@@ -9,7 +9,7 @@ rounds of *one* estimate in lockstep, this one drives the live rounds of
 owner-tagged stage batches; at every step the scheduler merges the
 pending batches of all live jobs and serves them with
 :func:`~repro.core.stages.sweep_tagged_stages` - one fused physical
-traversal per stage kind - on one shared
+traversal - on one shared
 :class:`~repro.streams.multipass.PassScheduler`.
 
 Why this is sound: a stage receives exactly the fold it would receive

@@ -36,16 +36,10 @@ class EdgeStream(ABC):
     Streams may additionally support *chunked* passes (:meth:`iter_chunks`),
     which deliver the same sequence as ``(k, 2)`` int64 NumPy arrays so that
     pass kernels can process blocks of edges with vectorized operations
-    instead of one Python-level iteration per edge.  The base class provides
-    a generic batching fallback over :meth:`__iter__`; implementations that
-    can do better (contiguous array backing, bulk file parsing) override it
-    and set :attr:`supports_native_chunks` so engines know the chunked path
-    actually pays off.
+    instead of one Python-level iteration per edge.  The base class batches
+    :meth:`__iter__`; implementations that can do better (contiguous array
+    backing, bulk file parsing) override it.
     """
-
-    #: True when :meth:`iter_chunks` is backed by a vectorized producer
-    #: rather than the generic per-edge batching fallback.
-    supports_native_chunks: bool = False
 
     @abstractmethod
     def __iter__(self) -> Iterator[Edge]:

@@ -10,8 +10,8 @@ Chunked passes parse the file in ``chunk_size``-line batches through
 ``numpy.loadtxt`` (data lines pre-filtered so comment/blank lines are
 classified once, not re-tokenized by the batch parser) and canonicalize
 each batch with vectorized min/max, so the per-line Python interpreter
-cost of :meth:`__iter__` is paid only on
-the pure-Python fallback path.  Batch parsing runs on a double-buffered
+cost of :meth:`__iter__` is paid only by per-edge readers and by the
+line-numbered diagnostics of a malformed file.  Batch parsing runs on a double-buffered
 reader thread (:data:`PREFETCH_CHUNKS` ahead of the consumer);
 ``REPRO_FILE_PREFETCH=0`` forces inline parsing.  The thread does not
 buy an overlap of parse and scan in practice: ``loadtxt`` holds the
@@ -81,8 +81,6 @@ class FileEdgeStream(EdgeStream):
     The stream length is computed lazily on first use of ``len()`` (one extra
     file sweep) and cached.
     """
-
-    supports_native_chunks = True
 
     def __init__(self, path: str | os.PathLike[str], validate: bool = True) -> None:
         self._path = os.fspath(path)
@@ -360,31 +358,25 @@ class FileEdgeStream(EdgeStream):
         :class:`~repro.streams.memory.InMemoryEdgeStream`'s; the scan
         itself runs over :meth:`iter_chunks` - one vectorized ``max`` per
         parsed batch instead of one interpreter iteration per edge - and
-        also settles the cached length for free.  Falls back to the
-        per-edge reference scan without NumPy.
+        also settles the cached length for free.
         """
         if self._stats is None:
             try:
-                import numpy as np  # noqa: F401
-            except ImportError:  # pragma: no cover - the CI image bakes NumPy in
+                m = 0
+                max_vertex = -1
+                for block in self.iter_chunks():
+                    m += len(block)
+                    max_vertex = max(max_vertex, int(block.max()))
+                self._stats = StreamStats(num_edges=m, max_vertex_id=max_vertex)
+            except StreamReadError:
+                # Transient tape failure, not a malformed file: the
+                # per-line rescan would mask it as a silent retry -
+                # propagate so the recovery layer decides.
+                raise
+            except StreamError:
+                # Re-scan per line so malformed files fail with the
+                # standard line-numbered diagnostic, not a batch error.
                 self._stats = super().stats()
-            else:
-                try:
-                    m = 0
-                    max_vertex = -1
-                    for block in self.iter_chunks():
-                        m += len(block)
-                        max_vertex = max(max_vertex, int(block.max()))
-                    self._stats = StreamStats(num_edges=m, max_vertex_id=max_vertex)
-                except StreamReadError:
-                    # Transient tape failure, not a malformed file: the
-                    # per-line rescan would mask it as a silent retry -
-                    # propagate so the recovery layer decides.
-                    raise
-                except StreamError:
-                    # Re-scan per line so malformed files fail with the
-                    # standard line-numbered diagnostic, not a batch error.
-                    self._stats = super().stats()
             self._length = self._stats.num_edges
         return self._stats
 
@@ -392,23 +384,17 @@ class FileEdgeStream(EdgeStream):
         """The stream length ``m``, computed lazily and cached.
 
         Reuses the cached :meth:`stats` length when available; otherwise
-        one chunked sweep sums the parsed batch lengths (the Python
-        edge-by-edge count is only the no-NumPy fallback).
+        one chunked sweep sums the parsed batch lengths.
         """
         if self._length is None:
             if self._stats is not None:
                 self._length = self._stats.num_edges
             else:
                 try:
-                    import numpy as np  # noqa: F401
-                except ImportError:  # pragma: no cover - NumPy baked into CI
+                    self._length = sum(len(block) for block in self.iter_chunks())
+                except StreamReadError:
+                    raise  # transient, not malformed - see stats()
+                except StreamError:
+                    # Per-line rescan for the line-numbered diagnostic.
                     self._length = sum(1 for _ in self)
-                else:
-                    try:
-                        self._length = sum(len(block) for block in self.iter_chunks())
-                    except StreamReadError:
-                        raise  # transient, not malformed - see stats()
-                    except StreamError:
-                        # Per-line rescan for the line-numbered diagnostic.
-                        self._length = sum(1 for _ in self)
         return self._length

@@ -37,8 +37,6 @@ class InMemoryEdgeStream(EdgeStream):
         after an already-validated transform).
     """
 
-    supports_native_chunks = True
-
     def __init__(self, edges: Iterable[tuple[int, int]], validate: bool = True) -> None:
         if validate:
             self._edges: Sequence[Edge] = normalize_edges(edges)

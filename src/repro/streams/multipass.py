@@ -13,7 +13,7 @@ discipline of the paper's model:
 The scheduler distinguishes *logical passes* (the unit of the paper's
 accounting - what the budget constrains) from *physical tape sweeps* (what
 wall-clock time is made of).  A **fused** pass group
-(:meth:`new_fused_pass` / :meth:`new_fused_pass_chunks`) opens several
+(:meth:`new_fused_pass_chunks`) opens several
 logical passes at once, all served by a single sweep of the tape: the
 budget is charged for every logical pass, while :attr:`sweeps_used` grows
 by one.  Plain passes charge one of each, so for unfused execution the two
@@ -213,7 +213,7 @@ class PassScheduler:
 
     @property
     def stream(self) -> EdgeStream:
-        """The underlying stream (read-only; for engine capability checks)."""
+        """The underlying stream (read-only)."""
         return self._stream
 
     def new_pass(self) -> Iterator[Edge]:
@@ -224,21 +224,6 @@ class PassScheduler:
         model and raise :class:`~repro.errors.StreamError`.
         """
         self._open_passes(1)
-        return self._run_pass()
-
-    def new_fused_pass(
-        self, passes: int, owners: Optional[Iterable[str]] = None
-    ) -> Iterator[Edge]:
-        """Open ``passes`` logical passes served by one shared sweep.
-
-        The caller is asserting that the fused passes are mutually
-        independent - each one must produce the result it would have
-        produced scanning the tape alone.  Pass accounting charges all
-        ``passes`` against the budget; the sweep counter grows by one.
-        ``owners`` optionally tags the sweep for the committed/wasted split
-        (see :meth:`discard_owner`).
-        """
-        self._open_passes(passes, owners)
         return self._run_pass()
 
     def new_pass_chunks(
@@ -262,7 +247,15 @@ class PassScheduler:
         passes: int = 1,
         owners: Optional[Iterable[str]] = None,
     ) -> Iterator["numpy.ndarray"]:
-        """Chunked variant of :meth:`new_fused_pass` (one sweep, ``passes`` passes)."""
+        """Open ``passes`` logical passes served by one shared chunked sweep.
+
+        The caller is asserting that the fused passes are mutually
+        independent - each one must produce the result it would have
+        produced scanning the tape alone.  Pass accounting charges all
+        ``passes`` against the budget; the sweep counter grows by one.
+        ``owners`` optionally tags the sweep for the committed/wasted split
+        (see :meth:`discard_owner`).
+        """
         self._open_passes(passes, owners)
         return self._run_pass_chunks(chunk_size)
 

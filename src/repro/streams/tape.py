@@ -54,15 +54,14 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
+
+import numpy as np
 
 from ..errors import StreamError, StreamReadError, TapeFormatError
 from ..types import Edge
 from .base import DEFAULT_CHUNK_EDGES, EdgeStream, StreamStats
 from .file import FileEdgeStream, _maybe_inject_read_fault
-
-if TYPE_CHECKING:  # pragma: no cover - import-time only
-    import numpy
 
 #: Leading magic bytes: the PNG trick - a high bit to trip text-mode
 #: transfers, a human-greppable name, and a CR/LF pair that a newline
@@ -287,10 +286,6 @@ def write_tape(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if isinstance(source, (str, os.PathLike)):
         source = open_edge_stream(source)
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the CI image bakes NumPy in
-        np = None
     path = os.fspath(path)
     m = 0
     max_vertex = -1
@@ -298,28 +293,18 @@ def write_tape(
     canonical = True
     with open(path, "wb") as out:
         out.write(b"\x00" * HEADER_BYTES)
-        if np is not None:
-            for block in source.iter_chunks(chunk_size):
-                block = np.ascontiguousarray(block, dtype=np.dtype("<i8"))
-                if not len(block):
-                    continue
-                m += len(block)
-                max_vertex = max(max_vertex, int(block.max()))
-                if canonical:
-                    u, v = block[:, 0], block[:, 1]
-                    canonical = bool((u >= 0).all() and (u < v).all())
-                payload = block.tobytes()
-                crc = zlib.crc32(payload, crc)
-                out.write(payload)
-        else:  # pragma: no cover - no-NumPy fallback, exercised manually
-            pack = struct.Struct("<qq").pack
-            for u, v in source:
-                m += 1
-                max_vertex = max(max_vertex, u, v)
-                canonical = canonical and 0 <= u < v
-                payload = pack(u, v)
-                crc = zlib.crc32(payload, crc)
-                out.write(payload)
+        for block in source.iter_chunks(chunk_size):
+            block = np.ascontiguousarray(block, dtype=np.dtype("<i8"))
+            if not len(block):
+                continue
+            m += len(block)
+            max_vertex = max(max_vertex, int(block.max()))
+            if canonical:
+                u, v = block[:, 0], block[:, 1]
+                canonical = bool((u >= 0).all() and (u < v).all())
+            payload = block.tobytes()
+            crc = zlib.crc32(payload, crc)
+            out.write(payload)
         flags = FLAG_CANONICAL if canonical else 0  # an empty tape is trivially canonical
         raw = _HEADER_STRUCT.pack(MAGIC, VERSION, flags, m, max_vertex, max_vertex + 1, crc)
         out.seek(0)
@@ -369,8 +354,6 @@ class MmapEdgeStream(EdgeStream):
     bit-identical.  Without a twin the stream has no fallback tier.
     """
 
-    supports_native_chunks = True
-
     def __init__(
         self,
         path: Union[str, "os.PathLike[str]"],
@@ -378,7 +361,7 @@ class MmapEdgeStream(EdgeStream):
     ) -> None:
         self._path = os.path.abspath(os.fspath(path))
         self._header = read_header(self._path)
-        self._rows_map: Optional["numpy.ndarray"] = None
+        self._rows_map: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
         self._text_twin: Optional[str] = None
         self._twin_stream: Optional[FileEdgeStream] = None
@@ -450,7 +433,7 @@ class MmapEdgeStream(EdgeStream):
                 f"({size} bytes, header promises {expected})"
             )
 
-    def _rows(self) -> "numpy.ndarray":
+    def _rows(self) -> np.ndarray:
         """The ``(m, 2)`` read-only mapped payload, mapped once per stream.
 
         A plain-ndarray view whose base is the ``np.memmap``: slicing and
@@ -459,8 +442,6 @@ class MmapEdgeStream(EdgeStream):
         without that cost.
         """
         if self._rows_map is None:
-            import numpy as np
-
             if self._header.num_edges == 0:
                 self._rows_map = np.empty((0, 2), dtype=np.int64)
             else:
@@ -484,27 +465,11 @@ class MmapEdgeStream(EdgeStream):
             yield from delegate
             return
         self._check_intact()
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - NumPy baked into CI
-            yield from self._iter_unpacked()
-            return
         for block in self.iter_chunks():
             for u, v in block.tolist():  # tolist: Python ints, like the text path
                 yield (u, v)
 
-    def _iter_unpacked(self) -> Iterator[Edge]:  # pragma: no cover - no-NumPy fallback
-        unpack = struct.Struct("<qq")
-        with open(self._path, "rb") as handle:
-            handle.seek(HEADER_BYTES)
-            while True:
-                piece = handle.read(ROW_BYTES * 4096)
-                if not piece:
-                    return
-                for edge in unpack.iter_unpack(piece):
-                    yield edge
-
-    def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_EDGES) -> Iterator["numpy.ndarray"]:
+    def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_EDGES) -> Iterator[np.ndarray]:
         """Zero-copy chunked pass: read-only slices of the mapped payload.
 
         The ``file.read`` fault-injection site fires once per yielded

@@ -67,6 +67,23 @@ class TestEstimate:
         with pytest.raises(SystemExit):
             main(["estimate", wheel_file])
 
+    @pytest.mark.parametrize("command", ["estimate", "resume"])
+    def test_removed_python_engine_is_a_usage_error(self, wheel_file, command, capsys):
+        args = [wheel_file, "--kappa", "3"] if command == "estimate" else ["ck", wheel_file]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *args, "--engine", "python"])
+        assert exit_info.value.code == 2
+        assert "engine mode 'python' was removed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["auto", "chunked", "sharded"])
+    def test_engine_names_are_synonyms(self, wheel_file, mode, capsys):
+        assert main(["estimate", wheel_file, "--kappa", "3", "--seed", "2",
+                     "--repetitions", "3", "--engine", mode]) == 0
+        out = capsys.readouterr().out
+        assert main(["estimate", wheel_file, "--kappa", "3", "--seed", "2",
+                     "--repetitions", "3"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_fuse_flag_same_estimate_fewer_sweeps(self, wheel_file, capsys):
         base = ["estimate", wheel_file, "--kappa", "3", "--seed", "1",
                 "--repetitions", "3"]

@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+from reference_passes import reference_engine
 from repro.core import engine, executor
 from repro.core.estimator import run_single_estimate
 from repro.core.kernels import (
@@ -98,8 +99,9 @@ class TestFusedParity:
         ]
 
     def test_python_engine_fused_matches_chunked_fused(self):
+        # The per-edge reference passes, fused, against the NumPy plans.
         stream, plan = _stream_and_plan(wheel_graph(100))
-        with engine.engine_overrides("python", None, None, True):
+        with reference_engine(), engine.engine_overrides("chunked", None, None, True):
             py = run_single_estimate(stream, plan, random.Random(3))
         with engine.engine_overrides("chunked", 41, 1, True):
             chunked = run_single_estimate(stream, plan, random.Random(3))
@@ -176,18 +178,25 @@ class TestSweepAccounting:
     def test_no_wedges_falls_back_to_plain_pass4(self):
         # No apex sampled at all: nothing to speculate on, so the fused
         # path must not charge the pass-5 logical pass either.
-        from repro.core.estimator import stage_pass45
+        from repro.core.estimator import NO_APEX, stage_closure
         from repro.core.stages import execute_stage
         from repro.streams import SpaceMeter
 
         stream = InMemoryEdgeStream([(0, 1), (2, 3)], validate=False)
         scheduler = PassScheduler(stream, max_passes=6)
         with engine.engine_overrides("chunked", 2, 1, True):
-            candidates, incident = execute_stage(
+            closures, incident = execute_stage(
                 scheduler,
-                stage_pass45([[(0, 1)]], [[0]], [[None]], SpaceMeter(), chunked=True),
+                stage_closure(
+                    [np.array([[0, 1]])],
+                    [np.array([0])],
+                    [np.array([NO_APEX])],
+                    SpaceMeter(),
+                    fuse=True,
+                ),
             )
-        assert candidates == [[None]]
+        [(_, closed)] = closures
+        assert closed.tolist() == [False]
         assert incident is None
         assert scheduler.passes_used == 1
         assert scheduler.sweeps_used == 1

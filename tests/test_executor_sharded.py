@@ -1,9 +1,9 @@
 """Threaded pass-executor parity: bit-identical across worker counts.
 
 The executor (:mod:`repro.core.executor`) must produce exactly the
-results of the serial chunked engine - and therefore of the pure-Python
-reference path - for the same seeds, whatever the thread count, batch
-size, or chunk boundaries.  These tests pin that invariant end to end
+results of the serial engine - and therefore of the per-edge Python
+reference passes (``tests/reference_passes.py``) - for the same seeds,
+whatever the thread count, batch size, or chunk boundaries.  These tests pin that invariant end to end
 (single runner, parallel runner, driver, file and tape streams) and at
 the plan level, including the cross-instance unique-key dedup fan-out of
 passes 4 and 6, plus the sweep loop's own contracts: FIFO absorption,
@@ -23,8 +23,9 @@ import time
 import numpy as np
 import pytest
 
+from reference_passes import reference_engine
 from repro.core import engine, executor
-from repro.core.estimator import run_single_estimate, stage_pass4
+from repro.core.estimator import run_single_estimate, stage_closure
 from repro.core.kernels import (
     DegreeCountPlan,
     NeighborPositionPlan,
@@ -70,7 +71,7 @@ class TestSingleRunnerSharded:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_identical_to_serial_and_python(self, family, workers):
         stream, plan = _stream_and_plan(GRAPHS[family]())
-        with engine.engine_overrides("python"):
+        with reference_engine():
             ref_py = run_single_estimate(stream, plan, random.Random(1))
         with engine.engine_overrides("chunked", 67, 1):
             meter_serial = SpaceMeter()
@@ -103,7 +104,7 @@ class TestSingleRunnerSharded:
         plan = ParameterPlan.build(
             graph.num_vertices, len(tape), 3, float(count_triangles(graph)), 0.25
         )
-        with engine.engine_overrides("python"):
+        with reference_engine():
             ref = run_single_estimate(stream, plan, random.Random(5))
         with engine.engine_overrides("chunked", 37, 4):
             got = run_single_estimate(stream, plan, random.Random(5))
@@ -121,7 +122,7 @@ class TestSingleRunnerSharded:
         plan = ParameterPlan.build(
             graph.num_vertices, graph.num_edges, 3, float(count_triangles(graph)), 0.25
         )
-        with engine.engine_overrides("python"):
+        with reference_engine():
             ref = run_single_estimate(stream, plan, random.Random(4))
         with engine.engine_overrides("chunked", 31, 2):
             got = run_single_estimate(stream, plan, random.Random(4))
@@ -133,7 +134,7 @@ class TestParallelRunnerSharded:
     def test_identical_results(self, workers):
         stream, plan = _stream_and_plan(GRAPHS["planted"]())
         rngs = lambda: [random.Random(s) for s in range(5)]  # noqa: E731
-        with engine.engine_overrides("python"):
+        with reference_engine():
             ref = run_parallel_estimates(stream, plan, rngs())
         with engine.engine_overrides("chunked", 53, workers):
             got = run_parallel_estimates(stream, plan, rngs())
@@ -145,20 +146,19 @@ class TestParallelRunnerSharded:
         # (instance, draw) watchers identically under sharding.
         edges = [(0, 1), (1, 2), (0, 2), (3, 4)]
         stream = InMemoryEdgeStream(edges)
-        draws = [[(0, 1)], [(0, 1)]]  # both instances drew the same edge
-        owners = [[0], [0]]
-        apexes = [[2], [2]]  # wedge {0-1, 0-2}: missing edge is (1, 2)
-        results = []
+        draws = [np.array([[0, 1]]), np.array([[0, 1]])]  # both drew the same edge
+        owners = [np.array([0]), np.array([0])]
+        apexes = [np.array([2]), np.array([2])]  # wedge {0-1, 0-2}: missing (1, 2)
         for workers in (1, 2):
             scheduler = PassScheduler(stream)
             with engine.engine_overrides("chunked", 2, workers):
-                results.append(
-                    execute_stage(
-                        scheduler,
-                        stage_pass4(draws, owners, apexes, SpaceMeter(), chunked=True),
-                    )
+                closures, incident = execute_stage(
+                    scheduler, stage_closure(draws, owners, apexes, SpaceMeter())
                 )
-        assert results[0] == results[1] == [[(0, 1, 2)], [(0, 1, 2)]]
+            assert incident is None
+            for triangles, closed in closures:  # the hit fans out to both
+                assert triangles.tolist() == [[0, 1, 2]]
+                assert closed.tolist() == [True]
 
     def test_driver_workers_config_end_to_end(self):
         graph = wheel_graph(150)

@@ -214,7 +214,7 @@ class TestSpeculativeCleanupPaths:
         cfg = EstimatorConfig(
             seed=5,
             repetitions=3,
-            engine_mode="python",
+            workers=1,
             speculate=True,
             speculate_depth=depth,
         )

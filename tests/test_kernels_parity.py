@@ -1,12 +1,15 @@
-"""Seed-for-seed parity between the chunked NumPy engine and pure Python.
+"""Seed-for-seed parity between the NumPy pass plans and the per-edge passes.
 
-The chunked kernels (:mod:`repro.core.kernels`) must be *bit-identical* to
-the reference Python passes for the same seeds: they pre-draw or replay all
-randomness in the same order, so estimates, diagnostics, pass counts, and
-space accounting cannot drift.  These tests pin that invariant across graph
-families, stream orders, both runner shapes (single and parallel), and the
-chunk-boundary edge cases (chunk larger than the stream, stream length not
-a multiple of the chunk size, chunk of one, empty stream).
+The kernels (:mod:`repro.core.kernels`) must be *bit-identical* to the
+per-edge reference passes of ``tests/reference_passes.py`` for the same
+seeds: they pre-draw or replay all randomness in the same order, so
+estimates, diagnostics, pass counts, and space accounting cannot drift.
+These tests pin that invariant pass by pass (every plan against its fold,
+through ``run_plan`` at chunk sizes 1/7/257/larger than the stream and at
+1 and 2 workers, on streams with repeated edges, ids past the 32-bit
+packing, and no edges at all) and end to end (whole single and parallel
+runs on the reference passes, across graph families and chunk
+boundaries).  ``tests/test_engine_golden.py`` pins the absolute values.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import engine
+import reference_passes as ref
+from reference_passes import reference_engine
+from repro.core import engine, kernels
+from repro.core.driver import EstimatorConfig
 from repro.core.estimator import run_single_estimate
-from repro.core.executor import run_plan
+from repro.core.executor import run_plan, run_plans
 from repro.core.kernels import (
     IncidentEdgePlan,
     collect_stream_positions,
@@ -27,9 +33,11 @@ from repro.core.kernels import (
 )
 from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
+from repro.errors import ParameterError
 from repro.generators import planted_triangles_graph, rmat_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
 from repro.streams import InMemoryEdgeStream, PassScheduler, SpaceMeter
+from repro.streams.base import EdgeStream
 from repro.streams.transforms import shuffled
 
 
@@ -42,7 +50,7 @@ def _stream_and_plan(graph, order_seed=11, epsilon=0.25):
 
 
 def _run_both(stream, plan, seed, chunk):
-    with engine.engine_overrides("python"):
+    with reference_engine(), engine.engine_overrides("chunked", chunk):
         meter_py = SpaceMeter()
         ref = run_single_estimate(stream, plan, random.Random(seed), meter=meter_py)
     with engine.engine_overrides("chunked", chunk):
@@ -97,16 +105,14 @@ class TestSingleRunnerParity:
         base_stream, plan = _stream_and_plan(graph)
         edges = list(base_stream)
 
-        class IteratorOnly(InMemoryEdgeStream.__bases__[0]):  # EdgeStream
-            supports_native_chunks = False
-
+        class IteratorOnly(EdgeStream):
             def __iter__(self):
                 return iter(edges)
 
             def __len__(self):
                 return len(edges)
 
-        with engine.engine_overrides("python"):
+        with reference_engine():
             ref = run_single_estimate(base_stream, plan, random.Random(9))
         with engine.engine_overrides("chunked", 33):
             got = run_single_estimate(IteratorOnly(), plan, random.Random(9))
@@ -117,7 +123,7 @@ class TestParallelRunnerParity:
     @pytest.mark.parametrize("family", sorted(GRAPHS))
     def test_identical_results(self, family):
         stream, plan = _stream_and_plan(GRAPHS[family]())
-        with engine.engine_overrides("python"):
+        with reference_engine():
             ref = run_parallel_estimates(stream, plan, [random.Random(s) for s in range(5)])
         with engine.engine_overrides("chunked", 193):
             got = run_parallel_estimates(stream, plan, [random.Random(s) for s in range(5)])
@@ -181,27 +187,134 @@ class TestKernelPrimitives:
 
 
 class TestEngineConfig:
-    def test_auto_uses_python_for_iterator_only_streams(self):
-        class IteratorOnly(InMemoryEdgeStream.__bases__[0]):
-            def __iter__(self):
-                return iter(())
-
-            def __len__(self):
-                return 0
-
-        with engine.engine_overrides("auto"):
-            assert engine.use_chunks(InMemoryEdgeStream([(0, 1)]))
-            assert not engine.use_chunks(IteratorOnly())
-
     def test_overrides_restore_previous_policy(self):
         before = (engine.engine_mode(), engine.chunk_size())
-        with engine.engine_overrides("python", 123):
-            assert engine.engine_mode() == "python"
+        with engine.engine_overrides("sharded", 123):
+            assert engine.engine_mode() == "sharded"
             assert engine.chunk_size() == 123
         assert (engine.engine_mode(), engine.chunk_size()) == before
 
     def test_invalid_mode_rejected(self):
-        from repro.errors import ParameterError
-
         with pytest.raises(ParameterError):
             engine.set_engine("turbo")
+
+    def test_removed_python_mode_is_rejected_not_mapped(self):
+        before = engine.engine_mode()
+        for reject in (
+            lambda: engine.set_engine("python"),
+            lambda: engine.engine_overrides("python").__enter__(),
+            lambda: EstimatorConfig(engine_mode="python"),
+        ):
+            with pytest.raises(ParameterError, match="removed"):
+                reject()
+        assert engine.engine_mode() == before
+
+    def test_removed_python_mode_in_environment_warns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "python")
+        with pytest.warns(UserWarning, match="removed"):
+            assert engine._initial_mode() == "auto"
+        monkeypatch.setenv("REPRO_ENGINE", "sharded")
+        assert engine._initial_mode() == "sharded"
+
+    @pytest.mark.parametrize("mode", ["auto", "chunked", "sharded"])
+    def test_remaining_modes_are_synonyms(self, mode):
+        stream, plan = _stream_and_plan(wheel_graph(40))
+        with engine.engine_overrides(mode, 16):
+            got = run_single_estimate(stream, plan, random.Random(4))
+        with engine.engine_overrides("auto", 16):
+            assert got == run_single_estimate(stream, plan, random.Random(4))
+
+
+# ---------------------------------------------------------------------------
+# pass by pass: every plan against its per-edge fold
+
+
+def _oracle_edges(name):
+    graph = planted_triangles_graph(60, 25, kappa_clique=5, rng=random.Random(3))
+    edges = shuffled(graph, random.Random(8))
+    if name == "planted":
+        return edges
+    if name == "duplicates":
+        return edges + edges[:9] + edges[20:23]
+    if name == "big-ids":  # every other edge moved past the 32-bit packing
+        big = 1 << 33
+        return [(u + big, v + big) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+    assert name == "empty"
+    return []
+
+
+def _pass_cases(edges, rng):
+    """``(label, fold, plan, read_fold, read_plan)`` for every pass."""
+    m = len(edges)
+    rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    vertices = kernels.sorted_unique(rows.reshape(-1))
+    absent = np.asarray([(1 << 31) - 1, (1 << 40) + 5], dtype=np.int64)
+    ids = kernels.sorted_unique(np.concatenate((rng.choice(vertices, 12) if m else absent, absent)))
+    positions = rng.integers(0, m, 40) if m else np.empty(0, dtype=np.int64)
+    owner_ids = kernels.sorted_unique(rng.choice(vertices, 8)) if m else absent[:0]
+    owner_index = rng.integers(0, len(owner_ids), 30) if m else np.empty(0, dtype=np.int64)
+    requests = rng.integers(0, 6, len(owner_index))  # some past the owner's degree
+    watched = rows[rng.choice(m, 10)] if m else rows
+    keys = kernels.unique_edge_rows(np.concatenate((watched, [[1, 1 << 34], [2, 3]])))[0]
+    small = watched[(watched < kernels.PACK_LIMIT).all(axis=1)]
+    packed = np.unique(kernels.pack_canonical_rows(np.concatenate((small, [[2, 3]]))))
+    tracked = ids[: len(ids) // 2 + 1]
+    tracked_set = set(tracked.tolist())
+    fold_seen, plan_seen = [], []
+
+    def recorder(into):
+        def visit(u, v):
+            if u in tracked_set or v in tracked_set:
+                into.append((u, v))
+
+        return visit
+
+    return [
+        ("pass1", ref.PositionFold(positions), kernels.PositionCollectPlan(positions),
+         lambda f: f.rows(), lambda p: p.rows()),
+        ("pass2", ref.TrackedDegreeFold(ids), kernels.DegreeCountPlan(ids),
+         lambda f: f.counts(), lambda p: p.result()),
+        ("pass3", ref.NeighborServeFold(owner_ids[owner_index], requests),
+         kernels.NeighborPositionPlan(owner_ids, owner_index, requests),
+         lambda f: f.apexes(), lambda p: p.result()),
+        ("pass4", ref.WatchFold(keys), kernels.WatchKeyPlan(keys),
+         lambda f: f.seen, lambda p: p.seen),
+        ("pass5", ref.CallbackFold(recorder(fold_seen)),
+         kernels.IncidentEdgePlan(tracked.tolist(), recorder(plan_seen)),
+         lambda f: fold_seen, lambda p: plan_seen),
+        ("pass6", ref.PackedKeyCountFold(packed), kernels.PackedKeyCountPlan(packed),
+         lambda f: f.counts, lambda p: p.result()),
+    ]
+
+
+class TestPassOracles:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
+    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
+    def test_every_plan_matches_its_fold(self, name, chunk, workers):
+        edges = _oracle_edges(name)
+        stream = InMemoryEdgeStream(edges, validate=False)
+        for label, fold, plan, read_fold, read_plan in _pass_cases(edges, np.random.default_rng(1)):
+            ref.fold_stream(stream, [fold])
+            scheduler = PassScheduler(stream)
+            run_plan(scheduler, plan, chunk_size=chunk, workers=workers)
+            assert scheduler.passes_used == scheduler.sweeps_used == 1, label
+            np.testing.assert_array_equal(read_plan(plan), read_fold(fold), err_msg=label)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
+    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
+    def test_fused_watch_collect_matches_its_fold(self, name, chunk, workers):
+        edges = _oracle_edges(name)
+        stream = InMemoryEdgeStream(edges, validate=False)
+        rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        keys = kernels.unique_edge_rows(np.concatenate((rows[::5], [[4, 1 << 35]])))[0]
+        superset = kernels.sorted_unique(rows[::7].reshape(-1))
+        fold = ref.FusedWatchCollectFold(keys, superset)
+        ref.fold_stream(stream, [fold])
+        watch, collect = kernels.WatchKeyPlan(keys), kernels.IncidentCollectPlan(superset)
+        scheduler = PassScheduler(stream)
+        run_plans(scheduler, [watch, collect], chunk_size=chunk, workers=workers)
+        assert (scheduler.passes_used, scheduler.sweeps_used) == (2, 1)
+        np.testing.assert_array_equal(watch.seen, fold.seen)
+        assert [tuple(e) for b in collect.result() for e in b.tolist()] == fold.incident

@@ -1,12 +1,12 @@
 """Randomized cross-mode parity matrix: one estimator, every execution mode.
 
-The engine now has enough independent execution knobs - engine mode,
-thread count, fused sweeps, speculative round windows - that hand-picked
-parity cases cannot cover the cross products.  This suite runs seeded
-random graphs (Erdos-Renyi, power-law preferential attachment, and
-star/clique pathologies) through the full knob matrix and pins the three
-contracts every mode must honor against the pure-Python sequential
-reference:
+The engine now has enough independent execution knobs - thread count,
+fused sweeps, speculative round windows - that hand-picked parity cases
+cannot cover the cross products.  This suite runs seeded random graphs
+(Erdos-Renyi, power-law preferential attachment, and star/clique
+pathologies) through the full knob matrix and pins the three contracts
+every mode must honor against the sequential loop run on the per-edge
+reference passes (``tests/reference_passes.py``):
 
 * **bit-identical estimates**: the final estimate, the whole guessing
   trajectory (every round's guess, median, verdict), and every per-run
@@ -40,6 +40,7 @@ import random
 import pytest
 
 import repro.core.driver as driver_module
+from reference_passes import reference_engine
 from repro.core import executor
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.generators import (
@@ -65,7 +66,6 @@ GRAPHS = [
 
 #: (engine_mode, workers) execution substrates.
 SUBSTRATES = [
-    ("python", 1),
     ("chunked", 1),
     ("chunked", 2),
     ("chunked", 4),
@@ -195,9 +195,10 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
     stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(seed)))
     exact = count_triangles(graph)
 
-    reference, ref_root_state, ref_child_draws = _run_instrumented(
-        monkeypatch, stream, kappa, _config("python", 1, False, False, 2, seed)
-    )
+    with reference_engine():
+        reference, ref_root_state, ref_child_draws = _run_instrumented(
+            monkeypatch, stream, kappa, _config("chunked", 1, False, False, 2, seed)
+        )
     ref_trajectory = _trajectory(reference)
     tier_accounting = {}
 
@@ -287,9 +288,9 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
 
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_parity_matrix_fast_tier(monkeypatch, name, build, seed):
-    """Representative subset: serial python + chunked, one threaded substrate,
-    the depth axis sampled (one tier each at depths 2, 3, and 4)."""
-    fast_substrates = [("python", 1), ("chunked", 1), ("chunked", 2)]
+    """Representative subset: serial and one threaded substrate, the depth
+    axis sampled (one tier each at depths 2, 3, and 4)."""
+    fast_substrates = [("chunked", 1), ("chunked", 2)]
     _check_matrix(monkeypatch, name, build, seed, fast_substrates, TIERS_FAST)
 
 
@@ -331,10 +332,10 @@ def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substra
             assert tape_draws == text_draws, label
 
 
-#: Tape-axis fast tier: the reference engine plus a threaded substrate,
-#: across the sampled fusion/depth tiers.
+#: Tape-axis fast tier: serial plus a threaded substrate, across the
+#: sampled fusion/depth tiers.
 FORMAT_SUBSTRATES_FAST = [
-    ("python", 1),
+    ("chunked", 1),
     ("chunked", 2),
 ]
 
@@ -370,6 +371,6 @@ def test_parity_matrix_random_orders(monkeypatch):
             f"er-order{order_seed}",
             lambda g=graph: g,
             order_seed,
-            [("python", 1), ("chunked", 2)],
+            [("chunked", 1), ("chunked", 2)],
             TIERS_FULL,
         )

@@ -17,12 +17,14 @@ configuration.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 
 import pytest
 
 import repro.core.driver as driver_module
+from reference_passes import reference_engine
 from reference_loop import assert_matches_reference, reference_estimate
 from repro import EstimatorConfig, TriangleCountEstimator, resume_from
 from repro.core import executor, faults
@@ -80,18 +82,21 @@ class TestSoloMatchesReference:
         "mode,workers", [("python", 1), ("chunked", 1), ("sharded", 2)]
     )
     def test_every_engine_fuse_and_depth(self, edges, mode, workers, fuse, depth, monkeypatch):
+        """``python`` runs every pass on the per-edge reference folds."""
         monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
+        passes = reference_engine() if mode == "python" else contextlib.nullcontext()
         config = EstimatorConfig(
             seed=3,
             repetitions=3,
-            engine_mode=mode,
+            engine_mode=None if mode == "python" else mode,
             workers=workers,
             chunk_size=128,
             fuse=fuse,
             speculate=depth >= 2,
             speculate_depth=depth if depth >= 2 else None,
         )
-        result, roots = _estimate(InMemoryEdgeStream(edges), config)
+        with passes:
+            result, roots = _estimate(InMemoryEdgeStream(edges), config)
         assert len(roots) == 1
         # Fusing changes the per-run pass and space accounting, so the
         # reference runs under the same fuse setting.
@@ -150,7 +155,7 @@ class TestResumeMatchesReference:
         "extra",
         [
             dict(engine_mode="chunked", speculate=False),
-            dict(engine_mode="python", speculate=True, speculate_depth=3),
+            dict(engine_mode="sharded", workers=1, speculate=True, speculate_depth=3),
             dict(engine_mode="chunked", share_passes=False),
         ],
         ids=["sequential", "depth3", "unshared"],

@@ -1,16 +1,18 @@
-"""Array-valued round state: one round logic on every engine.
+"""Array-valued round state: one round logic, whatever ran the sweeps.
 
 Between sweeps a round holds NumPy arrays - ``R`` as ``(k, r, 2)``, the
 pass-2 degree table as sorted ``(ids, counts)``, draws, owners and apexes
-(``-1``: no apex), the deduplicated closure watch - whichever engine ran
-the sweeps.  The pure-Python engine's per-edge folds finish into the same
-arrays, so estimates, trajectories, passes, metered space and the root
-RNG state must be bit-identical across engines, worker counts and fusion.
+(``-1``: no apex), the deduplicated closure watch.  The per-edge reference
+passes of ``tests/reference_passes.py`` (the ``python`` cases below)
+finish into the same arrays as the NumPy plans, so estimates,
+trajectories, passes, metered space and the root RNG state must be
+bit-identical between them, across worker counts and fusion.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import random
 from collections import Counter
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.core.driver as driver_module
+from reference_passes import reference_engine
 from repro.core import engine, executor, kernels
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.core.assignment import SampleSource
@@ -49,7 +52,12 @@ def _small_task_batches(monkeypatch):
     monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 32)
 
 
-def _estimate(edges, kappa, config):
+def _passes(mode):
+    """``python``: every pass on the per-edge reference folds."""
+    return reference_engine() if mode == "python" else contextlib.nullcontext()
+
+
+def _estimate(edges, kappa, config, mode="chunked"):
     """One ``estimate()`` over ``edges`` and its root generator's final state."""
     roots = []
     real_make_rng = driver_module.make_rng
@@ -58,7 +66,7 @@ def _estimate(edges, kappa, config):
         roots.append(real_make_rng(seed))
         return roots[-1]
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, _passes(mode):
         patch.setattr(driver_module, "make_rng", recording_make_rng)
         result = TriangleCountEstimator(config).estimate(InMemoryEdgeStream(edges), kappa=kappa)
     return result, roots[0].getstate()
@@ -93,7 +101,7 @@ class TestEngineParity:
         build, kappa = INPUTS[name]
         edges = _edges(build())
         base = dict(seed=7, repetitions=3, fuse=fuse, chunk_size=97)
-        python = _facts(_estimate(edges, kappa, EstimatorConfig(engine_mode="python", **base)))
+        python = _facts(_estimate(edges, kappa, EstimatorConfig(workers=1, **base), "python"))
         assert len(python[1]) > 1  # multi-round: the default windows ran
         for workers in (1, 2):
             chunked = _estimate(
@@ -103,13 +111,13 @@ class TestEngineParity:
 
     def test_ids_beyond_the_packing(self):
         """Vertex ids past 2^32 take the row-wise dedupe and the per-row
-        watch fallback; both engines still agree bit for bit."""
+        watch fallback; plans and reference passes still agree bit for bit."""
         build, kappa = INPUTS["planted"]
         shift = (1 << 32) + 5
         edges = [(u + shift, v + shift) if u % 2 else (u, v + shift) for u, v in _edges(build())]
         edges = [(min(u, v), max(u, v)) for u, v in edges]
         base = dict(seed=3, repetitions=3, chunk_size=61)
-        python = _facts(_estimate(edges, kappa, EstimatorConfig(engine_mode="python", **base)))
+        python = _facts(_estimate(edges, kappa, EstimatorConfig(workers=1, **base), "python"))
         assert python[0] > 0
         for workers in (1, 2):
             chunked = _estimate(
@@ -192,7 +200,7 @@ class TestLoopReference:
             apexes.append(np.array(apex, dtype=np.int64))
         meter = SpaceMeter()
         closures, _ = _run(
-            lambda chunked: stage_closure(draws, owners, apexes, meter, chunked, fuse=fuse),
+            lambda: stage_closure(draws, owners, apexes, meter, fuse=fuse),
             edges,
             mode,
         )
@@ -218,8 +226,8 @@ class TestLoopReference:
 
 class TestSelfLoopApex:
     """On an unvalidated stream a self-loop can be sampled as a draw's apex
-    (the owner itself); the wedge is then no triangle and both engines
-    raise :class:`~repro.errors.GraphError`, as ``canonical_triangle`` does."""
+    (the owner itself); the wedge is then no triangle and the round raises
+    :class:`~repro.errors.GraphError`, as ``canonical_triangle`` does."""
 
     EDGES = [(0, 1), (0, 0)] + [(1, v) for v in range(2, 8)]
 
@@ -227,7 +235,7 @@ class TestSelfLoopApex:
     def test_raises_on_every_engine(self, mode):
         stream = InMemoryEdgeStream(self.EDGES, validate=False)
         plan = ParameterPlan.build(8, len(self.EDGES), 2, 1.0, 0.25)
-        with engine.engine_overrides(mode, 3, 1):
+        with _passes(mode), engine.engine_overrides("chunked", 3, 1):
             with pytest.raises(GraphError, match="distinct"):
                 run_parallel_estimates(stream, plan, [random.Random(s) for s in range(3)])
 
@@ -236,7 +244,7 @@ class TestSelfLoopApex:
         owners = [np.array([1, 1], dtype=np.int64)]
         apexes = [np.array([2, 1], dtype=np.int64)]  # apex 1 is the owner
         with pytest.raises(GraphError, match=r"\(1, 2, 1\)"):
-            stage_closure(draws, owners, apexes, SpaceMeter(), chunked=True)
+            stage_closure(draws, owners, apexes, SpaceMeter())
 
 
 class _FixedSource:
@@ -253,8 +261,8 @@ class _FixedSource:
 
 def _run(stage_of, edges, mode):
     scheduler = PassScheduler(InMemoryEdgeStream(edges, validate=False))
-    with engine.engine_overrides(mode, 4, 2 if mode == "chunked" else None):
-        return execute_stage(scheduler, stage_of(mode == "chunked"))
+    with _passes(mode), engine.engine_overrides("chunked", 4, 2):
+        return execute_stage(scheduler, stage_of())
 
 
 class TestDuplicateRequests:
@@ -267,7 +275,7 @@ class TestDuplicateRequests:
         m = len(self.EDGES)
         uniforms = [np.array([3, 19, 3, 39]) / m, np.array([20, 19, 39, 0]) / m + 1e-9]
         rows = _run(
-            lambda chunked: stage_pass1(4, m, [_FixedSource(u) for u in uniforms], SpaceMeter(), chunked),
+            lambda: stage_pass1(4, m, [_FixedSource(u) for u in uniforms], SpaceMeter()),
             self.EDGES,
             mode,
         )
@@ -288,7 +296,7 @@ class TestDuplicateRequests:
             _FixedSource(np.array([0.0, 0.0, 0.99])),
         ]
         apexes = _run(
-            lambda chunked: stage_pass3(owners, degrees, sources(), SpaceMeter(), chunked),
+            lambda: stage_pass3(owners, degrees, sources(), SpaceMeter()),
             edges,
             mode,
         )

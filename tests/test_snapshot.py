@@ -48,6 +48,7 @@ from repro.errors import (
 from repro.generators import barabasi_albert_graph
 from repro.io import write_edgelist
 from repro.streams import InMemoryEdgeStream
+from repro.streams.base import EdgeStream
 from repro.streams.file import FileEdgeStream
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -334,6 +335,26 @@ class TestRunIdentity:
         assert s1 == snapshot.stream_fingerprint(InMemoryEdgeStream.from_graph(g1))
         assert s1 != s2
 
+    def test_iterator_only_stream_fingerprints_like_memory_stream(self):
+        """Every generic stream hashes its ``iter_chunks`` blocks: an
+        iterator-only stream and an in-memory one over the same sequence
+        (repeats and ids past 2^32 included) share one fingerprint, the
+        value the per-edge ``<qq`` packing gave before."""
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 2), (5, 1 << 40), (3, (1 << 33) + 7)]
+
+        class IteratorOnly(EdgeStream):
+            def __iter__(self):
+                return iter(edges)
+
+            def __len__(self):
+                return len(edges)
+
+        memory = snapshot.stream_fingerprint(InMemoryEdgeStream(edges, validate=False))
+        assert snapshot.stream_fingerprint(IteratorOnly()) == memory
+        assert memory.hex() == (
+            "f8613184928c175adca2a9c6c1cbf1ad5164fe54d962b2c0a1c425b8955ac85e"
+        )
+
 
 # ---------------------------------------------------------------------------
 # the resume invariant, in process
@@ -390,7 +411,7 @@ class TestResumeBitIdentity:
         resumed = _resume(
             str(ckdir),
             stream,
-            overrides={"engine_mode": "python", "fuse": False, "speculate": False},
+            overrides={"engine_mode": "auto", "workers": 1, "fuse": False, "speculate": False},
         )
         _assert_bit_identical(clean, resumed)
 
@@ -507,6 +528,27 @@ class TestResumeBitIdentity:
         resumed = _resume(str(target), stream)
         _assert_bit_identical(clean, resumed)
 
+    def test_removed_python_engine_snapshot_still_resumes(self, tape, tmp_path):
+        """A snapshot written under ``engine_mode="python"`` (since removed)
+        resumes on the one engine, bit-identically - the mode is outside
+        the config hash and never changed a result.  A *new* config asking
+        for it is still rejected."""
+        ckdir = tmp_path / "ck"
+        stream, clean = self._checkpointed(tape, ckdir)
+        name = _snapshots_in(ckdir)[0]
+        snap = snapshot.read_snapshot(ckdir / name)
+        legacy = dict(snap.payload)
+        legacy["config"] = dict(legacy["config"], engine_mode="python")
+        data = snapshot.encode_snapshot(
+            legacy, snap.round_index, snap.config_hash, snap.fingerprint
+        )
+        target = tmp_path / "python-engine.esnap"
+        target.write_bytes(data)
+        resumed = _resume(str(target), stream)
+        _assert_bit_identical(clean, resumed)
+        with pytest.raises(ParameterError, match="removed"):
+            EstimatorConfig(engine_mode="python")
+
 
 # ---------------------------------------------------------------------------
 # snapshot writes under the fault machinery
@@ -601,8 +643,8 @@ def _result_lines(stdout):
 
 @pytest.fixture(scope="module")
 def big_tape(tmp_path_factory):
-    """Big enough that the pure-Python engine runs for seconds - a wide
-    window to deliver a signal after the first snapshots land."""
+    """Big enough that a serial run in 16-edge chunks takes seconds - a
+    wide window to deliver a signal after the first snapshots land."""
     graph = barabasi_albert_graph(2000, 5, random.Random(1))
     path = tmp_path_factory.mktemp("snap_kill") / "big.edges"
     write_edgelist(graph, path)
@@ -628,7 +670,8 @@ class TestProcessDeath:
         rotation is non-empty, and return the finished process."""
         proc = _cli(
             ["estimate", big_tape, "--kappa", "6", "--seed", "3",
-             "--repetitions", "3", "--engine", "python",
+             "--repetitions", "3", "--chunk-size", "16", "--workers", "1",
+             "--no-speculate",
              "--checkpoint-dir", str(ckdir), "--snapshot-keep", "64"]
         )
         if not _wait_for_snapshots(ckdir, 1, proc):

@@ -10,10 +10,12 @@ environment to config.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
+from reference_passes import reference_engine
 from repro.core import engine
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.core.estimator import PASS_BUDGET_PER_ROUND
@@ -49,9 +51,7 @@ def _run_window(stream, plans, rng_lists, meters):
     """
     scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * len(plans))
     owners = _owner_tags(len(plans))
-    program = window_program(
-        len(stream), plans, rng_lists, meters, engine.use_chunks(stream), owners
-    )
+    program = window_program(len(stream), plans, rng_lists, meters, owners)
     try:
         batch = next(program)
         while True:
@@ -79,7 +79,11 @@ class TestSchedulerSweepAccounting:
         stream = InMemoryEdgeStream([(0, 1), (1, 2)])
         scheduler = PassScheduler(stream)
         for owners in (["a", "b"], ["b"], ["a"], None):
-            it = scheduler.new_fused_pass(1, owners=owners) if owners else scheduler.new_pass()
+            it = (
+                scheduler.new_fused_pass_chunks(passes=1, owners=owners)
+                if owners
+                else scheduler.new_pass()
+            )
             for _ in it:
                 pass
         assert scheduler.sweeps_used == 4
@@ -93,7 +97,7 @@ class TestSchedulerSweepAccounting:
     def test_discard_is_idempotent(self):
         stream = InMemoryEdgeStream([(0, 1)])
         scheduler = PassScheduler(stream)
-        for _ in scheduler.new_fused_pass(2, owners=["s"]):
+        for _ in scheduler.new_fused_pass_chunks(passes=2, owners=["s"]):
             pass
         scheduler.discard_owner("s")
         scheduler.discard_owner("s")
@@ -104,6 +108,7 @@ class TestPairRunner:
     @pytest.mark.parametrize("fuse", [False, True])
     @pytest.mark.parametrize("mode,workers", [("python", 1), ("chunked", 1), ("chunked", 2)])
     def test_pair_results_bit_identical_to_solo_rounds(self, mode, workers, fuse):
+        """``python`` runs every pass on the per-edge reference folds."""
         graph = barabasi_albert_graph(200, 4, random.Random(3))
         stream = _stream(graph)
         plan_a = _plan(graph, 4.0 * graph.num_edges)
@@ -112,7 +117,8 @@ class TestPairRunner:
         def rngs():
             return [random.Random(s) for s in (11, 12, 13)]
 
-        with engine.engine_overrides(mode, 64, workers, fuse):
+        passes = reference_engine() if mode == "python" else contextlib.nullcontext()
+        with passes, engine.engine_overrides("chunked", 64, workers, fuse):
             solo_a = run_parallel_estimates(stream, plan_a, rngs())
             solo_b = run_parallel_estimates(stream, plan_b, rngs())
             (primary, speculative), owners, scheduler = _run_window(
@@ -434,7 +440,7 @@ class TestKnobPlumbing:
     def test_set_engine_speculative(self):
         saved = (engine.engine_mode(), engine.speculate())
         try:
-            engine.set_engine("python", speculative=True)
+            engine.set_engine("auto", speculative=True)
             assert engine.speculate() is True
         finally:
             engine.set_engine(saved[0], speculative=saved[1])
@@ -491,12 +497,12 @@ class TestKnobPlumbing:
     def test_set_engine_depth_alone_implies_speculation(self):
         saved = (engine.engine_mode(), engine.speculate(), engine.speculate_depth())
         try:
-            engine.set_engine("python", speculative=False)
-            engine.set_engine("python", speculate_depth=3)
+            engine.set_engine("auto", speculative=False)
+            engine.set_engine("auto", speculate_depth=3)
             assert engine.speculate() is True
             assert engine.speculate_depth() == 3
             # An explicit speculative argument always wins over the implication.
-            engine.set_engine("python", speculative=False, speculate_depth=4)
+            engine.set_engine("auto", speculative=False, speculate_depth=4)
             assert engine.speculate() is False
             assert engine.speculate_depth() == 4
         finally:
@@ -508,7 +514,7 @@ class TestKnobPlumbing:
         with pytest.raises(ParameterError, match="speculate_depth"):
             EstimatorConfig(speculate_depth=1)
         with pytest.raises(ParameterError, match="depth"):
-            engine.set_engine("python", speculate_depth=0)
+            engine.set_engine("auto", speculate_depth=0)
         # A rejected call leaves the policy untouched.
         assert engine.speculate_depth() >= 2
 
@@ -537,7 +543,7 @@ class TestOwnersTags:
     def test_interleaved_pass_still_rejected(self):
         stream = InMemoryEdgeStream([(0, 1), (1, 2)])
         scheduler = PassScheduler(stream)
-        it = scheduler.new_fused_pass(2, owners=["x", "y"])
+        it = scheduler.new_fused_pass_chunks(passes=2, owners=["x", "y"])
         next(it)
         with pytest.raises(StreamError):
             scheduler.new_pass()
