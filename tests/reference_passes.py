@@ -19,6 +19,11 @@ themselves:
   :func:`reference_engine` swaps them in for the duration of a ``with``
   block - every stage the estimator builds then runs on the per-edge
   folds, which is how whole estimates are compared against the plans.
+  Pass 6 runs as the per-edge engine ran it: the watch table of
+  :func:`repro.core.assignment.stage_closure_hits` replayed through a
+  :class:`CallbackFold`, so the packed-key stage it replaces (key
+  building, self/zero-count filter, multiplicity weighting, space charge)
+  is checked against that independent path rather than against itself.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 import pytest
 
-from repro.core import kernels
+from repro.core import assignment, kernels
 from repro.core.estimator import NO_APEX
 from repro.core.executor import PassPlan
 
@@ -279,23 +284,25 @@ class ReferenceIncidentCollectPlan(FoldPlan):
         return [np.asarray(incident, dtype=np.int64)] if incident else []
 
 
-class ReferenceIncidentEdgePlan(FoldPlan):
-    def __init__(self, tracked_ids, visit) -> None:
+class ReferenceEdgeReplayPlan(FoldPlan):
+    def __init__(self, visit) -> None:
         super().__init__(CallbackFold(visit))
 
     def result(self) -> None:
         return None
 
 
-class ReferencePackedKeyCountPlan(FoldPlan):
-    def __init__(self, packed_keys: np.ndarray) -> None:
-        super().__init__(PackedKeyCountFold(packed_keys))
+class ReferenceIncidentEdgePlan(ReferenceEdgeReplayPlan):
+    """Pass 5 replays the whole tape; the callback skips untracked edges."""
 
-    def result(self) -> np.ndarray:
-        return self.fold.counts
+    def __init__(self, tracked_ids, visit) -> None:
+        super().__init__(visit)
 
 
-#: ``repro.core.kernels`` plan name -> its per-edge reference.
+#: ``repro.core.kernels`` plan name -> its per-edge reference.  Pass 6's
+#: packed-key count has a fold (:class:`PackedKeyCountFold`, for the
+#: per-plan oracles) but no entry here: :func:`reference_engine` routes
+#: pass 6 around the packed-key stage altogether.
 REFERENCE_PLANS = {
     "PositionCollectPlan": ReferencePositionCollectPlan,
     "DegreeCountPlan": ReferenceDegreeCountPlan,
@@ -303,7 +310,7 @@ REFERENCE_PLANS = {
     "WatchKeyPlan": ReferenceWatchKeyPlan,
     "IncidentCollectPlan": ReferenceIncidentCollectPlan,
     "IncidentEdgePlan": ReferenceIncidentEdgePlan,
-    "PackedKeyCountPlan": ReferencePackedKeyCountPlan,
+    "EdgeReplayPlan": ReferenceEdgeReplayPlan,
 }
 
 
@@ -313,4 +320,6 @@ def reference_engine() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         for name, plan in REFERENCE_PLANS.items():
             patch.setattr(kernels, name, plan)
+        # Pass 6 takes the watch-table path (the one ids past 32 bits take).
+        patch.setattr(assignment, "_closure_hits_vectorized_stage", lambda *args: None)
         yield

@@ -14,6 +14,7 @@ boundaries).  ``tests/test_engine_golden.py`` pins the absolute values.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 
 import reference_passes as ref
 from reference_passes import reference_engine
-from repro.core import engine, kernels
+from repro.core import assignment, engine, kernels
 from repro.core.driver import EstimatorConfig
 from repro.core.estimator import run_single_estimate
 from repro.core.executor import run_plan, run_plans
@@ -300,6 +301,45 @@ class TestPassOracles:
             run_plan(scheduler, plan, chunk_size=chunk, workers=workers)
             assert scheduler.passes_used == scheduler.sweeps_used == 1, label
             np.testing.assert_array_equal(read_plan(plan), read_fold(fold), err_msg=label)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
+    @pytest.mark.parametrize("name", ["planted", "duplicates", "empty"])
+    def test_closure_hits_stage_matches_the_watch_table(self, name, chunk, workers):
+        """Pass 6's packed-key stage against the watch table replayed per
+        edge (the stage :func:`reference_engine` runs): same hits, same
+        space charge, on bundles with repeated values, zero-count entries
+        and samples equal to the edge's own far endpoint.  Each bundle's
+        heaviest value closes on a leading tape edge, which the
+        ``duplicates`` stream repeats."""
+        edges = _oracle_edges(name)
+        stream = InMemoryEdgeStream(edges, validate=False)
+        rng = np.random.default_rng(4)
+        vertices = np.unique(np.asarray(edges, dtype=np.int64)) if edges else np.arange(5)
+        others, bundles = [], []
+        for i in range(12):
+            other, closing = edges[i] if edges else (i, i + 1)
+            bundle = assignment._Bundle(6)
+            values = [closing, *rng.choice(vertices, 2).tolist(), other]
+            bundle.values = np.asarray(values, dtype=np.int64)
+            bundle.counts = np.array([3, 0, 1, 2], dtype=np.int64)
+            bundle._seen = 4
+            others.append(other)
+            bundles.append(bundle)
+
+        def hits_and_space(stage_context):
+            meter = SpaceMeter()
+            with stage_context():
+                stage = assignment.stage_closure_hits(bundles, others, meter)
+            scheduler = PassScheduler(stream)
+            run_plans(scheduler, stage.plans, chunk_size=chunk, workers=workers)
+            assert scheduler.passes_used == scheduler.sweeps_used == 1
+            return stage.finish(), meter.peak_breakdown()
+
+        expected = hits_and_space(reference_engine)
+        assert hits_and_space(contextlib.nullcontext) == expected
+        if name != "empty":
+            assert any(expected[0])
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])

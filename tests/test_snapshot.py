@@ -643,8 +643,8 @@ def _result_lines(stdout):
 
 @pytest.fixture(scope="module")
 def big_tape(tmp_path_factory):
-    """Big enough that a serial run in 16-edge chunks takes seconds - a
-    wide window to deliver a signal after the first snapshots land."""
+    """Big enough that a serial run in small chunks takes seconds - a wide
+    window to deliver a signal after the first snapshots land."""
     graph = barabasi_albert_graph(2000, 5, random.Random(1))
     path = tmp_path_factory.mktemp("snap_kill") / "big.edges"
     write_edgelist(graph, path)
@@ -664,14 +664,22 @@ def clean_cli_lines(big_tape):
     return _result_lines(out)
 
 
+#: Guessing-loop schedules the signal tests kill mid-run, each with a chunk
+#: size small enough that the serial run lasts seconds: the default
+#: speculative windows (one snapshot per window) and one round per sweep.
+KILL_SCHEDULES = {
+    "default": ["--chunk-size", "8"],
+    "no-speculate": ["--chunk-size", "16", "--no-speculate"],
+}
+
+
 class TestProcessDeath:
-    def _killed_run(self, big_tape, ckdir, sig):
+    def _killed_run(self, big_tape, ckdir, sig, schedule):
         """Start a slow checkpointing estimate, deliver ``sig`` once the
         rotation is non-empty, and return the finished process."""
         proc = _cli(
             ["estimate", big_tape, "--kappa", "6", "--seed", "3",
-             "--repetitions", "3", "--chunk-size", "16", "--workers", "1",
-             "--no-speculate",
+             "--repetitions", "3", "--workers", "1", *KILL_SCHEDULES[schedule],
              "--checkpoint-dir", str(ckdir), "--snapshot-keep", "64"]
         )
         if not _wait_for_snapshots(ckdir, 1, proc):
@@ -684,20 +692,30 @@ class TestProcessDeath:
         out, err = proc.communicate(timeout=60)
         return proc.returncode, out, err
 
-    def test_sigterm_flushes_final_snapshot_and_exits_130(
-        self, big_tape, tmp_path, clean_cli_lines
-    ):
+    def _signal_then_resume(self, big_tape, tmp_path, clean_cli_lines, sig, schedule):
         ckdir = tmp_path / "ck"
         ckdir.mkdir()
-        rc, _out, err = self._killed_run(big_tape, ckdir, signal.SIGTERM)
-        assert rc == 130
-        assert "interrupted: final snapshot flushed" in err
+        rc, _out, err = self._killed_run(big_tape, ckdir, sig, schedule)
+        if sig == signal.SIGTERM:
+            assert rc == 130
+            assert "interrupted: final snapshot flushed" in err
+        else:
+            assert rc == -signal.SIGKILL
         assert _snapshots_in(ckdir)
+        snapshot.load_latest(ckdir)  # the rotation is structurally valid
         resume = _cli(["resume", str(ckdir), big_tape, "--engine", "chunked"])
         out, err = resume.communicate(timeout=120)
         assert resume.returncode == 0, err
-        assert "resuming:  round" in out
+        if sig == signal.SIGTERM:
+            assert "resuming:  round" in out
         assert _result_lines(out) == clean_cli_lines
+
+    def test_sigterm_flushes_final_snapshot_and_exits_130(
+        self, big_tape, tmp_path, clean_cli_lines
+    ):
+        self._signal_then_resume(
+            big_tape, tmp_path, clean_cli_lines, signal.SIGTERM, "default"
+        )
 
     def test_kill_dash_nine_then_resume(
         self, big_tape, tmp_path, clean_cli_lines
@@ -705,16 +723,18 @@ class TestProcessDeath:
         """The acceptance scenario's harsh half: SIGKILL mid-run (no
         handler, no flush - the atomic rename discipline alone must keep
         the rotation valid), then resume bit-identically."""
-        ckdir = tmp_path / "ck"
-        ckdir.mkdir()
-        rc, _out, _err = self._killed_run(big_tape, ckdir, signal.SIGKILL)
-        assert rc == -signal.SIGKILL
-        assert _snapshots_in(ckdir)
-        snapshot.load_latest(ckdir)  # the rotation is structurally valid
-        resume = _cli(["resume", str(ckdir), big_tape, "--engine", "chunked"])
-        out, err = resume.communicate(timeout=120)
-        assert resume.returncode == 0, err
-        assert _result_lines(out) == clean_cli_lines
+        self._signal_then_resume(
+            big_tape, tmp_path, clean_cli_lines, signal.SIGKILL, "default"
+        )
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+    def test_signals_under_the_sequential_schedule(
+        self, big_tape, tmp_path, clean_cli_lines, sig
+    ):
+        """The same two signals with one round per sweep (``--no-speculate``)."""
+        self._signal_then_resume(
+            big_tape, tmp_path, clean_cli_lines, sig, "no-speculate"
+        )
 
     def test_resumed_cli_run_matches_checkpointed_cli_run(
         self, big_tape, tmp_path, clean_cli_lines
