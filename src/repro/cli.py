@@ -87,8 +87,10 @@ from .graph.properties import summary
 from .graph.triangles import per_edge_triangle_counts
 from .io import read_edgelist, write_edgelist
 from .streams.base import DEFAULT_CHUNK_EDGES
+from .streams.file import FileEdgeStream
 from .streams.tape import (
     MmapEdgeStream,
+    is_tape,
     open_edge_stream,
     read_header,
     tape_fingerprint,
@@ -551,7 +553,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     print(f"fingerprint: {tape_fingerprint(out)}")
     if args.validate:
         verify_tape(out)  # full-payload CRC against the header
-        source = open_edge_stream(args.edgelist)
+        # The source as written, not open_edge_stream's private tape of it.
+        edgelist = args.edgelist
+        source = MmapEdgeStream(edgelist) if is_tape(edgelist) else FileEdgeStream(edgelist)
         tape = MmapEdgeStream(out)
         mismatch = _first_mismatch(source, tape, args.chunk_size)
         if mismatch is not None:

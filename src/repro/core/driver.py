@@ -372,10 +372,9 @@ class TriangleCountEstimator:
             cfg.speculate_depth,
         ):
             # The recovery scope installs the retry policy, arms the fault
-            # plan, and collects FailureReports; on exit it unwinds any
-            # prefetch/mmap tiers the ladder dropped (the serial tier is
-            # unwound by engine_overrides above; the sequential tier only
-            # lives in the restarted program's config).
+            # plan, and collects FailureReports; no ladder step outlives it
+            # (the serial tier is unwound by engine_overrides above; the
+            # sequential tier only lives in the restarted program's config).
             with faults_module.recovery_scope(
                 policy=faults_module.policy_from_env(cfg.max_retries),
                 plan=cfg.faults,
@@ -477,7 +476,7 @@ class TriangleCountEstimator:
                         if delay > 0:
                             time.sleep(delay)
                     else:
-                        step = faults_module.pick_step(exc, stream, depth, recovery)
+                        step = faults_module.pick_step(exc, depth, recovery)
                         if step is None:
                             raise  # no tier left to drop: the failure is the answer
                         faults_module.degrade(step, faults_module.site_of(exc), attempts, exc)

@@ -18,9 +18,11 @@ cooperating pieces:
 * the **degradation ladder** - when retries exhaust at one tier the run
   drops a tier and re-executes instead of failing the estimate:
   threaded -> serial sweep (``sharded->serial``, only for a failure at
-  the executor's own ``worker.crash`` site), prefetch thread ->
-  synchronous reads, mmap tape -> its registered text twin, speculative
-  window -> sequential rounds, snapshots -> skipped.
+  the executor's own ``worker.crash`` site), speculative window ->
+  sequential rounds, snapshots -> skipped.  Every estimate sweeps a tape
+  (a text input is converted when it is opened), so there is no reader
+  tier to drop: a read fault that outlives its retries and every other
+  tier fails the estimate.
   Each step is recorded as a :class:`FailureReport` on the active
   :class:`RecoveryContext`, surfaces on ``EstimateResult.degradations``,
   and is logged as a warning on the ``"repro"`` logger.
@@ -64,7 +66,7 @@ _log = logging.getLogger("repro")
 
 #: A threaded sweep task crashes on its worker thread.
 WORKER_CRASH = "worker.crash"
-#: A chunked file parse fails (raised from the prefetch thread when active).
+#: A chunked read of the tape fails (one event per yielded chunk).
 FILE_READ = "file.read"
 #: The tape dies after the first item of a scheduler sweep.
 SWEEP_MID_STAGE = "sweep.mid_stage"
@@ -82,16 +84,13 @@ ALL_SITES = (
 # degradation actions
 
 ACTION_SERIAL = "sharded->serial"
-ACTION_SYNC_READS = "prefetch->sync"
-ACTION_TEXT = "mmap->text"
 ACTION_SEQUENTIAL = "speculative->sequential"
 ACTION_NO_SNAPSHOT = "snapshot->skip"
 
-#: Ladder order used when the failure's preferred step is unavailable.
+#: Every degradation action, in ladder order (``snapshot->skip`` is taken
+#: by the snapshot writer, the others by :func:`pick_step`).
 LADDER = (
     ACTION_SERIAL,
-    ACTION_SYNC_READS,
-    ACTION_TEXT,
     ACTION_SEQUENTIAL,
     ACTION_NO_SNAPSHOT,
 )
@@ -278,19 +277,8 @@ class RecoveryContext:
     reports: List[FailureReport] = field(default_factory=list)
     #: Ladder flags - which tiers this context has already dropped.
     speculation_degraded: bool = False
-    prefetch_degraded: bool = False
-    mmap_degraded: bool = False
     serial_degraded: bool = False
     snapshot_degraded: bool = False
-
-    def applied(self, action: str) -> bool:
-        return {
-            ACTION_SERIAL: self.serial_degraded,
-            ACTION_SYNC_READS: self.prefetch_degraded,
-            ACTION_TEXT: self.mmap_degraded,
-            ACTION_SEQUENTIAL: self.speculation_degraded,
-            ACTION_NO_SNAPSHOT: self.snapshot_degraded,
-        }[action]
 
 
 _active_policy: Optional[RetryPolicy] = None
@@ -348,16 +336,6 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
 
         engine._apply(None, 1)
         ctx.serial_degraded = True
-    elif action == ACTION_SYNC_READS:
-        from ..streams import file as file_module
-
-        file_module.set_prefetch(False)
-        ctx.prefetch_degraded = True
-    elif action == ACTION_TEXT:
-        from ..streams import tape as tape_module
-
-        tape_module.set_mmap(False)
-        ctx.mmap_degraded = True
     elif action == ACTION_SEQUENTIAL:
         # The driver restarts the program with speculation off in its
         # config (programs read speculation from their config).
@@ -376,51 +354,27 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
     )
 
 
-def pick_step(
-    exc: BaseException, stream, depth: int, ctx: RecoveryContext
-) -> Optional[str]:
+def pick_step(exc: BaseException, depth: int, ctx: RecoveryContext) -> Optional[str]:
     """The degradation ladder: which tier to drop for this failure.
 
     ``depth`` is the speculative window in flight when ``exc`` struck
-    (``0`` before the first round).  Prefers the step matching the
-    failure's classified site, then falls through the ladder in order;
-    ``None`` when no applicable tier is left to drop (the failure then
-    propagates).  ``sharded->serial`` is offered only for a failure at the
-    executor's own ``worker.crash`` site: serial sweeps read the same
-    tape, so dropping threads cannot help a sweep or read fault.
+    (``0`` before the first round).  Takes the first applicable step,
+    ``sharded->serial`` before ``speculative->sequential``; ``None`` when
+    no applicable tier is left to drop (the failure then propagates).
+    ``sharded->serial`` is offered only for a failure at the executor's
+    own ``worker.crash`` site: serial sweeps read the same tape, so
+    dropping threads cannot help a sweep or read fault.
     """
-    from ..streams import file as file_module
-    from ..streams import tape as tape_module
     from . import engine
 
-    mmap_tier = (
-        isinstance(stream, tape_module.MmapEdgeStream)
-        and stream.has_text_twin
-        and tape_module.mmap_enabled()
-    )
-    site = site_of(exc)
-    threaded = site == WORKER_CRASH and engine.effective_workers() > 1
-    applicable = [
-        action
-        for action, available in (
-            (ACTION_SERIAL, threaded and not ctx.serial_degraded),
-            (
-                ACTION_SYNC_READS,
-                isinstance(stream, file_module.FileEdgeStream)
-                and file_module.prefetch_enabled(),
-            ),
-            (ACTION_TEXT, mmap_tier),
-            (ACTION_SEQUENTIAL, depth >= 2 and not ctx.speculation_degraded),
-        )
-        if available
-    ]
-    if not applicable:
-        return None
-    preferred = {
-        WORKER_CRASH: ACTION_SERIAL,
-        FILE_READ: ACTION_TEXT if mmap_tier else ACTION_SYNC_READS,
-    }.get(site)
-    return preferred if preferred in applicable else applicable[0]
+    threaded = site_of(exc) == WORKER_CRASH and engine.effective_workers() > 1
+    for action, available in (
+        (ACTION_SERIAL, threaded and not ctx.serial_degraded),
+        (ACTION_SEQUENTIAL, depth >= 2 and not ctx.speculation_degraded),
+    ):
+        if available:
+            return action
+    return None
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -477,11 +431,10 @@ def recovery_scope(
     Sets up the retry policy (env-derived when not given), the fault plan
     (``REPRO_FAULTS`` when not given, counters re-armed), and a fresh
     :class:`RecoveryContext` collecting :class:`FailureReport` entries.
-    On exit the previous installation is restored and *transient*
-    degradations are unwound: a prefetch or mmap tier dropped by this
-    context's ladder is re-enabled so one failing estimate does not
-    degrade the rest of the process.  (The serial tier lives in the engine
-    switchboard and is unwound by ``engine_overrides``.)
+    On exit the previous installation is restored.  No step of the ladder
+    outlives the estimate: the serial tier lives in the engine switchboard
+    and is unwound by ``engine_overrides``, and the sequential tier only
+    lives in the restarted program's config.
     """
     global _active_policy, _active_plan, _active_recovery
     ctx = RecoveryContext(
@@ -490,18 +443,9 @@ def recovery_scope(
     )
     if ctx.plan is not None:
         ctx.plan.reset()
-    from ..streams import file as file_module
-    from ..streams import tape as tape_module
-
     saved = (_active_policy, _active_plan, _active_recovery)
-    saved_prefetch_enabled = file_module.prefetch_enabled()
-    saved_mmap_enabled = tape_module.mmap_enabled()
     _active_policy, _active_plan, _active_recovery = ctx.policy, ctx.plan, ctx
     try:
         yield ctx
     finally:
         _active_policy, _active_plan, _active_recovery = saved
-        if ctx.prefetch_degraded and saved_prefetch_enabled:
-            file_module.set_prefetch(True)
-        if ctx.mmap_degraded and saved_mmap_enabled:
-            tape_module.set_mmap(True)

@@ -204,7 +204,8 @@ def stream_fingerprint(stream) -> bytes:
     The fingerprint binds a snapshot to its input: a resume against a
     stream with a different digest is refused.  Tapes reuse their own
     :func:`~repro.streams.tape.tape_fingerprint`; text files hash their
-    size plus strided byte samples (bounded reads at any size); anything
+    size plus strided byte samples (bounded reads at any size), and a
+    tape converted from text reports the text's digest; anything
     else - in-memory streams included - hashes the edge sequence itself,
     as little-endian int64 pairs read through :meth:`iter_chunks`.  Each
     source kind is domain-tagged so a tape and a text file never
@@ -214,6 +215,8 @@ def stream_fingerprint(stream) -> bytes:
     from ..streams.tape import MmapEdgeStream, tape_fingerprint
 
     if isinstance(stream, MmapEdgeStream):
+        if stream.source_digest is not None:
+            return stream.source_digest
         digest = hashlib.sha256(b"esnap/tape:")
         digest.update(bytes.fromhex(tape_fingerprint(stream.path)))
         return digest.digest()

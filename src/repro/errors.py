@@ -37,12 +37,13 @@ class PassBudgetExceeded(StreamError):
 class StreamReadError(StreamError):
     """Raised for *transient* failures reading the tape mid-sweep.
 
-    Examples: an I/O error surfacing from a chunked file parse (or its
-    prefetch thread), or an injected ``file.read`` / ``sweep.mid_stage``
-    fault.  Distinct from the protocol violations and malformed-input
-    failures that plain :class:`StreamError` covers: a read error may
-    succeed on replay, so the recovery layer classifies it as retryable,
-    while retrying a malformed file or a budget violation cannot help.
+    Examples: an I/O error surfacing from a chunked file parse, a tape
+    that vanished or changed size mid-run, or an injected ``file.read`` /
+    ``sweep.mid_stage`` fault.  Distinct from the protocol violations and
+    malformed-input failures that plain :class:`StreamError` covers: a
+    read error may succeed on replay, so the recovery layer classifies it
+    as retryable, while retrying a malformed file or a budget violation
+    cannot help.
     """
 
 
@@ -52,11 +53,10 @@ class TapeFormatError(StreamReadError):
     Examples: bad magic bytes, an unsupported format version, a header
     shorter than the fixed layout, or a payload whose size disagrees with
     the header's edge count (a truncated or corrupt tape).  Subclasses
-    :class:`StreamReadError` deliberately: a tape is a *derived* artifact,
-    so the recovery ladder treats the failure as recoverable - when the
-    stream has a registered text twin the ladder degrades the mmap tier
-    back to text parsing (``mmap->text``) instead of failing the estimate.
-    Without a twin the error propagates once retries exhaust.
+    :class:`StreamReadError`, so the recovery layer treats a tape damaged
+    mid-run (say, truncated underneath a sweep) as a read failure: it
+    retries the sweep, and the error propagates once retries and the
+    remaining ladder steps run out.
     """
 
 

@@ -137,8 +137,9 @@ def run_paper_estimator_on_file(
 
     The format is auto-detected by magic bytes
     (:func:`repro.streams.tape.open_edge_stream`): a binary ``.etape``
-    tape streams through its zero-copy mapping, anything else parses as
-    text - with bit-identical estimates either way.  Unlike
+    tape streams through its zero-copy mapping, and a text edge list is
+    parsed once into a temporary tape that every sweep maps - with
+    bit-identical estimates either way.  Unlike
     :func:`run_paper_estimator_on_graph` the stream order is the file's
     own edge order (files already fix an order; re-shuffling would
     destroy the text/tape replay equivalence).  Pass ``exact`` to skip

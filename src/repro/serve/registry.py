@@ -10,15 +10,15 @@ reader of its tape (the sequential-pass discipline the stream layer
 enforces).
 
 Text inputs are converted once, on first touch, into a daemon-private
-``.etape`` (still keyed by the *text's* fingerprint), so every served
-sweep is a zero-copy mmap scan rather than a re-parse.  The tape keeps
-the text file as its ``mmap->text`` twin.  ``.etape`` inputs are served
-in place.
+``.etape`` by :func:`~repro.streams.tape.convert_text` (still keyed by
+the *text's* fingerprint), so every served sweep is a zero-copy mmap scan
+rather than a re-parse.  The text is fingerprinted before it is
+converted, so content already registered costs no conversion.
+``.etape`` inputs are served in place.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import threading
@@ -28,10 +28,9 @@ from typing import Dict, List, Optional
 
 from ..core.snapshot import stream_fingerprint
 from ..errors import ServeError
-from ..streams import open_edge_stream
 from ..streams.base import EdgeStream
 from ..streams.file import FileEdgeStream
-from ..streams.tape import MmapEdgeStream, write_tape
+from ..streams.tape import MmapEdgeStream, convert_text, is_tape
 from .scheduler import SweepScheduler
 
 
@@ -76,7 +75,7 @@ class TapeRegistry:
         malformed line met while converting) or ``OSError`` for
         missing/unreadable inputs.
         """
-        stream = open_edge_stream(path)
+        stream = MmapEdgeStream(path) if is_tape(path) else FileEdgeStream(path)
         fingerprint_hex = stream_fingerprint(stream).hex()
         with self._lock:
             entry = self._entries.get(fingerprint_hex)
@@ -91,8 +90,10 @@ class TapeRegistry:
                 raise ServeError("the daemon is shutting down")
             source, convert_s = "tape", 0.0
             if isinstance(stream, FileEdgeStream):
+                if self._tape_dir is None:
+                    self._tape_dir = tempfile.mkdtemp(prefix="repro-serve-")
                 start = time.perf_counter()
-                stream = self._convert(stream, fingerprint_hex)
+                stream = convert_text(stream, self._tape_dir)
                 source, convert_s = "text", time.perf_counter() - start
             entry = TapeEntry(
                 fingerprint_hex=fingerprint_hex,
@@ -105,26 +106,6 @@ class TapeRegistry:
             with self._lock:
                 self._entries[fingerprint_hex] = entry
             return entry
-
-    def _convert(self, text: FileEdgeStream, fingerprint_hex: str) -> MmapEdgeStream:
-        """Write ``text`` to ``<fingerprint>.etape`` in the private directory.
-
-        The tape holds exactly the rows the text parser yields, in stream
-        order, so estimates over it are bit-identical.  A failed
-        conversion leaves no file behind.
-        """
-        if self._tape_dir is None:
-            self._tape_dir = tempfile.mkdtemp(prefix="repro-serve-")
-        tape = os.path.join(self._tape_dir, f"{fingerprint_hex}.etape")
-        partial = tape + ".tmp"
-        try:
-            write_tape(text, partial)
-            os.replace(partial, tape)
-        except BaseException:
-            if os.path.exists(partial):
-                os.remove(partial)
-            raise
-        return MmapEdgeStream(tape, text_twin=text.path)
 
     def entries(self) -> List[TapeEntry]:
         with self._lock:

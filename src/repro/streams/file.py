@@ -11,14 +11,14 @@ Chunked passes parse the file in ``chunk_size``-line batches through
 classified once, not re-tokenized by the batch parser) and canonicalize
 each batch with vectorized min/max, so the per-line Python interpreter
 cost of :meth:`__iter__` is paid only by per-edge readers and by the
-line-numbered diagnostics of a malformed file.  Batch parsing runs on a double-buffered
-reader thread (:data:`PREFETCH_CHUNKS` ahead of the consumer);
-``REPRO_FILE_PREFETCH=0`` forces inline parsing.  The thread does not
-buy an overlap of parse and scan in practice: ``loadtxt`` holds the
-interpreter lock, and a solo estimate on the 330k-edge perfbench
-serve-text input (54 sweeps, 2-core x86_64) measured a median 9.8 s with
-prefetch, 9.1 s inline, and 1.1 s on its ``.etape`` conversion (which
-itself takes 0.16 s).
+line-numbered diagnostics of a malformed file.
+
+Estimates do not sweep this stream repeatedly:
+:func:`~repro.streams.tape.open_edge_stream` parses a text input once into
+an ``.etape`` tape and every sweep maps that.  On the 330k-edge perfbench
+serve-text input (estimator seed 2001, 18 sweeps, 2-core x86_64), three
+estimates over this stream took 2.8-3.6 s, against 0.41-0.47 s over its
+tape plus 0.13-0.17 s to convert.
 """
 
 from __future__ import annotations
@@ -32,29 +32,6 @@ from .base import DEFAULT_CHUNK_EDGES, EdgeStream, StreamStats
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     import numpy
-
-#: Chunks the reader thread may parse ahead of the consumer (double
-#: buffering: one chunk being scanned, up to this many already parsed).
-PREFETCH_CHUNKS = 2
-
-#: Runtime override flipped by the recovery ladder's ``prefetch->sync``
-#: degradation (see :mod:`repro.core.faults`); ``REPRO_FILE_PREFETCH=0``
-#: remains the static knob and is still consulted per pass.
-_prefetch_disabled = False
-
-
-def prefetch_enabled() -> bool:
-    """Whether chunked passes may use the prefetch reader thread."""
-    if _prefetch_disabled:
-        return False
-    return os.environ.get("REPRO_FILE_PREFETCH", "1") != "0"
-
-
-def set_prefetch(enabled: bool) -> None:
-    """Flip the runtime prefetch override (recovery ladder hook)."""
-    global _prefetch_disabled
-    _prefetch_disabled = not enabled
-
 
 def _maybe_inject_read_fault(path: str) -> None:
     # Imported lazily: repro.streams loads during repro.core's own import.
@@ -87,11 +64,6 @@ class FileEdgeStream(EdgeStream):
         self._validate = validate
         self._length: int | None = None
         self._stats: StreamStats | None = None
-        #: Signals-and-joins the reader thread of the live prefetched pass,
-        #: if any; a fresh chunked pass calls it to reap a reader whose
-        #: consumer was abandoned without ``close()`` (see
-        #: :meth:`_prefetched_chunks`).
-        self._prefetch_retire = None
         if not os.path.exists(self._path):
             raise StreamError(f"edge-list file not found: {self._path}")
 
@@ -116,11 +88,6 @@ class FileEdgeStream(EdgeStream):
         return (u, v)
 
     def __iter__(self) -> Iterator[Edge]:
-        # A per-line pass replays the tape just as a chunked one does, so
-        # it equally proves an abandoned prefetched pass dead (the retire
-        # hook no-ops when the caller *is* the reader thread - the batch
-        # parser's error diagnosis re-scans the file from there).
-        self.retire_prefetcher()
         with open(self._path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 edge = self._parse(line, lineno)
@@ -133,27 +100,18 @@ class FileEdgeStream(EdgeStream):
         Yields the same edge sequence as :meth:`__iter__` (including
         canonicalization when ``validate`` is set), but parses whole batches
         through ``numpy.loadtxt`` - comments and blank lines are skipped
-        without counting toward the batch size.
-
-        Parsing runs on a **double-buffered reader thread**: while the
-        caller scans chunk ``i``, the thread is already parsing chunk
-        ``i + 1`` (a bounded queue of :data:`PREFETCH_CHUNKS` keeps it one
-        step ahead).  Because ``loadtxt`` holds the interpreter lock, the
-        measured gain is nil (see the module docstring: 9.8 s with the
-        thread, 9.1 s inline).  The chunk sequence is exactly that of the
-        synchronous parser; set ``REPRO_FILE_PREFETCH=0`` to disable the
-        thread and parse inline.
+        without counting toward the batch size.  The ``file.read``
+        fault-injection site fires once per yielded chunk.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if not prefetch_enabled():
-            self.retire_prefetcher()  # inline passes reap orphans too
-            yield from self._parse_chunks(chunk_size)
-            return
-        yield from self._prefetched_chunks(chunk_size)
+        for block in self._parse_chunks(chunk_size):
+            _maybe_inject_read_fault(self._path)
+            yield block
 
     def _parse_chunks(self, chunk_size: int) -> Iterator["numpy.ndarray"]:
-        """The synchronous batch parser (one ``loadtxt`` call per chunk).
+        """The batch parser (one ``loadtxt`` call per chunk), without the
+        fault-injection site - the tape conversion reads through it.
 
         Data lines are gathered with a cheap Python-level skip of comment
         and blank lines, so each such line is classified exactly once per
@@ -169,7 +127,7 @@ class FileEdgeStream(EdgeStream):
         (one extra sweep of an already-failing file) so the raised
         :class:`~repro.errors.StreamError` carries the standard
         line-numbered message wherever the chunks were consumed - a plain
-        chunked pass, the prefetch reader thread, or a threaded sweep.
+        chunked pass, a tape conversion, or a threaded sweep.
         """
         import numpy as np
 
@@ -210,7 +168,6 @@ class FileEdgeStream(EdgeStream):
                 block = block.reshape(-1, 2)
                 if self._validate:
                     block = self._canonicalize(np, block)
-                _maybe_inject_read_fault(self._path)
                 yield block
                 if len(lines) < chunk_size:
                     return
@@ -231,114 +188,6 @@ class FileEdgeStream(EdgeStream):
         except StreamError as located:
             return located
         return StreamError(f"{self._path}: malformed edge-list line ({exc})")
-
-    def retire_prefetcher(self) -> None:
-        """Signal and join the reader thread of an abandoned chunked pass.
-
-        A consumer that neither exhausts nor closes its chunk iterator -
-        typically because an exception is propagating with the consumer's
-        frame pinned in its traceback - leaves the iterator suspended with
-        the reader thread parked behind the full queue, holding the file
-        handle open.  The thread cannot detect that on its own (the
-        consumer might still legitimately resume), so this hook retires
-        it explicitly; every fresh pass - chunked or per-line - calls it,
-        because a replay of the tape proves the old pass is dead.
-        Idempotent, a no-op when no prefetched pass is live, and a no-op
-        from the reader thread itself (whose error diagnosis re-scans the
-        file per line while its own pass is still registered).
-        """
-        retire = self._prefetch_retire
-        if retire is not None and retire():
-            self._prefetch_retire = None
-
-    def _prefetched_chunks(self, chunk_size: int) -> Iterator["numpy.ndarray"]:
-        """Run :meth:`_parse_chunks` on a reader thread, double-buffered.
-
-        The producer parses ahead into a bounded queue and checks a stop
-        event between puts, so a pass abandoned *with* generator
-        ``close()`` releases the thread promptly, and one abandoned
-        *without* it is reaped by the next pass over the stream
-        (:meth:`retire_prefetcher`); parser exceptions are re-raised in
-        the consumer at the point the failing chunk would have appeared.
-        """
-        import queue as queue_module
-        import threading
-
-        self.retire_prefetcher()
-        chunks: "queue_module.Queue" = queue_module.Queue(maxsize=PREFETCH_CHUNKS)
-        stop = threading.Event()
-        end = object()  # sentinel: clean end of file
-        retired = object()  # sentinel: reaped by a newer pass over the stream
-
-        def reader() -> None:
-            try:
-                for block in self._parse_chunks(chunk_size):
-                    while not stop.is_set():
-                        try:
-                            chunks.put(block, timeout=0.05)
-                            break
-                        except queue_module.Full:
-                            continue
-                    if stop.is_set():
-                        return
-                payload = end
-            except BaseException as exc:  # forwarded, not swallowed
-                payload = exc
-            while not stop.is_set():
-                try:
-                    chunks.put(payload, timeout=0.05)
-                    return
-                except queue_module.Full:
-                    continue
-
-        thread = threading.Thread(target=reader, name="repro-file-prefetch", daemon=True)
-        thread.start()
-
-        def retire() -> bool:
-            if threading.current_thread() is thread:
-                # The reader re-scanning the file for a line-numbered
-                # diagnostic must not retire (join) itself; its pass is
-                # still the live one.
-                return False
-            stop.set()
-            thread.join()
-            # Drain whatever the reader had buffered and leave the retired
-            # pill in its place (the join above makes both race-free, and
-            # the queue is empty after the drain so the put cannot block):
-            # a resumed retired pass must fail on its first pull, not
-            # first replay stale chunks - or, when the tail plus end
-            # sentinel happened to be buffered, silently complete against
-            # a tape that has been re-read underneath it.
-            while True:
-                try:
-                    chunks.get_nowait()
-                except queue_module.Empty:
-                    break
-            chunks.put_nowait(retired)
-            return True
-
-        self._prefetch_retire = retire
-        try:
-            while True:
-                item = chunks.get()
-                if item is end:
-                    return
-                if item is retired:
-                    # Retired by a newer pass while suspended: the tape
-                    # has been replayed underneath this pass, so resuming
-                    # it cannot produce a coherent sequence.
-                    raise StreamError(
-                        f"{self._path}: chunked pass abandoned and retired "
-                        "by a newer pass over the stream"
-                    )
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
-        finally:
-            stop.set()
-            thread.join()
-            if self._prefetch_retire is retire:
-                self._prefetch_retire = None
 
     def _canonicalize(self, np, block: "numpy.ndarray") -> "numpy.ndarray":
         """Vectorized ``canonical_edge`` over one parsed batch."""

@@ -1,18 +1,20 @@
 """The packed binary ``.etape`` tape format and its mmap-backed stream.
 
-Multi-pass estimates re-read the whole tape once per physical sweep, and
-on the text path every sweep re-runs the batched parser - which is why
-the file stream grew a prefetch thread.  The ``.etape`` format stores
-the *parsed* tape once: a 64-byte header followed by the edges as a
-contiguous C-order little-endian ``int64[m, 2]`` array.  Re-sweeps then
+Multi-pass estimates re-read the whole tape once per physical sweep, so a
+text edge list would be re-parsed on every sweep.  The ``.etape`` format
+stores the *parsed* tape once: a 64-byte header followed by the edges as
+a contiguous C-order little-endian ``int64[m, 2]`` array.  Re-sweeps then
 become memory-bandwidth-bound instead of parse-bound:
 
 * :meth:`MmapEdgeStream.iter_chunks` yields zero-copy read-only slices
   of the memory-mapped payload (no parsing, no allocation per sweep);
 * ``stats()`` / ``len()`` come straight from the header in O(1) - no
   statistics sweep at all;
-* threaded sweeps hand those same slices to every worker thread, so the
-  prefetch thread (an artifact of text parsing) is bypassed entirely.
+* threaded sweeps hand those same slices to every worker thread.
+
+Every estimate sweeps a tape: :func:`open_edge_stream` maps an ``.etape``
+file in place and converts a text edge list (:func:`convert_text`) into a
+private tape when it opens it.
 
 Header layout (64 bytes, all integers little-endian)::
 
@@ -37,21 +39,21 @@ stable across byte-identical rewrites and cheap even for huge tapes.
 that digest is what snapshots bind to and what the serving daemon keys
 its tape registry and result cache on.
 
-**Degradation contract** (see :mod:`repro.core.faults`): a stream with a
-registered *text twin* (the edge-list file the tape was converted from)
-participates in the recovery ladder as its own tier - exhausted retries
-on a read fault or a mid-run :class:`~repro.errors.TapeFormatError`
-degrade ``mmap->text`` and the pass replays against the twin, which by
-the conversion contract carries the identical edge sequence, so the
-estimate stays bit-identical.  :func:`repro.core.faults.recovery_scope`
-restores the mmap tier when the estimate returns.
+A tape converted from text reports the *text's*
+:func:`~repro.core.snapshot.stream_fingerprint`
+(:attr:`MmapEdgeStream.source_digest`): a snapshot written by a run on
+the text resumes on its converted tape, and the daemon keys a text input
+by the text's digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import struct
+import tempfile
+import weakref
 import zlib
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -87,28 +89,6 @@ _HEADER_STRUCT = struct.Struct("<8sIIqqqQ16x")
 #: Strided-fingerprint sampling: up to this many blocks of this many rows.
 _SAMPLE_BLOCKS = 64
 _SAMPLE_ROWS = 1024
-
-#: Runtime override flipped by the recovery ladder's ``mmap->text``
-#: degradation; consulted per pass like the file stream's prefetch flag.
-_mmap_disabled = False
-
-
-def mmap_enabled() -> bool:
-    """Whether :class:`MmapEdgeStream` passes may read through the mapping."""
-    return not _mmap_disabled
-
-
-def set_mmap(enabled: bool) -> None:
-    """Flip the runtime mmap override (recovery ladder hook).
-
-    Only streams with a registered text twin change behaviour: a disabled
-    mmap tier makes their passes delegate to the twin's text parser.  A
-    stream with no twin has nothing to degrade to and keeps reading the
-    mapping.
-    """
-    global _mmap_disabled
-    _mmap_disabled = not enabled
-
 
 @dataclass(frozen=True)
 class TapeHeader:
@@ -274,7 +254,8 @@ def write_tape(
     """Stream ``source`` into an ``.etape`` file at ``path``, bounded memory.
 
     ``source`` is an :class:`~repro.streams.base.EdgeStream` or a file
-    path (auto-detected: a text edge list is parsed, an existing tape is
+    path (auto-detected: a text edge list is parsed through
+    :class:`~repro.streams.file.FileEdgeStream`, an existing tape is
     copied through the same streaming path).  Rows are written exactly in
     stream order - conversion never reorders or canonicalizes, so the
     tape replays the identical sequence and estimates stay bit-identical.
@@ -285,15 +266,19 @@ def write_tape(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if isinstance(source, (str, os.PathLike)):
-        source = open_edge_stream(source)
-    path = os.fspath(path)
+        source = MmapEdgeStream(source) if is_tape(source) else FileEdgeStream(source)
+    return _write_blocks(source.iter_chunks(chunk_size), os.fspath(path))
+
+
+def _write_blocks(blocks: Iterator[np.ndarray], path: str) -> TapeHeader:
+    """The body of :func:`write_tape`: one pass over ``blocks`` into ``path``."""
     m = 0
     max_vertex = -1
     crc = 0
     canonical = True
     with open(path, "wb") as out:
         out.write(b"\x00" * HEADER_BYTES)
-        for block in source.iter_chunks(chunk_size):
+        for block in blocks:
             block = np.ascontiguousarray(block, dtype=np.dtype("<i8"))
             if not len(block):
                 continue
@@ -320,20 +305,64 @@ def write_tape(
     )
 
 
+def convert_text(text: FileEdgeStream, directory: str) -> "MmapEdgeStream":
+    """Parse ``text`` once into ``<text fingerprint>.etape`` under ``directory``.
+
+    The tape holds exactly the rows the text parser yields, in stream
+    order, so estimates over it are bit-identical; the returned stream
+    reports the text's :func:`~repro.core.snapshot.stream_fingerprint` as
+    its own (:attr:`MmapEdgeStream.source_digest`).  The parse does not
+    count ``file.read`` fault events: injection schedules land in the
+    estimate's sweeps of the tape, at the same chunk indices as on an
+    ``.etape`` input.  The tape is written under a temporary name and
+    renamed into place, so a failed conversion (a malformed line raises
+    the parser's line-numbered :class:`~repro.errors.StreamError`) leaves
+    no file behind.
+    """
+    from ..core.snapshot import stream_fingerprint  # core imports streams
+
+    digest = stream_fingerprint(text)
+    tape = os.path.join(directory, f"{digest.hex()}.etape")
+    partial = tape + ".tmp"
+    try:
+        _write_blocks(text._parse_chunks(DEFAULT_CHUNK_EDGES), partial)
+        os.replace(partial, tape)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+    stream = MmapEdgeStream(tape)
+    stream.source_digest = digest
+    return stream
+
+
 def open_edge_stream(
     path: Union[str, "os.PathLike[str]"], validate: bool = True
-) -> EdgeStream:
-    """Open a tape file as the right stream, sniffing the magic bytes.
+) -> "MmapEdgeStream":
+    """Open a tape file as an :class:`MmapEdgeStream`, sniffing the magic bytes.
 
-    An ``.etape`` file becomes an :class:`MmapEdgeStream`; anything else
-    is treated as a text edge list (:class:`FileEdgeStream`, with
-    ``validate`` forwarded).  This is the single auto-detection point
-    every file-loading entry point (CLI, harness, bench suite) goes
-    through, so both formats are accepted transparently everywhere.
+    An ``.etape`` file is mapped in place; anything else is parsed as a
+    text edge list (:class:`FileEdgeStream`, with ``validate`` forwarded)
+    and converted into a private tape (16 bytes per edge) in a fresh
+    ``tempfile.mkdtemp`` directory, removed when the returned stream is
+    collected or the interpreter exits.  Nothing is cached across calls:
+    the text fingerprint only samples bytes, so a cache keyed on it could
+    hand back a stale tape after an in-place edit that keeps the size.
+    This is the single auto-detection point every file-loading entry
+    point (CLI, harness, bench suite) goes through, so both formats are
+    accepted transparently everywhere.
     """
     if is_tape(path):
         return MmapEdgeStream(path)
-    return FileEdgeStream(path, validate=validate)
+    text = FileEdgeStream(path, validate=validate)
+    directory = tempfile.mkdtemp(prefix="repro-tape-")
+    try:
+        stream = convert_text(text, directory)
+    except BaseException:
+        shutil.rmtree(directory, ignore_errors=True)
+        raise
+    weakref.finalize(stream, shutil.rmtree, directory, ignore_errors=True)
+    return stream
 
 
 class MmapEdgeStream(EdgeStream):
@@ -345,28 +374,17 @@ class MmapEdgeStream(EdgeStream):
     a read-only slice of that one mapping - a sweep performs no parsing,
     no copies, and no allocation beyond the view objects.
 
-    ``text_twin`` (also settable later via :meth:`register_text_twin`)
-    names the text edge list this tape was converted from.  It is the
-    stream's degradation target: when the recovery ladder drops the mmap
-    tier (``mmap->text``), passes delegate to a
-    :class:`FileEdgeStream` over the twin, whose edge sequence is
-    identical by the conversion contract, so recovered estimates stay
-    bit-identical.  Without a twin the stream has no fallback tier.
+    ``source_digest`` is ``None`` for a tape opened in place; a tape
+    :func:`convert_text` wrote holds the text's stream fingerprint there.
     """
 
-    def __init__(
-        self,
-        path: Union[str, "os.PathLike[str]"],
-        text_twin: Union[str, "os.PathLike[str]", None] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
         self._path = os.path.abspath(os.fspath(path))
         self._header = read_header(self._path)
         self._rows_map: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
-        self._text_twin: Optional[str] = None
-        self._twin_stream: Optional[FileEdgeStream] = None
-        if text_twin is not None:
-            self.register_text_twin(text_twin)
+        #: The stream fingerprint of the text this tape was converted from.
+        self.source_digest: Optional[bytes] = None
 
     @property
     def path(self) -> str:
@@ -378,49 +396,13 @@ class MmapEdgeStream(EdgeStream):
         """The decoded tape header."""
         return self._header
 
-    # -- text-twin degradation tier ------------------------------------
-
-    @property
-    def text_twin(self) -> Optional[str]:
-        """Path of the registered text twin, if any."""
-        return self._text_twin
-
-    @property
-    def has_text_twin(self) -> bool:
-        """Whether a text fallback tier is available to the ladder."""
-        return self._text_twin is not None
-
-    def register_text_twin(self, path: Union[str, "os.PathLike[str]"]) -> None:
-        """Register the text edge list this tape was converted from.
-
-        The caller asserts the twin replays the identical edge sequence
-        (``repro convert`` guarantees it); the recovery ladder may then
-        degrade this stream's passes to text parsing.
-        """
-        twin = os.fspath(path)
-        if not os.path.exists(twin):
-            raise StreamError(f"text twin not found: {twin}")
-        self._text_twin = twin
-        self._twin_stream = None
-
-    def _delegate(self) -> Optional[FileEdgeStream]:
-        """The twin stream to read through while the mmap tier is degraded."""
-        if self._text_twin is None or mmap_enabled():
-            return None
-        if self._twin_stream is None:
-            self._twin_stream = FileEdgeStream(self._text_twin)
-        return self._twin_stream
-
-    # -- mapped access -------------------------------------------------
-
     def _check_intact(self) -> None:
         """Cheap per-pass structural re-check (one ``stat`` call).
 
         The mapping pins the header's promises at open; a tape truncated
         or replaced underneath a later pass would otherwise surface as a
-        garbage scan (or a bus error on a shrunk mapping).  Raising the
-        typed error here lets the recovery ladder degrade to the text
-        twin instead.
+        garbage scan (or a bus error on a shrunk mapping); the typed
+        error fails the estimate instead once retries run out.
         """
         try:
             size = os.stat(self._path).st_size
@@ -460,10 +442,6 @@ class MmapEdgeStream(EdgeStream):
         return self._rows_map
 
     def __iter__(self) -> Iterator[Edge]:
-        delegate = self._delegate()
-        if delegate is not None:
-            yield from delegate
-            return
         self._check_intact()
         for block in self.iter_chunks():
             for u, v in block.tolist():  # tolist: Python ints, like the text path
@@ -478,10 +456,6 @@ class MmapEdgeStream(EdgeStream):
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        delegate = self._delegate()
-        if delegate is not None:
-            yield from delegate.iter_chunks(chunk_size)
-            return
         self._check_intact()
         rows = self._rows()
         for start in range(0, len(rows), chunk_size):

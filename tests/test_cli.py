@@ -154,18 +154,51 @@ class TestEstimate:
         implied = capsys.readouterr().out
         assert sweeps(implied) < sweeps(sequential)
 
-    def test_degradation_reported(self, wheel_file, capsys):
-        # A persistent injected fault with a zero retry budget forces the
-        # recovery ladder to drop a tier; the CLI must surface that as a
+    def test_degradation_reported(self, wheel_file, capsys, monkeypatch):
+        # Persistent injected faults with a zero retry budget force the
+        # recovery ladder to drop two tiers; the CLI must surface each as a
         # degraded: line while still printing a complete estimate.
+        from repro.core import executor
+
+        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 16)
         base = ["estimate", wheel_file, "--kappa", "3", "--seed", "1",
-                "--repetitions", "3"]
-        assert main(base + ["--faults", "file.read@0", "--max-retries", "0"]) == 0
+                "--repetitions", "3", "--workers", "2", "--chunk-size", "16",
+                "--speculate-depth", "3"]
+        faults = ["--faults", "worker.crash@0;sweep.mid_stage@1", "--max-retries", "0"]
+        assert main(base + faults) == 0
         out = capsys.readouterr().out
         assert "estimate:" in out
-        assert "degraded:" in out
-        assert "prefetch->sync" in out
-        assert "file.read" in out
+        degraded = [l for l in out.splitlines() if l.startswith("degraded:")]
+        assert len(degraded) == 2
+        assert "sharded->serial" in degraded[0] and "worker.crash" in degraded[0]
+        assert "speculative->sequential" in degraded[1]
+
+    def test_env_fault_plan_lands_in_the_estimate(self, wheel_file, tmp_path):
+        """``REPRO_FAULTS`` is armed at import, before the text input is
+        converted to a tape: the conversion must not consume the plan, so
+        the fault degrades the estimate at the same chunk as on a tape."""
+        import os
+        import subprocess
+        import sys
+
+        tape = str(tmp_path / "wheel.etape")
+        assert main(["convert", wheel_file, "--out", tape]) == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src, REPRO_FAULTS="file.read@0")
+
+        def estimate(path):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "estimate", path, "--kappa", "3",
+                 "--seed", "1", "--repetitions", "3", "--max-retries", "0"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            # The cause names the mapped file; everything else must agree.
+            return [l.split(": StreamReadError")[0] for l in proc.stdout.splitlines()]
+
+        text_out = estimate(wheel_file)
+        assert any(l.startswith("degraded:") for l in text_out)
+        assert text_out == estimate(tape)
 
     def test_clean_run_reports_no_degradation(self, wheel_file, capsys):
         assert main(["estimate", wheel_file, "--kappa", "3", "--seed", "1",
@@ -232,6 +265,24 @@ class TestConvertAndTapeInfo:
         out = str(tmp_path / "wheel.etape")
         assert main(["convert", wheel_file, "--out", out, "--validate"]) == 0
         assert "round trip exact" in capsys.readouterr().out
+
+    def test_convert_validate_reports_mismatch(self, wheel_file, tmp_path, capsys,
+                                               monkeypatch):
+        # A writer that reorders the stream yields a well-formed tape (its
+        # checksum verifies) whose edge sequence differs from the text's.
+        import repro.cli as cli
+        from repro.streams import FileEdgeStream, InMemoryEdgeStream
+
+        real_write_tape = cli.write_tape
+
+        def reordering_write_tape(source, path, chunk_size):
+            edges = list(FileEdgeStream(source))[::-1]
+            return real_write_tape(InMemoryEdgeStream(edges), path, chunk_size)
+
+        monkeypatch.setattr(cli, "write_tape", reordering_write_tape)
+        out = str(tmp_path / "wheel.etape")
+        assert main(["convert", wheel_file, "--out", out, "--validate"]) == 1
+        assert "round-trip MISMATCH at edge 0" in capsys.readouterr().err
 
     def test_tape_info_dumps_header(self, wheel_file, tmp_path, capsys):
         out = str(tmp_path / "wheel.etape")
@@ -374,6 +425,15 @@ class TestTypedErrors:
         monkeypatch.delenv("REPRO_SERVE_SOCKET", raising=False)
         monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
         self._assert_one_line_failure(["serve"], capsys)
+
+    def test_malformed_text_is_a_one_line_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1 2\n2 oops\n")
+        assert main(["estimate", str(bad), "--kappa", "3"]) == 2
+        err = capsys.readouterr().err
+        # The text's conversion to a tape keeps the parser's line number.
+        assert err.startswith("repro estimate:") and "bad.txt:3" in err, err
+        assert len(err.strip().splitlines()) == 1, err
 
     def test_corrupt_tape_is_a_one_line_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.etape"

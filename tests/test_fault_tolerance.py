@@ -10,10 +10,9 @@ harness in :mod:`repro.core.faults`:
   *bit-identical* to the fault-free run: estimates, guessing trajectory,
   logical-pass totals, and the root generator's final state.
 * **Degradation ladder** - when retries exhaust, the run drops a tier
-  (sharded->serial, prefetch->sync, mmap tape->text twin,
-  speculative->sequential)
-  instead of failing, records each step on
-  ``EstimateResult.degradations``, and still produces identical numbers.
+  (sharded->serial, speculative->sequential) instead of failing, records
+  each step on ``EstimateResult.degradations``, and still produces
+  identical numbers; a read fault with no tier left propagates.
 
 The fast subset runs in tier 1 with one fault per site; the full
 fault x engine product is behind the ``slow`` marker.
@@ -35,7 +34,7 @@ from repro.generators import barabasi_albert_graph
 from repro.io import write_edgelist
 from repro.streams import InMemoryEdgeStream, write_tape
 from repro.streams.file import FileEdgeStream
-from repro.streams.tape import MmapEdgeStream, mmap_enabled
+from repro.streams.tape import MmapEdgeStream
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def tape(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def etape(tape, tmp_path_factory):
-    """The binary twin of ``tape``: identical edge sequence, mmap path."""
+    """``tape`` converted to ``.etape``: identical edge sequence, mmap path."""
     path = tmp_path_factory.mktemp("faults_bin") / "tape.etape"
     write_tape(tape, path)
     return str(path)
@@ -328,22 +327,6 @@ class TestDegradationLadder:
         _assert_bit_identical(clean_after, faulted)
         assert clean_after[0].degradations == ()
 
-    def test_file_read_failure_degrades_prefetch(self, tape):
-        stream = FileEdgeStream(tape)
-        stream.stats()
-        base = dict(seed=9, repetitions=3, engine_mode="chunked", workers=1)
-        clean = _run(stream, EstimatorConfig(**base))
-        faulted = _run(
-            stream, EstimatorConfig(**base, faults="file.read@0", max_retries=0)
-        )
-        _assert_bit_identical(clean, faulted)
-        reports = faulted[0].degradations
-        assert [r.action for r in reports] == [faults.ACTION_SYNC_READS]
-        assert reports[0].site == faults.FILE_READ
-        from repro.streams import file as file_module
-
-        assert file_module.prefetch_enabled()
-
     def test_sweep_faults_degrade_speculation(self):
         """Three consecutive mid-sweep faults exhaust the default retry
         budget; the ladder falls back to the sequential guessing loop and
@@ -366,42 +349,46 @@ class TestDegradationLadder:
         assert [r.action for r in reports] == [faults.ACTION_SEQUENTIAL]
         assert reports[0].attempts == 3
 
-    def test_persistent_faults_walk_multiple_tiers(self, tape):
+    #: A worker crash at workers=2 (sharded->serial), then a mid-sweep
+    #: fault in a speculative window (speculative->sequential).
+    MULTI_TIER = dict(
+        seed=6,
+        repetitions=3,
+        engine_mode="sharded",
+        workers=2,
+        chunk_size=64,
+        speculate=True,
+        speculate_depth=3,
+    )
+    MULTI_TIER_FAULTS = "worker.crash@0;sweep.mid_stage@1"
+
+    def test_persistent_faults_walk_multiple_tiers(self, tape, monkeypatch):
         """One run can need several ladder steps; each is recorded in the
         order taken and the run still completes with clean-run numbers."""
+        from repro.core import executor
+
+        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
         stream = FileEdgeStream(tape)
         stream.stats()
-        base = dict(
-            seed=6,
-            repetitions=3,
-            engine_mode="chunked",
-            workers=1,
-            speculate=True,
-            speculate_depth=3,
-        )
-        clean = _run(stream, EstimatorConfig(**base))
+        clean = _run(stream, EstimatorConfig(**self.MULTI_TIER))
         faulted = _run(
             stream,
             EstimatorConfig(
-                **base, faults="file.read@0;sweep.mid_stage@1", max_retries=0
+                **self.MULTI_TIER, faults=self.MULTI_TIER_FAULTS, max_retries=0
             ),
         )
         _assert_bit_identical(clean, faulted)
         actions = [r.action for r in faulted[0].degradations]
-        assert actions == [faults.ACTION_SYNC_READS, faults.ACTION_SEQUENTIAL]
+        assert actions == [faults.ACTION_SERIAL, faults.ACTION_SEQUENTIAL]
 
-    def test_each_ladder_step_logs_a_warning(self, tape, caplog):
+    def test_each_ladder_step_logs_a_warning(self, tape, caplog, monkeypatch):
         """A library caller sees every recorded step on the ``repro``
         logger, not only on ``EstimateResult.degradations``."""
+        from repro.core import executor
+
+        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
         cfg = EstimatorConfig(
-            seed=6,
-            repetitions=3,
-            engine_mode="chunked",
-            workers=1,
-            speculate=True,
-            speculate_depth=3,
-            faults="file.read@0;sweep.mid_stage@1",
-            max_retries=0,
+            **self.MULTI_TIER, faults=self.MULTI_TIER_FAULTS, max_retries=0
         )
         with caplog.at_level(logging.WARNING, logger="repro"):
             result = TriangleCountEstimator(cfg).estimate(FileEdgeStream(tape), kappa=4)
@@ -433,8 +420,8 @@ class TestDegradationLadder:
 
 
 # ---------------------------------------------------------------------------
-# the mmap tape tier: file.read fires on the mapped path, and the ladder
-# degrades mmap->text when the tape has a registered text twin
+# the mmap tape: file.read fires on the mapped path; a tape has no reader
+# tier below it, so a read fault that outlives its retries propagates
 
 
 class TestMmapTapeFaults:
@@ -450,66 +437,33 @@ class TestMmapTapeFaults:
         _assert_bit_identical(clean, faulted)
         assert faulted[0].degradations == ()
 
-    def test_exhausted_read_fault_degrades_to_text_twin(self, tape, etape):
-        """Retries disabled: the first fault exhausts the budget, the ladder
-        drops the mmap tier, the pass replays against the registered text
-        twin, and the numbers still match the clean run bit-for-bit."""
-        base = dict(seed=9, repetitions=3, engine_mode="chunked", workers=1)
-        clean = _run(MmapEdgeStream(etape), EstimatorConfig(**base))
-        faulted = _run(
-            MmapEdgeStream(etape, text_twin=tape),
-            EstimatorConfig(**base, faults="file.read@0", max_retries=0),
-        )
-        _assert_bit_identical(clean, faulted)
-        reports = faulted[0].degradations
-        assert [r.action for r in reports] == [faults.ACTION_TEXT]
-        assert reports[0].site == faults.FILE_READ
-        # The degradation was scoped to the failing estimate: the recovery
-        # scope restored the mmap tier on exit.
-        assert mmap_enabled()
-
-    def test_text_parity_with_degraded_and_clean_text_run(self, tape, etape):
-        """The degraded run equals a straight text run too - the twin is
-        read through the very same parser."""
-        base = dict(seed=2, repetitions=3, engine_mode="chunked", workers=1)
-        text = _run(FileEdgeStream(tape), EstimatorConfig(**base))
-        degraded = _run(
-            MmapEdgeStream(etape, text_twin=tape),
-            EstimatorConfig(**base, faults="file.read@0", max_retries=0),
-        )
-        _assert_bit_identical(text, degraded)
-
-    def test_truncated_tape_mid_run_degrades_to_twin(self, tape, etape, tmp_path):
-        """A tape truncated underneath a running estimate surfaces as a
-        typed TapeFormatError from the per-pass intactness check; with a
-        twin registered the run completes bit-identically to the clean
-        run instead of scanning garbage."""
+    def test_truncated_tape_mid_run_fails_typed(self, etape, tmp_path):
+        """A tape truncated underneath an open stream surfaces as a typed
+        TapeFormatError from the per-pass intactness check, never as a
+        scan of garbage rows."""
+        import os
         import shutil
 
-        base = dict(seed=9, repetitions=3, engine_mode="chunked", workers=1)
-        clean = _run(MmapEdgeStream(etape), EstimatorConfig(**base))
-        import os
+        from repro.errors import TapeFormatError
 
         local = tmp_path / "mutable.etape"
         shutil.copy(etape, local)
-        stream = MmapEdgeStream(local, text_twin=tape)
+        stream = MmapEdgeStream(local)
         with open(local, "r+b") as handle:
             handle.truncate(os.path.getsize(local) - 16)
-        faulted = _run(stream, EstimatorConfig(**base, max_retries=0))
-        _assert_bit_identical(clean, faulted)
-        assert faults.ACTION_TEXT in [r.action for r in faulted[0].degradations]
-        assert mmap_enabled()
+        cfg = EstimatorConfig(seed=9, repetitions=3, engine_mode="chunked", max_retries=0)
+        with pytest.raises(TapeFormatError, match="changed size mid-run"):
+            TriangleCountEstimator(cfg).estimate(stream, kappa=4)
 
-    def test_no_twin_leaves_nothing_to_degrade_to(self, etape):
-        """Without a registered twin the mmap stream has no fallback tier:
-        a persistent read fault must propagate, never be swallowed."""
+    def test_persistent_read_fault_propagates(self, etape):
+        """The mmap stream has no fallback tier: a persistent read fault
+        must propagate, never be swallowed."""
         spec = "file.read@" + ",".join(str(i) for i in range(64))
         cfg = EstimatorConfig(
             seed=1, repetitions=2, engine_mode="chunked", faults=spec, max_retries=0
         )
         with pytest.raises(StreamReadError, match="injected"):
             TriangleCountEstimator(cfg).estimate(MmapEdgeStream(etape), kappa=4)
-        assert mmap_enabled()
 
     def test_sharded_descriptor_transport_recovers_from_crash(
         self, tape, etape, monkeypatch

@@ -193,15 +193,24 @@ class TestRecoveryMatchesReference:
             (dict(speculate=True, speculate_depth=3), "sweep.mid_stage@2", []),
             (dict(share_passes=False), "sweep.mid_stage@4", []),
             (
-                dict(speculate=True, speculate_depth=3, max_retries=0),
-                "file.read@0;sweep.mid_stage@1",
-                [faults.ACTION_SYNC_READS, faults.ACTION_SEQUENTIAL],
+                dict(
+                    speculate=True,
+                    speculate_depth=3,
+                    max_retries=0,
+                    engine_mode="sharded",
+                    workers=2,
+                    chunk_size=64,
+                ),
+                "worker.crash@0;sweep.mid_stage@1",
+                [faults.ACTION_SERIAL, faults.ACTION_SEQUENTIAL],
             ),
         ],
         ids=["retry", "retry-window", "retry-unshared", "degrade-twice"],
     )
-    def test_fault_recovered_runs(self, tape, extra, spec, actions):
-        base = dict(seed=11, repetitions=3, engine_mode="chunked", workers=1, **extra)
+    def test_fault_recovered_runs(self, tape, extra, spec, actions, monkeypatch):
+        monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
+        base = dict(seed=11, repetitions=3, engine_mode="chunked", workers=1)
+        base.update(extra)
         stream = FileEdgeStream(tape)
         stream.stats()
         clean = EstimatorConfig(**base)

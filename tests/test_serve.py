@@ -511,14 +511,14 @@ class TestTextConversion:
         self, ba_file, tmp_path, monkeypatch
     ):
         calls = []
-        real_write_tape = registry_module.write_tape
+        real_convert_text = registry_module.convert_text
 
-        def slow_write_tape(source, path):
-            calls.append(path)
+        def slow_convert_text(text, directory):
+            calls.append(text.path)
             time.sleep(0.3)  # both requests arrive while this one converts
-            return real_write_tape(source, path)
+            return real_convert_text(text, directory)
 
-        monkeypatch.setattr(registry_module, "write_tape", slow_write_tape)
+        monkeypatch.setattr(registry_module, "convert_text", slow_convert_text)
         sock = str(tmp_path / "serve.sock")
         responses = {}
         with background_server(socket_path=sock, batch_window=0.25) as server:
@@ -568,13 +568,13 @@ class TestTextConversion:
 
     def test_registry_single_flight_under_thread_stress(self, ba_file, monkeypatch):
         calls = []
-        real_write_tape = registry_module.write_tape
+        real_convert_text = registry_module.convert_text
 
-        def counting_write_tape(source, path):
-            calls.append(path)
-            return real_write_tape(source, path)
+        def counting_convert_text(text, directory):
+            calls.append(text.path)
+            return real_convert_text(text, directory)
 
-        monkeypatch.setattr(registry_module, "write_tape", counting_write_tape)
+        monkeypatch.setattr(registry_module, "convert_text", counting_convert_text)
         registry = TapeRegistry()
         entries = []
         barrier = threading.Barrier(8)

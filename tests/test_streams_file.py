@@ -137,120 +137,6 @@ class TestEdgelistIO:
         assert sorted(FileEdgeStream(path)) == grid4.edge_list()
 
 
-class TestPrefetchShutdown:
-    """The double-buffered reader thread must never outlive its pass.
-
-    Closing the chunk iterator joins the thread directly; an iterator
-    abandoned *without* close (its consumer frame pinned inside a
-    propagating exception's traceback, the common failure shape) parks
-    the reader behind the full queue - the next pass over the stream
-    proves the old one dead and reaps it.
-    """
-
-    def _tape(self, tmp_path, rows=5000):
-        import numpy  # noqa: F401 - chunked prefetch needs the kernels
-
-        path = tmp_path / "tape.txt"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(rows)), encoding="utf-8")
-        return path, rows
-
-    @staticmethod
-    def _prefetch_threads():
-        import threading
-
-        return [t for t in threading.enumerate() if t.name == "repro-file-prefetch"]
-
-    def test_closing_iterator_joins_reader_thread(self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_FILE_PREFETCH", "1")
-        path, _ = self._tape(tmp_path)
-        stream = FileEdgeStream(path)
-        chunks = stream.iter_chunks(64)
-        next(chunks)
-        chunks.close()
-        assert not self._prefetch_threads()
-
-    def test_abandoned_reader_reaped_by_next_pass(self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
-        import time
-
-        monkeypatch.setenv("REPRO_FILE_PREFETCH", "1")
-        path, rows = self._tape(tmp_path)
-        stream = FileEdgeStream(path)
-
-        def consumer():
-            chunks = stream.iter_chunks(64)  # held by the pinned frame
-            for _ in chunks:
-                raise RuntimeError("consumer died mid-file")
-
-        # The captured traceback pins the consumer frame - and with it
-        # the suspended chunk iterator - exactly as a failure propagating
-        # out of a sweep would; the abandoned reader is still parked.
-        with pytest.raises(RuntimeError, match="mid-file") as pinned:
-            consumer()
-        assert self._prefetch_threads()
-        # A fresh pass over the same tape retires the orphan and still
-        # reads the complete sequence.
-        assert sum(len(block) for block in stream.iter_chunks(64)) == rows
-        deadline = time.time() + 2.0
-        while self._prefetch_threads() and time.time() < deadline:
-            time.sleep(0.01)
-        assert not self._prefetch_threads(), (
-            "abandoned prefetch reader survived a fresh pass"
-        )
-        del pinned
-
-    def test_abandoned_reader_reaped_by_per_line_pass(self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_FILE_PREFETCH", "1")
-        path, rows = self._tape(tmp_path)
-        stream = FileEdgeStream(path)
-
-        def consumer():
-            chunks = stream.iter_chunks(64)  # held by the pinned frame
-            for _ in chunks:
-                raise RuntimeError("consumer died mid-file")
-
-        with pytest.raises(RuntimeError, match="mid-file") as pinned:
-            consumer()
-        assert self._prefetch_threads()
-        # A per-line pass replays the tape too - it must reap the orphan
-        # exactly like a chunked pass does.
-        assert sum(1 for _ in stream) == rows
-        assert not self._prefetch_threads()
-        del pinned
-
-    def test_retired_pass_raises_if_resumed(self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_FILE_PREFETCH", "1")
-        path, rows = self._tape(tmp_path)
-        stream = FileEdgeStream(path)
-        stale = stream.iter_chunks(64)
-        next(stale)
-        # A newer pass replays the tape underneath the abandoned one.
-        assert sum(len(block) for block in stream.iter_chunks(64)) == rows
-        # The retired pass fails on its *first* pull - retirement drains
-        # the buffered chunks, so no stale data is replayed first.
-        with pytest.raises(StreamError, match="retired"):
-            next(stale)
-
-    def test_retired_pass_cannot_complete_from_buffered_tail(
-        self, tmp_path, monkeypatch
-    ):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_FILE_PREFETCH", "1")
-        # Chunk size >= the file: the reader buffers the whole tail (and
-        # the end sentinel) immediately, so without the retire-time drain
-        # a resumed retired pass would *silently complete*.
-        path, rows = self._tape(tmp_path, rows=96)
-        stream = FileEdgeStream(path)
-        stale = stream.iter_chunks(64)
-        next(stale)
-        assert sum(len(block) for block in stream.iter_chunks(64)) == rows
-        with pytest.raises(StreamError, match="retired"):
-            next(stale)
-
-
 class TestBatchParseDiagnostics:
     """Malformed-line errors must carry ``path:lineno`` on every read path,
     including sharded execution with shared-memory chunk spooling live."""
@@ -265,13 +151,6 @@ class TestBatchParseDiagnostics:
         stream = FileEdgeStream(self._malformed_file(tmp_path))
         with pytest.raises(StreamError, match=r"bad\.txt:5"):
             for _ in stream.iter_chunks(chunk_size=2):
-                pass
-
-    def test_prefetch_thread_forwards_line_numbered_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FILE_PREFETCH", "1")
-        stream = FileEdgeStream(self._malformed_file(tmp_path))
-        with pytest.raises(StreamError, match=r"bad\.txt:5"):
-            for _ in stream.iter_chunks(chunk_size=1):
                 pass
 
     def test_threaded_pass_line_numbered_error(self, tmp_path, monkeypatch):

@@ -241,8 +241,9 @@ class TestAutoDetection:
         tape = tmp_path / "g.etape"
         write_tape(txt, tape)
         assert isinstance(open_edge_stream(tape), MmapEdgeStream)
-        assert isinstance(open_edge_stream(txt), FileEdgeStream)
+        assert isinstance(open_edge_stream(txt), MmapEdgeStream)
         assert list(open_edge_stream(tape)) == list(open_edge_stream(txt))
+        assert list(open_edge_stream(txt)) == list(FileEdgeStream(txt))
 
     def test_is_tape_on_text_and_missing(self, tmp_path):
         txt = tmp_path / "g.txt"
@@ -298,11 +299,6 @@ class TestMmapStream:
         with pytest.raises(ValueError, match="chunk_size"):
             next(stream.iter_chunks(0))
 
-    def test_text_twin_must_exist(self, tmp_path):
-        path = _tape_from(tmp_path, [(0, 1)])
-        with pytest.raises(StreamError, match="text twin not found"):
-            MmapEdgeStream(path, text_twin=tmp_path / "gone.txt")
-
     def test_estimates_match_across_formats(self, tmp_path):
         # The headline invariant, in its smallest form: one graph, one
         # seed, text vs tape, bit-identical estimate.
@@ -325,3 +321,133 @@ class TestMmapStream:
         rf = run(FileEdgeStream(txt))
         assert rt.estimate == rf.estimate
         assert rt.passes_total == rf.passes_total
+
+
+class TestTextOpensAsTape:
+    """``open_edge_stream`` converts a text input into a private tape that
+    stands in for the text everywhere: same fingerprint, same snapshots,
+    same estimate, no file left behind."""
+
+    KAPPA = 4
+
+    @pytest.fixture
+    def txt(self, tmp_path):
+        import random
+
+        path = tmp_path / "g.txt"
+        write_edgelist(barabasi_albert_graph(220, 4, random.Random(3)), path)
+        return path
+
+    @staticmethod
+    def _run(call):
+        """``call()``'s result plus the root generator's final state."""
+        import repro.core.driver as driver_module
+
+        roots = []
+        real_make_rng = driver_module.make_rng
+
+        def recording_make_rng(seed):
+            roots.append(real_make_rng(seed))
+            return roots[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(driver_module, "make_rng", recording_make_rng)
+            result = call()
+        return result, roots[-1].getstate()
+
+    def test_fingerprint_is_the_texts(self, txt):
+        from repro.core.snapshot import stream_fingerprint
+
+        tape = open_edge_stream(txt)
+        assert tape.source_digest is not None
+        assert stream_fingerprint(tape) == stream_fingerprint(FileEdgeStream(txt))
+
+    def test_estimate_equals_text_run_in_every_field(self, txt):
+        import dataclasses
+
+        from repro import EstimatorConfig, TriangleCountEstimator
+
+        config = EstimatorConfig(seed=2, repetitions=3)
+
+        def estimate(stream):
+            return self._run(
+                lambda: TriangleCountEstimator(config).estimate(stream, kappa=self.KAPPA)
+            )
+
+        tape_result, tape_root = estimate(open_edge_stream(txt))
+        text_result, text_root = estimate(FileEdgeStream(txt))
+        assert dataclasses.asdict(tape_result) == dataclasses.asdict(text_result)
+        assert tape_root == text_root
+
+    def test_text_snapshot_resumes_on_converted_tape(self, txt, tmp_path):
+        from repro import EstimatorConfig, TriangleCountEstimator, resume_from
+
+        ckdir = tmp_path / "ck"
+        config = EstimatorConfig(
+            seed=2, repetitions=3, checkpoint_dir=str(ckdir), snapshot_keep=64
+        )
+        clean, clean_root = self._run(
+            lambda: TriangleCountEstimator(config).estimate(
+                FileEdgeStream(txt), kappa=self.KAPPA
+            )
+        )
+        names = sorted(os.listdir(ckdir))
+        assert names, "checkpointed run wrote no snapshots"
+        for name in names:
+            resumed, resumed_root = self._run(
+                lambda: resume_from(
+                    str(ckdir / name),
+                    open_edge_stream(txt),
+                    overrides={"checkpoint_dir": str(tmp_path / "resumed")},
+                )
+            )
+            assert resumed.estimate == clean.estimate
+            assert resumed.rounds == clean.rounds
+            assert resumed.passes_total == clean.passes_total
+            assert resumed_root == clean_root
+
+    def test_private_tape_removed_when_stream_dropped(self, txt):
+        import gc
+
+        stream = open_edge_stream(txt)
+        directory = os.path.dirname(stream.path)
+        assert os.path.exists(stream.path)
+        del stream
+        gc.collect()
+        assert not os.path.exists(directory)
+
+    def test_each_open_converts_afresh(self, tmp_path):
+        """An in-place edit that keeps the file size is seen by the next
+        open: nothing keyed on the sampled text fingerprint is reused."""
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n2 3\n")
+        first = open_edge_stream(path)
+        path.write_text("0 2\n1 3\n")
+        second = open_edge_stream(path)
+        assert first.path != second.path
+        assert list(first) == [(0, 1), (2, 3)]
+        assert list(second) == [(0, 2), (1, 3)]
+
+    def test_malformed_text_raises_line_numbered_error(self, tmp_path, monkeypatch):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n0 1\n1 2\n2 oops\n3 4\n")
+        with pytest.raises(StreamError, match=r"bad\.txt:4"):
+            open_edge_stream(path)
+        assert os.listdir(scratch) == []  # the failed conversion left nothing
+
+    def test_write_tape_parses_text_without_converting(self, txt, tmp_path, monkeypatch):
+        """``write_tape`` on a text path reads the text directly, not a
+        private tape of it (which would convert everything twice)."""
+        from repro.streams import tape as tape_module
+
+        def no_conversion(*args, **kwargs):
+            raise AssertionError("write_tape converted its text source")
+
+        monkeypatch.setattr(tape_module, "convert_text", no_conversion)
+        header = write_tape(txt, tmp_path / "g.etape")
+        assert header.num_edges == len(FileEdgeStream(txt))
