@@ -680,7 +680,10 @@ class TestProcessDeath:
         proc = _cli(
             ["estimate", big_tape, "--kappa", "6", "--seed", "3",
              "--repetitions", "3", "--workers", "1", *KILL_SCHEDULES[schedule],
-             "--checkpoint-dir", str(ckdir), "--snapshot-keep", "64"]
+             "--checkpoint-dir", str(ckdir), "--snapshot-keep", "64"],
+            # A SIGKILLed run cannot remove its private tape of the text
+            # input: keep that tape under the test's own directory.
+            env={"TMPDIR": str(ckdir.parent)},
         )
         if not _wait_for_snapshots(ckdir, 1, proc):
             out, err = proc.communicate(timeout=30)
