@@ -20,22 +20,24 @@ Every tracked-set test is *prefiltered*: each plan that asks "which block
 values are tracked keys?" holds its sorted keys in a :class:`Probe` of one
 :class:`KeySpace` - block endpoints (:data:`VERTEX`) or packed canonical
 edges (:data:`EDGE`) - and hands it out as (part of) its spec.  Probing
-builds a :class:`KeySet`: the keys plus a hashed presence table of at least
-8 slots per key.  The kernels hash the whole block, gather from the table,
-and run the exact ``searchsorted`` only on the survivors (about a tenth of
-the endpoints on the canonical tapes).  The table is charged to the
-round's meter as ``kernel-prefilter`` words by the stage that builds the
-plan (:func:`~repro.core.stages.charge_prefilter`).
+builds a :class:`KeySet`: the keys plus a hashed slot-rank table of four
+2-byte slots per key (8 bytes per key).  The kernels hash the whole block
+and gather from the table; a value whose slot one key owns is checked
+against that key directly, and only values in slots two keys share run
+the exact ``searchsorted``.  The table is charged to the round's meter as
+``kernel-prefilter`` words by the stage that builds the plan
+(:func:`~repro.core.stages.charge_prefilter`).
 
 Co-riders share probes: when two or more active plans of one sweep probe
 the same key space (speculative rounds, a fused pass-4/5 group, co-served
 jobs), the executor binds them to one :class:`SharedProbe` over the union
 of their keys.  Each task then probes its block once per key space, and
-every plan keeps the hits on its own keys, re-ranked among them - the
-exact ``(positions, ranks)`` its own table would give, so partials and
-results are unchanged.  A plan alone in its key space probes its own table
-exactly as before.  The union table has exactly the slots of the members'
-tables together, so the per-plan charges still account for it.
+every plan keeps the hits on its own keys, re-ranked among them through
+its rank bitmap over the union - the exact ``(positions, ranks)`` its own
+table would give, so partials and results are unchanged.  A plan alone in
+its key space probes its own table exactly as before.  The union table has
+exactly the bytes of the members' tables together, so the per-plan charges
+still account for it.
 
 Plan-to-pass map (Algorithm 2 / Algorithm 3 of the paper):
 
@@ -131,38 +133,60 @@ PACK_LIMIT = 1 << 32
 #: Fibonacci-hashing multiplier (2^64 / golden ratio, odd).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
+#: Slot-rank table entries: an empty slot, and a slot two or more keys own.
+_EMPTY, _COLLIDED = 0, 0xFFFF
+
 
 class KeySet:
-    """A plan's tracked keys: sorted unique keys plus a presence table.
+    """A plan's tracked keys: sorted unique keys plus a slot-rank table.
 
-    The table is a power-of-two ``bool`` array of
-    :func:`~repro.core.stages.prefilter_bits` slots (at least
-    :data:`~repro.core.stages.PREFILTER_SLOTS_PER_KEY` per key), indexed
-    by the multiplicative hash ``(key * 0x9E3779B97F4A7C15) >> (64 - bits)``
-    over the key's 64-bit pattern.  Given an explicit ``slots`` count (a
-    :class:`SharedProbe`'s union), the table has exactly that many slots and
-    the hash's top 32 bits are scaled to them: ``(h >> 32) * slots >> 32``
-    (``slots`` below 2^32).  A clear slot proves absence, so the
-    exact binary search runs only on the block values whose slot is set.
-    Keys may be int64 vertex ids or uint64 packed edge keys; probes must
-    share the keys' dtype.
+    The table is a power-of-two ``uint16`` array of ``2^(bits - 1)``
+    entries for ``bits = prefilter_bits(len(keys))``: four 2-byte slots
+    per key, the same bytes as eight 1-byte slots
+    (:data:`~repro.core.stages.PREFILTER_SLOTS_PER_KEY`).  A key's slot is
+    the multiplicative hash ``(key * 0x9E3779B97F4A7C15) >> (65 - bits)``
+    over its 64-bit pattern.  Given an explicit ``slots`` count (a
+    :class:`SharedProbe`'s union, counted in 1-byte slots), the table has
+    ``slots // 2`` entries and the hash's top 32 bits are scaled to them:
+    ``(h >> 32) * entries >> 32`` (``entries`` below 2^32).
+
+    An entry is ``0`` for an empty slot, ``0xFFFF`` for a slot two or more
+    keys own, and ``1 + (rank >> block)`` for a slot one key owns, where
+    ``block`` is the smallest ``b`` with ``(n - 1) >> b < 0xFFFE`` (0 below
+    65,535 keys).  ``find`` therefore runs no binary search on a value
+    whose slot one key owns: it compares the value with that key (with the
+    ``2^block`` keys of its block), and only values in collided slots go
+    through ``searchsorted``.  Keys may be int64 vertex ids or uint64
+    packed edge keys; probes must share the keys' dtype.
 
     A built set is never mutated, so every sweep thread probes the same
     instance concurrently.
     """
 
-    __slots__ = ("keys", "table", "_shift", "_range")
+    __slots__ = ("keys", "table", "_shift", "_range", "_block")
 
     def __init__(self, keys: np.ndarray, slots: Optional[int] = None) -> None:
         self.keys = keys
         if slots is None:
-            bits = prefilter_bits(len(keys))
+            bits = prefilter_bits(len(keys)) - 1
             self._shift, self._range = np.uint64(64 - bits), None
-            slots = 1 << bits
+            entries = 1 << bits
         else:
-            self._shift, self._range = np.uint64(32), np.uint64(slots)
-        self.table = np.zeros(slots, dtype=bool)
-        self.table[self._slots(keys)] = True
+            entries = slots // 2
+            self._shift, self._range = np.uint64(32), np.uint64(entries)
+        block = 0
+        while (len(keys) - 1) >> block >= _COLLIDED - 1:
+            block += 1
+        self._block = block
+        key_slots = self._slots(keys)
+        owners = np.arange(len(keys), dtype=np.uint32)
+        owners >>= block
+        owners += 1
+        self.table = np.zeros(entries, dtype=np.uint16)
+        self.table[key_slots] = owners
+        # A slot two keys hash to is equal neighbours in the sorted slots.
+        key_slots.sort()
+        self.table[key_slots[1:][key_slots[1:] == key_slots[:-1]]] = _COLLIDED
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -179,11 +203,32 @@ class KeySet:
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(positions, ranks)``: where ``values`` hold a key, and its index."""
-        survivors = np.flatnonzero(self.table[self._slots(values)])
+        entries = self.table[self._slots(values)]
+        # ``flatnonzero`` of the uint16 entries themselves is far slower.
+        survivors = np.flatnonzero(entries != _EMPTY)
+        entries = entries[survivors]
         probes = values[survivors]
-        ranks = np.searchsorted(self.keys, probes)
-        np.minimum(ranks, len(self.keys) - 1, out=ranks)  # no survivors if empty
-        hit = self.keys[ranks] == probes
+        keys, block = self.keys, self._block
+        ranks = entries.astype(np.int64)
+        ranks -= 1
+        if block:
+            ranks <<= block
+        collided = np.flatnonzero(entries == _COLLIDED)
+        if len(collided):
+            exact = np.searchsorted(keys, probes[collided])
+            np.minimum(exact, len(keys) - 1, out=exact)
+            ranks[collided] = exact
+        if block:
+            # The owner is one of the 2^block keys from the block's first;
+            # a collided value's exact rank is that first key itself.
+            first = ranks
+            ranks = first.copy()
+            for offset in range(1, 1 << block):
+                candidate = np.minimum(first + offset, len(keys) - 1)
+                np.copyto(ranks, candidate, where=keys[candidate] == probes)
+        # Indices, not a boolean mask: the mask's compress is several
+        # times slower on these sparse hits.
+        hit = np.flatnonzero(keys[ranks] == probes)
         return survivors[hit], ranks[hit]
 
 
@@ -260,17 +305,19 @@ class KeySpace:
         A lone probe builds its own table and probes exactly as it would
         outside a sweep; two or more are bound to one
         :class:`SharedProbe` over the union of their keys.  The union's
-        table has exactly as many slots as the members' own tables
-        together - at least 8 per union key, since each member has at
-        least 8 per key - so the members' ``kernel-prefilter`` charges
-        are exactly the union's size.
+        table has exactly the bytes of the members' own tables together -
+        at least 8 per union key, since each member has at least 8 per key -
+        so the members' ``kernel-prefilter`` charges are exactly the union's
+        size.  Each member also gets a rank bitmap: its keys among the
+        union's, as ``uint64`` words plus each word's int64 count of member
+        keys before it, 2 bits per (member, union key).
         """
         if len(probes) == 1:
             probes[0].own()
             return
         keys = sorted_unique(np.concatenate([probe.keys for probe in probes]))
         slots = sum(1 << prefilter_bits(len(probe)) for probe in probes)
-        union = SharedProbe(self, keys, slots)
+        union = SharedProbe(self, keys, slots, probes)
         for probe in probes:
             probe.shared = union
 
@@ -281,6 +328,18 @@ VERTEX = KeySpace("vertex", lambda rows: rows.reshape(-1))
 EDGE = KeySpace("edge", _packed_block)
 
 
+def _rank_bitmap(union: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``keys`` (a subset of the sorted ``union``) as a bitmap over the
+    union's ranks: ``uint64`` words (bit ``u & 63`` of word ``u >> 6`` set
+    for union rank ``u``) and each word's count of keys before it."""
+    ranks = np.searchsorted(union, keys)
+    mask = np.zeros(-(-len(union) // 64) * 64, dtype=bool)
+    mask[ranks] = True
+    words = np.packbits(mask, bitorder="little").view("<u8").astype(np.uint64)
+    before = np.searchsorted(ranks, np.arange(0, len(mask), 64))
+    return words, before
+
+
 class SharedProbe:
     """The union of several plans' keys in one key space, for one sweep.
 
@@ -289,16 +348,19 @@ class SharedProbe:
     holds one block per thread, keyed by the task's ``start_row`` (a
     task's block is fixed for the sweep, and a retried task reruns the
     same block), and lives with this object, so it never outlives the
-    sweep.
+    sweep.  So do the members' rank bitmaps (:meth:`rerank`).
     """
 
-    __slots__ = ("space", "keys", "_keyset", "_memo")
+    __slots__ = ("space", "keys", "_keyset", "_memo", "_bitmaps")
 
-    def __init__(self, space: KeySpace, keys: np.ndarray, slots: int) -> None:
+    def __init__(
+        self, space: KeySpace, keys: np.ndarray, slots: int, members: Sequence["Probe"]
+    ) -> None:
         self.space = space
         self.keys = keys
         self._keyset = KeySet(keys, slots)
         self._memo = threading.local()
+        self._bitmaps = {member: _rank_bitmap(keys, member.keys) for member in members}
 
     def find(self, start_row: int, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The union's ``(positions, ranks)`` for the block at ``start_row``."""
@@ -308,6 +370,22 @@ class SharedProbe:
             memo.start_row = start_row
         return memo.hits
 
+    def rerank(
+        self, member: "Probe", positions: np.ndarray, union_ranks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The union hits that are ``member``'s keys, ranked among them."""
+        words, before = self._bitmaps[member]
+        index = union_ranks >> 6
+        # Shift each hit's bit to the top of its word: the top bit says
+        # whether it is a member key, the bits left count those below it.
+        shifted = words[index]
+        shifted <<= (~union_ranks & 63).view(np.uint64)
+        mine = np.flatnonzero(shifted.view(np.int64) < 0)
+        ranks = before[index[mine]]
+        ranks += np.bitwise_count(shifted[mine])
+        ranks -= 1
+        return positions[mine], ranks
+
 
 class Probe:
     """One plan's membership test: its sorted keys in one :class:`KeySpace`.
@@ -315,10 +393,11 @@ class Probe:
     A plan holds its keys, not a table: probed alone, the probe builds the
     plan's own :class:`KeySet` (at sweep start, or on first use); bound to
     a sweep's :class:`SharedProbe` by :meth:`KeySpace.share`, it reads the
-    union's hits and keeps those that are its own keys, re-ranked against
-    them by ``searchsorted``.  Either way ``find`` returns what the plan's
-    own ``KeySet.find`` would: the ascending positions of its keys in the
-    block's probe values and their ranks among its keys.
+    union's hits and keeps those that are its own keys, re-ranked among
+    them by its rank bitmap (:meth:`SharedProbe.rerank`).  Either way
+    ``find`` returns what the plan's own ``KeySet.find`` would: the
+    ascending positions of its keys in the block's probe values and their
+    ranks among its keys.
     """
 
     __slots__ = ("space", "keys", "shared", "_own")
@@ -343,12 +422,7 @@ class Probe:
         shared = self.shared
         if shared is None:
             return self.own().find(self.space.values(rows))
-        positions, union_ranks = shared.find(start_row, rows)
-        values = shared.keys[union_ranks]
-        ranks = np.searchsorted(self.keys, values)
-        np.minimum(ranks, len(self.keys) - 1, out=ranks)
-        hit = self.keys[ranks] == values
-        return positions[hit], ranks[hit]
+        return shared.rerank(self, *shared.find(start_row, rows))
 
 
 # ---------------------------------------------------------------------------

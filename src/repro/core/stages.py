@@ -55,20 +55,22 @@ class RoundStage:
         return self._finish() if self._finish is not None else None
 
 
-#: Minimum presence-table slots per tracked key of the chunked kernels'
-#: membership prefilter (:class:`~repro.core.kernels.KeySet`).
+#: Minimum table bytes per tracked key of the kernels' membership
+#: prefilter (:class:`~repro.core.kernels.KeySet`): 8 bytes per key, four
+#: 2-byte slots.
 PREFILTER_SLOTS_PER_KEY = 8
 
 
 def prefilter_bits(num_keys: int) -> int:
-    """log2 of the presence-table size for ``num_keys`` keys (>= 8 slots)."""
+    """log2 of the prefilter table's bytes for ``num_keys`` keys (>= 8 per key)."""
     return max(3, (PREFILTER_SLOTS_PER_KEY * num_keys - 1).bit_length())
 
 
 def charge_prefilter(meter: "SpaceMeter", num_keys: int) -> None:
-    """Charge a pass's membership prefilter: one word per 8 one-byte slots.
+    """Charge a pass's membership prefilter: one word per 8 table bytes.
 
-    An empty key set charges nothing: its kernels return before probing.
+    8 bytes per key: four 2-byte slots.  An empty key set charges nothing:
+    its kernels return before probing.
     """
     if num_keys:
         meter.allocate((1 << prefilter_bits(num_keys)) // 8, "kernel-prefilter")

@@ -89,10 +89,19 @@ class FileEdgeStream(EdgeStream):
 
     def __iter__(self) -> Iterator[Edge]:
         with open(self._path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                edge = self._parse(line, lineno)
-                if edge is not None:
-                    yield edge
+            try:
+                for lineno, line in enumerate(handle, start=1):
+                    edge = self._parse(line, lineno)
+                    if edge is not None:
+                        yield edge
+            except UnicodeDecodeError as exc:
+                raise self._not_text(exc) from exc
+
+    def _not_text(self, exc: UnicodeDecodeError) -> StreamError:
+        """The typed error for a file that is neither a tape nor UTF-8 text."""
+        return StreamError(
+            f"{self._path}: not an edge tape or UTF-8 edge-list text ({exc.reason})"
+        )
 
     def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_EDGES) -> Iterator["numpy.ndarray"]:
         """Parse the file in ``chunk_size``-row batches of int64 pairs.
@@ -153,6 +162,8 @@ class FileEdgeStream(EdgeStream):
                     raise StreamReadError(
                         f"{self._path}: I/O error during chunked read: {exc}"
                     ) from exc
+                except UnicodeDecodeError as exc:
+                    raise self._not_text(exc) from exc
                 if not lines:
                     return
                 try:

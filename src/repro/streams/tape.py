@@ -311,7 +311,8 @@ def convert_text(text: FileEdgeStream, directory: str) -> "MmapEdgeStream":
     The tape holds exactly the rows the text parser yields, in stream
     order, so estimates over it are bit-identical; the returned stream
     reports the text's :func:`~repro.core.snapshot.stream_fingerprint` as
-    its own (:attr:`MmapEdgeStream.source_digest`).  The parse does not
+    its own (:attr:`MmapEdgeStream.source_digest`) and names the text in
+    its read errors (:attr:`MmapEdgeStream.display_name`).  The parse does not
     count ``file.read`` fault events: injection schedules land in the
     estimate's sweeps of the tape, at the same chunk indices as on an
     ``.etape`` input.  The tape is written under a temporary name and
@@ -333,6 +334,7 @@ def convert_text(text: FileEdgeStream, directory: str) -> "MmapEdgeStream":
         raise
     stream = MmapEdgeStream(tape)
     stream.source_digest = digest
+    stream.display_name = text.path
     return stream
 
 
@@ -376,6 +378,8 @@ class MmapEdgeStream(EdgeStream):
 
     ``source_digest`` is ``None`` for a tape opened in place; a tape
     :func:`convert_text` wrote holds the text's stream fingerprint there.
+    ``display_name`` is the file that read errors name: the tape's path,
+    or the text's path for a converted tape.
     """
 
     def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
@@ -385,6 +389,8 @@ class MmapEdgeStream(EdgeStream):
         self._fingerprint: Optional[str] = None
         #: The stream fingerprint of the text this tape was converted from.
         self.source_digest: Optional[bytes] = None
+        #: The file read errors name (the text's path for a converted tape).
+        self.display_name: str = self._path
 
     @property
     def path(self) -> str:
@@ -407,11 +413,11 @@ class MmapEdgeStream(EdgeStream):
         try:
             size = os.stat(self._path).st_size
         except OSError as exc:
-            raise StreamReadError(f"{self._path}: tape vanished mid-run: {exc}") from exc
+            raise StreamReadError(f"{self.display_name}: tape vanished mid-run: {exc}") from exc
         expected = HEADER_BYTES + self._header.payload_bytes
         if size != expected:
             raise TapeFormatError(
-                f"{self._path}: tape changed size mid-run "
+                f"{self.display_name}: tape changed size mid-run "
                 f"({size} bytes, header promises {expected})"
             )
 
@@ -459,7 +465,7 @@ class MmapEdgeStream(EdgeStream):
         self._check_intact()
         rows = self._rows()
         for start in range(0, len(rows), chunk_size):
-            _maybe_inject_read_fault(self._path)
+            _maybe_inject_read_fault(self.display_name)
             yield rows[start : start + chunk_size]
 
     def stats(self) -> StreamStats:

@@ -193,7 +193,9 @@ class TestEstimate:
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-            # The cause names the mapped file; everything else must agree.
+            # The cause names the input file; everything else must agree.
+            assert f"{path}: injected fault" in proc.stdout
+            assert "repro-tape-" not in proc.stdout  # never the private tape
             return [l.split(": StreamReadError")[0] for l in proc.stdout.splitlines()]
 
         text_out = estimate(wheel_file)
@@ -434,6 +436,15 @@ class TestTypedErrors:
         # The text's conversion to a tape keeps the parser's line number.
         assert err.startswith("repro estimate:") and "bad.txt:3" in err, err
         assert len(err.strip().splitlines()) == 1, err
+
+    def test_binary_input_is_a_one_line_failure(self, tmp_path, capsys):
+        # Neither a tape (no magic) nor UTF-8 text: a lone continuation
+        # byte after a valid first line.
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"0 1\n1 2\n\x80\xff\xfe binary\x00\n" * 3)
+        self._assert_one_line_failure(["estimate", str(bad), "--kappa", "3"], capsys)
+        bad.write_bytes(b"\xff" * 64)
+        self._assert_one_line_failure(["estimate", str(bad), "--kappa", "3"], capsys)
 
     def test_corrupt_tape_is_a_one_line_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.etape"

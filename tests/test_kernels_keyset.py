@@ -6,7 +6,9 @@ the hash table says: a set slot only admits a value to the exact search,
 never decides it.  Checked on int64 vertex ids and on uint64 packed edge
 keys (including values at and above 2^63, where the signed and unsigned
 orders differ), on empty and single-key sets, and on blocks that hit
-every key or none.
+every key or none; and across the slot-rank table's layouts: rank blocks
+of 1, 2, 4 and 8 keys (65,534 to 300k keys), slots several keys share,
+and sets whose every occupied slot is collided.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def test_table_size_and_space_charge(n):
     keyset = KeySet(np.arange(n, dtype=np.int64) * 7919)
     slots = len(keyset.table)
     assert slots & (slots - 1) == 0  # a power of two
-    assert PREFILTER_SLOTS_PER_KEY * n <= slots < 2 * PREFILTER_SLOTS_PER_KEY * n
+    assert PREFILTER_SLOTS_PER_KEY * n <= keyset.table.nbytes < 2 * PREFILTER_SLOTS_PER_KEY * n
     meter = SpaceMeter()
     charge_prefilter(meter, n)
     assert meter.peak_breakdown() == {"kernel-prefilter": keyset.table.nbytes // 8}
@@ -117,3 +119,88 @@ def test_empty_set_charges_nothing():
     meter = SpaceMeter()
     charge_prefilter(meter, 0)
     assert meter.peak_words == 0
+
+
+def _check_exact(keyset: KeySet, values: np.ndarray) -> None:
+    """``keyset.find`` against the plain binary search, array for array."""
+    found, ranks = _reference(keyset.keys, values)
+    positions, got_ranks = keyset.find(values)
+    assert np.array_equal(positions, np.flatnonzero(found))
+    assert np.array_equal(got_ranks, ranks[found])
+
+
+def _random_keys(rng, n: int, dtype) -> np.ndarray:
+    """``n`` sorted distinct keys: int64 ids, or uint64 keys at and above 2^63."""
+    if dtype is np.int64:
+        raw = rng.integers(0, 1 << 62, size=2 * n, dtype=np.int64)
+    else:
+        raw = rng.integers(1 << 63, 1 << 64, size=2 * n, dtype=np.uint64)
+    return np.unique(raw)[:n]
+
+
+def _probe_values(rng, keys: np.ndarray, count: int) -> np.ndarray:
+    """Half real keys, half their neighbours (mostly absent), shuffled."""
+    hits = rng.choice(keys, size=count // 2)
+    near = rng.choice(keys, size=count - count // 2) + keys.dtype.type(1)
+    values = np.concatenate([hits, near])
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("n, block", [(65_534, 0), (65_535, 1), (140_000, 2), (300_000, 3)])
+def test_rank_blocks_match_searchsorted(n, block, dtype):
+    """Past 65,534 keys an entry names a block of 2^block ranks; ``find``
+    still returns every key's exact rank."""
+    rng = np.random.default_rng(n)
+    keys = _random_keys(rng, n, dtype)
+    keyset = KeySet(keys)
+    assert keyset._block == block
+    assert int(keyset.table.max()) == 0xFFFF  # collided slots exist
+    assert int(keyset.table[keyset.table != 0xFFFF].max()) == ((n - 1) >> block) + 1
+    _check_exact(keyset, _probe_values(rng, keys, 200_000))
+    _check_exact(keyset, keys)  # every key at once
+
+
+def _colliding_keys(n: int, per_slot: int, dtype) -> np.ndarray:
+    """``n // per_slot`` rows of ``per_slot`` keys, each row's keys sharing
+    one slot of an ``n``-key table."""
+    rng = np.random.default_rng(n * per_slot)
+    candidates = _random_keys(rng, max(8 * n, 4096), dtype)
+    slots = KeySet(candidates[:n])._slots(candidates)  # an n-key table's hash
+    order = np.argsort(slots, kind="stable")
+    slots, candidates = slots[order], candidates[order]
+    starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
+    sizes = np.diff(np.r_[starts, len(slots)])
+    groups = starts[sizes >= per_slot][: n // per_slot]
+    assert len(groups) == n // per_slot
+    return candidates[groups[:, None] + np.arange(per_slot)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("n, per_slot", [(16, 2), (16, 16), (65_536, 2), (300, 3)])
+def test_every_slot_collided(n, per_slot, dtype):
+    """Sets whose every occupied slot several keys share: each hit goes
+    through the exact search, and finds the same ranks."""
+    keys = np.sort(_colliding_keys(n, per_slot, dtype).reshape(-1))
+    keyset = KeySet(keys)
+    occupied = keyset.table[keyset.table != 0]
+    assert len(occupied) == n // per_slot and (occupied == 0xFFFF).all()
+    rng = np.random.default_rng(1)
+    _check_exact(keyset, _probe_values(rng, keys, 20_000))
+    _check_exact(keyset, keys)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_some_keys_share_a_slot(dtype):
+    """Five keys in one slot beside keys that own theirs."""
+    shared = _colliding_keys(16, 5, dtype)[0]
+    rng = np.random.default_rng(7)
+    others = _random_keys(rng, 11, dtype)
+    keys = np.unique(np.concatenate([shared, others]))
+    assert len(keys) == 16
+    keyset = KeySet(keys)
+    assert (keyset.table == 0xFFFF).sum() >= 1
+    assert len(np.unique(keyset._slots(shared))) == 1
+    _check_exact(keyset, _probe_values(rng, keys, 5_000))
+    _check_exact(keyset, keys)

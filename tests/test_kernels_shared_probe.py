@@ -19,6 +19,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import engine, executor, faults, kernels
 from repro.core.kernels import (
@@ -287,12 +289,60 @@ def test_union_table_is_the_members_tables(sizes):
     union = probes[0].shared
     assert all(probe.shared is union for probe in probes)
     table = union._keyset.table
-    assert len(table) == sum(1 << prefilter_bits(n) for n in sizes)
-    assert len(table) >= PREFILTER_SLOTS_PER_KEY * len(union.keys)
+    assert table.nbytes == sum(1 << prefilter_bits(n) for n in sizes)
+    assert table.nbytes >= PREFILTER_SLOTS_PER_KEY * len(union.keys)
     values = np.arange(6000, dtype=np.int64)
     positions, ranks = union.find(0, values.reshape(-1, 2))
     assert positions.tolist() == np.flatnonzero(np.isin(values, union.keys)).tolist()
     assert union.keys[ranks].tolist() == values[positions].tolist()
+
+
+@st.composite
+def _members(draw):
+    """A sorted union of 1-300 keys (crossing the 64-key bitmap words) and
+    2-6 member key sets over it: the whole union, a single key, and
+    arbitrary non-empty subsets."""
+    size = draw(st.integers(min_value=1, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    union = np.unique(rng.choice(10_000, size=size, replace=False)).astype(np.int64)
+    members = [union, union[[draw(st.integers(0, size - 1))]]]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        picked = rng.random(size) < draw(st.sampled_from([0.02, 0.3, 0.5, 0.9]))
+        picked[draw(st.integers(0, size - 1))] = True
+        members.append(union[picked])
+    order = draw(st.permutations(range(len(members))))
+    return union, [members[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_members())
+def test_bitmap_rerank_matches_searchsorted(drawn):
+    """Each member's rank bitmap keeps exactly the union hits that are its
+    keys and ranks them as ``searchsorted`` against its own keys does."""
+    union_keys, members = drawn
+    probes = [kernels.Probe(kernels.VERTEX, keys) for keys in members]
+    kernels.VERTEX.share(probes)
+    union = probes[0].shared
+    assert np.array_equal(union.keys, union_keys)
+    rng = np.random.default_rng(len(union_keys))
+    every = np.arange(len(union_keys))
+    some = np.sort(rng.choice(len(union_keys), size=len(union_keys) // 2 + 1))
+    # One block for every member: the union memoises it by start row.
+    rows = rng.integers(0, 10_050, size=(500, 2), dtype=np.int64)
+    rows[::7, 0] = rng.choice(union_keys, size=len(rows[::7]))
+    for probe in probes:
+        for union_ranks in (every, some):
+            positions = union_ranks * 3 + 1  # any ascending positions
+            got_positions, got_ranks = union.rerank(probe, positions, union_ranks)
+            values = union_keys[union_ranks]
+            mine = np.flatnonzero(np.isin(values, probe.keys))
+            assert np.array_equal(got_positions, positions[mine])
+            assert np.array_equal(got_ranks, np.searchsorted(probe.keys, values[mine]))
+        # And end to end, against the member's own table.
+        found = probe.find(0, rows)
+        own = kernels.KeySet(probe.keys).find(rows.reshape(-1))
+        assert np.array_equal(found[0], own[0]) and np.array_equal(found[1], own[1])
 
 
 class TestFaults:
