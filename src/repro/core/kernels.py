@@ -22,8 +22,8 @@ values are tracked keys?" holds its sorted keys in a :class:`Probe` of one
 edges (:data:`EDGE`) - and hands it out as (part of) its spec.  Probing
 builds a :class:`KeySet`: the keys plus a hashed slot-rank table of four
 2-byte slots per key (8 bytes per key).  The kernels hash the whole block
-and gather from the table; a value whose slot one key owns is checked
-against that key directly, and only values in slots two keys share run
+and gather from the table; a value whose entry names a key's rank is
+checked against that key directly, and only values in collided slots run
 the exact ``searchsorted``.  The table is charged to the round's meter as
 ``kernel-prefilter`` words by the stage that builds the plan
 (:func:`~repro.core.stages.charge_prefilter`).
@@ -133,7 +133,8 @@ PACK_LIMIT = 1 << 32
 #: Fibonacci-hashing multiplier (2^64 / golden ratio, odd).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
-#: Slot-rank table entries: an empty slot, and a slot two or more keys own.
+#: Slot-rank table entries: an empty slot, and a slot whose values take the
+#: exact search (two or more keys own it, or its key is ranked 0xFFFE or above).
 _EMPTY, _COLLIDED = 0, 0xFFFF
 
 
@@ -151,19 +152,18 @@ class KeySet:
     ``(h >> 32) * entries >> 32`` (``entries`` below 2^32).
 
     An entry is ``0`` for an empty slot, ``0xFFFF`` for a slot two or more
-    keys own, and ``1 + (rank >> block)`` for a slot one key owns, where
-    ``block`` is the smallest ``b`` with ``(n - 1) >> b < 0xFFFE`` (0 below
-    65,535 keys).  ``find`` therefore runs no binary search on a value
-    whose slot one key owns: it compares the value with that key (with the
-    ``2^block`` keys of its block), and only values in collided slots go
-    through ``searchsorted``.  Keys may be int64 vertex ids or uint64
-    packed edge keys; probes must share the keys' dtype.
+    keys own, and ``1 + rank`` for a slot one key of rank below 0xFFFE owns;
+    the slot of a key ranked 0xFFFE or above also reads ``0xFFFF``.
+    ``find`` therefore runs no binary search on a value whose entry names a
+    rank: it compares the value with that key, and only values in
+    ``0xFFFF`` slots go through ``searchsorted``.  Keys may be int64 vertex
+    ids or uint64 packed edge keys; probes must share the keys' dtype.
 
     A built set is never mutated, so every sweep thread probes the same
     instance concurrently.
     """
 
-    __slots__ = ("keys", "table", "_shift", "_range", "_block")
+    __slots__ = ("keys", "table", "_shift", "_range")
 
     def __init__(self, keys: np.ndarray, slots: Optional[int] = None) -> None:
         self.keys = keys
@@ -174,14 +174,9 @@ class KeySet:
         else:
             entries = slots // 2
             self._shift, self._range = np.uint64(32), np.uint64(entries)
-        block = 0
-        while (len(keys) - 1) >> block >= _COLLIDED - 1:
-            block += 1
-        self._block = block
         key_slots = self._slots(keys)
-        owners = np.arange(len(keys), dtype=np.uint32)
-        owners >>= block
-        owners += 1
+        owners = np.arange(1, len(keys) + 1, dtype=np.uint32)
+        np.minimum(owners, _COLLIDED, out=owners)
         self.table = np.zeros(entries, dtype=np.uint16)
         self.table[key_slots] = owners
         # A slot two keys hash to is equal neighbours in the sorted slots.
@@ -208,24 +203,14 @@ class KeySet:
         survivors = np.flatnonzero(entries != _EMPTY)
         entries = entries[survivors]
         probes = values[survivors]
-        keys, block = self.keys, self._block
+        keys = self.keys
         ranks = entries.astype(np.int64)
         ranks -= 1
-        if block:
-            ranks <<= block
         collided = np.flatnonzero(entries == _COLLIDED)
         if len(collided):
             exact = np.searchsorted(keys, probes[collided])
             np.minimum(exact, len(keys) - 1, out=exact)
             ranks[collided] = exact
-        if block:
-            # The owner is one of the 2^block keys from the block's first;
-            # a collided value's exact rank is that first key itself.
-            first = ranks
-            ranks = first.copy()
-            for offset in range(1, 1 << block):
-                candidate = np.minimum(first + offset, len(keys) - 1)
-                np.copyto(ranks, candidate, where=keys[candidate] == probes)
         # Indices, not a boolean mask: the mask's compress is several
         # times slower on these sparse hits.
         hit = np.flatnonzero(keys[ranks] == probes)

@@ -14,7 +14,10 @@ Text inputs are converted once, on first touch, into a daemon-private
 the *text's* fingerprint), so every served sweep is a zero-copy mmap scan
 rather than a re-parse.  The text is fingerprinted before it is
 converted, so content already registered costs no conversion.
-``.etape`` inputs are served in place.
+``.etape`` inputs are served in place.  An entry keeps the stream it
+opened for the first path its content was seen under, so read and fault
+errors of its sweeps name that path (``TapeEntry.path``) even for a job
+that asked for the same content under another path.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class TapeEntry:
     """One registered tape: its content hash, stream, and scheduler."""
 
     fingerprint_hex: str
-    path: str  # first path this content was seen under (diagnostics only)
+    path: str  # first path this content was seen under; its errors name it
     stream: EdgeStream
     scheduler: SweepScheduler
     source: str = "tape"  # "text" when the daemon converted the input

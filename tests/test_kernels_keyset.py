@@ -148,16 +148,17 @@ def _probe_values(rng, keys: np.ndarray, count: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
-@pytest.mark.parametrize("n, block", [(65_534, 0), (65_535, 1), (140_000, 2), (300_000, 3)])
-def test_rank_blocks_match_searchsorted(n, block, dtype):
-    """Past 65,534 keys an entry names a block of 2^block ranks; ``find``
-    still returns every key's exact rank."""
+@pytest.mark.parametrize("n", [65_534, 65_535, 140_000, 300_000])
+def test_large_sets_match_searchsorted(n, dtype):
+    """An entry names ranks up to 0xFFFD; the slots of keys ranked 0xFFFE
+    and above read as collided, and ``find`` still returns every key's
+    exact rank."""
     rng = np.random.default_rng(n)
     keys = _random_keys(rng, n, dtype)
     keyset = KeySet(keys)
-    assert keyset._block == block
     assert int(keyset.table.max()) == 0xFFFF  # collided slots exist
-    assert int(keyset.table[keyset.table != 0xFFFF].max()) == ((n - 1) >> block) + 1
+    assert int(keyset.table[keyset.table != 0xFFFF].max()) <= min(n, 0xFFFE)
+    assert (keyset.table[keyset._slots(keys[0xFFFE:])] == 0xFFFF).all()
     _check_exact(keyset, _probe_values(rng, keys, 200_000))
     _check_exact(keyset, keys)  # every key at once
 
