@@ -64,7 +64,7 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
         engine_times = {}
         results = {}
         for label, workers, fused in engines:
-            with engine_overrides("chunked", None, workers, fused):
+            with engine_overrides(workers=workers, fuse=fused):
                 best = float("inf")
                 for _ in seeds:
                     start = time.perf_counter()

@@ -178,7 +178,7 @@ def run_engine_comparison(scale: str, repeats: int = 3) -> dict:
         graph, t, stream, plan = _e9_instance(n)
         # Pin workers=1: a REPRO_WORKERS environment must not silently
         # turn the serial baseline into a sharded run.
-        with engine_overrides("chunked", None, 1):
+        with engine_overrides(workers=1):
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -254,11 +254,11 @@ def _paired_medians(run_a, run_b, pairs: int = TIMING_PAIRS) -> tuple:
     return statistics.median(times[0]), statistics.median(times[1]), results[0], results[1]
 
 
-def _estimate_under(stream, plan, *overrides):
-    """A zero-argument E9 estimate under ``engine_overrides(*overrides)``."""
+def _estimate_under(stream, plan, **overrides):
+    """A zero-argument E9 estimate under ``engine_overrides(**overrides)``."""
 
     def run():
-        with engine_overrides(*overrides):
+        with engine_overrides(**overrides):
             return run_single_estimate(stream, plan, random.Random(3))
 
     return run
@@ -280,8 +280,8 @@ def run_sharded_comparison(scale: str) -> dict:
     for n in ENGINE_SIZES[scale][-2:]:  # the two largest sweep sizes
         graph, t, stream, plan = _e9_instance(n)
         serial_sec, sharded_sec, serial, sharded = _paired_medians(
-            _estimate_under(stream, plan, "chunked", None, 1),
-            _estimate_under(stream, plan, "chunked", None, workers),
+            _estimate_under(stream, plan, workers=1),
+            _estimate_under(stream, plan, workers=workers),
         )
         times = {"serial": serial_sec, "sharded": sharded_sec}
         for label in times:
@@ -385,8 +385,8 @@ def run_fused_comparison(scale: str) -> dict:
     for n in ENGINE_SIZES[scale][-2:]:  # the two largest sweep sizes
         graph, t, stream, plan = _e9_instance(n)
         per_plan_sec, fused_sec, per_plan, fused = _paired_medians(
-            _estimate_under(stream, plan, "chunked", None, workers, False),
-            _estimate_under(stream, plan, "chunked", None, workers, True),
+            _estimate_under(stream, plan, workers=workers, fuse=False),
+            _estimate_under(stream, plan, workers=workers, fuse=True),
         )
         times = {"per_plan": per_plan_sec, "fused": fused_sec}
         results = {"per_plan": per_plan, "fused": fused}
@@ -536,16 +536,15 @@ def run_speculative_comparison(scale: str, repeats: int = 3) -> dict:
 K8_CLIQUES = {"tiny": 2_000, "small": 8_000, "medium": 35_000}
 
 
-def _timed_estimate(stream, kappa: int, config, repeats: int, **policy):
-    """Best-of-``repeats`` wall clock and the last result, under ``policy``."""
+def _timed_estimate(stream, kappa: int, config, repeats: int):
+    """Best-of-``repeats`` wall clock and the last result."""
     from repro.core.driver import TriangleCountEstimator
 
     best = float("inf")
-    with engine_overrides(**policy):
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = TriangleCountEstimator(config).estimate(stream, kappa=kappa)
-            best = min(best, time.perf_counter() - start)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = TriangleCountEstimator(config).estimate(stream, kappa=kappa)
+        best = min(best, time.perf_counter() - start)
     return best, result
 
 
@@ -564,13 +563,13 @@ def _dense_default_rows(scale: str, repeats: int) -> list:
         edges=[(8 * b + i, 8 * b + j) for b in range(cliques) for i in range(8) for j in range(i + 1, 8)]
     )
     stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(2)))
-    config = EstimatorConfig(seed=3, engine_mode="chunked", workers=1)
     rows = []
     for label, policy in (
-        ("sequential", dict(speculative=False)),
-        ("default", dict(speculative=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)),
+        ("sequential", dict(speculate=False)),
+        ("default", dict(speculate=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)),
     ):
-        best, result = _timed_estimate(stream, 7, config, repeats, **policy)
+        config = EstimatorConfig(seed=3, engine_mode="chunked", workers=1, **policy)
+        best, result = _timed_estimate(stream, 7, config, repeats)
         rows.append(
             {
                 "schedule": label,
@@ -617,14 +616,13 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     results = {}
     try:
         base = dict(seed=3, repetitions=3, engine_mode="chunked", workers=1, fuse=True)
-        default_policy = dict(speculative=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)
         for depth in (1, 2, 3, 4, "default"):
             if depth == "default":
-                config, policy = EstimatorConfig(**base), default_policy
+                fields = dict(speculate=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)
             else:
                 fields = dict(speculate=depth > 1, speculate_depth=max(2, depth))
-                config, policy = EstimatorConfig(**base, **fields), {}
-            best, results[depth] = _timed_estimate(stream, 5, config, repeats, **policy)
+            config = EstimatorConfig(**base, **fields)
+            best, results[depth] = _timed_estimate(stream, 5, config, repeats)
             result = results[depth]
             baseline = results[1]
             assert result.estimate == baseline.estimate, "depth parity violated"

@@ -28,7 +28,7 @@ speculative driver (:mod:`~repro.core.speculate`) run several guessing
 rounds through shared tape sweeps without perturbing a single bit of the result.
 """
 
-from .engine import engine_mode, engine_overrides, set_engine
+from .engine import engine_overrides
 from .params import ParameterPlan, PlanConstants
 from .oracle_model import DegreeOracle, IdealEstimator, IdealEstimatorResult
 from .assignment import ExactAssigner, StreamingAssigner
@@ -57,9 +57,7 @@ __all__ = [
     "EstimatorConfig",
     "EstimateResult",
     "ExactStreamingCounter",
-    "engine_mode",
     "engine_overrides",
-    "set_engine",
     "resume_from",
     "ResumeState",
     "Snapshot",

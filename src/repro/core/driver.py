@@ -51,7 +51,6 @@ from ..streams.space import SpaceMeter
 from . import engine
 from . import faults as faults_module
 from . import snapshot as snapshot_module
-from .engine import engine_overrides
 from .estimator import PASS_BUDGET_PER_ROUND, SinglePassStackResult
 from .faults import FailureReport, RecoveryContext
 from .params import ParameterPlan, PlanConstants
@@ -91,22 +90,17 @@ class EstimatorConfig:
     max_rounds:
         Optional cap on guessing rounds; default is enough to walk the guess
         from ``2 m kappa`` down below 1.
-    share_passes:
-        When ``True`` (default), each round's repetitions run *in parallel*
-        over six shared passes - the paper's accounting (Theorem 5.1's
-        constant passes cover the whole ensemble, and the reported space is
-        the ensemble total).  ``False`` runs repetitions sequentially (6
-        passes each, per-run space).
     engine_mode:
         Optional engine mode name: ``"auto"`` | ``"chunked"`` |
         ``"sharded"``, synonyms of the one engine (see
-        :mod:`repro.core.engine`).  The removed ``"python"`` engine is
-        rejected with :class:`~repro.errors.ParameterError`.
+        :mod:`repro.core.engine`); validated, selects nothing.  The
+        removed ``"python"`` engine is rejected with
+        :class:`~repro.errors.ParameterError`.
     chunk_size:
         Optional edges-per-chunk override for every sweep.
     workers:
         Optional thread count per sweep (``1`` = serial).  ``None`` keeps
-        the global setting (default: all cores).
+        the policy in force (``REPRO_WORKERS``, default all cores).
     fuse:
         Optional override of the fused sweep engine: each round's closure
         watch (pass 4) and assignment sampling (pass 5) share one physical
@@ -115,8 +109,8 @@ class EstimatorConfig:
         speculative incident buffer (extra space) for strictly fewer
         stream sweeps on rounds that find candidate triangles (a round
         whose wedges all stay open ties - unfused execution skips the
-        assignment passes there).  ``None`` keeps the global
-        ``REPRO_FUSE`` policy (off by default).
+        assignment passes there).  ``None`` keeps the policy in force
+        (``REPRO_FUSE``, off by default).
     speculate:
         Optional override of speculative round fusion: the guessing loop
         runs round ``i`` together with up to ``speculate_depth - 1``
@@ -128,13 +122,13 @@ class EstimatorConfig:
         ``k``-deep window finishes multi-round estimates in ~``1/k`` of
         the committed sweeps, while an acceptance books the
         speculation-only sweeps as :attr:`EstimateResult.sweeps_wasted`.
-        ``None`` keeps the global ``REPRO_SPECULATE`` policy (on by
+        ``None`` keeps the policy in force (``REPRO_SPECULATE``, on by
         default; ``False`` runs the sequential loop, one round per
         window).  Speculation disengages - falling back to the
-        sequential loop - whenever a ``t_hint`` (single round),
-        ``share_passes=False``, or a ``space_budget_words`` cap is in
-        force (a speculative round tripping the Markov abort must not fail
-        a run the sequential loop would have finished).
+        sequential loop - whenever a ``t_hint`` (single round) or a
+        ``space_budget_words`` cap is in force (a speculative round
+        tripping the Markov abort must not fail a run the sequential loop
+        would have finished).
     speculate_depth:
         Optional override of the maximum rounds per speculative window
         (``>= 2``; ``2`` reproduces the original round-pair driver
@@ -142,8 +136,8 @@ class EstimatorConfig:
         by the *expected-waste rule*: the previous round's median
         predicts which upcoming guess will accept, and the window never
         speculates past it (a predicted-accepting round runs solo).
-        ``None`` keeps the global ``REPRO_SPECULATE_DEPTH`` policy
-        (default 4).  An explicit depth implies ``speculate=True`` unless
+        ``None`` keeps the policy in force (``REPRO_SPECULATE_DEPTH``,
+        default 4).  An explicit depth implies ``speculate=True`` unless
         ``speculate=False`` is given explicitly - asking for a depth is
         asking to speculate.
     max_retries:
@@ -188,7 +182,6 @@ class EstimatorConfig:
     t_hint: Optional[float] = None
     space_budget_words: Optional[int] = None
     max_rounds: Optional[int] = None
-    share_passes: bool = True
     engine_mode: Optional[str] = None
     chunk_size: Optional[int] = None
     workers: Optional[int] = None
@@ -206,11 +199,7 @@ class EstimatorConfig:
             raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.repetitions < 1:
             raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.workers is not None and self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
-        engine._check_depth(self.speculate_depth)  # one validator, one message
+        engine.check_settings(self.chunk_size, self.workers, self.speculate_depth)
         if self.engine_mode is not None:
             engine.check_mode(self.engine_mode)
         if self.max_retries is not None and self.max_retries < 0:
@@ -240,9 +229,8 @@ class ResumeState:
 
     ``round_index`` is the next round to run; ``rounds`` are the committed
     ones; the accounting fields restore the result totals; ``rng_state``
-    is the root generator's ``getstate()`` at the boundary and
-    ``rng_stack`` the (normally empty between rounds) speculative
-    checkpoint stack; ``degradations`` are the recovery ladder's recorded
+    is the root generator's ``getstate()`` at the boundary;
+    ``degradations`` are the recovery ladder's recorded
     reports up to the snapshot.  ``num_edges`` / ``num_vertices`` are the
     stream statistics read before the first round: a boundary the loop
     reported carries them so a restart need not re-read the stream, while
@@ -257,7 +245,6 @@ class ResumeState:
     sweeps_wasted: int
     passes_wasted: int
     rng_state: tuple
-    rng_stack: Tuple[tuple, ...]
     degradations: Tuple[FailureReport, ...]
     num_edges: Optional[int] = None
     num_vertices: Optional[int] = None
@@ -356,30 +343,18 @@ class TriangleCountEstimator:
             Internal: restored snapshot state (use :func:`resume_from`).
         """
         cfg = self._config
-        # Engine selection travels with the config: every pass of every
-        # round runs under the requested mode / chunk size / worker count
-        # (results are seed-for-seed identical across all of them).  An
-        # explicit speculate_depth with speculate unset implies
-        # speculation - the implication lives in engine._apply, so it
-        # holds identically for config, harness, CLI, and direct
-        # set_engine/engine_overrides callers.
-        with engine_overrides(
-            cfg.engine_mode,
-            cfg.chunk_size,
-            cfg.workers,
-            cfg.fuse,
-            cfg.speculate,
-            cfg.speculate_depth,
-        ):
-            # The recovery scope installs the retry policy, arms the fault
-            # plan, and collects FailureReports; no ladder step outlives it
-            # (the serial tier is unwound by engine_overrides above; the
-            # sequential tier only lives in the restarted program's config).
-            with faults_module.recovery_scope(
-                policy=faults_module.policy_from_env(cfg.max_retries),
-                plan=cfg.faults,
-            ) as recovery:
-                return self._estimate(stream, kappa, recovery, _resume)
+        # Every sweep of the run executes under the config's engine
+        # settings laid over the policy in force (results are
+        # seed-for-seed identical under all of them).  The recovery scope
+        # installs the retry policy, arms the fault plan and collects
+        # FailureReports; no ladder step outlives it (the serial tier
+        # lives in its engine scope, the sequential tier only in the
+        # restarted program's config).
+        with engine.engine_overrides(cfg), faults_module.recovery_scope(
+            policy=faults_module.policy_from_env(cfg.max_retries),
+            plan=cfg.faults,
+        ) as recovery:
+            return self._estimate(stream, kappa, recovery, _resume)
 
     def _estimate(
         self,
@@ -400,7 +375,7 @@ class TriangleCountEstimator:
         attempts a round took.  Retries back off under the
         :class:`~repro.core.faults.RetryPolicy`; once they run out the
         ladder (:func:`~repro.core.faults.pick_step`) drops one tier and
-        the restarted program picks up the new engine policy.  The stream
+        the restarted program runs without it.  The stream
         statistics reads before the first round run inside the program, so
         they recover through the same loop.
         """
@@ -511,24 +486,6 @@ class TriangleCountEstimator:
 # the guessing loop as pure schedule helpers and as a stage program
 
 
-def _sweep_policy(cfg: EstimatorConfig) -> Tuple[bool, bool, int]:
-    """``(fuse, speculate, speculate_depth)``: the config's, else the ambient policy.
-
-    Read once when a program starts, so a program driven outside the solo
-    driver's ``engine_overrides`` scope (a served job, or
-    :func:`run_estimate_program`) still honours its own config.  As in
-    :func:`repro.core.engine.engine_overrides`, an explicit depth with
-    ``speculate`` unset implies speculation.
-    """
-    fuse = cfg.fuse if cfg.fuse is not None else engine.fuse()
-    if cfg.speculate is not None:
-        speculate = cfg.speculate
-    else:
-        speculate = cfg.speculate_depth is not None or engine.speculate()
-    depth = cfg.speculate_depth if cfg.speculate_depth is not None else engine.speculate_depth()
-    return fuse, speculate, depth
-
-
 def _guess_schedule(cfg: EstimatorConfig, upper: float) -> List[float]:
     """The geometric guess sequence the loop will walk (or the single hint)."""
     if cfg.t_hint is not None:
@@ -621,14 +578,13 @@ def estimate_program(
 
     Each *window* is ``depth`` guessing rounds run in lockstep
     (:func:`~repro.core.speculate.window_program`): ``depth > 1`` only
-    under speculation, which disengages for a ``t_hint`` (single round),
-    ``share_passes=False``, or a ``space_budget_words`` cap (a
-    speculative round tripping the Markov abort must not fail a run the
-    sequential loop would have finished).  With ``share_passes=False``
-    every repetition is a window of its own: one ``k = 1`` round with its
-    own meter and its own sweeps.  Fusion and speculation (on/off and
-    depth) come from ``config``, falling back to the ambient engine policy;
-    chunking is the ambient policy.  All are read when the program starts.
+    under speculation, which disengages for a ``t_hint`` (single round)
+    or a ``space_budget_words`` cap (a speculative round tripping the
+    Markov abort must not fail a run the sequential loop would have
+    finished).  Fusion and speculation (on/off and depth) are ``config``'s
+    laid over the engine policy in force where the program starts
+    (:func:`repro.core.engine.resolve`); chunking and threads are the
+    policy of whoever sweeps its batches.
 
     Restart contract: ``start`` is a committed round boundary to continue
     from (a decoded snapshot, or a state this program reported) and
@@ -669,13 +625,9 @@ def estimate_program(
             ),
             root_state=root.getstate(),
         )
-    fuse, speculate, max_depth = _sweep_policy(cfg)
-    speculative = (
-        speculate
-        and cfg.share_passes
-        and cfg.t_hint is None
-        and cfg.space_budget_words is None
-    )
+    policy = engine.resolve(cfg)
+    fuse, max_depth = policy.fuse, policy.speculate_depth
+    speculative = policy.speculate and cfg.t_hint is None and cfg.space_budget_words is None
     guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
 
     def build_plan(t_guess: float) -> ParameterPlan:
@@ -704,7 +656,6 @@ def estimate_program(
         sweeps_wasted=0,
         passes_wasted=0,
         rng_state=root.getstate(),
-        rng_stack=(),
         degradations=(),
     )
     # The boundary pins the whole loop state - above all the root
@@ -734,7 +685,6 @@ def estimate_program(
             sweeps_wasted=sweeps_wasted,
             passes_wasted=passes_wasted,
             rng_state=root.getstate(),
-            rng_stack=(),
             degradations=degradations,
             num_edges=m,
             num_vertices=n,
@@ -783,76 +733,60 @@ def estimate_program(
         t_guess = guesses[round_index]
         if t_guess < 1.0 and cfg.t_hint is None:
             break  # fewer than one triangle remains plausible: answer 0
-        if not cfg.share_passes:
-            # Repetitions one after another, six passes and a meter each.
-            plan = build_plan(t_guess)
-            runs: List[SinglePassStackResult] = []
-            for rep in range(cfg.repetitions):
-                rng = spawn(root, f"round{round_index}/rep{rep}")
-                meter = SpaceMeter(budget_words=cfg.space_budget_words)
-                results, _, _ = yield from window([plan], [[rng]], [meter])
-                runs.append(results[0][0])
-            for run in runs:
-                space_peak = max(space_peak, run.space_words_peak)
-                passes_total += run.passes_used
-                sweeps_total += run.sweeps_used
-            accepted = commit(t_guess, runs, plan)
-            round_index += 1
-        else:
-            # The paper's accounting: all repetitions in parallel over six
-            # shared passes; space is the ensemble total.
-            depth = (
-                _pick_window_depth(
-                    guesses,
-                    round_index,
-                    max_depth,
-                    rounds[-1].median_estimate if rounds else None,
-                )
-                if speculative
-                else 1
+        # The paper's accounting: all repetitions in parallel over six
+        # shared passes; space is the ensemble total.
+        depth = (
+            _pick_window_depth(
+                guesses,
+                round_index,
+                max_depth,
+                rounds[-1].median_estimate if rounds else None,
             )
-            window_guesses = guesses[round_index : round_index + depth]
-            plans = [build_plan(g) for g in window_guesses]
-            rng_lists = [spawn_round(round_index)]
-            # Checkpoint the root generator before each speculative round's
-            # spawns: if an earlier round accepts, the sequential loop would
-            # never have drawn the later rounds' generators, and rewinding to
-            # the checkpoint of the first discarded round keeps the root's
-            # consumption bit-identical to the sequential trajectory.
-            checkpoints = []
-            for j in range(1, depth):
-                checkpoints.append(root.getstate())
-                rng_lists.append(spawn_round(round_index + j))
-            meters = [SpaceMeter(budget_words=cfg.space_budget_words) for _ in range(depth)]
-            try:
-                results, owners, ledger = yield from window(plans, rng_lists, meters)
-            except BaseException:
-                # A failed shared sweep aborts the whole window; the
-                # speculative rounds' RNG consumption must not leak into the
-                # root generator's state.
-                if checkpoints:
-                    root.setstate(checkpoints[0])
-                raise
-            # Walk the window in sequential order: commit every round up
-            # to (and including) the first acceptance, discard the rest.
-            committed = 0
-            for j in range(depth):
-                space_peak = max(space_peak, meters[j].peak_words)
-                passes_total += results[j][0].passes_used
-                accepted = commit(window_guesses[j], results[j], plans[j])
-                committed += 1
-                if accepted:
-                    break
-            if committed < depth:
-                for owner in owners[committed:]:
-                    ledger.discard(owner)
-                    discarded.append(owner)
-                root.setstate(checkpoints[committed - 1])
-                for j in range(committed, depth):
-                    passes_wasted += results[j][0].passes_used
-            sweeps_total += ledger.sweeps_committed
-            sweeps_wasted += ledger.sweeps_wasted
-            round_index += committed
+            if speculative
+            else 1
+        )
+        window_guesses = guesses[round_index : round_index + depth]
+        plans = [build_plan(g) for g in window_guesses]
+        rng_lists = [spawn_round(round_index)]
+        # Checkpoint the root generator before each speculative round's
+        # spawns: if an earlier round accepts, the sequential loop would
+        # never have drawn the later rounds' generators, and rewinding to
+        # the checkpoint of the first discarded round keeps the root's
+        # consumption bit-identical to the sequential trajectory.
+        checkpoints = []
+        for j in range(1, depth):
+            checkpoints.append(root.getstate())
+            rng_lists.append(spawn_round(round_index + j))
+        meters = [SpaceMeter(budget_words=cfg.space_budget_words) for _ in range(depth)]
+        try:
+            results, owners, ledger = yield from window(plans, rng_lists, meters)
+        except BaseException:
+            # A failed shared sweep aborts the whole window; the
+            # speculative rounds' RNG consumption must not leak into the
+            # root generator's state.
+            if checkpoints:
+                root.setstate(checkpoints[0])
+            raise
+        # Walk the window in sequential order: commit every round up
+        # to (and including) the first acceptance, discard the rest.
+        committed = 0
+        for j in range(depth):
+            space_peak = max(space_peak, meters[j].peak_words)
+            passes_total += results[j][0].passes_used
+            accepted = commit(window_guesses[j], results[j], plans[j])
+            committed += 1
+            if accepted:
+                break
+        if committed < depth:
+            for owner in owners[committed:]:
+                ledger.discard(owner)
+                discarded.append(owner)
+            root.setstate(checkpoints[committed - 1])
+            for j in range(committed, depth):
+                passes_wasted += results[j][0].passes_used
+        sweeps_total += ledger.sweeps_committed
+        sweeps_wasted += ledger.sweeps_wasted
+        round_index += committed
         if accepted:
             break
         if on_boundary is not None:
@@ -902,16 +836,18 @@ def run_estimate_program(
     """Drive :func:`estimate_program` to completion on its own sweeps.
 
     Each yielded batch runs as a private fused sweep on ``scheduler`` (a
-    fresh unbudgeted one by default), and discarded speculation is booked
-    on it so its physical committed/wasted split agrees with the returned
-    result.  No retry or snapshots: a failure propagates.
+    fresh unbudgeted one by default) under ``config``'s engine settings,
+    and discarded speculation is booked on it so its physical
+    committed/wasted split agrees with the returned result.  No retry or
+    snapshots: a failure propagates.
     """
     if scheduler is None:
         scheduler = PassScheduler(stream)
-    outcome = _drive(
-        estimate_program(stream, kappa, config),
-        lambda batch: sweep_tagged_stages(scheduler, batch),
-    )
+    with engine.engine_overrides(config):
+        outcome = _drive(
+            estimate_program(stream, kappa, config),
+            lambda batch: sweep_tagged_stages(scheduler, batch),
+        )
     for owner in outcome.discarded_owners:
         scheduler.discard_owner(owner)
     return outcome
@@ -997,15 +933,8 @@ def _boundary_payload(
             "sweeps_wasted": state.sweeps_wasted,
             "passes_wasted": state.passes_wasted,
         },
-        # Between rounds the speculative checkpoint stack is always empty
-        # (windows rewind or commit before the boundary); the format still
-        # carries it for the dynamic-stream roadmap.
-        "rng": {"state": encode_state(state.rng_state), "stack": []},
+        "rng": {"state": encode_state(state.rng_state)},
         "degradations": [dataclasses.asdict(rep) for rep in degradations],
-        # Round-boundary state holds no live reservoirs (each round
-        # rebuilds its own); the slot is the extension point for mid-pass
-        # checkpoints (see sampling.reservoir.state_dict).
-        "reservoirs": {},
     }
 
 
@@ -1025,7 +954,6 @@ def _resume_state(payload: Dict[str, object]) -> ResumeState:
             sweeps_wasted=int(accounting.get("sweeps_wasted", 0)),
             passes_wasted=int(accounting.get("passes_wasted", 0)),
             rng_state=decode_state(rng["state"]),
-            rng_stack=tuple(decode_state(s) for s in rng.get("stack", [])),
             degradations=tuple(
                 FailureReport(**report) for report in payload.get("degradations", [])
             ),
@@ -1096,7 +1024,7 @@ def resume_from(
         raise SnapshotMismatchError(
             f"{where}: config hash mismatch - the resuming configuration's "
             "trajectory-relevant fields (seed, epsilon, repetitions, mode, "
-            "constants, hint, budgets, pass sharing) or kappa differ from "
+            "constants, hint, budgets) or kappa differ from "
             "the run that wrote this snapshot"
         )
     state = _resume_state(payload)

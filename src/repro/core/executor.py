@@ -167,10 +167,9 @@ def run_plan(
 ) -> Any:
     """Execute ``plan`` as exactly one pass (and one sweep) of ``scheduler``.
 
-    ``chunk_size`` and ``workers`` default to the global engine policy
-    (:func:`repro.core.engine.chunk_size` /
-    :func:`repro.core.engine.effective_workers`).  Results are
-    bit-identical at any worker count.
+    ``chunk_size`` and ``workers`` default to the engine policy in force
+    (:func:`repro.core.engine.policy`).  Results are bit-identical at any
+    worker count.
     """
     return run_plans(scheduler, [plan], chunk_size=chunk_size, workers=workers)[0]
 
@@ -201,9 +200,11 @@ def run_plans(
     """
     if not plans:
         raise ValueError("run_plans needs at least one plan")
-    chunk = chunk_size if chunk_size is not None else engine.chunk_size()
-    threads = workers if workers is not None else engine.effective_workers()
-    _sweep(scheduler, plans, chunk, threads, owners)
+    if chunk_size is None or workers is None:
+        policy = engine.policy()
+        chunk_size = chunk_size if chunk_size is not None else policy.chunk_size
+        workers = workers if workers is not None else policy.workers
+    _sweep(scheduler, plans, chunk_size, workers, owners)
     return [plan.result() for plan in plans] if results else None
 
 

@@ -30,16 +30,21 @@ cooperating pieces:
 * :class:`FaultPlan` - pluggable deterministic fault injection.  A plan
   maps named sites to the 0-based occurrence indices at which the site
   fires, e.g. ``"worker.crash@2;file.read@40;sweep.mid_stage@3"``.  Sites
-  count their events process-wide while the plan is installed (threaded
+  count their events while the plan is installed (threaded
   task submissions, sweep openings, parsed file chunks), and each index
   fires exactly once, so a fault lands at a reproducible point of the
   execution no matter which mode runs it.  Plans come from the
   ``REPRO_FAULTS`` environment variable, the ``faults=`` estimator config
   field, or explicitly via :func:`fault_scope` in tests.
 
-State is process-global, matching :mod:`repro.core.engine`'s switchboard:
-one estimate runs at a time per process, and injection decisions are made
-on the sweeping thread, never on a worker thread.
+The installed (retry policy, fault plan, recovery context) triple is held
+in a :class:`contextvars.ContextVar`, like :mod:`repro.core.engine`'s
+policy: :func:`recovery_scope` installs it for one estimate and
+:func:`fault_scope` for bare executor or scheduler sweeps, and each
+restores the previous triple on exit, so estimates on different threads
+never see each other's plan or context.  Outside every scope no plan is
+armed.  Injection decisions are made on the sweeping thread, never on a
+worker thread.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ import logging
 import os
 import random
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import (
     ParameterError,
@@ -58,6 +64,8 @@ from ..errors import (
     StreamReadError,
     WorkerCrashError,
 )
+from . import engine
+from .knobs import resolve_int
 
 _log = logging.getLogger("repro")
 
@@ -154,25 +162,16 @@ def policy_from_env(max_retries: Optional[int] = None) -> RetryPolicy:
     environment value raises :class:`~repro.errors.ParameterError` like
     any other bad parameter.
     """
-    if max_retries is None:
-        raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-        if raw:
-            try:
-                max_retries = int(raw)
-            except ValueError:
-                raise ParameterError(f"REPRO_MAX_RETRIES must be an integer, got {raw!r}")
-    if max_retries is not None and max_retries < 0:
-        raise ParameterError("max retries must be >= 0")
-    attempts = 3 if max_retries is None else max_retries + 1
-    return RetryPolicy(max_attempts=attempts)
+    retries = resolve_int(max_retries, "REPRO_MAX_RETRIES", 2, minimum=0)
+    return RetryPolicy(max_attempts=retries + 1)
 
 
 class FaultPlan:
     """Deterministic injection schedule: site -> occurrence indices.
 
-    Each named site keeps a process-wide event counter while the plan is
-    installed; :meth:`fires` increments the counter and reports whether the
-    current event index was scheduled.  Indices are consumed (each fires at
+    Each named site keeps an event counter while the plan is installed;
+    :meth:`fires` increments the counter and reports whether the current
+    event index was scheduled.  Indices are consumed (each fires at
     most once), so a retried task or replayed sweep does not re-trip the
     same fault.
     """
@@ -266,7 +265,7 @@ def plan_from(value: Union[None, str, FaultPlan]) -> Optional[FaultPlan]:
 
 
 # ---------------------------------------------------------------------------
-# process-global installation
+# scoped installation
 
 @dataclass
 class RecoveryContext:
@@ -281,31 +280,34 @@ class RecoveryContext:
     snapshot_degraded: bool = False
 
 
-_active_policy: Optional[RetryPolicy] = None
-_active_plan: Optional[FaultPlan] = plan_from(None)
-_active_recovery: Optional[RecoveryContext] = None
+class _Installed(NamedTuple):
+    policy: Optional[RetryPolicy] = None
+    plan: Optional[FaultPlan] = None
+    recovery: Optional[RecoveryContext] = None
+
+
+_INSTALLED: ContextVar[_Installed] = ContextVar("repro_faults", default=_Installed())
 
 
 def active_policy() -> RetryPolicy:
     """The installed retry policy, or one freshly derived from the env."""
-    if _active_policy is not None:
-        return _active_policy
-    return policy_from_env()
+    installed = _INSTALLED.get().policy
+    return installed if installed is not None else policy_from_env()
 
 
 def active_plan() -> Optional[FaultPlan]:
     """The installed fault plan, if any."""
-    return _active_plan
+    return _INSTALLED.get().plan
 
 
 def active_recovery() -> Optional[RecoveryContext]:
     """The recovery context of the estimate in progress, if any."""
-    return _active_recovery
+    return _INSTALLED.get().recovery
 
 
 def fires(site: str) -> bool:
     """Count one event at ``site`` against the installed plan (if any)."""
-    plan = _active_plan
+    plan = _INSTALLED.get().plan
     return plan is not None and plan.fires(site)
 
 
@@ -323,18 +325,16 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
     """Apply one ladder step under the active recovery context; record and log it.
 
     Without a context (bare executor calls outside an estimate) this is a
-    no-op: the caller handles its own sweep-local fallback and no global
-    state is mutated.  Under a context the step persists for the rest of
-    the estimate - the engine override / recovery scope unwinds it when
-    the estimate returns.
+    no-op: the caller handles its own sweep-local fallback.  Under a
+    context the step persists for the rest of the estimate and no longer:
+    the serial tier is set in the recovery scope's engine policy, which
+    the scope unwinds on exit.
     """
-    ctx = _active_recovery
+    ctx = active_recovery()
     if ctx is None:
         return
     if action == ACTION_SERIAL:
-        from . import engine
-
-        engine._apply(None, 1)
+        engine.serial_until_scope_exit()
         ctx.serial_degraded = True
     elif action == ACTION_SEQUENTIAL:
         # The driver restarts the program with speculation off in its
@@ -365,9 +365,7 @@ def pick_step(exc: BaseException, depth: int, ctx: RecoveryContext) -> Optional[
     own ``worker.crash`` site: serial sweeps read the same tape, so
     dropping threads cannot help a sweep or read fault.
     """
-    from . import engine
-
-    threaded = site_of(exc) == WORKER_CRASH and engine.effective_workers() > 1
+    threaded = site_of(exc) == WORKER_CRASH and engine.policy().workers > 1
     for action, available in (
         (ACTION_SERIAL, threaded and not ctx.serial_degraded),
         (ACTION_SEQUENTIAL, depth >= 2 and not ctx.speculation_degraded),
@@ -402,23 +400,33 @@ def site_of(exc: BaseException) -> str:
 
 
 @contextmanager
+def _install(installed: _Installed) -> Iterator[None]:
+    if installed.plan is not None:
+        installed.plan.reset()
+    token = _INSTALLED.set(installed)
+    try:
+        yield
+    finally:
+        _INSTALLED.reset(token)
+
+
+@contextmanager
 def fault_scope(
     plan: Union[None, str, FaultPlan] = None,
     policy: Optional[RetryPolicy] = None,
 ) -> Iterator[Optional[FaultPlan]]:
-    """Install a fault plan (and optionally a policy) without a recovery
-    context - the low-level hook for executor/scheduler-layer tests."""
-    global _active_policy, _active_plan
+    """Install a fault plan (``REPRO_FAULTS`` when not given, counters
+    re-armed) and optionally a policy, without a recovery context - the
+    hook for sweeps driven outside an estimate (executor and scheduler
+    tests, the serving daemon's sweep thread)."""
+    current = _INSTALLED.get()
     resolved = plan_from(plan)
-    if resolved is not None:
-        resolved.reset()
-    saved = (_active_policy, _active_plan)
-    _active_policy = policy if policy is not None else _active_policy
-    _active_plan = resolved
-    try:
+    with _install(
+        current._replace(
+            policy=policy if policy is not None else current.policy, plan=resolved
+        )
+    ):
         yield resolved
-    finally:
-        _active_policy, _active_plan = saved
 
 
 @contextmanager
@@ -432,20 +440,13 @@ def recovery_scope(
     (``REPRO_FAULTS`` when not given, counters re-armed), and a fresh
     :class:`RecoveryContext` collecting :class:`FailureReport` entries.
     On exit the previous installation is restored.  No step of the ladder
-    outlives the estimate: the serial tier lives in the engine switchboard
-    and is unwound by ``engine_overrides``, and the sequential tier only
-    lives in the restarted program's config.
+    outlives the estimate: the serial tier lives in the engine policy of
+    the scope opened here, and the sequential tier only lives in the
+    restarted program's config.
     """
-    global _active_policy, _active_plan, _active_recovery
     ctx = RecoveryContext(
         policy=policy if policy is not None else policy_from_env(),
         plan=plan_from(plan),
     )
-    if ctx.plan is not None:
-        ctx.plan.reset()
-    saved = (_active_policy, _active_plan, _active_recovery)
-    _active_policy, _active_plan, _active_recovery = ctx.policy, ctx.plan, ctx
-    try:
+    with engine.engine_overrides(), _install(_Installed(ctx.policy, ctx.plan, ctx)):
         yield ctx
-    finally:
-        _active_policy, _active_plan, _active_recovery = saved

@@ -1,0 +1,49 @@
+"""Environment knob parsing shared by the engine, fault and snapshot policies.
+
+An explicit value (a config field, a CLI option) wins; otherwise the
+environment variable is read; otherwise the default holds.  A malformed
+variable raises :class:`~repro.errors.ParameterError` naming it - a knob
+never falls back silently to its default.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Optional, TypeVar
+
+from ..errors import ParameterError
+
+T = TypeVar("T")
+
+_ON = ("1", "true", "on", "yes")
+_OFF = ("0", "false", "off", "no")
+
+
+def resolve_int(value: Optional[int], env: str, default: T, minimum: int = 1) -> "int | T":
+    """``value``, else the integer in ``env``, else ``default``; below ``minimum`` raises."""
+    if value is None:
+        raw = os.environ.get(env, "").strip()
+        if raw:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ParameterError(f"{env} must be an integer, got {raw!r}") from None
+    if value is None:
+        return default
+    if value < minimum:
+        raise ParameterError(f"{env} must be >= {minimum}, got {value}")
+    return value
+
+
+def resolve_flag(env: str, default: bool) -> bool:
+    """The on/off switch in ``env`` (``1/true/on/yes`` or ``0/false/off/no``), else ``default``."""
+    raw = os.environ.get(env, "").strip().lower()
+    if not raw:
+        return default
+    if raw in _ON:
+        return True
+    if raw in _OFF:
+        return False
+    raise ParameterError(
+        f"{env} must be one of {'/'.join(_ON)} or {'/'.join(_OFF)}, got {raw!r}"
+    )

@@ -139,7 +139,7 @@ def round_program(
     ``assign`` (the ablations' hook) resolves each instance's candidate
     triangles without a pass in place of Algorithm 3; passes 4 and 5 then
     never fuse, since there is no pass 5.  ``fuse`` selects the fused
-    pass-4/5 sweep (``None``: the ambient :func:`repro.core.engine.fuse`).
+    pass-4/5 sweep (``None``: the engine policy's, :func:`repro.core.engine.policy`).
     """
     k = len(rngs)
     if k < 1:
@@ -164,7 +164,7 @@ def round_program(
     draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, plan, sources, meter)
     apexes = yield track(stage_pass3(owners, degrees, sources, meter))
     if fuse is None:
-        fuse = engine.fuse()
+        fuse = engine.policy().fuse
     # Fused sweep engine: the closure watch (pass 4) and the assignment
     # stage's incident reads (pass 5) share one traversal; the buffered
     # superset is replayed below once closure is known.

@@ -59,11 +59,11 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import (
-    ParameterError,
     SnapshotFormatError,
     SnapshotWriteError,
 )
 from . import faults as faults_module
+from .knobs import resolve_int
 
 #: Leading magic bytes - same construction as the tape's: high bit, a
 #: greppable name, and a CR/LF pair that newline translation would mangle.
@@ -111,29 +111,14 @@ def resolve_checkpoint_dir(value: Optional[str] = None) -> Optional[str]:
     return value or None
 
 
-def _resolve_positive_int(value: Optional[int], env: str, default: int) -> int:
-    if value is None:
-        raw = os.environ.get(env, "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ParameterError(f"{env} must be an integer, got {raw!r}")
-    if value is None:
-        return default
-    if value < 1:
-        raise ParameterError(f"{env} must be >= 1, got {value}")
-    return value
-
-
 def resolve_snapshot_every(value: Optional[int] = None) -> int:
     """Committed rounds between persisted snapshots (default 1)."""
-    return _resolve_positive_int(value, "REPRO_SNAPSHOT_EVERY", 1)
+    return resolve_int(value, "REPRO_SNAPSHOT_EVERY", 1)
 
 
 def resolve_snapshot_keep(value: Optional[int] = None) -> int:
     """Rotation depth: how many snapshots to retain (default 3)."""
-    return _resolve_positive_int(value, "REPRO_SNAPSHOT_KEEP", DEFAULT_KEEP)
+    return resolve_int(value, "REPRO_SNAPSHOT_KEEP", DEFAULT_KEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +132,7 @@ def config_hash(state: Dict[str, object], kappa: int) -> bytes:
     (see ``driver._config_state``); only the fields that determine the
     estimate trajectory participate - seed, accuracy, repetitions, the
     parameter-plan mode and constants, the hint, the budget and round
-    caps, and the pass-sharing switch, plus the promise ``kappa``.
+    caps, plus the promise ``kappa``.
     Engine and robustness knobs are deliberately excluded: results are
     bit-identical at any engine setting, so a run checkpointed under one
     setting may legitimately resume under another.
@@ -163,9 +148,11 @@ def config_hash(state: Dict[str, object], kappa: int) -> bytes:
             "t_hint",
             "space_budget_words",
             "max_rounds",
-            "share_passes",
         )
     }
+    # Repetitions always share their passes now; hashing the retired
+    # switch's old default keeps snapshots written before it went valid.
+    relevant["share_passes"] = True
     relevant["kappa"] = kappa
     canonical = json.dumps(relevant, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).digest()

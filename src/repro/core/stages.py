@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..streams.multipass import PassScheduler
-from . import engine
 
 if TYPE_CHECKING:
     from ..streams.space import SpaceMeter
@@ -94,7 +93,6 @@ def sweep_stages(
     run_plans(
         scheduler,
         [plan for stage in stages for plan in stage.plans],
-        chunk_size=engine.chunk_size(),
         owners=owners,
         results=False,
     )

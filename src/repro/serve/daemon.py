@@ -39,6 +39,7 @@ import signal
 import threading
 from typing import Dict, List, Optional
 
+from ..core import engine, faults
 from ..core.driver import estimate_program
 from ..errors import ReproError, ProtocolError, ServeError
 from .cache import DEFAULT_CACHE_SIZE, ResultCache, cache_key
@@ -100,6 +101,10 @@ class EstimateServer:
             cache_size = _env_int("REPRO_SERVE_CACHE_SIZE", DEFAULT_CACHE_SIZE)
         if batch_window is None:
             batch_window = _env_float("REPRO_SERVE_BATCH_WINDOW", DEFAULT_BATCH_WINDOW)
+        # Every tape's sweep thread resolves these variables again; a
+        # malformed one fails the daemon here, not each request.
+        engine.policy()
+        faults.plan_from(None)
         self.socket_path = socket_path
         self.port = port
         self.host = host

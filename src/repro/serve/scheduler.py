@@ -50,6 +50,7 @@ from typing import Dict, List, Optional
 
 from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
+from ..core import engine, faults
 from ..core.stages import TaggedStage, sweep_tagged_stages
 from .jobs import Job, JobAccounting
 
@@ -67,6 +68,12 @@ class SweepScheduler:
     def __init__(self, stream: EdgeStream, batch_window: float = 0.0) -> None:
         self._stream = stream
         self._scheduler = PassScheduler(stream)
+        # The sweep thread's scope: the engine policy in force here (the
+        # environment's, in the daemon) and the REPRO_FAULTS plan, read
+        # now so a malformed variable fails the caller, not the thread.
+        # Each job's fusion and speculation still come from its config.
+        self._policy = engine.policy()
+        self._faults = faults.plan_from(None)
         self._batch_window = batch_window
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -132,6 +139,10 @@ class SweepScheduler:
     # -- the lockstep loop ------------------------------------------------
 
     def _run(self) -> None:
+        with engine.engine_overrides(self._policy), faults.fault_scope(self._faults):
+            self._loop()
+
+    def _loop(self) -> None:
         while True:
             with self._wake:
                 while not self._pending and not self._active and not self._stop:

@@ -55,17 +55,12 @@ def reference_estimate(stream, kappa: int, config: EstimatorConfig) -> Tuple[Est
             n, m, kappa, t_guess, config.epsilon, config.mode, config.constants
         )
         rngs = [spawn(root, f"round{i}/rep{rep}") for rep in range(config.repetitions)]
-        # share_passes: one six-pass round for all repetitions, one meter;
-        # otherwise each repetition is its own round with its own meter.
-        groups = [rngs] if config.share_passes else [[rng] for rng in rngs]
-        runs = []
-        for group in groups:
-            meter = SpaceMeter(budget_words=config.space_budget_words)
-            group_runs = run_parallel_estimates(stream, plan, group, meter)
-            space = max(space, meter.peak_words)
-            passes += group_runs[0].passes_used
-            sweeps += group_runs[0].sweeps_used
-            runs.extend(group_runs)
+        # One six-pass round for all repetitions, one meter.
+        meter = SpaceMeter(budget_words=config.space_budget_words)
+        runs = run_parallel_estimates(stream, plan, rngs, meter)
+        space = max(space, meter.peak_words)
+        passes += runs[0].passes_used
+        sweeps += runs[0].sweeps_used
         estimate = median([run.estimate for run in runs])
         accepted = config.t_hint is not None or estimate >= t_guess / 2.0
         rounds.append(GuessRound(t_guess, runs, estimate, accepted))

@@ -174,8 +174,8 @@ class TestEstimate:
         assert "speculative->sequential" in degraded[1]
 
     def test_env_fault_plan_lands_in_the_estimate(self, wheel_file, tmp_path):
-        """``REPRO_FAULTS`` is armed at import, before the text input is
-        converted to a tape: the conversion must not consume the plan, so
+        """``REPRO_FAULTS`` is armed by the estimate's recovery scope; the
+        text input's conversion to a tape must not consume the plan, so
         the fault degrades the estimate at the same chunk as on a tape."""
         import os
         import subprocess

@@ -125,18 +125,9 @@ class TestDriverIntegration:
         graph = wheel_graph(200)
         t = count_triangles(graph)
         stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(0)))
-        cfg = EstimatorConfig(seed=3, repetitions=5, t_hint=float(t), share_passes=True)
+        cfg = EstimatorConfig(seed=3, repetitions=5, t_hint=float(t))
         result = TriangleCountEstimator(cfg).estimate(stream, kappa=3)
         assert result.passes_total <= 6
-        assert abs(result.estimate - t) / t < 0.35
-
-    def test_sequential_mode_still_works(self):
-        graph = wheel_graph(200)
-        t = count_triangles(graph)
-        stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(0)))
-        cfg = EstimatorConfig(seed=3, repetitions=3, t_hint=float(t), share_passes=False)
-        result = TriangleCountEstimator(cfg).estimate(stream, kappa=3)
-        assert result.passes_total <= 18
         assert abs(result.estimate - t) / t < 0.35
 
     def test_full_search_pass_budget(self):
@@ -144,6 +135,6 @@ class TestDriverIntegration:
         # round - a constant-factor-of-log total, never 6*reps*rounds.
         graph = wheel_graph(300)
         stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(0)))
-        cfg = EstimatorConfig(seed=2, repetitions=5, share_passes=True)
+        cfg = EstimatorConfig(seed=2, repetitions=5)
         result = TriangleCountEstimator(cfg).estimate(stream, kappa=3)
         assert result.passes_total <= 6 * len(result.rounds)

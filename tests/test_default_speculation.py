@@ -51,8 +51,6 @@ def default_policy(monkeypatch):
     """The ambient policy a process starts with when no variable is set."""
     monkeypatch.delenv("REPRO_SPECULATE", raising=False)
     monkeypatch.delenv("REPRO_SPECULATE_DEPTH", raising=False)
-    monkeypatch.setattr(engine, "_speculate", engine._initial_speculate())
-    monkeypatch.setattr(engine, "_speculate_depth", engine._initial_speculate_depth())
 
 
 def _window_depths(stream, kappa, config):
@@ -85,16 +83,17 @@ def _estimate(stream, kappa, config):
 class TestPolicy:
     def test_unset_environment_speculates_four_deep(self, default_policy):
         assert engine.DEFAULT_SPECULATE_DEPTH == 4
-        assert engine.speculate() is True
-        assert engine.speculate_depth() == 4
-        assert driver_module._sweep_policy(EstimatorConfig())[1:] == (True, 4)
+        assert engine.policy().speculate is True
+        assert engine.policy().speculate_depth == 4
+        resolved = engine.resolve(EstimatorConfig())
+        assert (resolved.speculate, resolved.speculate_depth) == (True, 4)
 
     def test_fresh_process_speculates_four_deep(self):
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_SPECULATE")}
         env["PYTHONPATH"] = SRC
         out = subprocess.run(
             [sys.executable, "-c",
-             "from repro.core import engine; print(engine.speculate(), engine.speculate_depth())"],
+             "from repro.core import engine; p = engine.policy(); print(p.speculate, p.speculate_depth)"],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert out.split() == ["True", "4"]
@@ -106,10 +105,9 @@ class TestPolicy:
         assert depths[0] == 4
         sequential = ([1] * rounds, rounds)
         assert _window_depths(stream, 4, EstimatorConfig(speculate=False, **base)) == sequential
-        with engine.engine_overrides(speculative=False):
+        with engine.engine_overrides(speculate=False):
             assert _window_depths(stream, 4, EstimatorConfig(**base)) == sequential
         monkeypatch.setenv("REPRO_SPECULATE", "0")
-        monkeypatch.setattr(engine, "_speculate", engine._initial_speculate())
         assert _window_depths(stream, 4, EstimatorConfig(**base)) == sequential
 
 

@@ -112,7 +112,7 @@ def estimate_digest(name: str, schedule: str, workers: int, mode: str = "chunked
     }
 
 
-def single_digest(family: str, seed: int, workers: int, mode: str = "chunked") -> dict:
+def single_digest(family: str, seed: int, workers: int) -> dict:
     """Run one single-runner case: its result fields plus the generator digest."""
     graph = SINGLE_GRAPHS[family]()
     stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(11)))
@@ -120,7 +120,7 @@ def single_digest(family: str, seed: int, workers: int, mode: str = "chunked") -
     t = float(max(1, count_triangles(graph)))
     plan = ParameterPlan.build(graph.num_vertices, graph.num_edges, kappa, t, 0.25)
     rng = random.Random(seed)
-    with engine.engine_overrides(mode, 257, workers):
+    with engine.engine_overrides(chunk_size=257, workers=workers):
         result = run_single_estimate(stream, plan, rng)
     return dict(dataclasses.asdict(result), rng=root_rng_digest(rng.getstate()))
 

@@ -79,9 +79,9 @@ class TestFusedParity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_single_runner_bit_identical(self, workers):
         stream, plan = _stream_and_plan(wheel_graph(120))
-        with engine.engine_overrides("chunked", 67, workers, False):
+        with engine.engine_overrides(chunk_size=67, workers=workers, fuse=False):
             unfused = run_single_estimate(stream, plan, random.Random(1))
-        with engine.engine_overrides("chunked", 67, workers, True):
+        with engine.engine_overrides(chunk_size=67, workers=workers, fuse=True):
             fused = run_single_estimate(stream, plan, random.Random(1))
         assert _sampling_fields(fused) == _sampling_fields(unfused)
 
@@ -90,9 +90,9 @@ class TestFusedParity:
         graph = planted_triangles_graph(150, 60, kappa_clique=6, rng=random.Random(7))
         stream, plan = _stream_and_plan(graph)
         rngs = lambda: [random.Random(s) for s in range(5)]  # noqa: E731
-        with engine.engine_overrides("chunked", 53, workers, False):
+        with engine.engine_overrides(chunk_size=53, workers=workers, fuse=False):
             unfused = run_parallel_estimates(stream, plan, rngs())
-        with engine.engine_overrides("chunked", 53, workers, True):
+        with engine.engine_overrides(chunk_size=53, workers=workers, fuse=True):
             fused = run_parallel_estimates(stream, plan, rngs())
         assert [_sampling_fields(r) for r in fused] == [
             _sampling_fields(r) for r in unfused
@@ -101,9 +101,9 @@ class TestFusedParity:
     def test_python_engine_fused_matches_chunked_fused(self):
         # The per-edge reference passes, fused, against the NumPy plans.
         stream, plan = _stream_and_plan(wheel_graph(100))
-        with reference_engine(), engine.engine_overrides("chunked", None, None, True):
+        with reference_engine(), engine.engine_overrides(fuse=True):
             py = run_single_estimate(stream, plan, random.Random(3))
-        with engine.engine_overrides("chunked", 41, 1, True):
+        with engine.engine_overrides(chunk_size=41, workers=1, fuse=True):
             chunked = run_single_estimate(stream, plan, random.Random(3))
         # Same engine semantics end to end: full dataclass equality,
         # including the pass/sweep accounting.
@@ -137,9 +137,9 @@ class TestFusedParity:
         plan = ParameterPlan.build(
             graph.num_vertices, graph.num_edges, 3, float(count_triangles(graph)), 0.25
         )
-        with engine.engine_overrides("chunked", 31, 1, False):
+        with engine.engine_overrides(chunk_size=31, workers=1, fuse=False):
             ref = run_single_estimate(FileEdgeStream(path), plan, random.Random(4))
-        with engine.engine_overrides("chunked", 31, 2, True):
+        with engine.engine_overrides(chunk_size=31, workers=2, fuse=True):
             fused = run_single_estimate(FileEdgeStream(path), plan, random.Random(4))
         assert _sampling_fields(fused) == _sampling_fields(ref)
 
@@ -149,9 +149,9 @@ class TestSweepAccounting:
         # The wheel is triangle-rich: pass 4 finds wedges, so the fused
         # pass-4/5 group saves exactly one sweep per run.
         stream, plan = _stream_and_plan(wheel_graph(120))
-        with engine.engine_overrides("chunked", 67, 1, False):
+        with engine.engine_overrides(chunk_size=67, workers=1, fuse=False):
             unfused = run_single_estimate(stream, plan, random.Random(1))
-        with engine.engine_overrides("chunked", 67, 1, True):
+        with engine.engine_overrides(chunk_size=67, workers=1, fuse=True):
             fused = run_single_estimate(stream, plan, random.Random(1))
         assert unfused.sweeps_used == unfused.passes_used
         assert fused.passes_used == unfused.passes_used
@@ -166,9 +166,9 @@ class TestSweepAccounting:
         graph = cycle_graph(40)
         stream = InMemoryEdgeStream.from_graph(graph)
         plan = ParameterPlan.build(40, 40, 2, 10.0, 0.3)
-        with engine.engine_overrides("chunked", 16, 1, False):
+        with engine.engine_overrides(chunk_size=16, workers=1, fuse=False):
             unfused = run_single_estimate(stream, plan, random.Random(1))
-        with engine.engine_overrides("chunked", 16, 1, True):
+        with engine.engine_overrides(chunk_size=16, workers=1, fuse=True):
             fused = run_single_estimate(stream, plan, random.Random(1))
         assert fused.estimate == unfused.estimate == 0.0
         assert unfused.passes_used == unfused.sweeps_used == 4
@@ -184,7 +184,7 @@ class TestSweepAccounting:
 
         stream = InMemoryEdgeStream([(0, 1), (2, 3)], validate=False)
         scheduler = PassScheduler(stream, max_passes=6)
-        with engine.engine_overrides("chunked", 2, 1, True):
+        with engine.engine_overrides(chunk_size=2, workers=1, fuse=True):
             closures, incident = execute_stage(
                 scheduler,
                 stage_closure(

@@ -73,10 +73,10 @@ class TestSingleRunnerSharded:
         stream, plan = _stream_and_plan(GRAPHS[family]())
         with reference_engine():
             ref_py = run_single_estimate(stream, plan, random.Random(1))
-        with engine.engine_overrides("chunked", 67, 1):
+        with engine.engine_overrides(chunk_size=67, workers=1):
             meter_serial = SpaceMeter()
             ref = run_single_estimate(stream, plan, random.Random(1), meter=meter_serial)
-        with engine.engine_overrides("chunked", 67, workers):
+        with engine.engine_overrides(chunk_size=67, workers=workers):
             meter_sharded = SpaceMeter()
             got = run_single_estimate(stream, plan, random.Random(1), meter=meter_sharded)
         assert got == ref == ref_py  # estimates, diagnostics, passes: all fields
@@ -88,9 +88,9 @@ class TestSingleRunnerSharded:
         # m = 2*120 - 2 = 238 for the wheel: chunks land mid-stream, at the
         # stream edge, and beyond it; every split must merge identically.
         stream, plan = _stream_and_plan(wheel_graph(120))
-        with engine.engine_overrides("chunked", chunk, 1):
+        with engine.engine_overrides(chunk_size=chunk, workers=1):
             ref = run_single_estimate(stream, plan, random.Random(3))
-        with engine.engine_overrides("chunked", chunk, 2):
+        with engine.engine_overrides(chunk_size=chunk, workers=2):
             got = run_single_estimate(stream, plan, random.Random(3))
         assert got == ref
 
@@ -106,7 +106,7 @@ class TestSingleRunnerSharded:
         )
         with reference_engine():
             ref = run_single_estimate(stream, plan, random.Random(5))
-        with engine.engine_overrides("chunked", 37, 4):
+        with engine.engine_overrides(chunk_size=37, workers=4):
             got = run_single_estimate(stream, plan, random.Random(5))
         assert got == ref
 
@@ -124,7 +124,7 @@ class TestSingleRunnerSharded:
         )
         with reference_engine():
             ref = run_single_estimate(stream, plan, random.Random(4))
-        with engine.engine_overrides("chunked", 31, 2):
+        with engine.engine_overrides(chunk_size=31, workers=2):
             got = run_single_estimate(stream, plan, random.Random(4))
         assert got == ref
 
@@ -136,7 +136,7 @@ class TestParallelRunnerSharded:
         rngs = lambda: [random.Random(s) for s in range(5)]  # noqa: E731
         with reference_engine():
             ref = run_parallel_estimates(stream, plan, rngs())
-        with engine.engine_overrides("chunked", 53, workers):
+        with engine.engine_overrides(chunk_size=53, workers=workers):
             got = run_parallel_estimates(stream, plan, rngs())
         assert got == ref
 
@@ -151,7 +151,7 @@ class TestParallelRunnerSharded:
         apexes = [np.array([2]), np.array([2])]  # wedge {0-1, 0-2}: missing (1, 2)
         for workers in (1, 2):
             scheduler = PassScheduler(stream)
-            with engine.engine_overrides("chunked", 2, workers):
+            with engine.engine_overrides(chunk_size=2, workers=workers):
                 closures, incident = execute_stage(
                     scheduler, stage_closure(draws, owners, apexes, SpaceMeter())
                 )
@@ -252,30 +252,30 @@ class TestPlanLevelMerges:
 
 class TestEngineKnobs:
     def test_workers_override_restores(self):
-        before = engine.workers()
-        with engine.engine_overrides(num_workers=3):
-            assert engine.workers() == 3
-        assert engine.workers() == before
+        before = engine.policy()
+        with engine.engine_overrides(workers=3):
+            assert engine.policy().workers == 3
+        assert engine.policy() == before
 
-    def test_sharded_mode_defaults_workers_to_cores(self):
+    def test_workers_default_to_cores(self, monkeypatch):
         import os
 
-        with engine.engine_overrides("sharded"):
-            assert engine.effective_workers() == (os.cpu_count() or 1)
-        with engine.engine_overrides("sharded", num_workers=5):
-            assert engine.effective_workers() == 5
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert engine.policy().workers == (os.cpu_count() or 1)
+        with engine.engine_overrides(workers=5):
+            assert engine.policy().workers == 5
 
-    def test_explicit_one_worker_stays_in_process_under_sharded(self):
+    def test_explicit_one_worker_stays_in_process(self):
         # "workers=1 means in-process" is a contract: an explicit 1 must
-        # not be escalated to the core count by the sharded default.
-        with engine.engine_overrides("sharded", num_workers=1):
-            assert engine.effective_workers() == 1
+        # not be escalated to the core count by the default.
+        with engine.engine_overrides(workers=1):
+            assert engine.policy().workers == 1
 
     def test_invalid_workers_rejected(self):
         from repro.errors import ParameterError
 
         with pytest.raises(ParameterError):
-            engine.set_engine("chunked", num_workers=0)
+            engine.resolve(workers=0)
         with pytest.raises(ParameterError):
             EstimatorConfig(workers=0)
         with pytest.raises(ParameterError):

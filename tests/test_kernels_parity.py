@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import pytest
 import reference_passes as ref
 from reference_passes import reference_engine
 from repro.core import assignment, engine, kernels
-from repro.core.driver import EstimatorConfig
+from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.core.estimator import run_single_estimate
 from repro.core.executor import run_plan, run_plans
 from repro.core.kernels import (
@@ -51,10 +52,10 @@ def _stream_and_plan(graph, order_seed=11, epsilon=0.25):
 
 
 def _run_both(stream, plan, seed, chunk):
-    with reference_engine(), engine.engine_overrides("chunked", chunk):
+    with reference_engine(), engine.engine_overrides(chunk_size=chunk):
         meter_py = SpaceMeter()
         ref = run_single_estimate(stream, plan, random.Random(seed), meter=meter_py)
-    with engine.engine_overrides("chunked", chunk):
+    with engine.engine_overrides(chunk_size=chunk):
         meter_ck = SpaceMeter()
         got = run_single_estimate(stream, plan, random.Random(seed), meter=meter_ck)
     return ref, got, meter_py, meter_ck
@@ -115,7 +116,7 @@ class TestSingleRunnerParity:
 
         with reference_engine():
             ref = run_single_estimate(base_stream, plan, random.Random(9))
-        with engine.engine_overrides("chunked", 33):
+        with engine.engine_overrides(chunk_size=33):
             got = run_single_estimate(IteratorOnly(), plan, random.Random(9))
         assert got == ref
 
@@ -126,7 +127,7 @@ class TestParallelRunnerParity:
         stream, plan = _stream_and_plan(GRAPHS[family]())
         with reference_engine():
             ref = run_parallel_estimates(stream, plan, [random.Random(s) for s in range(5)])
-        with engine.engine_overrides("chunked", 193):
+        with engine.engine_overrides(chunk_size=193):
             got = run_parallel_estimates(stream, plan, [random.Random(s) for s in range(5)])
         assert got == ref
 
@@ -189,41 +190,40 @@ class TestKernelPrimitives:
 
 class TestEngineConfig:
     def test_overrides_restore_previous_policy(self):
-        before = (engine.engine_mode(), engine.chunk_size())
-        with engine.engine_overrides("sharded", 123):
-            assert engine.engine_mode() == "sharded"
-            assert engine.chunk_size() == 123
-        assert (engine.engine_mode(), engine.chunk_size()) == before
+        before = engine.policy()
+        with engine.engine_overrides(chunk_size=123):
+            assert engine.policy().chunk_size == 123
+        assert engine.policy() == before
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ParameterError):
-            engine.set_engine("turbo")
+            EstimatorConfig(engine_mode="turbo")
 
     def test_removed_python_mode_is_rejected_not_mapped(self):
-        before = engine.engine_mode()
         for reject in (
-            lambda: engine.set_engine("python"),
-            lambda: engine.engine_overrides("python").__enter__(),
+            lambda: engine.check_mode("python"),
             lambda: EstimatorConfig(engine_mode="python"),
         ):
             with pytest.raises(ParameterError, match="removed"):
                 reject()
-        assert engine.engine_mode() == before
 
     def test_removed_python_mode_in_environment_warns(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "python")
         with pytest.warns(UserWarning, match="removed"):
-            assert engine._initial_mode() == "auto"
+            engine.resolve()
         monkeypatch.setenv("REPRO_ENGINE", "sharded")
-        assert engine._initial_mode() == "sharded"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine.resolve()
 
     @pytest.mark.parametrize("mode", ["auto", "chunked", "sharded"])
     def test_remaining_modes_are_synonyms(self, mode):
-        stream, plan = _stream_and_plan(wheel_graph(40))
-        with engine.engine_overrides(mode, 16):
-            got = run_single_estimate(stream, plan, random.Random(4))
-        with engine.engine_overrides("auto", 16):
-            assert got == run_single_estimate(stream, plan, random.Random(4))
+        graph = wheel_graph(40)
+        stream = InMemoryEdgeStream.from_graph(graph)
+        config = dict(seed=4, repetitions=3, chunk_size=16)
+        got = TriangleCountEstimator(EstimatorConfig(engine_mode=mode, **config))
+        ref = TriangleCountEstimator(EstimatorConfig(**config))
+        assert got.estimate(stream, kappa=3) == ref.estimate(stream, kappa=3)
 
 
 # ---------------------------------------------------------------------------

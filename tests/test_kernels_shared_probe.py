@@ -402,7 +402,7 @@ class TestFaults:
         clean = self._sweep(edges, specs)
         policy = faults.RetryPolicy(max_attempts=1, backoff_base=0)
         # The engine scope unwinds the serial tier the degradation applies.
-        with engine.engine_overrides("chunked", CHUNK, 2):
+        with engine.engine_overrides(chunk_size=CHUNK, workers=2):
             with faults.recovery_scope(policy=policy, plan="worker.crash@2") as recovery:
                 faulted = self._sweep(edges, specs)
         assert faulted == clean

@@ -10,9 +10,8 @@ setting, for resumed and fault-recovered runs, and for served jobs.
 
 The restart contract is pinned too: retries and ladder steps restart the
 program from its last committed boundary on the *same* root generator
-(``make_rng`` runs once per ``estimate()``), and ``share_passes=False``
-and a space budget run through the program like every other
-configuration.
+(``make_rng`` runs once per ``estimate()``), and a space budget runs
+through the program like every other configuration.
 """
 
 from __future__ import annotations
@@ -100,24 +99,9 @@ class TestSoloMatchesReference:
         assert len(roots) == 1
         # Fusing changes the per-run pass and space accounting, so the
         # reference runs under the same fuse setting.
-        with engine_overrides(fused=fuse):
+        with engine_overrides(fuse=fuse):
             reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
         assert_matches_reference(result, roots[0].getstate(), reference, speculated=depth >= 2)
-
-    @pytest.mark.parametrize("speculate", [False, True])
-    def test_unshared_passes_run_through_the_program(self, edges, speculate):
-        """``share_passes=False``: each repetition is its own six-pass
-        round with its own meter, on the solo and the program driver."""
-        config = EstimatorConfig(
-            seed=5, repetitions=3, share_passes=False, speculate=speculate
-        )
-        result, roots = _estimate(InMemoryEdgeStream(edges), config)
-        reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
-        assert_matches_reference(result, roots[0].getstate(), reference)
-        runs = [run for r in result.rounds for run in r.runs]
-        assert result.passes_total == sum(run.passes_used for run in runs)
-        outcome = run_estimate_program(InMemoryEdgeStream(edges), KAPPA, config)
-        assert_matches_reference(outcome.result, outcome.root_state, reference)
 
     def test_generous_space_budget_runs_through_the_program(self, edges):
         config = EstimatorConfig(
@@ -131,12 +115,9 @@ class TestSoloMatchesReference:
         outcome = run_estimate_program(InMemoryEdgeStream(edges), KAPPA, config)
         assert_matches_reference(outcome.result, outcome.root_state, reference)
 
-    @pytest.mark.parametrize("share", [True, False])
-    def test_tiny_space_budget_still_aborts(self, share):
+    def test_tiny_space_budget_still_aborts(self):
         stream = InMemoryEdgeStream.from_graph(wheel_graph(100))
-        config = EstimatorConfig(
-            seed=0, repetitions=2, space_budget_words=20, share_passes=share
-        )
+        config = EstimatorConfig(seed=0, repetitions=2, space_budget_words=20)
         with pytest.raises(SpaceBudgetExceeded):
             TriangleCountEstimator(config).estimate(stream, kappa=3)
 
@@ -156,9 +137,8 @@ class TestResumeMatchesReference:
         [
             dict(engine_mode="chunked", speculate=False),
             dict(engine_mode="sharded", workers=1, speculate=True, speculate_depth=3),
-            dict(engine_mode="chunked", share_passes=False),
         ],
-        ids=["sequential", "depth3", "unshared"],
+        ids=["sequential", "depth3"],
     )
     def test_resume_from_every_boundary(self, tape, tmp_path, extra):
         config = EstimatorConfig(
@@ -191,7 +171,6 @@ class TestRecoveryMatchesReference:
         [
             (dict(speculate=False), "sweep.mid_stage@1", []),
             (dict(speculate=True, speculate_depth=3), "sweep.mid_stage@2", []),
-            (dict(share_passes=False), "sweep.mid_stage@4", []),
             (
                 dict(
                     speculate=True,
@@ -205,7 +184,7 @@ class TestRecoveryMatchesReference:
                 [faults.ACTION_SERIAL, faults.ACTION_SEQUENTIAL],
             ),
         ],
-        ids=["retry", "retry-window", "retry-unshared", "degrade-twice"],
+        ids=["retry", "retry-window", "degrade-twice"],
     )
     def test_fault_recovered_runs(self, tape, extra, spec, actions, monkeypatch):
         monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)

@@ -235,7 +235,7 @@ class TestSelfLoopApex:
     def test_raises_on_every_engine(self, mode):
         stream = InMemoryEdgeStream(self.EDGES, validate=False)
         plan = ParameterPlan.build(8, len(self.EDGES), 2, 1.0, 0.25)
-        with _passes(mode), engine.engine_overrides("chunked", 3, 1):
+        with _passes(mode), engine.engine_overrides(chunk_size=3, workers=1):
             with pytest.raises(GraphError, match="distinct"):
                 run_parallel_estimates(stream, plan, [random.Random(s) for s in range(3)])
 
@@ -261,7 +261,7 @@ class _FixedSource:
 
 def _run(stage_of, edges, mode):
     scheduler = PassScheduler(InMemoryEdgeStream(edges, validate=False))
-    with _passes(mode), engine.engine_overrides("chunked", 4, 2):
+    with _passes(mode), engine.engine_overrides(chunk_size=4, workers=2):
         return execute_stage(scheduler, stage_of())
 
 

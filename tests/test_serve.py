@@ -144,7 +144,7 @@ class TestEstimateProgramParity:
     def test_matches_solo(self, speculative, depth, seed, repetitions):
         edges = wheel_graph(60).edge_list()
         config = EstimatorConfig(seed=seed, repetitions=repetitions)
-        with engine_overrides(speculative=speculative, speculate_depth=depth):
+        with engine_overrides(speculate=speculative, speculate_depth=depth):
             solo_result, solo_root = _solo_with_root(edges, KAPPA, config)
             outcome = run_estimate_program(
                 InMemoryEdgeStream(edges), KAPPA, config
@@ -285,7 +285,7 @@ class TestConfigEngineKnobs:
         config = EstimatorConfig(seed=5, **knobs)
         # The ambient policy disagrees with the config: only a program
         # that reads its own config can match the solo run.
-        with engine_overrides(fused=False, speculative=False):
+        with engine_overrides(fuse=False, speculate=False):
             solo, _ = _solo_with_root(edges, 4, config)
             plain, _ = _solo_with_root(edges, 4, EstimatorConfig(seed=5))
             outcome = run_estimate_program(InMemoryEdgeStream(edges), 4, config)

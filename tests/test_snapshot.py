@@ -26,6 +26,7 @@ exhaustion degrades ``snapshot->skip`` - the estimate always completes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -314,6 +315,14 @@ class TestRunIdentity:
         )
         assert snapshot.config_hash(a, 4) == snapshot.config_hash(b, 4)
 
+    def test_default_config_hash_is_stable(self):
+        """Pinned to the hash written before pass sharing stopped being a
+        setting, so those snapshots still resume."""
+        state = driver_module._config_state(EstimatorConfig())
+        assert snapshot.config_hash(state, 4).hex() == (
+            "e000f800b50d9ecb1970fa081815598329b89b6a581b32e4f8b9c72ffb8fe09c"
+        )
+
     def test_config_hash_binds_trajectory_fields_and_kappa(self):
         base = driver_module._config_state(EstimatorConfig(seed=3))
         other = driver_module._config_state(EstimatorConfig(seed=4))
@@ -527,6 +536,52 @@ class TestResumeBitIdentity:
         target.write_bytes(data)
         resumed = _resume(str(target), stream)
         _assert_bit_identical(clean, resumed)
+
+    def test_previous_payload_format_still_resumes(self, tape, tmp_path):
+        """A payload with the retired extension slots (an RNG ``stack`` and
+        a ``reservoirs`` map) and a ``share_passes`` config field resumes
+        bit-identically: the decoder ignores what it does not read."""
+        ckdir = tmp_path / "ck"
+        stream, clean = self._checkpointed(tape, ckdir)
+        name = _snapshots_in(ckdir)[0]
+        snap = snapshot.read_snapshot(ckdir / name)
+        legacy = dict(snap.payload, reservoirs={})
+        legacy["rng"] = dict(legacy["rng"], stack=[])
+        legacy["config"] = dict(legacy["config"], share_passes=True)
+        data = snapshot.encode_snapshot(
+            legacy, snap.round_index, snap.config_hash, snap.fingerprint
+        )
+        target = tmp_path / "previous.esnap"
+        target.write_bytes(data)
+        resumed = _resume(str(target), stream)
+        _assert_bit_identical(clean, resumed)
+
+    def test_unshared_passes_snapshot_is_a_mismatch(self, tape, tmp_path):
+        """Repetitions always share their passes now: a snapshot of a run
+        that did not (hashed with ``share_passes: false``) is another run."""
+        ckdir = tmp_path / "ck"
+        stream, _clean = self._checkpointed(tape, ckdir)
+        name = _snapshots_in(ckdir)[0]
+        snap = snapshot.read_snapshot(ckdir / name)
+        config = dict(snap.payload["config"], share_passes=False)
+        relevant = {
+            key: config.get(key)
+            for key in (
+                "epsilon", "repetitions", "mode", "constants", "seed",
+                "t_hint", "space_budget_words", "max_rounds", "share_passes",
+            )
+        }
+        relevant["kappa"] = snap.payload["kappa"]
+        unshared_hash = hashlib.sha256(
+            json.dumps(relevant, sort_keys=True, separators=(",", ":")).encode()
+        ).digest()
+        payload = dict(snap.payload, config=config)
+        target = tmp_path / "unshared.esnap"
+        target.write_bytes(
+            snapshot.encode_snapshot(payload, snap.round_index, unshared_hash, snap.fingerprint)
+        )
+        with pytest.raises(SnapshotMismatchError, match="config hash"):
+            resume_from(str(target), stream)
 
     def test_removed_python_engine_snapshot_still_resumes(self, tape, tmp_path):
         """A snapshot written under ``engine_mode="python"`` (since removed)

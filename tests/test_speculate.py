@@ -23,7 +23,7 @@ from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
 from repro.core.speculate import PRIMARY, SPECULATIVE, _owner_tags, window_program
 from repro.core.stages import sweep_tagged_stages
-from repro.errors import StreamError
+from repro.errors import ParameterError, StreamError
 from repro.generators import barabasi_albert_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
 from repro.streams import InMemoryEdgeStream, PassScheduler
@@ -118,7 +118,7 @@ class TestPairRunner:
             return [random.Random(s) for s in (11, 12, 13)]
 
         passes = reference_engine() if mode == "python" else contextlib.nullcontext()
-        with passes, engine.engine_overrides("chunked", 64, workers, fuse):
+        with passes, engine.engine_overrides(chunk_size=64, workers=workers, fuse=fuse):
             solo_a = run_parallel_estimates(stream, plan_a, rngs())
             solo_b = run_parallel_estimates(stream, plan_b, rngs())
             (primary, speculative), owners, scheduler = _run_window(
@@ -140,7 +140,7 @@ class TestPairRunner:
         stream = _stream(graph)
         plan_a = _plan(graph, 300.0)
         plan_b = _plan(graph, 150.0)
-        with engine.engine_overrides("chunked", 64, 1, False):
+        with engine.engine_overrides(chunk_size=64, workers=1, fuse=False):
             meter_a_solo, meter_b_solo = SpaceMeter(), SpaceMeter()
             run_parallel_estimates(
                 stream, plan_a, [random.Random(1)], meter=meter_a_solo
@@ -171,7 +171,7 @@ class TestWindowRunner:
         def rngs():
             return [random.Random(s) for s in (11, 12, 13)]
 
-        with engine.engine_overrides("chunked", 64, 1, False):
+        with engine.engine_overrides(chunk_size=64, workers=1, fuse=False):
             solo = [run_parallel_estimates(stream, plan, rngs()) for plan in plans]
             results, _, scheduler = _run_window(
                 stream, plans, [rngs() for _ in plans], [SpaceMeter() for _ in plans]
@@ -422,28 +422,20 @@ class TestDriverCommitDiscard:
 class TestKnobPlumbing:
     def test_env_initial_speculate(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPECULATE", "1")
-        assert engine._initial_speculate() is True
+        assert engine.resolve().speculate is True
         monkeypatch.setenv("REPRO_SPECULATE", "off")
-        assert engine._initial_speculate() is False
+        assert engine.resolve().speculate is False
         monkeypatch.delenv("REPRO_SPECULATE")
-        assert engine._initial_speculate() is True
+        assert engine.resolve().speculate is True
 
     def test_engine_overrides_restores_speculate(self):
-        before = engine.speculate()
-        with engine.engine_overrides(speculative=True):
-            assert engine.speculate() is True
-            with engine.engine_overrides(speculative=False):
-                assert engine.speculate() is False
-            assert engine.speculate() is True
-        assert engine.speculate() is before
-
-    def test_set_engine_speculative(self):
-        saved = (engine.engine_mode(), engine.speculate())
-        try:
-            engine.set_engine("auto", speculative=True)
-            assert engine.speculate() is True
-        finally:
-            engine.set_engine(saved[0], speculative=saved[1])
+        before = engine.policy().speculate
+        with engine.engine_overrides(speculate=True):
+            assert engine.policy().speculate is True
+            with engine.engine_overrides(speculate=False):
+                assert engine.policy().speculate is False
+            assert engine.policy().speculate is True
+        assert engine.policy().speculate is before
 
     def test_config_field_default_and_validation(self):
         assert EstimatorConfig().speculate is None
@@ -451,15 +443,17 @@ class TestKnobPlumbing:
 
     def test_env_depth_alone_implies_speculation(self, monkeypatch):
         # Asking for a depth is asking to speculate - at the environment
-        # entry point too.  An explicit REPRO_SPECULATE always wins.
+        # entry point too.  An explicit REPRO_SPECULATE always wins, and
+        # an invalid depth is an error, never a silent default.
         monkeypatch.delenv("REPRO_SPECULATE", raising=False)
         monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "3")
-        assert engine._initial_speculate() is True
+        assert engine.resolve().speculate is True
         monkeypatch.setenv("REPRO_SPECULATE", "0")
-        assert engine._initial_speculate() is False
+        assert engine.resolve().speculate is False
         monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "1")  # invalid depth
         monkeypatch.delenv("REPRO_SPECULATE")
-        assert engine._initial_speculate() is True
+        with pytest.raises(ParameterError, match="REPRO_SPECULATE_DEPTH"):
+            engine.resolve()
 
     def test_config_depth_alone_implies_speculation(self):
         graph = barabasi_albert_graph(300, 4, random.Random(2))
@@ -477,46 +471,38 @@ class TestKnobPlumbing:
 
     def test_env_initial_speculate_depth(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "4")
-        assert engine._initial_speculate_depth() == 4
-        monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "1")  # below the floor
-        assert engine._initial_speculate_depth() == engine.DEFAULT_SPECULATE_DEPTH
-        monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "nope")
-        assert engine._initial_speculate_depth() == engine.DEFAULT_SPECULATE_DEPTH
+        assert engine.resolve().speculate_depth == 4
+        for malformed in ("1", "nope"):  # below the floor, not an integer
+            monkeypatch.setenv("REPRO_SPECULATE_DEPTH", malformed)
+            with pytest.raises(ParameterError, match="REPRO_SPECULATE_DEPTH"):
+                engine.resolve()
         monkeypatch.delenv("REPRO_SPECULATE_DEPTH")
-        assert engine._initial_speculate_depth() == engine.DEFAULT_SPECULATE_DEPTH
+        assert engine.resolve().speculate_depth == engine.DEFAULT_SPECULATE_DEPTH
 
     def test_engine_overrides_restores_speculate_depth(self):
-        before = engine.speculate_depth()
+        before = engine.policy().speculate_depth
         with engine.engine_overrides(speculate_depth=5):
-            assert engine.speculate_depth() == 5
+            assert engine.policy().speculate_depth == 5
             with engine.engine_overrides(speculate_depth=3):
-                assert engine.speculate_depth() == 3
-            assert engine.speculate_depth() == 5
-        assert engine.speculate_depth() == before
+                assert engine.policy().speculate_depth == 3
+            assert engine.policy().speculate_depth == 5
+        assert engine.policy().speculate_depth == before
 
-    def test_set_engine_depth_alone_implies_speculation(self):
-        saved = (engine.engine_mode(), engine.speculate(), engine.speculate_depth())
-        try:
-            engine.set_engine("auto", speculative=False)
-            engine.set_engine("auto", speculate_depth=3)
-            assert engine.speculate() is True
-            assert engine.speculate_depth() == 3
-            # An explicit speculative argument always wins over the implication.
-            engine.set_engine("auto", speculative=False, speculate_depth=4)
-            assert engine.speculate() is False
-            assert engine.speculate_depth() == 4
-        finally:
-            engine.set_engine(saved[0], speculative=saved[1], speculate_depth=saved[2])
+    def test_override_depth_alone_implies_speculation(self):
+        with engine.engine_overrides(speculate=False):
+            with engine.engine_overrides(speculate_depth=3):
+                assert engine.policy().speculate is True
+                assert engine.policy().speculate_depth == 3
+            # An explicit speculate argument always wins over the implication.
+            with engine.engine_overrides(speculate=False, speculate_depth=4):
+                assert engine.policy().speculate is False
+                assert engine.policy().speculate_depth == 4
 
     def test_depth_validation(self):
-        from repro.errors import ParameterError
-
         with pytest.raises(ParameterError, match="speculate_depth"):
             EstimatorConfig(speculate_depth=1)
         with pytest.raises(ParameterError, match="depth"):
-            engine.set_engine("auto", speculate_depth=0)
-        # A rejected call leaves the policy untouched.
-        assert engine.speculate_depth() >= 2
+            engine.resolve(speculate_depth=0)
 
     def test_pass_budget_allows_the_fused_pair(self):
         # A pair charges both rounds' logical passes against one scheduler;
