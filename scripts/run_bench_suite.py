@@ -668,6 +668,19 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     }
 
 
+def _result_facts(result) -> tuple:
+    """Everything two drivers of one estimate must agree on."""
+    return (
+        result.estimate,
+        [(r.t_guess, r.median_estimate, r.accepted) for r in result.rounds],
+        result.passes_total,
+        result.sweeps_total,
+        result.sweeps_wasted,
+        result.passes_wasted,
+        [(r.action, r.site) for r in result.degradations],
+    )
+
+
 def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
     """Recovery overhead: a clean threaded run vs one task crash per sweep.
 
@@ -680,11 +693,18 @@ def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
     no degradation may be recorded - this measures *recovery*, not the
     ladder.  The wall-clock overhead is the retries' backoff; the sweep
     counts show recovery costs no extra tape traversals beyond the
-    retried rounds' waste (gated at <= 2x clean).
+    retried rounds' waste (gated at <= 2x clean).  The faulted run is
+    repeated through :func:`~repro.core.driver.run_estimate_program`,
+    which must recover identically - it is the driver ``estimate()``
+    returns the result of.
     """
     import tempfile
 
-    from repro.core.driver import EstimatorConfig, TriangleCountEstimator
+    from repro.core.driver import (
+        EstimatorConfig,
+        TriangleCountEstimator,
+        run_estimate_program,
+    )
     from repro.io import write_edgelist
     from repro.streams.file import FileEdgeStream
 
@@ -723,6 +743,10 @@ def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
         )
         assert not faulted.degradations, (
             f"recovery run degraded a tier: {faulted.degradations}"
+        )
+        direct = run_estimate_program(stream, 5, faulted_config).result
+        assert _result_facts(direct) == _result_facts(faulted), (
+            "run_estimate_program recovered differently from estimate()"
         )
         faulted_physical = faulted.sweeps_total + faulted.sweeps_wasted
         row = {
@@ -972,13 +996,18 @@ def run_serve_throughput(scale: str, repeats: int = 1, jobs: int = 3) -> dict:
     trajectory totals, final root-RNG digest), and the tape's physical
     sweep count must come in strictly under the solo runs' sum - the
     daemon's whole value proposition, gated deterministically on sweep
-    counts rather than wall clock.
+    counts rather than wall clock.  Each solo run is repeated through
+    ``estimate()``, which must give the same result.
     """
     import shutil
     import tempfile
     import threading
 
-    from repro.core.driver import EstimatorConfig, run_estimate_program
+    from repro.core.driver import (
+        EstimatorConfig,
+        TriangleCountEstimator,
+        run_estimate_program,
+    )
     from repro.io import write_edgelist
     from repro.serve.daemon import background_server
     from repro.serve.protocol import request_unix, root_rng_digest
@@ -1006,6 +1035,11 @@ def run_serve_throughput(scale: str, repeats: int = 1, jobs: int = 3) -> dict:
             solo_best = min(solo_best, time.perf_counter() - start)
             solo = outcomes
         solo_sweeps = sum(o.result.sweeps_total for o in solo)
+        for outcome, config in zip(solo, configs):
+            result = TriangleCountEstimator(config).estimate(open_edge_stream(tape_path), 5)
+            assert _result_facts(result) == _result_facts(outcome.result), (
+                "estimate() diverged from run_estimate_program"
+            )
 
         socket_path = os.path.join(workdir, "serve.sock")
         responses = [None] * len(configs)

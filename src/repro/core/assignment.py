@@ -294,12 +294,13 @@ def _closure_hits_vectorized_stage(
 class SampleSource:
     """Blocked uniform variates over one :class:`numpy.random.Generator`.
 
-    Bundle flushes need a few hundred uniforms at unpredictable moments;
-    drawing them through per-call ``Generator`` methods costs microseconds
-    of call overhead each.  This source draws 16k at a time and hands out
-    zero-copy slices, so a flush pays one slice plus the arithmetic.
-    Consumption order is deterministic given the flush sequence, which is
-    the same at any chunk size and thread count.
+    A run's stages draw their uniforms here - pass 1's stream positions,
+    the weighted edge draws and pass 3's neighbor positions - as zero-copy
+    slices of 16k-variate blocks, sparing per-call ``Generator`` overhead.
+    Assignment bundles draw their ``binomial``/``multinomial`` variates
+    from :attr:`generator` at flush time.  Consumption order is
+    deterministic given the stage and flush sequence, which is the same
+    at any chunk size and thread count.
     """
 
     __slots__ = ("_gen", "_block", "_pos")

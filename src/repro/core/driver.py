@@ -18,13 +18,13 @@ no triangles walks the guess below 1 and yields estimate 0.
 
 The loop has exactly one implementation, :func:`estimate_program`: a
 generator that yields the stage batches each tape sweep must serve and
-reports every committed round boundary.  Everything else drives it.
-:meth:`TriangleCountEstimator.estimate` serves the batches on private
-per-window schedulers and turns retry, degradation and crash-resume into
-one primitive - restart the program from a committed boundary
-(:class:`ResumeState`); :func:`run_estimate_program` serves them on one
-scheduler; the serving layer merges the batches of many programs into
-shared sweeps.
+reports every committed round boundary.  It has one library driver,
+:func:`run_estimate_program`, which serves the batches on private
+per-window schedulers and turns retry, degradation, snapshots and
+crash-resume into one primitive - restart the program from a committed
+boundary (:class:`ResumeState`).  :meth:`TriangleCountEstimator.estimate`
+and :func:`resume_from` return its result; the serving layer merges the
+batches of many programs into shared sweeps.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from . import engine
 from . import faults as faults_module
 from . import snapshot as snapshot_module
 from .estimator import PASS_BUDGET_PER_ROUND, SinglePassStackResult
-from .faults import FailureReport, RecoveryContext
+from .faults import FailureReport
 from .params import ParameterPlan, PlanConstants
 from .stages import TaggedStage, sweep_tagged_stages
 
@@ -199,6 +199,14 @@ class EstimatorConfig:
             raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.repetitions < 1:
             raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.t_hint is not None and not self.t_hint > 0:
+            raise ParameterError(f"t_hint must be positive, got {self.t_hint}")
+        if self.space_budget_words is not None and self.space_budget_words < 0:
+            raise ParameterError(
+                f"space_budget_words must be >= 0, got {self.space_budget_words}"
+            )
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ParameterError(f"max_rounds must be >= 1, got {self.max_rounds}")
         engine.check_settings(self.chunk_size, self.workers, self.speculate_depth)
         if self.engine_mode is not None:
             engine.check_mode(self.engine_mode)
@@ -342,144 +350,7 @@ class TriangleCountEstimator:
         _resume:
             Internal: restored snapshot state (use :func:`resume_from`).
         """
-        cfg = self._config
-        # Every sweep of the run executes under the config's engine
-        # settings laid over the policy in force (results are
-        # seed-for-seed identical under all of them).  The recovery scope
-        # installs the retry policy, arms the fault plan and collects
-        # FailureReports; no ladder step outlives it (the serial tier
-        # lives in its engine scope, the sequential tier only in the
-        # restarted program's config).
-        with engine.engine_overrides(cfg), faults_module.recovery_scope(
-            policy=faults_module.policy_from_env(cfg.max_retries),
-            plan=cfg.faults,
-        ) as recovery:
-            return self._estimate(stream, kappa, recovery, _resume)
-
-    def _estimate(
-        self,
-        stream: EdgeStream,
-        kappa: int,
-        recovery: RecoveryContext,
-        resume: Optional[ResumeState],
-    ) -> EstimateResult:
-        """Drive :func:`estimate_program` on private sweeps, restarting it
-        from its last committed round boundary after a transient failure.
-
-        Each window the program opens gets a fresh :class:`PassScheduler`
-        budgeted at six passes per round.  A failure books the aborted
-        attempt's sweeps and passes as wasted and restarts the program
-        from the last boundary it reported - the root generator rewound to
-        the boundary state, so a retry re-draws bit-identical per-rep
-        generators and the committed trajectory never depends on how many
-        attempts a round took.  Retries back off under the
-        :class:`~repro.core.faults.RetryPolicy`; once they run out the
-        ladder (:func:`~repro.core.faults.pick_step`) drops one tier and
-        the restarted program runs without it.  The stream
-        statistics reads before the first round run inside the program, so
-        they recover through the same loop.
-        """
-        cfg = self._config
-        root = make_rng(cfg.seed)
-        if resume is not None:
-            recovery.reports.extend(resume.degradations)
-        checkpoint_dir = snapshot_module.resolve_checkpoint_dir(cfg.checkpoint_dir)
-        writer: Optional[snapshot_module.SnapshotWriter] = None
-        committed: Optional[ResumeState] = None  # the last boundary reported
-        schedulers: List[PassScheduler] = []  # the windows since that boundary
-        depth = 0  # the depth of the window in flight
-        attempts = 0
-
-        def on_window(window_depth: int) -> None:
-            nonlocal depth
-            depth = window_depth
-            schedulers.append(
-                PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * window_depth)
-            )
-
-        def on_boundary(state: ResumeState) -> None:
-            nonlocal committed, writer, attempts
-            schedulers.clear()
-            # A restart re-reports the boundary it started from; that one
-            # is neither progress nor a new snapshot.
-            if committed is None or state.round_index != committed.round_index:
-                attempts = 0
-                if checkpoint_dir is not None and writer is None:
-                    # Built after the stats reads: fingerprinting a generic
-                    # stream is itself a sweep of it.
-                    writer = snapshot_module.SnapshotWriter(
-                        checkpoint_dir,
-                        config_digest=snapshot_module.config_hash(_config_state(cfg), kappa),
-                        fingerprint=snapshot_module.stream_fingerprint(stream),
-                        every=cfg.snapshot_every,
-                        keep=cfg.snapshot_keep,
-                    )
-                if writer is not None:
-                    writer.boundary(
-                        state.round_index,
-                        _boundary_payload(cfg, kappa, state, recovery.reports),
-                    )
-            committed = state
-            if stop_requested.is_set():
-                raise KeyboardInterrupt("stop requested at a round boundary")
-
-        start = resume
-        try:
-            while True:
-                program = estimate_program(
-                    stream,
-                    kappa,
-                    # The ladder's sequential step: restart without speculation.
-                    dataclasses.replace(cfg, speculate=False)
-                    if recovery.speculation_degraded
-                    else cfg,
-                    start=start,
-                    root=root,
-                    on_window=on_window,
-                    on_boundary=on_boundary,
-                )
-                try:
-                    outcome = _drive(
-                        program, lambda batch: sweep_tagged_stages(schedulers[-1], batch)
-                    )
-                except Exception as exc:
-                    if not faults_module.is_transient(exc):
-                        raise
-                    attempts += 1
-                    if attempts < recovery.policy.max_attempts:
-                        delay = recovery.policy.backoff_delay(attempts)
-                        if delay > 0:
-                            time.sleep(delay)
-                    else:
-                        step = faults_module.pick_step(exc, depth, recovery)
-                        if step is None:
-                            raise  # no tier left to drop: the failure is the answer
-                        faults_module.degrade(step, faults_module.site_of(exc), attempts, exc)
-                        attempts = 0
-                    start = committed if committed is not None else resume
-                    if start is not None:
-                        # The aborted attempt's sweeps were real traversals
-                        # lost to the failure: wasted, never committed.
-                        start = dataclasses.replace(
-                            start,
-                            sweeps_wasted=start.sweeps_wasted
-                            + sum(s.sweeps_used for s in schedulers),
-                            passes_wasted=start.passes_wasted
-                            + sum(s.passes_used for s in schedulers),
-                        )
-                    schedulers.clear()
-                    depth = 0
-                    continue
-                return dataclasses.replace(
-                    outcome.result, degradations=tuple(recovery.reports)
-                )
-        except (KeyboardInterrupt, SystemExit):
-            # Process shutdown mid-round: the root generator may be
-            # mid-window, so the durable state is the *retained boundary*
-            # document, not the live program - flush it and re-raise.
-            if writer is not None:
-                writer.write_final()
-            raise
+        return run_estimate_program(stream, kappa, self._config, resume=_resume).result
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +360,6 @@ class TriangleCountEstimator:
 def _guess_schedule(cfg: EstimatorConfig, upper: float) -> List[float]:
     """The geometric guess sequence the loop will walk (or the single hint)."""
     if cfg.t_hint is not None:
-        if cfg.t_hint <= 0:
-            raise ParameterError(f"t_hint must be positive, got {cfg.t_hint}")
         return [float(cfg.t_hint)]
     max_rounds = cfg.max_rounds
     if max_rounds is None:
@@ -542,9 +411,9 @@ class ProgramOutcome:
     other jobs.  ``root_state`` is the root generator's final
     ``getstate()`` (the bit-identity witness the parity tests compare).
     ``discarded_owners`` lists the owner tags of discarded speculation;
-    an entity driving many programs on one shared scheduler applies them
-    via ``discard_owner`` so the *physical* committed/wasted split stays
-    truthful too.
+    the serving layer, which drives many programs on one shared
+    scheduler, applies them via ``discard_owner`` so the *physical*
+    committed/wasted split stays truthful too.
     """
 
     result: EstimateResult
@@ -568,9 +437,8 @@ def estimate_program(
     The one implementation of the loop.  It yields each pending batch of
     owner-tagged stages (one batch per tape sweep) and leaves the
     *execution* of those sweeps to whoever drives it -
-    :meth:`TriangleCountEstimator.estimate` with private per-window
-    schedulers, :func:`run_estimate_program` with one scheduler, or the
-    serving layer's per-tape scheduler, which merges batches from many
+    :func:`run_estimate_program` with private per-window schedulers, or
+    the serving layer's per-tape scheduler, which merges batches from many
     live programs into shared traversals.  Stage owners are tagged
     ``f"{owner_prefix}w{window}.{round_tag}"``, so on a shared scheduler
     ``owner_report(owner_prefix)`` recovers this job's slice and each
@@ -811,46 +679,145 @@ def estimate_program(
     )
 
 
-def _drive(
-    program: "Generator[List[TaggedStage], None, ProgramOutcome]",
-    sweep: Callable[[List[TaggedStage]], object],
-) -> ProgramOutcome:
-    """Serve every batch ``program`` yields with ``sweep``; always close it."""
-    try:
-        batch = next(program)
-        while True:
-            sweep(batch)
-            batch = program.send(None)
-    except StopIteration as stop:
-        return stop.value
-    finally:
-        program.close()
-
-
 def run_estimate_program(
     stream: EdgeStream,
     kappa: int,
     config: Optional[EstimatorConfig] = None,
-    scheduler: Optional[PassScheduler] = None,
+    *,
+    resume: Optional[ResumeState] = None,
 ) -> ProgramOutcome:
-    """Drive :func:`estimate_program` to completion on its own sweeps.
+    """Drive :func:`estimate_program` to completion: the one library driver.
 
-    Each yielded batch runs as a private fused sweep on ``scheduler`` (a
-    fresh unbudgeted one by default) under ``config``'s engine settings,
-    and discarded speculation is booked on it so its physical
-    committed/wasted split agrees with the returned result.  No retry or
-    snapshots: a failure propagates.
+    Every sweep runs under ``config``'s engine settings laid over the
+    policy in force, inside a recovery scope (retry policy, fault plan,
+    :class:`~repro.core.faults.FailureReport` collection) that no ladder
+    step outlives.  Each window the program opens gets a fresh
+    :class:`PassScheduler` budgeted at six passes per round.  A transient
+    failure books the aborted attempt's sweeps and passes as wasted and
+    restarts the program from the last boundary it reported, on the same
+    root generator rewound to that boundary, so the committed trajectory
+    never depends on how many attempts a round took: first after
+    :class:`~repro.core.faults.RetryPolicy` backoff, then one ladder tier
+    lower (:func:`~repro.core.faults.pick_step`).  The stream statistics
+    reads run inside the program, so they recover the same way.  Every
+    new boundary goes to the snapshot writer when a checkpoint dir is in
+    force, and a set :data:`stop_requested` stops the run there.
+    ``resume`` is a decoded snapshot to continue from (use
+    :func:`resume_from`).
     """
-    if scheduler is None:
-        scheduler = PassScheduler(stream)
-    with engine.engine_overrides(config):
-        outcome = _drive(
-            estimate_program(stream, kappa, config),
-            lambda batch: sweep_tagged_stages(scheduler, batch),
-        )
-    for owner in outcome.discarded_owners:
-        scheduler.discard_owner(owner)
-    return outcome
+    cfg = config if config is not None else EstimatorConfig()
+    with engine.engine_overrides(cfg), faults_module.recovery_scope(
+        policy=faults_module.policy_from_env(cfg.max_retries),
+        plan=cfg.faults,
+    ) as recovery:
+        root = make_rng(cfg.seed)
+        if resume is not None:
+            recovery.reports.extend(resume.degradations)
+        checkpoint_dir = snapshot_module.resolve_checkpoint_dir(cfg.checkpoint_dir)
+        writer: Optional[snapshot_module.SnapshotWriter] = None
+        committed: Optional[ResumeState] = None  # the last boundary reported
+        schedulers: List[PassScheduler] = []  # the windows since that boundary
+        depth = 0  # the depth of the window in flight
+        attempts = 0
+
+        def on_window(window_depth: int) -> None:
+            nonlocal depth
+            depth = window_depth
+            schedulers.append(
+                PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * window_depth)
+            )
+
+        def on_boundary(state: ResumeState) -> None:
+            nonlocal committed, writer, attempts
+            schedulers.clear()
+            # A restart re-reports the boundary it started from; that one
+            # is neither progress nor a new snapshot.
+            if committed is None or state.round_index != committed.round_index:
+                attempts = 0
+                if checkpoint_dir is not None and writer is None:
+                    # Built after the stats reads: fingerprinting a generic
+                    # stream is itself a sweep of it.
+                    writer = snapshot_module.SnapshotWriter(
+                        checkpoint_dir,
+                        config_digest=snapshot_module.config_hash(_config_state(cfg), kappa),
+                        fingerprint=snapshot_module.stream_fingerprint(stream),
+                        every=cfg.snapshot_every,
+                        keep=cfg.snapshot_keep,
+                    )
+                if writer is not None:
+                    writer.boundary(
+                        state.round_index,
+                        _boundary_payload(cfg, kappa, state, recovery.reports),
+                    )
+            committed = state
+            if stop_requested.is_set():
+                raise KeyboardInterrupt("stop requested at a round boundary")
+
+        start = resume
+        try:
+            while True:
+                program = estimate_program(
+                    stream,
+                    kappa,
+                    # The ladder's sequential step: restart without speculation.
+                    dataclasses.replace(cfg, speculate=False)
+                    if recovery.speculation_degraded
+                    else cfg,
+                    start=start,
+                    root=root,
+                    on_window=on_window,
+                    on_boundary=on_boundary,
+                )
+                try:
+                    try:
+                        batch = next(program)
+                        while True:
+                            sweep_tagged_stages(schedulers[-1], batch)
+                            batch = program.send(None)
+                    finally:
+                        program.close()
+                except StopIteration as stop:
+                    outcome: ProgramOutcome = stop.value
+                    return dataclasses.replace(
+                        outcome,
+                        result=dataclasses.replace(
+                            outcome.result, degradations=tuple(recovery.reports)
+                        ),
+                    )
+                except Exception as exc:
+                    if not faults_module.is_transient(exc):
+                        raise
+                    attempts += 1
+                    if attempts < recovery.policy.max_attempts:
+                        delay = recovery.policy.backoff_delay(attempts)
+                        if delay > 0:
+                            time.sleep(delay)
+                    else:
+                        step = faults_module.pick_step(exc, depth, recovery)
+                        if step is None:
+                            raise  # no tier left to drop: the failure is the answer
+                        faults_module.degrade(step, faults_module.site_of(exc), attempts, exc)
+                        attempts = 0
+                    start = committed if committed is not None else resume
+                    if start is not None:
+                        # The aborted attempt's sweeps were real traversals
+                        # lost to the failure: wasted, never committed.
+                        start = dataclasses.replace(
+                            start,
+                            sweeps_wasted=start.sweeps_wasted
+                            + sum(s.sweeps_used for s in schedulers),
+                            passes_wasted=start.passes_wasted
+                            + sum(s.passes_used for s in schedulers),
+                        )
+                    schedulers.clear()
+                    depth = 0
+        except (KeyboardInterrupt, SystemExit):
+            # Process shutdown mid-round: the root generator may be
+            # mid-window, so the durable state is the *retained boundary*
+            # document, not the live program - flush it and re-raise.
+            if writer is not None:
+                writer.write_final()
+            raise
 
 
 # ---------------------------------------------------------------------------

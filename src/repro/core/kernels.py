@@ -10,11 +10,9 @@ Each pass here is a :class:`~repro.core.executor.PassPlan`: a read-only
 *spec*, a pure *kernel* over ``(spec, start_row, rows)`` blocks, and an
 ordered *absorb* fold - which is exactly the decomposition the executor
 needs to run one pass's blocks on several threads while staying
-bit-identical to the serial scan (see :mod:`repro.core.executor`).  The
-public functions at the bottom keep the original call signatures and
-simply run the matching plan through
-:func:`~repro.core.executor.run_plan`, so every caller - serial or
-threaded - goes through one execution spine.
+bit-identical to the serial scan (see :mod:`repro.core.executor`).  Every
+caller - serial or threaded - runs the plans through the executor
+(:func:`~repro.core.executor.run_plans`), one execution spine.
 
 Every tracked-set test is *prefiltered*: each plan that asks "which block
 values are tracked keys?" holds its sorted keys in a :class:`Probe` of one
@@ -120,9 +118,8 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..streams.multipass import PassScheduler
 from ..types import Edge, Vertex
-from .executor import PassPlan, run_plan
+from .executor import PassPlan
 from .stages import prefilter_bits
 
 #: Vertex ids must stay below this for the packed-key scans; larger ids
@@ -862,28 +859,3 @@ class PackedKeyCountPlan(PassPlan):
 
     def result(self) -> np.ndarray:
         return self._counts
-
-
-# ---------------------------------------------------------------------------
-# public entry points (original signatures, now routed through the executor)
-
-
-def collect_stream_positions(
-    scheduler: PassScheduler, positions: np.ndarray, chunk_size: int
-) -> List[Edge]:
-    """Pass-1 scan: fetch the edge at each requested stream position."""
-    return run_plan(scheduler, PositionCollectPlan(positions), chunk_size=chunk_size)
-
-
-def count_tracked_degrees(
-    scheduler: PassScheduler, tracked_ids: np.ndarray, chunk_size: int
-) -> np.ndarray:
-    """Pass-2 scan: degree of every tracked vertex id, in one chunked pass."""
-    return run_plan(scheduler, DegreeCountPlan(tracked_ids), chunk_size=chunk_size)
-
-
-def scan_watch_keys(
-    scheduler: PassScheduler, keys: Sequence[Edge], chunk_size: int
-) -> Set[Edge]:
-    """Pass-4/6 scan: which watched edges appear anywhere on the tape."""
-    return run_plan(scheduler, WatchKeyPlan(keys), chunk_size=chunk_size)

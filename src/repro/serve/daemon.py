@@ -101,6 +101,15 @@ class EstimateServer:
             cache_size = _env_int("REPRO_SERVE_CACHE_SIZE", DEFAULT_CACHE_SIZE)
         if batch_window is None:
             batch_window = _env_float("REPRO_SERVE_BATCH_WINDOW", DEFAULT_BATCH_WINDOW)
+        if cache_size < 1:
+            raise ServeError(
+                f"--cache-size/REPRO_SERVE_CACHE_SIZE must be >= 1, got {cache_size}"
+            )
+        if not batch_window >= 0:
+            raise ServeError(
+                f"--batch-window/REPRO_SERVE_BATCH_WINDOW must be >= 0 seconds, "
+                f"got {batch_window}"
+            )
         # Every tape's sweep thread resolves these variables again; a
         # malformed one fails the daemon here, not each request.
         engine.policy()

@@ -428,6 +428,28 @@ class TestTypedErrors:
         monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
         self._assert_one_line_failure(["serve"], capsys)
 
+    @pytest.mark.parametrize(
+        "flags,env,setting",
+        [
+            (["--cache-size", "0"], {}, "cache-size"),
+            ([], {"REPRO_SERVE_CACHE_SIZE": "0"}, "cache-size"),
+            (["--batch-window", "-1"], {}, "batch-window"),
+            ([], {"REPRO_SERVE_BATCH_WINDOW": "-0.5"}, "batch-window"),
+        ],
+        ids=["cache-flag", "cache-env", "window-flag", "window-env"],
+    )
+    def test_serve_misconfiguration(self, flags, env, setting, capsys, monkeypatch):
+        """Refused before any endpoint is needed (none is configured, so a
+        daemon that accepted the setting could not start serving either)."""
+        monkeypatch.delenv("REPRO_SERVE_SOCKET", raising=False)
+        monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["serve", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve:") and len(err.strip().splitlines()) == 1, err
+        assert setting in err, err
+
     def test_malformed_text_is_a_one_line_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n1 2\n2 oops\n")

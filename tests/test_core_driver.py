@@ -31,9 +31,24 @@ class TestConfigValidation:
 
     def test_t_hint_positive(self, wheel10):
         stream = InMemoryEdgeStream.from_graph(wheel10)
-        cfg = EstimatorConfig(t_hint=-5.0)
         with pytest.raises(ParameterError):
+            cfg = EstimatorConfig(t_hint=-5.0)
             TriangleCountEstimator(cfg).estimate(stream, kappa=3)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_rounds", 0),
+            ("max_rounds", -2),
+            ("t_hint", 0.0),
+            ("t_hint", -1.0),
+            ("space_budget_words", -5),
+        ],
+    )
+    def test_round_settings_rejected_at_config_time(self, field, value):
+        """No stream is read: an empty one would otherwise answer 0.0."""
+        with pytest.raises(ParameterError, match=field):
+            EstimatorConfig(**{field: value})
 
     def test_config_property_echoes(self):
         cfg = EstimatorConfig(epsilon=0.5)

@@ -58,10 +58,13 @@ def _window_depths(stream, kappa, config):
     depths = []
     program = estimate_program(stream, kappa, config, on_window=depths.append)
     scheduler = PassScheduler(stream)
-    outcome = driver_module._drive(
-        program, lambda batch: driver_module.sweep_tagged_stages(scheduler, batch)
-    )
-    return depths, len(outcome.result.rounds)
+    try:
+        batch = next(program)
+        while True:
+            driver_module.sweep_tagged_stages(scheduler, batch)
+            batch = program.send(None)
+    except StopIteration as stop:
+        return depths, len(stop.value.result.rounds)
 
 
 def _estimate(stream, kappa, config):

@@ -22,17 +22,13 @@ import numpy as np
 import pytest
 
 import reference_passes as ref
+from kernel_scans import collect_stream_positions, count_tracked_degrees, scan_watch_keys
 from reference_passes import reference_engine
 from repro.core import assignment, engine, kernels
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.core.estimator import run_single_estimate
 from repro.core.executor import run_plan, run_plans
-from repro.core.kernels import (
-    IncidentEdgePlan,
-    collect_stream_positions,
-    count_tracked_degrees,
-    scan_watch_keys,
-)
+from repro.core.kernels import IncidentEdgePlan
 from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
 from repro.errors import ParameterError

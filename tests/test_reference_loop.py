@@ -26,7 +26,7 @@ import repro.core.driver as driver_module
 from reference_passes import reference_engine
 from reference_loop import assert_matches_reference, reference_estimate
 from repro import EstimatorConfig, TriangleCountEstimator, resume_from
-from repro.core import executor, faults
+from repro.core import executor, faults, snapshot
 from repro.core.driver import run_estimate_program
 from repro.core.engine import engine_overrides
 from repro.errors import SpaceBudgetExceeded
@@ -35,7 +35,7 @@ from repro.io import write_edgelist
 from repro.serve import SweepScheduler
 from repro.serve.jobs import Job
 from repro.serve.scheduler import next_job_id
-from repro.streams import InMemoryEdgeStream
+from repro.streams import InMemoryEdgeStream, PassScheduler
 from repro.streams.file import FileEdgeStream
 from repro.streams.transforms import shuffled
 
@@ -72,6 +72,25 @@ def _estimate(stream, config, call=None):
         else:
             result = call()
     return result, roots
+
+
+def _run(driver, stream, config):
+    """One run through ``driver`` - ``estimate()`` or
+    ``run_estimate_program`` - and its root generator's final state."""
+    if driver == "estimate":
+        result, roots = _estimate(stream, config)
+        root_state = roots[0].getstate()
+    else:
+        outcome, roots = _estimate(
+            stream, config, call=lambda: run_estimate_program(stream, KAPPA, config)
+        )
+        result, root_state = outcome.result, outcome.root_state
+    # One root generator per run, restored in place on restart.
+    assert len(roots) == 1
+    return result, root_state
+
+
+DRIVERS = pytest.mark.parametrize("driver", ["estimate", "program"])
 
 
 class TestSoloMatchesReference:
@@ -140,14 +159,15 @@ class TestResumeMatchesReference:
         ],
         ids=["sequential", "depth3"],
     )
-    def test_resume_from_every_boundary(self, tape, tmp_path, extra):
+    @DRIVERS
+    def test_resume_from_every_boundary(self, tape, tmp_path, extra, driver):
         config = EstimatorConfig(
             seed=3, repetitions=3, checkpoint_dir=str(tmp_path / "ck"), snapshot_keep=100, **extra
         )
         reference = reference_estimate(FileEdgeStream(tape), KAPPA, config)
-        result, roots = _estimate(FileEdgeStream(tape), config)
+        result, root_state = _run(driver, FileEdgeStream(tape), config)
         speculated = bool(extra.get("speculate"))
-        assert_matches_reference(result, roots[0].getstate(), reference, speculated)
+        assert_matches_reference(result, root_state, reference, speculated)
         names = sorted(os.listdir(tmp_path / "ck"))
         assert len(names) >= 2
         for name in names:
@@ -186,7 +206,8 @@ class TestRecoveryMatchesReference:
         ],
         ids=["retry", "retry-window", "degrade-twice"],
     )
-    def test_fault_recovered_runs(self, tape, extra, spec, actions, monkeypatch):
+    @DRIVERS
+    def test_fault_recovered_runs(self, tape, extra, spec, actions, driver, monkeypatch):
         monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
         base = dict(seed=11, repetitions=3, engine_mode="chunked", workers=1)
         base.update(extra)
@@ -194,18 +215,17 @@ class TestRecoveryMatchesReference:
         stream.stats()
         clean = EstimatorConfig(**base)
         reference = reference_estimate(stream, KAPPA, clean)
-        result, roots = _estimate(stream, EstimatorConfig(**base, faults=spec))
-        # One root generator per estimate, restored in place on restart.
-        assert len(roots) == 1
+        result, root_state = _run(driver, stream, EstimatorConfig(**base, faults=spec))
         assert_matches_reference(
-            result, roots[0].getstate(), reference, speculated=bool(extra.get("speculate"))
+            result, root_state, reference, speculated=bool(extra.get("speculate"))
         )
         assert [r.action for r in result.degradations] == actions
         # The aborted attempts' sweeps are booked as waste.
         assert result.sweeps_wasted > 0
         assert result.passes_wasted > 0
 
-    def test_make_rng_once_across_retry_and_degrade(self):
+    @DRIVERS
+    def test_make_rng_once_across_retry_and_degrade(self, driver):
         """Three consecutive sweep faults exhaust the retries of a
         speculative window; the ladder degrades to sequential rounds and
         the program restarts - all on the one root generator."""
@@ -213,13 +233,49 @@ class TestRecoveryMatchesReference:
             barabasi_albert_graph(220, 4, random.Random(2))
         )
         base = dict(seed=4, repetitions=3, engine_mode="chunked", speculate=True, speculate_depth=3)
-        result, roots = _estimate(
-            stream, EstimatorConfig(**base, faults="sweep.mid_stage@0,1,2")
+        result, root_state = _run(
+            driver, stream, EstimatorConfig(**base, faults="sweep.mid_stage@0,1,2")
         )
-        assert len(roots) == 1
         assert [r.action for r in result.degradations] == [faults.ACTION_SEQUENTIAL]
         reference = reference_estimate(stream, KAPPA, EstimatorConfig(**base))
-        assert_matches_reference(result, roots[0].getstate(), reference, speculated=True)
+        assert_matches_reference(result, root_state, reference, speculated=True)
+
+
+class TestStopMatchesReference:
+    def test_stop_requested_flushes_the_boundary(self, tape, tmp_path, monkeypatch):
+        """A stop requested during round 0 ends ``run_estimate_program``
+        at the next boundary; with a cadence that would not persist it,
+        only the final flush puts that boundary on disk, and resuming
+        from it reproduces the uninterrupted run."""
+        ckdir = tmp_path / "ck"
+        config = EstimatorConfig(
+            seed=3,
+            repetitions=3,
+            speculate=False,
+            checkpoint_dir=str(ckdir),
+            snapshot_every=100,
+        )
+        reference = reference_estimate(FileEdgeStream(tape), KAPPA, config)
+        real = PassScheduler.new_fused_pass_chunks
+
+        def stopping(self, *args, **kwargs):
+            driver_module.stop_requested.set()
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PassScheduler, "new_fused_pass_chunks", stopping)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_estimate_program(FileEdgeStream(tape), KAPPA, config)
+        finally:
+            driver_module.stop_requested.clear()
+        monkeypatch.undo()
+        assert snapshot.load_latest(ckdir).round_index == 1
+        assert sorted(os.listdir(ckdir)) == ["snap-r000000.esnap", "snap-r000001.esnap"]
+        resumed, roots = _estimate(
+            None, config, call=lambda: resume_from(str(ckdir), FileEdgeStream(tape))
+        )
+        assert len(roots) == 1
+        assert_matches_reference(resumed, roots[0].getstate(), reference)
 
 
 class TestServedJobsMatchReference:

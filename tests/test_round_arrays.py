@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.core.driver as driver_module
+from kernel_scans import collect_stream_positions, scan_watch_keys
 from reference_passes import reference_engine
 from repro.core import engine, executor, kernels
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
@@ -372,7 +373,7 @@ def test_plan_results_keep_their_public_forms():
     edges = [(i, i + 1) for i in range(30)]
     scheduler = PassScheduler(InMemoryEdgeStream(edges))
     positions = np.array([29, 4, 4], dtype=np.int64)
-    assert kernels.collect_stream_positions(scheduler, positions, 8) == [(29, 30), (4, 5), (4, 5)]
-    found = kernels.scan_watch_keys(scheduler, np.array([[4, 5], [0, 9], [4, 5]]), 8)
+    assert collect_stream_positions(scheduler, positions, 8) == [(29, 30), (4, 5), (4, 5)]
+    found = scan_watch_keys(scheduler, np.array([[4, 5], [0, 9], [4, 5]]), 8)
     assert found == {(4, 5)}
 

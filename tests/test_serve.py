@@ -466,6 +466,25 @@ class TestDaemon:
             assert reply["ok"] is False
             assert reply["error"]["type"] == "ProtocolError"
 
+    def test_nonsensical_round_settings_are_rejected(self, ba_file, tmp_path):
+        """A request that would answer 0.0 with no rounds (and cache it)
+        is refused as a malformed config instead."""
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0):
+            for field, value in (("max_rounds", 0), ("t_hint", 0.0), ("space_budget_words", -5)):
+                reply = request_unix(
+                    sock,
+                    {
+                        "op": "estimate",
+                        "path": ba_file,
+                        "kappa": KAPPA,
+                        "config": {"seed": 1, field: value},
+                    },
+                )
+                assert reply["ok"] is False, reply
+                assert reply["error"]["type"] == "ProtocolError"
+                assert field in reply["error"]["message"]
+
     def test_shutdown_request_stops_the_server(self, tmp_path):
         sock = str(tmp_path / "serve.sock")
         with background_server(socket_path=sock, batch_window=0.0):
