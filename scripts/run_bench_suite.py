@@ -464,14 +464,14 @@ def run_speculative_comparison(scale: str, repeats: int = 3) -> dict:
         stream = FileEdgeStream(handle.name)
         times = {}
         results = {}
-        for label, speculate in (("sequential", False), ("speculative", True)):
+        for label, depth in (("sequential", 1), ("speculative", None)):
             config = EstimatorConfig(
                 seed=3,
                 repetitions=3,
                 engine_mode="chunked",
                 workers=1,
                 fuse=True,
-                speculate=speculate,
+                speculate_depth=depth,
             )
             best = float("inf")
             for _ in range(repeats):
@@ -564,11 +564,8 @@ def _dense_default_rows(scale: str, repeats: int) -> list:
     )
     stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(2)))
     rows = []
-    for label, policy in (
-        ("sequential", dict(speculate=False)),
-        ("default", dict(speculate=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)),
-    ):
-        config = EstimatorConfig(seed=3, engine_mode="chunked", workers=1, **policy)
+    for label, depth in (("sequential", 1), ("default", engine.DEFAULT_SPECULATE_DEPTH)):
+        config = EstimatorConfig(seed=3, engine_mode="chunked", workers=1, speculate_depth=depth)
         best, result = _timed_estimate(stream, 7, config, repeats)
         rows.append(
             {
@@ -617,11 +614,10 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     try:
         base = dict(seed=3, repetitions=3, engine_mode="chunked", workers=1, fuse=True)
         for depth in (1, 2, 3, 4, "default"):
-            if depth == "default":
-                fields = dict(speculate=True, speculate_depth=engine.DEFAULT_SPECULATE_DEPTH)
-            else:
-                fields = dict(speculate=depth > 1, speculate_depth=max(2, depth))
-            config = EstimatorConfig(**base, **fields)
+            config = EstimatorConfig(
+                **base,
+                speculate_depth=engine.DEFAULT_SPECULATE_DEPTH if depth == "default" else depth,
+            )
             best, results[depth] = _timed_estimate(stream, 5, config, repeats)
             result = results[depth]
             baseline = results[1]
@@ -922,7 +918,6 @@ def run_snapshot_overhead(scale: str, repeats: int = 3) -> dict:
         engine_mode="sharded",
         workers=2,
         fuse=True,
-        speculate=True,
         speculate_depth=3,
     )
 

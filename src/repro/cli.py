@@ -9,21 +9,20 @@ Commands
     One-pass exact triangle count with space/pass accounting.
 ``estimate <edgelist> --kappa K [--epsilon E] [--seed S] [--repetitions R]
 [--engine auto|chunked|sharded] [--chunk-size C] [--workers W]
-[--fuse | --no-fuse] [--speculate | --no-speculate] [--speculate-depth K]``
+[--fuse | --no-fuse] [--speculate-depth K]``
     The paper's estimator on the file's stream; ``--workers`` sets the
     threads per sweep (default: all cores; seed-for-seed identical at any
     count; ``--engine`` names are synonyms of the one engine),
     ``--fuse`` turns on the fused sweep engine (independent pass plans of
     each round share physical tape sweeps; identical estimates, fewer
-    stream traversals), and speculation - on by default, ``--no-speculate``
-    turns it off - fuses guessing-loop round *windows* (up to
-    ``--speculate-depth`` rounds, default 4, run alongside round i; the
-    prefix up to the first acceptance is committed and the rest
-    discarded; identical estimates, ~depth-fold fewer sweeps on
-    multi-round estimates).  ``--max-retries`` tunes
-    the fault-tolerant execution layer and ``--faults`` injects
-    deterministic failures for testing; any tier the recovery ladder had
-    to drop is reported as a ``degraded:`` line.
+    stream traversals), and ``--speculate-depth`` sets the guessing
+    loop's round *windows* (up to that many rounds, default 4, run
+    alongside round i; the prefix up to the first acceptance is committed
+    and the rest discarded; identical estimates, ~depth-fold fewer sweeps
+    on multi-round estimates; ``1`` runs the sequential loop).
+    ``--max-retries`` tunes the fault-tolerant execution layer and
+    ``--faults`` injects deterministic failures for testing; any tier the
+    recovery ladder had to drop is reported as a ``degraded:`` line.
 ``bounds <edgelist>``
     Table 1 predicted space bounds evaluated on the instance.
 ``generate <family> --out FILE [--scale tiny|small|medium] [--seed S]``
@@ -154,26 +153,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_est.add_argument(
-        "--speculate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "speculatively fuse guessing-loop rounds: round i and up to "
-            "speculate-depth-1 pre-drawn later rounds share each pass's tape "
-            "sweep; the prefix up to the first acceptance is committed and the "
-            "rest discarded (identical estimates, ~depth-fold fewer sweeps on "
-            "multi-round estimates; default: REPRO_SPECULATE policy, on unless "
-            "REPRO_SPECULATE=0; --no-speculate runs one round per window)"
-        ),
-    )
-    p_est.add_argument(
         "--speculate-depth",
         type=int,
         default=None,
         help=(
-            "max rounds per speculative window, >= 2 (2 = the original round-pair "
-            "driver; default: REPRO_SPECULATE_DEPTH policy, 4).  Implies --speculate "
-            "unless --no-speculate is given explicitly"
+            "max guessing rounds per window: round i and up to K-1 pre-drawn "
+            "later rounds share each pass's tape sweep; the prefix up to the "
+            "first acceptance is committed and the rest discarded (identical "
+            "estimates, ~K-fold fewer sweeps on multi-round estimates; 1 = the "
+            "sequential loop; default: REPRO_SPECULATE_DEPTH policy, 4)"
         ),
     )
     p_est.add_argument(
@@ -246,9 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument("--chunk-size", type=int, default=None)
     p_resume.add_argument("--workers", type=int, default=None)
     p_resume.add_argument("--fuse", action=argparse.BooleanOptionalAction, default=None)
-    p_resume.add_argument(
-        "--speculate", action=argparse.BooleanOptionalAction, default=None
-    )
     p_resume.add_argument("--speculate-depth", type=int, default=None)
     p_resume.add_argument("--max-retries", type=int, default=None)
     _add_snapshot_arguments(p_resume)
@@ -413,7 +398,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         workers=args.workers,
         fuse=args.fuse,
-        speculate=args.speculate,
         speculate_depth=args.speculate_depth,
         max_retries=args.max_retries,
         faults=args.faults,
@@ -444,7 +428,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             ("chunk_size", args.chunk_size),
             ("workers", args.workers),
             ("fuse", args.fuse),
-            ("speculate", args.speculate),
             ("speculate_depth", args.speculate_depth),
             ("max_retries", args.max_retries),
             ("checkpoint_dir", args.checkpoint_dir),

@@ -53,6 +53,7 @@ from . import faults as faults_module
 from . import snapshot as snapshot_module
 from .estimator import PASS_BUDGET_PER_ROUND, SinglePassStackResult
 from .faults import FailureReport
+from .knobs import check_count
 from .params import ParameterPlan, PlanConstants
 from .stages import TaggedStage, sweep_tagged_stages
 
@@ -111,35 +112,27 @@ class EstimatorConfig:
         whose wedges all stay open ties - unfused execution skips the
         assignment passes there).  ``None`` keeps the policy in force
         (``REPRO_FUSE``, off by default).
-    speculate:
-        Optional override of speculative round fusion: the guessing loop
-        runs round ``i`` together with up to ``speculate_depth - 1``
+    speculate_depth:
+        Optional override of the maximum guessing rounds per window: the
+        loop runs round ``i`` together with up to ``speculate_depth - 1``
         pre-drawn later rounds, each pass-``k`` stage of every live round
         served by one shared tape sweep; the prefix up to the first
         acceptance is committed and everything after it discarded
-        (:mod:`repro.core.speculate`).  Estimates, the rounds trajectory,
-        and the logical-pass totals are bit-identical either way; a
-        ``k``-deep window finishes multi-round estimates in ~``1/k`` of
-        the committed sweeps, while an acceptance books the
-        speculation-only sweeps as :attr:`EstimateResult.sweeps_wasted`.
-        ``None`` keeps the policy in force (``REPRO_SPECULATE``, on by
-        default; ``False`` runs the sequential loop, one round per
-        window).  Speculation disengages - falling back to the
-        sequential loop - whenever a ``t_hint`` (single round) or a
-        ``space_budget_words`` cap is in force (a speculative round
-        tripping the Markov abort must not fail a run the sequential loop
-        would have finished).
-    speculate_depth:
-        Optional override of the maximum rounds per speculative window
-        (``>= 2``; ``2`` reproduces the original round-pair driver
-        bit-for-bit).  The driver additionally caps each window's depth
-        by the *expected-waste rule*: the previous round's median
-        predicts which upcoming guess will accept, and the window never
-        speculates past it (a predicted-accepting round runs solo).
-        ``None`` keeps the policy in force (``REPRO_SPECULATE_DEPTH``,
-        default 4).  An explicit depth implies ``speculate=True`` unless
-        ``speculate=False`` is given explicitly - asking for a depth is
-        asking to speculate.
+        (:mod:`repro.core.speculate`).  ``1`` runs the sequential loop,
+        one round per window; ``2`` reproduces the original round-pair
+        driver bit-for-bit.  Estimates, the rounds trajectory, and the
+        logical-pass totals are bit-identical at any depth; a ``k``-deep
+        window finishes multi-round estimates in ~``1/k`` of the
+        committed sweeps, while an acceptance books the speculation-only
+        sweeps as :attr:`EstimateResult.sweeps_wasted`.  The driver
+        additionally caps each window's depth by the *expected-waste
+        rule*: the previous round's median predicts which upcoming guess
+        will accept, and the window never speculates past it (a
+        predicted-accepting round runs solo).  A ``t_hint`` (single
+        round) or a ``space_budget_words`` cap runs depth 1 (a
+        speculative round tripping the Markov abort must not fail a run
+        the sequential loop would have finished).  ``None`` keeps the
+        policy in force (``REPRO_SPECULATE_DEPTH``, default 4).
     max_retries:
         Optional override of how many times a failed unit of work (a
         threaded sweep task, a round attempt) is retried before the recovery
@@ -186,7 +179,6 @@ class EstimatorConfig:
     chunk_size: Optional[int] = None
     workers: Optional[int] = None
     fuse: Optional[bool] = None
-    speculate: Optional[bool] = None
     speculate_depth: Optional[int] = None
     max_retries: Optional[int] = None
     faults: "str | object | None" = None
@@ -197,27 +189,26 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 1:
             raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.repetitions < 1:
-            raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
+        check_count("repetitions", self.repetitions)
         if self.t_hint is not None and not self.t_hint > 0:
             raise ParameterError(f"t_hint must be positive, got {self.t_hint}")
         if self.space_budget_words is not None and self.space_budget_words < 0:
             raise ParameterError(
                 f"space_budget_words must be >= 0, got {self.space_budget_words}"
             )
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ParameterError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        for name, minimum in (
+            ("max_rounds", 1),
+            ("max_retries", 0),
+            ("snapshot_every", 1),
+            ("snapshot_keep", 1),
+        ):
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name), minimum)
         engine.check_settings(self.chunk_size, self.workers, self.speculate_depth)
         if self.engine_mode is not None:
             engine.check_mode(self.engine_mode)
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ParameterError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.faults is not None and not isinstance(self.faults, faults_module.FaultPlan):
             faults_module.FaultPlan.parse(str(self.faults))  # validate eagerly
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ParameterError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        if self.snapshot_keep is not None and self.snapshot_keep < 1:
-            raise ParameterError(f"snapshot_keep must be >= 1, got {self.snapshot_keep}")
 
 
 @dataclass(frozen=True)
@@ -445,11 +436,11 @@ def estimate_program(
     discard names one window's round unambiguously.
 
     Each *window* is ``depth`` guessing rounds run in lockstep
-    (:func:`~repro.core.speculate.window_program`): ``depth > 1`` only
-    under speculation, which disengages for a ``t_hint`` (single round)
-    or a ``space_budget_words`` cap (a speculative round tripping the
-    Markov abort must not fail a run the sequential loop would have
-    finished).  Fusion and speculation (on/off and depth) are ``config``'s
+    (:func:`~repro.core.speculate.window_program`), at most the
+    configured ``speculate_depth`` and exactly 1 under a ``t_hint``
+    (single round) or a ``space_budget_words`` cap (a speculative round
+    tripping the Markov abort must not fail a run the sequential loop
+    would have finished).  Fusion and the window depth are ``config``'s
     laid over the engine policy in force where the program starts
     (:func:`repro.core.engine.resolve`); chunking and threads are the
     policy of whoever sweeps its batches.
@@ -495,7 +486,8 @@ def estimate_program(
         )
     policy = engine.resolve(cfg)
     fuse, max_depth = policy.fuse, policy.speculate_depth
-    speculative = policy.speculate and cfg.t_hint is None and cfg.space_budget_words is None
+    if cfg.t_hint is not None or cfg.space_budget_words is not None:
+        max_depth = 1
     guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
 
     def build_plan(t_guess: float) -> ParameterPlan:
@@ -603,15 +595,8 @@ def estimate_program(
             break  # fewer than one triangle remains plausible: answer 0
         # The paper's accounting: all repetitions in parallel over six
         # shared passes; space is the ensemble total.
-        depth = (
-            _pick_window_depth(
-                guesses,
-                round_index,
-                max_depth,
-                rounds[-1].median_estimate if rounds else None,
-            )
-            if speculative
-            else 1
+        depth = _pick_window_depth(
+            guesses, round_index, max_depth, rounds[-1].median_estimate if rounds else None
         )
         window_guesses = guesses[round_index : round_index + depth]
         plans = [build_plan(g) for g in window_guesses]
@@ -759,8 +744,8 @@ def run_estimate_program(
                 program = estimate_program(
                     stream,
                     kappa,
-                    # The ladder's sequential step: restart without speculation.
-                    dataclasses.replace(cfg, speculate=False)
+                    # The ladder's sequential step: restart one round per window.
+                    dataclasses.replace(cfg, speculate_depth=1)
                     if recovery.speculation_degraded
                     else cfg,
                     start=start,
@@ -848,12 +833,16 @@ def _config_from_state(state: Dict[str, object]) -> EstimatorConfig:
 
     A snapshot written under the removed ``"python"`` engine resumes on
     the one engine: the mode is not part of the config hash, and every
-    engine produced bit-identical results.
+    engine produced bit-identical results.  One that stored the removed
+    ``"speculate": false`` switch resumes at depth 1, the sequential loop
+    it ran.
     """
     known = {f.name for f in dataclasses.fields(EstimatorConfig)}
     kwargs = {key: value for key, value in state.items() if key in known}
     if kwargs.get("engine_mode") == engine.RETIRED_MODE:
         kwargs["engine_mode"] = None
+    if state.get("speculate") is False:
+        kwargs["speculate_depth"] = 1
     constants = kwargs.get("constants")
     if constants is not None:
         kwargs["constants"] = PlanConstants(*constants)

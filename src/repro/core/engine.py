@@ -20,10 +20,11 @@ under any of them - so the settings form one frozen :class:`Policy` held
 in a :class:`contextvars.ContextVar`.  :func:`resolve` lays a config's
 engine fields over the policy in force, which outside any scope is the
 environment's: ``REPRO_WORKERS`` (a positive integer; default all cores,
-``1`` means serial), ``REPRO_FUSE`` and ``REPRO_SPECULATE`` (on/off) and
-``REPRO_SPECULATE_DEPTH`` (an integer >= 2), read each time and rejected
-with a :class:`~repro.errors.ParameterError` naming the variable when
-malformed.  ``REPRO_ENGINE`` only warns when it names the removed engine.
+``1`` means serial), ``REPRO_FUSE`` (on/off) and ``REPRO_SPECULATE_DEPTH``
+(a positive integer; ``1`` runs the sequential loop), read each time and
+rejected with a :class:`~repro.errors.ParameterError` naming the variable
+when malformed.  ``REPRO_ENGINE`` only warns when it names the removed
+engine; the removed ``REPRO_SPECULATE`` switch raises when set.
 :func:`engine_overrides` runs a block under a resolved policy and restores
 the previous one on exit.  Each program driver sweeps inside its own
 scope, so estimates running concurrently on different threads each sweep
@@ -42,7 +43,7 @@ from typing import Iterator, Optional
 
 from ..errors import ParameterError
 from ..streams.base import DEFAULT_CHUNK_EDGES
-from .knobs import resolve_flag, resolve_int
+from .knobs import check_count, resolve_flag, resolve_int
 
 #: Accepted ``engine_mode`` names: synonyms of the one engine.
 _MODES = ("auto", "chunked", "sharded")
@@ -76,13 +77,15 @@ def check_settings(
     workers: Optional[int] = None,
     speculate_depth: Optional[int] = None,
 ) -> None:
-    """Reject an explicit chunk size, worker count or window depth out of range."""
-    if chunk_size is not None and chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    if speculate_depth is not None and speculate_depth < 2:
-        raise ParameterError(f"speculate_depth must be >= 2, got {speculate_depth}")
+    """Reject an explicit chunk size, worker count or window depth that is
+    not a positive integer."""
+    for name, value in (
+        ("chunk_size", chunk_size),
+        ("workers", workers),
+        ("speculate_depth", speculate_depth),
+    ):
+        if value is not None:
+            check_count(name, value)
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,10 @@ class Policy:
     #: tape sweep (see :func:`repro.core.executor.run_plans`), trading a
     #: little extra speculative space for fewer stream sweeps.
     fuse: bool
-    #: Speculative round windows: the guessing loop runs round ``i`` and up
-    #: to ``speculate_depth - 1`` pre-drawn later rounds through shared
-    #: sweeps, committing the prefix up to the first acceptance (see
-    #: :mod:`repro.core.speculate`).
-    speculate: bool
-    #: Maximum rounds per speculative window (>= 2; 2 = round pairs); the
+    #: Maximum rounds per guessing-loop window: round ``i`` and up to
+    #: ``speculate_depth - 1`` pre-drawn later rounds share sweeps, and the
+    #: prefix up to the first acceptance is committed (see
+    #: :mod:`repro.core.speculate`).  ``1`` is the sequential loop; the
     #: driver's expected-waste cap may choose a shallower window per round.
     speculate_depth: int
 
@@ -120,14 +121,17 @@ def _environment() -> Policy:
             f"REPRO_ENGINE={RETIRED_MODE}: that engine was removed; using the NumPy plans",
             stacklevel=3,
         )
+    if os.environ.get("REPRO_SPECULATE", "").strip():
+        raise ParameterError(
+            "REPRO_SPECULATE was removed: the window depth is the one speculation "
+            "setting; set REPRO_SPECULATE_DEPTH=1 for the sequential loop, or unset "
+            "REPRO_SPECULATE for the default windows"
+        )
     return Policy(
         chunk_size=DEFAULT_CHUNK_EDGES,
         workers=resolve_int(None, "REPRO_WORKERS", os.cpu_count() or 1),
         fuse=resolve_flag("REPRO_FUSE", False),
-        speculate=resolve_flag("REPRO_SPECULATE", True),
-        speculate_depth=resolve_int(
-            None, "REPRO_SPECULATE_DEPTH", DEFAULT_SPECULATE_DEPTH, minimum=2
-        ),
+        speculate_depth=resolve_int(None, "REPRO_SPECULATE_DEPTH", DEFAULT_SPECULATE_DEPTH),
     )
 
 
@@ -142,18 +146,13 @@ def resolve(cfg: object = None, **fields: object) -> Policy:
 
     ``cfg`` is an :class:`~repro.core.driver.EstimatorConfig` or anything
     carrying its engine field names (``chunk_size``, ``workers``, ``fuse``,
-    ``speculate``, ``speculate_depth``); ``None`` leaves a setting as it
-    is.  Asking for a depth is asking to speculate: an explicit depth with
-    ``speculate`` unset turns speculation on (an explicit ``speculate``
-    always wins).
+    ``speculate_depth``); ``None`` leaves a setting as it is.
     """
     unknown = set(fields).difference(_FIELDS)
     if unknown:
         raise TypeError(f"unknown engine setting(s): {', '.join(sorted(unknown))}")
     given = {name: fields.get(name, getattr(cfg, name, None)) for name in _FIELDS}
     check_settings(given["chunk_size"], given["workers"], given["speculate_depth"])
-    if given["speculate"] is None and given["speculate_depth"] is not None:
-        given["speculate"] = True
     return dataclasses.replace(
         policy(), **{name: value for name, value in given.items() if value is not None}
     )

@@ -337,8 +337,8 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
         engine.serial_until_scope_exit()
         ctx.serial_degraded = True
     elif action == ACTION_SEQUENTIAL:
-        # The driver restarts the program with speculation off in its
-        # config (programs read speculation from their config).
+        # The driver restarts the program at window depth 1 in its config
+        # (programs read the depth from their config).
         ctx.speculation_degraded = True
     elif action == ACTION_NO_SNAPSHOT:
         # The writer itself stops persisting (see core.snapshot); the

@@ -54,7 +54,7 @@ plan                                  pass it accelerates
                                       vertex :class:`Probe` + ``bincount``;
                                       merge sums the per-shard count
                                       tables)
-:class:`IncidentEdgePlan`             passes 3 and 5 - only edges incident
+:class:`IncidentEdgePlan`             pass 5 - only edges incident
                                       to a tracked owner (prefiltered
                                       vertex :class:`Probe`) matter; matched
                                       edges are replayed to a callback in
@@ -517,7 +517,7 @@ class DegreeCountPlan(PassPlan):
 
 
 # ---------------------------------------------------------------------------
-# passes 3 and 5 - edges incident to a tracked owner, replayed in order
+# pass 5 - edges incident to a tracked owner, replayed in order
 
 
 def _incident_kernel(spec: Probe, start_row: int, rows: np.ndarray):
@@ -575,7 +575,7 @@ class IncidentCollectPlan(PassPlan):
 
 
 class IncidentEdgePlan(PassPlan):
-    """Pass-3/5 plan: replay edges with a tracked endpoint to a callback.
+    """Pass-5 plan: replay edges with a tracked endpoint to a callback.
 
     The caller's per-edge logic (reservoir offers, degree bumps - anything
     that consumes RNG sequentially) runs in the parent on the matched

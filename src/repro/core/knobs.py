@@ -3,11 +3,13 @@
 An explicit value (a config field, a CLI option) wins; otherwise the
 environment variable is read; otherwise the default holds.  A malformed
 variable raises :class:`~repro.errors.ParameterError` naming it - a knob
-never falls back silently to its default.
+never falls back silently to its default.  :func:`check_count` holds an
+explicit count (a config field) to the same rule: an integer, in range.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from typing import Optional, TypeVar
 
@@ -47,3 +49,11 @@ def resolve_flag(env: str, default: bool) -> bool:
     raise ParameterError(
         f"{env} must be one of {'/'.join(_ON)} or {'/'.join(_OFF)}, got {raw!r}"
     )
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Reject a ``value`` that is not an integer (``bool`` included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")

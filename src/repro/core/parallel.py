@@ -2,9 +2,7 @@
 
 The paper's model runs all of its independent basic estimators *in
 parallel*: Theorem 5.1's "six passes" covers the entire ensemble, and the
-space bound covers the sum of all copies.  The sequential driver loop
-(6 passes per repetition) is statistically identical but inflates the pass
-count by the repetition factor; this module restores the paper's
+space bound covers the sum of all copies.  This module keeps that
 accounting: :func:`run_parallel_estimates` executes ``k`` independent
 instances over exactly six shared passes.
 

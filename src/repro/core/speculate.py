@@ -27,7 +27,7 @@ by **one** shared tape sweep, and decide afterwards:
 :func:`window_program` is the lockstep window as a stage program; the
 commit/discard walk and the root rewind live in the guessing loop itself
 (:func:`repro.core.driver.estimate_program`), whose every round - a
-sequential one too - is a window (of depth 1 when not speculating).
+sequential one too - is a window (of depth 1 at ``speculate_depth=1``).
 
 Bit-identity contract: each round's program
 (:func:`~repro.core.parallel.round_program`) folds exactly the per-chunk

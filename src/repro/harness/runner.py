@@ -63,39 +63,16 @@ def run_paper_estimator_on_graph(
     workload: str = "",
     config: Optional[EstimatorConfig] = None,
     exact: Optional[int] = None,
-    engine_mode: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
-    fuse: Optional[bool] = None,
-    speculate: Optional[bool] = None,
-    speculate_depth: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
 ) -> RunReport:
     """Run the paper's estimator on ``graph`` with the promise ``kappa``.
 
-    ``config`` defaults to a fresh :class:`EstimatorConfig` carrying the
-    seed and any engine selection (``engine_mode`` / ``chunk_size`` /
-    ``workers`` / ``fuse`` / ``speculate`` / ``speculate_depth`` -
-    ignored when an explicit ``config`` is supplied, since the config
-    already carries its own engine fields) plus any durable-snapshot
-    selection (``checkpoint_dir`` / ``snapshot_every``, see
-    :mod:`repro.core.snapshot`);
-    pass ``exact`` to skip the (possibly expensive) ground-truth count
-    when the caller already knows it.
+    ``config`` defaults to ``EstimatorConfig(seed=seed)``; pass one to
+    select engine, window-depth or durable-snapshot settings (see
+    :class:`EstimatorConfig`).  Pass ``exact`` to skip the (possibly
+    expensive) ground-truth count when the caller already knows it.
     """
     if config is None:
-        config = EstimatorConfig(
-            seed=seed,
-            engine_mode=engine_mode,
-            chunk_size=chunk_size,
-            workers=workers,
-            fuse=fuse,
-            speculate=speculate,
-            speculate_depth=speculate_depth,
-            checkpoint_dir=checkpoint_dir,
-            snapshot_every=snapshot_every,
-        )
+        config = EstimatorConfig(seed=seed)
     stream = _stream_for(graph, seed)
     truth = exact if exact is not None else count_triangles(graph)
     start = time.perf_counter()
@@ -124,14 +101,6 @@ def run_paper_estimator_on_file(
     workload: str = "",
     config: Optional[EstimatorConfig] = None,
     exact: Optional[int] = None,
-    engine_mode: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
-    fuse: Optional[bool] = None,
-    speculate: Optional[bool] = None,
-    speculate_depth: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
 ) -> RunReport:
     """Run the paper's estimator on an edge-list *file* in either format.
 
@@ -142,24 +111,15 @@ def run_paper_estimator_on_file(
     bit-identical estimates either way.  Unlike
     :func:`run_paper_estimator_on_graph` the stream order is the file's
     own edge order (files already fix an order; re-shuffling would
-    destroy the text/tape replay equivalence).  Pass ``exact`` to skip
-    re-reading the file for the ground-truth count.
+    destroy the text/tape replay equivalence).  ``config`` defaults as
+    there; pass ``exact`` to skip re-reading the file for the ground-truth
+    count.
     """
     from ..io.edgelist import read_edgelist
     from ..streams.tape import open_edge_stream
 
     if config is None:
-        config = EstimatorConfig(
-            seed=seed,
-            engine_mode=engine_mode,
-            chunk_size=chunk_size,
-            workers=workers,
-            fuse=fuse,
-            speculate=speculate,
-            speculate_depth=speculate_depth,
-            checkpoint_dir=checkpoint_dir,
-            snapshot_every=snapshot_every,
-        )
+        config = EstimatorConfig(seed=seed)
     stream = open_edge_stream(path)
     truth = exact if exact is not None else count_triangles(read_edgelist(path))
     start = time.perf_counter()

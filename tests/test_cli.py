@@ -110,7 +110,7 @@ class TestEstimate:
         path = tmp_path / "ba.txt"
         write_edgelist(barabasi_albert_graph(400, 5, random.Random(1)), path)
         base = ["estimate", str(path), "--kappa", "5", "--seed", "7",
-                "--repetitions", "3", "--speculate"]
+                "--repetitions", "3"]
         assert main(base + ["--speculate-depth", "2"]) == 0
         pair = capsys.readouterr().out
         assert main(base + ["--speculate-depth", "3"]) == 0
@@ -129,12 +129,11 @@ class TestEstimate:
         from repro.errors import ParameterError
 
         with pytest.raises(ParameterError, match="speculate_depth"):
-            main(["estimate", wheel_file, "--kappa", "3", "--speculate-depth", "1"])
+            main(["estimate", wheel_file, "--kappa", "3", "--speculate-depth", "0"])
 
-    def test_explicit_depth_implies_speculation(self, tmp_path, capsys):
-        # An explicit --speculate-depth without --speculate must engage the
-        # speculative driver (fewer sweeps), not be silently inert; an
-        # explicit --no-speculate still wins.
+    def test_depth_one_prints_the_sequential_lines(self, tmp_path, capsys):
+        # Depth 1 is the sequential loop: these are the lines the removed
+        # --no-speculate switch printed on this input, sweeps included.
         import random
 
         from repro.generators import barabasi_albert_graph
@@ -143,16 +142,17 @@ class TestEstimate:
         write_edgelist(barabasi_albert_graph(400, 5, random.Random(1)), path)
         base = ["estimate", str(path), "--kappa", "5", "--seed", "7",
                 "--repetitions", "3"]
-
-        def sweeps(out):
-            line = next(l for l in out.splitlines() if l.startswith("sweeps:"))
-            return int(line.split()[1])
-
-        assert main(base + ["--no-speculate", "--speculate-depth", "3"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(base + ["--speculate-depth", "3"]) == 0
-        implied = capsys.readouterr().out
-        assert sweeps(implied) < sweeps(sequential)
+        assert main(base + ["--speculate-depth", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "estimate:  633.0",
+            "rounds:    6",
+            "passes:    36 total (6 max per round)",
+            "sweeps:    36 tape sweeps",
+            "space:     941426 words peak per run",
+            "plan:      r=768 s=768 t_guess=620",
+        ]
+        with pytest.raises(SystemExit):
+            main(base + ["--no-speculate"])
 
     def test_degradation_reported(self, wheel_file, capsys, monkeypatch):
         # Persistent injected faults with a zero retry budget force the

@@ -43,10 +43,21 @@ class TestConfigValidation:
             ("t_hint", 0.0),
             ("t_hint", -1.0),
             ("space_budget_words", -5),
+            ("repetitions", 2.5),
+            ("max_rounds", 2.5),
+            ("chunk_size", 100.5),
+            ("workers", 2.5),
+            ("workers", True),
+            ("speculate_depth", 2.5),
+            ("speculate_depth", 0),
+            ("max_retries", 1.5),
+            ("snapshot_every", 1.5),
+            ("snapshot_keep", 1.5),
         ],
     )
     def test_round_settings_rejected_at_config_time(self, field, value):
-        """No stream is read: an empty one would otherwise answer 0.0."""
+        """No stream is read: an empty one would otherwise answer 0.0, and a
+        fractional count would fail only inside a sweep."""
         with pytest.raises(ParameterError, match=field):
             EstimatorConfig(**{field: value})
 

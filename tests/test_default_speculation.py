@@ -3,7 +3,7 @@
 With no ``REPRO_SPECULATE*`` variable and no config field set, the loop
 runs windows of up to :data:`~repro.core.engine.DEFAULT_SPECULATE_DEPTH`
 (4) rounds through shared sweeps.  The default must stay bit-identical to
-the sequential loop (``speculate=False``) on every input, take strictly
+the sequential loop (``speculate_depth=1``) on every input, take strictly
 fewer sweeps on multi-round runs, bound its waste on dense inputs, and
 keep the served-job and SIGTERM contracts.
 """
@@ -86,20 +86,18 @@ def _estimate(stream, kappa, config):
 class TestPolicy:
     def test_unset_environment_speculates_four_deep(self, default_policy):
         assert engine.DEFAULT_SPECULATE_DEPTH == 4
-        assert engine.policy().speculate is True
         assert engine.policy().speculate_depth == 4
-        resolved = engine.resolve(EstimatorConfig())
-        assert (resolved.speculate, resolved.speculate_depth) == (True, 4)
+        assert engine.resolve(EstimatorConfig()).speculate_depth == 4
 
     def test_fresh_process_speculates_four_deep(self):
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_SPECULATE")}
         env["PYTHONPATH"] = SRC
         out = subprocess.run(
             [sys.executable, "-c",
-             "from repro.core import engine; p = engine.policy(); print(p.speculate, p.speculate_depth)"],
+             "from repro.core import engine; print(engine.policy().speculate_depth)"],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
-        assert out.split() == ["True", "4"]
+        assert out.split() == ["4"]
 
     def test_off_switches_give_depth_one_windows(self, default_policy, monkeypatch):
         stream = _stream(barabasi_albert_graph(300, 4, random.Random(2)))
@@ -107,10 +105,10 @@ class TestPolicy:
         depths, rounds = _window_depths(stream, 4, EstimatorConfig(**base))
         assert depths[0] == 4
         sequential = ([1] * rounds, rounds)
-        assert _window_depths(stream, 4, EstimatorConfig(speculate=False, **base)) == sequential
-        with engine.engine_overrides(speculate=False):
+        assert _window_depths(stream, 4, EstimatorConfig(speculate_depth=1, **base)) == sequential
+        with engine.engine_overrides(speculate_depth=1):
             assert _window_depths(stream, 4, EstimatorConfig(**base)) == sequential
-        monkeypatch.setenv("REPRO_SPECULATE", "0")
+        monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "1")
         assert _window_depths(stream, 4, EstimatorConfig(**base)) == sequential
 
 
@@ -129,7 +127,7 @@ class TestParity:
         base = dict(seed=7, repetitions=3, workers=workers, engine_mode="chunked")
         default, default_root = _estimate(stream, kappa, EstimatorConfig(**base))
         sequential, sequential_root = _estimate(
-            stream, kappa, EstimatorConfig(speculate=False, **base)
+            stream, kappa, EstimatorConfig(speculate_depth=1, **base)
         )
         assert default.estimate == sequential.estimate
         assert default.rounds == sequential.rounds
@@ -192,7 +190,7 @@ class TestWasteBound:
             stream = _stream(graph, seed)
             default = TriangleCountEstimator(EstimatorConfig(seed=seed)).estimate(stream, kappa=7)
             sequential = TriangleCountEstimator(
-                EstimatorConfig(seed=seed, speculate=False)
+                EstimatorConfig(seed=seed, speculate_depth=1)
             ).estimate(stream, kappa=7)
             assert default.estimate == sequential.estimate
             rounds = len(sequential.rounds)

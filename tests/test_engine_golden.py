@@ -5,7 +5,8 @@ folds of ``tests/reference_passes.py``), so the NumPy plans that run
 every pass must reproduce them bit for bit - serially and on two threads:
 
 * **estimate level** - the parity matrix's graph families, each under the
-  default schedule, with ``fuse=True``, and with ``speculate=False``:
+  default schedule, with ``fuse=True``, and sequentially
+  (``speculate_depth=1``):
   the estimate, the number of guessing rounds, a digest of the whole
   rounds trajectory (every run's diagnostics), ``passes_total``,
   ``space_words_peak`` and the root generator's final state;
@@ -51,12 +52,12 @@ ESTIMATE_GRAPHS = {
     "clique": (lambda: complete_graph(18), 9),
 }
 
-#: Schedules: ``(fuse, speculate, speculate_depth)``, pinned explicitly so
-#: no ambient ``REPRO_*`` setting leaks in.
+#: Schedules: ``(fuse, speculate_depth)``, pinned explicitly so no ambient
+#: ``REPRO_*`` setting leaks in.
 SCHEDULES = {
-    "default": (False, True, engine.DEFAULT_SPECULATE_DEPTH),
-    "fuse": (True, True, engine.DEFAULT_SPECULATE_DEPTH),
-    "sequential": (False, False, engine.DEFAULT_SPECULATE_DEPTH),
+    "default": (False, engine.DEFAULT_SPECULATE_DEPTH),
+    "fuse": (True, engine.DEFAULT_SPECULATE_DEPTH),
+    "sequential": (False, 1),
 }
 
 #: The kernel-parity families for the single runner.
@@ -74,7 +75,7 @@ def _sha(value) -> str:
 def estimate_digest(name: str, schedule: str, workers: int, mode: str = "chunked") -> dict:
     """Run one estimate-level case and reduce it to its golden fields."""
     build, seed = ESTIMATE_GRAPHS[name]
-    fuse, speculate, depth = SCHEDULES[schedule]
+    fuse, depth = SCHEDULES[schedule]
     graph = build()
     stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(seed)))
     config = EstimatorConfig(
@@ -84,7 +85,6 @@ def estimate_digest(name: str, schedule: str, workers: int, mode: str = "chunked
         chunk_size=64,
         workers=workers,
         fuse=fuse,
-        speculate=speculate,
         speculate_depth=depth,
     )
     roots = []

@@ -215,7 +215,6 @@ class TestSpeculativeCleanupPaths:
             seed=5,
             repetitions=3,
             workers=1,
-            speculate=True,
             speculate_depth=depth,
         )
         with pytest.raises(IOError, match="injected stream failure"):

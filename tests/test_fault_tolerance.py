@@ -187,7 +187,6 @@ class TestRecoveryBitIdentity:
             workers=2,
             chunk_size=64,
             fuse=True,
-            speculate=True,
             speculate_depth=3,
         )
         stream = FileEdgeStream(tape)
@@ -232,8 +231,7 @@ class TestRecoveryBitIdentity:
             engine_mode="chunked",
             workers=1,
             fuse=fuse,
-            speculate=depth >= 2,
-            speculate_depth=depth if depth >= 2 else None,
+            speculate_depth=depth,
         )
         clean = _run(stream, EstimatorConfig(**base))
         faulted = _run(stream, EstimatorConfig(**base, faults=spec))
@@ -267,8 +265,7 @@ class TestRecoveryBitIdentity:
             workers=workers,
             chunk_size=64,
             fuse=fuse,
-            speculate=depth >= 2,
-            speculate_depth=depth if depth >= 2 else None,
+            speculate_depth=depth,
         )
         stream = FileEdgeStream(tape)
         stream.stats()
@@ -337,7 +334,6 @@ class TestDegradationLadder:
             seed=4,
             repetitions=3,
             engine_mode="chunked",
-            speculate=True,
             speculate_depth=3,
         )
         clean = _run(stream, EstimatorConfig(**base))
@@ -357,7 +353,6 @@ class TestDegradationLadder:
         engine_mode="sharded",
         workers=2,
         chunk_size=64,
-        speculate=True,
         speculate_depth=3,
     )
     MULTI_TIER_FAULTS = "worker.crash@0;sweep.mid_stage@1"

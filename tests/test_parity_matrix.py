@@ -18,8 +18,8 @@ reference passes (``tests/reference_passes.py``):
 * **pass/sweep invariants**: logical passes (the paper's budgeted
   quantity) are constant across all modes; physical sweeps depend only on
   the fusion tier - equal to passes unfused, monotonically fewer as
-  ``fuse`` and then ``speculate`` engage - and ``sweeps_wasted`` is zero
-  whenever speculation is off.
+  ``fuse`` and then a window depth above 1 engage - and ``sweeps_wasted``
+  is zero at depth 1 (the sequential loop).
 
 The **tape-format axis** extends the same contract across the storage
 substrate: the identical edge sequence read from a text edge list
@@ -71,20 +71,17 @@ SUBSTRATES = [
     ("chunked", 4),
 ]
 
-#: The fusion tiers ``(fuse, speculate, speculate_depth)``.  Depth only
-#: matters when speculation is on; the unspeculated tiers pin it at the
-#: default so tier keys stay unique.  The fast tier samples the depth
-#: axis; the full product {2, 3, 4} runs in the slow tier.
+#: The fusion tiers ``(fuse, speculate_depth)``; depth 1 is the sequential
+#: loop.  The fast tier samples the depth axis; the full product
+#: {1, 2, 3, 4} runs in the slow tier.
 TIERS_FAST = [
-    (False, False, 2),
-    (True, False, 2),
-    (False, True, 2),
-    (True, True, 3),
-    (False, True, 4),
+    (False, 1),
+    (True, 1),
+    (False, 2),
+    (True, 3),
+    (False, 4),
 ]
-TIERS_FULL = [(False, False, 2), (True, False, 2)] + [
-    (fuse, True, depth) for fuse in (False, True) for depth in (2, 3, 4)
-]
+TIERS_FULL = [(fuse, depth) for fuse in (False, True) for depth in (1, 2, 3, 4)]
 
 
 class CountingRandom(random.Random):
@@ -174,7 +171,7 @@ def _trajectory(result, accounting=False):
     ]
 
 
-def _config(mode, workers, fuse, speculate, depth, seed):
+def _config(mode, workers, fuse, depth, seed):
     return EstimatorConfig(
         seed=seed,
         repetitions=REPETITIONS,
@@ -182,7 +179,6 @@ def _config(mode, workers, fuse, speculate, depth, seed):
         chunk_size=64,
         workers=workers,
         fuse=fuse,
-        speculate=speculate,
         speculate_depth=depth,
     )
 
@@ -197,20 +193,20 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
 
     with reference_engine():
         reference, ref_root_state, ref_child_draws = _run_instrumented(
-            monkeypatch, stream, kappa, _config("chunked", 1, False, False, 2, seed)
+            monkeypatch, stream, kappa, _config("chunked", 1, False, 1, seed)
         )
     ref_trajectory = _trajectory(reference)
     tier_accounting = {}
 
     for mode, workers in substrates:
-        for fuse, speculate, depth in tiers:
+        for fuse, depth in tiers:
             result, root_state, child_draws = _run_instrumented(
                 monkeypatch,
                 stream,
                 kappa,
-                _config(mode, workers, fuse, speculate, depth, seed),
+                _config(mode, workers, fuse, depth, seed),
             )
-            label = f"{graph_name}/{mode}/w{workers}/f{int(fuse)}s{int(speculate)}d{depth}"
+            label = f"{graph_name}/{mode}/w{workers}/f{int(fuse)}d{depth}"
 
             # Bit-identical estimates and statistical trajectory.
             assert result.estimate == reference.estimate, label
@@ -221,12 +217,12 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
             assert root_state == ref_root_state, label
             assert child_draws == ref_child_draws, label
 
-            # Accounting depends only on the fusion tier (fuse x speculate
-            # x depth), never on the substrate (engine / workers):
+            # Accounting depends only on the fusion tier (fuse x depth),
+            # never on the substrate (engine / workers):
             # the first run of each tier pins passes, sweeps, waste,
             # space, and the per-run accounting trajectory for every
             # other substrate.
-            key = (fuse, speculate, depth)
+            key = (fuse, depth)
             accounting = (
                 result.passes_total,
                 result.sweeps_total,
@@ -239,44 +235,44 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
                 assert accounting == tier_accounting[key], label
             else:
                 tier_accounting[key] = accounting
-            if not speculate:
+            if depth == 1:
                 assert result.sweeps_wasted == 0, label
                 assert result.passes_wasted == 0, label
 
             # Unfused sequential execution reads the tape once per pass.
-            if key == (False, False, 2):
+            if key == (False, 1):
                 assert result.sweeps_total == result.passes_total, label
                 assert result.passes_total == reference.passes_total, label
 
     # Speculation never changes the logical-pass total of its fuse tier
     # (it commits exactly the rounds the sequential loop would run) - at
     # any depth.
-    for fuse, speculate, depth in tiers:
-        if speculate:
-            assert (
-                tier_accounting[(fuse, True, depth)][0]
-                == tier_accounting[(fuse, False, 2)][0]
-            ), (graph_name, fuse, depth)
+    for fuse, depth in tiers:
+        assert tier_accounting[(fuse, depth)][0] == tier_accounting[(fuse, 1)][0], (
+            graph_name,
+            fuse,
+            depth,
+        )
     # Monotone sweep reduction across fusion tiers: every tier is no worse
     # than unfused-sequential, and speculation at any depth never loses to
     # its unspeculated tier (committed sweeps).
-    baseline = tier_accounting[(False, False, 2)][1]
+    baseline = tier_accounting[(False, 1)][1]
     for key, accounting in tier_accounting.items():
         assert accounting[1] <= baseline, (graph_name, key)
-    for fuse, speculate, depth in tiers:
-        if speculate:
-            assert (
-                tier_accounting[(fuse, True, depth)][1]
-                <= tier_accounting[(fuse, False, 2)][1]
-            ), (graph_name, fuse, depth)
+    for fuse, depth in tiers:
+        assert tier_accounting[(fuse, depth)][1] <= tier_accounting[(fuse, 1)][1], (
+            graph_name,
+            fuse,
+            depth,
+        )
     # Multi-round estimates are where speculation must actually pay, even
     # counting the physically-performed wasted sweeps.
     if len(reference.rounds) > 1:
-        for fuse, speculate, depth in tiers:
-            if speculate:
-                tier = tier_accounting[(fuse, True, depth)]
+        for fuse, depth in tiers:
+            if depth > 1:
+                tier = tier_accounting[(fuse, depth)]
                 spec_physical = tier[1] + tier[2]
-                assert spec_physical < tier_accounting[(fuse, False, 2)][1], (
+                assert spec_physical < tier_accounting[(fuse, 1)][1], (
                     graph_name,
                     fuse,
                     depth,
@@ -297,7 +293,7 @@ def test_parity_matrix_fast_tier(monkeypatch, name, build, seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_parity_matrix_full(monkeypatch, name, build, seed):
-    """The full matrix: workers {1,2,4} x fuse x depth {2,3,4}."""
+    """The full matrix: workers {1,2,4} x fuse x depth {1,2,3,4}."""
     _check_matrix(monkeypatch, name, build, seed, SUBSTRATES, TIERS_FULL)
 
 
@@ -313,15 +309,15 @@ def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substra
     assert header.num_edges == graph.num_edges
 
     for mode, workers in substrates:
-        for fuse, speculate, depth in tiers:
-            config = _config(mode, workers, fuse, speculate, depth, seed)
+        for fuse, depth in tiers:
+            config = _config(mode, workers, fuse, depth, seed)
             text_result, text_root, text_draws = _run_instrumented(
                 monkeypatch, FileEdgeStream(txt), kappa, config
             )
             tape_result, tape_root, tape_draws = _run_instrumented(
                 monkeypatch, MmapEdgeStream(tape), kappa, config
             )
-            label = f"{name}/{mode}/w{workers}/f{int(fuse)}s{int(speculate)}d{depth}"
+            label = f"{name}/{mode}/w{workers}/f{int(fuse)}d{depth}"
             assert tape_result.estimate == text_result.estimate, label
             assert _trajectory(tape_result, accounting=True) == _trajectory(
                 text_result, accounting=True
@@ -357,7 +353,7 @@ def test_tape_format_parity_fast_tier(monkeypatch, tmp_path, name, build, seed):
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_tape_format_parity_full(monkeypatch, tmp_path, name, build, seed):
     """Text vs binary tape over the full knob product: workers {1,2,4} x
-    fuse x depth {2,3,4}."""
+    fuse x depth {1,2,3,4}."""
     _check_format_parity(monkeypatch, tmp_path, name, build, seed, SUBSTRATES, TIERS_FULL)
 
 

@@ -110,8 +110,7 @@ class TestSoloMatchesReference:
             workers=workers,
             chunk_size=128,
             fuse=fuse,
-            speculate=depth >= 2,
-            speculate_depth=depth if depth >= 2 else None,
+            speculate_depth=depth,
         )
         with passes:
             result, roots = _estimate(InMemoryEdgeStream(edges), config)
@@ -124,7 +123,7 @@ class TestSoloMatchesReference:
 
     def test_generous_space_budget_runs_through_the_program(self, edges):
         config = EstimatorConfig(
-            seed=6, repetitions=3, speculate=True, space_budget_words=10_000_000
+            seed=6, repetitions=3, space_budget_words=10_000_000
         )
         result, roots = _estimate(InMemoryEdgeStream(edges), config)
         reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
@@ -142,8 +141,8 @@ class TestSoloMatchesReference:
 
     def test_hinted_and_capped_runs(self, edges):
         for config in (
-            EstimatorConfig(seed=1, repetitions=3, t_hint=300.0, speculate=True),
-            EstimatorConfig(seed=1, repetitions=3, max_rounds=3, speculate=True),
+            EstimatorConfig(seed=1, repetitions=3, t_hint=300.0),
+            EstimatorConfig(seed=1, repetitions=3, max_rounds=3),
         ):
             result, roots = _estimate(InMemoryEdgeStream(edges), config)
             reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
@@ -154,8 +153,8 @@ class TestResumeMatchesReference:
     @pytest.mark.parametrize(
         "extra",
         [
-            dict(engine_mode="chunked", speculate=False),
-            dict(engine_mode="sharded", workers=1, speculate=True, speculate_depth=3),
+            dict(engine_mode="chunked", speculate_depth=1),
+            dict(engine_mode="sharded", workers=1, speculate_depth=3),
         ],
         ids=["sequential", "depth3"],
     )
@@ -166,7 +165,7 @@ class TestResumeMatchesReference:
         )
         reference = reference_estimate(FileEdgeStream(tape), KAPPA, config)
         result, root_state = _run(driver, FileEdgeStream(tape), config)
-        speculated = bool(extra.get("speculate"))
+        speculated = extra["speculate_depth"] > 1
         assert_matches_reference(result, root_state, reference, speculated)
         names = sorted(os.listdir(tmp_path / "ck"))
         assert len(names) >= 2
@@ -189,11 +188,10 @@ class TestRecoveryMatchesReference:
     @pytest.mark.parametrize(
         "extra,spec,actions",
         [
-            (dict(speculate=False), "sweep.mid_stage@1", []),
-            (dict(speculate=True, speculate_depth=3), "sweep.mid_stage@2", []),
+            (dict(speculate_depth=1), "sweep.mid_stage@1", []),
+            (dict(speculate_depth=3), "sweep.mid_stage@2", []),
             (
                 dict(
-                    speculate=True,
                     speculate_depth=3,
                     max_retries=0,
                     engine_mode="sharded",
@@ -217,7 +215,7 @@ class TestRecoveryMatchesReference:
         reference = reference_estimate(stream, KAPPA, clean)
         result, root_state = _run(driver, stream, EstimatorConfig(**base, faults=spec))
         assert_matches_reference(
-            result, root_state, reference, speculated=bool(extra.get("speculate"))
+            result, root_state, reference, speculated=extra["speculate_depth"] > 1
         )
         assert [r.action for r in result.degradations] == actions
         # The aborted attempts' sweeps are booked as waste.
@@ -232,7 +230,7 @@ class TestRecoveryMatchesReference:
         stream = InMemoryEdgeStream.from_graph(
             barabasi_albert_graph(220, 4, random.Random(2))
         )
-        base = dict(seed=4, repetitions=3, engine_mode="chunked", speculate=True, speculate_depth=3)
+        base = dict(seed=4, repetitions=3, engine_mode="chunked", speculate_depth=3)
         result, root_state = _run(
             driver, stream, EstimatorConfig(**base, faults="sweep.mid_stage@0,1,2")
         )
@@ -251,7 +249,7 @@ class TestStopMatchesReference:
         config = EstimatorConfig(
             seed=3,
             repetitions=3,
-            speculate=False,
+            speculate_depth=1,
             checkpoint_dir=str(ckdir),
             snapshot_every=100,
         )
@@ -281,9 +279,9 @@ class TestStopMatchesReference:
 class TestServedJobsMatchReference:
     def test_co_riding_jobs(self, edges):
         configs = [
-            EstimatorConfig(seed=3, repetitions=3, speculate=False),
-            EstimatorConfig(seed=9, repetitions=5, speculate=False),
-            EstimatorConfig(seed=21, repetitions=3, max_rounds=4, speculate=False),
+            EstimatorConfig(seed=3, repetitions=3, speculate_depth=1),
+            EstimatorConfig(seed=9, repetitions=5, speculate_depth=1),
+            EstimatorConfig(seed=21, repetitions=3, max_rounds=4, speculate_depth=1),
         ]
         shared = SweepScheduler(InMemoryEdgeStream(edges))
         jobs = []

@@ -134,17 +134,15 @@ class TestEstimateProgramParity:
     """The program path is bit-identical to the solo driver."""
 
     @pytest.mark.parametrize(
-        "speculative,depth",
-        [(False, None), (True, 2), (True, 4)],
-        ids=["no-spec", "depth2", "depth4"],
+        "depth", [1, 2, 4], ids=["no-spec", "depth2", "depth4"]
     )
     @pytest.mark.parametrize(
         "seed,repetitions", [(3, 3), (11, 5)], ids=["s3r3", "s11r5"]
     )
-    def test_matches_solo(self, speculative, depth, seed, repetitions):
+    def test_matches_solo(self, depth, seed, repetitions):
         edges = wheel_graph(60).edge_list()
         config = EstimatorConfig(seed=seed, repetitions=repetitions)
-        with engine_overrides(speculate=speculative, speculate_depth=depth):
+        with engine_overrides(speculate_depth=depth):
             solo_result, solo_root = _solo_with_root(edges, KAPPA, config)
             outcome = run_estimate_program(
                 InMemoryEdgeStream(edges), KAPPA, config
@@ -153,7 +151,7 @@ class TestEstimateProgramParity:
         _assert_outcome_matches_solo(outcome, solo_result, solo_root)
         # Both drive the one loop; the independent reference anchors it.
         assert_matches_reference(
-            outcome.result, outcome.root_state, reference, speculated=speculative
+            outcome.result, outcome.root_state, reference, speculated=depth > 1
         )
 
     def test_empty_stream(self):
@@ -285,7 +283,7 @@ class TestConfigEngineKnobs:
         config = EstimatorConfig(seed=5, **knobs)
         # The ambient policy disagrees with the config: only a program
         # that reads its own config can match the solo run.
-        with engine_overrides(fuse=False, speculate=False):
+        with engine_overrides(fuse=False, speculate_depth=1):
             solo, _ = _solo_with_root(edges, 4, config)
             plain, _ = _solo_with_root(edges, 4, EstimatorConfig(seed=5))
             outcome = run_estimate_program(InMemoryEdgeStream(edges), 4, config)
@@ -484,6 +482,26 @@ class TestDaemon:
                 assert reply["ok"] is False, reply
                 assert reply["error"]["type"] == "ProtocolError"
                 assert field in reply["error"]["message"]
+
+    def test_non_integer_round_counts_are_rejected(self, ba_file, tmp_path):
+        """A fractional count is a malformed config, answered on the same
+        connection, which then serves the next request."""
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(60.0)
+                raw.connect(sock)
+                replies = raw.makefile("rb")
+                for field in ("repetitions", "max_rounds"):
+                    request = _estimate_request(ba_file, seed=1)
+                    request["config"][field] = 2.5
+                    raw.sendall(json.dumps(request).encode() + b"\n")
+                    reply = json.loads(replies.readline())
+                    assert reply["ok"] is False, reply
+                    assert reply["error"]["type"] == "ProtocolError"
+                    assert field in reply["error"]["message"]
+                raw.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
+                assert json.loads(replies.readline())["ok"] is True
 
     def test_shutdown_request_stops_the_server(self, tmp_path):
         sock = str(tmp_path / "serve.sock")

@@ -51,7 +51,8 @@ def test_sigterm_mid_sweep_exits_130_and_resume_is_bit_identical(
     path = tmp_path / "ba.edges"
     write_edgelist(barabasi_albert_graph(800, 4, random.Random(2)), path)
     args = ["estimate", str(path), "--kappa", "5", "--seed", "3", "--repetitions", "3",
-            "--engine", "chunked", "--chunk-size", "256", "--workers", "2", "--no-speculate"]
+            "--engine", "chunked", "--chunk-size", "256", "--workers", "2",
+            "--speculate-depth", "1"]
     assert cli.main(args) == 0
     clean = _result_lines(capsys.readouterr().out)
     assert int(clean[1].split()[1]) > 2  # rounds: the signal lands mid-run

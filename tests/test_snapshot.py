@@ -376,7 +376,6 @@ class TestResumeBitIdentity:
         engine_mode="chunked",
         workers=1,
         fuse=True,
-        speculate=True,
         speculate_depth=3,
     )
 
@@ -420,7 +419,7 @@ class TestResumeBitIdentity:
         resumed = _resume(
             str(ckdir),
             stream,
-            overrides={"engine_mode": "auto", "workers": 1, "fuse": False, "speculate": False},
+            overrides={"engine_mode": "auto", "workers": 1, "fuse": False, "speculate_depth": 1},
         )
         _assert_bit_identical(clean, resumed)
 
@@ -583,6 +582,27 @@ class TestResumeBitIdentity:
         with pytest.raises(SnapshotMismatchError, match="config hash"):
             resume_from(str(target), stream)
 
+    def test_sequential_switch_snapshot_resumes_sequentially(self, tape, tmp_path):
+        """A snapshot whose config stored the removed ``"speculate": false``
+        switch resumes at depth 1: the sequential run's trajectory, root
+        state and exact sweep count, not the default windows'."""
+        base = dict(self.BASE, speculate_depth=1)
+        stream = FileEdgeStream(tape)
+        stream.stats()
+        ckdir = tmp_path / "ck"
+        clean = _run(stream, EstimatorConfig(**base))
+        _run(stream, EstimatorConfig(**base, checkpoint_dir=str(ckdir), snapshot_keep=64))
+        snap = snapshot.read_snapshot(ckdir / _snapshots_in(ckdir)[0])
+        legacy = dict(snap.payload)
+        legacy["config"] = dict(legacy["config"], speculate=False, speculate_depth=None)
+        target = tmp_path / "sequential-switch.esnap"
+        target.write_bytes(
+            snapshot.encode_snapshot(legacy, snap.round_index, snap.config_hash, snap.fingerprint)
+        )
+        resumed = _resume(str(target), stream)
+        _assert_bit_identical(clean, resumed)
+        assert resumed[0].sweeps_total == clean[0].sweeps_total
+
     def test_removed_python_engine_snapshot_still_resumes(self, tape, tmp_path):
         """A snapshot written under ``engine_mode="python"`` (since removed)
         resumes on the one engine, bit-identically - the mode is outside
@@ -724,7 +744,7 @@ def clean_cli_lines(big_tape):
 #: speculative windows (one snapshot per window) and one round per sweep.
 KILL_SCHEDULES = {
     "default": ["--chunk-size", "8"],
-    "no-speculate": ["--chunk-size", "16", "--no-speculate"],
+    "sequential": ["--chunk-size", "16", "--speculate-depth", "1"],
 }
 
 
@@ -789,9 +809,9 @@ class TestProcessDeath:
     def test_signals_under_the_sequential_schedule(
         self, big_tape, tmp_path, clean_cli_lines, sig
     ):
-        """The same two signals with one round per sweep (``--no-speculate``)."""
+        """The same two signals with one round per window (``--speculate-depth 1``)."""
         self._signal_then_resume(
-            big_tape, tmp_path, clean_cli_lines, sig, "no-speculate"
+            big_tape, tmp_path, clean_cli_lines, sig, "sequential"
         )
 
     def test_resumed_cli_run_matches_checkpointed_cli_run(

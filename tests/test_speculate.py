@@ -237,7 +237,7 @@ def _first_discard_instance():
             graph = barabasi_albert_graph(n, 4, random.Random(seed))
             stream = _stream(graph, seed)
             result = TriangleCountEstimator(
-                EstimatorConfig(seed=seed, repetitions=3, speculate=True)
+                EstimatorConfig(seed=seed, repetitions=3)
             ).estimate(stream, kappa=4)
             if result.passes_wasted:
                 return graph, 4, seed
@@ -250,10 +250,10 @@ class TestDriverCommitDiscard:
         stream = _stream(graph)
         base = dict(seed=7, repetitions=3)
         sequential = TriangleCountEstimator(
-            EstimatorConfig(speculate=False, **base)
+            EstimatorConfig(speculate_depth=1, **base)
         ).estimate(stream, kappa=5)
         speculative = TriangleCountEstimator(
-            EstimatorConfig(speculate=True, **base)
+            EstimatorConfig(**base)
         ).estimate(stream, kappa=5)
         assert speculative.estimate == sequential.estimate
         assert len(speculative.rounds) == len(sequential.rounds) > 2
@@ -271,7 +271,7 @@ class TestDriverCommitDiscard:
             graph = barabasi_albert_graph(300, 5, random.Random(seed))
             stream = _stream(graph, seed)
             sequential = TriangleCountEstimator(
-                EstimatorConfig(seed=seed, repetitions=3, speculate=False)
+                EstimatorConfig(seed=seed, repetitions=3, speculate_depth=1)
             ).estimate(stream, kappa=5)
             if len(sequential.rounds) < 3 or not sequential.rounds[-1].accepted:
                 continue
@@ -282,7 +282,7 @@ class TestDriverCommitDiscard:
             if not predicted:
                 continue
             speculative = TriangleCountEstimator(
-                EstimatorConfig(seed=seed, repetitions=3, speculate=True)
+                EstimatorConfig(seed=seed, repetitions=3)
             ).estimate(stream, kappa=5)
             assert speculative.estimate == sequential.estimate
             assert speculative.passes_wasted == 0, seed
@@ -295,10 +295,10 @@ class TestDriverCommitDiscard:
         stream = _stream(graph, seed)
         base = dict(seed=seed, repetitions=3)
         sequential = TriangleCountEstimator(
-            EstimatorConfig(speculate=False, **base)
+            EstimatorConfig(speculate_depth=1, **base)
         ).estimate(stream, kappa=kappa)
         speculative = TriangleCountEstimator(
-            EstimatorConfig(speculate=True, **base)
+            EstimatorConfig(**base)
         ).estimate(stream, kappa=kappa)
         # The discarded round leaves no trace in the committed outcome...
         assert speculative.estimate == sequential.estimate
@@ -319,12 +319,12 @@ class TestDriverCommitDiscard:
         budget = 10_000_000  # generous: the run must succeed, sequentially
         result = TriangleCountEstimator(
             EstimatorConfig(
-                seed=3, repetitions=3, speculate=True, space_budget_words=budget
+                seed=3, repetitions=3, space_budget_words=budget
             )
         ).estimate(stream, kappa=3)
         sequential = TriangleCountEstimator(
             EstimatorConfig(
-                seed=3, repetitions=3, speculate=False, space_budget_words=budget
+                seed=3, repetitions=3, speculate_depth=1, space_budget_words=budget
             )
         ).estimate(stream, kappa=3)
         assert result.estimate == sequential.estimate
@@ -337,13 +337,13 @@ class TestDriverCommitDiscard:
         stream = _stream(graph)
         base = dict(seed=7, repetitions=3)
         sequential = TriangleCountEstimator(
-            EstimatorConfig(speculate=False, **base)
+            EstimatorConfig(speculate_depth=1, **base)
         ).estimate(stream, kappa=5)
         pair = TriangleCountEstimator(
-            EstimatorConfig(speculate=True, speculate_depth=2, **base)
+            EstimatorConfig(speculate_depth=2, **base)
         ).estimate(stream, kappa=5)
         deep = TriangleCountEstimator(
-            EstimatorConfig(speculate=True, speculate_depth=depth, **base)
+            EstimatorConfig(speculate_depth=depth, **base)
         ).estimate(stream, kappa=5)
         assert deep.estimate == sequential.estimate
         assert [r.t_guess for r in deep.rounds] == [r.t_guess for r in sequential.rounds]
@@ -361,7 +361,7 @@ class TestDriverCommitDiscard:
         # same committed outcome *and* same accounting split.
         graph = barabasi_albert_graph(300, 4, random.Random(2))
         stream = _stream(graph)
-        base = dict(seed=11, repetitions=3, speculate=True)
+        base = dict(seed=11, repetitions=3)
         with engine.engine_overrides(speculate_depth=2):
             default = TriangleCountEstimator(EstimatorConfig(**base)).estimate(
                 stream, kappa=4
@@ -388,7 +388,7 @@ class TestDriverCommitDiscard:
             graph = barabasi_albert_graph(n, mdeg, random.Random(seed))
             stream = _stream(graph, seed)
             sequential = TriangleCountEstimator(
-                EstimatorConfig(seed=seed, repetitions=3, speculate=False)
+                EstimatorConfig(seed=seed, repetitions=3, speculate_depth=1)
             ).estimate(stream, kappa=mdeg)
             rounds = sequential.rounds
             if len(rounds) < depth + 1 or not rounds[-1].accepted:
@@ -398,7 +398,7 @@ class TestDriverCommitDiscard:
                 continue
             deep = TriangleCountEstimator(
                 EstimatorConfig(
-                    seed=seed, repetitions=3, speculate=True, speculate_depth=depth
+                    seed=seed, repetitions=3, speculate_depth=depth
                 )
             ).estimate(stream, kappa=mdeg)
             assert deep.estimate == sequential.estimate
@@ -412,7 +412,7 @@ class TestDriverCommitDiscard:
         stream = _stream(graph)
         t = float(count_triangles(graph))
         result = TriangleCountEstimator(
-            EstimatorConfig(seed=1, repetitions=3, speculate=True, t_hint=t)
+            EstimatorConfig(seed=1, repetitions=3, t_hint=t)
         ).estimate(stream, kappa=3)
         assert len(result.rounds) == 1
         assert result.sweeps_wasted == 0
@@ -420,59 +420,42 @@ class TestDriverCommitDiscard:
 
 
 class TestKnobPlumbing:
-    def test_env_initial_speculate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECULATE", "1")
-        assert engine.resolve().speculate is True
-        monkeypatch.setenv("REPRO_SPECULATE", "off")
-        assert engine.resolve().speculate is False
+    def test_env_speculate_switch_is_rejected(self, monkeypatch):
+        # The removed on/off switch must not be ignored silently: a set
+        # REPRO_SPECULATE names the depth setting that replaced it, in the
+        # library and when the daemon starts.
+        from repro.serve.daemon import EstimateServer
+
+        for raw in ("0", "1", "off"):
+            monkeypatch.setenv("REPRO_SPECULATE", raw)
+            with pytest.raises(ParameterError, match="REPRO_SPECULATE_DEPTH=1"):
+                TriangleCountEstimator(EstimatorConfig(seed=1)).estimate(
+                    _stream(wheel_graph(30)), kappa=3
+                )
+            with pytest.raises(ParameterError, match="REPRO_SPECULATE_DEPTH=1"):
+                EstimateServer(port=0)
         monkeypatch.delenv("REPRO_SPECULATE")
-        assert engine.resolve().speculate is True
+        assert engine.resolve().speculate_depth == engine.DEFAULT_SPECULATE_DEPTH
 
     def test_engine_overrides_restores_speculate(self):
-        before = engine.policy().speculate
-        with engine.engine_overrides(speculate=True):
-            assert engine.policy().speculate is True
-            with engine.engine_overrides(speculate=False):
-                assert engine.policy().speculate is False
-            assert engine.policy().speculate is True
-        assert engine.policy().speculate is before
+        before = engine.policy().speculate_depth
+        with engine.engine_overrides(speculate_depth=4):
+            assert engine.policy().speculate_depth == 4
+            with engine.engine_overrides(speculate_depth=1):
+                assert engine.policy().speculate_depth == 1
+            assert engine.policy().speculate_depth == 4
+        assert engine.policy().speculate_depth == before
 
     def test_config_field_default_and_validation(self):
-        assert EstimatorConfig().speculate is None
-        assert EstimatorConfig(speculate=True).speculate is True
-
-    def test_env_depth_alone_implies_speculation(self, monkeypatch):
-        # Asking for a depth is asking to speculate - at the environment
-        # entry point too.  An explicit REPRO_SPECULATE always wins, and
-        # an invalid depth is an error, never a silent default.
-        monkeypatch.delenv("REPRO_SPECULATE", raising=False)
-        monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "3")
-        assert engine.resolve().speculate is True
-        monkeypatch.setenv("REPRO_SPECULATE", "0")
-        assert engine.resolve().speculate is False
-        monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "1")  # invalid depth
-        monkeypatch.delenv("REPRO_SPECULATE")
-        with pytest.raises(ParameterError, match="REPRO_SPECULATE_DEPTH"):
-            engine.resolve()
-
-    def test_config_depth_alone_implies_speculation(self):
-        graph = barabasi_albert_graph(300, 4, random.Random(2))
-        stream = _stream(graph)
-        base = dict(seed=11, repetitions=3)
-        sequential = TriangleCountEstimator(
-            EstimatorConfig(speculate=False, **base)
-        ).estimate(stream, kappa=4)
-        implied = TriangleCountEstimator(
-            EstimatorConfig(speculate_depth=3, **base)
-        ).estimate(stream, kappa=4)
-        assert implied.estimate == sequential.estimate
-        implied_physical = implied.sweeps_total + implied.sweeps_wasted
-        assert implied_physical < sequential.sweeps_total
+        assert EstimatorConfig().speculate_depth is None
+        assert EstimatorConfig(speculate_depth=1).speculate_depth == 1
+        with pytest.raises(TypeError):
+            EstimatorConfig(speculate=True)
 
     def test_env_initial_speculate_depth(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPECULATE_DEPTH", "4")
         assert engine.resolve().speculate_depth == 4
-        for malformed in ("1", "nope"):  # below the floor, not an integer
+        for malformed in ("0", "nope"):  # below the floor, not an integer
             monkeypatch.setenv("REPRO_SPECULATE_DEPTH", malformed)
             with pytest.raises(ParameterError, match="REPRO_SPECULATE_DEPTH"):
                 engine.resolve()
@@ -488,19 +471,9 @@ class TestKnobPlumbing:
             assert engine.policy().speculate_depth == 5
         assert engine.policy().speculate_depth == before
 
-    def test_override_depth_alone_implies_speculation(self):
-        with engine.engine_overrides(speculate=False):
-            with engine.engine_overrides(speculate_depth=3):
-                assert engine.policy().speculate is True
-                assert engine.policy().speculate_depth == 3
-            # An explicit speculate argument always wins over the implication.
-            with engine.engine_overrides(speculate=False, speculate_depth=4):
-                assert engine.policy().speculate is False
-                assert engine.policy().speculate_depth == 4
-
     def test_depth_validation(self):
         with pytest.raises(ParameterError, match="speculate_depth"):
-            EstimatorConfig(speculate_depth=1)
+            EstimatorConfig(speculate_depth=0)
         with pytest.raises(ParameterError, match="depth"):
             engine.resolve(speculate_depth=0)
 
