@@ -2,13 +2,10 @@
 
 Confirms the constant-pass discipline measured end to end (6 passes per
 Algorithm 2 run, 3 with the degree oracle, 1 for the exact counter) and
-times the estimator across a size sweep of the BA family - serially, on
-several threads, and with the fused sweep engine on top of the threads,
-so the table doubles as the executor speedup report.  All three produce
-bit-identical estimates (``tests/test_executor_sharded.py`` and
-``tests/test_executor_fused.py``), so the columns differ only in speed -
-the fused column additionally performs strictly fewer physical tape
-sweeps (pass 4 and pass 5 share one traversal).
+times the estimator across a size sweep of the BA family - serially and
+on several threads, so the table doubles as the executor speedup report.
+Both produce bit-identical results (``tests/test_executor_sharded.py``),
+so the columns differ only in speed.
 
 Reproduction target: per-run passes never exceed their stated constants;
 wall time grows near-linearly in m (each pass is one sweep; sample sizes at
@@ -43,16 +40,10 @@ SHARD_WORKERS = min(4, os.cpu_count() or 1)
 
 def run_passes_runtime(scale: str, seeds: range) -> None:
     rows = []
-    totals = {"chunked": 0.0, "sharded": 0.0, "fused": 0.0}
-    # (label, worker count, fused); sharded = the kernels fanned across
-    # threads by the shared executor, fused = the same with each round's
-    # independent plans grouped into shared tape sweeps (identical
-    # estimates, fewer sweeps).
-    engines = [
-        ("chunked", 1, False),
-        ("sharded", SHARD_WORKERS, False),
-        ("fused", SHARD_WORKERS, True),
-    ]
+    totals = {"chunked": 0.0, "sharded": 0.0}
+    # (label, worker count); sharded = the kernels fanned across threads by
+    # the shared executor.
+    engines = [("chunked", 1), ("sharded", SHARD_WORKERS)]
     for n in SIZES[scale]:
         graph = barabasi_albert_graph(n, 5, random.Random(1))
         t = count_triangles(graph)
@@ -63,8 +54,8 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
         )
         engine_times = {}
         results = {}
-        for label, workers, fused in engines:
-            with engine_overrides(workers=workers, fuse=fused):
+        for label, workers in engines:
+            with engine_overrides(workers=workers):
                 best = float("inf")
                 for _ in seeds:
                     start = time.perf_counter()
@@ -74,12 +65,6 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
             totals[label] += best
         # Same seed, same answer: the thread counts differ only in speed.
         assert results["chunked"] == results["sharded"]
-        # The fused engine differs only in sweep/space accounting.
-        assert results["fused"].estimate == results["sharded"].estimate
-        assert results["fused"].sweeps_used <= results["sharded"].sweeps_used
-        if results["fused"].distinct_candidate_triangles:
-            # A round with candidates is where fusing saves its sweep.
-            assert results["fused"].sweeps_used < results["sharded"].sweeps_used
         single = results["sharded"]
 
         oracle_result = IdealEstimator(
@@ -97,9 +82,7 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
                 exact_result.passes_used,
                 engine_times["chunked"],
                 engine_times["sharded"],
-                engine_times["fused"],
                 engine_times["chunked"] / max(engine_times["sharded"], 1e-9),
-                engine_times["sharded"] / max(engine_times["fused"], 1e-9),
                 graph.num_edges / max(engine_times["chunked"], 1e-9),
             ]
         )
@@ -118,9 +101,7 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
                 "exact passes",
                 "chunked sec",
                 f"sharded sec (w={SHARD_WORKERS})",
-                f"fused sec (w={SHARD_WORKERS})",
                 "shard speedup",
-                "fuse speedup",
                 "edges/sec",
             ],
             rows,
@@ -132,10 +113,8 @@ def run_passes_runtime(scale: str, seeds: range) -> None:
     )
     print(
         f"sweep total: chunked {totals['chunked']:.3f}s, "
-        f"sharded {totals['sharded']:.3f}s, fused {totals['fused']:.3f}s "
-        f"(workers={SHARD_WORKERS}), "
-        f"shard speedup {totals['chunked'] / max(totals['sharded'], 1e-9):.2f}x, "
-        f"fuse speedup {totals['sharded'] / max(totals['fused'], 1e-9):.2f}x"
+        f"sharded {totals['sharded']:.3f}s (workers={SHARD_WORKERS}), "
+        f"shard speedup {totals['chunked'] / max(totals['sharded'], 1e-9):.2f}x"
     )
 
 

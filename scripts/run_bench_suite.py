@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run the benchmark suite and record the engine perf trajectory.
 
-Eleven stages:
+Ten stages:
 
 1. (optional) the repo's experiment regenerators at ``REPRO_BENCH_SCALE``
    (default ``tiny`` - a smoke pass over every ``benchmarks/bench_*.py``);
@@ -11,46 +11,43 @@ Eleven stages:
    largest sizes end to end plus a synthetic single-pass degree scan,
    serial chunked against a sweep thread pool (results asserted
    identical);
-4. a fused-vs-per-plan comparison of the sweep engine at matched worker
-   count: identical estimates asserted, strictly fewer physical tape
-   sweeps asserted, wall-clock speedup recorded;
-5. a sequential-vs-speculative comparison of the guessing-loop driver on
+4. a sequential-vs-speculative comparison of the guessing-loop driver on
    full multi-round estimates: bit-identical estimates and trajectories
    asserted, the speculative run's physical sweeps (committed + wasted)
    asserted to never exceed - and on multi-round estimates to beat - the
    sequential sweep count, wall-clock speedup recorded;
-6. a speculation *depth* sweep on a file-backed multi-round workload:
+5. a speculation *depth* sweep on a file-backed multi-round workload:
    physical sweeps and wall clock at depths 1 (sequential), 2, 3, 4 and
    the default schedule, bit-identity asserted at every depth and deeper
    windows asserted to never perform more sweeps than the depth-2 pair
    driver; then sequential vs the default on a dense disjoint-K8
    workload (the default's worst case: an early acceptance in the first,
    unclipped window);
-7. a fault-recovery overhead measurement: the canonical threaded
+6. a fault-recovery overhead measurement: the canonical threaded
    multi-round estimate run clean and again with the deterministic fault
    harness crashing a task on each of the first few sweeps -
    bit-identical results and an unchanged physical sweep count asserted
    (recovery retries tasks, it never re-sweeps the tape), the wall-clock
    overhead of the retries recorded;
-8. a text-vs-binary tape format comparison: the canonical file-backed
+7. a text-vs-binary tape format comparison: the canonical file-backed
    workload read as a text edge list and as its ``.etape`` conversion
    (mmap zero-copy ingest) - raw sweep throughput (edges/sec) measured
    for both formats, then full multi-round estimates timed end to end
    with bit-identical results asserted (the storage format must be
    invisible to the sampling layer);
-9. a durable-snapshot overhead measurement: the canonical file-backed
+8. a durable-snapshot overhead measurement: the canonical file-backed
    workload run clean, run again with round-boundary ``.esnap``
    snapshots enabled (atomic tmp + fsync + rename per committed round),
    and resumed from a mid-run snapshot - all three asserted
    bit-identical (estimate, trajectory, logical passes), with the
    snapshotting wall overhead recorded;
-10. a serve-throughput measurement: several concurrent estimate requests
+9. a serve-throughput measurement: several concurrent estimate requests
    for the same tape (distinct seeds) served by one ``repro serve``
    daemon over its unix socket, each response asserted bit-identical to
    its solo run (estimate, pass/sweep totals, root-RNG digest) and the
    tape's physical sweep count asserted strictly under the solo runs'
    sum - the cross-job sweep-sharing payoff, measured deterministically.
-11. a shared-probe measurement: one serial sweep of three degree plans
+10. a shared-probe measurement: one serial sweep of three degree plans
    against one sweep of one, on a synthetic tape (medians of interleaved
    pairs, results asserted equal to per-plan sweeps) - plans of one key
    space probe each block once, so the ratio stays near 1.
@@ -63,14 +60,12 @@ uses) so a crash mid-append can never truncate it; if a previous crash
 *did* leave it unreadable, the corrupt file is backed up alongside and
 the history restarts rather than aborting the run.
 
-``--smoke`` is the CI regression gate: it reruns stages 2-11 at tiny scale,
+``--smoke`` is the CI regression gate: it reruns stages 2-10 at tiny scale,
 appends nothing, and exits non-zero if the serial E9 sweep total took more
 than twice the last committed tiny ``BENCH_engine.json`` entry's, if the
 sharded speedup (when the box has the cores for it) regressed to below
-half of the last committed entry's, if the
-fused engine came out slower than the unfused sharded engine on the same
-sweep (both wall-clock comparisons take medians of interleaved pairs),
-if the speculative driver's multi-round physical sweep count
+half of the last committed entry's (the comparison takes medians of
+interleaved pairs), if the speculative driver's multi-round physical sweep count
 failed to come in under the sequential driver's, if depth-3 windows
 performed more physical sweeps than depth-2 pairs on the canonical
 workload, if the default schedule's physical sweeps were not under the
@@ -233,7 +228,7 @@ def _sharded_scan_bench(scale: str, workers: int, repeats: int = 3) -> dict:
     }
 
 
-#: Interleaved timing pairs behind the sharded and fused wall-clock gates.
+#: Interleaved timing pairs behind the sharded and shared-probe wall-clock gates.
 TIMING_PAIRS = 15
 
 
@@ -366,73 +361,6 @@ def run_shared_probe_comparison(scale: str) -> dict:
     return result
 
 
-def run_fused_comparison(scale: str) -> dict:
-    """Unfused vs fused sweep engine at matched worker count (E9 sweep).
-
-    Both columns run the sharded executor; the fused column additionally
-    groups each round's independent pass plans (closure watch + assignment
-    incident collection) into shared tape sweeps.  Estimates are asserted
-    bit-identical and the fused runs are asserted to perform strictly
-    fewer physical sweeps; the speedup is per-plan (unfused) time over
-    fused time, so >= 1.0 means fusing paid for its bookkeeping.  Each
-    row times :data:`TIMING_PAIRS` interleaved per-plan/fused pairs and
-    reports the median of each side.
-    """
-    workers = max(2, min(4, os.cpu_count() or 1))
-    rows = []
-    totals = {"per_plan": 0.0, "fused": 0.0}
-    sweep_counts = {}
-    for n in ENGINE_SIZES[scale][-2:]:  # the two largest sweep sizes
-        graph, t, stream, plan = _e9_instance(n)
-        per_plan_sec, fused_sec, per_plan, fused = _paired_medians(
-            _estimate_under(stream, plan, workers=workers, fuse=False),
-            _estimate_under(stream, plan, workers=workers, fuse=True),
-        )
-        times = {"per_plan": per_plan_sec, "fused": fused_sec}
-        results = {"per_plan": per_plan, "fused": fused}
-        for label in times:
-            totals[label] += times[label]
-        assert results["per_plan"].estimate == results["fused"].estimate, (
-            "fused parity violated"
-        )
-        assert results["fused"].sweeps_used <= results["per_plan"].sweeps_used, (
-            "fused mode increased stream sweeps"
-        )
-        if results["fused"].distinct_candidate_triangles:
-            # Rounds that find candidate triangles are where the fused
-            # pass-4/5 group saves its sweep; candidate-free runs tie.
-            assert results["fused"].sweeps_used < results["per_plan"].sweeps_used, (
-                "fused mode did not reduce stream sweeps"
-            )
-        sweep_counts = {
-            "per_plan": results["per_plan"].sweeps_used,
-            "fused": results["fused"].sweeps_used,
-        }
-        rows.append(
-            {
-                "n": n,
-                "m": graph.num_edges,
-                "per_plan_sec": round(times["per_plan"], 5),
-                "fused_sec": round(times["fused"], 5),
-                "speedup": round(times["per_plan"] / times["fused"], 2),
-                "sweeps_per_plan": results["per_plan"].sweeps_used,
-                "sweeps_fused": results["fused"].sweeps_used,
-            }
-        )
-        print(f"[bench-suite] fused n={n}: {rows[-1]}")
-    return {
-        "scale": scale,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "timing": f"median of {TIMING_PAIRS} interleaved pairs",
-        "rows": rows,
-        "sweeps": sweep_counts,
-        "total_per_plan_sec": round(totals["per_plan"], 4),
-        "total_fused_sec": round(totals["fused"], 4),
-        "total_speedup": round(totals["per_plan"] / totals["fused"], 2),
-    }
-
-
 def run_speculative_comparison(scale: str, repeats: int = 3) -> dict:
     """Sequential vs speculative guessing loop on multi-round estimates.
 
@@ -470,7 +398,6 @@ def run_speculative_comparison(scale: str, repeats: int = 3) -> dict:
                 repetitions=3,
                 engine_mode="chunked",
                 workers=1,
-                fuse=True,
                 speculate_depth=depth,
             )
             best = float("inf")
@@ -612,7 +539,7 @@ def run_speculative_depth_sweep(scale: str, repeats: int = 3) -> dict:
     rows = []
     results = {}
     try:
-        base = dict(seed=3, repetitions=3, engine_mode="chunked", workers=1, fuse=True)
+        base = dict(seed=3, repetitions=3, engine_mode="chunked", workers=1)
         for depth in (1, 2, 3, 4, "default"):
             config = EstimatorConfig(
                 **base,
@@ -680,7 +607,7 @@ def _result_facts(result) -> tuple:
 def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
     """Recovery overhead: a clean threaded run vs one task crash per sweep.
 
-    The canonical multi-round workload (file-backed, fused, workers=2) is
+    The canonical multi-round workload (file-backed, workers=2) is
     estimated twice: once clean, once with the fault harness crashing a
     task on each of the first few sweeps (every sweep at tiny scale is a
     single task, so ``worker.crash@k`` crashes sweep ``k``'s first
@@ -711,9 +638,7 @@ def run_fault_recovery(scale: str, repeats: int = 3) -> dict:
     write_edgelist(graph, handle.name)
     stream = FileEdgeStream(handle.name)
     stream.stats()  # prime the cache so both columns pay the same passes
-    base = dict(
-        seed=3, repetitions=3, engine_mode="sharded", workers=2, fuse=True
-    )
+    base = dict(seed=3, repetitions=3, engine_mode="sharded", workers=2)
     try:
         clean_config = EstimatorConfig(**base)
         clean_best = float("inf")
@@ -830,9 +755,7 @@ def run_tape_format_comparison(scale: str, repeats: int = 3) -> dict:
             checks[label] = (edges, int(total))
         assert checks["text"] == checks["mmap"], "formats swept different tapes"
 
-        config = EstimatorConfig(
-            seed=3, repetitions=3, engine_mode="chunked", workers=1, fuse=True
-        )
+        config = EstimatorConfig(seed=3, repetitions=3, engine_mode="chunked", workers=1)
         times = {}
         results = {}
         for label, stream in streams.items():
@@ -884,7 +807,7 @@ def run_snapshot_overhead(scale: str, repeats: int = 3) -> dict:
     """Durable-snapshot overhead and kill-at-round-k resume parity.
 
     The canonical multi-round workload (file-backed, sharded workers=2,
-    fused, speculation depth 3) is estimated three ways:
+    speculation depth 3) is estimated three ways:
 
     * **clean**: no checkpoint dir - the baseline wall clock;
     * **snapshotted**: a checkpoint dir configured, an atomic ``.esnap``
@@ -917,7 +840,6 @@ def run_snapshot_overhead(scale: str, repeats: int = 3) -> dict:
         repetitions=3,
         engine_mode="sharded",
         workers=2,
-        fuse=True,
         speculate_depth=3,
     )
 
@@ -1137,12 +1059,12 @@ def run_smoke(output: pathlib.Path) -> int:
     serial E9 sweep time and the speedups are compared - at matching scale
     only - with a 2x slack factor (machine noise and shared CI boxes make
     tighter gates flaky), and the sharded gate only arms on multi-core
-    machines where fan-out can win at all.  The sharded and fused speedups are ratios of medians over
-    :data:`TIMING_PAIRS` interleaved pairs (see :func:`_paired_medians`).
+    machines where fan-out can win at all.  The sharded speedup is a ratio
+    of medians over :data:`TIMING_PAIRS` interleaved pairs (see
+    :func:`_paired_medians`).
     """
     current_engine = run_engine_comparison("tiny")
     current_sharded = run_sharded_comparison("tiny")
-    current_fused = run_fused_comparison("tiny")
     current_shared_probe = run_shared_probe_comparison("tiny")
     current_speculative = run_speculative_comparison("tiny")
     current_depth_sweep = run_speculative_depth_sweep("tiny")
@@ -1168,16 +1090,6 @@ def run_smoke(output: pathlib.Path) -> int:
     ):
         failures.append(
             f"sharded speedup regressed: {measured_sharded}x vs last recorded {last_sharded}x"
-        )
-    # The fused engine must not lose to unfused sharded execution on the
-    # same sweep: it runs the identical kernels on strictly fewer tape
-    # traversals, so any deficit beyond measurement noise (10% slack on a
-    # shared box) is a regression in the fused executor itself.  Parity
-    # and the sweep-count reduction are asserted inside the comparison.
-    measured_fused = current_fused.get("total_speedup")
-    if measured_fused is not None and measured_fused < 0.9:
-        failures.append(
-            f"fused engine slower than unfused sharded: {measured_fused}x (< 0.9x floor)"
         )
     # Plans sharing a sweep probe each block once per key space, so three
     # degree plans must cost well under three single-plan sweeps (~1.1x
@@ -1335,7 +1247,6 @@ def main() -> int:
         record["benchmarks"] = run_pytest_benchmarks(args.scale)
     record["engine_comparison"] = run_engine_comparison(args.scale)
     record["sharded_comparison"] = run_sharded_comparison(args.scale)
-    record["fused_comparison"] = run_fused_comparison(args.scale)
     record["shared_probe"] = run_shared_probe_comparison(args.scale)
     record["speculative_comparison"] = run_speculative_comparison(args.scale)
     record["speculative_depth_sweep"] = run_speculative_depth_sweep(args.scale)

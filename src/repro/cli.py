@@ -9,17 +9,15 @@ Commands
     One-pass exact triangle count with space/pass accounting.
 ``estimate <edgelist> --kappa K [--epsilon E] [--seed S] [--repetitions R]
 [--engine auto|chunked|sharded] [--chunk-size C] [--workers W]
-[--fuse | --no-fuse] [--speculate-depth K]``
+[--speculate-depth K]``
     The paper's estimator on the file's stream; ``--workers`` sets the
     threads per sweep (default: all cores; seed-for-seed identical at any
-    count; ``--engine`` names are synonyms of the one engine),
-    ``--fuse`` turns on the fused sweep engine (independent pass plans of
-    each round share physical tape sweeps; identical estimates, fewer
-    stream traversals), and ``--speculate-depth`` sets the guessing
-    loop's round *windows* (up to that many rounds, default 4, run
-    alongside round i; the prefix up to the first acceptance is committed
-    and the rest discarded; identical estimates, ~depth-fold fewer sweeps
-    on multi-round estimates; ``1`` runs the sequential loop).
+    count; ``--engine`` names are synonyms of the one engine), and
+    ``--speculate-depth`` sets the guessing loop's round *windows* (up to
+    that many rounds, default 4, run alongside round i; the prefix up to
+    the first acceptance is committed and the rest discarded; identical
+    estimates, ~depth-fold fewer sweeps on multi-round estimates; ``1``
+    runs the sequential loop).
     ``--max-retries`` tunes the fault-tolerant execution layer and
     ``--faults`` injects deterministic failures for testing; any tier the
     recovery ladder had to drop is reported as a ``degraded:`` line.
@@ -68,6 +66,7 @@ enabled).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import signal
 import sys
@@ -108,20 +107,24 @@ def _engine_mode(value: str) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every parser takes options spelled in full only: with prefix matching,
+    # a removed option (``--speculate 1``) would resolve to a longer one.
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Degeneracy-aware streaming triangle counting (Bera-Seshadhri, PODS 2020)",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_stats = sub.add_parser("stats", help="offline ground truth of an edge list")
+    p_stats = add_command("stats", help="offline ground truth of an edge list")
     p_stats.add_argument("edgelist")
 
-    p_exact = sub.add_parser("exact", help="one-pass exact triangle count")
+    p_exact = add_command("exact", help="one-pass exact triangle count")
     p_exact.add_argument("edgelist")
 
-    p_est = sub.add_parser("estimate", help="run the paper's estimator")
+    p_est = add_command("estimate", help="run the paper's estimator")
     p_est.add_argument("edgelist")
     p_est.add_argument("--kappa", type=int, required=True, help="degeneracy upper bound (promise)")
     p_est.add_argument("--epsilon", type=float, default=0.25)
@@ -142,15 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="threads per sweep (default: all cores; 1 = serial)",
-    )
-    p_est.add_argument(
-        "--fuse",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "fuse each round's independent pass plans into shared tape sweeps "
-            "(fewer stream traversals, identical estimates; default: REPRO_FUSE policy)"
-        ),
     )
     p_est.add_argument(
         "--speculate-depth",
@@ -185,16 +179,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_snapshot_arguments(p_est)
 
-    p_bounds = sub.add_parser("bounds", help="Table 1 predicted bounds for an instance")
+    p_bounds = add_command("bounds", help="Table 1 predicted bounds for an instance")
     p_bounds.add_argument("edgelist")
 
-    p_gen = sub.add_parser("generate", help="write a workload graph to a file")
+    p_gen = add_command("generate", help="write a workload graph to a file")
     p_gen.add_argument("family", help="workload name (see `repro generate --list`)")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--scale", default="small", choices=["tiny", "small", "medium"])
     p_gen.add_argument("--seed", type=int, default=0)
 
-    p_conv = sub.add_parser(
+    p_conv = add_command(
         "convert", help="convert a text edge list to the binary .etape tape format"
     )
     p_conv.add_argument("edgelist")
@@ -214,10 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "prove the round trip is exact",
     )
 
-    p_info = sub.add_parser("tape-info", help="dump an .etape tape header and stats")
+    p_info = add_command("tape-info", help="dump an .etape tape header and stats")
     p_info.add_argument("tape")
 
-    p_resume = sub.add_parser(
+    p_resume = add_command(
         "resume", help="continue an interrupted estimate from an .esnap snapshot"
     )
     p_resume.add_argument(
@@ -233,21 +227,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_resume.add_argument("--chunk-size", type=int, default=None)
     p_resume.add_argument("--workers", type=int, default=None)
-    p_resume.add_argument("--fuse", action=argparse.BooleanOptionalAction, default=None)
     p_resume.add_argument("--speculate-depth", type=int, default=None)
     p_resume.add_argument("--max-retries", type=int, default=None)
     _add_snapshot_arguments(p_resume)
 
-    p_sinfo = sub.add_parser(
-        "snapshot-info", help="dump an .esnap snapshot header and state summary"
-    )
+    p_sinfo = add_command("snapshot-info", help="dump an .esnap snapshot header and state summary")
     p_sinfo.add_argument(
         "snapshot", help=".esnap file, or a checkpoint directory (newest valid snapshot)"
     )
 
-    p_serve = sub.add_parser(
-        "serve", help="run the estimate-serving daemon (cross-job sweep sharing)"
-    )
+    p_serve = add_command("serve", help="run the estimate-serving daemon (cross-job sweep sharing)")
     p_serve.add_argument(
         "--socket",
         default=None,
@@ -397,7 +386,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         engine_mode=args.engine,
         chunk_size=args.chunk_size,
         workers=args.workers,
-        fuse=args.fuse,
         speculate_depth=args.speculate_depth,
         max_retries=args.max_retries,
         faults=args.faults,
@@ -427,7 +415,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             ("engine_mode", args.engine),
             ("chunk_size", args.chunk_size),
             ("workers", args.workers),
-            ("fuse", args.fuse),
             ("speculate_depth", args.speculate_depth),
             ("max_retries", args.max_retries),
             ("checkpoint_dir", args.checkpoint_dir),

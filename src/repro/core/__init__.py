@@ -21,7 +21,7 @@ One engine backs every pass: the chunked NumPy kernels of
 :mod:`~repro.core.kernels`, which the pass executor of
 :mod:`~repro.core.executor` runs on a thread per core (seed-for-seed
 identical results at any count; see :mod:`~repro.core.engine` for the
-knobs: chunk size, workers, fused sweeps, round-window depth).
+knobs: chunk size, workers, round-window depth).
 Passes are expressed as *stages* (:mod:`~repro.core.stages`) and rounds as
 stage *programs* (:mod:`~repro.core.parallel`), which is what lets the
 speculative driver (:mod:`~repro.core.speculate`) run several guessing

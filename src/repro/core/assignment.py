@@ -159,22 +159,6 @@ class _Bundle:
         return np.repeat(self.values, self.counts).tolist()
 
 
-def replay_incident_rows(incident_rows: list, offer) -> None:
-    """Replay a fused-sweep incident buffer through a per-edge callback.
-
-    The buffer is what :func:`repro.core.estimator.stage_closure`
-    collected during the fused pass-4/5 sweep: every tape edge incident to
-    a *superset* of the assignment stage's tracked vertices, in stream
-    order, as ``(k, 2)`` blocks.  ``offer`` must ignore untracked
-    endpoints - exactly the contract of the pass-5 callback - so replaying
-    the superset produces the identical update (and RNG-consumption)
-    sequence a live incident scan would have, without consuming a pass.
-    """
-    for block in incident_rows:
-        for u, v in block.tolist():
-            offer(u, v)
-
-
 def stage_closure_hits(
     bundle_rows: List[_Bundle],
     others: List[Vertex],
@@ -195,7 +179,7 @@ def stage_closure_hits(
     way the per-edge reference counts them.  When vertex ids overflow the
     32-bit packing the watch table below runs instead, as a per-row replay
     (:class:`~repro.core.kernels.EdgeReplayPlan`, chunk-paced so the stage
-    can still share a fused sweep; a pass is a pass either way).
+    can still share a sweep with other rounds' stages).
     """
     from .stages import RoundStage, charge_prefilter
 
@@ -357,17 +341,12 @@ class StreamingAssigner:
         self,
         scheduler: PassScheduler,
         triangles: Iterable[Triangle],
-        incident_rows: Optional[list] = None,
     ) -> Dict[Triangle, Optional[Edge]]:
         """Resolve assignments for all distinct triangles in two passes.
 
         The ``k = 1`` case of the round programs' assignment stage
         (:func:`repro.core.parallel._assign_program`), each stage run as a
-        private sweep on ``scheduler``.  When the fused sweep engine
-        already collected the incident edges during pass 4,
-        ``incident_rows`` carries that buffer and pass 5 replays it
-        instead of opening a pass of its own (the pass was charged by the
-        fused group) - results are bit-identical either way.
+        private sweep on ``scheduler``.
         """
         from .parallel import _assign_program, drive_round
 
@@ -379,7 +358,6 @@ class StreamingAssigner:
             [self._rng],
             [distinct],
             self._meter,
-            incident_rows,
             track=lambda stage: stage,
         )
         return drive_round(scheduler, program)[0]

@@ -103,15 +103,9 @@ class EstimatorConfig:
         Optional thread count per sweep (``1`` = serial).  ``None`` keeps
         the policy in force (``REPRO_WORKERS``, default all cores).
     fuse:
-        Optional override of the fused sweep engine: each round's closure
-        watch (pass 4) and assignment sampling (pass 5) share one physical
-        tape sweep (:func:`repro.core.executor.run_plans`).  Estimates are
-        seed-for-seed identical with fusing on or off; fusing trades a
-        speculative incident buffer (extra space) for strictly fewer
-        stream sweeps on rounds that find candidate triangles (a round
-        whose wedges all stay open ties - unfused execution skips the
-        assignment passes there).  ``None`` keeps the policy in force
-        (``REPRO_FUSE``, off by default).
+        Accepted for existing configs: ``None`` or a ``bool``, and selects
+        nothing.  The fused pass-4/5 sweep it once switched on was removed;
+        every round runs passes 4 and 5 as separate sweeps.
     speculate_depth:
         Optional override of the maximum guessing rounds per window: the
         loop runs round ``i`` together with up to ``speculate_depth - 1``
@@ -207,6 +201,8 @@ class EstimatorConfig:
         engine.check_settings(self.chunk_size, self.workers, self.speculate_depth)
         if self.engine_mode is not None:
             engine.check_mode(self.engine_mode)
+        if self.fuse is not None and not isinstance(self.fuse, bool):
+            raise ParameterError(f"fuse must be None or a bool, got {self.fuse!r}")
         if self.faults is not None and not isinstance(self.faults, faults_module.FaultPlan):
             faults_module.FaultPlan.parse(str(self.faults))  # validate eagerly
 
@@ -260,11 +256,11 @@ class EstimateResult:
     constant six-pass budget - the total reflects the driver's repetition
     and search factors, both ``O(log)``).  ``sweeps_total`` sums the
     *physical tape sweeps* serving the committed rounds - equal to
-    ``passes_total`` unfused, strictly smaller when the fused sweep engine
-    grouped passes within a round or the speculative driver fused round
-    windows.  ``sweeps_wasted`` counts the additional physical sweeps
-    that served *only* discarded speculation (pre-drawn rounds thrown
-    away because an earlier round of their window accepted): the tape
+    ``passes_total`` under the sequential loop, smaller when the
+    speculative driver shared sweeps across a round window.
+    ``sweeps_wasted`` counts the additional physical sweeps that served
+    *only* discarded speculation (pre-drawn rounds thrown away because
+    an earlier round of their window accepted): the tape
     traversals actually performed are ``sweeps_total + sweeps_wasted``,
     and ``sweeps_wasted`` is always 0 under the sequential driver.
     ``passes_wasted`` likewise counts the discarded rounds' logical
@@ -485,7 +481,7 @@ def estimate_program(
             root_state=root.getstate(),
         )
     policy = engine.resolve(cfg)
-    fuse, max_depth = policy.fuse, policy.speculate_depth
+    max_depth = policy.speculate_depth
     if cfg.t_hint is not None or cfg.space_budget_words is not None:
         max_depth = 1
     guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
@@ -562,7 +558,7 @@ def estimate_program(
         # totals match a solo run no matter how the driving entity
         # physically served the batches.
         ledger = OwnerLedger()
-        program = window_program(m, plans, rng_lists, meters, owners, fuse)
+        program = window_program(m, plans, rng_lists, meters, owners)
         try:
             batch = next(program)
             while True:

@@ -1,4 +1,4 @@
-"""Execution-engine policy: chunk size, threads per sweep, sweep schedule.
+"""Execution-engine policy: chunk size, threads per sweep, window depth.
 
 Every pass of the estimator stack runs as NumPy plans
 (:mod:`repro.core.kernels`): edges arrive in ``(k, 2)`` int64 blocks via
@@ -13,18 +13,20 @@ scripts and environments keep working; it is validated and selects
 nothing.  The per-edge ``"python"`` engine was removed: asking for it
 raises :class:`~repro.errors.ParameterError` rather than silently running
 something else (a snapshot that recorded it resumes on the one engine -
-see :func:`repro.core.driver.resume_from`).
+see :func:`repro.core.driver.resume_from`).  ``EstimatorConfig.fuse`` is
+accepted the same way and selects nothing: the fused pass-4/5 sweep it
+switched on was removed.
 
 Every setting is a per-run execution choice - estimates are bit-identical
 under any of them - so the settings form one frozen :class:`Policy` held
 in a :class:`contextvars.ContextVar`.  :func:`resolve` lays a config's
 engine fields over the policy in force, which outside any scope is the
 environment's: ``REPRO_WORKERS`` (a positive integer; default all cores,
-``1`` means serial), ``REPRO_FUSE`` (on/off) and ``REPRO_SPECULATE_DEPTH``
-(a positive integer; ``1`` runs the sequential loop), read each time and
-rejected with a :class:`~repro.errors.ParameterError` naming the variable
-when malformed.  ``REPRO_ENGINE`` only warns when it names the removed
-engine; the removed ``REPRO_SPECULATE`` switch raises when set.
+``1`` means serial) and ``REPRO_SPECULATE_DEPTH`` (a positive integer;
+``1`` runs the sequential loop), read each time and rejected with a
+:class:`~repro.errors.ParameterError` naming the variable when malformed.
+``REPRO_ENGINE`` only warns when it names the removed engine; the removed
+``REPRO_SPECULATE`` and ``REPRO_FUSE`` switches raise when set.
 :func:`engine_overrides` runs a block under a resolved policy and restores
 the previous one on exit.  Each program driver sweeps inside its own
 scope, so estimates running concurrently on different threads each sweep
@@ -43,7 +45,7 @@ from typing import Iterator, Optional
 
 from ..errors import ParameterError
 from ..streams.base import DEFAULT_CHUNK_EDGES
-from .knobs import check_count, resolve_flag, resolve_int
+from .knobs import check_count, resolve_int
 
 #: Accepted ``engine_mode`` names: synonyms of the one engine.
 _MODES = ("auto", "chunked", "sharded")
@@ -96,10 +98,6 @@ class Policy:
     chunk_size: int
     #: Threads per sweep; ``1`` runs the kernels inline on the sweeping thread.
     workers: int
-    #: Fused sweeps: independent pass plans of one round share a physical
-    #: tape sweep (see :func:`repro.core.executor.run_plans`), trading a
-    #: little extra speculative space for fewer stream sweeps.
-    fuse: bool
     #: Maximum rounds per guessing-loop window: round ``i`` and up to
     #: ``speculate_depth - 1`` pre-drawn later rounds share sweeps, and the
     #: prefix up to the first acceptance is committed (see
@@ -127,10 +125,14 @@ def _environment() -> Policy:
             "setting; set REPRO_SPECULATE_DEPTH=1 for the sequential loop, or unset "
             "REPRO_SPECULATE for the default windows"
         )
+    if os.environ.get("REPRO_FUSE", "").strip():
+        raise ParameterError(
+            "REPRO_FUSE was removed: the fused pass-4/5 sweep is gone and every "
+            "round runs passes 4 and 5 as separate sweeps; unset REPRO_FUSE"
+        )
     return Policy(
         chunk_size=DEFAULT_CHUNK_EDGES,
         workers=resolve_int(None, "REPRO_WORKERS", os.cpu_count() or 1),
-        fuse=resolve_flag("REPRO_FUSE", False),
         speculate_depth=resolve_int(None, "REPRO_SPECULATE_DEPTH", DEFAULT_SPECULATE_DEPTH),
     )
 
@@ -145,7 +147,7 @@ def resolve(cfg: object = None, **fields: object) -> Policy:
     """Lay ``cfg``'s engine fields, then the keyword ``fields``, over :func:`policy`.
 
     ``cfg`` is an :class:`~repro.core.driver.EstimatorConfig` or anything
-    carrying its engine field names (``chunk_size``, ``workers``, ``fuse``,
+    carrying its engine field names (``chunk_size``, ``workers``,
     ``speculate_depth``); ``None`` leaves a setting as it is.
     """
     unknown = set(fields).difference(_FIELDS)

@@ -99,9 +99,8 @@ class SinglePassStackResult:
     distinct_candidate_triangles: int
     passes_used: int
     space_words_peak: int
-    #: Physical tape sweeps consumed (== ``passes_used`` unfused; strictly
-    #: smaller when the fused sweep engine grouped passes - see
-    #: :func:`repro.core.executor.run_plans`).
+    #: Stages this run rode (its solo sweep count; a speculative window or
+    #: the daemon may share the physical traversals with other runs).
     sweeps_used: int = 0
 
     def to_state(self) -> dict:
@@ -145,8 +144,7 @@ def run_single_estimate(
         Replaces the streaming Algorithm 3 with an assigner that consumes
         no passes (``passes_required == 0``); tests and the ablations
         inject :class:`~repro.core.assignment.ExactAssigner` here to
-        isolate Algorithm 2's error from Algorithm 3's.  Such runs never
-        fuse passes 4 and 5 (there is no pass 5 to fuse).
+        isolate Algorithm 2's error from Algorithm 3's.
     """
     from .parallel import run_parallel_estimates
 
@@ -323,62 +321,20 @@ def stage_closure(
     owners: List[np.ndarray],
     apexes: List[np.ndarray],
     meter: SpaceMeter,
-    fuse: bool = False,
 ) -> RoundStage:
-    """Build the pass-4 stage - or, with ``fuse``, fused passes 4+5.
+    """Build the pass-4 stage: which wedges ``{e, w}`` close.
 
-    Pass 4 resolves which wedges ``{e, w}`` close (see
-    :func:`_closure_watch` for the watch and its cross-instance dedup).
-    ``finish()`` returns ``(closures, incident_rows)``: per instance, the
-    sorted ``(ell, 3)`` wedge triangle of each draw and the mask of draws
-    whose wedge closed; ``incident_rows`` is ``None`` unless fused.
-
-    Fused, the closure watch and the assignment stage's incident reads
-    (pass 5) share one sweep.  The assignment stage replays the edges
-    incident to the candidate triangles' vertices - a set only known once
-    pass 4 resolves which wedges closed.  Fusing the two is still exact
-    because the replayed pass-5 callback ignores untracked endpoints: this
-    sweep *buffers* the edges incident to every **wedge** vertex (a superset of
-    every possible candidate vertex, fixed before the sweep), and the
-    caller replays the buffer through the pass-5 per-edge logic after
-    closure is known.  The replayed sequence - and therefore every degree
-    counter and every sample bundle's RNG consumption - is identical to
-    what a dedicated pass-5 sweep would have produced, so estimates are
-    bit-identical to unfused execution; the speculative buffer (metered as
-    ``fused-incident-buffer``) is the space this trades for one fewer
-    sweep of the tape.  ``incident_rows`` is the buffered incident
-    sequence in stream order, as ``(k, 2)`` blocks, for
-    :func:`~repro.core.assignment.replay_incident_rows`.
-
-    Sweep accounting: a round whose wedges close saves exactly one sweep
-    (6 instead of 6 unfused passes over 5 sweeps).  A round with wedges
-    but no closures charges the speculative pass-5 logical pass without
-    saving a sweep (unfused execution would have skipped passes 5-6
-    entirely); a round with no wedges at all runs the plain pass-4 scan
-    and speculates nothing.  Fused sweeps per estimate are therefore
-    never more than unfused, and strictly fewer as soon as any round
-    finds a candidate triangle.
+    See :func:`_closure_watch` for the watch and its cross-instance dedup.
+    ``finish()`` is, per instance, the sorted ``(ell, 3)`` wedge triangle
+    of each draw and the mask of draws whose wedge closed.
     """
     triangles, watchers, keys, inverse = _closure_watch(draws, owners, apexes, meter)
     sizes = [len(instance_draws) for instance_draws in draws]
+    plan = kernels.WatchKeyPlan(keys)
 
-    def closures(seen: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def finish() -> List[Tuple[np.ndarray, np.ndarray]]:
         closed = np.zeros(len(triangles), dtype=bool)
-        closed[watchers] = seen[inverse]
+        closed[watchers] = plan.seen[inverse]
         return list(zip(_split(triangles, sizes), _split(closed, sizes)))
 
-    # No wedges at all: there is nothing pass 5 could ever track, so
-    # speculating would charge a logical pass for provably dead work.
-    watch_plan = kernels.WatchKeyPlan(keys)
-    if not (fuse and len(keys)):
-        return RoundStage(plans=[watch_plan], finish=lambda: (closures(watch_plan.seen), None))
-    superset = kernels.sorted_unique(triangles[watchers].reshape(-1))
-    charge_prefilter(meter, len(superset))
-    collect_plan = kernels.IncidentCollectPlan(superset)
-
-    def finish():
-        incident = collect_plan.result()
-        meter.allocate(2 * sum(len(block) for block in incident), "fused-incident-buffer")
-        return closures(watch_plan.seen), incident
-
-    return RoundStage(plans=[watch_plan, collect_plan], finish=finish)
+    return RoundStage(plans=[plan], finish=finish)

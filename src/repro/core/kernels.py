@@ -27,15 +27,15 @@ the exact ``searchsorted``.  The table is charged to the round's meter as
 (:func:`~repro.core.stages.charge_prefilter`).
 
 Co-riders share probes: when two or more active plans of one sweep probe
-the same key space (speculative rounds, a fused pass-4/5 group, co-served
-jobs), the executor binds them to one :class:`SharedProbe` over the union
-of their keys.  Each task then probes its block once per key space, and
-every plan keeps the hits on its own keys, re-ranked among them through
-its rank bitmap over the union - the exact ``(positions, ranks)`` its own
-table would give, so partials and results are unchanged.  A plan alone in
-its key space probes its own table exactly as before.  The union table has
-exactly the bytes of the members' tables together, so the per-plan charges
-still account for it.
+the same key space (speculative rounds, co-served jobs), the executor
+binds them to one :class:`SharedProbe` over the union of their keys.
+Each task then probes its block once per key space, and every plan keeps
+the hits on its own keys, re-ranked among them through its rank bitmap
+over the union - the exact ``(positions, ranks)`` its own table would
+give, so partials and results are unchanged.  A plan alone in its key
+space probes its own table exactly as before.  The union table has
+exactly the bytes of the members' tables together, so the per-plan
+charges still account for it.
 
 Plan-to-pass map (Algorithm 2 / Algorithm 3 of the paper):
 
@@ -61,13 +61,6 @@ plan                                  pass it accelerates
                                       stream order, so the caller's
                                       sequential RNG consumption runs
                                       unchanged on the matches
-:class:`IncidentCollectPlan`          fused pass 4+5 - the same incident
-                                      filter, but matched blocks are
-                                      *buffered* in stream order for a
-                                      post-sweep replay (no callback, no
-                                      in-sweep RNG), which is what lets
-                                      the closure watch and the assignment
-                                      stage's sampling share one sweep
 :class:`NeighborPositionPlan`         pass 3 - the neighbor at each
                                       requested (owner, occurrence) event
                                       (owners found via the prefiltered
@@ -91,7 +84,7 @@ plan                                  pass it accelerates
                                       fallback for scans with no
                                       vectorized kernel (overflowing watch
                                       keys) so they can still share a
-                                      fused sweep
+                                      sweep with other plans
 ====================================  =====================================
 
 Seed-for-seed parity with the per-edge reference folds of
@@ -531,47 +524,6 @@ def _incident_kernel(spec: Probe, start_row: int, rows: np.ndarray):
     if not len(sel):
         return None
     return rows[sel]
-
-
-class IncidentCollectPlan(PassPlan):
-    """Buffer (instead of replay) the edges incident to a tracked set.
-
-    Same kernel as :class:`IncidentEdgePlan`, but ``absorb`` stores the
-    matched blocks in stream order rather than invoking a callback - which
-    makes the plan independent of anything computed in the same sweep.
-    The fused pass-4/5 sweep uses it to collect every edge incident to a
-    *superset* of the assignment stage's tracked vertices (all wedge
-    vertices, closed or not) while the closure watch resolves in the same
-    traversal; the caller then replays the buffer through the sequential
-    per-edge logic once the true tracked set is known.  Replaying a
-    superset is exact: untracked endpoints are no-ops in the replayed
-    fold, so the fold sees the identical update (and RNG-consumption)
-    sequence a dedicated incident pass would have produced.
-
-    ``result()`` is the list of matched ``(k, 2)`` blocks in stream order.
-    """
-
-    name = "pass5/incident-collect"
-    kernel = staticmethod(_incident_kernel)
-
-    def __init__(self, tracked_ids: Union[Sequence[Vertex], np.ndarray]) -> None:
-        self._ids = Probe(VERTEX, sorted_unique(np.asarray(tracked_ids, dtype=np.int64)))
-        self._blocks: List[np.ndarray] = []
-
-    def spec(self) -> Probe:
-        return self._ids
-
-    def probe(self) -> Probe:
-        return self._ids
-
-    def absorb(self, partial) -> None:
-        self._blocks.append(partial)
-
-    def finished(self) -> bool:
-        return len(self._ids) == 0
-
-    def result(self) -> List[np.ndarray]:
-        return self._blocks
 
 
 class IncidentEdgePlan(PassPlan):

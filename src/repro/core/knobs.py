@@ -17,9 +17,6 @@ from ..errors import ParameterError
 
 T = TypeVar("T")
 
-_ON = ("1", "true", "on", "yes")
-_OFF = ("0", "false", "off", "no")
-
 
 def resolve_int(value: Optional[int], env: str, default: T, minimum: int = 1) -> "int | T":
     """``value``, else the integer in ``env``, else ``default``; below ``minimum`` raises."""
@@ -35,20 +32,6 @@ def resolve_int(value: Optional[int], env: str, default: T, minimum: int = 1) ->
     if value < minimum:
         raise ParameterError(f"{env} must be >= {minimum}, got {value}")
     return value
-
-
-def resolve_flag(env: str, default: bool) -> bool:
-    """The on/off switch in ``env`` (``1/true/on/yes`` or ``0/false/off/no``), else ``default``."""
-    raw = os.environ.get(env, "").strip().lower()
-    if not raw:
-        return default
-    if raw in _ON:
-        return True
-    if raw in _OFF:
-        return False
-    raise ParameterError(
-        f"{env} must be one of {'/'.join(_ON)} or {'/'.join(_OFF)}, got {raw!r}"
-    )
 
 
 def check_count(name: str, value: object, minimum: int = 1) -> None:

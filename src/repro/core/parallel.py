@@ -55,13 +55,8 @@ from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
 from ..types import Edge, Triangle, Vertex, triangle_edges
-from . import engine, kernels
-from .assignment import (
-    _Bundle,
-    derive_sample_generator,
-    replay_incident_rows,
-    stage_closure_hits,
-)
+from . import kernels
+from .assignment import _Bundle, derive_sample_generator, stage_closure_hits
 from .estimator import (
     PASS_BUDGET_PER_ROUND,
     SinglePassStackResult,
@@ -122,7 +117,6 @@ def round_program(
     rngs: List[random.Random],
     meter: SpaceMeter,
     assign: Optional[AssignHook] = None,
-    fuse: Optional[bool] = None,
 ) -> RoundProgram:
     """One guessing-loop round (``k`` parallel instances) as a stage program.
 
@@ -135,9 +129,7 @@ def round_program(
     whether the driver shared the physical traversals.
 
     ``assign`` (the ablations' hook) resolves each instance's candidate
-    triangles without a pass in place of Algorithm 3; passes 4 and 5 then
-    never fuse, since there is no pass 5.  ``fuse`` selects the fused
-    pass-4/5 sweep (``None``: the engine policy's, :func:`repro.core.engine.policy`).
+    triangles without a pass in place of Algorithm 3.
     """
     k = len(rngs)
     if k < 1:
@@ -161,14 +153,7 @@ def round_program(
     degrees = yield track(stage_pass2(sampled, meter))
     draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, plan, sources, meter)
     apexes = yield track(stage_pass3(owners, degrees, sources, meter))
-    if fuse is None:
-        fuse = engine.policy().fuse
-    # Fused sweep engine: the closure watch (pass 4) and the assignment
-    # stage's incident reads (pass 5) share one traversal; the buffered
-    # superset is replayed below once closure is known.
-    closures, incident = yield track(
-        stage_closure(draws, owners, apexes, meter, fuse=fuse and assign is None)
-    )
+    closures = yield track(stage_closure(draws, owners, apexes, meter))
 
     # Per instance: each closed wedge's triangle and its drawn edge.
     closed_by_instance: List[Tuple[List[Triangle], List[Edge]]] = [
@@ -180,9 +165,7 @@ def round_program(
     ]
     distinct_by_instance: List[set] = [set(triangles) for triangles, _ in closed_by_instance]
     if assign is None:
-        assignments = yield from _assign_program(
-            plan, rngs, distinct_by_instance, meter, incident, track
-        )
+        assignments = yield from _assign_program(plan, rngs, distinct_by_instance, meter, track)
     else:
         assignments = [assign(distinct) if distinct else {} for distinct in distinct_by_instance]
 
@@ -213,7 +196,6 @@ def _assign_program(
     rngs: List[random.Random],
     distinct_by_instance: List[set],
     meter: SpaceMeter,
-    incident_rows: Optional[list],
     track,
 ) -> Generator[RoundStage, object, List[Dict[Triangle, Optional[Edge]]]]:
     """Passes 5-6: Algorithm 3 for every instance, sharing the two passes.
@@ -224,9 +206,7 @@ def _assign_program(
     the same missing edge share one packed key; the hit count fans back
     out per (instance, edge) row - see
     :func:`~repro.core.assignment.stage_closure_hits`).  Skipped entirely
-    (0 passes) when no instance found any triangle.  Under the fused sweep
-    engine ``incident_rows`` carries the pass-4 sweep's buffered incident
-    superset and pass 5 replays it instead of opening its own pass.
+    (0 passes) when no instance found any triangle.
     """
     k = len(rngs)
     if not any(distinct_by_instance):
@@ -267,13 +247,8 @@ def _assign_program(
             for j, bundle in by_vertex[b]:
                 bundle.offer(a, sample_rngs[j])
 
-    if incident_rows is not None:
-        # Fused sweep: the tape reads happened during the pass-4 sweep;
-        # replaying the buffered superset consumes no pass.
-        replay_incident_rows(incident_rows, offer)
-    else:
-        charge_prefilter(meter, len(degree))
-        yield track(RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)]))
+    charge_prefilter(meter, len(degree))
+    yield track(RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)]))
     for (j, _), bundle in bundles.items():  # deterministic construction order
         bundle.flush(sample_rngs[j])
 

@@ -36,7 +36,7 @@ sequence it would fold with private sweeps (see
 that serves a window's batches), and all randomness is strictly per-round,
 so every committed estimate, diagnostic, and logical-pass count is
 bit-identical to the sequential loop **at any depth** - at any worker
-count, fused or not.
+count.
 
 Cleanup contract: if a shared sweep raises, closing the window program
 closes every still-live round program before the exception propagates, so
@@ -46,7 +46,7 @@ their generator ``finally`` blocks run.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Sequence
 
 from ..streams.space import SpaceMeter
 from .estimator import SinglePassStackResult
@@ -71,19 +71,17 @@ def window_program(
     rng_lists: Sequence[List[random.Random]],
     meters: Sequence[SpaceMeter],
     owners: Sequence[str],
-    fuse: Optional[bool] = None,
 ) -> Generator[List[TaggedStage], None, List[List[SinglePassStackResult]]]:
     """The lockstep window as a stage program: yields, never sweeps.
 
     Drives ``len(plans)`` independent round programs in lockstep, yielding
     at each step the pending owner-tagged stages of every still-running
-    round as one batch.  The *caller* executes each batch - as one fused
+    round as one batch.  The *caller* executes each batch - as one shared
     sweep (the solo driver), or merged with other windows' batches on a
     shared scheduler (the serving layer) - then resumes the
     program with ``send(None)``; the program collects each stage's
     ``finish()`` itself.  Returns the per-round result lists, aligned with
-    ``owners``.  ``fuse`` is passed to every
-    :func:`~repro.core.parallel.round_program`.
+    ``owners``.
 
     Cleanup contract: if the caller's sweep raises, closing this generator
     (which a ``finally`` in the caller must do) closes every still-live
@@ -95,7 +93,7 @@ def window_program(
     if len(rng_lists) != depth or len(meters) != depth or len(owners) != depth:
         raise ValueError("plans, rng_lists, meters, and owners must align per round")
     programs = {
-        owner: round_program(m, plans[j], rng_lists[j], meters[j], fuse=fuse)
+        owner: round_program(m, plans[j], rng_lists[j], meters[j])
         for j, owner in enumerate(owners)
     }
     stages = {}

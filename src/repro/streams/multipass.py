@@ -16,8 +16,8 @@ wall-clock time is made of).  A **fused** pass group
 (:meth:`new_fused_pass_chunks`) opens several
 logical passes at once, all served by a single sweep of the tape: the
 budget is charged for every logical pass, while :attr:`sweeps_used` grows
-by one.  Plain passes charge one of each, so for unfused execution the two
-counters coincide.
+by one.  Plain passes charge one of each, so when every sweep serves one
+pass the two counters coincide.
 
 Sweeps can additionally be tagged with the *owners* they serve (the
 speculative round-pair driver tags each shared sweep with the rounds whose
@@ -168,8 +168,8 @@ class PassScheduler:
     def sweeps_used(self) -> int:
         """Number of physical tape sweeps started so far.
 
-        Equal to :attr:`passes_used` under unfused execution; strictly
-        smaller whenever fused pass groups shared a sweep.
+        Equal to :attr:`passes_used` when every sweep served one pass;
+        strictly smaller whenever fused pass groups shared a sweep.
         """
         return self._sweeps_used
 

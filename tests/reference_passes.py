@@ -7,7 +7,7 @@ iteration per tape edge, dicts and lists instead of probes - so the plans
 can be checked against an independent implementation rather than against
 themselves:
 
-* the **folds** (:class:`PositionFold` ... :class:`FusedWatchCollectFold`,
+* the **folds** (:class:`PositionFold` ... :class:`WatchFold`,
   plus :class:`CallbackFold` for passes 5 and the replay fallback, and
   :class:`PackedKeyCountFold` for pass 6) each take one edge at a time;
   :func:`fold_stream` feeds them a stream directly;
@@ -167,20 +167,6 @@ class WatchFold(EdgeFold):
             self.seen[i] = True
 
 
-class FusedWatchCollectFold(WatchFold):
-    """Fused passes 4+5: closure watch plus wedge-superset buffering."""
-
-    def __init__(self, keys: np.ndarray, superset: np.ndarray) -> None:
-        super().__init__(keys)
-        self.superset = set(superset.tolist())
-        self.incident: List[Edge] = []
-
-    def edge(self, u: int, v: int) -> None:
-        super().edge(u, v)
-        if u in self.superset or v in self.superset:
-            self.incident.append((u, v))
-
-
 class PackedKeyCountFold(EdgeFold):
     """Pass 6: occurrence count of each watched edge, by its packed key.
 
@@ -273,17 +259,6 @@ class ReferenceWatchKeyPlan(FoldPlan):
         return self.fold.seen
 
 
-class ReferenceIncidentCollectPlan(FoldPlan):
-    """The fused fold's collect half (it watches no keys)."""
-
-    def __init__(self, tracked_ids: np.ndarray) -> None:
-        super().__init__(FusedWatchCollectFold(np.empty((0, 2), dtype=np.int64), tracked_ids))
-
-    def result(self) -> List[np.ndarray]:
-        incident = self.fold.incident
-        return [np.asarray(incident, dtype=np.int64)] if incident else []
-
-
 class ReferenceEdgeReplayPlan(FoldPlan):
     def __init__(self, visit) -> None:
         super().__init__(CallbackFold(visit))
@@ -308,7 +283,6 @@ REFERENCE_PLANS = {
     "DegreeCountPlan": ReferenceDegreeCountPlan,
     "NeighborPositionPlan": ReferenceNeighborPositionPlan,
     "WatchKeyPlan": ReferenceWatchKeyPlan,
-    "IncidentCollectPlan": ReferenceIncidentCollectPlan,
     "IncidentEdgePlan": ReferenceIncidentEdgePlan,
     "EdgeReplayPlan": ReferenceEdgeReplayPlan,
 }

@@ -4,12 +4,12 @@ Wired into the tier-1 flow but **skipped unless** ``REPRO_SMOKE=1``:
 wall-clock speedup assertions are only meaningful on a quiet machine, so
 the gate is armed explicitly (locally or by a dedicated CI job) instead
 of flaking every shared-runner test run.  The gate itself re-measures the
-tiny-scale E9 engine sweep, the sharded executor comparison, and the
-fused-vs-per-plan sweep comparison; it asserts seed-for-seed parity (and
-the fused engine's strict sweep-count reduction) unconditionally, and
-fails if either engine speedup regressed to below half of the last
-committed ``BENCH_engine.json`` entry or if the fused engine measured
-slower than the unfused sharded engine on the same sweep.
+tiny-scale E9 engine sweep, the sharded executor comparison and the
+later stages of ``scripts/run_bench_suite.py``; it asserts seed-for-seed
+parity unconditionally, and fails if the serial sweep took more than
+twice, or the sharded speedup fell below half of, the last committed
+``BENCH_engine.json`` entry's, or if any deterministic sweep-count or
+overhead gate of the suite fails.
 """
 
 from __future__ import annotations

@@ -84,21 +84,17 @@ class TestEstimate:
                      "--repetitions", "3"]) == 0
         assert capsys.readouterr().out == out
 
-    def test_fuse_flag_same_estimate_fewer_sweeps(self, wheel_file, capsys):
-        base = ["estimate", wheel_file, "--kappa", "3", "--seed", "1",
-                "--repetitions", "3"]
-        assert main(base + ["--no-fuse"]) == 0
-        unfused = capsys.readouterr().out
-        assert main(base + ["--fuse"]) == 0
-        fused = capsys.readouterr().out
-
-        def field(out, key):
-            return next(line for line in out.splitlines() if line.startswith(key))
-
-        assert field(fused, "estimate:") == field(unfused, "estimate:")
-        assert field(fused, "passes:") == field(unfused, "passes:")
-        sweeps = lambda out: int(field(out, "sweeps:").split()[1])  # noqa: E731
-        assert sweeps(fused) < sweeps(unfused)
+    @pytest.mark.parametrize("command", ["estimate", "resume"])
+    @pytest.mark.parametrize(
+        "option", [["--speculate", "1"], ["--fuse"], ["--no-fuse"]], ids=" ".join
+    )
+    def test_removed_options_exit_2_not_a_prefix_match(self, wheel_file, command, option, capsys):
+        # ``--speculate 1`` would otherwise resolve to ``--speculate-depth 1``.
+        args = [wheel_file, "--kappa", "3"] if command == "estimate" else ["ck", wheel_file]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *args, *option])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     def test_speculate_depth_flag_same_estimate_fewer_sweeps(self, tmp_path, capsys):
         # A multi-round instance (no t_hint) is where deeper speculation

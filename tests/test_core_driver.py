@@ -8,7 +8,13 @@ import pytest
 
 from repro import EstimatorConfig, TriangleCountEstimator
 from repro.errors import ParameterError, SpaceBudgetExceeded
-from repro.generators import cycle_graph, path_graph, triangulated_grid_graph, wheel_graph
+from repro.generators import (
+    barabasi_albert_graph,
+    cycle_graph,
+    path_graph,
+    triangulated_grid_graph,
+    wheel_graph,
+)
 from repro.graph import count_triangles
 from repro.streams import InMemoryEdgeStream
 from repro.streams.transforms import shuffled
@@ -53,6 +59,8 @@ class TestConfigValidation:
             ("max_retries", 1.5),
             ("snapshot_every", 1.5),
             ("snapshot_keep", 1.5),
+            ("fuse", "no"),
+            ("fuse", 1),
         ],
     )
     def test_round_settings_rejected_at_config_time(self, field, value):
@@ -60,6 +68,22 @@ class TestConfigValidation:
         fractional count would fail only inside a sweep."""
         with pytest.raises(ParameterError, match=field):
             EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_retired_fuse_field_selects_nothing(self, fuse):
+        """Still accepted as a bool, and the run is the default run,
+        accounting included."""
+        graph = barabasi_albert_graph(200, 4, random.Random(5))
+        runs = [
+            TriangleCountEstimator(EstimatorConfig(seed=1, repetitions=3, **extra)).estimate(
+                InMemoryEdgeStream.from_graph(graph), kappa=4
+            )
+            for extra in ({}, {"fuse": fuse})
+        ]
+        default, given = [
+            (r.estimate, r.sweeps_total, r.passes_total, r.space_words_peak) for r in runs
+        ]
+        assert given == default
 
     def test_config_property_echoes(self):
         cfg = EstimatorConfig(epsilon=0.5)

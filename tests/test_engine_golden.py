@@ -5,8 +5,7 @@ folds of ``tests/reference_passes.py``), so the NumPy plans that run
 every pass must reproduce them bit for bit - serially and on two threads:
 
 * **estimate level** - the parity matrix's graph families, each under the
-  default schedule, with ``fuse=True``, and sequentially
-  (``speculate_depth=1``):
+  default schedule and sequentially (``speculate_depth=1``):
   the estimate, the number of guessing rounds, a digest of the whole
   rounds trajectory (every run's diagnostics), ``passes_total``,
   ``space_words_peak`` and the root generator's final state;
@@ -52,12 +51,11 @@ ESTIMATE_GRAPHS = {
     "clique": (lambda: complete_graph(18), 9),
 }
 
-#: Schedules: ``(fuse, speculate_depth)``, pinned explicitly so no ambient
+#: Schedules: ``speculate_depth``, pinned explicitly so no ambient
 #: ``REPRO_*`` setting leaks in.
 SCHEDULES = {
-    "default": (False, engine.DEFAULT_SPECULATE_DEPTH),
-    "fuse": (True, engine.DEFAULT_SPECULATE_DEPTH),
-    "sequential": (False, 1),
+    "default": engine.DEFAULT_SPECULATE_DEPTH,
+    "sequential": 1,
 }
 
 #: The kernel-parity families for the single runner.
@@ -75,7 +73,7 @@ def _sha(value) -> str:
 def estimate_digest(name: str, schedule: str, workers: int, mode: str = "chunked") -> dict:
     """Run one estimate-level case and reduce it to its golden fields."""
     build, seed = ESTIMATE_GRAPHS[name]
-    fuse, depth = SCHEDULES[schedule]
+    depth = SCHEDULES[schedule]
     graph = build()
     stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(seed)))
     config = EstimatorConfig(
@@ -84,7 +82,6 @@ def estimate_digest(name: str, schedule: str, workers: int, mode: str = "chunked
         engine_mode=mode,
         chunk_size=64,
         workers=workers,
-        fuse=fuse,
         speculate_depth=depth,
     )
     roots = []
@@ -134,14 +131,6 @@ ESTIMATE_GOLDEN = {
         space_words_peak=469117,
         root_rng="15b7d93a1013fec146aa0c5c336e4852b4edbf604222ecc44bab917e3740695c",
     ),
-    ("erdos-renyi", "fuse"): dict(
-        estimate=84.56275826446281,
-        rounds=6,
-        trajectory="8ee025625274e0428459b68539d83e43818c068091725aaec3bf5722ddbfd4d1",
-        passes_total=36,
-        space_words_peak=469801,
-        root_rng="15b7d93a1013fec146aa0c5c336e4852b4edbf604222ecc44bab917e3740695c",
-    ),
     ("erdos-renyi", "sequential"): dict(
         estimate=84.56275826446281,
         rounds=6,
@@ -158,14 +147,6 @@ ESTIMATE_GOLDEN = {
         space_words_peak=284522,
         root_rng="f6c1e88b4f9f11e2ada4944e5f3f16f24a801244f36075112d714af16f9e7bac",
     ),
-    ("power-law", "fuse"): dict(
-        estimate=246.26886397737766,
-        rounds=5,
-        trajectory="eee6fdc5fedb6e01cbfb1242d4233b164eb049e9656e63cb87c248122f6c64cd",
-        passes_total=30,
-        space_words_peak=285750,
-        root_rng="f6c1e88b4f9f11e2ada4944e5f3f16f24a801244f36075112d714af16f9e7bac",
-    ),
     ("power-law", "sequential"): dict(
         estimate=246.26886397737766,
         rounds=5,
@@ -175,14 +156,6 @@ ESTIMATE_GOLDEN = {
         root_rng="f6c1e88b4f9f11e2ada4944e5f3f16f24a801244f36075112d714af16f9e7bac",
     ),
     ("star", "default"): dict(
-        estimate=0.0,
-        rounds=8,
-        trajectory="9a7d2a75096a94c5c0a75438ea58ec104b90827788a7bf5121f23a7239d71205",
-        passes_total=32,
-        space_words_peak=5155,
-        root_rng="182efd36011b8f40cbf03db5ce6ecbeb8724f7e26092c2640694da926ffd59c7",
-    ),
-    ("star", "fuse"): dict(
         estimate=0.0,
         rounds=8,
         trajectory="9a7d2a75096a94c5c0a75438ea58ec104b90827788a7bf5121f23a7239d71205",
@@ -204,14 +177,6 @@ ESTIMATE_GOLDEN = {
         trajectory="01fd715019c8432f4b2c7c5ef688c92d5c1917f0c9237060674e09c73f3c158d",
         passes_total=18,
         space_words_peak=40431,
-        root_rng="af7d4a75a56050276f2bc1aa5504b9b0788c0ee00f89fcc2cb9e3358d8e90974",
-    ),
-    ("clique", "fuse"): dict(
-        estimate=731.53125,
-        rounds=3,
-        trajectory="4f276a768b8cc3fed18604d6964e673955a7bec0838c254436e303087a236853",
-        passes_total=18,
-        space_words_peak=40737,
         root_rng="af7d4a75a56050276f2bc1aa5504b9b0788c0ee00f89fcc2cb9e3358d8e90974",
     ),
     ("clique", "sequential"): dict(

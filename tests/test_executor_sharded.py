@@ -6,7 +6,7 @@ reference passes (``tests/reference_passes.py``) - for the same seeds,
 whatever the thread count, batch size, or chunk boundaries.  These tests pin that invariant end to end
 (single runner, parallel runner, driver, file and tape streams) and at
 the plan level, including the cross-instance unique-key dedup fan-out of
-passes 4 and 6, plus the sweep loop's own contracts: FIFO absorption,
+passes 4 and 6, plus the sweep loop's own contracts: several plans per sweep, FIFO absorption,
 early stop, cleanup on a failing kernel, and no child processes.
 
 The thread pools are process-wide (reused across tests); the task-batch
@@ -29,6 +29,7 @@ from repro.core.estimator import run_single_estimate, stage_closure
 from repro.core.kernels import (
     DegreeCountPlan,
     NeighborPositionPlan,
+    PackedKeyCountPlan,
     PositionCollectPlan,
     WatchKeyPlan,
 )
@@ -36,6 +37,7 @@ from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
 from repro.core.stages import execute_stage
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
+from repro.errors import PassBudgetExceeded
 from repro.generators import planted_triangles_graph, rmat_graph, wheel_graph
 from repro.graph import count_triangles, degeneracy
 from repro.streams import InMemoryEdgeStream, MmapEdgeStream, PassScheduler, SpaceMeter, write_tape
@@ -152,10 +154,9 @@ class TestParallelRunnerSharded:
         for workers in (1, 2):
             scheduler = PassScheduler(stream)
             with engine.engine_overrides(chunk_size=2, workers=workers):
-                closures, incident = execute_stage(
+                closures = execute_stage(
                     scheduler, stage_closure(draws, owners, apexes, SpaceMeter())
                 )
-            assert incident is None
             for triangles, closed in closures:  # the hit fans out to both
                 assert triangles.tolist() == [[0, 1, 2]]
                 assert closed.tolist() == [True]
@@ -248,6 +249,88 @@ class TestPlanLevelMerges:
         # The stream stays sequential: the next pass opens cleanly.
         executor.run_plan(scheduler, DegreeCountPlan(ids), chunk_size=8, workers=2)
         assert scheduler.passes_used == 2
+
+
+class TestRunPlansMerges:
+    """Several independent plans through one sweep (a fused pass group)."""
+
+    def _scheduler(self, edges, **kwargs):
+        return PassScheduler(InMemoryEdgeStream(edges, validate=False), **kwargs)
+
+    def _edges(self):
+        rng = random.Random(0)
+        return [(rng.randrange(60), 60 + rng.randrange(60)) for _ in range(400)]
+
+    @pytest.mark.parametrize("workers", [1, *WORKER_COUNTS])
+    def test_matches_per_plan_execution(self, workers):
+        edges = self._edges()
+        ids = np.arange(0, 120, 3, dtype=np.int64)
+        positions = np.array([0, 31, 32, 399, 200, 200], dtype=np.int64)
+
+        def plans():
+            return [DegreeCountPlan(ids), PositionCollectPlan(positions)]
+
+        per_plan = [
+            executor.run_plan(self._scheduler(edges), plan, chunk_size=16, workers=1)
+            for plan in plans()
+        ]
+        fused = executor.run_plans(
+            self._scheduler(edges), plans(), chunk_size=16, workers=workers
+        )
+        assert fused[0].tolist() == per_plan[0].tolist()
+        assert fused[1] == per_plan[1]
+
+    @pytest.mark.parametrize("workers", [1, *WORKER_COUNTS])
+    def test_early_finisher_does_not_stop_the_sweep(self, workers):
+        # The watch plan finishes on the first chunk; the degree plan must
+        # still see the entire tape.
+        edges = [(0, 1)] + [(10 + i, 11 + i) for i in range(300)]
+        ids = np.array([260, 309], dtype=np.int64)
+        results = executor.run_plans(
+            self._scheduler(edges),
+            [WatchKeyPlan([(0, 1)]), DegreeCountPlan(ids)],
+            chunk_size=8,
+            workers=workers,
+        )
+        assert results[0] == {(0, 1)}
+        # 260 appears in (259, 260) and (260, 261); 309 in (308, 309) and
+        # (309, 310) - the last edge of the tape, proving the sweep ran on.
+        assert results[1].tolist() == [2, 2]
+
+    def test_all_plans_abandoning_ends_the_sweep(self):
+        edges = [(i, i + 1) for i in range(1000)]
+        scheduler = self._scheduler(edges, max_passes=2)
+        plans = [
+            PositionCollectPlan(np.array([0, 3], dtype=np.int64)),
+            WatchKeyPlan([(1, 2)]),
+        ]
+        results = executor.run_plans(scheduler, plans, chunk_size=8, workers=1)
+        assert results[0] == [(0, 1), (3, 4)]
+        assert results[1] == {(1, 2)}
+        assert scheduler.passes_used == 2
+        assert scheduler.sweeps_used == 1
+
+    def test_scheduler_counts_fused_groups(self):
+        stream = InMemoryEdgeStream([(i, i + 1) for i in range(100)], validate=False)
+        scheduler = PassScheduler(stream, max_passes=3)
+        plans = [
+            DegreeCountPlan(np.array([0, 1], dtype=np.int64)),
+            WatchKeyPlan([(0, 1)]),
+            PackedKeyCountPlan(np.array([1], dtype=np.uint64)),
+        ]
+        executor.run_plans(scheduler, plans, chunk_size=8, workers=1)
+        assert scheduler.passes_used == 3
+        assert scheduler.sweeps_used == 1
+
+    def test_fused_group_respects_pass_budget(self):
+        stream = InMemoryEdgeStream([(0, 1), (1, 2)], validate=False)
+        scheduler = PassScheduler(stream, max_passes=1)
+        plans = [
+            DegreeCountPlan(np.array([0], dtype=np.int64)),
+            DegreeCountPlan(np.array([1], dtype=np.int64)),
+        ]
+        with pytest.raises(PassBudgetExceeded):
+            executor.run_plans(scheduler, plans, chunk_size=8, workers=1)
 
 
 class TestEngineKnobs:

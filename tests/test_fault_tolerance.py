@@ -172,7 +172,7 @@ def _assert_bit_identical(clean, faulted):
 class TestRecoveryBitIdentity:
     def test_canonical_run_recovers_bit_identically(self, tape, monkeypatch):
         """The PR's acceptance scenario: a file-backed multi-round estimate
-        at workers=2, fused, speculate_depth=3, with two worker crashes and
+        at workers=2, speculate_depth=3, with two worker crashes and
         a mid-sweep stream error injected in distinct places - completing
         without error and bit-identical to the clean run, with no tier
         degraded (retries recovered everything)."""
@@ -186,7 +186,6 @@ class TestRecoveryBitIdentity:
             engine_mode="sharded",
             workers=2,
             chunk_size=64,
-            fuse=True,
             speculate_depth=3,
         )
         stream = FileEdgeStream(tape)
@@ -212,15 +211,15 @@ class TestRecoveryBitIdentity:
         assert faulted[0].degradations == ()
 
     @pytest.mark.parametrize(
-        "fuse,depth,spec",
+        "depth,spec",
         [
-            (False, 1, "sweep.mid_stage@1"),
-            (True, 1, "file.read@2"),
-            (True, 3, "sweep.mid_stage@2"),
-            (False, 3, "file.read@3"),
+            (1, "sweep.mid_stage@1"),
+            (1, "file.read@2"),
+            (3, "sweep.mid_stage@2"),
+            (3, "file.read@3"),
         ],
     )
-    def test_serial_parity_under_single_fault(self, tape, fuse, depth, spec):
+    def test_serial_parity_under_single_fault(self, tape, depth, spec):
         """Fast subset of the parity-under-failure matrix: serial engines,
         one fault per applicable site, retries recover, results identical."""
         stream = FileEdgeStream(tape)
@@ -230,7 +229,6 @@ class TestRecoveryBitIdentity:
             repetitions=3,
             engine_mode="chunked",
             workers=1,
-            fuse=fuse,
             speculate_depth=depth,
         )
         clean = _run(stream, EstimatorConfig(**base))
@@ -240,7 +238,6 @@ class TestRecoveryBitIdentity:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("fuse", [False, True])
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize(
         "spec",
@@ -250,7 +247,7 @@ class TestRecoveryBitIdentity:
             "worker.crash@1",
         ],
     )
-    def test_full_parity_matrix(self, tape, monkeypatch, workers, fuse, depth, spec):
+    def test_full_parity_matrix(self, tape, monkeypatch, workers, depth, spec):
         site = spec.split("@")[0]
         if workers == 1 and site == "worker.crash":
             pytest.skip("thread-pool-only fault site")
@@ -264,7 +261,6 @@ class TestRecoveryBitIdentity:
             engine_mode="sharded" if workers > 1 else "chunked",
             workers=workers,
             chunk_size=64,
-            fuse=fuse,
             speculate_depth=depth,
         )
         stream = FileEdgeStream(tape)

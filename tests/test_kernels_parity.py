@@ -300,14 +300,32 @@ class TestPassOracles:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
-    @pytest.mark.parametrize("name", ["planted", "duplicates", "empty"])
+    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
+    def test_every_plan_in_one_shared_sweep_matches_its_fold(self, name, chunk, workers):
+        """All six pass plans merged into one :func:`run_plans` sweep (the
+        way speculative windows and the daemon merge stages) still match
+        their folds: sharing a sweep and its probes changes no result."""
+        edges = _oracle_edges(name)
+        stream = InMemoryEdgeStream(edges, validate=False)
+        cases = _pass_cases(edges, np.random.default_rng(2))
+        ref.fold_stream(stream, [fold for _, fold, _, _, _ in cases])
+        scheduler = PassScheduler(stream)
+        run_plans(scheduler, [plan for _, _, plan, _, _ in cases], chunk_size=chunk, workers=workers)
+        assert (scheduler.passes_used, scheduler.sweeps_used) == (len(cases), 1)
+        for label, fold, plan, read_fold, read_plan in cases:
+            np.testing.assert_array_equal(read_plan(plan), read_fold(fold), err_msg=label)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
+    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
     def test_closure_hits_stage_matches_the_watch_table(self, name, chunk, workers):
         """Pass 6's packed-key stage against the watch table replayed per
         edge (the stage :func:`reference_engine` runs): same hits, same
         space charge, on bundles with repeated values, zero-count entries
         and samples equal to the edge's own far endpoint.  Each bundle's
         heaviest value closes on a leading tape edge, which the
-        ``duplicates`` stream repeats."""
+        ``duplicates`` stream repeats; on ``big-ids`` the keys overflow
+        the packing and the stage takes its replay fallback."""
         edges = _oracle_edges(name)
         stream = InMemoryEdgeStream(edges, validate=False)
         rng = np.random.default_rng(4)
@@ -336,21 +354,3 @@ class TestPassOracles:
         assert hits_and_space(contextlib.nullcontext) == expected
         if name != "empty":
             assert any(expected[0])
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
-    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
-    def test_fused_watch_collect_matches_its_fold(self, name, chunk, workers):
-        edges = _oracle_edges(name)
-        stream = InMemoryEdgeStream(edges, validate=False)
-        rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        keys = kernels.unique_edge_rows(np.concatenate((rows[::5], [[4, 1 << 35]])))[0]
-        superset = kernels.sorted_unique(rows[::7].reshape(-1))
-        fold = ref.FusedWatchCollectFold(keys, superset)
-        ref.fold_stream(stream, [fold])
-        watch, collect = kernels.WatchKeyPlan(keys), kernels.IncidentCollectPlan(superset)
-        scheduler = PassScheduler(stream)
-        run_plans(scheduler, [watch, collect], chunk_size=chunk, workers=workers)
-        assert (scheduler.passes_used, scheduler.sweeps_used) == (2, 1)
-        np.testing.assert_array_equal(watch.seen, fold.seen)
-        assert [tuple(e) for b in collect.result() for e in b.tolist()] == fold.incident

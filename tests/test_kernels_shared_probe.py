@@ -8,7 +8,9 @@ Every plan must still see exactly the ``(positions, ranks)`` its own
 ``KeySet`` would report, so a shared sweep of ``N`` plans returns what
 ``N`` solo :func:`~repro.core.executor.run_plan` sweeps return - at any
 worker count, for overlapping, disjoint, identical and empty key sets,
-beside plans of the other key space or of none, when a member stops
+beside plans of the other key space or of none (pass-1 positions and
+the per-row replay fallback, which share sweeps with their own kind in
+speculative windows too), when a member stops
 early, on tapes whose ids overflow the 32-bit packing, and when a task
 crashes and is retried or finished inline.
 """
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core import engine, executor, faults, kernels
 from repro.core.kernels import (
     DegreeCountPlan,
-    IncidentCollectPlan,
+    EdgeReplayPlan,
     IncidentEdgePlan,
     NeighborPositionPlan,
     PackedKeyCountPlan,
@@ -38,7 +40,7 @@ from repro.streams import InMemoryEdgeStream, PassScheduler
 
 CHUNK = 37
 NUM_IDS = 300
-KINDS = ["degree", "neighbor", "incident", "incident-collect", "watch", "packed-count"]
+KINDS = ["positions", "degree", "neighbor", "incident", "replay", "watch", "packed-count"]
 KEY_SETS = ["overlapping", "disjoint", "identical", "empty"]
 
 
@@ -94,6 +96,10 @@ def _edge_sets(mode, count, rng, edges):
 
 def _plan(kind, keys, seed):
     """A fresh plan of ``kind`` over ``keys`` plus its result normalizer."""
+    if kind == "positions":  # keys read as stream positions, drawn in any order
+        positions = list(keys)
+        random.Random(seed).shuffle(positions)
+        return PositionCollectPlan(np.asarray(positions, dtype=np.int64)), list
     if kind == "degree":
         return DegreeCountPlan(np.asarray(keys, dtype=np.int64)), np.ndarray.tolist
     if kind == "neighbor":
@@ -107,10 +113,14 @@ def _plan(kind, keys, seed):
         visits = []
         plan = IncidentEdgePlan(keys, lambda u, v: visits.append((u, v)))
         return plan, lambda _: list(visits)
-    if kind == "incident-collect":
-        return IncidentCollectPlan(keys), lambda blocks: [
-            tuple(row) for block in blocks for row in block.tolist()
-        ]
+    if kind == "replay":  # the keyless per-row fallback, filtering in its callback
+        wanted, visits = set(keys), []
+
+        def visit(u, v):
+            if u in wanted or v in wanted:
+                visits.append((u, v))
+
+        return EdgeReplayPlan(visit), lambda _: list(visits)
     if kind == "watch":
         return WatchKeyPlan(keys), sorted
     packed = pack_canonical_rows(np.asarray(keys, dtype=np.int64).reshape(-1, 2))
@@ -162,7 +172,7 @@ def test_mixed_key_spaces_in_one_sweep(workers):
         ("degree", ids[0], 0),
         ("neighbor", ids[1], 1),
         ("watch", keys[0], 2),
-        ("incident-collect", ids[2], 3),
+        ("incident", ids[2], 3),
         ("packed-count", keys[1], 4),
         ("incident", ids[3], 5),
         ("watch", keys[2], 6),
@@ -259,7 +269,7 @@ def test_one_table_per_key_space(monkeypatch):
     keys = _edge_sets("overlapping", 2, rng, edges)
     plans = [
         DegreeCountPlan(np.asarray(ids[0], dtype=np.int64)),
-        IncidentCollectPlan(ids[1]),
+        IncidentEdgePlan(ids[1], lambda u, v: None),
         DegreeCountPlan(np.asarray(ids[2], dtype=np.int64)),
         WatchKeyPlan(keys[0]),
         WatchKeyPlan(keys[1]),
@@ -372,7 +382,7 @@ class TestFaults:
         return [
             ("degree", ids[0], 0),
             ("neighbor", ids[1], 1),
-            ("incident-collect", ids[2], 2),
+            ("incident", ids[2], 2),
             ("watch", keys[0], 3),
             ("packed-count", keys[1], 4),
         ]

@@ -1,8 +1,8 @@
 """Randomized cross-mode parity matrix: one estimator, every execution mode.
 
-The engine now has enough independent execution knobs - thread count,
-fused sweeps, speculative round windows - that hand-picked parity cases
-cannot cover the cross products.  This suite runs seeded random graphs
+The engine has enough independent execution knobs - thread count and
+speculative round windows - that hand-picked parity cases cannot cover
+the cross products.  This suite runs seeded random graphs
 (Erdos-Renyi, power-law preferential attachment, and star/clique
 pathologies) through the full knob matrix and pins the three contracts
 every mode must honor against the sequential loop run on the per-edge
@@ -17,9 +17,8 @@ reference passes (``tests/reference_passes.py``):
   draws;
 * **pass/sweep invariants**: logical passes (the paper's budgeted
   quantity) are constant across all modes; physical sweeps depend only on
-  the fusion tier - equal to passes unfused, monotonically fewer as
-  ``fuse`` and then a window depth above 1 engage - and ``sweeps_wasted``
-  is zero at depth 1 (the sequential loop).
+  the window depth - equal to passes at depth 1 (the sequential loop),
+  never more above it - and ``sweeps_wasted`` is zero at depth 1.
 
 The **tape-format axis** extends the same contract across the storage
 substrate: the identical edge sequence read from a text edge list
@@ -71,17 +70,9 @@ SUBSTRATES = [
     ("chunked", 4),
 ]
 
-#: The fusion tiers ``(fuse, speculate_depth)``; depth 1 is the sequential
-#: loop.  The fast tier samples the depth axis; the full product
-#: {1, 2, 3, 4} runs in the slow tier.
-TIERS_FAST = [
-    (False, 1),
-    (True, 1),
-    (False, 2),
-    (True, 3),
-    (False, 4),
-]
-TIERS_FULL = [(fuse, depth) for fuse in (False, True) for depth in (1, 2, 3, 4)]
+#: The window-depth tiers; depth 1 is the sequential loop.  Every tier
+#: runs in both the fast and the slow tier (which adds substrates).
+DEPTHS = (1, 2, 3, 4)
 
 
 class CountingRandom(random.Random):
@@ -137,9 +128,8 @@ def _run_instrumented(monkeypatch, stream, kappa, config):
 
 
 def _sampling_fields(run):
-    """Statistical fields only: accounting (passes/sweeps/space) varies by
-    fusion tier - fused rounds charge the speculative pass-5 and meter the
-    incident buffer - and is pinned per tier separately."""
+    """Statistical fields only: the accounting fields are pinned per depth
+    tier separately."""
     return (
         run.estimate,
         run.r,
@@ -171,20 +161,18 @@ def _trajectory(result, accounting=False):
     ]
 
 
-def _config(mode, workers, fuse, depth, seed):
+def _config(mode, workers, depth, seed):
     return EstimatorConfig(
         seed=seed,
         repetitions=REPETITIONS,
         engine_mode=mode,
         chunk_size=64,
         workers=workers,
-        fuse=fuse,
         speculate_depth=depth,
     )
 
 
-def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=None):
-    tiers = tiers if tiers is not None else TIERS_FAST
+def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates):
     monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 32)
     graph = build_graph()
     kappa = max(1, degeneracy(graph))
@@ -193,20 +181,20 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
 
     with reference_engine():
         reference, ref_root_state, ref_child_draws = _run_instrumented(
-            monkeypatch, stream, kappa, _config("chunked", 1, False, 1, seed)
+            monkeypatch, stream, kappa, _config("chunked", 1, 1, seed)
         )
     ref_trajectory = _trajectory(reference)
     tier_accounting = {}
 
     for mode, workers in substrates:
-        for fuse, depth in tiers:
+        for depth in DEPTHS:
             result, root_state, child_draws = _run_instrumented(
                 monkeypatch,
                 stream,
                 kappa,
-                _config(mode, workers, fuse, depth, seed),
+                _config(mode, workers, depth, seed),
             )
-            label = f"{graph_name}/{mode}/w{workers}/f{int(fuse)}d{depth}"
+            label = f"{graph_name}/{mode}/w{workers}/d{depth}"
 
             # Bit-identical estimates and statistical trajectory.
             assert result.estimate == reference.estimate, label
@@ -217,12 +205,10 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
             assert root_state == ref_root_state, label
             assert child_draws == ref_child_draws, label
 
-            # Accounting depends only on the fusion tier (fuse x depth),
-            # never on the substrate (engine / workers):
-            # the first run of each tier pins passes, sweeps, waste,
-            # space, and the per-run accounting trajectory for every
-            # other substrate.
-            key = (fuse, depth)
+            # Accounting depends only on the depth tier, never on the
+            # substrate (engine / workers): the first run of each tier pins
+            # passes, sweeps, waste, space, and the per-run accounting
+            # trajectory for every other substrate.
             accounting = (
                 result.passes_total,
                 result.sweeps_total,
@@ -231,52 +217,30 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
                 result.space_words_peak,
                 _trajectory(result, accounting=True),
             )
-            if key in tier_accounting:
-                assert accounting == tier_accounting[key], label
+            if depth in tier_accounting:
+                assert accounting == tier_accounting[depth], label
             else:
-                tier_accounting[key] = accounting
+                tier_accounting[depth] = accounting
             if depth == 1:
+                # The sequential loop reads the tape once per pass.
                 assert result.sweeps_wasted == 0, label
                 assert result.passes_wasted == 0, label
-
-            # Unfused sequential execution reads the tape once per pass.
-            if key == (False, 1):
                 assert result.sweeps_total == result.passes_total, label
                 assert result.passes_total == reference.passes_total, label
 
-    # Speculation never changes the logical-pass total of its fuse tier
-    # (it commits exactly the rounds the sequential loop would run) - at
-    # any depth.
-    for fuse, depth in tiers:
-        assert tier_accounting[(fuse, depth)][0] == tier_accounting[(fuse, 1)][0], (
-            graph_name,
-            fuse,
-            depth,
-        )
-    # Monotone sweep reduction across fusion tiers: every tier is no worse
-    # than unfused-sequential, and speculation at any depth never loses to
-    # its unspeculated tier (committed sweeps).
-    baseline = tier_accounting[(False, 1)][1]
-    for key, accounting in tier_accounting.items():
-        assert accounting[1] <= baseline, (graph_name, key)
-    for fuse, depth in tiers:
-        assert tier_accounting[(fuse, depth)][1] <= tier_accounting[(fuse, 1)][1], (
-            graph_name,
-            fuse,
-            depth,
-        )
+    # Speculation never changes the logical-pass total (it commits exactly
+    # the rounds the sequential loop would run) and never loses to the
+    # sequential loop on committed sweeps - at any depth.
+    sequential = tier_accounting[1]
+    for depth in DEPTHS:
+        assert tier_accounting[depth][0] == sequential[0], (graph_name, depth)
+        assert tier_accounting[depth][1] <= sequential[1], (graph_name, depth)
     # Multi-round estimates are where speculation must actually pay, even
     # counting the physically-performed wasted sweeps.
     if len(reference.rounds) > 1:
-        for fuse, depth in tiers:
-            if depth > 1:
-                tier = tier_accounting[(fuse, depth)]
-                spec_physical = tier[1] + tier[2]
-                assert spec_physical < tier_accounting[(fuse, 1)][1], (
-                    graph_name,
-                    fuse,
-                    depth,
-                )
+        for depth in DEPTHS[1:]:
+            tier = tier_accounting[depth]
+            assert tier[1] + tier[2] < sequential[1], (graph_name, depth)
     # Sanity: the estimator still estimates (star walks the guess to 0).
     if exact == 0:
         assert reference.estimate == 0.0
@@ -284,20 +248,20 @@ def _check_matrix(monkeypatch, graph_name, build_graph, seed, substrates, tiers=
 
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_parity_matrix_fast_tier(monkeypatch, name, build, seed):
-    """Representative subset: serial and one threaded substrate, the depth
-    axis sampled (one tier each at depths 2, 3, and 4)."""
+    """Representative subset: serial and one threaded substrate, every
+    depth."""
     fast_substrates = [("chunked", 1), ("chunked", 2)]
-    _check_matrix(monkeypatch, name, build, seed, fast_substrates, TIERS_FAST)
+    _check_matrix(monkeypatch, name, build, seed, fast_substrates)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_parity_matrix_full(monkeypatch, name, build, seed):
-    """The full matrix: workers {1,2,4} x fuse x depth {1,2,3,4}."""
-    _check_matrix(monkeypatch, name, build, seed, SUBSTRATES, TIERS_FULL)
+    """The full matrix: workers {1,2,4} x depth {1,2,3,4}."""
+    _check_matrix(monkeypatch, name, build, seed, SUBSTRATES)
 
 
-def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substrates, tiers):
+def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substrates):
     """Text vs ``.etape``: bit-identical at every point of the knob matrix."""
     monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 32)
     graph = build_graph()
@@ -309,15 +273,15 @@ def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substra
     assert header.num_edges == graph.num_edges
 
     for mode, workers in substrates:
-        for fuse, depth in tiers:
-            config = _config(mode, workers, fuse, depth, seed)
+        for depth in DEPTHS:
+            config = _config(mode, workers, depth, seed)
             text_result, text_root, text_draws = _run_instrumented(
                 monkeypatch, FileEdgeStream(txt), kappa, config
             )
             tape_result, tape_root, tape_draws = _run_instrumented(
                 monkeypatch, MmapEdgeStream(tape), kappa, config
             )
-            label = f"{name}/{mode}/w{workers}/f{int(fuse)}d{depth}"
+            label = f"{name}/{mode}/w{workers}/d{depth}"
             assert tape_result.estimate == text_result.estimate, label
             assert _trajectory(tape_result, accounting=True) == _trajectory(
                 text_result, accounting=True
@@ -328,8 +292,7 @@ def _check_format_parity(monkeypatch, tmp_path, name, build_graph, seed, substra
             assert tape_draws == text_draws, label
 
 
-#: Tape-axis fast tier: serial plus a threaded substrate, across the
-#: sampled fusion/depth tiers.
+#: Tape-axis fast tier: serial plus a threaded substrate, at every depth.
 FORMAT_SUBSTRATES_FAST = [
     ("chunked", 1),
     ("chunked", 2),
@@ -343,23 +306,21 @@ FORMAT_GRAPHS_FAST = [g for g in GRAPHS if g[0] in ("erdos-renyi", "power-law")]
     "name,build,seed", FORMAT_GRAPHS_FAST, ids=[g[0] for g in FORMAT_GRAPHS_FAST]
 )
 def test_tape_format_parity_fast_tier(monkeypatch, tmp_path, name, build, seed):
-    """Text vs binary tape, representative substrates and sampled tiers."""
-    _check_format_parity(
-        monkeypatch, tmp_path, name, build, seed, FORMAT_SUBSTRATES_FAST, TIERS_FAST
-    )
+    """Text vs binary tape, representative substrates, every depth."""
+    _check_format_parity(monkeypatch, tmp_path, name, build, seed, FORMAT_SUBSTRATES_FAST)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,build,seed", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_tape_format_parity_full(monkeypatch, tmp_path, name, build, seed):
     """Text vs binary tape over the full knob product: workers {1,2,4} x
-    fuse x depth {1,2,3,4}."""
-    _check_format_parity(monkeypatch, tmp_path, name, build, seed, SUBSTRATES, TIERS_FULL)
+    depth {1,2,3,4}."""
+    _check_format_parity(monkeypatch, tmp_path, name, build, seed, SUBSTRATES)
 
 
 @pytest.mark.slow
 def test_parity_matrix_random_orders(monkeypatch):
-    """Randomized stream orders: fresh seeds each combination, full tiers."""
+    """Randomized stream orders: fresh seeds each combination, every depth."""
     for order_seed in range(4):
         graph = erdos_renyi_gnp(70, 0.1, random.Random(100 + order_seed))
         _check_matrix(
@@ -368,5 +329,4 @@ def test_parity_matrix_random_orders(monkeypatch):
             lambda g=graph: g,
             order_seed,
             [("chunked", 1), ("chunked", 2)],
-            TIERS_FULL,
         )

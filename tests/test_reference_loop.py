@@ -5,8 +5,8 @@ library: the solo driver, ``run_estimate_program`` and the serving
 scheduler all drive it.  Comparing those drivers with each other would
 compare the loop with itself, so every path here is checked against
 ``tests/reference_loop.py`` - the paper's loop written out plainly over
-``run_parallel_estimates`` - at every engine, fuse and speculation
-setting, for resumed and fault-recovered runs, and for served jobs.
+``run_parallel_estimates`` - at every engine and speculation setting,
+for resumed and fault-recovered runs, and for served jobs.
 
 The restart contract is pinned too: retries and ladder steps restart the
 program from its last committed boundary on the *same* root generator
@@ -28,7 +28,6 @@ from reference_loop import assert_matches_reference, reference_estimate
 from repro import EstimatorConfig, TriangleCountEstimator, resume_from
 from repro.core import executor, faults, snapshot
 from repro.core.driver import run_estimate_program
-from repro.core.engine import engine_overrides
 from repro.errors import SpaceBudgetExceeded
 from repro.generators import barabasi_albert_graph, wheel_graph
 from repro.io import write_edgelist
@@ -95,11 +94,10 @@ DRIVERS = pytest.mark.parametrize("driver", ["estimate", "program"])
 
 class TestSoloMatchesReference:
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("fuse", [False, True])
     @pytest.mark.parametrize(
         "mode,workers", [("python", 1), ("chunked", 1), ("sharded", 2)]
     )
-    def test_every_engine_fuse_and_depth(self, edges, mode, workers, fuse, depth, monkeypatch):
+    def test_every_engine_and_depth(self, edges, mode, workers, depth, monkeypatch):
         """``python`` runs every pass on the per-edge reference folds."""
         monkeypatch.setattr(executor, "TASK_ROWS_FLOOR", 64)
         passes = reference_engine() if mode == "python" else contextlib.nullcontext()
@@ -109,16 +107,12 @@ class TestSoloMatchesReference:
             engine_mode=None if mode == "python" else mode,
             workers=workers,
             chunk_size=128,
-            fuse=fuse,
             speculate_depth=depth,
         )
         with passes:
             result, roots = _estimate(InMemoryEdgeStream(edges), config)
         assert len(roots) == 1
-        # Fusing changes the per-run pass and space accounting, so the
-        # reference runs under the same fuse setting.
-        with engine_overrides(fuse=fuse):
-            reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
+        reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
         assert_matches_reference(result, roots[0].getstate(), reference, speculated=depth >= 2)
 
     def test_generous_space_budget_runs_through_the_program(self, edges):

@@ -96,12 +96,11 @@ def _edges(graph, seed=5):
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("fuse", [False, True])
     @pytest.mark.parametrize("name", sorted(INPUTS))
-    def test_python_engine_matches_chunked(self, name, fuse):
+    def test_python_engine_matches_chunked(self, name):
         build, kappa = INPUTS[name]
         edges = _edges(build())
-        base = dict(seed=7, repetitions=3, fuse=fuse, chunk_size=97)
+        base = dict(seed=7, repetitions=3, chunk_size=97)
         python = _facts(_estimate(edges, kappa, EstimatorConfig(workers=1, **base), "python"))
         assert len(python[1]) > 1  # multi-round: the default windows ran
         for workers in (1, 2):
@@ -181,9 +180,8 @@ class TestLoopReference:
             assert owners[j].tolist() == [u if degree[u] < degree[v] else v for u, v in drawn]
         assert meter.peak_breakdown()["draws"] == 2 * sum(ells)
 
-    @pytest.mark.parametrize("fuse", [False, True])
     @pytest.mark.parametrize("mode", ["python", "chunked"])
-    def test_closure_matches_the_watch_table(self, mode, fuse):
+    def test_closure_matches_the_watch_table(self, mode):
         rng, edges, degree, sampled, _ = self._round(3)
         present = set(edges)
         neighbors = {}
@@ -200,11 +198,7 @@ class TestLoopReference:
             owners.append(np.array(owner, dtype=np.int64))
             apexes.append(np.array(apex, dtype=np.int64))
         meter = SpaceMeter()
-        closures, _ = _run(
-            lambda: stage_closure(draws, owners, apexes, meter, fuse=fuse),
-            edges,
-            mode,
-        )
+        closures = _run(lambda: stage_closure(draws, owners, apexes, meter), edges, mode)
         watch = {}
         for j in range(self.K):
             expected = []

@@ -1,6 +1,6 @@
 """The run policy is scoped: engine and fault settings never outlive their run.
 
-Every engine setting (chunk size, threads, fusion, speculation depth) is
+Every engine setting (chunk size, threads, speculation depth) is
 a per-run execution choice, so each program driver sweeps inside its own
 scope (:func:`repro.core.engine.engine_overrides`) and each estimate's
 retry policy, fault plan and recovery context live in its own
@@ -108,7 +108,7 @@ def _settings(sweeps, thread):
 class TestOverlappingEstimates:
     def test_each_estimate_sweeps_at_its_own_settings(self, edges, sweeps):
         before = engine.policy()
-        config_a = EstimatorConfig(seed=1, repetitions=3, chunk_size=64, workers=1, fuse=True)
+        config_a = EstimatorConfig(seed=1, repetitions=3, chunk_size=64, workers=1)
         config_b = EstimatorConfig(seed=2, repetitions=3, chunk_size=32, workers=2)
         result_a, result_b = _overlapped(
             _estimator(edges, config_a), _estimator(edges, config_b)
@@ -172,10 +172,19 @@ class TestProgramDrivers:
 
 
 class TestEnvironmentParsing:
-    @pytest.mark.parametrize("raw,on", [("yes", True), ("ON", True), ("no", False), ("0", False)])
-    def test_switches_accept_both_spellings(self, monkeypatch, raw, on):
+    @pytest.mark.parametrize("raw", ["1", "0", "off", "yes"])
+    def test_removed_fuse_switch_is_rejected(self, monkeypatch, edges, raw):
+        # Any set value raises, "off" included: the switch is gone, not
+        # defaulted - in the library and when the daemon starts.
+        from repro.serve.daemon import EstimateServer
+
         monkeypatch.setenv("REPRO_FUSE", raw)
-        assert engine.resolve().fuse is on
+        with pytest.raises(ParameterError, match="REPRO_FUSE was removed"):
+            TriangleCountEstimator(EstimatorConfig(seed=1)).estimate(
+                InMemoryEdgeStream(edges), kappa=KAPPA
+            )
+        with pytest.raises(ParameterError, match="REPRO_FUSE was removed"):
+            EstimateServer(port=0)
 
     @pytest.mark.parametrize(
         "name,raw",

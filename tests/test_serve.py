@@ -272,18 +272,16 @@ class TestSweepScheduler:
 
 
 class TestConfigEngineKnobs:
-    """A config's fuse / speculate_depth reach every driver of the loop,
-    not only the solo driver's ``engine_overrides`` scope."""
+    """A config's speculate_depth reaches every driver of the loop, not
+    only the solo driver's ``engine_overrides`` scope."""
 
-    @pytest.mark.parametrize(
-        "knobs", [{"fuse": True}, {"speculate_depth": 3}], ids=["fuse", "depth3"]
-    )
+    @pytest.mark.parametrize("knobs", [{"speculate_depth": 3}], ids=["depth3"])
     def test_program_and_served_job_match_solo(self, knobs):
         edges = barabasi_albert_graph(400, 4, random.Random(1)).edge_list()
         config = EstimatorConfig(seed=5, **knobs)
         # The ambient policy disagrees with the config: only a program
         # that reads its own config can match the solo run.
-        with engine_overrides(fuse=False, speculate_depth=1):
+        with engine_overrides(speculate_depth=1):
             solo, _ = _solo_with_root(edges, 4, config)
             plain, _ = _solo_with_root(edges, 4, EstimatorConfig(seed=5))
             outcome = run_estimate_program(InMemoryEdgeStream(edges), 4, config)

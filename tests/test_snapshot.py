@@ -375,7 +375,6 @@ class TestResumeBitIdentity:
         repetitions=3,
         engine_mode="chunked",
         workers=1,
-        fuse=True,
         speculate_depth=3,
     )
 
@@ -419,13 +418,13 @@ class TestResumeBitIdentity:
         resumed = _resume(
             str(ckdir),
             stream,
-            overrides={"engine_mode": "auto", "workers": 1, "fuse": False, "speculate_depth": 1},
+            overrides={"engine_mode": "auto", "workers": 1, "speculate_depth": 1},
         )
         _assert_bit_identical(clean, resumed)
 
     def test_canonical_sharded_workload_resumes(self, tape, tmp_path, monkeypatch):
         """The PR's acceptance scenario: the canonical file-backed
-        workers=2 fused depth-3 workload, checkpointed, resumed from a
+        workers=2 depth-3 workload, checkpointed, resumed from a
         mid-run snapshot - bit-identical to the uninterrupted run."""
         pytest.importorskip("numpy")
         from repro.core import executor

@@ -43,7 +43,7 @@ def _plan(graph, t_guess, kappa=None):
 
 
 def _run_window(stream, plans, rng_lists, meters):
-    """Drive ``window_program`` the way the driver does: one fused sweep
+    """Drive ``window_program`` the way the driver does: one shared sweep
     per yielded batch on a scheduler budgeted at six passes per round.
 
     Returns the per-round results, the rounds' owner tags, and the
@@ -105,9 +105,8 @@ class TestSchedulerSweepAccounting:
 
 
 class TestPairRunner:
-    @pytest.mark.parametrize("fuse", [False, True])
     @pytest.mark.parametrize("mode,workers", [("python", 1), ("chunked", 1), ("chunked", 2)])
-    def test_pair_results_bit_identical_to_solo_rounds(self, mode, workers, fuse):
+    def test_pair_results_bit_identical_to_solo_rounds(self, mode, workers):
         """``python`` runs every pass on the per-edge reference folds."""
         graph = barabasi_albert_graph(200, 4, random.Random(3))
         stream = _stream(graph)
@@ -118,7 +117,7 @@ class TestPairRunner:
             return [random.Random(s) for s in (11, 12, 13)]
 
         passes = reference_engine() if mode == "python" else contextlib.nullcontext()
-        with passes, engine.engine_overrides(chunk_size=64, workers=workers, fuse=fuse):
+        with passes, engine.engine_overrides(chunk_size=64, workers=workers):
             solo_a = run_parallel_estimates(stream, plan_a, rngs())
             solo_b = run_parallel_estimates(stream, plan_b, rngs())
             (primary, speculative), owners, scheduler = _run_window(
@@ -140,7 +139,7 @@ class TestPairRunner:
         stream = _stream(graph)
         plan_a = _plan(graph, 300.0)
         plan_b = _plan(graph, 150.0)
-        with engine.engine_overrides(chunk_size=64, workers=1, fuse=False):
+        with engine.engine_overrides(chunk_size=64, workers=1):
             meter_a_solo, meter_b_solo = SpaceMeter(), SpaceMeter()
             run_parallel_estimates(
                 stream, plan_a, [random.Random(1)], meter=meter_a_solo
@@ -171,7 +170,7 @@ class TestWindowRunner:
         def rngs():
             return [random.Random(s) for s in (11, 12, 13)]
 
-        with engine.engine_overrides(chunk_size=64, workers=1, fuse=False):
+        with engine.engine_overrides(chunk_size=64, workers=1):
             solo = [run_parallel_estimates(stream, plan, rngs()) for plan in plans]
             results, _, scheduler = _run_window(
                 stream, plans, [rngs() for _ in plans], [SpaceMeter() for _ in plans]
@@ -221,9 +220,9 @@ class TestWindowRunner:
         stream = _stream(graph)
         plan = _plan(graph, 40.0)
         with pytest.raises(ValueError, match="align"):
-            next(window_program(len(stream), [plan], [], [SpaceMeter()], False, [PRIMARY]))
+            next(window_program(len(stream), [plan], [], [SpaceMeter()], [PRIMARY]))
         with pytest.raises(ValueError, match="at least one round"):
-            next(window_program(len(stream), [], [], [], False, []))
+            next(window_program(len(stream), [], [], [], []))
 
 
 def _first_discard_instance():
