@@ -71,7 +71,7 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .analysis import format_table, predicted_bounds
@@ -106,7 +106,8 @@ def _engine_mode(value: str) -> str:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     # Every parser takes options spelled in full only: with prefix matching,
     # a removed option (``--speculate 1``) would resolve to a longer one.
     parser = argparse.ArgumentParser(
@@ -267,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    return parser
+    return parser, sub.choices
 
 
 def _add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
@@ -603,8 +604,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     validation should have caught first) still propagate: a traceback is
     the right interface for a bug.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # Report with the chosen subcommand's usage, which lists its options.
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return _COMMANDS[args.command](args)
     except (StreamError, SnapshotError, GraphError, ServeError, OSError) as exc:

@@ -26,7 +26,9 @@ six-pass estimator):
   i.i.d. members of that endpoint's neighborhood (both endpoints are
   sampled because the lower-degree one - whose neighborhood is ``N(f)`` -
   is only identified once degrees are known, at the end of the pass);
-* pass 6 watches for the specific closing edges of all sampled wedges.
+* pass 6 counts how often the closing edge of every sampled wedge occurs
+  on the tape, through the same edge-watch plan as pass 4
+  (:class:`~repro.core.kernels.WatchKeyPlan`).
 
 Two implementation choices worth flagging against the paper's pseudocode:
 
@@ -60,7 +62,7 @@ from ..graph.adjacency import Graph
 from ..graph.triangles import per_edge_triangle_counts
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
-from ..types import Edge, Triangle, Vertex, canonical_edge, triangle_edges
+from ..types import Edge, Triangle, Vertex, triangle_edges
 from . import kernels
 from .params import ParameterPlan
 
@@ -151,13 +153,6 @@ class _Bundle:
         self._seen = k0 + c
         buffer.clear()
 
-    def sample_values(self) -> List[Optional[Vertex]]:
-        """The slot multiset as plain ints (all ``None`` if never offered)."""
-        assert not self._buffer, "bundle read before final flush"
-        if self._seen == 0:
-            return [None] * self.capacity
-        return np.repeat(self.values, self.counts).tolist()
-
 
 def stage_closure_hits(
     bundle_rows: List[_Bundle],
@@ -172,103 +167,49 @@ def stage_closure_hits(
     one pass, even with no rows (the pass budget accounting of the
     six-pass layout does not depend on the candidate set).
 
-    Every watched key is built in one packed-key expression and per-key
-    *occurrence counts* resolve with a single vectorized scan
-    (:class:`~repro.core.kernels.PackedKeyCountPlan`) - occurrence-weighted,
-    not presence-based, so repeated edges on unvalidated tapes count the
-    way the per-edge reference counts them.  When vertex ids overflow the
-    32-bit packing the watch table below runs instead, as a per-row replay
-    (:class:`~repro.core.kernels.EdgeReplayPlan`, chunk-paced so the stage
-    can still share a sweep with other rounds' stages).
-    """
-    from .stages import RoundStage, charge_prefilter
-
-    if bundle_rows:
-        stage = _closure_hits_vectorized_stage(bundle_rows, others, meter)
-        if stage is not None:
-            return stage
-    watch: Dict[Edge, List[int]] = {}
-    for row, (bundle, other) in enumerate(zip(bundle_rows, others)):
-        for w in bundle.sample_values():
-            if w is None or w == other:
-                # No sample (impossible for a real edge) or the sample is
-                # the edge's own far endpoint: counts as a miss.
-                continue
-            watch.setdefault(canonical_edge(other, w), []).append(row)
-    meter.allocate(2 * len(watch) + sum(len(v) for v in watch.values()), "assignment-watch")
-    charge_prefilter(meter, len(watch))
-    hits = [0] * len(bundle_rows)
-
-    def visit(u: Vertex, v: Vertex) -> None:
-        watchers = watch.get((u, v))
-        if watchers:
-            for row in watchers:
-                hits[row] += 1
-
-    return RoundStage(plans=[kernels.EdgeReplayPlan(visit)], finish=lambda: hits)
-
-
-def _closure_hits_vectorized_stage(
-    bundle_rows: List[_Bundle],
-    others: List[Vertex],
-    meter: SpaceMeter,
-) -> Optional["RoundStage"]:
-    """One ragged packed-key expression + one chunked scan; ``None`` on overflow.
-
     The bundles store the slot multiset compressed (distinct values with
     counts), so the watched keys are built entry-wise over the ragged
-    concatenation of all bundles - ``O(sum_f min(d_f, s))`` work - and hit
-    counts weight each fired key by its slot multiplicity, exactly like
-    the watch table over the expanded slots.
+    concatenation of all bundles - ``O(sum_f min(d_f, s))`` work - and
+    one :class:`~repro.core.kernels.WatchKeyPlan` scan counts each key's
+    occurrences.  A row's hits weight each key's count by its slot
+    multiplicity: occurrence-weighted, not presence-based, so repeated
+    edges on unvalidated tapes count the way the per-edge reference
+    counts them over the expanded slots.
     """
     from .stages import RoundStage, charge_prefilter
 
     lengths = np.fromiter(
         (len(bundle.values) for bundle in bundle_rows), np.int64, count=len(bundle_rows)
     )
-    entry_values = (
-        np.concatenate([bundle.values for bundle in bundle_rows])
-        if len(bundle_rows)
-        else np.empty(0, dtype=np.int64)
-    )
-    entry_counts = (
-        np.concatenate([bundle.counts for bundle in bundle_rows])
-        if len(bundle_rows)
-        else np.empty(0, dtype=np.int64)
-    )
+    empty = [np.empty(0, dtype=np.int64)]
+    entry_values = np.concatenate([bundle.values for bundle in bundle_rows] + empty)
+    entry_counts = np.concatenate([bundle.counts for bundle in bundle_rows] + empty)
     entry_rows = np.repeat(np.arange(len(bundle_rows), dtype=np.int64), lengths)
     entry_others = np.repeat(np.asarray(others, dtype=np.int64), lengths)
-    if len(entry_values) and (
-        max(int(entry_values.max()), int(entry_others.max())) >= kernels.PACK_LIMIT
-    ):
-        return None  # ids beyond 32 bits cannot use packed keys
-    # Drop entries the expanded reference never watches: samples equal to
-    # the edge's own far endpoint, and zero-multiplicity values (a bundle's
+    # Drop entries the expanded slots never watch: samples equal to the
+    # edge's own far endpoint, and zero-multiplicity values (a bundle's
     # first flush multinomial may leave zero-count entries; they carry no
     # watchers, so keeping them would only inflate the key set and its
-    # space accounting relative to the watch-table path).
+    # space accounting).
     valid = (entry_values != entry_others) & (entry_counts > 0)
     entry_values = entry_values[valid]
     entry_others = entry_others[valid]
     entry_rows = entry_rows[valid]
     entry_counts = entry_counts[valid]
-    packed = kernels.pack_canonical_rows(
+    keys, inverse = kernels.unique_edge_rows(
         np.column_stack(
             (np.minimum(entry_values, entry_others), np.maximum(entry_values, entry_others))
         )
     )
-    assert packed is not None  # overflow excluded by the PACK_LIMIT check above
-    unique_keys, inverse = np.unique(packed, return_inverse=True)
-    # Same accounting as the watch table: 2 words per distinct watched edge
-    # plus 1 per watcher entry (slot multiplicities included).
-    meter.allocate(2 * len(unique_keys) + int(entry_counts.sum()), "assignment-watch")
-    charge_prefilter(meter, len(unique_keys))
-    plan = kernels.PackedKeyCountPlan(unique_keys)
+    # 2 words per distinct watched edge plus 1 per watcher entry (slot
+    # multiplicities included).
+    meter.allocate(2 * len(keys) + int(entry_counts.sum()), "assignment-watch")
+    charge_prefilter(meter, len(keys))
+    plan = kernels.WatchKeyPlan(keys)
 
     def finish() -> List[int]:
-        occurrences = plan.result()
         hits = np.bincount(
-            entry_rows, weights=entry_counts * occurrences[inverse], minlength=len(bundle_rows)
+            entry_rows, weights=entry_counts * plan.result()[inverse], minlength=len(bundle_rows)
         )
         return hits.astype(np.int64).tolist()
 

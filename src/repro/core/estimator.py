@@ -325,6 +325,9 @@ def stage_closure(
     """Build the pass-4 stage: which wedges ``{e, w}`` close.
 
     See :func:`_closure_watch` for the watch and its cross-instance dedup.
+    One :class:`~repro.core.kernels.WatchKeyPlan`, the edge-watch plan
+    pass 6 also runs, counts how often each missing edge occurs on the
+    tape; a wedge closes when its missing edge occurs at all.
     ``finish()`` is, per instance, the sorted ``(ell, 3)`` wedge triangle
     of each draw and the mask of draws whose wedge closed.
     """
@@ -334,7 +337,7 @@ def stage_closure(
 
     def finish() -> List[Tuple[np.ndarray, np.ndarray]]:
         closed = np.zeros(len(triangles), dtype=bool)
-        closed[watchers] = plan.seen[inverse]
+        closed[watchers] = plan.result()[inverse] > 0
         return list(zip(_split(triangles, sizes), _split(closed, sizes)))
 
     return RoundStage(plans=[plan], finish=finish)

@@ -71,20 +71,12 @@ plan                                  pass it accelerates
                                       with ``np.repeat``, duplicates
                                       included)
 :class:`WatchKeyPlan`                 passes 4 and 6 - closure watches:
-                                      which of the wedges' missing edges
-                                      appear anywhere on the tape (packed
-                                      64-bit keys in a prefiltered edge
-                                      :class:`Probe`; merge marks the
-                                      seen mask of the sorted unique keys)
-:class:`PackedKeyCountPlan`           pass 6 - occurrence counts of packed
-                                      watch keys (prefiltered edge
-                                      :class:`Probe`; merge sums)
-:class:`EdgeReplayPlan`               any pass - identity kernel + per-row
-                                      parent-side replay; the plan-shaped
-                                      fallback for scans with no
-                                      vectorized kernel (overflowing watch
-                                      keys) so they can still share a
-                                      sweep with other plans
+                                      how often each watched closing edge
+                                      occurs on the tape (packed 64-bit
+                                      keys in a prefiltered edge
+                                      :class:`Probe`; merge sums the
+                                      aligned count vectors); pass 4 reads
+                                      presence, pass 6 weights the counts
 ====================================  =====================================
 
 Seed-for-seed parity with the per-edge reference folds of
@@ -96,9 +88,11 @@ matched edges in the same stream order), so estimates, diagnostics, pass
 counts, and space accounting are bit-identical at any chunk size and
 worker count.
 
-Vertex ids must fit in unsigned 32 bits for the packed-key scans; streams
-with larger ids transparently fall back to per-row set membership inside
-the affected chunk (correct, just slower).
+Edge keys are packed into 64 bits when their ids fit in unsigned 32 bits;
+a watch whose keys do not fit counts them by per-row lookups in a
+key -> rank index instead (correct, just slower), and tape rows with
+larger ids never match a packed key.  Only this module handles ids past
+the packing.
 
 Dedupes go through :func:`sorted_unique` (a sort plus a neighbour mask,
 equal to ``np.unique``) and, for edge rows, :func:`unique_edge_rows`.
@@ -107,7 +101,7 @@ equal to ``np.unique``) and, for edge rows, :func:`unique_edge_rows`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,7 +110,7 @@ from .executor import PassPlan
 from .stages import prefilter_bits
 
 #: Vertex ids must stay below this for the packed-key scans; larger ids
-#: take the per-row set-membership fallback.
+#: never match a packed key, and watched keys past it take a per-row index.
 PACK_LIMIT = 1 << 32
 
 
@@ -561,40 +555,6 @@ class IncidentEdgePlan(PassPlan):
         return None
 
 
-def _rows_kernel(spec, start_row: int, rows: np.ndarray):
-    """Identity kernel: ship the block back for a parent-side replay."""
-    return rows
-
-
-class EdgeReplayPlan(PassPlan):
-    """Replay every tape row to a parent-side callback, chunk-paced.
-
-    The plan-shaped form of a plain Python pass: the identity kernel ships
-    each block back unchanged and ``absorb`` replays it row by row in
-    stream order.  Used when a scan has no vectorized kernel (watched keys
-    overflowing the 64-bit packing) but must still be expressible as a
-    :class:`~repro.core.executor.PassPlan` so it can share a chunked sweep
-    with other plans.
-    """
-
-    name = "fallback/replay"
-    kernel = staticmethod(_rows_kernel)
-
-    def __init__(self, visit: Callable[[Vertex, Vertex], None]) -> None:
-        self._visit = visit
-
-    def spec(self) -> None:
-        return None
-
-    def absorb(self, partial) -> None:
-        visit = self._visit
-        for u, v in partial.tolist():
-            visit(u, v)
-
-    def result(self) -> None:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # pass 3 - neighbor at a requested (owner, occurrence) event
 
@@ -697,57 +657,56 @@ class NeighborPositionPlan(PassPlan):
 
 
 # ---------------------------------------------------------------------------
-# passes 4 and 6 - packed-key closure watches
+# passes 4 and 6 - closure watches: watched-edge occurrence counts
 
 
 def _watch_kernel(spec, start_row: int, rows: np.ndarray):
-    """Indices (into the sorted key list) of watched keys seen in the block."""
+    """Per-block occurrence ``bincount`` of the watched keys."""
     packed_keys, key_index = spec
-    if packed_keys is not None:
-        ranks = packed_keys.find(start_row, rows)[1]
-        if not len(ranks):
-            return None
-        return np.unique(ranks)
     if key_index is None:
-        return None  # no watched keys at all
-    # Keys beyond the 32-bit packing: per-row membership against the
-    # prebuilt index, still chunk-paced.
-    found = {key_index[(u, v)] for u, v in rows.tolist() if (u, v) in key_index}
-    if not found:
+        ranks = packed_keys.find(start_row, rows)[1]
+        size = len(packed_keys)
+    else:
+        # Keys beyond the 32-bit packing: per-row lookups in the prebuilt
+        # index, still chunk-paced.
+        ranks = [i for i in map(key_index.get, map(tuple, rows.tolist())) if i is not None]
+        size = len(key_index)
+    if not len(ranks):
         return None
-    return np.asarray(sorted(found), dtype=np.int64)
+    return np.bincount(ranks, minlength=size)
 
 
 class WatchKeyPlan(PassPlan):
-    """Pass-4/6 plan: which watched edges appear anywhere on the tape.
+    """Pass-4/6 plan: how often each watched edge occurs on the tape.
 
-    Edges on the tape are distinct (the paper's model), so presence is all
-    the closure passes need; the merge unions the per-shard hit sets and
-    the pass is abandoned early once every watched key has been seen.
-    When several estimator instances watch overlapping keys the caller
-    passes the *union* once - the scan cost is per unique key, and the
-    per-instance fan-out happens on the caller's side of the result.
-    ``keys`` are canonical edges (tuples or an ``(n, 2)`` array), kept as
-    their sorted unique rows; :attr:`seen` is the mask of those rows found
-    on the tape and :meth:`result` the set of found edges.  The spec holds
-    the packed keys' edge :class:`Probe` when the keys fit the 32-bit
-    packing; only overflowing key sets hold the key -> rank index for the
-    per-row fallback, which has no key space to share.
+    ``keys`` are sorted unique canonical edges (an ``(n, 2)`` array, as
+    :func:`unique_edge_rows` returns them); the result is the aligned
+    int64 occurrence-count vector (merge: summed).  The model's tape has
+    unrepeated edges, but unvalidated streams may not: pass 4 reads
+    presence (a count above zero) and pass 6 weights each count, the way
+    the per-edge references do.  When several estimator instances watch
+    overlapping keys the caller passes the *union* once - the scan cost is
+    per unique key, and the per-instance fan-out happens on the caller's
+    side of the result.  The spec holds the packed keys' edge
+    :class:`Probe` when the keys fit the 32-bit packing; only overflowing
+    key sets hold the key -> rank index for the per-row fallback, which
+    has no key space to share.  The plan never stops early: it is finished
+    from the start only when there are no keys.
     """
 
     name = "pass4/watch"
     kernel = staticmethod(_watch_kernel)
 
-    def __init__(self, keys: Union[Sequence[Edge], np.ndarray]) -> None:
-        self._rows = unique_edge_rows(np.asarray(keys, dtype=np.int64).reshape(-1, 2))[0]
-        packed = pack_canonical_rows(self._rows) if len(self._rows) else None
+    def __init__(self, keys: np.ndarray) -> None:
+        rows = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        packed = pack_canonical_rows(rows)
         self._packed = Probe(EDGE, packed) if packed is not None else None
         self._key_index = (
-            {key: i for i, key in enumerate(map(tuple, self._rows.tolist()))}
-            if len(self._rows) and self._packed is None
-            else None
+            None
+            if packed is not None
+            else {key: i for i, key in enumerate(map(tuple, rows.tolist()))}
         )
-        self.seen = np.zeros(len(self._rows), dtype=bool)
+        self._counts = np.zeros(len(rows), dtype=np.int64)
 
     def spec(self):
         return self._packed, self._key_index
@@ -756,58 +715,10 @@ class WatchKeyPlan(PassPlan):
         return self._packed
 
     def absorb(self, partial) -> None:
-        self.seen[partial] = True
-
-    def finished(self) -> bool:
-        return bool(self.seen.all())
-
-    def result(self) -> Set[Edge]:
-        return set(map(tuple, self._rows[self.seen].tolist()))
-
-
-def _packed_count_kernel(spec: Probe, start_row: int, rows: np.ndarray):
-    """Per-block occurrence ``bincount`` of the packed watch keys."""
-    packed_keys = spec
-    if len(packed_keys) == 0:
-        return None
-    ranks = packed_keys.find(start_row, rows)[1]
-    if not len(ranks):
-        return None
-    return np.bincount(ranks, minlength=len(packed_keys))
-
-
-class PackedKeyCountPlan(PassPlan):
-    """Pass-6 plan: occurrence counts of pre-packed uint64 edge keys.
-
-    ``packed_keys`` must be sorted, unique, and built from ids below
-    :data:`PACK_LIMIT` (the caller checks); the result is the aligned
-    int64 occurrence-count vector (merge: summed).  The model's tape has
-    unrepeated edges, but unvalidated streams may not - counting per
-    occurrence (rather than presence) keeps the chunked engine
-    bit-identical to the Python watch loop either way, so no early
-    abandon is possible here.  Stream rows whose ids overflow the packing
-    cannot match any key and are skipped.  Always consumes exactly one
-    pass, even with no keys.
-    """
-
-    name = "pass6/packed-counts"
-    kernel = staticmethod(_packed_count_kernel)
-
-    def __init__(self, packed_keys: np.ndarray) -> None:
-        self._keys = Probe(EDGE, packed_keys)
-        self._counts = np.zeros(len(packed_keys), dtype=np.int64)
-
-    def spec(self) -> Probe:
-        return self._keys
-
-    def probe(self) -> Probe:
-        return self._keys
-
-    def absorb(self, partial) -> None:
         self._counts += partial
 
     def finished(self) -> bool:
-        return len(self._keys) == 0
+        return len(self._counts) == 0
 
     def result(self) -> np.ndarray:
         return self._counts

@@ -13,7 +13,7 @@ from typing import List, Sequence, Set
 import numpy as np
 
 from repro.core.executor import run_plan
-from repro.core.kernels import DegreeCountPlan, PositionCollectPlan, WatchKeyPlan
+from repro.core.kernels import DegreeCountPlan, PositionCollectPlan, WatchKeyPlan, unique_edge_rows
 from repro.streams import PassScheduler
 from repro.types import Edge
 
@@ -36,4 +36,6 @@ def scan_watch_keys(
     scheduler: PassScheduler, keys: Sequence[Edge], chunk_size: int
 ) -> Set[Edge]:
     """Pass-4/6 scan: which watched edges appear anywhere on the tape."""
-    return run_plan(scheduler, WatchKeyPlan(keys), chunk_size=chunk_size)
+    rows = unique_edge_rows(np.asarray(keys, dtype=np.int64).reshape(-1, 2))[0]
+    counts = run_plan(scheduler, WatchKeyPlan(rows), chunk_size=chunk_size)
+    return set(map(tuple, rows[counts > 0].tolist()))

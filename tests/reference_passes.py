@@ -7,10 +7,9 @@ iteration per tape edge, dicts and lists instead of probes - so the plans
 can be checked against an independent implementation rather than against
 themselves:
 
-* the **folds** (:class:`PositionFold` ... :class:`WatchFold`,
-  plus :class:`CallbackFold` for passes 5 and the replay fallback, and
-  :class:`PackedKeyCountFold` for pass 6) each take one edge at a time;
-  :func:`fold_stream` feeds them a stream directly;
+* the **folds** (:class:`PositionFold` ... :class:`WatchFold`, plus
+  :class:`CallbackFold` for pass 5 and pass 6's watch table) each take one
+  edge at a time; :func:`fold_stream` feeds them a stream directly;
 * :class:`FoldPlan` runs any fold as an executor plan (identity kernel,
   per-row absorb in stream order), so a fold rides ``run_plan`` /
   ``run_plans`` at any chunk size and worker count like the real plans;
@@ -19,11 +18,13 @@ themselves:
   :func:`reference_engine` swaps them in for the duration of a ``with``
   block - every stage the estimator builds then runs on the per-edge
   folds, which is how whole estimates are compared against the plans.
-  Pass 6 runs as the per-edge engine ran it: the watch table of
-  :func:`repro.core.assignment.stage_closure_hits` replayed through a
-  :class:`CallbackFold`, so the packed-key stage it replaces (key
-  building, self/zero-count filter, multiplicity weighting, space charge)
-  is checked against that independent path rather than against itself.
+  Pass 6 runs as the per-edge engine ran it: :func:`stage_closure_hits`,
+  a watch table over each bundle's expanded slots replayed through a
+  :class:`CallbackFold`, replaces
+  :func:`repro.core.assignment.stage_closure_hits`, so the array stage
+  (key building, self/zero-count filter, multiplicity weighting, space
+  charge) is checked against that independent path rather than against
+  itself.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 import pytest
 
-from repro.core import assignment, kernels
+from repro.core import assignment, kernels, parallel
 from repro.core.estimator import NO_APEX
 from repro.core.executor import PassPlan
+from repro.core.stages import RoundStage, charge_prefilter
+from repro.types import canonical_edge
 
 Edge = Tuple[int, int]
 
@@ -59,7 +62,7 @@ class EdgeFold:
 
 
 class CallbackFold(EdgeFold):
-    """Replay every tape edge to a per-edge callback (pass 5, replays).
+    """Replay every tape edge to a per-edge callback (passes 5 and 6).
 
     The callback ignores untracked endpoints, so feeding it the whole tape
     is the reference behaviour of an incident-edge pass.
@@ -155,34 +158,16 @@ class NeighborServeFold(EdgeFold):
 
 
 class WatchFold(EdgeFold):
-    """Pass 4: mark watched missing edges seen anywhere on the tape."""
+    """Passes 4 and 6: occurrence count of each watched canonical edge."""
 
     def __init__(self, keys: np.ndarray) -> None:
         self.index = {key: i for i, key in enumerate(map(tuple, keys.tolist()))}
-        self.seen = np.zeros(len(keys), dtype=bool)
+        self.counts = np.zeros(len(keys), dtype=np.int64)
 
     def edge(self, u: int, v: int) -> None:
         i = self.index.get((u, v))
         if i is not None:
-            self.seen[i] = True
-
-
-class PackedKeyCountFold(EdgeFold):
-    """Pass 6: occurrence count of each watched edge, by its packed key.
-
-    Keys are ``u << 32 | v`` of canonical edges; a tape edge with an id
-    past the 32-bit packing matches nothing.
-    """
-
-    def __init__(self, packed_keys: np.ndarray) -> None:
-        self.index = {key: i for i, key in enumerate(packed_keys.tolist())}
-        self.counts = np.zeros(len(packed_keys), dtype=np.int64)
-
-    def edge(self, u: int, v: int) -> None:
-        if u < kernels.PACK_LIMIT and v < kernels.PACK_LIMIT:
-            i = self.index.get(u << 32 | v)
-            if i is not None:
-                self.counts[i] += 1
+            self.counts[i] += 1
 
 
 def fold_stream(stream, folds: List[EdgeFold]) -> None:
@@ -254,37 +239,53 @@ class ReferenceWatchKeyPlan(FoldPlan):
     def __init__(self, keys: np.ndarray) -> None:
         super().__init__(WatchFold(keys))
 
-    @property
-    def seen(self) -> np.ndarray:
-        return self.fold.seen
+    def result(self) -> np.ndarray:
+        return self.fold.counts
 
 
-class ReferenceEdgeReplayPlan(FoldPlan):
-    def __init__(self, visit) -> None:
+class ReferenceIncidentEdgePlan(FoldPlan):
+    """Pass 5 replays the whole tape; the callback skips untracked edges."""
+
+    def __init__(self, tracked_ids, visit) -> None:
         super().__init__(CallbackFold(visit))
 
     def result(self) -> None:
         return None
 
 
-class ReferenceIncidentEdgePlan(ReferenceEdgeReplayPlan):
-    """Pass 5 replays the whole tape; the callback skips untracked edges."""
+def stage_closure_hits(bundle_rows, others, meter) -> RoundStage:
+    """Pass 6 the per-edge way: a watch table over the expanded slots.
 
-    def __init__(self, tracked_ids, visit) -> None:
-        super().__init__(visit)
+    Each bundle's slot multiset is expanded with ``np.repeat``; every slot
+    ``w`` other than the edge's own far endpoint watches the canonical
+    edge ``(other, w)``, and each tape occurrence of a watched edge adds a
+    hit to every watching slot's row.  Charges what the array stage
+    charges: 2 words per watched edge plus 1 per watching slot, and the
+    watched edges' prefilter.
+    """
+    watch: Dict[Edge, List[int]] = {}
+    for row, (bundle, other) in enumerate(zip(bundle_rows, others)):
+        for w in np.repeat(bundle.values, bundle.counts).tolist():
+            if w != other:  # the edge's own far endpoint: a miss
+                watch.setdefault(canonical_edge(other, w), []).append(row)
+    meter.allocate(2 * len(watch) + sum(map(len, watch.values())), "assignment-watch")
+    charge_prefilter(meter, len(watch))
+    hits = [0] * len(bundle_rows)
+
+    def visit(u: int, v: int) -> None:
+        for row in watch.get((u, v), ()):
+            hits[row] += 1
+
+    return RoundStage(plans=[FoldPlan(CallbackFold(visit))], finish=lambda: hits)
 
 
-#: ``repro.core.kernels`` plan name -> its per-edge reference.  Pass 6's
-#: packed-key count has a fold (:class:`PackedKeyCountFold`, for the
-#: per-plan oracles) but no entry here: :func:`reference_engine` routes
-#: pass 6 around the packed-key stage altogether.
+#: ``repro.core.kernels`` plan name -> its per-edge reference.
 REFERENCE_PLANS = {
     "PositionCollectPlan": ReferencePositionCollectPlan,
     "DegreeCountPlan": ReferenceDegreeCountPlan,
     "NeighborPositionPlan": ReferenceNeighborPositionPlan,
     "WatchKeyPlan": ReferenceWatchKeyPlan,
     "IncidentEdgePlan": ReferenceIncidentEdgePlan,
-    "EdgeReplayPlan": ReferenceEdgeReplayPlan,
 }
 
 
@@ -294,6 +295,7 @@ def reference_engine() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         for name, plan in REFERENCE_PLANS.items():
             patch.setattr(kernels, name, plan)
-        # Pass 6 takes the watch-table path (the one ids past 32 bits take).
-        patch.setattr(assignment, "_closure_hits_vectorized_stage", lambda *args: None)
+        # Pass 6 takes the watch table, in every module that looks it up.
+        for module in (assignment, parallel):
+            patch.setattr(module, "stage_closure_hits", stage_closure_hits)
         yield

@@ -96,6 +96,18 @@ class TestEstimate:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "resume"])
+    def test_unknown_option_reports_the_subcommand_usage(self, wheel_file, command, capsys):
+        # The subcommand's usage lists the options it does take; the
+        # top-level usage only lists the subcommands.
+        args = [wheel_file, "--kappa", "3"] if command == "estimate" else ["ck", wheel_file]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *args, "--fuse"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {command} ")
+        assert f"repro {command}: error: unrecognized arguments: --fuse" in err
+
     def test_speculate_depth_flag_same_estimate_fewer_sweeps(self, tmp_path, capsys):
         # A multi-round instance (no t_hint) is where deeper speculation
         # pays; the wheel accepts too early to show a depth-3-vs-2 gap.

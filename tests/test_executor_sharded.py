@@ -29,7 +29,6 @@ from repro.core.estimator import run_single_estimate, stage_closure
 from repro.core.kernels import (
     DegreeCountPlan,
     NeighborPositionPlan,
-    PackedKeyCountPlan,
     PositionCollectPlan,
     WatchKeyPlan,
 )
@@ -224,20 +223,20 @@ class TestPlanLevelMerges:
         expected = [incident[p] if p < len(incident) else -1 for p in positions.tolist()]
         assert results[0] == expected
 
-    def test_watch_keys_union_and_early_stop_keeps_budget(self):
-        # All keys found in the first few chunks: the serial path abandons
-        # early; sharded must return the same union and the pass budget
-        # must survive either way.
+    def test_early_stop_keeps_budget(self):
+        # Every request is served in the first chunk: the serial path
+        # abandons early; sharded must serve the same neighbors and the
+        # pass budget must survive either way.
         edges = [(0, 1), (2, 3)] + [(10 + i, 11 + i) for i in range(200)]
-        keys = [(0, 1), (2, 3)]
+        owners = np.array([0, 3], dtype=np.int64)
+        requests = np.array([1, 0, 1], dtype=np.int64)
         for workers in (1, 2):
             scheduler = PassScheduler(
                 InMemoryEdgeStream(edges, validate=False), max_passes=1
             )
-            found = executor.run_plan(
-                scheduler, WatchKeyPlan(keys), chunk_size=8, workers=workers
-            )
-            assert found == {(0, 1), (2, 3)}
+            plan = NeighborPositionPlan(owners, requests, np.zeros(3, dtype=np.int64))
+            found = executor.run_plan(scheduler, plan, chunk_size=8, workers=workers)
+            assert found.tolist() == [2, 1, 2]
             assert scheduler.passes_used == 1
 
     def test_sharded_pass_counts_once(self):
@@ -282,17 +281,18 @@ class TestRunPlansMerges:
 
     @pytest.mark.parametrize("workers", [1, *WORKER_COUNTS])
     def test_early_finisher_does_not_stop_the_sweep(self, workers):
-        # The watch plan finishes on the first chunk; the degree plan must
-        # still see the entire tape.
+        # The neighbor plan is served, and finishes, on the first chunk;
+        # the degree plan must still see the entire tape.
         edges = [(0, 1)] + [(10 + i, 11 + i) for i in range(300)]
         ids = np.array([260, 309], dtype=np.int64)
+        zero = np.zeros(1, dtype=np.int64)
         results = executor.run_plans(
             self._scheduler(edges),
-            [WatchKeyPlan([(0, 1)]), DegreeCountPlan(ids)],
+            [NeighborPositionPlan(zero, zero, zero), DegreeCountPlan(ids)],
             chunk_size=8,
             workers=workers,
         )
-        assert results[0] == {(0, 1)}
+        assert results[0].tolist() == [1]
         # 260 appears in (259, 260) and (260, 261); 309 in (308, 309) and
         # (309, 310) - the last edge of the tape, proving the sweep ran on.
         assert results[1].tolist() == [2, 2]
@@ -300,13 +300,14 @@ class TestRunPlansMerges:
     def test_all_plans_abandoning_ends_the_sweep(self):
         edges = [(i, i + 1) for i in range(1000)]
         scheduler = self._scheduler(edges, max_passes=2)
+        zero = np.zeros(1, dtype=np.int64)
         plans = [
             PositionCollectPlan(np.array([0, 3], dtype=np.int64)),
-            WatchKeyPlan([(1, 2)]),
+            NeighborPositionPlan(np.array([2], dtype=np.int64), zero, zero),
         ]
         results = executor.run_plans(scheduler, plans, chunk_size=8, workers=1)
         assert results[0] == [(0, 1), (3, 4)]
-        assert results[1] == {(1, 2)}
+        assert results[1].tolist() == [1]
         assert scheduler.passes_used == 2
         assert scheduler.sweeps_used == 1
 
@@ -315,8 +316,8 @@ class TestRunPlansMerges:
         scheduler = PassScheduler(stream, max_passes=3)
         plans = [
             DegreeCountPlan(np.array([0, 1], dtype=np.int64)),
-            WatchKeyPlan([(0, 1)]),
-            PackedKeyCountPlan(np.array([1], dtype=np.uint64)),
+            WatchKeyPlan(np.array([[0, 1]], dtype=np.int64)),
+            PositionCollectPlan(np.array([5], dtype=np.int64)),
         ]
         executor.run_plans(scheduler, plans, chunk_size=8, workers=1)
         assert scheduler.passes_used == 3
@@ -400,17 +401,24 @@ def streams(tmp_path_factory):
 def _plans(edges):
     """One plan of every early-stop shape plus two full-tape plans."""
     positions = np.array([5, 17, 900, 17, 1200], dtype=np.int64)  # stop_row 1201
-    early_keys = [edges[3], edges[40]]  # both seen early: finished() mid-sweep
+    # First incidences of the endpoints of edges 3 and 40: served by row
+    # 40, so the plan reports finished() mid-sweep.
+    early_owners = np.array(sorted({*edges[3], *edges[40]}), dtype=np.int64)
+    early = np.arange(len(early_owners), dtype=np.int64)
     late_keys = [edges[-1], (398, 399) if (398, 399) not in set(edges) else edges[0]]
     owners = np.array(sorted({edges[0][0], edges[7][1]}), dtype=np.int64)
     return [
         PositionCollectPlan(positions),
-        WatchKeyPlan(early_keys),
-        WatchKeyPlan(late_keys),
+        NeighborPositionPlan(early_owners, early, np.zeros_like(early)),
+        WatchKeyPlan(np.array(sorted(set(late_keys)), dtype=np.int64)),
         DegreeCountPlan(np.arange(0, 400, 7, dtype=np.int64)),
         NeighborPositionPlan(owners, np.array([0, 1, 1], dtype=np.int64),
                              np.array([0, 3, 11], dtype=np.int64)),
     ]
+
+
+def _first_neighbor(edges, owner):
+    return next(v if u == owner else u for u, v in edges if owner in (u, v))
 
 
 def _normalize(results):
@@ -432,7 +440,8 @@ def test_run_plans_identical_at_every_worker_count(streams, kind):
         assert got == reference, (kind, workers)
     # The early-abandon plans really did stop early, and are right.
     assert reference[0] == [edges[p] for p in (5, 17, 900, 17, 1200)]
-    assert reference[1] == {edges[3], edges[40]}
+    early_owners = sorted({*edges[3], *edges[40]})
+    assert reference[1] == [_first_neighbor(edges, owner) for owner in early_owners]
     # Each early-abandon plan alone, too: the sweep stops reading early.
     for plan_index in (0, 1):
         for workers in (1, 2, 4):
@@ -442,7 +451,7 @@ def test_run_plans_identical_at_every_worker_count(streams, kind):
                 chunk_size=37,
                 workers=workers,
             )
-            assert alone == reference[plan_index], (kind, plan_index, workers)
+            assert _normalize([alone]) == [reference[plan_index]], (kind, plan_index, workers)
 
 
 def test_more_threads_than_cores_under_fast_switching(streams):

@@ -252,9 +252,10 @@ def _pass_cases(edges, rng):
     owner_index = rng.integers(0, len(owner_ids), 30) if m else np.empty(0, dtype=np.int64)
     requests = rng.integers(0, 6, len(owner_index))  # some past the owner's degree
     watched = rows[rng.choice(m, 10)] if m else rows
+    # One key past the packing sends a watch to its key-index path.
     keys = kernels.unique_edge_rows(np.concatenate((watched, [[1, 1 << 34], [2, 3]])))[0]
     small = watched[(watched < kernels.PACK_LIMIT).all(axis=1)]
-    packed = np.unique(kernels.pack_canonical_rows(np.concatenate((small, [[2, 3]]))))
+    packed = kernels.unique_edge_rows(np.concatenate((small, [[2, 3]])))[0]
     tracked = ids[: len(ids) // 2 + 1]
     tracked_set = set(tracked.tolist())
     fold_seen, plan_seen = [], []
@@ -274,12 +275,12 @@ def _pass_cases(edges, rng):
         ("pass3", ref.NeighborServeFold(owner_ids[owner_index], requests),
          kernels.NeighborPositionPlan(owner_ids, owner_index, requests),
          lambda f: f.apexes(), lambda p: p.result()),
-        ("pass4", ref.WatchFold(keys), kernels.WatchKeyPlan(keys),
-         lambda f: f.seen, lambda p: p.seen),
+        ("watch/key-index", ref.WatchFold(keys), kernels.WatchKeyPlan(keys),
+         lambda f: f.counts, lambda p: p.result()),
         ("pass5", ref.CallbackFold(recorder(fold_seen)),
          kernels.IncidentEdgePlan(tracked.tolist(), recorder(plan_seen)),
          lambda f: fold_seen, lambda p: plan_seen),
-        ("pass6", ref.PackedKeyCountFold(packed), kernels.PackedKeyCountPlan(packed),
+        ("watch/packed", ref.WatchFold(packed), kernels.WatchKeyPlan(packed),
          lambda f: f.counts, lambda p: p.result()),
     ]
 
@@ -302,7 +303,7 @@ class TestPassOracles:
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
     @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
     def test_every_plan_in_one_shared_sweep_matches_its_fold(self, name, chunk, workers):
-        """All six pass plans merged into one :func:`run_plans` sweep (the
+        """All six pass cases merged into one :func:`run_plans` sweep (the
         way speculative windows and the daemon merge stages) still match
         their folds: sharing a sweep and its probes changes no result."""
         edges = _oracle_edges(name)
@@ -319,13 +320,13 @@ class TestPassOracles:
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
     @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
     def test_closure_hits_stage_matches_the_watch_table(self, name, chunk, workers):
-        """Pass 6's packed-key stage against the watch table replayed per
-        edge (the stage :func:`reference_engine` runs): same hits, same
-        space charge, on bundles with repeated values, zero-count entries
-        and samples equal to the edge's own far endpoint.  Each bundle's
+        """Pass 6's array stage against the watch table replayed per edge
+        (the stage :func:`reference_engine` runs): same hits, same space
+        charge, on bundles with repeated values, zero-count entries and
+        samples equal to the edge's own far endpoint.  Each bundle's
         heaviest value closes on a leading tape edge, which the
         ``duplicates`` stream repeats; on ``big-ids`` the keys overflow
-        the packing and the stage takes its replay fallback."""
+        the packing and the stage's watch counts them by key index."""
         edges = _oracle_edges(name)
         stream = InMemoryEdgeStream(edges, validate=False)
         rng = np.random.default_rng(4)

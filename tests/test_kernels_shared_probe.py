@@ -9,10 +9,10 @@ Every plan must still see exactly the ``(positions, ranks)`` its own
 ``N`` solo :func:`~repro.core.executor.run_plan` sweeps return - at any
 worker count, for overlapping, disjoint, identical and empty key sets,
 beside plans of the other key space or of none (pass-1 positions and
-the per-row replay fallback, which share sweeps with their own kind in
-speculative windows too), when a member stops
-early, on tapes whose ids overflow the 32-bit packing, and when a task
-crashes and is retried or finished inline.
+a watch whose keys overflow the 32-bit packing, which share sweeps with
+their own kind in speculative windows too), when a member stops early,
+on tapes whose ids overflow the packing, and when a task crashes and is
+retried or finished inline.
 """
 
 from __future__ import annotations
@@ -27,20 +27,17 @@ from hypothesis import strategies as st
 from repro.core import engine, executor, faults, kernels
 from repro.core.kernels import (
     DegreeCountPlan,
-    EdgeReplayPlan,
     IncidentEdgePlan,
     NeighborPositionPlan,
-    PackedKeyCountPlan,
     PositionCollectPlan,
     WatchKeyPlan,
-    pack_canonical_rows,
 )
 from repro.core.stages import PREFILTER_SLOTS_PER_KEY, prefilter_bits
 from repro.streams import InMemoryEdgeStream, PassScheduler
 
 CHUNK = 37
 NUM_IDS = 300
-KINDS = ["positions", "degree", "neighbor", "incident", "replay", "watch", "packed-count"]
+KINDS = ["positions", "degree", "neighbor", "first-neighbor", "incident", "watch", "watch-index"]
 KEY_SETS = ["overlapping", "disjoint", "identical", "empty"]
 
 
@@ -113,25 +110,23 @@ def _plan(kind, keys, seed):
         visits = []
         plan = IncidentEdgePlan(keys, lambda u, v: visits.append((u, v)))
         return plan, lambda _: list(visits)
-    if kind == "replay":  # the keyless per-row fallback, filtering in its callback
-        wanted, visits = set(keys), []
-
-        def visit(u, v):
-            if u in wanted or v in wanted:
-                visits.append((u, v))
-
-        return EdgeReplayPlan(visit), lambda _: list(visits)
-    if kind == "watch":
-        return WatchKeyPlan(keys), sorted
-    packed = pack_canonical_rows(np.asarray(keys, dtype=np.int64).reshape(-1, 2))
-    return PackedKeyCountPlan(packed), np.ndarray.tolist
+    if kind == "first-neighbor":  # each owner's first incident edge: served early
+        owners = np.asarray(keys, dtype=np.int64)
+        first = np.zeros(len(owners), dtype=np.int64)
+        return NeighborPositionPlan(owners, np.arange(len(owners)), first), np.ndarray.tolist
+    if kind == "watch-index":  # a key past the packing: the keyless per-row path
+        keys = sorted([*keys, (1, 1 << 40)])
+    return WatchKeyPlan(np.asarray(keys, dtype=np.int64)), np.ndarray.tolist
 
 
 def _key_sets(kind, mode, count, seed, edges):
     rng = random.Random(seed)
-    if kind in ("watch", "packed-count"):
+    if kind.startswith("watch"):
         return _edge_sets(mode, count, rng, edges)
-    return _id_sets(mode, count, rng)
+    id_sets = _id_sets(mode, count, rng)
+    if kind == "first-neighbor":  # owners on the tape: the plan finishes mid-sweep
+        return [[i for i in ids if i < NUM_IDS] for ids in id_sets]
+    return id_sets
 
 
 def _shared_and_solo(edges, specs, workers):
@@ -173,7 +168,7 @@ def test_mixed_key_spaces_in_one_sweep(workers):
         ("neighbor", ids[1], 1),
         ("watch", keys[0], 2),
         ("incident", ids[2], 3),
-        ("packed-count", keys[1], 4),
+        ("watch-index", keys[1], 4),
         ("incident", ids[3], 5),
         ("watch", keys[2], 6),
     ]
@@ -194,22 +189,24 @@ def test_mixed_key_spaces_in_one_sweep(workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_members_that_stop_early(workers):
-    """A watch that sees all its keys early and a position plan past its
-    stop row leave the sweep; the remaining members still match solo."""
+    """A neighbor plan served early and a position plan past its stop row
+    leave the sweep; the remaining members still match solo."""
     edges = _tape(seed=4)
     rng = random.Random(5)
-    early_keys = sorted(edges[:5])  # all seen within the first block
+    early_owners = sorted({u for edge in edges[:5] for u in edge})  # served in the first block
     ids = _id_sets("overlapping", 2, rng)
     late_keys = _edge_sets("overlapping", 1, rng, edges)[0]
     specs = [
-        ("watch", early_keys, 0),
+        ("first-neighbor", early_owners, 0),
         ("degree", ids[0], 1),
         ("watch", late_keys, 2),
         ("neighbor", ids[1], 3),
     ]
     got, solo = _shared_and_solo(edges, specs, workers)
     assert got == solo
-    assert got[0] == early_keys
+    assert got[0] == [
+        next(v if u == owner else u for u, v in edges if owner in (u, v)) for owner in early_owners
+    ]
     stream = InMemoryEdgeStream(edges, validate=False)
     built = [_plan(kind, keys, seed) for kind, keys, seed in specs]
     positions = np.asarray([3, 40, 90], dtype=np.int64)
@@ -236,7 +233,7 @@ def test_overflowing_ids_beside_the_key_index_fallback(workers):
     specs = [
         ("watch", sorted(big_keys), 0),
         ("watch", keys[0], 1),
-        ("packed-count", keys[1], 2),
+        ("watch", keys[1], 2),
         ("watch", keys[2], 3),
         ("degree", ids[0], 4),
         ("incident", ids[1], 5),
@@ -244,7 +241,8 @@ def test_overflowing_ids_beside_the_key_index_fallback(workers):
     ]
     got, solo = _shared_and_solo(edges, specs, workers)
     assert got == solo
-    assert got[0] == sorted(big_keys[:6])
+    on_tape = set(edges)
+    assert got[0] == [int(key in on_tape) for key in sorted(big_keys)]
 
 
 def _counting(monkeypatch, cls):
@@ -384,7 +382,7 @@ class TestFaults:
             ("neighbor", ids[1], 1),
             ("incident", ids[2], 2),
             ("watch", keys[0], 3),
-            ("packed-count", keys[1], 4),
+            ("watch-index", keys[1], 4),
         ]
 
     def _sweep(self, edges, specs):
