@@ -89,10 +89,10 @@ counts, and space accounting are bit-identical at any chunk size and
 worker count.
 
 Edge keys are packed into 64 bits when their ids fit in unsigned 32 bits;
-a watch whose keys do not fit counts them by per-row lookups in a
-key -> rank index instead (correct, just slower), and tape rows with
-larger ids never match a packed key.  Only this module handles ids past
-the packing.
+a watch counts its keys that do not fit by per-row lookups in a
+key -> rank index, made only for the tape rows holding such an id, and
+tape rows with larger ids never match a packed key.  Only this module
+handles ids past the packing.
 
 Dedupes go through :func:`sorted_unique` (a sort plus a neighbour mask,
 equal to ``np.unique``) and, for edge rows, :func:`unique_edge_rows`.
@@ -662,15 +662,15 @@ class NeighborPositionPlan(PassPlan):
 
 def _watch_kernel(spec, start_row: int, rows: np.ndarray):
     """Per-block occurrence ``bincount`` of the watched keys."""
-    packed_keys, key_index = spec
-    if key_index is None:
-        ranks = packed_keys.find(start_row, rows)[1]
-        size = len(packed_keys)
-    else:
-        # Keys beyond the 32-bit packing: per-row lookups in the prebuilt
-        # index, still chunk-paced.
-        ranks = [i for i in map(key_index.get, map(tuple, rows.tolist())) if i is not None]
-        size = len(key_index)
+    packed, overflow, size = spec
+    ranks = packed.find(start_row, rows)[1] if len(packed) else np.empty(0, dtype=np.int64)
+    if overflow is not None:
+        # Keys beyond the 32-bit packing: only the block's rows holding
+        # such an id are looked up, in the overflow keys' index.
+        packed_ranks, index = overflow
+        wide = rows[np.unique(np.flatnonzero(rows.reshape(-1) >= PACK_LIMIT) >> 1)].tolist()
+        found = [i for i in map(index.get, map(tuple, wide)) if i is not None]
+        ranks = np.concatenate((packed_ranks[ranks], np.array(found, dtype=np.int64)))
     if not len(ranks):
         return None
     return np.bincount(ranks, minlength=size)
@@ -687,11 +687,13 @@ class WatchKeyPlan(PassPlan):
     the per-edge references do.  When several estimator instances watch
     overlapping keys the caller passes the *union* once - the scan cost is
     per unique key, and the per-instance fan-out happens on the caller's
-    side of the result.  The spec holds the packed keys' edge
-    :class:`Probe` when the keys fit the 32-bit packing; only overflowing
-    key sets hold the key -> rank index for the per-row fallback, which
-    has no key space to share.  The plan never stops early: it is finished
-    from the start only when there are no keys.
+    side of the result.  The keys that fit the 32-bit packing are the
+    packed edge :class:`Probe` (shared with the sweep's other edge
+    probes); keys with an id past :data:`PACK_LIMIT` take a key -> rank
+    index, probed only with the block's rows holding such an id, and the
+    packed ranks are mapped back to the keys' order.  The plan never
+    stops early: it is finished from the start only when there are no
+    keys.
     """
 
     name = "pass4/watch"
@@ -699,19 +701,19 @@ class WatchKeyPlan(PassPlan):
 
     def __init__(self, keys: np.ndarray) -> None:
         rows = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        packed = pack_canonical_rows(rows)
-        self._packed = Probe(EDGE, packed) if packed is not None else None
-        self._key_index = (
-            None
-            if packed is not None
-            else {key: i for i, key in enumerate(map(tuple, rows.tolist()))}
-        )
+        fits = (rows < PACK_LIMIT).all(axis=1)
+        self._packed = Probe(EDGE, pack_canonical_rows(rows[fits]))
+        self._overflow = None
+        if not fits.all():
+            wide = np.flatnonzero(~fits).tolist()
+            index = dict(zip(map(tuple, rows[wide].tolist()), wide))
+            self._overflow = (np.flatnonzero(fits), index)
         self._counts = np.zeros(len(rows), dtype=np.int64)
 
     def spec(self):
-        return self._packed, self._key_index
+        return self._packed, self._overflow, len(self._counts)
 
-    def probe(self) -> Optional[Probe]:
+    def probe(self) -> Probe:
         return self._packed
 
     def absorb(self, partial) -> None:

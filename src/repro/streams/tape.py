@@ -287,7 +287,7 @@ def _write_blocks(blocks: Iterator[np.ndarray], path: str) -> TapeHeader:
             if canonical:
                 u, v = block[:, 0], block[:, 1]
                 canonical = bool((u >= 0).all() and (u < v).all())
-            payload = block.tobytes()
+            payload = block.data  # the contiguous rows' own buffer, no copy
             crc = zlib.crc32(payload, crc)
             out.write(payload)
         flags = FLAG_CANONICAL if canonical else 0  # an empty tape is trivially canonical

@@ -176,6 +176,25 @@ class TestKernelPrimitives:
         found = scan_watch_keys(scheduler, [(5, big), (2, 3)], chunk_size=2)
         assert found == {(5, big), (2, 3)}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_watch_keeps_packed_probe_beside_an_overflow_key(self, workers):
+        """Packed keys plus ``(1, 2**40)``: the packable keys stay on the
+        edge probe (shared with a co-riding edge plan), only rows with a
+        wide id take the index, and the counts land in key order."""
+        big = 1 << 40
+        edges = [(0, 1), (1, big), (2, 3), (0, 1), (5, big), (1, big), (4, 9), (3, big)]
+        stream = InMemoryEdgeStream(edges, validate=False)
+        keys = kernels.unique_edge_rows(np.array([(0, 1), (2, 3), (7, 8), (1, big), (4, 9)]))[0]
+        plan = kernels.WatchKeyPlan(keys)
+        assert plan.probe() is not None and len(plan.probe()) == 4
+        rider = kernels.WatchKeyPlan(np.array([(2, 3), (4, 9)]))
+        run_plans(PassScheduler(stream), [plan, rider], chunk_size=3, workers=workers)
+        counts = plan.result()
+        assert counts.tolist() == [edges.count(key) for key in map(tuple, keys.tolist())]
+        assert rider.result().tolist() == [1, 1]
+        found = scan_watch_keys(PassScheduler(stream), keys, chunk_size=2)
+        assert set(map(tuple, keys[counts > 0].tolist())) == found
+
     def test_empty_stream_chunk_iteration(self):
         stream = InMemoryEdgeStream([])
         assert list(stream.iter_chunks(16)) == []

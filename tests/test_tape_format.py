@@ -451,3 +451,52 @@ class TestTextOpensAsTape:
         monkeypatch.setattr(tape_module, "convert_text", no_conversion)
         header = write_tape(txt, tmp_path / "g.etape")
         assert header.num_edges == len(FileEdgeStream(txt))
+
+
+class TestPinnedTapeBytes:
+    """A text's tape is pinned byte for byte.  The digests were recorded
+    with the line-loop text parser the byte-block parser replaced: the
+    header, its CRC and :func:`tape_fingerprint` must not move, so
+    snapshots and serve cache keys bound to converted tapes still bind."""
+
+    TEXT_SHA256 = "58611c6b07459829ac8d8995cdea4f186d9cff1b4d9c652868bce854f323b93d"
+    TAPE_SHA256 = "0fc118bc41e8f4895527f16ce456ace6160dadb7d1bfb8d2698d790c347dc133"
+    #: The tape is under 64k rows, so its fingerprint hashes every byte.
+    FINGERPRINT = "0fc118bc41e8f4895527f16ce456ace6160dadb7d1bfb8d2698d790c347dc133"
+
+    @staticmethod
+    def _sha256(path):
+        import hashlib
+
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.fixture
+    def text(self, tmp_path):
+        import random
+
+        from repro.generators import planted_triangles_graph
+
+        graph = planted_triangles_graph(4000, 1500, kappa_clique=6, rng=random.Random(11))
+        path = tmp_path / "planted.el"
+        write_edgelist(graph, path, header=["planted triangles", "base_edges=4000 triangles=1500"])
+        assert self._sha256(path) == self.TEXT_SHA256
+        return path
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default-blocks", "8KiB-blocks"])
+    @pytest.mark.parametrize("chunk_size", [65536, 1000])
+    def test_tape_bytes_and_fingerprint_are_pinned(
+        self, text, tmp_path, monkeypatch, crlf, small_blocks, chunk_size
+    ):
+        import repro.streams.file as file_module
+
+        if crlf:
+            text.write_bytes(text.read_bytes().replace(b"\n", b"\r\n"))
+        if small_blocks:
+            monkeypatch.setattr(file_module, "_BLOCK_BYTES", file_module._TEXT_CHUNK)
+        tape = tmp_path / "planted.etape"
+        write_tape(text, tape, chunk_size=chunk_size)
+        assert self._sha256(tape) == self.TAPE_SHA256
+        assert tape_fingerprint(tape) == self.FINGERPRINT
+        converted = open_edge_stream(text)
+        assert self._sha256(type(tape)(converted.path)) == self.TAPE_SHA256
