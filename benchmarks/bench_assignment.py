@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from repro.analysis import format_table
-from repro.core.assignment import StreamingAssigner
+from repro.core.parallel import streaming_assignment
 from repro.core.params import ParameterPlan
 from repro.graph import count_triangles, degeneracy, enumerate_triangles, per_edge_triangle_counts
 from repro.generators import standard_suite
@@ -42,8 +42,7 @@ def run_assignment_ledger(scale: str, seeds: range) -> None:
         )
         stream = InMemoryEdgeStream.from_graph(graph)
         scheduler = PassScheduler(stream)
-        assigner = StreamingAssigner(plan, random.Random(1))
-        out = assigner.assign(scheduler, triangles)
+        out = streaming_assignment(scheduler, plan, random.Random(1), triangles)
         assigned = {tri: e for tri, e in out.items() if e is not None}
         per_edge: dict = {}
         for e in assigned.values():

@@ -8,7 +8,10 @@ Layout follows the paper:
 * :mod:`~repro.core.oracle_model` - Section 4: the degree-oracle model and
   Algorithm 1 (``IdealEstimator``);
 * :mod:`~repro.core.assignment` - Section 5.1: Algorithm 3
-  (``IsAssigned`` / ``Assignment``) as a two-pass streaming procedure;
+  (``IsAssigned`` / ``Assignment``) as a two-pass streaming procedure
+  (run by :func:`~repro.core.parallel.streaming_assignment` alone), and
+  the ``AssignHook`` seam that replaces it without a pass
+  (:func:`~repro.core.assignment.exact_assignment`, the ideal rule);
 * :mod:`~repro.core.estimator` - Section 5: Algorithm 2, the six-pass
   estimator;
 * :mod:`~repro.core.driver` - the user-facing
@@ -31,8 +34,9 @@ rounds through shared tape sweeps without perturbing a single bit of the result.
 from .engine import engine_overrides
 from .params import ParameterPlan, PlanConstants
 from .oracle_model import DegreeOracle, IdealEstimator, IdealEstimatorResult
-from .assignment import ExactAssigner, StreamingAssigner
+from .assignment import AssignHook, exact_assignment
 from .estimator import SinglePassStackResult, run_single_estimate
+from .parallel import streaming_assignment
 from .driver import (
     EstimateResult,
     EstimatorConfig,
@@ -49,8 +53,9 @@ __all__ = [
     "DegreeOracle",
     "IdealEstimator",
     "IdealEstimatorResult",
-    "StreamingAssigner",
-    "ExactAssigner",
+    "AssignHook",
+    "exact_assignment",
+    "streaming_assignment",
     "run_single_estimate",
     "SinglePassStackResult",
     "TriangleCountEstimator",

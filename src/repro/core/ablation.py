@@ -25,13 +25,14 @@ sampling error of Algorithm 2 from the estimation error of Algorithm 3.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Optional
 
 from ..graph.adjacency import Graph
 from ..streams.base import EdgeStream
 from ..streams.space import SpaceMeter
-from .assignment import ExactAssigner
+from .assignment import exact_assignment
 from .estimator import SinglePassStackResult, run_single_estimate
 from .params import ParameterPlan
 
@@ -49,40 +50,16 @@ def run_single_estimate_third_split(
     are skipped entirely.  Unbiased (each triangle is reachable from all
     three of its edges), but the variance inherits ``max_e t_e``.
     """
-
-    class _ThirdSplitAssigner:
-        """Assigns every triangle to every edge - the no-rule credit."""
-
-        passes_required = 0
-
-        def assign(self, scheduler, triangles):
-            # Sentinel mapping: the caller below reinterprets hits.
-            return {t: None for t in triangles}
-
-    # Reuse the pipeline but reinterpret the result: a run with the
-    # sentinel assigner records wedges_closed (every triangle found),
-    # from which the 1/3-split estimate is reconstructed exactly.
-    result = run_single_estimate(
-        stream,
-        plan,
-        rng,
-        meter=meter,
-        assigner_factory=lambda p, r, m: _ThirdSplitAssigner(),
-    )
+    # A hook that leaves every triangle unassigned skips passes 5-6; the
+    # run still records wedges_closed (every triangle found), from which
+    # the 1/3-split estimate is reconstructed exactly.
+    result = run_single_estimate(stream, plan, rng, meter=meter, assign=dict.fromkeys)
     m = plan.num_edges
     y = (result.wedges_closed / result.ell) / 3.0
-    estimate = (m / plan.r) * result.d_r * y
-    return SinglePassStackResult(
-        estimate=estimate,
-        r=result.r,
-        ell=result.ell,
-        d_r=result.d_r,
-        wedges_closed=result.wedges_closed,
+    return dataclasses.replace(
+        result,
+        estimate=(m / plan.r) * result.d_r * y,
         assigned_hits=result.wedges_closed,
-        distinct_candidate_triangles=result.distinct_candidate_triangles,
-        passes_used=result.passes_used,
-        space_words_peak=result.space_words_peak,
-        sweeps_used=result.sweeps_used,
     )
 
 
@@ -98,10 +75,4 @@ def run_single_estimate_exact_assigner(
     Isolates Algorithm 2's sampling error from Algorithm 3's estimation
     error; used by the E11 ablation and by unbiasedness tests.
     """
-    return run_single_estimate(
-        stream,
-        plan,
-        rng,
-        meter=meter,
-        assigner_factory=lambda p, r, m: ExactAssigner(graph),
-    )
+    return run_single_estimate(stream, plan, rng, meter=meter, assign=exact_assignment(graph))

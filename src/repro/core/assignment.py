@@ -16,10 +16,10 @@ guard rails keep everything inside the space budget:
 
 The procedure runs *batched*: Algorithm 2 discovers all of its candidate
 triangles in pass 4, then one assignment stage
-(:func:`repro.core.parallel._assign_program`, wrapped at ``k = 1`` by
-:meth:`StreamingAssigner.assign`) resolves every ``Assignment(tau)``
-simultaneously in two further passes (passes 5 and 6 of the overall
-six-pass estimator):
+(:func:`repro.core.parallel._assign_program`, the only code that runs
+Algorithm 3; :func:`repro.core.parallel.streaming_assignment` drives it
+alone at ``k = 1``) resolves every ``Assignment(tau)`` simultaneously in
+two further passes (passes 5 and 6 of the overall six-pass estimator):
 
 * pass 5 counts the degree of every vertex appearing in a candidate
   triangle *and*, for each (edge, endpoint) pair, reservoir-samples ``s``
@@ -47,41 +47,29 @@ Two implementation choices worth flagging against the paper's pseudocode:
   multiset in counts form and resolves buffered offers in batches, for
   ``O(min(d, s) log d)`` total work per bundle instead of ``O(s * d)``.
 
-:class:`ExactAssigner` is a test/benchmark double that applies the ideal
-min-``t_e`` rule using ground-truth counts from the graph substrate.
+An :data:`AssignHook` replaces Algorithm 3 without a pass: a function
+from one instance's distinct candidate triangles to their assigned edges.
+:func:`exact_assignment` is the test/benchmark hook that applies the
+ideal min-``t_e`` rule using ground-truth counts from the graph substrate.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..graph.adjacency import Graph
-from ..graph.triangles import per_edge_triangle_counts
-from ..streams.multipass import PassScheduler
+from ..graph.triangles import min_te_assignment
 from ..streams.space import SpaceMeter
-from ..types import Edge, Triangle, Vertex, triangle_edges
+from ..types import Edge, Triangle, Vertex
 from . import kernels
-from .params import ParameterPlan
 
 
-class Assigner(Protocol):
-    """Protocol for assignment procedures usable by Algorithm 2."""
-
-    passes_required: int
-
-    def assign(
-        self, scheduler: PassScheduler, triangles: Iterable[Triangle]
-    ) -> Dict[Triangle, Optional[Edge]]:
-        """Resolve ``Assignment(tau)`` for every given triangle.
-
-        Returns a mapping triangle -> assigned edge, or ``None`` for
-        unassigned triangles.  May consume up to ``passes_required`` passes
-        from ``scheduler`` (zero if ``triangles`` is empty).
-        """
-        ...  # pragma: no cover - protocol body
+#: A zero-pass replacement for Algorithm 3: one instance's distinct
+#: candidate triangles -> their assigned edges (``None`` = unassigned).
+AssignHook = Callable[[set], Dict[Triangle, Optional[Edge]]]
 
 
 class _Bundle:
@@ -263,66 +251,14 @@ def derive_sample_generator(rng: random.Random):
     return SampleSource(np.random.default_rng(rng.getrandbits(64)))
 
 
-class StreamingAssigner:
-    """Algorithm 3, batched over all candidate triangles (two passes)."""
+def exact_assignment(graph: Graph) -> AssignHook:
+    """The ideal min-``t_e`` rule as an assignment hook.
 
-    passes_required = 2
-
-    def __init__(
-        self,
-        plan: ParameterPlan,
-        rng: random.Random,
-        meter: Optional[SpaceMeter] = None,
-    ) -> None:
-        self._plan = plan
-        self._rng = rng
-        self._meter = meter if meter is not None else SpaceMeter()
-
-    def assign(
-        self,
-        scheduler: PassScheduler,
-        triangles: Iterable[Triangle],
-    ) -> Dict[Triangle, Optional[Edge]]:
-        """Resolve assignments for all distinct triangles in two passes.
-
-        The ``k = 1`` case of the round programs' assignment stage
-        (:func:`repro.core.parallel._assign_program`), each stage run as a
-        private sweep on ``scheduler``.
-        """
-        from .parallel import _assign_program, drive_round
-
-        distinct = set(triangles)
-        if not distinct:
-            return {}
-        program = _assign_program(
-            self._plan,
-            [self._rng],
-            [distinct],
-            self._meter,
-            track=lambda stage: stage,
-        )
-        return drive_round(scheduler, program)[0]
-
-
-class ExactAssigner:
-    """Ground-truth assignment double: the ideal min-``t_e`` rule.
-
-    Uses exact per-edge triangle counts from the graph substrate and never
-    leaves a triangle unassigned.  Consumes zero passes.  Intended for tests
-    and ablation benchmarks that isolate Algorithm 2's sampling error from
+    Looks each candidate up in the exact rule of the graph substrate
+    (:func:`~repro.graph.triangles.min_te_assignment`), so it never leaves
+    a triangle unassigned and consumes no pass.  Tests and the ablations
+    pass it as ``assign=`` to isolate Algorithm 2's sampling error from
     Algorithm 3's estimation error.
     """
-
-    passes_required = 0
-
-    def __init__(self, graph: Graph) -> None:
-        self._te = per_edge_triangle_counts(graph)
-
-    def assign(
-        self, scheduler: PassScheduler, triangles: Iterable[Triangle]
-    ) -> Dict[Triangle, Optional[Edge]]:
-        """Assign each triangle to its exact minimum-``t_e`` edge."""
-        out: Dict[Triangle, Optional[Edge]] = {}
-        for t in set(triangles):
-            out[t] = min(triangle_edges(t), key=lambda e: (self._te[e], e))
-        return out
+    rule = min_te_assignment(graph)
+    return lambda triangles: {t: rule[t] for t in triangles}

@@ -52,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,11 +61,9 @@ from ..streams.base import EdgeStream
 from ..streams.space import SpaceMeter
 from ..types import canonical_triangle
 from . import kernels
-from .assignment import Assigner, SampleSource
+from .assignment import AssignHook, SampleSource
 from .params import ParameterPlan
 from .stages import RoundStage, charge_prefilter
-
-AssignerFactory = Callable[[ParameterPlan, random.Random, SpaceMeter], Assigner]
 
 #: Theorem 5.1's constant-pass budget: one guessing round - however many
 #: parallel instances it carries - opens at most six logical passes.  The
@@ -99,9 +97,6 @@ class SinglePassStackResult:
     distinct_candidate_triangles: int
     passes_used: int
     space_words_peak: int
-    #: Stages this run rode (its solo sweep count; a speculative window or
-    #: the daemon may share the physical traversals with other runs).
-    sweeps_used: int = 0
 
     def to_state(self) -> dict:
         """The run as a JSON-representable document (snapshot payload)."""
@@ -113,7 +108,8 @@ class SinglePassStackResult:
 
         Every field is a plain int or float and JSON round-trips floats
         exactly (repr-based encoding), so a restored run compares equal
-        to the original.
+        to the original.  Unknown keys are ignored, so payloads that
+        still carry a dropped field (such as ``sweeps_used``) load.
         """
         names = {f.name for f in dataclasses.fields(cls)}
         return cls(**{key: value for key, value in state.items() if key in names})
@@ -124,7 +120,7 @@ def run_single_estimate(
     plan: ParameterPlan,
     rng: random.Random,
     meter: Optional[SpaceMeter] = None,
-    assigner_factory: Optional[AssignerFactory] = None,
+    assign: Optional[AssignHook] = None,
 ) -> SinglePassStackResult:
     """Run Algorithm 2 once and return one sample of ``X`` with diagnostics.
 
@@ -140,23 +136,13 @@ def run_single_estimate(
         Randomness for all sampling steps.
     meter:
         Space meter to charge; a fresh unlimited one is created if omitted.
-    assigner_factory:
-        Replaces the streaming Algorithm 3 with an assigner that consumes
-        no passes (``passes_required == 0``); tests and the ablations
-        inject :class:`~repro.core.assignment.ExactAssigner` here to
-        isolate Algorithm 2's error from Algorithm 3's.
+    assign:
+        Replaces the streaming Algorithm 3 (passes 5-6) with a hook that
+        consumes no pass; tests and the ablations pass
+        :func:`~repro.core.assignment.exact_assignment` here to isolate
+        Algorithm 2's error from Algorithm 3's.
     """
     from .parallel import run_parallel_estimates
-
-    meter = meter if meter is not None else SpaceMeter()
-    assign = None
-    if assigner_factory is not None:
-        assigner = assigner_factory(plan, rng, meter)
-        if assigner.passes_required:
-            raise ValueError("an injected assigner must consume no passes")
-
-        def assign(triangles):
-            return assigner.assign(None, triangles)
 
     return run_parallel_estimates(stream, plan, [rng], meter, assign=assign)[0]
 

@@ -109,8 +109,9 @@ from ..types import Edge, Vertex
 from .executor import PassPlan
 from .stages import prefilter_bits
 
-#: Vertex ids must stay below this for the packed-key scans; larger ids
-#: never match a packed key, and watched keys past it take a per-row index.
+#: Vertex ids in ``[0, PACK_LIMIT)`` pack into 32-bit halves of an edge
+#: key; other ids (negative ones on unvalidated streams too) never match a
+#: packed key, and watched keys holding one take a per-row index.
 PACK_LIMIT = 1 << 32
 
 
@@ -201,9 +202,17 @@ class KeySet:
         return survivors[hit], ranks[hit]
 
 
+def packable(rows: np.ndarray) -> np.ndarray:
+    """Mask of the ``(n, 2)`` rows whose ids all lie in ``[0, PACK_LIMIT)``."""
+    return ((rows >= 0) & (rows < PACK_LIMIT)).all(axis=1)
+
+
 def pack_canonical_rows(rows: np.ndarray) -> Optional[np.ndarray]:
-    """Pack canonical ``(u, v)`` rows into uint64 keys, or ``None`` on overflow."""
-    if len(rows) and int(rows.max()) >= PACK_LIMIT:
+    """Pack canonical ``(u, v)`` rows into uint64 keys, or ``None`` when an
+    id lies outside ``[0, PACK_LIMIT)``."""
+    # Unsigned, a negative id lies past PACK_LIMIT too: one reduction
+    # checks both ends.
+    if len(rows) and int(rows.astype(np.int64, copy=False).view(np.uint64).max()) >= PACK_LIMIT:
         return None
     packed = rows[:, 0].astype(np.uint64)
     packed <<= np.uint64(32)
@@ -233,7 +242,8 @@ def sorted_unique(values: np.ndarray, return_inverse: bool = False):
 
 def unique_edge_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted unique ``(u, v)`` rows of an ``(n, 2)`` array, and each row's
-    index among them: by packed keys, or row-wise past :data:`PACK_LIMIT`."""
+    index among them: by packed keys, or row-wise when an id lies outside
+    ``[0, PACK_LIMIT)``."""
     packed = pack_canonical_rows(rows)
     if packed is None:
         unique, inverse = np.unique(rows, axis=0, return_inverse=True)
@@ -246,11 +256,11 @@ def unique_edge_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _packed_block(rows: np.ndarray) -> np.ndarray:
-    """The block's packed edge keys; rows with ids beyond the packing are
+    """The block's packed edge keys; rows with ids outside the packing are
     dropped (they cannot match any packed key)."""
     packed = pack_canonical_rows(rows)
     if packed is None:
-        packed = pack_canonical_rows(rows[(rows < PACK_LIMIT).all(axis=1)])
+        packed = pack_canonical_rows(rows[packable(rows)])
     return packed
 
 
@@ -665,10 +675,10 @@ def _watch_kernel(spec, start_row: int, rows: np.ndarray):
     packed, overflow, size = spec
     ranks = packed.find(start_row, rows)[1] if len(packed) else np.empty(0, dtype=np.int64)
     if overflow is not None:
-        # Keys beyond the 32-bit packing: only the block's rows holding
+        # Keys outside the 32-bit packing: only the block's rows holding
         # such an id are looked up, in the overflow keys' index.
         packed_ranks, index = overflow
-        wide = rows[np.unique(np.flatnonzero(rows.reshape(-1) >= PACK_LIMIT) >> 1)].tolist()
+        wide = rows[~packable(rows)].tolist()
         found = [i for i in map(index.get, map(tuple, wide)) if i is not None]
         ranks = np.concatenate((packed_ranks[ranks], np.array(found, dtype=np.int64)))
     if not len(ranks):
@@ -689,7 +699,7 @@ class WatchKeyPlan(PassPlan):
     per unique key, and the per-instance fan-out happens on the caller's
     side of the result.  The keys that fit the 32-bit packing are the
     packed edge :class:`Probe` (shared with the sweep's other edge
-    probes); keys with an id past :data:`PACK_LIMIT` take a key -> rank
+    probes); keys with an id outside ``[0, PACK_LIMIT)`` take a key -> rank
     index, probed only with the block's rows holding such an id, and the
     packed ranks are mapped back to the keys' order.  The plan never
     stops early: it is finished from the start only when there are no
@@ -701,7 +711,7 @@ class WatchKeyPlan(PassPlan):
 
     def __init__(self, keys: np.ndarray) -> None:
         rows = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        fits = (rows < PACK_LIMIT).all(axis=1)
+        fits = packable(rows)
         self._packed = Probe(EDGE, pack_canonical_rows(rows[fits]))
         self._overflow = None
         if not fits.all():

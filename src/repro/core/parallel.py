@@ -29,8 +29,10 @@ Sharing rules (what may be shared without breaking independence):
   mutually independent, as the median-of-runs combiner requires.
 
 The assignment stage (:func:`_assign_program`) is Algorithm 3 for every
-instance at once, with bundles keyed by ``(instance, vertex)``;
-:class:`~repro.core.assignment.StreamingAssigner` drives it at ``k = 1``.
+instance at once, with bundles keyed by ``(instance, vertex)``, and the
+only code that runs it: :func:`streaming_assignment` drives it alone at
+``k = 1``, and an :data:`~repro.core.assignment.AssignHook` passed as
+``assign=`` is the only way to replace it.
 
 The whole round is expressed as a **round program**
 (:func:`round_program`): a generator that yields one
@@ -49,14 +51,14 @@ bit-identical to sequential execution at any depth.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
 from ..types import Edge, Triangle, Vertex, triangle_edges
 from . import kernels
-from .assignment import _Bundle, derive_sample_generator, stage_closure_hits
+from .assignment import AssignHook, _Bundle, derive_sample_generator, stage_closure_hits
 from .estimator import (
     PASS_BUDGET_PER_ROUND,
     SinglePassStackResult,
@@ -67,15 +69,11 @@ from .estimator import (
     stage_pass3,
 )
 from .params import ParameterPlan
-from .stages import RoundStage, charge_prefilter
+from .stages import RoundStage, charge_prefilter, sweep_stages
 
 #: A round program: yields the stages it needs, receives each stage's
 #: ``finish()`` value back, and returns the per-instance results.
 RoundProgram = Generator[RoundStage, object, List[SinglePassStackResult]]
-
-#: A zero-pass replacement for Algorithm 3: one instance's distinct
-#: candidate triangles -> their assigned edges (``None`` = unassigned).
-AssignHook = Callable[[set], Dict[Triangle, Optional[Edge]]]
 
 
 def run_parallel_estimates(
@@ -101,12 +99,11 @@ def drive_round(
     scheduler: PassScheduler, program: RoundProgram
 ) -> List[SinglePassStackResult]:
     """Drive one round program, one private sweep per stage."""
-    from .stages import execute_stage
-
     try:
         stage = next(program)
         while True:
-            stage = program.send(execute_stage(scheduler, stage))
+            sweep_stages(scheduler, [stage])
+            stage = program.send(stage.finish())
     except StopIteration as stop:
         return stop.value
 
@@ -124,9 +121,8 @@ def round_program(
     round needs; the driver executes the stage's sweep (private, or shared
     with another round's stage) and sends ``stage.finish()`` back.  The
     returned results carry the round's *own* accounting - ``passes_used``
-    is the logical passes this round charged and ``sweeps_used`` the
-    number of stages it rode (its solo sweep count) - regardless of
-    whether the driver shared the physical traversals.
+    is the logical passes this round charged, one per stage it rode -
+    regardless of whether the driver shared the physical traversals.
 
     ``assign`` (the ablations' hook) resolves each instance's candidate
     triangles without a pass in place of Algorithm 3.
@@ -141,12 +137,10 @@ def round_program(
     # derive_sample_generator).
     sources = [derive_sample_generator(rngs[j]) for j in range(k)]
     charged_passes = 0
-    stages_rode = 0
 
     def track(stage: RoundStage) -> RoundStage:
-        nonlocal charged_passes, stages_rode
+        nonlocal charged_passes
         charged_passes += stage.passes
-        stages_rode += 1
         return stage
 
     sampled = yield track(stage_pass1(plan.r, m, sources, meter))
@@ -185,10 +179,28 @@ def round_program(
                 distinct_candidate_triangles=len(distinct_by_instance[j]),
                 passes_used=charged_passes,
                 space_words_peak=meter.peak_words,
-                sweeps_used=stages_rode,
             )
         )
     return results
+
+
+def streaming_assignment(
+    scheduler: PassScheduler,
+    plan: ParameterPlan,
+    rng: random.Random,
+    triangles: Iterable[Triangle],
+    meter: Optional[SpaceMeter] = None,
+) -> Dict[Triangle, Optional[Edge]]:
+    """Algorithm 3 alone: assign every distinct triangle in two passes.
+
+    The ``k = 1`` case of :func:`_assign_program`, each stage run as a
+    private sweep on ``scheduler``.  Draws from ``rng`` exactly as a round
+    does at its assignment stage, and consumes no pass (and no
+    randomness) when ``triangles`` is empty.
+    """
+    meter = meter if meter is not None else SpaceMeter()
+    program = _assign_program(plan, [rng], [set(triangles)], meter, track=lambda stage: stage)
+    return drive_round(scheduler, program)[0]
 
 
 def _assign_program(

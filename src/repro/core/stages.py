@@ -8,14 +8,14 @@ form instead of being run inline against a scheduler: the
 
 Separating *what a pass needs from the tape* (the stage) from *when the
 tape is traversed* (the sweep) is what lets independent rounds compose:
-:func:`execute_stage` runs one round's stage as its own sweep - exactly
-the pre-stage behaviour of the sequential runners - while the k-deep
-speculative driver (:mod:`repro.core.speculate`) hands the same-numbered
-stages of any number of rounds to :func:`sweep_stages`, which serves them
-with a **single** shared traversal.  Each plan still receives exactly the
-partials it would have received alone (the executor's per-plan partial
-streams and early stops), so results are bit-identical whether a stage's
-sweep was private or shared.  The shared traversal also shares the
+:func:`~repro.core.parallel.drive_round` hands each of one round's stages
+to :func:`sweep_stages` as its own sweep, while the k-deep speculative
+driver (:mod:`repro.core.speculate`) hands it the same-numbered stages of
+any number of rounds, which it serves with a **single** shared
+traversal.  Each plan still receives exactly the partials it would have
+received alone (the executor's per-plan partial streams and early
+stops), so results are bit-identical whether a stage's sweep was private
+or shared.  The shared traversal also shares the
 membership probes: the plans of one key space probe each block once,
 against the union of their keys (see :mod:`repro.core.kernels`).
 """
@@ -117,9 +117,3 @@ def sweep_tagged_stages(scheduler: PassScheduler, tagged: List[TaggedStage]) -> 
             [stage for _, stage in tagged],
             owners=[owner for owner, _ in tagged],
         )
-
-
-def execute_stage(scheduler: PassScheduler, stage: RoundStage):
-    """Run one stage as its own sweep and return its result."""
-    sweep_stages(scheduler, [stage])
-    return stage.finish()

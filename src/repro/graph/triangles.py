@@ -14,8 +14,10 @@ Three exact counters are provided:
 The module also computes the per-edge triangle counts ``t_e`` and the
 paper's *ideal assignment rule* (Section 4 / Section 5.1): assign every
 triangle to its contained edge with the fewest triangles, breaking ties
-consistently.  The streaming :class:`~repro.core.assignment.StreamingAssigner`
-approximates this rule; tests compare against the exact one computed here.
+consistently (:func:`min_te_assignment`).  Algorithm 3
+(:func:`~repro.core.parallel.streaming_assignment`) approximates this
+rule in the stream; :func:`~repro.core.assignment.exact_assignment` hands
+the exact one computed here to the estimator as its assignment hook.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ completes.
 
 Knobs (flag wins, then environment, then default):
 
-* ``REPRO_SERVE_SOCKET`` - unix socket path (``--socket``);
+* ``REPRO_SERVE_SOCKET`` - unix socket path (``--socket``; the file is
+  removed when the daemon stops);
 * ``REPRO_SERVE_PORT`` - localhost TCP port for HTTP (``--port``;
   ``0`` picks an ephemeral port);
 * ``REPRO_SERVE_CACHE_SIZE`` - result-cache entries (``--cache-size``,
@@ -165,11 +166,16 @@ class EstimateServer:
         await self.stop()
 
     async def stop(self) -> None:
+        # The unix server is the first one bound; its file goes once closed.
+        bound_socket = self.socket_path if self._servers else None
         for server in self._servers:
             server.close()
         for server in self._servers:
             await server.wait_closed()
         self._servers = []
+        if bound_socket is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(bound_socket)
         # Scheduler shutdown joins sweep threads - off the event loop.
         await asyncio.to_thread(self.registry.shutdown)
 

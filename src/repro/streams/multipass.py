@@ -226,21 +226,6 @@ class PassScheduler:
         self._open_passes(1)
         return self._run_pass()
 
-    def new_pass_chunks(
-        self, chunk_size: int = DEFAULT_CHUNK_EDGES
-    ) -> Iterator["numpy.ndarray"]:
-        """Open the next sequential pass, delivered as ``(k, 2)`` chunks.
-
-        Identical pass accounting to :meth:`new_pass` - a chunked pass is
-        still exactly one pass over the tape, it merely hands the edges to
-        the caller in vectorized blocks (see
-        :meth:`~repro.streams.base.EdgeStream.iter_chunks`).  The same
-        sequencing rules apply: consume or abandon the iterator before
-        opening another pass.
-        """
-        self._open_passes(1)
-        return self._run_pass_chunks(chunk_size)
-
     def new_fused_pass_chunks(
         self,
         chunk_size: int = DEFAULT_CHUNK_EDGES,

@@ -44,7 +44,7 @@ def reference_estimate(stream, kappa: int, config: EstimatorConfig) -> Tuple[Est
         guesses = [upper / 2.0**k for k in range(count)]
 
     rounds: List[GuessRound] = []
-    space = passes = sweeps = 0
+    space = passes = 0
     plan = None
     estimate = 0.0
     accepted = False
@@ -60,7 +60,6 @@ def reference_estimate(stream, kappa: int, config: EstimatorConfig) -> Tuple[Est
         runs = run_parallel_estimates(stream, plan, rngs, meter)
         space = max(space, meter.peak_words)
         passes += runs[0].passes_used
-        sweeps += runs[0].sweeps_used
         estimate = median([run.estimate for run in runs])
         accepted = config.t_hint is not None or estimate >= t_guess / 2.0
         rounds.append(GuessRound(t_guess, runs, estimate, accepted))
@@ -74,7 +73,7 @@ def reference_estimate(stream, kappa: int, config: EstimatorConfig) -> Tuple[Est
         space_words_peak=space,
         passes_total=passes,
         final_plan=plan,
-        sweeps_total=sweeps,
+        sweeps_total=passes,  # one private sweep per logical pass
     )
     return result, root.getstate()
 

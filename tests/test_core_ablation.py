@@ -94,13 +94,8 @@ class TestExactAssignerVariant:
         plan = plan_for(graph, 3)
         stream = InMemoryEdgeStream.from_graph(graph)
         a = run_single_estimate_exact_assigner(stream, plan, random.Random(3), graph)
-        from repro.core import ExactAssigner
+        from repro.core import exact_assignment
         from repro.core.estimator import run_single_estimate
 
-        b = run_single_estimate(
-            stream,
-            plan,
-            random.Random(3),
-            assigner_factory=lambda p, r, m: ExactAssigner(graph),
-        )
+        b = run_single_estimate(stream, plan, random.Random(3), assign=exact_assignment(graph))
         assert a.estimate == b.estimate

@@ -1,4 +1,4 @@
-"""Tests for Algorithm 3 (StreamingAssigner) against Definition 5.2."""
+"""Tests for Algorithm 3 (streaming_assignment) against Definition 5.2."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core import ExactAssigner, ParameterPlan, StreamingAssigner
+from repro.core import ParameterPlan, exact_assignment, streaming_assignment
 from repro.graph import count_triangles, degeneracy, enumerate_triangles, per_edge_triangle_counts
 from repro.generators import barabasi_albert_graph, book_graph, friendship_graph, wheel_graph
 from repro.streams import InMemoryEdgeStream, PassScheduler, SpaceMeter
@@ -28,26 +28,21 @@ def run_assigner(graph, kappa, triangles, seed=0, epsilon=0.25):
     plan = plan_for(graph, kappa, epsilon)
     stream = InMemoryEdgeStream.from_graph(graph)
     scheduler = PassScheduler(stream)
-    assigner = StreamingAssigner(plan, random.Random(seed), SpaceMeter())
-    return assigner.assign(scheduler, triangles)
+    return streaming_assignment(scheduler, plan, random.Random(seed), triangles, SpaceMeter())
 
 
 class TestExactAssigner:
     def test_assigns_min_te_edge(self, book8):
         te = per_edge_triangle_counts(book8)
-        assigner = ExactAssigner(book8)
-        triangles = list(enumerate_triangles(book8))
-        out = assigner.assign(None, triangles)
+        triangles = set(enumerate_triangles(book8))
+        out = exact_assignment(book8)(triangles)
         for t, e in out.items():
             assert e in triangle_edges(t)
             assert te[e] == min(te[f] for f in triangle_edges(t))
 
     def test_never_unassigned(self, grid4):
-        out = ExactAssigner(grid4).assign(None, list(enumerate_triangles(grid4)))
+        out = exact_assignment(grid4)(set(enumerate_triangles(grid4)))
         assert all(e is not None for e in out.values())
-
-    def test_zero_passes_declared(self, triangle):
-        assert ExactAssigner(triangle).passes_required == 0
 
 
 class TestStreamingAssignerBasics:
@@ -55,7 +50,7 @@ class TestStreamingAssignerBasics:
         plan = plan_for(wheel10, 3)
         stream = InMemoryEdgeStream.from_graph(wheel10)
         scheduler = PassScheduler(stream)
-        out = StreamingAssigner(plan, random.Random(0)).assign(scheduler, [])
+        out = streaming_assignment(scheduler, plan, random.Random(0), [])
         assert out == {}
         assert scheduler.passes_used == 0
 
@@ -64,7 +59,7 @@ class TestStreamingAssignerBasics:
         stream = InMemoryEdgeStream.from_graph(wheel10)
         scheduler = PassScheduler(stream)
         triangles = list(enumerate_triangles(wheel10))[:3]
-        StreamingAssigner(plan, random.Random(0)).assign(scheduler, triangles)
+        streaming_assignment(scheduler, plan, random.Random(0), triangles)
         assert scheduler.passes_used == 2
 
     def test_unique_assignment_to_contained_edge(self, grid4):
@@ -146,8 +141,8 @@ class TestDegreeCutoff:
         assert plan.degree_cutoff < 1
         stream = InMemoryEdgeStream.from_graph(book8)
         scheduler = PassScheduler(stream)
-        out = StreamingAssigner(plan, random.Random(0)).assign(
-            scheduler, list(enumerate_triangles(book8))
+        out = streaming_assignment(
+            scheduler, plan, random.Random(0), list(enumerate_triangles(book8))
         )
         assert all(e is None for e in out.values())
 
@@ -156,8 +151,8 @@ class TestDegreeCutoff:
         meter = SpaceMeter()
         stream = InMemoryEdgeStream.from_graph(grid4)
         scheduler = PassScheduler(stream)
-        StreamingAssigner(plan, random.Random(0), meter).assign(
-            scheduler, list(enumerate_triangles(grid4))
+        streaming_assignment(
+            scheduler, plan, random.Random(0), list(enumerate_triangles(grid4)), meter
         )
         breakdown = meter.peak_breakdown()
         assert breakdown.get("assignment-reservoirs", 0) > 0

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from repro.analysis.variance import empirical_moments
-from repro.core import ExactAssigner, ParameterPlan
-from repro.core.estimator import run_single_estimate
+from repro.core import ParameterPlan, exact_assignment
+from repro.core.estimator import SinglePassStackResult, run_single_estimate
 from repro.generators import (
     barabasi_albert_graph,
     book_graph,
@@ -31,13 +31,6 @@ def plan_for(graph, kappa, epsilon=0.25, t_guess=None, mode="practical"):
         epsilon=epsilon,
         mode=mode,
     )
-
-
-def exact_assigner_factory(graph):
-    def factory(plan, rng, meter):
-        return ExactAssigner(graph)
-
-    return factory
 
 
 class TestMechanics:
@@ -79,6 +72,14 @@ class TestMechanics:
         b = run_single_estimate(stream, plan, random.Random(7))
         assert a.estimate == b.estimate
 
+    def test_payload_with_dropped_sweeps_used_loads(self, wheel10):
+        # Snapshots written while runs reported ``sweeps_used`` still load.
+        plan = plan_for(wheel10, 3)
+        stream = InMemoryEdgeStream.from_graph(wheel10)
+        result = run_single_estimate(stream, plan, random.Random(2))
+        state = dict(result.to_state(), sweeps_used=result.passes_used)
+        assert SinglePassStackResult.from_state(state) == result
+
     def test_meter_used_when_supplied(self, grid4):
         plan = plan_for(grid4, 3)
         stream = InMemoryEdgeStream.from_graph(grid4)
@@ -105,9 +106,9 @@ class TestUnbiasednessWithExactAssigner:
         t = count_triangles(graph)
         plan = plan_for(graph, kappa)
         stream = InMemoryEdgeStream.from_graph(graph, shuffled(graph, random.Random(13)))
-        factory = exact_assigner_factory(graph)
+        assign = exact_assignment(graph)
         estimates = [
-            run_single_estimate(stream, plan, random.Random(seed), assigner_factory=factory).estimate
+            run_single_estimate(stream, plan, random.Random(seed), assign=assign).estimate
             for seed in range(30)
         ]
         moments = empirical_moments(estimates)

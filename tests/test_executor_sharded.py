@@ -34,7 +34,7 @@ from repro.core.kernels import (
 )
 from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
-from repro.core.stages import execute_stage
+from repro.core.stages import sweep_stages
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.errors import PassBudgetExceeded
 from repro.generators import planted_triangles_graph, rmat_graph, wheel_graph
@@ -152,11 +152,10 @@ class TestParallelRunnerSharded:
         apexes = [np.array([2]), np.array([2])]  # wedge {0-1, 0-2}: missing (1, 2)
         for workers in (1, 2):
             scheduler = PassScheduler(stream)
+            stage = stage_closure(draws, owners, apexes, SpaceMeter())
             with engine.engine_overrides(chunk_size=2, workers=workers):
-                closures = execute_stage(
-                    scheduler, stage_closure(draws, owners, apexes, SpaceMeter())
-                )
-            for triangles, closed in closures:  # the hit fans out to both
+                sweep_stages(scheduler, [stage])
+            for triangles, closed in stage.finish():  # the hit fans out to both
                 assert triangles.tolist() == [[0, 1, 2]]
                 assert closed.tolist() == [True]
 

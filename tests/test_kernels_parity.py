@@ -195,11 +195,37 @@ class TestKernelPrimitives:
         found = scan_watch_keys(PassScheduler(stream), keys, chunk_size=2)
         assert set(map(tuple, keys[counts > 0].tolist())) == found
 
+    def test_negative_ids_stay_distinct(self):
+        """A negative id would wrap to the same packed key as another row's;
+        such rows take the row-wise dedupe instead."""
+        unique, inverse = kernels.unique_edge_rows(np.array([[3, -1], [4, -1], [0, 5]]))
+        assert unique.tolist() == [[0, 5], [3, -1], [4, -1]]
+        assert inverse.tolist() == [1, 2, 0]
+        assert kernels.pack_canonical_rows(np.array([[3, -1]])) is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_watch_on_a_negative_id_matches_the_reference(self, workers):
+        """A watch on ``(3, -1)`` never counts ``(4, -1)``, with or without
+        a co-riding packed edge plan."""
+        for edges, keys in (
+            ([(4, -1)], [(3, -1)]),
+            ([(4, -1), (0, 5), (3, -1), (4, -1)], [(0, 5), (3, -1)]),
+        ):
+            stream = InMemoryEdgeStream(edges, validate=False)
+            keys = np.array(keys)
+            plan = kernels.WatchKeyPlan(keys)
+            rider = kernels.WatchKeyPlan(np.array([(0, 5)]))
+            run_plans(PassScheduler(stream), [plan, rider], chunk_size=1, workers=workers)
+            fold = ref.WatchFold(keys)
+            ref.fold_stream(stream, [fold])
+            assert plan.result().tolist() == fold.counts.tolist(), edges
+            assert rider.result().tolist() == [edges.count((0, 5))]
+
     def test_empty_stream_chunk_iteration(self):
         stream = InMemoryEdgeStream([])
         assert list(stream.iter_chunks(16)) == []
         scheduler = PassScheduler(stream)
-        assert list(scheduler.new_pass_chunks(16)) == []
+        assert list(scheduler.new_fused_pass_chunks(16)) == []
         assert scheduler.passes_used == 1
 
 

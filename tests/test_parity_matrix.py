@@ -150,7 +150,7 @@ def _trajectory(result, accounting=False):
             [
                 _sampling_fields(run)
                 + (
-                    (run.passes_used, run.sweeps_used, run.space_words_peak)
+                    (run.passes_used, run.space_words_peak)
                     if accounting
                     else ()
                 )

@@ -34,7 +34,7 @@ from repro.core.estimator import (
 )
 from repro.core.parallel import run_parallel_estimates
 from repro.core.params import ParameterPlan
-from repro.core.stages import execute_stage
+from repro.core.stages import sweep_stages
 from repro.errors import GraphError
 from repro.generators import (
     barabasi_albert_graph,
@@ -257,7 +257,9 @@ class _FixedSource:
 def _run(stage_of, edges, mode):
     scheduler = PassScheduler(InMemoryEdgeStream(edges, validate=False))
     with _passes(mode), engine.engine_overrides(chunk_size=4, workers=2):
-        return execute_stage(scheduler, stage_of())
+        stage = stage_of()
+        sweep_stages(scheduler, [stage])
+        return stage.finish()
 
 
 class TestDuplicateRequests:

@@ -507,6 +507,17 @@ class TestDaemon:
             reply = request_unix(sock, {"op": "shutdown"})
         assert reply == {"ok": True, "stopping": True}
 
+    def test_shutdown_removes_the_socket_file(self, tmp_path):
+        """A stopped daemon leaves no socket file behind, and the next one
+        binds the same path."""
+        sock = str(tmp_path / "serve.sock")
+        for _ in range(2):
+            with background_server(socket_path=sock, batch_window=0.0):
+                assert os.path.exists(sock)
+                assert request_unix(sock, {"op": "ping"})["ok"] is True
+                request_unix(sock, {"op": "shutdown"})
+            assert not os.path.exists(sock)
+
 
 class TestTextConversion:
     """Text inputs are converted to a daemon-private tape once, on first

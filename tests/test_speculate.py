@@ -128,8 +128,8 @@ class TestPairRunner:
         # The pair's physical sweeps cover both rounds in the sweeps of
         # (at most) the larger round alone.
         sweeps = scheduler.sweeps_used
-        assert sweeps <= max(solo_a[0].sweeps_used, solo_b[0].sweeps_used) + 2
-        assert sweeps < solo_a[0].sweeps_used + solo_b[0].sweeps_used
+        assert sweeps <= max(solo_a[0].passes_used, solo_b[0].passes_used) + 2
+        assert sweeps < solo_a[0].passes_used + solo_b[0].passes_used
         assert scheduler.sweeps_wasted == 0
         scheduler.discard_owner(owners[1])
         assert scheduler.sweeps_committed + scheduler.sweeps_wasted == sweeps
@@ -180,7 +180,7 @@ class TestWindowRunner:
             assert results[j] == solo[j]
         # The window's physical sweeps cover every round in (at most) the
         # sweeps of the largest round alone, plus stragglers.
-        assert scheduler.sweeps_used < sum(r[0].sweeps_used for r in solo)
+        assert scheduler.sweeps_used < sum(r[0].passes_used for r in solo)
         assert scheduler.sweeps_wasted == 0
 
     def test_discard_from_books_suffix_only(self):
@@ -200,7 +200,7 @@ class TestWindowRunner:
             scheduler.sweeps_committed + scheduler.sweeps_wasted == scheduler.sweeps_used
         )
         # Every sweep the primary round rode stays committed.
-        assert scheduler.sweeps_committed >= results[0][0].sweeps_used
+        assert scheduler.sweeps_committed >= results[0][0].passes_used
 
     def test_window_pass_budget_scales_with_depth(self):
         graph = wheel_graph(100)
