@@ -201,7 +201,7 @@ def stage_closure_hits(
         )
         return hits.astype(np.int64).tolist()
 
-    return RoundStage(plans=[plan], finish=finish)
+    return RoundStage(plan=plan, finish=finish)
 
 
 class SampleSource:

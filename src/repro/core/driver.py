@@ -259,17 +259,16 @@ class EstimateResult:
     ``passes_total`` under the sequential loop, smaller when the
     speculative driver shared sweeps across a round window.
     ``sweeps_wasted`` counts the additional physical sweeps that served
-    *only* discarded speculation (pre-drawn rounds thrown away because
-    an earlier round of their window accepted): the tape
-    traversals actually performed are ``sweeps_total + sweeps_wasted``,
-    and ``sweeps_wasted`` is always 0 under the sequential driver.
-    ``passes_wasted`` likewise counts the discarded rounds' logical
-    passes - the speculative work executed inside shared sweeps and then
-    thrown away.  An accepted round's speculative partners always overlap
-    it stage for stage (a round that finishes early found no candidates
-    and cannot accept), so discards typically show ``passes_wasted > 0``
-    with ``sweeps_wasted == 0``: speculation wastes in-sweep compute, not
-    extra tape traversals.  ``degradations`` lists every tier the recovery
+    only discarded work: the tape traversals actually performed are
+    ``sweeps_total + sweeps_wasted``.  ``passes_wasted`` counts the
+    logical passes of discarded work - pre-drawn rounds thrown away
+    because an earlier round of their window accepted, and the passes
+    of failed attempts.  Speculation never wastes a whole sweep: an
+    accepting round's median is above 0, so one of its instances
+    assigned a triangle and the round ran all six passes, which no
+    partner outlasts.  Discards therefore show ``passes_wasted > 0``
+    with ``sweeps_wasted == 0``, and ``sweeps_wasted`` counts only the
+    sweeps of failed attempts.  ``degradations`` lists every tier the recovery
     ladder dropped while producing this result (empty on a clean run):
     each :class:`~repro.core.faults.FailureReport` names the fault site,
     the action taken, the attempts spent, and the triggering cause.
@@ -393,19 +392,14 @@ class ProgramOutcome:
     """What :func:`estimate_program` returns when it runs to completion.
 
     ``result`` is the estimate's :class:`EstimateResult`, its sweep
-    accounting booked against *private* ledgers so the numbers match a
-    solo run even when its stages physically rode sweeps shared with
-    other jobs.  ``root_state`` is the root generator's final
+    accounting booked per window from the stages its rounds rode, so the
+    numbers match a solo run even when its stages physically rode sweeps
+    shared with other jobs.  ``root_state`` is the root generator's final
     ``getstate()`` (the bit-identity witness the parity tests compare).
-    ``discarded_owners`` lists the owner tags of discarded speculation;
-    the serving layer, which drives many programs on one shared
-    scheduler, applies them via ``discard_owner`` so the *physical*
-    committed/wasted split stays truthful too.
     """
 
     result: EstimateResult
     root_state: tuple
-    discarded_owners: Tuple[str, ...] = ()
 
 
 def estimate_program(
@@ -427,17 +421,19 @@ def estimate_program(
     :func:`run_estimate_program` with private per-window schedulers, or
     the serving layer's per-tape scheduler, which merges batches from many
     live programs into shared traversals.  Stage owners are tagged
-    ``f"{owner_prefix}w{window}.{round_tag}"``, so on a shared scheduler
-    ``owner_report(owner_prefix)`` recovers this job's slice and each
-    discard names one window's round unambiguously.
+    ``f"{owner_prefix}{round_tag}"``, so a batch on a shared scheduler
+    names the jobs riding it.  Each window books its own sweeps: the
+    most stages any committed round rode are committed, the rest wasted
+    (one stage per pass, so ``max(passes_used)`` over the committed
+    rounds against the same over all rounds).
 
     Each *window* is ``depth`` guessing rounds run in lockstep
     (:func:`~repro.core.speculate.window_program`), at most the
     configured ``speculate_depth`` and exactly 1 under a ``t_hint``
     (single round) or a ``space_budget_words`` cap (a speculative round
     tripping the Markov abort must not fail a run the sequential loop
-    would have finished).  Fusion and the window depth are ``config``'s
-    laid over the engine policy in force where the program starts
+    would have finished).  The window depth is ``config``'s laid over
+    the engine policy in force where the program starts
     (:func:`repro.core.engine.resolve`); chunking and threads are the
     policy of whoever sweeps its batches.
 
@@ -455,7 +451,6 @@ def estimate_program(
     cfg = config if config is not None else EstimatorConfig()
     if kappa < 1:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
-    from ..streams.multipass import OwnerLedger
     from .speculate import _owner_tags, window_program
 
     if root is None:
@@ -528,8 +523,7 @@ def estimate_program(
     passes_wasted = base.passes_wasted
     final_plan = build_plan(rounds[-1].t_guess) if rounds else None
     estimate = rounds[-1].median_estimate if rounds else 0.0
-    discarded: List[str] = []
-    window_seq = 0
+    owners = [f"{owner_prefix}{tag}" for tag in _owner_tags(max_depth)]
 
     def boundary() -> ResumeState:
         return ResumeState(
@@ -545,30 +539,6 @@ def estimate_program(
             num_edges=m,
             num_vertices=n,
         )
-
-    def window(plans, rng_lists, meters):
-        """Yield one window's batches; return its results, owners, ledger."""
-        nonlocal window_seq
-        owners = [f"{owner_prefix}w{window_seq}.{tag}" for tag in _owner_tags(len(plans))]
-        window_seq += 1
-        if on_window is not None:
-            on_window(len(plans))
-        # A private ledger mirrors a solo scheduler's sweep accounting: one
-        # entry per yielded batch (= one solo sweep), so the result's sweep
-        # totals match a solo run no matter how the driving entity
-        # physically served the batches.
-        ledger = OwnerLedger()
-        program = window_program(m, plans, rng_lists, meters, owners)
-        try:
-            batch = next(program)
-            while True:
-                ledger.record([owner for owner, _ in batch])
-                yield batch
-                batch = program.send(None)
-        except StopIteration as stop:
-            return stop.value, owners, ledger
-        finally:
-            program.close()
 
     def commit(t_guess: float, runs: List[SinglePassStackResult], plan: ParameterPlan) -> bool:
         """Append one committed round and apply the acceptance rule."""
@@ -607,8 +577,10 @@ def estimate_program(
             checkpoints.append(root.getstate())
             rng_lists.append(spawn_round(round_index + j))
         meters = [SpaceMeter(budget_words=cfg.space_budget_words) for _ in range(depth)]
+        if on_window is not None:
+            on_window(depth)
         try:
-            results, owners, ledger = yield from window(plans, rng_lists, meters)
+            results = yield from window_program(m, plans, rng_lists, meters, owners[:depth])
         except BaseException:
             # A failed shared sweep aborts the whole window; the
             # speculative rounds' RNG consumption must not leak into the
@@ -618,23 +590,23 @@ def estimate_program(
             raise
         # Walk the window in sequential order: commit every round up
         # to (and including) the first acceptance, discard the rest.
+        rode = [runs[0].passes_used for runs in results]  # one stage per pass
         committed = 0
         for j in range(depth):
             space_peak = max(space_peak, meters[j].peak_words)
-            passes_total += results[j][0].passes_used
+            passes_total += rode[j]
             accepted = commit(window_guesses[j], results[j], plans[j])
             committed += 1
             if accepted:
                 break
         if committed < depth:
-            for owner in owners[committed:]:
-                ledger.discard(owner)
-                discarded.append(owner)
             root.setstate(checkpoints[committed - 1])
-            for j in range(committed, depth):
-                passes_wasted += results[j][0].passes_used
-        sweeps_total += ledger.sweeps_committed
-        sweeps_wasted += ledger.sweeps_wasted
+        passes_wasted += sum(rode[committed:])
+        # The window swept once per step of its longest round; the steps
+        # a committed round rode were needed regardless.
+        needed = max(rode[:committed])
+        sweeps_total += needed
+        sweeps_wasted += max(rode) - needed
         round_index += committed
         if accepted:
             break
@@ -656,7 +628,6 @@ def estimate_program(
             degradations=degradations,
         ),
         root_state=root.getstate(),
-        discarded_owners=tuple(discarded),
     )
 
 
@@ -678,8 +649,11 @@ def run_estimate_program(
     restarts the program from the last boundary it reported, on the same
     root generator rewound to that boundary, so the committed trajectory
     never depends on how many attempts a round took: first after
-    :class:`~repro.core.faults.RetryPolicy` backoff, then one ladder tier
-    lower (:func:`~repro.core.faults.pick_step`).  The stream statistics
+    :class:`~repro.core.faults.RetryPolicy` backoff, then once more one
+    round per window (``speculative->sequential``, only when the failed
+    window was speculative), else the failure propagates.  A crashed
+    sweep task never gets here: the executor retries it and finishes the
+    sweep inline itself.  The stream statistics
     reads run inside the program, so they recover the same way.  Every
     new boundary goes to the snapshot writer when a checkpoint dir is in
     force, and a set :data:`stop_requested` stops the run there.
@@ -773,11 +747,11 @@ def run_estimate_program(
                         delay = recovery.policy.backoff_delay(attempts)
                         if delay > 0:
                             time.sleep(delay)
+                    elif depth < 2 or recovery.speculation_degraded:
+                        raise  # no tier left to drop: the failure is the answer
                     else:
-                        step = faults_module.pick_step(exc, depth, recovery)
-                        if step is None:
-                            raise  # no tier left to drop: the failure is the answer
-                        faults_module.degrade(step, faults_module.site_of(exc), attempts, exc)
+                        site = faults_module.site_of(exc)
+                        faults_module.degrade(faults_module.ACTION_SEQUENTIAL, site, attempts, exc)
                         attempts = 0
                     start = committed if committed is not None else resume
                     if start is not None:

@@ -175,7 +175,7 @@ def stage_pass1(r: int, m: int, sources: List[SampleSource], meter: SpaceMeter) 
     meter.allocate(2 * r * k, "R")
     positions = np.concatenate([(source.uniforms(r) * m).astype(np.int64) for source in sources])
     plan = kernels.PositionCollectPlan(positions)
-    return RoundStage(plans=[plan], finish=lambda: plan.rows().reshape(k, r, 2))
+    return RoundStage(plan=plan, finish=lambda: plan.rows().reshape(k, r, 2))
 
 
 def stage_pass2(sampled: np.ndarray, meter: SpaceMeter) -> RoundStage:
@@ -189,7 +189,7 @@ def stage_pass2(sampled: np.ndarray, meter: SpaceMeter) -> RoundStage:
     meter.allocate(len(ids), "degrees")
     charge_prefilter(meter, len(ids))
     plan = kernels.DegreeCountPlan(ids)
-    return RoundStage(plans=[plan], finish=lambda: (ids, plan.result()))
+    return RoundStage(plan=plan, finish=lambda: (ids, plan.result()))
 
 
 def draw_weighted_edges(
@@ -260,7 +260,7 @@ def stage_pass3(
         ]
     )
     plan = kernels.NeighborPositionPlan(owner_ids, owner_index, positions)
-    return RoundStage(plans=[plan], finish=lambda: _split(plan.result(), sizes))
+    return RoundStage(plan=plan, finish=lambda: _split(plan.result(), sizes))
 
 
 def _closure_watch(
@@ -326,4 +326,4 @@ def stage_closure(
         closed[watchers] = plan.result()[inverse] > 0
         return list(zip(_split(triangles, sizes), _split(closed, sizes)))
 
-    return RoundStage(plans=[plan], finish=finish)
+    return RoundStage(plan=plan, finish=finish)

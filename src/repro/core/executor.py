@@ -54,7 +54,8 @@ injection site makes a task raise :class:`~repro.errors.WorkerCrashError`
 on its thread.  A pure kernel can simply be rerun, so the active
 :class:`~repro.core.faults.RetryPolicy` resubmits the task; once retries
 are exhausted the sweep degrades ``sharded->serial`` and finishes inline,
-bit-identically and without another tape sweep.  Any other kernel error
+bit-identically and without another tape sweep, so a worker crash never
+fails the sweep.  Any other kernel error
 propagates.  On every exit path the queued tasks are cancelled and the
 running ones waited for before the chunk iterator closes, so no kernel
 outlives the rows it reads.
@@ -179,7 +180,6 @@ def run_plans(
     plans: Sequence[PassPlan],
     chunk_size: Optional[int] = None,
     workers: Optional[int] = None,
-    owners: Optional[Sequence[str]] = None,
     results: bool = True,
 ) -> Optional[List[Any]]:
     """Execute independent ``plans`` through **one** sweep of ``scheduler``.
@@ -192,11 +192,10 @@ def run_plans(
     are bit-identical to per-plan execution at any worker count.  Returns
     the plans' results in order.
 
-    ``owners`` tags the sweep for the scheduler's committed/wasted
-    accounting (the speculative round-pair driver tags
-    shared sweeps with the rounds they serve).  ``results=False`` returns
-    ``None`` instead of the results: round stages read their plans' state
-    in their own finish step, so nothing is converted for them.
+    ``results=False`` returns ``None`` instead of the results: round
+    stages (whose sweeps may carry the stages of several speculative
+    rounds or served jobs) read their plans' state in their own finish
+    step, so nothing is converted for them.
     """
     if not plans:
         raise ValueError("run_plans needs at least one plan")
@@ -204,7 +203,7 @@ def run_plans(
         policy = engine.policy()
         chunk_size = chunk_size if chunk_size is not None else policy.chunk_size
         workers = workers if workers is not None else policy.workers
-    _sweep(scheduler, plans, chunk_size, workers, owners)
+    _sweep(scheduler, plans, chunk_size, workers)
     return [plan.result() for plan in plans] if results else None
 
 
@@ -251,7 +250,6 @@ def _sweep(
     plans: Sequence[PassPlan],
     chunk: int,
     workers: int,
-    owners: Optional[Sequence[str]] = None,
 ) -> None:
     policy = faults.active_policy()
     states = [_PlanState(plan) for plan in plans]
@@ -317,7 +315,7 @@ def _sweep(
         for i, partial in zip(task.active, task.partials):
             states[i].absorb(partial, task.end)
 
-    chunks = scheduler.new_fused_pass_chunks(chunk, passes=len(plans), owners=owners)
+    chunks = scheduler.new_fused_pass_chunks(chunk, passes=len(plans))
     shared = _share_probes(plans, states)
     try:
         for block in chunks:

@@ -17,9 +17,11 @@ cooperating pieces:
 
 * the **degradation ladder** - when retries exhaust at one tier the run
   drops a tier and re-executes instead of failing the estimate:
-  threaded -> serial sweep (``sharded->serial``, only for a failure at
-  the executor's own ``worker.crash`` site), speculative window ->
-  sequential rounds, snapshots -> skipped.  Every estimate sweeps a tape
+  threaded -> serial sweep (``sharded->serial``, taken by the executor
+  itself for a task that keeps crashing: the sweep finishes inline, so
+  the crash never reaches the driver), speculative window -> sequential
+  rounds (taken by :func:`repro.core.driver.run_estimate_program`),
+  snapshots -> skipped.  Every estimate sweeps a tape
   (a text input is converted when it is opened), so there is no reader
   tier to drop: a read fault that outlives its retries and every other
   tier fails the estimate.
@@ -62,7 +64,6 @@ from ..errors import (
     ReproError,
     SnapshotWriteError,
     StreamReadError,
-    WorkerCrashError,
 )
 from . import engine
 from .knobs import resolve_int
@@ -95,8 +96,9 @@ ACTION_SERIAL = "sharded->serial"
 ACTION_SEQUENTIAL = "speculative->sequential"
 ACTION_NO_SNAPSHOT = "snapshot->skip"
 
-#: Every degradation action, in ladder order (``snapshot->skip`` is taken
-#: by the snapshot writer, the others by :func:`pick_step`).
+#: Every degradation action, in ladder order (``sharded->serial`` is taken
+#: by the executor, ``speculative->sequential`` by the estimate driver,
+#: ``snapshot->skip`` by the snapshot writer).
 LADDER = (
     ACTION_SERIAL,
     ACTION_SEQUENTIAL,
@@ -276,7 +278,6 @@ class RecoveryContext:
     reports: List[FailureReport] = field(default_factory=list)
     #: Ladder flags - which tiers this context has already dropped.
     speculation_degraded: bool = False
-    serial_degraded: bool = False
     snapshot_degraded: bool = False
 
 
@@ -335,7 +336,6 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
         return
     if action == ACTION_SERIAL:
         engine.serial_until_scope_exit()
-        ctx.serial_degraded = True
     elif action == ACTION_SEQUENTIAL:
         # The driver restarts the program at window depth 1 in its config
         # (programs read the depth from their config).
@@ -354,36 +354,15 @@ def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None
     )
 
 
-def pick_step(exc: BaseException, depth: int, ctx: RecoveryContext) -> Optional[str]:
-    """The degradation ladder: which tier to drop for this failure.
-
-    ``depth`` is the speculative window in flight when ``exc`` struck
-    (``0`` before the first round).  Takes the first applicable step,
-    ``sharded->serial`` before ``speculative->sequential``; ``None`` when
-    no applicable tier is left to drop (the failure then propagates).
-    ``sharded->serial`` is offered only for a failure at the executor's
-    own ``worker.crash`` site: serial sweeps read the same tape, so
-    dropping threads cannot help a sweep or read fault.
-    """
-    threaded = site_of(exc) == WORKER_CRASH and engine.policy().workers > 1
-    for action, available in (
-        (ACTION_SERIAL, threaded and not ctx.serial_degraded),
-        (ACTION_SEQUENTIAL, depth >= 2 and not ctx.speculation_degraded),
-    ):
-        if available:
-            return action
-    return None
-
-
 def is_transient(exc: BaseException) -> bool:
     """Whether retrying or degrading can plausibly help with ``exc``.
 
-    Worker crashes and stream *read* errors are transient; every other
-    library error (budget violations, protocol misuse, bad parameters) is
+    Stream *read* errors are transient; every other library error
+    (budget violations, protocol misuse, bad parameters) is
     deterministic and retrying would just replay it.  Bare ``OSError`` from outside the
     library (user streams raising ``IOError``) counts as transient.
     """
-    if isinstance(exc, (WorkerCrashError, StreamReadError)):
+    if isinstance(exc, StreamReadError):
         return True
     if isinstance(exc, ReproError):
         return False
@@ -392,8 +371,6 @@ def is_transient(exc: BaseException) -> bool:
 
 def site_of(exc: BaseException) -> str:
     """The fault site an exception is classified under (for reports)."""
-    if isinstance(exc, WorkerCrashError):
-        return WORKER_CRASH
     if isinstance(exc, SnapshotWriteError):
         return SNAPSHOT_WRITE
     return FILE_READ if isinstance(exc, (StreamReadError, OSError)) else "unknown"

@@ -211,12 +211,12 @@ def pack_canonical_rows(rows: np.ndarray) -> Optional[np.ndarray]:
     """Pack canonical ``(u, v)`` rows into uint64 keys, or ``None`` when an
     id lies outside ``[0, PACK_LIMIT)``."""
     # Unsigned, a negative id lies past PACK_LIMIT too: one reduction
-    # checks both ends.
-    if len(rows) and int(rows.astype(np.int64, copy=False).view(np.uint64).max()) >= PACK_LIMIT:
+    # checks both ends, and the same view packs.
+    unsigned = rows.astype(np.int64, copy=False).view(np.uint64)
+    if len(rows) and int(unsigned.max()) >= PACK_LIMIT:
         return None
-    packed = rows[:, 0].astype(np.uint64)
-    packed <<= np.uint64(32)
-    packed |= rows[:, 1].astype(np.uint64)
+    packed = unsigned[:, 0] << np.uint64(32)
+    packed |= unsigned[:, 1]
     return packed
 
 

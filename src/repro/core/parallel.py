@@ -136,18 +136,12 @@ def round_program(
     # every stage - cross-instance independence holds (see
     # derive_sample_generator).
     sources = [derive_sample_generator(rngs[j]) for j in range(k)]
-    charged_passes = 0
 
-    def track(stage: RoundStage) -> RoundStage:
-        nonlocal charged_passes
-        charged_passes += stage.passes
-        return stage
-
-    sampled = yield track(stage_pass1(plan.r, m, sources, meter))
-    degrees = yield track(stage_pass2(sampled, meter))
+    sampled = yield stage_pass1(plan.r, m, sources, meter)
+    degrees = yield stage_pass2(sampled, meter)
     draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, plan, sources, meter)
-    apexes = yield track(stage_pass3(owners, degrees, sources, meter))
-    closures = yield track(stage_closure(draws, owners, apexes, meter))
+    apexes = yield stage_pass3(owners, degrees, sources, meter)
+    closures = yield stage_closure(draws, owners, apexes, meter)
 
     # Per instance: each closed wedge's triangle and its drawn edge.
     closed_by_instance: List[Tuple[List[Triangle], List[Edge]]] = [
@@ -158,10 +152,14 @@ def round_program(
         for (triangles, closed), drawn in zip(closures, draws)
     ]
     distinct_by_instance: List[set] = [set(triangles) for triangles, _ in closed_by_instance]
-    if assign is None:
-        assignments = yield from _assign_program(plan, rngs, distinct_by_instance, meter, track)
-    else:
+    # One logical pass per stage yielded: the four above, plus Algorithm
+    # 3's two when it runs (it runs none without a candidate triangle).
+    passes_used = 4
+    if assign is not None:
         assignments = [assign(distinct) if distinct else {} for distinct in distinct_by_instance]
+    else:
+        assignments = yield from _assign_program(plan, rngs, distinct_by_instance, meter)
+        passes_used += 2 if any(distinct_by_instance) else 0
 
     results: List[SinglePassStackResult] = []
     for j, (triangles, edges) in enumerate(closed_by_instance):
@@ -177,7 +175,7 @@ def round_program(
                 wedges_closed=len(triangles),
                 assigned_hits=hits,
                 distinct_candidate_triangles=len(distinct_by_instance[j]),
-                passes_used=charged_passes,
+                passes_used=passes_used,
                 space_words_peak=meter.peak_words,
             )
         )
@@ -199,7 +197,7 @@ def streaming_assignment(
     randomness) when ``triangles`` is empty.
     """
     meter = meter if meter is not None else SpaceMeter()
-    program = _assign_program(plan, [rng], [set(triangles)], meter, track=lambda stage: stage)
+    program = _assign_program(plan, [rng], [set(triangles)], meter)
     return drive_round(scheduler, program)[0]
 
 
@@ -208,7 +206,6 @@ def _assign_program(
     rngs: List[random.Random],
     distinct_by_instance: List[set],
     meter: SpaceMeter,
-    track,
 ) -> Generator[RoundStage, object, List[Dict[Triangle, Optional[Edge]]]]:
     """Passes 5-6: Algorithm 3 for every instance, sharing the two passes.
 
@@ -260,7 +257,7 @@ def _assign_program(
                 bundle.offer(a, sample_rngs[j])
 
     charge_prefilter(meter, len(degree))
-    yield track(RoundStage(plans=[kernels.IncidentEdgePlan(degree, offer)]))
+    yield RoundStage(plan=kernels.IncidentEdgePlan(degree, offer))
     for (j, _), bundle in bundles.items():  # deterministic construction order
         bundle.flush(sample_rngs[j])
 
@@ -284,7 +281,7 @@ def _assign_program(
             light_owners.append(owner)
             light_others.append(v if owner == u else u)
     bundle_rows = [bundles[(j, owner)] for (j, _), owner in zip(light, light_owners)]
-    hit_counts = yield track(stage_closure_hits(bundle_rows, light_others, meter))
+    hit_counts = yield stage_closure_hits(bundle_rows, light_others, meter)
     for (j, f), hit_count in zip(light, hit_counts):
         u, v = f
         estimates[j][f] = min(degree[u], degree[v]) * hit_count / s

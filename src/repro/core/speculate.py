@@ -20,9 +20,14 @@ by **one** shared tape sweep, and decide afterwards:
   are dropped, the root generator is rewound past its speculative spawns
   (to the checkpoint taken before the first discarded round's spawns),
   and the sweeps that served *only* discarded rounds are booked as
-  **wasted**.  Sweeps shared with a committed round stay committed - that
+  **wasted**.  Every stage is one sweep step, so the window books the
+  most stages any committed round rode as committed and the rest as
+  wasted.  Sweeps shared with a committed round stay committed - that
   traversal was needed regardless, so acceptance costs no extra
-  committed sweeps.
+  committed sweeps.  In fact speculation never wastes a whole sweep: an
+  accepting round's median is above 0, so one of its instances assigned
+  a triangle and the round ran all six passes, which no partner
+  outlasts.
 
 :func:`window_program` is the lockstep window as a stage program; the
 commit/discard walk and the root rewind live in the guessing loop itself
@@ -54,9 +59,8 @@ from .parallel import round_program
 from .params import ParameterPlan
 from .stages import TaggedStage, sweep_stages  # noqa: F401 - serves the windows
 
-#: Owner tags for the scheduler's committed/wasted sweep accounting.  The
-#: window tags position ``0`` with :data:`PRIMARY` and position ``j >= 1``
-#: with ``f"{SPECULATIVE}{j}"``.
+#: Owner tags of a window's rounds: position ``0`` is :data:`PRIMARY` and
+#: position ``j >= 1`` is ``f"{SPECULATIVE}{j}"``.
 PRIMARY = "round"
 SPECULATIVE = "speculative"
 

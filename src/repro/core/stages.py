@@ -1,9 +1,9 @@
 """Round stages: every estimator pass as a (request, finish) pair.
 
 A *stage* is one tape sweep a round is waiting on, held in executable
-form instead of being run inline against a scheduler: the
-:class:`~repro.core.executor.PassPlan` set that
-:func:`~repro.core.executor.run_plans` drives through one sweep, plus a
+form instead of being run inline against a scheduler: the one
+:class:`~repro.core.executor.PassPlan` that
+:func:`~repro.core.executor.run_plans` drives through a sweep, plus a
 ``finish()`` that reads the result once that sweep has executed.
 
 Separating *what a pass needs from the tape* (the stage) from *when the
@@ -22,7 +22,7 @@ against the union of their keys (see :mod:`repro.core.kernels`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..streams.multipass import PassScheduler
 
@@ -33,21 +33,16 @@ if TYPE_CHECKING:
 class RoundStage:
     """One tape sweep a round is waiting on, in executable form.
 
-    ``plans`` are the pass plans the sweep drives, one logical pass each
-    against the scheduler budget.  ``finish()`` is only valid after the
-    stage's sweep has run.
+    ``plan`` is the pass plan the sweep drives: one logical pass against
+    the scheduler budget.  ``finish()`` is only valid after the stage's
+    sweep has run.
     """
 
-    __slots__ = ("plans", "_finish")
+    __slots__ = ("plan", "_finish")
 
-    def __init__(self, *, plans, finish=None):
-        self.plans = plans
+    def __init__(self, *, plan, finish=None):
+        self.plan = plan
         self._finish = finish
-
-    @property
-    def passes(self) -> int:
-        """The logical-pass charge: one per plan."""
-        return len(self.plans)
 
     def finish(self):
         """The stage result (valid only after its sweep has executed)."""
@@ -75,27 +70,17 @@ def charge_prefilter(meter: "SpaceMeter", num_keys: int) -> None:
         meter.allocate((1 << prefilter_bits(num_keys)) // 8, "kernel-prefilter")
 
 
-def sweep_stages(
-    scheduler: PassScheduler,
-    stages: List[RoundStage],
-    owners: Optional[List[str]] = None,
-) -> None:
+def sweep_stages(scheduler: PassScheduler, stages: List[RoundStage]) -> None:
     """Execute the sweeps of ``stages`` as **one** physical tape traversal.
 
-    The logical-pass charge is the sum of the stages' charges, and the
-    sweep is tagged with ``owners`` for the scheduler's committed/wasted
-    accounting (the speculative window driver tags each shared sweep with
-    the rounds whose stages rode it; see
-    :meth:`~repro.streams.multipass.PassScheduler.discard_owner`).
+    Each stage charges one logical pass.  Whether the traversal was
+    committed or wasted work is booked by the caller that served the
+    batch (:func:`repro.core.driver.estimate_program`'s windows, the
+    serving layer's per-job counts), never by the scheduler.
     """
     from .executor import run_plans
 
-    run_plans(
-        scheduler,
-        [plan for stage in stages for plan in stage.plans],
-        owners=owners,
-        results=False,
-    )
+    run_plans(scheduler, [stage.plan for stage in stages], results=False)
 
 
 #: One owner-tagged unit of sweep demand: ``(owner, stage)``.  Stage
@@ -108,12 +93,8 @@ TaggedStage = Tuple[str, RoundStage]
 def sweep_tagged_stages(scheduler: PassScheduler, tagged: List[TaggedStage]) -> None:
     """Serve a batch of owner-tagged stages in one fused sweep.
 
-    The sweep is tagged with the stages' owners; batches merged across
-    independent jobs ride it together.  An empty batch sweeps nothing.
+    Batches merged across independent jobs ride it together.  An empty
+    batch sweeps nothing.
     """
     if tagged:
-        sweep_stages(
-            scheduler,
-            [stage for _, stage in tagged],
-            owners=[owner for owner, _ in tagged],
-        )
+        sweep_stages(scheduler, [stage for _, stage in tagged])

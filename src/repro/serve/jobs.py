@@ -4,11 +4,9 @@ A :class:`Job` owns a live :func:`~repro.core.driver.estimate_program`
 generator and the synchronization around it: the scheduler thread
 advances the program and calls :meth:`Job.complete` / :meth:`Job.fail`;
 waiters (the daemon's request handlers, or a test) block on
-:meth:`Job.wait`.  The job's owner prefix is what ties its stages to the
-shared scheduler's accounting: every stage the program yields is tagged
-``f"{prefix}..."``, so
-:meth:`~repro.streams.multipass.PassScheduler.owner_report` recovers the
-job's slice of the tape's physical sweeps.
+:meth:`Job.wait`.  Every stage the program yields is tagged with the
+job's owner prefix, ``f"{job_id}/..."``, so a merged batch names its
+riders; the scheduler counts the sweeps each job rode and shared.
 """
 
 from __future__ import annotations
@@ -28,8 +26,9 @@ class JobAccounting:
     the job's stages; ``sweeps_shared`` those among them that also
     carried another job's (the savings vs. running solo);
     ``sweeps_committed`` / ``sweeps_wasted`` split the physical count by
-    the job's own commit/discard verdicts.  Distinct from the result's
-    solo-equivalent totals, which never see the sharing.
+    the job's own commit/discard verdicts - the result's
+    ``sweeps_total`` / ``sweeps_wasted``, since every step the job rode
+    is one sweep of its solo run.
     """
 
     sweeps_physical: int
@@ -46,6 +45,10 @@ class Job:
         #: Owner-tag prefix of every stage the program yields.
         self.owner_prefix = f"{job_id}/"
         self.program = program
+        #: Sweeps that carried the job's stages, and those shared with
+        #: another job (counted by the scheduler).
+        self.sweeps_rode = 0
+        self.sweeps_shared = 0
         self.outcome: Optional[ProgramOutcome] = None
         self.accounting: Optional[JobAccounting] = None
         self.error: Optional[BaseException] = None

@@ -29,9 +29,9 @@ probe each block once against the union of their keys (see
 Admission happens at step boundaries: a job submitted while a sweep is
 in flight joins at the next step (its first-round stages co-ride from
 then on).  Commit/discard is per job - each program books its own
-verdicts and reports its discarded owner tags in its outcome, which the
-scheduler applies to the shared ledger so the tape's physical
-committed/wasted split stays truthful.
+committed and wasted sweeps in its result - while the scheduler counts,
+per job, the steps the job rode and how many of them it shared with
+another job.
 
 Failure behavior: a physical sweep that raises kills exactly the jobs
 riding it - their programs are closed (running the round-program
@@ -71,7 +71,7 @@ class SweepScheduler:
         # The sweep thread's scope: the engine policy in force here (the
         # environment's, in the daemon) and the REPRO_FAULTS plan, read
         # now so a malformed variable fails the caller, not the thread.
-        # Each job's fusion and speculation still come from its config.
+        # Each job's window depth still comes from its config.
         self._policy = engine.policy()
         self._faults = faults.plan_from(None)
         self._batch_window = batch_window
@@ -191,6 +191,8 @@ class SweepScheduler:
                 self._fail(job, exc)
             return
         for job in jobs:
+            job.sweeps_rode += 1
+            job.sweeps_shared += len(jobs) > 1
             try:
                 self._active[job] = job.program.send(None)
             except StopIteration as stop:
@@ -201,19 +203,14 @@ class SweepScheduler:
                 self._fail(job, exc)
 
     def _finish(self, job: Job, outcome) -> None:
-        # The program's discard verdicts transfer to the shared ledger so
-        # the tape's physical committed/wasted split stays truthful.
-        for owner in outcome.discarded_owners:
-            self._scheduler.discard_owner(owner)
-        report = self._scheduler.owner_report(job.owner_prefix)
         self._jobs_completed += 1
         job.complete(
             outcome,
             JobAccounting(
-                sweeps_physical=report.rode,
-                sweeps_shared=report.shared,
-                sweeps_committed=report.committed,
-                sweeps_wasted=report.wasted,
+                sweeps_physical=job.sweeps_rode,
+                sweeps_shared=job.sweeps_shared,
+                sweeps_committed=outcome.result.sweeps_total,
+                sweeps_wasted=outcome.result.sweeps_wasted,
             ),
         )
 
@@ -226,5 +223,5 @@ _job_counter = itertools.count()
 
 
 def next_job_id() -> str:
-    """Process-unique job id; the owner prefix namespace on shared tapes."""
+    """Process-unique job id; its stages' owner tags start with it."""
     return f"job{next(_job_counter)}"

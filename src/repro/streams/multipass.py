@@ -17,23 +17,15 @@ wall-clock time is made of).  A **fused** pass group
 logical passes at once, all served by a single sweep of the tape: the
 budget is charged for every logical pass, while :attr:`sweeps_used` grows
 by one.  Plain passes charge one of each, so when every sweep serves one
-pass the two counters coincide.
-
-Sweeps can additionally be tagged with the *owners* they serve (the
-speculative round-pair driver tags each shared sweep with the rounds whose
-plans rode it).  When a speculative owner is later discarded
-(:meth:`discard_owner`), the sweeps that served **only** discarded owners
-become *wasted* - physically performed, but spent on work the sequential
-driver would never have run - while sweeps shared with a committed owner
-stay committed (the committed round needed that traversal regardless).
-:attr:`sweeps_committed` / :attr:`sweeps_wasted` expose the split;
-untagged sweeps are always committed.
+pass the two counters coincide.  Which sweeps were spent on discarded
+speculation is booked by the code that serves the batches - each window
+of :func:`repro.core.driver.estimate_program`, and the serving layer's
+:class:`~repro.serve.scheduler.SweepScheduler` per job - not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..errors import PassBudgetExceeded, StreamError, StreamReadError
 from ..types import Edge
@@ -48,90 +40,6 @@ def _mid_stage_fault_fires() -> bool:
     from ..core import faults
 
     return faults.fires(faults.SWEEP_MID_STAGE)
-
-
-@dataclass(frozen=True)
-class OwnerSweepReport:
-    """Per-owner-group slice of a ledger's sweep accounting.
-
-    ``rode`` counts sweeps that served at least one matching owner;
-    ``committed`` those among them still serving a non-discarded matching
-    owner; ``wasted`` is the difference.  ``shared`` counts the ridden
-    sweeps that also carried a non-matching owner - physical work the
-    matching group split with someone else.
-    """
-
-    rode: int
-    committed: int
-    wasted: int
-    shared: int
-
-
-class OwnerLedger:
-    """Owner-tagged sweep bookkeeping, independent of any scheduler.
-
-    Records one entry per physical sweep (a frozenset of owner tags, or
-    ``None`` for untagged sweeps) plus the set of owners discarded so far.
-    :class:`PassScheduler` keeps one for its own sweeps; the estimate
-    program in :mod:`repro.core.driver` keeps private ledgers so a job
-    riding a *shared* scheduler can still report the sweep counts its solo
-    run would have produced.
-    """
-
-    def __init__(self) -> None:
-        self._sweeps: List[Optional[frozenset]] = []
-        self._discarded: Set[str] = set()
-
-    def record(self, owners: Optional[Iterable[str]]) -> None:
-        """Record one sweep tagged with ``owners`` (``None`` = untagged)."""
-        self._sweeps.append(frozenset(owners) if owners is not None else None)
-
-    def discard(self, owner: str) -> None:
-        """Mark ``owner`` discarded; idempotent."""
-        self._discarded.add(owner)
-
-    @property
-    def sweeps_recorded(self) -> int:
-        return len(self._sweeps)
-
-    @property
-    def sweeps_wasted(self) -> int:
-        """Sweeps whose every owner has been discarded (untagged never waste)."""
-        if not self._discarded:
-            return 0
-        return sum(
-            1
-            for owners in self._sweeps
-            if owners is not None and owners <= self._discarded
-        )
-
-    @property
-    def sweeps_committed(self) -> int:
-        return len(self._sweeps) - self.sweeps_wasted
-
-    def report(self, prefix: str) -> OwnerSweepReport:
-        """Accounting for the owner group whose tags start with ``prefix``.
-
-        This is the per-job view of a shared tape: with owners tagged
-        ``f"{job}..."``, ``report(job)`` says how many physical sweeps the
-        job rode, how many of those it shared with other jobs, and how the
-        committed/wasted split looks from its side.
-        """
-        rode = committed = shared = 0
-        for owners in self._sweeps:
-            if owners is None:
-                continue
-            mine = [o for o in owners if o.startswith(prefix)]
-            if not mine:
-                continue
-            rode += 1
-            if any(o not in self._discarded for o in mine):
-                committed += 1
-            if any(not o.startswith(prefix) for o in owners):
-                shared += 1
-        return OwnerSweepReport(
-            rode=rode, committed=committed, wasted=rode - committed, shared=shared
-        )
 
 
 class PassScheduler:
@@ -156,8 +64,6 @@ class PassScheduler:
         self._pass_open = False
         #: Whether the currently open sweep dies mid-stage (fault injection).
         self._fault_mid_sweep = False
-        #: Owner tags per sweep plus the discarded set (see :class:`OwnerLedger`).
-        self._owners = OwnerLedger()
 
     @property
     def passes_used(self) -> int:
@@ -172,39 +78,6 @@ class PassScheduler:
         strictly smaller whenever fused pass groups shared a sweep.
         """
         return self._sweeps_used
-
-    @property
-    def sweeps_wasted(self) -> int:
-        """Sweeps that served only owners since discarded (speculation waste).
-
-        A sweep counts as wasted when it was tagged with owners and *every*
-        one of them has been handed to :meth:`discard_owner`; sweeps shared
-        with a committed owner - and untagged sweeps - stay committed.
-        """
-        return self._owners.sweeps_wasted
-
-    @property
-    def sweeps_committed(self) -> int:
-        """Physical sweeps net of speculation waste (see :attr:`sweeps_wasted`)."""
-        return self._sweeps_used - self.sweeps_wasted
-
-    def discard_owner(self, owner: str) -> None:
-        """Mark ``owner``'s speculative work discarded for sweep accounting.
-
-        Sweeps tagged exclusively with discarded owners move from committed
-        to wasted; the physical :attr:`sweeps_used` total is unchanged (the
-        tape was read either way).  Idempotent.
-        """
-        self._owners.discard(owner)
-
-    def owner_report(self, prefix: str) -> OwnerSweepReport:
-        """Per-owner-group accounting (see :meth:`OwnerLedger.report`).
-
-        On a scheduler shared across jobs - owners tagged ``f"{job}..."`` -
-        ``owner_report(job)`` gives that job's slice: sweeps it rode, how
-        many it shared with other groups, and its committed/wasted split.
-        """
-        return self._owners.report(prefix)
 
     @property
     def num_edges(self) -> int:
@@ -230,7 +103,6 @@ class PassScheduler:
         self,
         chunk_size: int = DEFAULT_CHUNK_EDGES,
         passes: int = 1,
-        owners: Optional[Iterable[str]] = None,
     ) -> Iterator["numpy.ndarray"]:
         """Open ``passes`` logical passes served by one shared chunked sweep.
 
@@ -238,26 +110,23 @@ class PassScheduler:
         independent - each one must produce the result it would have
         produced scanning the tape alone.  Pass accounting charges all
         ``passes`` against the budget; the sweep counter grows by one.
-        ``owners`` optionally tags the sweep for the committed/wasted split
-        (see :meth:`discard_owner`).
         """
-        self._open_passes(passes, owners)
+        self._open_passes(passes)
         return self._run_pass_chunks(chunk_size)
 
     def new_pass_chunk_handles(
         self,
         chunk_size: int = DEFAULT_CHUNK_EDGES,
         passes: int = 1,
-        owners: Optional[Iterable[str]] = None,
     ) -> Iterator["numpy.ndarray"]:
         """Former name of :meth:`new_fused_pass_chunks`, kept for callers.
 
         Every sweep now hands out the zero-copy chunks themselves; the
         executor opens its sweeps through :meth:`new_fused_pass_chunks`.
         """
-        return self.new_fused_pass_chunks(chunk_size, passes=passes, owners=owners)
+        return self.new_fused_pass_chunks(chunk_size, passes=passes)
 
-    def _open_passes(self, count: int, owners: Optional[Iterable[str]] = None) -> None:
+    def _open_passes(self, count: int) -> None:
         if count < 1:
             raise StreamError(f"a pass group must contain at least one pass, got {count}")
         if self._pass_open:
@@ -269,7 +138,6 @@ class PassScheduler:
             )
         self._passes_used += count
         self._sweeps_used += 1
-        self._owners.record(owners)
         self._pass_open = True
         # Decided eagerly at sweep open (one fault-plan event per sweep, in
         # sweep order) so injection indexing is independent of how lazily

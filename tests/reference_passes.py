@@ -276,7 +276,7 @@ def stage_closure_hits(bundle_rows, others, meter) -> RoundStage:
         for row in watch.get((u, v), ()):
             hits[row] += 1
 
-    return RoundStage(plans=[FoldPlan(CallbackFold(visit))], finish=lambda: hits)
+    return RoundStage(plan=FoldPlan(CallbackFold(visit)), finish=lambda: hits)
 
 
 #: ``repro.core.kernels`` plan name -> its per-edge reference.

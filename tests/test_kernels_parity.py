@@ -392,7 +392,7 @@ class TestPassOracles:
             with stage_context():
                 stage = assignment.stage_closure_hits(bundles, others, meter)
             scheduler = PassScheduler(stream)
-            run_plans(scheduler, stage.plans, chunk_size=chunk, workers=workers)
+            run_plans(scheduler, [stage.plan], chunk_size=chunk, workers=workers)
             assert scheduler.passes_used == scheduler.sweeps_used == 1
             return stage.finish(), meter.peak_breakdown()
 

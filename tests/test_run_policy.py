@@ -55,9 +55,9 @@ def sweeps(monkeypatch):
     seen = []
     real = executor._sweep
 
-    def spy(scheduler, plans, chunk, workers, owners=None):
+    def spy(scheduler, plans, chunk, workers):
         seen.append((threading.current_thread().name, chunk, workers))
-        return real(scheduler, plans, chunk, workers, owners)
+        return real(scheduler, plans, chunk, workers)
 
     monkeypatch.setattr(executor, "_sweep", spy)
     return seen

@@ -48,7 +48,6 @@ from repro.serve.protocol import request_http, request_unix, root_rng_digest
 from repro.serve.scheduler import next_job_id
 from repro.streams import FileEdgeStream, InMemoryEdgeStream, write_tape
 from repro.streams.base import EdgeStream
-from repro.streams.multipass import OwnerLedger
 from repro.types import Edge
 
 
@@ -104,30 +103,6 @@ def _assert_outcome_matches_solo(outcome, solo_result, solo_root_state):
     assert _trajectory(outcome.result) == _trajectory(solo_result)
     assert _accounting(outcome.result) == _accounting(solo_result)
     assert outcome.root_state == solo_root_state
-
-
-class TestOwnerLedger:
-    def test_report_splits_by_prefix(self):
-        ledger = OwnerLedger()
-        ledger.record(["a/w0.round"])
-        ledger.record(["a/w0.speculative1", "b/w0.round"])
-        ledger.record(["b/w1.round"])
-        ledger.discard("a/w0.speculative1")
-
-        a = ledger.report("a/")
-        assert (a.rode, a.committed, a.wasted, a.shared) == (2, 1, 1, 1)
-        b = ledger.report("b/")
-        assert (b.rode, b.committed, b.wasted, b.shared) == (2, 2, 0, 1)
-
-    def test_sweep_totals(self):
-        ledger = OwnerLedger()
-        ledger.record(["a/w0.round", "b/w0.round"])
-        ledger.record(["b/w0.speculative1"])
-        ledger.discard("b/w0.speculative1")
-        assert ledger.sweeps_recorded == 2
-        # A sweep is wasted only when *every* owner discarded it.
-        assert ledger.sweeps_wasted == 1
-        assert ledger.sweeps_committed == 1
 
 
 class TestEstimateProgramParity:
@@ -230,9 +205,19 @@ class TestSweepScheduler:
             assert job.error is None
             _assert_outcome_matches_solo(job.outcome, solo_result, solo_root)
             solo_sweeps += solo_result.sweeps_total
-            # Every job actually shared traversals with another job.
-            assert job.accounting.sweeps_shared > 0
-            assert job.accounting.sweeps_physical <= solo_result.sweeps_total
+            # Every job actually shared traversals with another job, and
+            # its slice of them is what its solo run swept.
+            accounting = job.accounting
+            assert 0 < accounting.sweeps_shared <= accounting.sweeps_physical
+            assert (
+                accounting.sweeps_physical,
+                accounting.sweeps_committed,
+                accounting.sweeps_wasted,
+            ) == (
+                solo_result.sweeps_total + solo_result.sweeps_wasted,
+                solo_result.sweeps_total,
+                solo_result.sweeps_wasted,
+            )
         assert shared.sweeps_physical < solo_sweeps
         assert shared.jobs_completed == len(jobs)
 

@@ -2,8 +2,8 @@
 
 The randomized cross-mode matrix (``test_parity_matrix.py``) pins
 bit-identity wholesale; these tests pin the *mechanics*: the lockstep
-window program against the sequential runner, the scheduler's
-committed/wasted sweep split, the driver's discard-and-rewind path, the
+window program against the sequential runner, the window's sweep count,
+the driver's discard-and-rewind path, the
 acceptance-imminent speculation throttle, and the knob plumbing from
 environment to config.
 """
@@ -46,12 +46,11 @@ def _run_window(stream, plans, rng_lists, meters):
     """Drive ``window_program`` the way the driver does: one shared sweep
     per yielded batch on a scheduler budgeted at six passes per round.
 
-    Returns the per-round results, the rounds' owner tags, and the
-    scheduler (for the committed/wasted sweep split).
+    Returns the per-round results and the scheduler (for its
+    ``sweeps_used``).
     """
     scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * len(plans))
-    owners = _owner_tags(len(plans))
-    program = window_program(len(stream), plans, rng_lists, meters, owners)
+    program = window_program(len(stream), plans, rng_lists, meters, _owner_tags(len(plans)))
     try:
         batch = next(program)
         while True:
@@ -61,47 +60,7 @@ def _run_window(stream, plans, rng_lists, meters):
         results = stop.value
     finally:
         program.close()
-    return results, owners, scheduler
-
-
-class TestSchedulerSweepAccounting:
-    def test_untagged_sweeps_always_committed(self):
-        stream = InMemoryEdgeStream([(0, 1), (1, 2)])
-        scheduler = PassScheduler(stream)
-        for _ in scheduler.new_pass():
-            pass
-        scheduler.discard_owner("anything")
-        assert scheduler.sweeps_used == 1
-        assert scheduler.sweeps_committed == 1
-        assert scheduler.sweeps_wasted == 0
-
-    def test_solely_owned_sweeps_become_wasted(self):
-        stream = InMemoryEdgeStream([(0, 1), (1, 2)])
-        scheduler = PassScheduler(stream)
-        for owners in (["a", "b"], ["b"], ["a"], None):
-            it = (
-                scheduler.new_fused_pass_chunks(passes=1, owners=owners)
-                if owners
-                else scheduler.new_pass()
-            )
-            for _ in it:
-                pass
-        assert scheduler.sweeps_used == 4
-        scheduler.discard_owner("b")
-        assert scheduler.sweeps_wasted == 1  # only the ["b"]-only sweep
-        assert scheduler.sweeps_committed == 3
-        scheduler.discard_owner("a")
-        assert scheduler.sweeps_wasted == 3  # shared sweep now fully discarded
-        assert scheduler.sweeps_committed == 1  # the untagged one
-
-    def test_discard_is_idempotent(self):
-        stream = InMemoryEdgeStream([(0, 1)])
-        scheduler = PassScheduler(stream)
-        for _ in scheduler.new_fused_pass_chunks(passes=2, owners=["s"]):
-            pass
-        scheduler.discard_owner("s")
-        scheduler.discard_owner("s")
-        assert scheduler.sweeps_wasted == 1
+    return results, scheduler
 
 
 class TestPairRunner:
@@ -120,7 +79,7 @@ class TestPairRunner:
         with passes, engine.engine_overrides(chunk_size=64, workers=workers):
             solo_a = run_parallel_estimates(stream, plan_a, rngs())
             solo_b = run_parallel_estimates(stream, plan_b, rngs())
-            (primary, speculative), owners, scheduler = _run_window(
+            (primary, speculative), scheduler = _run_window(
                 stream, [plan_a, plan_b], [rngs(), rngs()], [SpaceMeter(), SpaceMeter()]
             )
         assert primary == solo_a
@@ -130,9 +89,7 @@ class TestPairRunner:
         sweeps = scheduler.sweeps_used
         assert sweeps <= max(solo_a[0].passes_used, solo_b[0].passes_used) + 2
         assert sweeps < solo_a[0].passes_used + solo_b[0].passes_used
-        assert scheduler.sweeps_wasted == 0
-        scheduler.discard_owner(owners[1])
-        assert scheduler.sweeps_committed + scheduler.sweeps_wasted == sweeps
+        assert sweeps == max(primary[0].passes_used, speculative[0].passes_used)
 
     def test_pair_meters_match_solo_meters(self):
         graph = wheel_graph(150)
@@ -172,7 +129,7 @@ class TestWindowRunner:
 
         with engine.engine_overrides(chunk_size=64, workers=1):
             solo = [run_parallel_estimates(stream, plan, rngs()) for plan in plans]
-            results, _, scheduler = _run_window(
+            results, scheduler = _run_window(
                 stream, plans, [rngs() for _ in plans], [SpaceMeter() for _ in plans]
             )
         assert len(results) == depth
@@ -181,32 +138,15 @@ class TestWindowRunner:
         # The window's physical sweeps cover every round in (at most) the
         # sweeps of the largest round alone, plus stragglers.
         assert scheduler.sweeps_used < sum(r[0].passes_used for r in solo)
-        assert scheduler.sweeps_wasted == 0
-
-    def test_discard_from_books_suffix_only(self):
-        graph = barabasi_albert_graph(150, 4, random.Random(5))
-        stream = _stream(graph)
-        plans = [_plan(graph, 2.0 * graph.num_edges / (2.0 ** j)) for j in range(3)]
-        results, owners, scheduler = _run_window(
-            stream,
-            plans,
-            [[random.Random(40 + j)] for j in range(3)],
-            [SpaceMeter() for _ in range(3)],
-        )
-        for _ in range(2):  # idempotent
-            for owner in owners[1:]:
-                scheduler.discard_owner(owner)
-        assert (
-            scheduler.sweeps_committed + scheduler.sweeps_wasted == scheduler.sweeps_used
-        )
-        # Every sweep the primary round rode stays committed.
-        assert scheduler.sweeps_committed >= results[0][0].passes_used
+        # The rule the guessing loop books a window's sweeps by: one
+        # sweep per step of its longest round.
+        assert scheduler.sweeps_used == max(r[0].passes_used for r in results)
 
     def test_window_pass_budget_scales_with_depth(self):
         graph = wheel_graph(100)
         stream = _stream(graph)
         plans = [_plan(graph, 400.0 / (2.0 ** j)) for j in range(4)]
-        results, _, _ = _run_window(
+        results, _ = _run_window(
             stream,
             plans,
             [[random.Random(j + 1)] for j in range(4)],
@@ -305,8 +245,11 @@ class TestDriverCommitDiscard:
             r.t_guess for r in sequential.rounds
         ]
         assert speculative.passes_total == sequential.passes_total
-        # ...but its executed work is booked as waste.
+        # ...but its executed work is booked as waste: in-sweep compute
+        # only, since the accepting round ran all six passes and no
+        # partner outlasts it.
         assert speculative.passes_wasted > 0
+        assert speculative.sweeps_wasted == 0
         assert (
             speculative.sweeps_total + speculative.sweeps_wasted
             <= sequential.sweeps_total
@@ -483,7 +426,7 @@ class TestKnobPlumbing:
         stream = _stream(graph)
         plan_a = _plan(graph, 200.0)
         plan_b = _plan(graph, 100.0)
-        (primary, speculative), _, scheduler = _run_window(
+        (primary, speculative), scheduler = _run_window(
             stream,
             [plan_a, plan_b],
             [[random.Random(1)], [random.Random(2)]],
@@ -501,7 +444,7 @@ class TestOwnersTags:
     def test_interleaved_pass_still_rejected(self):
         stream = InMemoryEdgeStream([(0, 1), (1, 2)])
         scheduler = PassScheduler(stream)
-        it = scheduler.new_fused_pass_chunks(passes=2, owners=["x", "y"])
+        it = scheduler.new_fused_pass_chunks(passes=2)
         next(it)
         with pytest.raises(StreamError):
             scheduler.new_pass()
