@@ -195,6 +195,21 @@ class TestKernelPrimitives:
         found = scan_watch_keys(PassScheduler(stream), keys, chunk_size=2)
         assert set(map(tuple, keys[counts > 0].tolist())) == found
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_pack_canonical_rows_keys(self, dtype):
+        """Each row packs to ``u << 32 | v``; an id outside
+        ``[0, PACK_LIMIT)`` packs nothing."""
+        top = min(kernels.PACK_LIMIT - 1, np.iinfo(dtype).max)
+        rows = np.array([[0, 0], [0, top], [1, 2], [top - 1, top], [7, 1]], dtype=dtype)
+        packed = kernels.pack_canonical_rows(rows)
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == [(int(u) << 32) | int(v) for u, v in rows.tolist()]
+        assert kernels.pack_canonical_rows(np.empty((0, 2), dtype=dtype)).tolist() == []
+        assert kernels.pack_canonical_rows(np.array([[0, -1]], dtype=dtype)) is None
+        if np.iinfo(dtype).max >= kernels.PACK_LIMIT:
+            limit = np.array([[1, kernels.PACK_LIMIT]], dtype=dtype)
+            assert kernels.pack_canonical_rows(limit) is None
+
     def test_negative_ids_stay_distinct(self):
         """A negative id would wrap to the same packed key as another row's;
         such rows take the row-wise dedupe instead."""

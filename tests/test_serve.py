@@ -43,7 +43,7 @@ from repro.generators import barabasi_albert_graph, wheel_graph
 from repro.io import write_edgelist
 from repro.serve import SweepScheduler, TapeRegistry
 from repro.serve.daemon import background_server
-from repro.serve.jobs import Job
+from repro.serve.jobs import Job, JobAccounting
 from repro.serve.protocol import request_http, request_unix, root_rng_digest
 from repro.serve.scheduler import next_job_id
 from repro.streams import FileEdgeStream, InMemoryEdgeStream, write_tape
@@ -220,6 +220,54 @@ class TestSweepScheduler:
             )
         assert shared.sweeps_physical < solo_sweeps
         assert shared.jobs_completed == len(jobs)
+
+    def test_lone_job_rides_every_sweep_and_shares_none(self):
+        edges = _ba_edges()
+        config = EstimatorConfig(seed=3, repetitions=3)
+        solo_result, solo_root = _solo_with_root(edges, KAPPA, config)
+        shared = SweepScheduler(InMemoryEdgeStream(edges))
+        job = _job_for(shared.stream, KAPPA, config)
+        shared.submit(job)
+        shared.start()
+        try:
+            assert job.wait(120.0)
+        finally:
+            shared.shutdown()
+        assert job.error is None
+        _assert_outcome_matches_solo(job.outcome, solo_result, solo_root)
+        # One step is one traversal, and every traversal was the job's.
+        assert job.accounting == JobAccounting(
+            sweeps_physical=shared.sweeps_physical,
+            sweeps_shared=0,
+            sweeps_committed=solo_result.sweeps_total,
+            sweeps_wasted=solo_result.sweeps_wasted,
+        )
+        assert shared.sweeps_physical == (
+            solo_result.sweeps_total + solo_result.sweeps_wasted
+        )
+
+    def test_jobs_share_exactly_the_steps_they_ride_together(self):
+        edges = _ba_edges()
+        short = EstimatorConfig(seed=3, repetitions=3, t_hint=1000.0)
+        long = EstimatorConfig(seed=9, repetitions=3, speculate_depth=1)
+        shared = SweepScheduler(InMemoryEdgeStream(edges))
+        jobs = [_job_for(shared.stream, KAPPA, config) for config in (short, long)]
+        # Both admitted at the first step boundary: they ride together
+        # until the shorter finishes, then the longer rides alone.
+        for job in jobs:
+            shared.submit(job)
+        shared.start()
+        try:
+            for job in jobs:
+                assert job.wait(120.0)
+        finally:
+            shared.shutdown()
+        rode = [job.accounting.sweeps_physical for job in jobs]
+        assert rode[0] < rode[1]
+        for job in jobs:
+            assert job.error is None
+            assert job.accounting.sweeps_shared == rode[0]
+        assert shared.sweeps_physical == rode[1]
 
     def test_sweep_failure_is_shared_fate_but_scheduler_survives(self):
         edges = wheel_graph(60).edge_list()

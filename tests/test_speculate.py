@@ -16,7 +16,7 @@ import random
 import pytest
 
 from reference_passes import reference_engine
-from repro.core import engine
+from repro.core import engine, executor
 from repro.core.driver import EstimatorConfig, TriangleCountEstimator
 from repro.core.estimator import PASS_BUDGET_PER_ROUND
 from repro.core.parallel import run_parallel_estimates
@@ -183,6 +183,21 @@ def _first_discard_instance():
     raise AssertionError("no discard instance found in the scanned families")
 
 
+@pytest.fixture
+def traversals(monkeypatch):
+    """Count the physical sweeps the executor starts (a sweep a fault
+    aborts mid-way included)."""
+    started = []
+    real = executor._sweep
+
+    def spy(scheduler, plans, chunk, workers):
+        started.append(len(plans))
+        return real(scheduler, plans, chunk, workers)
+
+    monkeypatch.setattr(executor, "_sweep", spy)
+    return started
+
+
 class TestDriverCommitDiscard:
     def test_multi_round_commit_halves_sweeps(self):
         graph = barabasi_albert_graph(400, 5, random.Random(1))
@@ -254,6 +269,40 @@ class TestDriverCommitDiscard:
             speculative.sweeps_total + speculative.sweeps_wasted
             <= sequential.sweeps_total
         )
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_booked_sweeps_are_the_traversals_made(self, traversals, depth):
+        # Each window books its own sweeps from the stages its rounds
+        # rode; the booked total must be the traversals the run made,
+        # with or without a discarded speculative suffix.
+        graph, kappa, seed = _first_discard_instance()
+        stream = _stream(graph, seed)
+        traversals.clear()
+        result = TriangleCountEstimator(
+            EstimatorConfig(seed=seed, repetitions=3, speculate_depth=depth)
+        ).estimate(stream, kappa=kappa)
+        assert result.sweeps_total + result.sweeps_wasted == len(traversals)
+        assert (result.passes_wasted > 0) == (depth > 1)
+        # A discarded round never outlasts the accepting one.
+        assert result.sweeps_wasted == 0
+
+    def test_failed_attempt_sweeps_are_booked_wasted(self, traversals):
+        graph = wheel_graph(120)
+        stream = _stream(graph)
+        base = dict(seed=3, repetitions=3, speculate_depth=1)
+        clean = TriangleCountEstimator(EstimatorConfig(**base)).estimate(
+            stream, kappa=3
+        )
+        traversals.clear()
+        faulted = TriangleCountEstimator(
+            EstimatorConfig(**base, faults="sweep.mid_stage@3")
+        ).estimate(stream, kappa=3)
+        assert faulted.estimate == clean.estimate
+        assert faulted.sweeps_total == clean.sweeps_total
+        # The aborted attempt's sweeps, the failing one included, are the
+        # only waste; together they are every traversal made.
+        assert faulted.sweeps_wasted > 0
+        assert faulted.sweeps_total + faulted.sweeps_wasted == len(traversals)
 
     def test_speculation_disengages_under_space_budget(self):
         graph = wheel_graph(200)
