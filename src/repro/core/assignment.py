@@ -21,11 +21,12 @@ Algorithm 3; :func:`repro.core.parallel.streaming_assignment` drives it
 alone at ``k = 1``) resolves every ``Assignment(tau)`` simultaneously in
 two further passes (passes 5 and 6 of the overall six-pass estimator):
 
-* pass 5 counts the degree of every vertex appearing in a candidate
-  triangle *and*, for each (edge, endpoint) pair, reservoir-samples ``s``
-  i.i.d. members of that endpoint's neighborhood (both endpoints are
-  sampled because the lower-degree one - whose neighborhood is ``N(f)`` -
-  is only identified once degrees are known, at the end of the pass);
+* pass 5 (:func:`stage_neighbor_samples`) counts the degree of every
+  vertex appearing in a candidate triangle *and*, for each endpoint of a
+  candidate edge, reservoir-samples ``s`` i.i.d. members of that
+  endpoint's neighborhood (both endpoints are sampled because the
+  lower-degree one - whose neighborhood is ``N(f)`` - is only identified
+  once degrees are known, at the end of the pass);
 * pass 6 counts how often the closing edge of every sampled wedge occurs
   on the tape, through the same edge-watch plan as pass 4
   (:class:`~repro.core.kernels.WatchKeyPlan`).
@@ -43,9 +44,18 @@ Two implementation choices worth flagging against the paper's pseudocode:
   time by the multiplicity factors.
 * **i.i.d. neighborhood samples**: each of the ``s`` sample slots is an
   independent single-item reservoir.  Updating ``s`` slots per incident
-  stream edge naively costs ``O(s)``; :class:`_Bundle` keeps the slot
-  multiset in counts form and resolves buffered offers in batches, for
+  stream edge naively costs ``O(s)``; a *bundle* (one per instance and
+  vertex) keeps the slot multiset in counts form and resolves the
+  offers it is made in batches (:func:`_resolve`), for
   ``O(min(d, s) log d)`` total work per bundle instead of ``O(s * d)``.
+  The batches follow one per-vertex **flush schedule**: every bundle on a
+  vertex sees the same offers, so they all resolve at the vertex's offer
+  counts ``p0 = 0``, ``p(i+1) = p(i) + max(32, min(p(i), max(s, 1024)))``
+  (:func:`~repro.core.kernels.flush_points`) and once more at the end of
+  the pass, in bundle order.  The pass-5 plan holds each vertex's offers
+  once, whatever the number of bundles on it, and runs no Python per
+  offer; each instance's generator is consumed in the stream order of
+  the points its bundles reach.
 
 An :data:`AssignHook` replaces Algorithm 3 without a pass: a function
 from one instance's distinct candidate triangles to their assigned edges.
@@ -63,7 +73,7 @@ import numpy as np
 from ..graph.adjacency import Graph
 from ..graph.triangles import min_te_assignment
 from ..streams.space import SpaceMeter
-from ..types import Edge, Triangle, Vertex
+from ..types import Edge, Triangle
 from . import kernels
 
 
@@ -72,93 +82,108 @@ from . import kernels
 AssignHook = Callable[[set], Dict[Triangle, Optional[Edge]]]
 
 
-class _Bundle:
-    """``s`` independent single-item neighbor reservoirs for one vertex.
+def _resolve(generator, s: int, values, counts, offers: np.ndarray, seen: int, spread):
+    """One bundle's ``(values, counts)`` after resolving its held ``offers``.
 
-    The defining invariant: after ``k`` offers, the ``s`` slots are i.i.d.
-    uniform samples of the ``k`` offered neighbors.  Only the *multiset* of
-    slot values is ever observed (pass 6 counts closing wedges), so the
-    bundle stores the compressed form - distinct ``values`` with slot
-    ``counts`` summing to ``s`` - and updates it in batches:
-
-    * offers buffer up; a flush resolves the whole batch at once.  If the
-      state is a multiset of ``s`` uniform samples over ``k0`` offers and
-      ``c`` more arrive, each slot independently re-samples from the new
-      batch with probability ``c/(k0+c)``; in counts form that is one
-      vectorized ``Binomial(count_i, k0/(k0+c))`` thinning of the existing
-      entries plus one ``Multinomial`` spread of the re-sampled slots over
-      the ``c`` new neighbors - exactly the slot-level distribution, at
-      ``O(entries + c)`` cost instead of ``O(s)``;
-    * flush thresholds double with the offer count (capped so the buffer
-      never exceeds ``max(s, 1024)`` scratch words), so a degree-``d``
-      neighborhood costs ``O(min(d, s) log d)`` total work however large
-      ``s`` is.
-
-    Callers must :meth:`flush` (in a deterministic bundle order) after the
-    pass ends and before reading samples.
+    The bundle's ``s`` slots are i.i.d. uniform samples of the ``seen``
+    offers before these (distinct-or-not ``values`` with slot ``counts``
+    summing to ``s``).  With ``c`` more offers each slot independently
+    re-samples from them with probability ``c / (seen + c)``: in counts
+    form, one ``Binomial(count_i, seen / (seen + c))`` thinning of the
+    entries plus one ``Multinomial`` spread of the re-sampled slots over
+    the ``c`` offers - exactly the slot-level distribution, at
+    ``O(entries + c)`` cost instead of ``O(s)``.  A first resolution keeps
+    zero-count entries; later ones drop them.  ``spread`` is
+    ``np.full(c, 1 / c)``.
     """
+    c = len(offers)
+    if seen == 0:
+        return offers, generator.multinomial(s, spread)
+    kept = generator.binomial(counts, seen / (seen + c))
+    adopted = int(s - kept.sum())
+    values = np.concatenate((values, offers))
+    counts = np.concatenate((kept, generator.multinomial(adopted, spread)))
+    occupied = counts > 0
+    return values[occupied], counts[occupied]
 
-    __slots__ = ("capacity", "values", "counts", "_buffer", "_seen")
 
-    def __init__(self, s: int) -> None:
-        self.capacity = s
-        self.values = np.empty(0, dtype=np.int64)
-        self.counts = np.empty(0, dtype=np.int64)
-        self._buffer: List[Vertex] = []
-        self._seen = 0
+def stage_neighbor_samples(
+    tracked: np.ndarray,
+    bundle_ranks: np.ndarray,
+    generators: List,
+    s: int,
+    meter: SpaceMeter,
+) -> "RoundStage":
+    """Build the pass-5 stage: every bundle's ``s`` neighbor samples.
 
-    def offer(self, neighbor: Vertex, rng: "SampleSource") -> None:
-        """Offer the next neighbor to every slot independently."""
-        buffer = self._buffer
-        buffer.append(neighbor)
-        # Threshold doubles with the offer count, starting at 32 (small
-        # neighborhoods resolve in a single end-of-pass flush).
-        if len(buffer) >= max(32, min(self._seen, max(self.capacity, 1024))):
-            self.flush(rng)
+    Bundle ``b`` holds ``s`` independent single-item reservoirs over the
+    neighbors of vertex ``tracked[bundle_ranks[b]]``, drawing its variates
+    from ``generators[b]``; bundle ids are in construction order.  One
+    :class:`~repro.core.kernels.IncidentEdgePlan` counts every tracked
+    vertex's offers and, at each of its flush points, hands the offers
+    held since the last one to every bundle on the vertex (:func:`_resolve`).
+    The flush points depend on the vertex alone, since all its bundles
+    see the same offers, so each generator is consumed in the stream
+    order of the points it reaches.  ``finish()`` resolves every bundle's
+    remaining offers, in bundle order, and returns ``(degrees, values,
+    counts)``: each tracked vertex's degree, and each bundle's sampled
+    values with their slot counts.
+    """
+    from .stages import RoundStage, charge_prefilter
 
-    def flush(self, rng: "SampleSource") -> None:
-        """Resolve all buffered offers with one batched thinning + spread."""
-        buffer = self._buffer
-        c = len(buffer)
-        if c == 0:
-            return
-        k0 = self._seen
-        new_values = np.asarray(buffer, dtype=np.int64)
-        spread = np.full(c, 1.0 / c)
-        generator = rng.generator
-        if k0 == 0:
-            self.values = new_values
-            self.counts = generator.multinomial(self.capacity, spread)
-        else:
-            kept = generator.binomial(self.counts, k0 / (k0 + c))
-            adopted = int(self.capacity - kept.sum())
-            new_counts = generator.multinomial(adopted, spread)
-            values = np.concatenate((self.values, new_values))
-            counts = np.concatenate((kept, new_counts))
-            occupied = counts > 0
-            self.values = values[occupied]
-            self.counts = counts[occupied]
-        self._seen = k0 + c
-        buffer.clear()
+    ranks = bundle_ranks.tolist()
+    values: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(ranks)
+    counts: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(ranks)
+    on_vertex: List[List[int]] = [[] for _ in range(len(tracked))]
+    for b, rank in enumerate(ranks):
+        on_vertex[rank].append(b)
+    spreads: Dict[int, np.ndarray] = {}
+
+    def resolve(b: int, offers: np.ndarray, seen: int) -> None:
+        c = len(offers)
+        spread = spreads.get(c)
+        if spread is None:
+            spread = spreads[c] = np.full(c, 1.0 / c)
+        values[b], counts[b] = _resolve(
+            generators[b], s, values[b], counts[b], offers, seen, spread
+        )
+
+    def flush(rank: int, offers: np.ndarray, seen: int) -> None:
+        for b in on_vertex[rank]:
+            resolve(b, offers, seen)
+
+    charge_prefilter(meter, len(tracked))
+    plan = kernels.IncidentEdgePlan(tracked, s, flush)
+
+    def finish() -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+        seen, starts, offers = plan.tails()
+        seen, starts = seen.tolist(), starts.tolist()
+        for b, rank in enumerate(ranks):
+            if starts[rank + 1] > starts[rank]:
+                resolve(b, offers[starts[rank] : starts[rank + 1]], seen[rank])
+        return plan.result(), values, counts
+
+    return RoundStage(plan=plan, finish=finish)
 
 
 def stage_closure_hits(
-    bundle_rows: List[_Bundle],
-    others: List[Vertex],
+    values: List[np.ndarray],
+    counts: List[np.ndarray],
+    others: np.ndarray,
     meter: SpaceMeter,
 ) -> "RoundStage":
     """Build the pass-6 closure-counting stage.
 
-    Row ``i`` pairs one light candidate edge's owner bundle with the edge's
-    far endpoint ``others[i]``; ``finish()`` counts, per row, how many of
-    the bundle's sampled wedges close on the tape.  Always charges exactly
-    one pass, even with no rows (the pass budget accounting of the
-    six-pass layout does not depend on the candidate set).
+    Row ``i`` pairs one light candidate edge's owner samples - distinct
+    ``values[i]`` with slot ``counts[i]`` - with the edge's far endpoint
+    ``others[i]``; ``finish()`` counts, per row, how many of the sampled
+    wedges close on the tape.  Always charges exactly one pass, even with
+    no rows (the pass budget accounting of the six-pass layout does not
+    depend on the candidate set).
 
-    The bundles store the slot multiset compressed (distinct values with
-    counts), so the watched keys are built entry-wise over the ragged
-    concatenation of all bundles - ``O(sum_f min(d_f, s))`` work - and
-    one :class:`~repro.core.kernels.WatchKeyPlan` scan counts each key's
+    The watched keys are built entry-wise over the ragged concatenation
+    of all rows - ``O(sum_f min(d_f, s))`` work - and one
+    :class:`~repro.core.kernels.WatchKeyPlan` scan counts each key's
     occurrences.  A row's hits weight each key's count by its slot
     multiplicity: occurrence-weighted, not presence-based, so repeated
     edges on unvalidated tapes count the way the per-edge reference
@@ -166,13 +191,11 @@ def stage_closure_hits(
     """
     from .stages import RoundStage, charge_prefilter
 
-    lengths = np.fromiter(
-        (len(bundle.values) for bundle in bundle_rows), np.int64, count=len(bundle_rows)
-    )
+    lengths = np.fromiter(map(len, values), np.int64, count=len(values))
     empty = [np.empty(0, dtype=np.int64)]
-    entry_values = np.concatenate([bundle.values for bundle in bundle_rows] + empty)
-    entry_counts = np.concatenate([bundle.counts for bundle in bundle_rows] + empty)
-    entry_rows = np.repeat(np.arange(len(bundle_rows), dtype=np.int64), lengths)
+    entry_values = np.concatenate(values + empty)
+    entry_counts = np.concatenate(counts + empty)
+    entry_rows = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
     entry_others = np.repeat(np.asarray(others, dtype=np.int64), lengths)
     # Drop entries the expanded slots never watch: samples equal to the
     # edge's own far endpoint, and zero-multiplicity values (a bundle's
@@ -195,11 +218,11 @@ def stage_closure_hits(
     charge_prefilter(meter, len(keys))
     plan = kernels.WatchKeyPlan(keys)
 
-    def finish() -> List[int]:
+    def finish() -> np.ndarray:
         hits = np.bincount(
-            entry_rows, weights=entry_counts * plan.result()[inverse], minlength=len(bundle_rows)
+            entry_rows, weights=entry_counts * plan.result()[inverse], minlength=len(values)
         )
-        return hits.astype(np.int64).tolist()
+        return hits.astype(np.int64)
 
     return RoundStage(plan=plan, finish=finish)
 

@@ -54,13 +54,15 @@ plan                                  pass it accelerates
                                       vertex :class:`Probe` + ``bincount``;
                                       merge sums the per-shard count
                                       tables)
-:class:`IncidentEdgePlan`             pass 5 - only edges incident
-                                      to a tracked owner (prefiltered
-                                      vertex :class:`Probe`) matter; matched
-                                      edges are replayed to a callback in
-                                      stream order, so the caller's
-                                      sequential RNG consumption runs
-                                      unchanged on the matches
+:class:`IncidentEdgePlan`             pass 5 - each tracked vertex's
+                                      offers (far endpoints of its edges,
+                                      found via the prefiltered vertex
+                                      :class:`Probe`) and degree; merge
+                                      counts offers per vertex and, at the
+                                      per-vertex flush points
+                                      (:func:`flush_points`), hands the
+                                      held offers to a callback in stream
+                                      order
 :class:`NeighborPositionPlan`         pass 3 - the neighbor at each
                                       requested (owner, occurrence) event
                                       (owners found via the prefiltered
@@ -83,10 +85,10 @@ Seed-for-seed parity with the per-edge reference folds of
 ``tests/reference_passes.py`` is a hard invariant, enforced by
 ``tests/test_kernels_parity.py`` and pinned end to end by
 ``tests/test_engine_golden.py``: the kernels consume no randomness at all
-(all RNG draws happen either before the scan or in the parent on the same
-matched edges in the same stream order), so estimates, diagnostics, pass
-counts, and space accounting are bit-identical at any chunk size and
-worker count.
+(all RNG draws happen either before the scan, or in pass 5's ordered
+absorb at the flush points, in the stream order of the offers that reach
+them), so estimates, diagnostics, pass counts, and space accounting are
+bit-identical at any chunk size and worker count.
 
 Edge keys are packed into 64 bits when their ids fit in unsigned 32 bits;
 a watch counts its keys that do not fit by per-row lookups in a
@@ -514,38 +516,77 @@ class DegreeCountPlan(PassPlan):
 
 
 # ---------------------------------------------------------------------------
-# pass 5 - edges incident to a tracked owner, replayed in order
+# pass 5 - offers to tracked vertices, resolved at per-vertex flush points
+
+
+def flush_points(s: int, upto: int) -> np.ndarray:
+    """A vertex's flush points through ``upto``, for ``s`` samples per bundle.
+
+    Algorithm 3's sample bundles on a vertex resolve the offers they hold
+    when the vertex's offer count reaches a flush point: ``p0 = 0`` and
+    ``p(i+1) = p(i) + max(32, min(p(i), max(s, 1024)))``.  The step doubles
+    from 32 (a vertex with fewer offers resolves once, at the end of the
+    pass) and is capped at ``max(s, 1024)``, so a vertex never holds more
+    offers than that between points.
+    """
+    cap = max(s, 1024)
+    points = []
+    point = 0
+    while point < upto:
+        point += max(32, min(point, cap))
+        points.append(point)
+    return np.asarray(points, dtype=np.int64)
 
 
 def _incident_kernel(spec: Probe, start_row: int, rows: np.ndarray):
-    """The block's rows with a tracked endpoint, in stream order."""
+    """The block's offers in stream order: ``(tracked ranks, far endpoints)``.
+
+    Each tracked endpoint of a row is offered the row's other endpoint; a
+    row's first endpoint comes first, and a self-loop offers twice.
+    """
     tracked = spec
     if len(tracked) == 0:
         return None
-    hit = np.zeros(len(rows), dtype=bool)
-    hit[tracked.find(start_row, rows)[0] >> 1] = True
-    sel = np.flatnonzero(hit)
-    if not len(sel):
+    positions, ranks = tracked.find(start_row, rows)
+    if not len(positions):
         return None
-    return rows[sel]
+    # The far endpoint of flattened endpoint 2i + j is 2i + (1 - j).
+    return ranks, rows.reshape(-1)[positions ^ 1].astype(np.int64, copy=False)
 
 
 class IncidentEdgePlan(PassPlan):
-    """Pass-5 plan: replay edges with a tracked endpoint to a callback.
+    """Pass-5 plan: every tracked vertex's offers, resolved at its flush points.
 
-    The caller's per-edge logic (reservoir offers, degree bumps - anything
-    that consumes RNG sequentially) runs in the parent on the matched
-    edges exactly as it would on a full Python pass; since untracked edges
-    are no-ops there, filtering them out in the kernels preserves
-    behaviour bit for bit, sharded or not (absorb order is stream order).
+    ``tracked_ids`` must be sorted and unique.  The plan counts each
+    vertex's offers and holds them until the count reaches a flush point
+    (:func:`flush_points` for ``s``); it then calls ``flush(rank, offers,
+    seen)`` with the vertex's rank, its offers since its previous point
+    (a fresh array, in stream order) and that point's count ``seen``.
+    Flushes run in the stream order of the offers that reach the points,
+    on the sweeping thread, so a caller's sequential RNG draws happen in
+    the same order at any chunk size and worker count.  Resolved offers
+    are dropped: a vertex holds fewer than ``max(s, 1024)`` offers plus a
+    block's.  :meth:`result` is the offer count (degree) of every vertex;
+    :meth:`tails` the offers still held at the end of the pass.
     """
 
     name = "pass5/incident"
     kernel = staticmethod(_incident_kernel)
 
-    def __init__(self, tracked_ids: Sequence[Vertex], visit: Callable[[Vertex, Vertex], None]) -> None:
-        self._ids = Probe(VERTEX, np.asarray(sorted(set(tracked_ids)), dtype=np.int64))
-        self._visit = visit
+    def __init__(
+        self, tracked_ids: np.ndarray, s: int, flush: Callable[[int, np.ndarray, int], None]
+    ) -> None:
+        self._ids = Probe(VERTEX, tracked_ids)
+        self._s = s
+        self._flush = flush
+        self._points = flush_points(s, 1)
+        self._counts = np.zeros(len(tracked_ids), dtype=np.int64)
+        # Each vertex's last flush point reached and its next one, and the
+        # offers held since the last (blocks of ``(ranks, offers)``, in
+        # stream order).
+        self._flushed = np.zeros(len(tracked_ids), dtype=np.int64)
+        self._next = np.full(len(tracked_ids), self._points[0], dtype=np.int64)
+        self._held: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def spec(self) -> Probe:
         return self._ids
@@ -554,15 +595,73 @@ class IncidentEdgePlan(PassPlan):
         return self._ids
 
     def absorb(self, partial) -> None:
-        visit = self._visit
-        for u, v in partial.tolist():
-            visit(u, v)
+        ranks = partial[0]
+        self._held.append(partial)
+        before = self._counts
+        added = np.bincount(ranks, minlength=len(before))
+        self._counts = after = before + added
+        vertices = np.flatnonzero(after >= self._next)
+        if not len(vertices):
+            return
+        top = int(after[vertices].max())
+        if self._points[-1] <= top:
+            self._points = flush_points(self._s, 2 * top)
+        points = self._points
+        # The points each flushing vertex reaches in this block: one event
+        # per point, with its vertex, the point and the one before it, and
+        # the block position of the offer that reaches it.
+        first = np.searchsorted(points, before[vertices], side="right")
+        last = np.searchsorted(points, after[vertices], side="right")
+        runs = last - first
+        vertex = np.repeat(vertices, runs)
+        index = np.arange(len(vertex)) - np.repeat(np.cumsum(runs) - runs - first, runs)
+        point = points[index]
+        previous = np.where(index > 0, points[index - 1], 0)
+        block_start = np.cumsum(added) - added
+        order = np.argsort(ranks, kind="stable")
+        position = order[block_start[vertex] + point - before[vertex] - 1]
+        # The flushing vertices' held offers (indices into held), grouped by
+        # vertex: vertex v's run starts at its offer number flushed[v] + 1.
+        held_ranks = np.concatenate([block[0] for block in self._held])
+        held_offers = np.concatenate([block[1] for block in self._held])
+        flushing = np.zeros(len(after), dtype=bool)
+        flushing[vertices] = True
+        grouped = np.flatnonzero(flushing[held_ranks])
+        grouped = grouped[np.argsort(held_ranks[grouped], kind="stable")]
+        run_start = np.searchsorted(held_ranks[grouped], vertices)
+        flushed = self._flushed
+        at = np.repeat(run_start - flushed[vertices], runs)
+        flush = self._flush
+        for event in np.argsort(position).tolist():
+            lo, hi = at[event] + previous[event], at[event] + point[event]
+            flush(int(vertex[event]), held_offers[grouped[lo:hi]], int(previous[event]))
+        # Drop the resolved offers: the first reached - flushed of each run.
+        reached = points[last - 1]
+        resolved = reached - flushed[vertices]
+        drop = np.repeat(run_start - np.cumsum(resolved) + resolved, resolved)
+        drop += np.arange(len(drop))
+        keep = np.ones(len(held_ranks), dtype=bool)
+        keep[grouped[drop]] = False
+        self._held = [(held_ranks[keep], held_offers[keep])]
+        flushed[vertices] = reached
+        self._next[vertices] = points[last]
 
     def finished(self) -> bool:
         return len(self._ids) == 0
 
-    def result(self) -> None:
-        return None
+    def result(self) -> np.ndarray:
+        return self._counts
+
+    def tails(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(seen, starts, offers)`` at the end of the pass: vertex ``v``
+        still holds ``offers[starts[v]:starts[v + 1]]``, in stream order,
+        made since its last flush point ``seen[v]``."""
+        empty = np.empty(0, dtype=np.int64)
+        ranks = np.concatenate([block[0] for block in self._held] + [empty])
+        offers = np.concatenate([block[1] for block in self._held] + [empty])
+        grouped = np.argsort(ranks, kind="stable")
+        starts = np.searchsorted(ranks[grouped], np.arange(len(self._counts) + 1))
+        return self._flushed, starts, offers[grouped]
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,19 @@ from __future__ import annotations
 import random
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
-from ..types import Edge, Triangle, Vertex, triangle_edges
+from ..types import Edge, Triangle, canonical_triangle
 from . import kernels
-from .assignment import AssignHook, _Bundle, derive_sample_generator, stage_closure_hits
+from .assignment import (
+    AssignHook,
+    derive_sample_generator,
+    stage_closure_hits,
+    stage_neighbor_samples,
+)
 from .estimator import (
     PASS_BUDGET_PER_ROUND,
     SinglePassStackResult,
@@ -69,7 +76,7 @@ from .estimator import (
     stage_pass3,
 )
 from .params import ParameterPlan
-from .stages import RoundStage, charge_prefilter, sweep_stages
+from .stages import RoundStage, sweep_stages
 
 #: A round program: yields the stages it needs, receives each stage's
 #: ``finish()`` value back, and returns the per-instance results.
@@ -192,13 +199,27 @@ def streaming_assignment(
     """Algorithm 3 alone: assign every distinct triangle in two passes.
 
     The ``k = 1`` case of :func:`_assign_program`, each stage run as a
-    private sweep on ``scheduler``.  Draws from ``rng`` exactly as a round
-    does at its assignment stage, and consumes no pass (and no
-    randomness) when ``triangles`` is empty.
+    private sweep on ``scheduler``.  Triangles are canonicalised first
+    (:func:`~repro.types.canonical_triangle`, which rejects repeated
+    vertices), so the keys are sorted vertex triples.  Draws from ``rng``
+    exactly as a round does at its assignment stage, and consumes no pass
+    (and no randomness) when ``triangles`` is empty.
     """
     meter = meter if meter is not None else SpaceMeter()
-    program = _assign_program(plan, [rng], [set(triangles)], meter)
+    distinct = {canonical_triangle(*t) for t in triangles}
+    program = _assign_program(plan, [rng], [distinct], meter)
     return drive_round(scheduler, program)[0]
+
+
+#: The edges ``(a, b), (a, c), (b, c)`` of a sorted triangle ``(a, b, c)``,
+#: as column pairs - in ascending edge order.
+_TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]])
+
+
+def _first_seen(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in order of first occurrence."""
+    first = np.unique(values, return_index=True)[1]
+    return values[np.sort(first)]
 
 
 def _assign_program(
@@ -209,11 +230,12 @@ def _assign_program(
 ) -> Generator[RoundStage, object, List[Dict[Triangle, Optional[Edge]]]]:
     """Passes 5-6: Algorithm 3 for every instance, sharing the two passes.
 
-    Bundles and estimates are per (instance, vertex/edge) - instances stay
-    independent; only the passes are shared.  Pass 6's watched keys are
-    deduplicated *across* instances before the scan (two instances probing
-    the same missing edge share one packed key; the hit count fans back
-    out per (instance, edge) row - see
+    Sample bundles and estimates are per (instance, vertex/edge) -
+    instances stay independent; only the passes are shared.  Pass 5
+    samples every bundle (:func:`~repro.core.assignment.stage_neighbor_samples`);
+    pass 6's watched keys are deduplicated *across* instances before the
+    scan (two instances probing the same missing edge share one packed
+    key; the hit count fans back out per (instance, edge) row - see
     :func:`~repro.core.assignment.stage_closure_hits`).  Skipped entirely
     (0 passes) when no instance found any triangle.
     """
@@ -222,76 +244,82 @@ def _assign_program(
         return [{} for _ in range(k)]
     s = plan.s
 
-    edges_by_instance: List[List[Edge]] = [
-        sorted({f for t in distinct for f in triangle_edges(t)})
-        for distinct in distinct_by_instance
-    ]
+    # Per instance: its sorted triangles, its sorted distinct edges, each
+    # triangle's three edge indices, and one bundle per endpoint vertex in
+    # order of first appearance among the edges (the bundles' construction
+    # order, which the end-of-pass flushes follow).
+    ordered = [sorted(distinct) for distinct in distinct_by_instance]
+    edges_by_instance: List[np.ndarray] = []
+    edge_index: List[np.ndarray] = []
+    bundle_vertices: List[np.ndarray] = []
+    for triangles in ordered:
+        rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        edges, inverse = kernels.unique_edge_rows(rows[:, _TRIANGLE_EDGES].reshape(-1, 2))
+        edges_by_instance.append(edges)
+        edge_index.append(inverse.reshape(-1, 3))
+        bundle_vertices.append(_first_seen(edges.reshape(-1)))
+    sizes = [len(vertices) for vertices in bundle_vertices]
+    bundle_offsets = np.cumsum([0] + sizes)
+    bundle_vertex = np.concatenate(bundle_vertices)
+    tracked = kernels.sorted_unique(bundle_vertex)
 
     # Pass 5: degrees (shared table) + per-(instance, vertex) sample bundles.
-    bundles: Dict[Tuple[int, Vertex], _Bundle] = {}
-    degree: Dict[Vertex, int] = {}
-    by_vertex: Dict[Vertex, List[Tuple[int, _Bundle]]] = {}
-    for j in range(k):
-        for f in edges_by_instance[j]:
-            for endpoint in f:
-                degree[endpoint] = 0
-                key = (j, endpoint)
-                if key not in bundles:
-                    bundle = _Bundle(s)
-                    bundles[key] = bundle
-                    by_vertex.setdefault(endpoint, []).append((j, bundle))
-    meter.allocate(s * len(bundles), "assignment-reservoirs")
-    meter.allocate(len(degree), "assignment-degrees")
+    meter.allocate(s * len(bundle_vertex), "assignment-reservoirs")
+    meter.allocate(len(tracked), "assignment-degrees")
     # One vectorized sample generator per instance, derived in instance
     # order at this fixed point (see derive_sample_generator).
     sample_rngs = [derive_sample_generator(rngs[j]) for j in range(k)]
-
-    def offer(a: Vertex, b: Vertex) -> None:
-        if a in degree:
-            degree[a] += 1
-            for j, bundle in by_vertex[a]:
-                bundle.offer(b, sample_rngs[j])
-        if b in degree:
-            degree[b] += 1
-            for j, bundle in by_vertex[b]:
-                bundle.offer(a, sample_rngs[j])
-
-    charge_prefilter(meter, len(degree))
-    yield RoundStage(plan=kernels.IncidentEdgePlan(degree, offer))
-    for (j, _), bundle in bundles.items():  # deterministic construction order
-        bundle.flush(sample_rngs[j])
+    generators = []
+    for source, size in zip(sample_rngs, sizes):
+        generators += [source.generator] * size
+    degree, values, counts = yield stage_neighbor_samples(
+        tracked, np.searchsorted(tracked, bundle_vertex), generators, s, meter
+    )
 
     # Pass 6: closure watch per (instance, edge).  Heavy edges (degree over
-    # the cutoff) get infinite estimates up front; the remaining light rows
-    # are resolved by one closure-counting sweep.
-    estimates: List[Dict[Edge, float]] = [dict() for _ in range(k)]
-    light: List[Tuple[int, Edge]] = []
-    light_others: List[Vertex] = []
-    light_owners: List[Vertex] = []
-    for j in range(k):
-        for f in edges_by_instance[j]:
-            u, v = f
-            d_f = min(degree[u], degree[v])
-            if d_f > plan.degree_cutoff:
-                estimates[j][f] = float("inf")
-                continue
-            estimates[j][f] = 0.0
-            owner = u if degree[u] < degree[v] else v
-            light.append((j, f))
-            light_owners.append(owner)
-            light_others.append(v if owner == u else u)
-    bundle_rows = [bundles[(j, owner)] for (j, _), owner in zip(light, light_owners)]
-    hit_counts = yield stage_closure_hits(bundle_rows, light_others, meter)
-    for (j, f), hit_count in zip(light, hit_counts):
-        u, v = f
-        estimates[j][f] = min(degree[u], degree[v]) * hit_count / s
+    # the cutoff) get infinite estimates; the remaining light rows are
+    # resolved by one closure-counting sweep, on the samples of their
+    # owner: the lower-degree endpoint, ties to the second.
+    light_rows: List[np.ndarray] = []
+    light_degree: List[np.ndarray] = []
+    light_bundles: List[np.ndarray] = []
+    light_others: List[np.ndarray] = []
+    for j, edges in enumerate(edges_by_instance):
+        du, dv = degree[np.searchsorted(tracked, edges)].T
+        light = np.flatnonzero(np.minimum(du, dv) <= plan.degree_cutoff)
+        du, dv, (u, v) = du[light], dv[light], edges[light].T
+        owner = np.where(du < dv, u, v)
+        vertices = bundle_vertices[j]
+        by_vertex = np.argsort(vertices)
+        owner_bundle = by_vertex[np.searchsorted(vertices, owner, sorter=by_vertex)]
+        light_rows.append(light)
+        light_degree.append(np.minimum(du, dv))
+        light_bundles.append(bundle_offsets[j] + owner_bundle)
+        light_others.append(np.where(du < dv, v, u))
+    rows = np.concatenate(light_bundles).tolist()
+    hit_counts = yield stage_closure_hits(
+        [values[b] for b in rows], [counts[b] for b in rows], np.concatenate(light_others), meter
+    )
 
-    # Resolve per instance with the canonical tie-break.
+    # Resolve per instance with the canonical tie-break: the least
+    # (estimate, edge) is the first least estimate of a triangle's three
+    # edges, which _TRIANGLE_EDGES lists in ascending order.
     out: List[Dict[Triangle, Optional[Edge]]] = []
-    for j in range(k):
-        resolved: Dict[Triangle, Optional[Edge]] = {}
-        for t in sorted(distinct_by_instance[j]):
-            best = min(triangle_edges(t), key=lambda f: (estimates[j][f], f))
-            resolved[t] = None if estimates[j][best] > plan.assignment_cutoff else best
-        out.append(resolved)
+    at = 0
+    for j, edges in enumerate(edges_by_instance):
+        light = light_rows[j]
+        estimates = np.full(len(edges), np.inf)
+        estimates[light] = light_degree[j] * hit_counts[at : at + len(light)] / s
+        at += len(light)
+        per_triangle = estimates[edge_index[j]]
+        best = np.argmin(per_triangle, axis=1)
+        picked = np.arange(len(best))
+        best_edges = edges[edge_index[j][picked, best]].tolist()
+        assigned = (per_triangle[picked, best] <= plan.assignment_cutoff).tolist()
+        out.append(
+            {
+                t: (tuple(edge) if ok else None)
+                for t, edge, ok in zip(ordered[j], best_edges, assigned)
+            }
+        )
     return out

@@ -8,8 +8,9 @@ can be checked against an independent implementation rather than against
 themselves:
 
 * the **folds** (:class:`PositionFold` ... :class:`WatchFold`, plus
-  :class:`CallbackFold` for pass 5 and pass 6's watch table) each take one
-  edge at a time; :func:`fold_stream` feeds them a stream directly;
+  :class:`OfferFold` for pass 5's flush schedule and :class:`CallbackFold`
+  for the per-edge replays) each take one edge at a time;
+  :func:`fold_stream` feeds them a stream directly;
 * :class:`FoldPlan` runs any fold as an executor plan (identity kernel,
   per-row absorb in stream order), so a fold rides ``run_plan`` /
   ``run_plans`` at any chunk size and worker count like the real plans;
@@ -18,13 +19,14 @@ themselves:
   :func:`reference_engine` swaps them in for the duration of a ``with``
   block - every stage the estimator builds then runs on the per-edge
   folds, which is how whole estimates are compared against the plans.
-  Pass 6 runs as the per-edge engine ran it: :func:`stage_closure_hits`,
-  a watch table over each bundle's expanded slots replayed through a
-  :class:`CallbackFold`, replaces
-  :func:`repro.core.assignment.stage_closure_hits`, so the array stage
-  (key building, self/zero-count filter, multiplicity weighting, space
-  charge) is checked against that independent path rather than against
-  itself.
+  Algorithm 3's two passes run as the per-edge engine ran them, in place
+  of their :mod:`repro.core.assignment` stages, so the array stages are
+  checked against an independent path rather than against themselves:
+  :func:`stage_neighbor_samples` replays every tape edge through an
+  ``offer`` callback to one :class:`_Bundle` per (instance, vertex),
+  which flushes by its own buffer length; :func:`stage_closure_hits`
+  replays a watch table over each row's expanded slots (key building,
+  self/zero-count filter, multiplicity weighting, space charge).
 """
 
 from __future__ import annotations
@@ -73,6 +75,46 @@ class CallbackFold(EdgeFold):
 
     def edge(self, u: int, v: int) -> None:
         self._visit(u, v)
+
+
+class OfferFold(EdgeFold):
+    """Pass 5: each tracked endpoint of an edge is offered the other one.
+
+    A vertex holds its offers until there are
+    ``max(32, min(seen, max(s, 1024)))`` of them (``seen`` counts the
+    offers it already handed on), then hands them to ``flush(rank,
+    offers, seen)`` - the buffer rule of :class:`_Bundle`, checked against
+    the plan's precomputed flush points.
+    """
+
+    def __init__(self, tracked: np.ndarray, s: int, flush) -> None:
+        self._rank = {v: i for i, v in enumerate(tracked.tolist())}
+        self._cap = max(s, 1024)
+        self._flush = flush
+        self.degree = [0] * len(tracked)
+        self.seen = [0] * len(tracked)
+        self.held: List[List[int]] = [[] for _ in range(len(tracked))]
+
+    def edge(self, u: int, v: int) -> None:
+        for a, b in ((u, v), (v, u)):
+            i = self._rank.get(a)
+            if i is None:
+                continue
+            self.degree[i] += 1
+            held = self.held[i]
+            held.append(b)
+            if len(held) >= max(32, min(self.seen[i], self._cap)):
+                self._flush(i, np.asarray(held, dtype=np.int64), self.seen[i])
+                self.seen[i] += len(held)
+                held.clear()
+
+    def counts(self) -> np.ndarray:
+        return np.asarray(self.degree, dtype=np.int64)
+
+    def tails(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        starts = np.cumsum([0] + [len(offers) for offers in self.held])
+        offers = np.asarray([w for offers in self.held for w in offers], dtype=np.int64)
+        return np.asarray(self.seen, dtype=np.int64), starts, offers
 
 
 class PositionFold(EdgeFold):
@@ -244,19 +286,108 @@ class ReferenceWatchKeyPlan(FoldPlan):
 
 
 class ReferenceIncidentEdgePlan(FoldPlan):
-    """Pass 5 replays the whole tape; the callback skips untracked edges."""
+    def __init__(self, tracked_ids, s, flush) -> None:
+        super().__init__(OfferFold(tracked_ids, s, flush))
 
-    def __init__(self, tracked_ids, visit) -> None:
-        super().__init__(CallbackFold(visit))
+    def result(self) -> np.ndarray:
+        return self.fold.counts()
 
-    def result(self) -> None:
-        return None
+    def tails(self):
+        return self.fold.tails()
 
 
-def stage_closure_hits(bundle_rows, others, meter) -> RoundStage:
+class _Bundle:
+    """``s`` independent single-item neighbor reservoirs for one vertex.
+
+    The defining invariant: after ``k`` offers, the ``s`` slots are i.i.d.
+    uniform samples of the ``k`` offered neighbors.  The bundle stores the
+    slot multiset compressed - distinct ``values`` with slot ``counts``
+    summing to ``s`` - and resolves buffered offers in batches: one
+    ``Binomial`` thinning of the entries plus one ``Multinomial`` spread
+    of the re-sampled slots over the batch.  A batch is flushed once it
+    holds ``max(32, min(seen, max(s, 1024)))`` offers, and at the end of
+    the pass (in bundle order).
+    """
+
+    def __init__(self, s: int) -> None:
+        self.capacity = s
+        self.values = np.empty(0, dtype=np.int64)
+        self.counts = np.empty(0, dtype=np.int64)
+        self._buffer: List[int] = []
+        self._seen = 0
+
+    def offer(self, neighbor: int, generator) -> None:
+        """Offer the next neighbor to every slot independently."""
+        buffer = self._buffer
+        buffer.append(neighbor)
+        if len(buffer) >= max(32, min(self._seen, max(self.capacity, 1024))):
+            self.flush(generator)
+
+    def flush(self, generator) -> None:
+        """Resolve all buffered offers with one batched thinning + spread."""
+        buffer = self._buffer
+        c = len(buffer)
+        if c == 0:
+            return
+        k0 = self._seen
+        new_values = np.asarray(buffer, dtype=np.int64)
+        spread = np.full(c, 1.0 / c)
+        if k0 == 0:
+            self.values = new_values
+            self.counts = generator.multinomial(self.capacity, spread)
+        else:
+            kept = generator.binomial(self.counts, k0 / (k0 + c))
+            adopted = int(self.capacity - kept.sum())
+            new_counts = generator.multinomial(adopted, spread)
+            values = np.concatenate((self.values, new_values))
+            counts = np.concatenate((kept, new_counts))
+            occupied = counts > 0
+            self.values = values[occupied]
+            self.counts = counts[occupied]
+        self._seen = k0 + c
+        buffer.clear()
+
+
+def stage_neighbor_samples(tracked, bundle_ranks, generators, s, meter) -> RoundStage:
+    """Pass 5 the per-edge way: every tape edge offered to its bundles.
+
+    One :class:`_Bundle` per bundle id; every tracked endpoint of a tape
+    edge bumps its degree and offers the other endpoint to each bundle on
+    it, and each bundle flushes by its own buffer length.  ``finish()``
+    flushes every bundle in bundle order and returns what the array stage
+    returns: ``(degrees, values, counts)``.
+    """
+    charge_prefilter(meter, len(tracked))
+    ids = tracked.tolist()
+    degree = dict.fromkeys(ids, 0)
+    bundles = [_Bundle(s) for _ in range(len(bundle_ranks))]
+    by_vertex: Dict[int, List[int]] = {}
+    for b, rank in enumerate(bundle_ranks.tolist()):
+        by_vertex.setdefault(ids[rank], []).append(b)
+
+    def offer(a: int, b: int) -> None:
+        if a in degree:
+            degree[a] += 1
+            for i in by_vertex[a]:
+                bundles[i].offer(b, generators[i])
+        if b in degree:
+            degree[b] += 1
+            for i in by_vertex[b]:
+                bundles[i].offer(a, generators[i])
+
+    def finish():
+        for bundle, generator in zip(bundles, generators):
+            bundle.flush(generator)
+        degrees = np.asarray(list(degree.values()), dtype=np.int64)
+        return degrees, [b.values for b in bundles], [b.counts for b in bundles]
+
+    return RoundStage(plan=FoldPlan(CallbackFold(offer)), finish=finish)
+
+
+def stage_closure_hits(values, counts, others, meter) -> RoundStage:
     """Pass 6 the per-edge way: a watch table over the expanded slots.
 
-    Each bundle's slot multiset is expanded with ``np.repeat``; every slot
+    Each row's slot multiset is expanded with ``np.repeat``; every slot
     ``w`` other than the edge's own far endpoint watches the canonical
     edge ``(other, w)``, and each tape occurrence of a watched edge adds a
     hit to every watching slot's row.  Charges what the array stage
@@ -264,13 +395,13 @@ def stage_closure_hits(bundle_rows, others, meter) -> RoundStage:
     watched edges' prefilter.
     """
     watch: Dict[Edge, List[int]] = {}
-    for row, (bundle, other) in enumerate(zip(bundle_rows, others)):
-        for w in np.repeat(bundle.values, bundle.counts).tolist():
+    for row, (row_values, row_counts, other) in enumerate(zip(values, counts, others.tolist())):
+        for w in np.repeat(row_values, row_counts).tolist():
             if w != other:  # the edge's own far endpoint: a miss
                 watch.setdefault(canonical_edge(other, w), []).append(row)
     meter.allocate(2 * len(watch) + sum(map(len, watch.values())), "assignment-watch")
     charge_prefilter(meter, len(watch))
-    hits = [0] * len(bundle_rows)
+    hits = np.zeros(len(values), dtype=np.int64)
 
     def visit(u: int, v: int) -> None:
         for row in watch.get((u, v), ()):
@@ -295,7 +426,9 @@ def reference_engine() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         for name, plan in REFERENCE_PLANS.items():
             patch.setattr(kernels, name, plan)
-        # Pass 6 takes the watch table, in every module that looks it up.
+        # Algorithm 3's passes run per edge, in every module that looks
+        # their stages up.
         for module in (assignment, parallel):
+            patch.setattr(module, "stage_neighbor_samples", stage_neighbor_samples)
             patch.setattr(module, "stage_closure_hits", stage_closure_hits)
         yield

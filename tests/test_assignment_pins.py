@@ -147,11 +147,11 @@ def _record_closure_rows(monkeypatch):
     seen = []
     original = assignment.stage_closure_hits
 
-    def spy(bundle_rows, others, meter):
-        for bundle, other in zip(bundle_rows, others):
-            samples = sorted(zip(bundle.values.tolist(), bundle.counts.tolist()))
+    def spy(values, counts, others, meter):
+        for row_values, row_counts, other in zip(values, counts, others.tolist()):
+            samples = sorted(zip(row_values.tolist(), row_counts.tolist()))
             seen.append((other, samples))
-        return original(bundle_rows, others, meter)
+        return original(values, counts, others, meter)
 
     for module in (assignment, parallel):
         monkeypatch.setattr(module, "stage_closure_hits", spy)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core import ParameterPlan, exact_assignment, streaming_assignment
+from repro.errors import GraphError
 from repro.graph import count_triangles, degeneracy, enumerate_triangles, per_edge_triangle_counts
 from repro.generators import barabasi_albert_graph, book_graph, friendship_graph, wheel_graph
 from repro.streams import InMemoryEdgeStream, PassScheduler, SpaceMeter
@@ -74,6 +75,19 @@ class TestStreamingAssignerBasics:
         triangles = list(enumerate_triangles(wheel10))[:2]
         out = run_assigner(wheel10, 3, triangles * 5)
         assert set(out) == set(triangles)
+
+    def test_vertex_orders_of_one_triangle_are_one_key(self, wheel10):
+        """Triangles are canonicalised: two orders of one vertex set give
+        one sorted key, assigned a canonical edge, exactly as the sorted
+        triangle alone is."""
+        out = run_assigner(wheel10, 3, [(0, 2, 3), (3, 2, 0)])
+        assert out == run_assigner(wheel10, 3, [(0, 2, 3)])
+        assert list(out) == [(0, 2, 3)]
+        assert out[(0, 2, 3)] in triangle_edges((0, 2, 3))
+
+    def test_repeated_vertex_rejected(self, wheel10):
+        with pytest.raises(GraphError, match="distinct"):
+            run_assigner(wheel10, 3, [(0, 2, 2)])
 
     def test_deterministic_given_seed(self, grid4):
         triangles = list(enumerate_triangles(grid4))

@@ -157,9 +157,11 @@ class TestKernelPrimitives:
     def test_scan_incident_edges_filters_in_order(self):
         edges = [(0, 1), (2, 3), (1, 4), (5, 6), (4, 7)]
         scheduler = PassScheduler(InMemoryEdgeStream(edges))
-        got = []
-        run_plan(scheduler, IncidentEdgePlan([4], lambda u, v: got.append((u, v))), chunk_size=2)
-        assert got == [(1, 4), (4, 7)]
+        plan = IncidentEdgePlan(np.array([4]), 8, lambda *flush: None)
+        run_plan(scheduler, plan, chunk_size=2)
+        seen, starts, offers = plan.tails()
+        assert plan.result().tolist() == [2]
+        assert (seen.tolist(), starts.tolist(), offers.tolist()) == ([0], [0, 2], [1, 7])
 
     def test_scan_watch_keys_subset(self):
         edges = [(0, 1), (2, 3), (1, 4)]
@@ -286,6 +288,9 @@ class TestEngineConfig:
 # pass by pass: every plan against its per-edge fold
 
 
+ORACLE_EDGES = ["planted", "duplicates", "hubs", "big-ids", "empty"]
+
+
 def _oracle_edges(name):
     graph = planted_triangles_graph(60, 25, kappa_clique=5, rng=random.Random(3))
     edges = shuffled(graph, random.Random(8))
@@ -293,6 +298,12 @@ def _oracle_edges(name):
         return edges
     if name == "duplicates":
         return edges + edges[:9] + edges[20:23]
+    if name == "hubs":  # offers cross the flush points 32, 64 and 128 mid-pass
+        hubs = [(1000, w) for w in range(150)] + [(w, 1001) for w in range(40, 110)]
+        hubs += [(1000, 1000), (1000, 3), (1001, 1000)]  # a self-loop, a repeat
+        edges = edges + hubs
+        random.Random(9).shuffle(edges)
+        return edges
     if name == "big-ids":  # every other edge moved past the 32-bit packing
         big = 1 << 33
         return [(u + big, v + big) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
@@ -316,16 +327,16 @@ def _pass_cases(edges, rng):
     keys = kernels.unique_edge_rows(np.concatenate((watched, [[1, 1 << 34], [2, 3]])))[0]
     small = watched[(watched < kernels.PACK_LIMIT).all(axis=1)]
     packed = kernels.unique_edge_rows(np.concatenate((small, [[2, 3]])))[0]
-    tracked = ids[: len(ids) // 2 + 1]
-    tracked_set = set(tracked.tolist())
-    fold_seen, plan_seen = [], []
+    # Pass 5 tracks the busiest vertices too, so offers cross flush points.
+    busiest = np.argsort(np.bincount(np.searchsorted(vertices, rows.reshape(-1))))[-4:]
+    tracked = kernels.sorted_unique(np.concatenate((ids[: len(ids) // 2 + 1], vertices[busiest])))
+    fold_flushes, plan_flushes = [], []
 
     def recorder(into):
-        def visit(u, v):
-            if u in tracked_set or v in tracked_set:
-                into.append((u, v))
+        return lambda rank, offers, seen: into.append((rank, offers.tolist(), seen))
 
-        return visit
+    def offers(counts, tails, flushes):
+        return repr([flushes, counts.tolist(), [part.tolist() for part in tails]])
 
     return [
         ("pass1", ref.PositionFold(positions), kernels.PositionCollectPlan(positions),
@@ -337,9 +348,10 @@ def _pass_cases(edges, rng):
          lambda f: f.apexes(), lambda p: p.result()),
         ("watch/key-index", ref.WatchFold(keys), kernels.WatchKeyPlan(keys),
          lambda f: f.counts, lambda p: p.result()),
-        ("pass5", ref.CallbackFold(recorder(fold_seen)),
-         kernels.IncidentEdgePlan(tracked.tolist(), recorder(plan_seen)),
-         lambda f: fold_seen, lambda p: plan_seen),
+        ("pass5", ref.OfferFold(tracked, 5, recorder(fold_flushes)),
+         kernels.IncidentEdgePlan(tracked, 5, recorder(plan_flushes)),
+         lambda f: offers(f.counts(), f.tails(), fold_flushes),
+         lambda p: offers(p.result(), p.tails(), plan_flushes)),
         ("watch/packed", ref.WatchFold(packed), kernels.WatchKeyPlan(packed),
          lambda f: f.counts, lambda p: p.result()),
     ]
@@ -348,7 +360,7 @@ def _pass_cases(edges, rng):
 class TestPassOracles:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
-    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
+    @pytest.mark.parametrize("name", ORACLE_EDGES)
     def test_every_plan_matches_its_fold(self, name, chunk, workers):
         edges = _oracle_edges(name)
         stream = InMemoryEdgeStream(edges, validate=False)
@@ -361,7 +373,7 @@ class TestPassOracles:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
-    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
+    @pytest.mark.parametrize("name", ORACLE_EDGES)
     def test_every_plan_in_one_shared_sweep_matches_its_fold(self, name, chunk, workers):
         """All six pass cases merged into one :func:`run_plans` sweep (the
         way speculative windows and the daemon merge stages) still match
@@ -378,12 +390,12 @@ class TestPassOracles:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 257, 10**6])
-    @pytest.mark.parametrize("name", ["planted", "duplicates", "big-ids", "empty"])
+    @pytest.mark.parametrize("name", ORACLE_EDGES)
     def test_closure_hits_stage_matches_the_watch_table(self, name, chunk, workers):
         """Pass 6's array stage against the watch table replayed per edge
         (the stage :func:`reference_engine` runs): same hits, same space
-        charge, on bundles with repeated values, zero-count entries and
-        samples equal to the edge's own far endpoint.  Each bundle's
+        charge, on rows with repeated values, zero-count entries and
+        samples equal to the edge's own far endpoint.  Each row's
         heaviest value closes on a leading tape edge, which the
         ``duplicates`` stream repeats; on ``big-ids`` the keys overflow
         the packing and the stage's watch counts them by key index."""
@@ -391,25 +403,23 @@ class TestPassOracles:
         stream = InMemoryEdgeStream(edges, validate=False)
         rng = np.random.default_rng(4)
         vertices = np.unique(np.asarray(edges, dtype=np.int64)) if edges else np.arange(5)
-        others, bundles = [], []
+        others, values = [], []
         for i in range(12):
             other, closing = edges[i] if edges else (i, i + 1)
-            bundle = assignment._Bundle(6)
-            values = [closing, *rng.choice(vertices, 2).tolist(), other]
-            bundle.values = np.asarray(values, dtype=np.int64)
-            bundle.counts = np.array([3, 0, 1, 2], dtype=np.int64)
-            bundle._seen = 4
+            row = [closing, *rng.choice(vertices, 2).tolist(), other]
+            values.append(np.asarray(row, dtype=np.int64))
             others.append(other)
-            bundles.append(bundle)
+        counts = [np.array([3, 0, 1, 2], dtype=np.int64)] * len(values)
+        others = np.asarray(others, dtype=np.int64)
 
         def hits_and_space(stage_context):
             meter = SpaceMeter()
             with stage_context():
-                stage = assignment.stage_closure_hits(bundles, others, meter)
+                stage = assignment.stage_closure_hits(values, counts, others, meter)
             scheduler = PassScheduler(stream)
             run_plans(scheduler, [stage.plan], chunk_size=chunk, workers=workers)
             assert scheduler.passes_used == scheduler.sweeps_used == 1
-            return stage.finish(), meter.peak_breakdown()
+            return stage.finish().tolist(), meter.peak_breakdown()
 
         expected = hits_and_space(reference_engine)
         assert hits_and_space(contextlib.nullcontext) == expected

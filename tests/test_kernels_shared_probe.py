@@ -106,10 +106,15 @@ def _plan(kind, keys, seed):
         positions = np.asarray([rng.randrange(12) for _ in range(requests)], dtype=np.int64)
         plan = NeighborPositionPlan(np.asarray(keys, dtype=np.int64), owner_index, positions)
         return plan, np.ndarray.tolist
-    if kind == "incident":
-        visits = []
-        plan = IncidentEdgePlan(keys, lambda u, v: visits.append((u, v)))
-        return plan, lambda _: list(visits)
+    if kind == "incident":  # s = 4: offers cross the points 32 and 64
+        flushes = []
+        plan = IncidentEdgePlan(
+            np.asarray(keys, dtype=np.int64), 4,
+            lambda rank, offers, seen: flushes.append((rank, offers.tolist(), seen)),
+        )
+        return plan, lambda degrees: (
+            flushes, degrees.tolist(), [part.tolist() for part in plan.tails()]
+        )
     if kind == "first-neighbor":  # each owner's first incident edge: served early
         owners = np.asarray(keys, dtype=np.int64)
         first = np.zeros(len(owners), dtype=np.int64)
@@ -267,7 +272,7 @@ def test_one_table_per_key_space(monkeypatch):
     keys = _edge_sets("overlapping", 2, rng, edges)
     plans = [
         DegreeCountPlan(np.asarray(ids[0], dtype=np.int64)),
-        IncidentEdgePlan(ids[1], lambda u, v: None),
+        IncidentEdgePlan(np.asarray(ids[1], dtype=np.int64), 4, lambda *flush: None),
         DegreeCountPlan(np.asarray(ids[2], dtype=np.int64)),
         WatchKeyPlan(keys[0]),
         WatchKeyPlan(keys[1]),
