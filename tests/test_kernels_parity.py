@@ -6,8 +6,9 @@ seeds: they pre-draw or replay all randomness in the same order, so
 estimates, diagnostics, pass counts, and space accounting cannot drift.
 These tests pin that invariant pass by pass (every plan against its fold,
 through ``run_plan`` at chunk sizes 1/7/257/larger than the stream and at
-1 and 2 workers, on streams with repeated edges, ids past the 32-bit
-packing, and no edges at all) and end to end (whole single and parallel
+1 and 2 workers, on streams with repeated edges, hub vertices whose
+offers cross pass 5's flush points, ids past the 32-bit packing, and no
+edges at all) and end to end (whole single and parallel
 runs on the reference passes, across graph families and chunk
 boundaries).  ``tests/test_engine_golden.py`` pins the absolute values.
 """
@@ -335,7 +336,7 @@ def _pass_cases(edges, rng):
     def recorder(into):
         return lambda rank, offers, seen: into.append((rank, offers.tolist(), seen))
 
-    def offers(counts, tails, flushes):
+    def offer_log(counts, tails, flushes):
         return repr([flushes, counts.tolist(), [part.tolist() for part in tails]])
 
     return [
@@ -350,8 +351,8 @@ def _pass_cases(edges, rng):
          lambda f: f.counts, lambda p: p.result()),
         ("pass5", ref.OfferFold(tracked, 5, recorder(fold_flushes)),
          kernels.IncidentEdgePlan(tracked, 5, recorder(plan_flushes)),
-         lambda f: offers(f.counts(), f.tails(), fold_flushes),
-         lambda p: offers(p.result(), p.tails(), plan_flushes)),
+         lambda f: offer_log(f.counts(), f.tails(), fold_flushes),
+         lambda p: offer_log(p.result(), p.tails(), plan_flushes)),
         ("watch/packed", ref.WatchFold(packed), kernels.WatchKeyPlan(packed),
          lambda f: f.counts, lambda p: p.result()),
     ]
