@@ -10,7 +10,8 @@ Layout follows the paper:
 * :mod:`~repro.core.assignment` - Section 5.1: Algorithm 3
   (``IsAssigned`` / ``Assignment``) as a two-pass streaming procedure
   (run by :func:`~repro.core.parallel.streaming_assignment` alone), and
-  the ``AssignHook`` seam that replaces it without a pass
+  the ``AssignHook`` seam that replaces it without a pass - sorted
+  candidate triangle rows to assigned edge rows and a mask
   (:func:`~repro.core.assignment.exact_assignment`, the ideal rule);
 * :mod:`~repro.core.estimator` - Section 5: Algorithm 2, the six-pass
   estimator;

@@ -32,7 +32,7 @@ from typing import Optional
 from ..graph.adjacency import Graph
 from ..streams.base import EdgeStream
 from ..streams.space import SpaceMeter
-from .assignment import exact_assignment
+from .assignment import exact_assignment, unassigned
 from .estimator import SinglePassStackResult, run_single_estimate
 from .params import ParameterPlan
 
@@ -53,7 +53,7 @@ def run_single_estimate_third_split(
     # A hook that leaves every triangle unassigned skips passes 5-6; the
     # run still records wedges_closed (every triangle found), from which
     # the 1/3-split estimate is reconstructed exactly.
-    result = run_single_estimate(stream, plan, rng, meter=meter, assign=dict.fromkeys)
+    result = run_single_estimate(stream, plan, rng, meter=meter, assign=unassigned)
     m = plan.num_edges
     y = (result.wedges_closed / result.ell) / 3.0
     return dataclasses.replace(

@@ -57,8 +57,7 @@ Two implementation choices worth flagging against the paper's pseudocode:
   offer; each instance's generator is consumed in the stream order of
   the points its bundles reach.
 
-An :data:`AssignHook` replaces Algorithm 3 without a pass: a function
-from one instance's distinct candidate triangles to their assigned edges.
+An :data:`AssignHook` replaces Algorithm 3 without a pass.
 :func:`exact_assignment` is the test/benchmark hook that applies the
 ideal min-``t_e`` rule using ground-truth counts from the graph substrate.
 """
@@ -66,20 +65,20 @@ ideal min-``t_e`` rule using ground-truth counts from the graph substrate.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..graph.adjacency import Graph
 from ..graph.triangles import min_te_assignment
 from ..streams.space import SpaceMeter
-from ..types import Edge, Triangle
 from . import kernels
 
 
-#: A zero-pass replacement for Algorithm 3: one instance's distinct
-#: candidate triangles -> their assigned edges (``None`` = unassigned).
-AssignHook = Callable[[set], Dict[Triangle, Optional[Edge]]]
+#: A zero-pass replacement for Algorithm 3, in its shape: one instance's
+#: sorted unique ``(n, 3)`` candidate triangle rows -> their ``(n, 2)``
+#: assigned edge rows and ``(n,)`` "assigned" mask.
+AssignHook = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 def _resolve(generator, s: int, values, counts, offers: np.ndarray, seen: int, spread):
@@ -274,14 +273,37 @@ def derive_sample_generator(rng: random.Random):
     return SampleSource(np.random.default_rng(rng.getrandbits(64)))
 
 
+def unassigned(triangles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The assignment hook that leaves every triangle unassigned."""
+    return np.zeros((len(triangles), 2), dtype=np.int64), np.zeros(len(triangles), dtype=bool)
+
+
+def _row_keys(rows) -> np.ndarray:
+    """One structured key per ``(n, 3)`` row, ordered like the row tuples."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
+    return rows.view([("a", np.int64), ("b", np.int64), ("c", np.int64)]).reshape(-1)
+
+
 def exact_assignment(graph: Graph) -> AssignHook:
     """The ideal min-``t_e`` rule as an assignment hook.
 
-    Looks each candidate up in the exact rule of the graph substrate
+    Looks each candidate row up in the exact rule of the graph substrate
     (:func:`~repro.graph.triangles.min_te_assignment`), so it never leaves
-    a triangle unassigned and consumes no pass.  Tests and the ablations
-    pass it as ``assign=`` to isolate Algorithm 2's sampling error from
-    Algorithm 3's estimation error.
+    a triangle unassigned and consumes no pass; a row that is no triangle
+    of ``graph`` raises ``KeyError``.  Tests and the ablations pass it as
+    ``assign=`` to isolate Algorithm 2's sampling error from Algorithm 3's
+    estimation error.
     """
     rule = min_te_assignment(graph)
-    return lambda triangles: {t: rule[t] for t in triangles}
+    order = sorted(rule)
+    keys = _row_keys(order)
+    edges = np.array([rule[t] for t in order], dtype=np.int64).reshape(-1, 2)
+
+    def hook(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        query = _row_keys(rows)
+        at = np.searchsorted(keys, query)
+        if not len(keys) or (keys.take(at, mode="clip") != query).any():
+            raise KeyError("a candidate is not a triangle of the graph")
+        return edges[at], np.ones(len(rows), dtype=bool)
+
+    return hook

@@ -42,12 +42,14 @@ from ..errors import (
     ParameterError,
     SnapshotFormatError,
     SnapshotMismatchError,
+    StreamError,
 )
 from ..rng import decode_state, encode_state, make_rng, spawn
 from ..sampling.combine import median
 from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
+from ..streams.tape import MmapEdgeStream
 from . import engine
 from . import faults as faults_module
 from . import snapshot as snapshot_module
@@ -451,6 +453,10 @@ def estimate_program(
     cfg = config if config is not None else EstimatorConfig()
     if kappa < 1:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    if isinstance(stream, MmapEdgeStream) and not stream.header.canonical:
+        # Passes 4 and 6 watch canonical edges only: such a tape would estimate 0.
+        msg = "tape rows are not canonical (0 <= u < v); re-convert it from a validated edge list"
+        raise StreamError(f"{stream.display_name}: {msg}")
     from .speculate import _owner_tags, window_program
 
     if root is None:

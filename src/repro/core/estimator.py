@@ -39,12 +39,12 @@ threads, bit-identically - by the shared executor spine.  The per-edge
 folds in ``tests/reference_passes.py`` are each pass's reference oracle.
 
 Between sweeps the round state is NumPy arrays: ``R`` is a ``(k, r, 2)``
-array, the pass-2 degree table sorted ``(ids, counts)`` arrays read with
-``searchsorted``, and the draws, owners and apexes per-instance arrays
-(:data:`NO_APEX` for an unserved draw).  The closure watch is the sorted
-unique missing edges plus each watching draw's key index, and pass 4
-finishes, per instance, into the sorted ``(ell, 3)`` wedge triangles and
-a closed mask.
+array, pass 2 finishes into each of its endpoints' degrees (the same
+shape), and the draws, owners, owner degrees and apexes are per-instance
+arrays (:data:`NO_APEX` for an unserved draw).  The closure watch is the
+sorted unique missing edges plus each watching draw's key index, and
+pass 4 finishes, per instance, into the sorted ``(ell, 3)`` wedge
+triangles and a closed mask.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ from .stages import RoundStage, charge_prefilter
 #: round runners budget their schedulers with it directly; the driver
 #: budgets ``6 * k`` for a window of ``k`` speculative rounds.
 PASS_BUDGET_PER_ROUND = 6
-
-#: The pass-2 degree table: sorted unique vertex ids and their degrees.
-DegreeTable = Tuple[np.ndarray, np.ndarray]
 
 #: A draw's apex when its pass-3 position was never served.
 NO_APEX = -1
@@ -152,12 +149,6 @@ def run_single_estimate(
 # expressed as a stage builder (build the request, run the sweep, finish)
 
 
-def _degrees_of(degrees: DegreeTable, vertices: np.ndarray) -> np.ndarray:
-    """Look up the pass-2 degrees of tracked ``vertices`` (any shape)."""
-    ids, counts = degrees
-    return counts[np.searchsorted(ids, vertices)]
-
-
 def _split(values: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
     """Cut a flat per-draw array back into per-instance pieces."""
     return np.split(values, np.cumsum(sizes)[:-1])
@@ -179,39 +170,42 @@ def stage_pass1(r: int, m: int, sources: List[SampleSource], meter: SpaceMeter) 
 
 
 def stage_pass2(sampled: np.ndarray, meter: SpaceMeter) -> RoundStage:
-    """Build the pass-2 stage: one shared degree table for all endpoints.
+    """Build the pass-2 stage: one shared degree count for all endpoints.
 
     Degrees are deterministic functions of the stream, so every instance
-    reading the same table is exact, not a statistical shortcut.
-    ``finish()`` is the table as sorted ``(ids, counts)`` arrays.
+    reading the same counts is exact, not a statistical shortcut.
+    ``finish()`` is each endpoint's degree, shaped like ``sampled``.
     """
-    ids = kernels.sorted_unique(sampled.reshape(-1))
+    ids, index = kernels.sorted_unique(sampled.reshape(-1), return_inverse=True)
+    # Held through the sweep: the narrowest dtype keeps the peak RSS down.
+    index = index.astype(np.min_scalar_type(len(ids)))
     meter.allocate(len(ids), "degrees")
     charge_prefilter(meter, len(ids))
     plan = kernels.DegreeCountPlan(ids)
-    return RoundStage(plan=plan, finish=lambda: (ids, plan.result()))
+    return RoundStage(plan=plan, finish=lambda: plan.result()[index].reshape(sampled.shape))
 
 
 def draw_weighted_edges(
     sampled: np.ndarray,
-    degrees: DegreeTable,
+    degrees: np.ndarray,
     plan: ParameterPlan,
     sources: List[SampleSource],
     meter: SpaceMeter,
-) -> Tuple[List[np.ndarray], List[np.ndarray], List[int], List[float]]:
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], List[int], List[float]]:
     """Offline step between passes 2 and 3: the ``d_e``-proportional draws.
 
     Per instance: resolve ``ell`` from the realized ``d_R`` (Lemma 5.7),
     draw ``ell`` indices of ``R`` proportional to ``d_e``, and precompute
     each draw's neighborhood owner - the lower-degree endpoint, ties going
     to the second one (``N(e) = N(u)`` if ``d_u < d_v``, else ``N(v)``,
-    the Section 3 convention).  Returns ``(draws, owners, ells, d_rs)``
-    indexed by instance: ``(ell, 2)`` and ``(ell,)`` arrays, ints, floats.
+    the Section 3 convention) - and its degree ``d_e``.  Returns
+    ``(draws, owners, owner_degrees, ells, d_rs)`` indexed by instance:
+    ``(ell, 2)``, ``(ell,)`` and ``(ell,)`` arrays, ints, floats.
     """
-    endpoint_degrees = _degrees_of(degrees, sampled)
-    weights = endpoint_degrees.min(axis=2)
+    weights = degrees.min(axis=2)
     draws: List[np.ndarray] = []
     owners: List[np.ndarray] = []
+    owner_degrees: List[np.ndarray] = []
     ells: List[int] = []
     d_rs: List[float] = []
     for j, source in enumerate(sources):
@@ -220,33 +214,34 @@ def draw_weighted_edges(
         ell = plan.ell(d_r)
         slots = sampler.draw_many_from_uniforms(source.uniforms(ell))
         drawn = sampled[j][slots]
-        drawn_degrees = endpoint_degrees[j][slots]
+        drawn_degrees = degrees[j][slots]
         draws.append(drawn)
         owners.append(np.where(drawn_degrees[:, 0] < drawn_degrees[:, 1], drawn[:, 0], drawn[:, 1]))
+        owner_degrees.append(weights[j][slots])
         ells.append(ell)
         d_rs.append(d_r)
         meter.allocate(2 * ell, "draws")
-    return draws, owners, ells, d_rs
+    return draws, owners, owner_degrees, ells, d_rs
 
 
 def stage_pass3(
     owners: List[np.ndarray],
-    degrees: DegreeTable,
+    owner_degrees: List[np.ndarray],
     sources: List[SampleSource],
     meter: SpaceMeter,
 ) -> RoundStage:
     """Build the pass-3 stage: per-draw uniform neighbor samples.
 
-    Every owner is an endpoint of a pass-1 edge, so its exact degree is
-    already on hand from pass 2 - a uniform neighbor therefore needs no
-    reservoir: each draw pre-draws a uniform *position* in its owner's
-    incident sub-stream from its instance's own sample source (preserving
-    cross-instance independence) and the scan just captures the neighbors
-    at the requested positions.  No randomness is consumed mid-pass, and
-    the pass is abandoned once every draw is served.  The (owner,
-    occurrence) events resolve entirely vectorized
-    (:class:`~repro.core.kernels.NeighborPositionPlan`).  ``finish()`` is, per
-    instance, the apex of each draw (:data:`NO_APEX` when unserved).
+    Every owner is an endpoint of a pass-1 edge, so its exact degree
+    (``owner_degrees``) is already on hand from pass 2 - a uniform
+    neighbor therefore needs no reservoir: each draw pre-draws a uniform
+    *position* in its owner's incident sub-stream from its instance's own
+    sample source (preserving cross-instance independence) and the scan
+    just captures the neighbors at the requested positions.  No randomness
+    is consumed mid-pass, and the pass is abandoned once every draw is
+    served.  The (owner, occurrence) events resolve entirely vectorized
+    (:class:`~repro.core.kernels.NeighborPositionPlan`).  ``finish()`` is,
+    per instance, the apex of each draw (:data:`NO_APEX` when unserved).
     """
     sizes = [len(instance_owners) for instance_owners in owners]
     requests = np.concatenate(owners)
@@ -255,30 +250,32 @@ def stage_pass3(
     charge_prefilter(meter, len(owner_ids))
     positions = np.concatenate(
         [
-            (source.uniforms(len(draw_owners)) * _degrees_of(degrees, draw_owners)).astype(np.int64)
-            for source, draw_owners in zip(sources, owners)
+            (source.uniforms(len(degrees)) * degrees).astype(np.int64)
+            for source, degrees in zip(sources, owner_degrees)
         ]
     )
     plan = kernels.NeighborPositionPlan(owner_ids, owner_index, positions)
     return RoundStage(plan=plan, finish=lambda: _split(plan.result(), sizes))
 
 
-def _closure_watch(
+def stage_closure(
     draws: List[np.ndarray],
     owners: List[np.ndarray],
     apexes: List[np.ndarray],
     meter: SpaceMeter,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pass-4 watch and per-draw wedge triangles (no scan yet).
+) -> RoundStage:
+    """Build the pass-4 stage: which wedges ``{e, w}`` close.
 
     For a draw with edge ``(u, v)`` and apex ``w`` sampled from the owner's
     neighborhood, the only missing edge is (other endpoint, ``w``).  The
     watch is keyed by that missing edge, so overlapping watches across
     instances collapse to *one* unique-key scan; hits fan back out to
-    every watching draw.  Returns ``(triangles, watchers, keys, inverse)``
-    over the instances' concatenated draws: the sorted ``(n, 3)`` triangle
-    per draw (meaningful for wedges only), the indices of the wedge draws,
-    the sorted unique missing edges, and each watcher's key index.
+    every watching draw.  One :class:`~repro.core.kernels.WatchKeyPlan`,
+    the edge-watch plan pass 6 also runs, counts how often each missing
+    edge occurs on the tape; a wedge closes when its missing edge occurs
+    at all.  ``finish()`` is, per instance, the sorted ``(ell, 3)`` wedge
+    triangle of each draw (meaningful for wedges only) and the mask of
+    draws whose wedge closed.
     """
     drawn = np.concatenate(draws)
     owner = np.concatenate(owners)
@@ -299,25 +296,6 @@ def _closure_watch(
     keys, inverse = kernels.unique_edge_rows(missing)
     meter.allocate(2 * len(keys) + len(watchers), "closure-watch")
     charge_prefilter(meter, len(keys))
-    return triangles, watchers, keys, inverse
-
-
-def stage_closure(
-    draws: List[np.ndarray],
-    owners: List[np.ndarray],
-    apexes: List[np.ndarray],
-    meter: SpaceMeter,
-) -> RoundStage:
-    """Build the pass-4 stage: which wedges ``{e, w}`` close.
-
-    See :func:`_closure_watch` for the watch and its cross-instance dedup.
-    One :class:`~repro.core.kernels.WatchKeyPlan`, the edge-watch plan
-    pass 6 also runs, counts how often each missing edge occurs on the
-    tape; a wedge closes when its missing edge occurs at all.
-    ``finish()`` is, per instance, the sorted ``(ell, 3)`` wedge triangle
-    of each draw and the mask of draws whose wedge closed.
-    """
-    triangles, watchers, keys, inverse = _closure_watch(draws, owners, apexes, meter)
     sizes = [len(instance_draws) for instance_draws in draws]
     plan = kernels.WatchKeyPlan(keys)
 

@@ -97,7 +97,8 @@ tape rows with larger ids never match a packed key.  Only this module
 handles ids past the packing.
 
 Dedupes go through :func:`sorted_unique` (a sort plus a neighbour mask,
-equal to ``np.unique``) and, for edge rows, :func:`unique_edge_rows`.
+equal to ``np.unique``), for edge rows :func:`unique_edge_rows`, and for
+other rows (triangles) :func:`unique_rows`.
 """
 
 from __future__ import annotations
@@ -242,14 +243,20 @@ def sorted_unique(values: np.ndarray, return_inverse: bool = False):
     return unique, inverse
 
 
+def unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique rows of a 2-D array (in the order of their tuples), and
+    each row's index among them."""
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return unique, inverse.reshape(-1)
+
+
 def unique_edge_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted unique ``(u, v)`` rows of an ``(n, 2)`` array, and each row's
     index among them: by packed keys, or row-wise when an id lies outside
     ``[0, PACK_LIMIT)``."""
     packed = pack_canonical_rows(rows)
     if packed is None:
-        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-        return unique, inverse.reshape(-1)
+        return unique_rows(rows)
     keys, inverse = sorted_unique(packed, return_inverse=True)
     unique = np.empty((len(keys), 2), dtype=np.int64)
     unique[:, 0] = keys >> np.uint64(32)

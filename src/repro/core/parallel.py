@@ -16,8 +16,8 @@ more threads) with no duplicated pass loops.
 
 Sharing rules (what may be shared without breaking independence):
 
-* **the degree table** (pass 2) is shared - degrees are deterministic
-  functions of the stream, so every instance reading the same table is
+* **the degree counts** (pass 2) are shared - degrees are deterministic
+  functions of the stream, so every instance reading the same counts is
   exact, not a statistical shortcut;
 * **the scans** (passes 4 and 6) are shared per *unique watched key*:
   instances watch overlapping closure edges, so the tape is scanned once
@@ -32,7 +32,9 @@ The assignment stage (:func:`_assign_program`) is Algorithm 3 for every
 instance at once, with bundles keyed by ``(instance, vertex)``, and the
 only code that runs it: :func:`streaming_assignment` drives it alone at
 ``k = 1``, and an :data:`~repro.core.assignment.AssignHook` passed as
-``assign=`` is the only way to replace it.
+``assign=`` is the only way to replace it.  Both map an instance's
+sorted unique candidate triangle rows to assigned edge rows and a mask,
+so from pass 2 to the hit count a round's state is arrays.
 
 The whole round is expressed as a **round program**
 (:func:`round_program`): a generator that yields one
@@ -65,6 +67,7 @@ from .assignment import (
     derive_sample_generator,
     stage_closure_hits,
     stage_neighbor_samples,
+    unassigned,
 )
 from .estimator import (
     PASS_BUDGET_PER_ROUND,
@@ -134,54 +137,49 @@ def round_program(
     ``assign`` (the ablations' hook) resolves each instance's candidate
     triangles without a pass in place of Algorithm 3.
     """
-    k = len(rngs)
-    if k < 1:
+    if not rngs:
         raise ValueError("need at least one instance")
     if m != plan.num_edges:
         raise ValueError(f"stream has {m} edges but plan was built for {plan.num_edges}")
     # One derived sample source per instance, consumed in instance order at
     # every stage - cross-instance independence holds (see
     # derive_sample_generator).
-    sources = [derive_sample_generator(rngs[j]) for j in range(k)]
+    sources = [derive_sample_generator(rng) for rng in rngs]
 
     sampled = yield stage_pass1(plan.r, m, sources, meter)
     degrees = yield stage_pass2(sampled, meter)
-    draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, plan, sources, meter)
-    apexes = yield stage_pass3(owners, degrees, sources, meter)
+    draws, owners, owner_degrees, ells, d_rs = draw_weighted_edges(
+        sampled, degrees, plan, sources, meter
+    )
+    apexes = yield stage_pass3(owners, owner_degrees, sources, meter)
     closures = yield stage_closure(draws, owners, apexes, meter)
 
-    # Per instance: each closed wedge's triangle and its drawn edge.
-    closed_by_instance: List[Tuple[List[Triangle], List[Edge]]] = [
-        (
-            list(map(tuple, triangles[closed].tolist())),
-            list(map(tuple, drawn[closed].tolist())),
-        )
-        for (triangles, closed), drawn in zip(closures, draws)
-    ]
-    distinct_by_instance: List[set] = [set(triangles) for triangles, _ in closed_by_instance]
+    # Per instance: the closed wedges' drawn edges, their distinct
+    # triangles as sorted rows, and each closed wedge's row among them.
+    drawn_edges = [drawn[closed] for (_, closed), drawn in zip(closures, draws)]
+    candidates, wedge_rows = zip(*(kernels.unique_rows(t[closed]) for t, closed in closures))
     # One logical pass per stage yielded: the four above, plus Algorithm
     # 3's two when it runs (it runs none without a candidate triangle).
     passes_used = 4
     if assign is not None:
-        assignments = [assign(distinct) if distinct else {} for distinct in distinct_by_instance]
+        assignments = [assign(rows) if len(rows) else unassigned(rows) for rows in candidates]
     else:
-        assignments = yield from _assign_program(plan, rngs, distinct_by_instance, meter)
-        passes_used += 2 if any(distinct_by_instance) else 0
+        assignments = yield from _assign_program(plan, rngs, list(candidates), meter)
+        passes_used += 2 if any(map(len, candidates)) else 0
 
     results: List[SinglePassStackResult] = []
-    for j, (triangles, edges) in enumerate(closed_by_instance):
-        hits = sum(1 for t, edge in zip(triangles, edges) if assignments[j].get(t) == edge)
+    for j, ((edges, assigned), rows) in enumerate(zip(assignments, wedge_rows)):
+        hits = int(np.count_nonzero(assigned[rows] & (edges[rows] == drawn_edges[j]).all(axis=1)))
         y = hits / ells[j]
-        estimate = (m / plan.r) * d_rs[j] * y
         results.append(
             SinglePassStackResult(
-                estimate=estimate,
+                estimate=(m / plan.r) * d_rs[j] * y,
                 r=plan.r,
                 ell=ells[j],
                 d_r=d_rs[j],
-                wedges_closed=len(triangles),
+                wedges_closed=len(rows),
                 assigned_hits=hits,
-                distinct_candidate_triangles=len(distinct_by_instance[j]),
+                distinct_candidate_triangles=len(candidates[j]),
                 passes_used=passes_used,
                 space_words_peak=meter.peak_words,
             )
@@ -199,16 +197,21 @@ def streaming_assignment(
     """Algorithm 3 alone: assign every distinct triangle in two passes.
 
     The ``k = 1`` case of :func:`_assign_program`, each stage run as a
-    private sweep on ``scheduler``.  Triangles are canonicalised first
+    private sweep on ``scheduler``, its rows turned into a dict (``None``
+    = unassigned).  Triangles are canonicalised first
     (:func:`~repro.types.canonical_triangle`, which rejects repeated
     vertices), so the keys are sorted vertex triples.  Draws from ``rng``
     exactly as a round does at its assignment stage, and consumes no pass
     (and no randomness) when ``triangles`` is empty.
     """
     meter = meter if meter is not None else SpaceMeter()
-    distinct = {canonical_triangle(*t) for t in triangles}
-    program = _assign_program(plan, [rng], [distinct], meter)
-    return drive_round(scheduler, program)[0]
+    rows = np.array([canonical_triangle(*t) for t in triangles], dtype=np.int64)
+    distinct = kernels.unique_rows(rows.reshape(-1, 3))[0]
+    edges, assigned = drive_round(scheduler, _assign_program(plan, [rng], [distinct], meter))[0]
+    return {
+        tuple(t): (tuple(edge) if ok else None)
+        for t, edge, ok in zip(distinct.tolist(), edges.tolist(), assigned.tolist())
+    }
 
 
 #: The edges ``(a, b), (a, c), (b, c)`` of a sorted triangle ``(a, b, c)``,
@@ -216,20 +219,16 @@ def streaming_assignment(
 _TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]])
 
 
-def _first_seen(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values`` in order of first occurrence."""
-    first = np.unique(values, return_index=True)[1]
-    return values[np.sort(first)]
-
-
 def _assign_program(
     plan: ParameterPlan,
     rngs: List[random.Random],
-    distinct_by_instance: List[set],
+    triangles_by_instance: List[np.ndarray],
     meter: SpaceMeter,
-) -> Generator[RoundStage, object, List[Dict[Triangle, Optional[Edge]]]]:
+) -> Generator[RoundStage, object, List[Tuple[np.ndarray, np.ndarray]]]:
     """Passes 5-6: Algorithm 3 for every instance, sharing the two passes.
 
+    Maps each instance's sorted unique triangle rows to an
+    :data:`~repro.core.assignment.AssignHook`'s result: edge rows and mask.
     Sample bundles and estimates are per (instance, vertex/edge) -
     instances stay independent; only the passes are shared.  Pass 5
     samples every bundle (:func:`~repro.core.assignment.stage_neighbor_samples`);
@@ -239,25 +238,21 @@ def _assign_program(
     :func:`~repro.core.assignment.stage_closure_hits`).  Skipped entirely
     (0 passes) when no instance found any triangle.
     """
-    k = len(rngs)
-    if not any(distinct_by_instance):
-        return [{} for _ in range(k)]
+    if not any(map(len, triangles_by_instance)):
+        return [unassigned(rows) for rows in triangles_by_instance]
     s = plan.s
 
-    # Per instance: its sorted triangles, its sorted distinct edges, each
-    # triangle's three edge indices, and one bundle per endpoint vertex in
-    # order of first appearance among the edges (the bundles' construction
-    # order, which the end-of-pass flushes follow).
-    ordered = [sorted(distinct) for distinct in distinct_by_instance]
-    edges_by_instance: List[np.ndarray] = []
-    edge_index: List[np.ndarray] = []
-    bundle_vertices: List[np.ndarray] = []
-    for triangles in ordered:
-        rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    # Per instance: its sorted distinct edges, each triangle's three edge
+    # indices, and one bundle per endpoint vertex in order of first
+    # appearance among the edges (the bundles' construction order, which
+    # the end-of-pass flushes follow).
+    edges_by_instance, edge_index, bundle_vertices = [], [], []
+    for rows in triangles_by_instance:
         edges, inverse = kernels.unique_edge_rows(rows[:, _TRIANGLE_EDGES].reshape(-1, 2))
         edges_by_instance.append(edges)
         edge_index.append(inverse.reshape(-1, 3))
-        bundle_vertices.append(_first_seen(edges.reshape(-1)))
+        endpoints = edges.reshape(-1)
+        bundle_vertices.append(endpoints[np.sort(np.unique(endpoints, return_index=True)[1])])
     sizes = [len(vertices) for vertices in bundle_vertices]
     bundle_offsets = np.cumsum([0] + sizes)
     bundle_vertex = np.concatenate(bundle_vertices)
@@ -268,10 +263,8 @@ def _assign_program(
     meter.allocate(len(tracked), "assignment-degrees")
     # One vectorized sample generator per instance, derived in instance
     # order at this fixed point (see derive_sample_generator).
-    sample_rngs = [derive_sample_generator(rngs[j]) for j in range(k)]
-    generators = []
-    for source, size in zip(sample_rngs, sizes):
-        generators += [source.generator] * size
+    sample_rngs = [derive_sample_generator(rng).generator for rng in rngs]
+    generators = [generator for generator, size in zip(sample_rngs, sizes) for _ in range(size)]
     degree, values, counts = yield stage_neighbor_samples(
         tracked, np.searchsorted(tracked, bundle_vertex), generators, s, meter
     )
@@ -280,10 +273,7 @@ def _assign_program(
     # the cutoff) get infinite estimates; the remaining light rows are
     # resolved by one closure-counting sweep, on the samples of their
     # owner: the lower-degree endpoint, ties to the second.
-    light_rows: List[np.ndarray] = []
-    light_degree: List[np.ndarray] = []
-    light_bundles: List[np.ndarray] = []
-    light_others: List[np.ndarray] = []
+    light_rows, light_degree, light_bundles, light_others = [], [], [], []
     for j, edges in enumerate(edges_by_instance):
         du, dv = degree[np.searchsorted(tracked, edges)].T
         light = np.flatnonzero(np.minimum(du, dv) <= plan.degree_cutoff)
@@ -304,7 +294,7 @@ def _assign_program(
     # Resolve per instance with the canonical tie-break: the least
     # (estimate, edge) is the first least estimate of a triangle's three
     # edges, which _TRIANGLE_EDGES lists in ascending order.
-    out: List[Dict[Triangle, Optional[Edge]]] = []
+    out: List[Tuple[np.ndarray, np.ndarray]] = []
     at = 0
     for j, edges in enumerate(edges_by_instance):
         light = light_rows[j]
@@ -314,12 +304,6 @@ def _assign_program(
         per_triangle = estimates[edge_index[j]]
         best = np.argmin(per_triangle, axis=1)
         picked = np.arange(len(best))
-        best_edges = edges[edge_index[j][picked, best]].tolist()
-        assigned = (per_triangle[picked, best] <= plan.assignment_cutoff).tolist()
-        out.append(
-            {
-                t: (tuple(edge) if ok else None)
-                for t, edge, ok in zip(ordered[j], best_edges, assigned)
-            }
-        )
+        assigned = per_triangle[picked, best] <= plan.assignment_cutoff
+        out.append((edges[edge_index[j][picked, best]], assigned))
     return out

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import ParameterPlan, streaming_assignment
@@ -215,12 +216,23 @@ def _three_instance_case():
         {(0, 11, 12), (1, 52, 53), (0, 11, 999), (0, 1, 100)},
     ]
 
+    rows = [np.array(sorted(triangles), dtype=np.int64) for triangles in distinct]
+
     def run():
         rngs = [random.Random(21 + j) for j in range(3)]
         meter = SpaceMeter()
-        program = _assign_program(plan, rngs, distinct, meter)
+        program = _assign_program(plan, rngs, rows, meter)
         out = drive_round(PassScheduler(stream), program)
-        return [sorted(assigned.items()) for assigned in out] + [meter.peak_breakdown()]
+        # Each instance's (triangle, assigned edge or None) pairs, in row
+        # order: the items of the sorted dict the digest was recorded on.
+        assigned = [
+            [
+                (tuple(t), tuple(edge) if ok else None)
+                for t, edge, ok in zip(triangles.tolist(), edges.tolist(), mask.tolist())
+            ]
+            for triangles, (edges, mask) in zip(rows, out)
+        ]
+        return assigned + [meter.peak_breakdown()]
 
     return run
 

@@ -431,6 +431,29 @@ class TestTypedErrors:
             ["snapshot-info", str(tmp_path / "nope.esnap")], capsys
         )
 
+    def test_estimate_refuses_a_non_canonical_tape(self, tmp_path, capsys):
+        """A tape of reversed rows exits 2 naming it (it would estimate 0);
+        the same rows as text are canonicalised on parsing and estimate
+        exactly like the canonical tape."""
+        from repro.streams import InMemoryEdgeStream, write_tape
+
+        edges = list(InMemoryEdgeStream.from_graph(wheel_graph(300)))
+        reversed_rows = InMemoryEdgeStream([(v, u) for u, v in edges], validate=False)
+        rev, fwd, text = tmp_path / "rev.etape", tmp_path / "fwd.etape", tmp_path / "rev.txt"
+        write_tape(reversed_rows, rev)
+        write_tape(InMemoryEdgeStream(edges), fwd)
+        text.write_text("".join(f"{v} {u}\n" for u, v in edges))
+        args = ["--kappa", "3", "--seed", "3"]
+        self._assert_one_line_failure(["estimate", str(rev), *args], capsys)
+        assert main(["estimate", str(rev), *args]) == 2
+        assert f"{rev}: tape rows are not canonical" in capsys.readouterr().err
+        assert main(["estimate", str(fwd), *args]) == 0
+        canonical = capsys.readouterr().out
+        assert main(["estimate", str(text), *args]) == 0
+        assert capsys.readouterr().out == canonical
+        assert main(["exact", str(rev)]) == 0
+        assert "triangles: 299" in capsys.readouterr().out
+
     def test_serve_without_endpoint(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE_SOCKET", raising=False)
         monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)

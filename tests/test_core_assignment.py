@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import ParameterPlan, exact_assignment, streaming_assignment
@@ -32,18 +33,28 @@ def run_assigner(graph, kappa, triangles, seed=0, epsilon=0.25):
     return streaming_assignment(scheduler, plan, random.Random(seed), triangles, SpaceMeter())
 
 
+def triangle_rows(graph):
+    return np.array(sorted(enumerate_triangles(graph)), dtype=np.int64)
+
+
 class TestExactAssigner:
     def test_assigns_min_te_edge(self, book8):
         te = per_edge_triangle_counts(book8)
-        triangles = set(enumerate_triangles(book8))
-        out = exact_assignment(book8)(triangles)
-        for t, e in out.items():
+        rows = triangle_rows(book8)
+        edges, assigned = exact_assignment(book8)(rows)
+        assert edges.shape == (len(rows), 2) and assigned.all()
+        for t, e in zip(map(tuple, rows.tolist()), map(tuple, edges.tolist())):
             assert e in triangle_edges(t)
             assert te[e] == min(te[f] for f in triangle_edges(t))
 
     def test_never_unassigned(self, grid4):
-        out = exact_assignment(grid4)(set(enumerate_triangles(grid4)))
-        assert all(e is not None for e in out.values())
+        assert exact_assignment(grid4)(triangle_rows(grid4))[1].all()
+
+    def test_rejects_a_row_that_is_no_triangle(self, grid4):
+        rows = triangle_rows(grid4)
+        rows[-1, 2] += 100
+        with pytest.raises(KeyError):
+            exact_assignment(grid4)(rows)
 
 
 class TestStreamingAssignerBasics:
@@ -171,3 +182,64 @@ class TestDegreeCutoff:
         breakdown = meter.peak_breakdown()
         assert breakdown.get("assignment-reservoirs", 0) > 0
         assert breakdown.get("assignment-degrees", 0) > 0
+
+
+class TestAssignHookContract:
+    """An ``assign=`` hook sees what Algorithm 3 would: per instance, the
+    sorted unique rows of the triangles whose wedges closed."""
+
+    def test_hook_gets_each_instances_unique_closed_rows_in_order(self, monkeypatch):
+        from repro.core import parallel
+        from repro.core.parallel import run_parallel_estimates
+        from repro.core.stages import RoundStage
+        from repro.generators import planted_triangles_graph
+
+        graph = planted_triangles_graph(400, 3, rng=random.Random(1))
+        plan = plan_for(graph, 3, t_guess=400.0)
+        closures = []
+        stage_closure = parallel.stage_closure
+
+        def spy_stage(*args):
+            stage = stage_closure(*args)
+
+            def finish():
+                value = stage.finish()
+                closures.extend(value)
+                return value
+
+            return RoundStage(plan=stage.plan, finish=finish)
+
+        calls = []
+        exact = exact_assignment(graph)
+
+        def hook(rows):
+            calls.append(rows.copy())
+            return exact(rows)
+
+        monkeypatch.setattr(parallel, "stage_closure", spy_stage)
+        stream = InMemoryEdgeStream.from_graph(graph)
+        results = run_parallel_estimates(
+            stream, plan, [random.Random(s) for s in range(6)], assign=hook
+        )
+        expected = [np.unique(t[closed], axis=0) for t, closed in closures]
+        # Some instances close no wedge: the hook is never called for them.
+        assert 0 < sum(map(len, expected)) and not all(map(len, expected))
+        assert [rows.tolist() for rows in calls] == [
+            rows.tolist() for rows in expected if len(rows)
+        ]
+        assert all(rows.shape[1:] == (3,) and rows.dtype == np.int64 for rows in calls)
+        assert [r.distinct_candidate_triangles for r in results] == list(map(len, expected))
+        assert [r.wedges_closed for r in results] == [int(c.sum()) for _, c in closures]
+
+    def test_unassigned_hook_hits_nothing(self):
+        from repro.core.assignment import unassigned
+        from repro.core.estimator import run_single_estimate
+
+        graph = wheel_graph(50)
+        stream = InMemoryEdgeStream.from_graph(graph)
+        result = run_single_estimate(
+            stream, plan_for(graph, 3), random.Random(3), assign=unassigned
+        )
+        assert result.wedges_closed > 0
+        assert result.assigned_hits == 0 and result.estimate == 0.0
+        assert result.passes_used == 4

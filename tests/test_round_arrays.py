@@ -1,8 +1,8 @@
 """Array-valued round state: one round logic, whatever ran the sweeps.
 
-Between sweeps a round holds NumPy arrays - ``R`` as ``(k, r, 2)``, the
-pass-2 degree table as sorted ``(ids, counts)``, draws, owners and apexes
-(``-1``: no apex), the deduplicated closure watch.  The per-edge reference
+Between sweeps a round holds NumPy arrays - ``R`` as ``(k, r, 2)``, its
+endpoints' pass-2 degrees in the same shape, draws, owners, owner degrees
+and apexes (``-1``: no apex), the deduplicated closure watch.  The per-edge reference
 passes of ``tests/reference_passes.py`` (the ``python`` cases below)
 finish into the same arrays as the NumPy plans, so estimates,
 trajectories, passes, metered space and the root RNG state must be
@@ -152,8 +152,7 @@ class TestLoopReference:
             [[edges[rng.randrange(len(edges))] for _ in range(self.R)] for _ in range(self.K)],
             dtype=np.int64,
         )
-        ids = np.array(sorted(set(sampled.reshape(-1).tolist())), dtype=np.int64)
-        degrees = (ids, np.array([degree[v] for v in ids.tolist()], dtype=np.int64))
+        degrees = np.vectorize(degree.__getitem__, otypes=[np.int64])(sampled)
         return rng, edges, degree, sampled, degrees
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -161,7 +160,9 @@ class TestLoopReference:
         _, _, degree, sampled, degrees = self._round(seed)
         meter = SpaceMeter()
         sources = [SampleSource(np.random.default_rng(s)) for s in range(self.K)]
-        draws, owners, ells, d_rs = draw_weighted_edges(sampled, degrees, _EllPlan, sources, meter)
+        draws, owners, owner_degrees, ells, d_rs = draw_weighted_edges(
+            sampled, degrees, _EllPlan, sources, meter
+        )
         reference_sources = [SampleSource(np.random.default_rng(s)) for s in range(self.K)]
         for j, instance in enumerate(sampled.tolist()):
             cumulative, total = [], 0.0
@@ -178,6 +179,7 @@ class TestLoopReference:
             assert ells[j] == ell
             assert list(map(tuple, draws[j].tolist())) == drawn
             assert owners[j].tolist() == [u if degree[u] < degree[v] else v for u, v in drawn]
+            assert owner_degrees[j].tolist() == [min(degree[u], degree[v]) for u, v in drawn]
         assert meter.peak_breakdown()["draws"] == 2 * sum(ells)
 
     @pytest.mark.parametrize("mode", ["python", "chunked"])
@@ -285,9 +287,8 @@ class TestDuplicateRequests:
         # Vertex 0 is on every other edge; owner 0 is asked for occurrence 0
         # three times (two instances) and for its last occurrence twice.
         edges = [(0, 100 + i) if i % 2 == 0 else (200 + i, 300 + i) for i in range(40)]
-        ids = np.array([0, 5], dtype=np.int64)
-        degrees = (ids, np.array([20, 1], dtype=np.int64))
         owners = [np.array([0, 0, 0], dtype=np.int64), np.array([0, 5, 0], dtype=np.int64)]
+        degrees = [np.array([20, 20, 20], dtype=np.int64), np.array([20, 1, 20], dtype=np.int64)]
         sources = lambda: [  # noqa: E731
             _FixedSource(np.array([0.0, 0.99, 0.0])),
             _FixedSource(np.array([0.0, 0.0, 0.99])),

@@ -495,6 +495,21 @@ class TestDaemon:
             assert reply["ok"] is False
             assert reply["error"]["type"] == "ProtocolError"
 
+    def test_non_canonical_tape_is_a_typed_error(self, tmp_path):
+        """A tape of reversed rows is refused (it would estimate 0), and
+        the daemon goes on serving."""
+        edges = [(v, u) for u, v in InMemoryEdgeStream.from_graph(wheel_graph(300))]
+        tape = tmp_path / "rev.etape"
+        write_tape(InMemoryEdgeStream(edges, validate=False), tape)
+        sock = str(tmp_path / "serve.sock")
+        with background_server(socket_path=sock, batch_window=0.0):
+            reply = request_unix(sock, _estimate_request(str(tape), seed=3))
+            pong = request_unix(sock, {"op": "ping"})
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "StreamError"
+        assert f"{tape}: tape rows are not canonical" in reply["error"]["message"]
+        assert pong["ok"] is True
+
     def test_nonsensical_round_settings_are_rejected(self, ba_file, tmp_path):
         """A request that would answer 0.0 with no rounds (and cache it)
         is refused as a malformed config instead."""

@@ -14,7 +14,7 @@ import struct
 import pytest
 
 from repro.errors import StreamError, TapeFormatError
-from repro.generators import barabasi_albert_graph
+from repro.generators import barabasi_albert_graph, wheel_graph
 from repro.io import write_edgelist
 from repro.streams import (
     FileEdgeStream,
@@ -321,6 +321,34 @@ class TestMmapStream:
         rf = run(FileEdgeStream(txt))
         assert rt.estimate == rf.estimate
         assert rt.passes_total == rf.passes_total
+
+
+class TestNonCanonicalTape:
+    """A tape of reversed ``(v, u)`` rows is refused by the estimator: its
+    edge watches (passes 4 and 6) look for canonical rows only, so it
+    would otherwise estimate 0 however many triangles it holds."""
+
+    @pytest.fixture
+    def reversed_tape(self, tmp_path):
+        edges = [(v, u) for u, v in InMemoryEdgeStream.from_graph(wheel_graph(300))]
+        return _tape_from(tmp_path, edges, name="rev.etape")
+
+    def test_estimate_refuses_and_names_the_path(self, reversed_tape):
+        from repro import EstimatorConfig, TriangleCountEstimator
+        from repro.core.driver import run_estimate_program
+
+        stream = MmapEdgeStream(reversed_tape)
+        assert not stream.header.canonical
+        with pytest.raises(StreamError, match="not canonical") as info:
+            TriangleCountEstimator(EstimatorConfig(seed=3)).estimate(stream, kappa=3)
+        assert str(reversed_tape) in str(info.value)
+        with pytest.raises(StreamError, match="not canonical"):
+            run_estimate_program(stream, 3, EstimatorConfig(seed=3))
+
+    def test_exact_count_still_reads_it(self, reversed_tape):
+        from repro.core import ExactStreamingCounter
+
+        assert ExactStreamingCounter().count(MmapEdgeStream(reversed_tape)).triangles == 299
 
 
 class TestTextOpensAsTape:
