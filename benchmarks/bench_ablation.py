@@ -23,6 +23,7 @@ from repro.core.ablation import (
     run_single_estimate_exact_assigner,
     run_single_estimate_third_split,
 )
+from repro.core.assignment import exact_assignment
 from repro.core.estimator import run_single_estimate
 from repro.core.params import ParameterPlan
 from repro.graph import count_triangles
@@ -46,12 +47,13 @@ def run_ablation(scale: str, seeds: range) -> None:
             graph.num_vertices, graph.num_edges, kappa, float(t), 0.25
         )
         stream = InMemoryEdgeStream.from_graph(graph)
+        exact = exact_assignment(graph)  # once per graph, not per run
         variants = {
             "third-split": lambda s: run_single_estimate_third_split(
                 stream, plan, random.Random(s)
             ),
             "exact-rule": lambda s: run_single_estimate_exact_assigner(
-                stream, plan, random.Random(s), graph
+                stream, plan, random.Random(s), graph, hook=exact
             ),
             "streaming": lambda s: run_single_estimate(stream, plan, random.Random(s)),
         }

@@ -299,6 +299,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     graph = read_edgelist(args.edgelist)
     s = summary(graph)
     rows = [[key, value] for key, value in s.items()]
+    if is_tape(args.edgelist):
+        rows.append(["tape rows", read_header(args.edgelist).width])
     print(format_table(["statistic", "value"], rows, caption=f"stats: {args.edgelist}"))
     return 0
 
@@ -521,6 +523,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else f"{args.edgelist}.etape"
     header = write_tape(args.edgelist, out, chunk_size=args.chunk_size)
     print(f"wrote {header.num_edges} edges to {out}")
+    print(f"rows: {header.width}")
     print(f"fingerprint: {tape_fingerprint(out)}")
     if args.validate:
         verify_tape(out)  # full-payload CRC against the header
@@ -560,6 +563,7 @@ def _cmd_tape_info(args: argparse.Namespace) -> int:
         ["max vertex id", header.max_vertex_id],
         ["vertex bound (n)", header.num_vertices_upper],
         ["canonical", str(header.canonical).lower()],
+        ["rows", header.width],
         ["payload bytes", header.payload_bytes],
         ["checksum (crc32)", f"{header.checksum:#010x}"],
         ["fingerprint", tape_fingerprint(args.tape)],

@@ -32,7 +32,7 @@ from typing import Optional
 from ..graph.adjacency import Graph
 from ..streams.base import EdgeStream
 from ..streams.space import SpaceMeter
-from .assignment import exact_assignment, unassigned
+from .assignment import AssignHook, exact_assignment, unassigned
 from .estimator import SinglePassStackResult, run_single_estimate
 from .params import ParameterPlan
 
@@ -69,10 +69,16 @@ def run_single_estimate_exact_assigner(
     rng: random.Random,
     graph: Graph,
     meter: Optional[SpaceMeter] = None,
+    *,
+    hook: Optional[AssignHook] = None,
 ) -> SinglePassStackResult:
     """Algorithm 2 driven by the ground-truth min-``t_e`` assignment.
 
     Isolates Algorithm 2's sampling error from Algorithm 3's estimation
-    error; used by the E11 ablation and by unbiasedness tests.
+    error; used by the E11 ablation and by unbiasedness tests.  ``hook``
+    is ``exact_assignment(graph)`` built by a caller that runs many
+    estimates on one graph; without it the hook is built here, per run.
     """
-    return run_single_estimate(stream, plan, rng, meter=meter, assign=exact_assignment(graph))
+    if hook is None:
+        hook = exact_assignment(graph)
+    return run_single_estimate(stream, plan, rng, meter=meter, assign=hook)

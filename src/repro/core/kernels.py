@@ -90,6 +90,13 @@ absorb at the flush points, in the stream order of the offers that reach
 them), so estimates, diagnostics, pass counts, and space accounting are
 bit-identical at any chunk size and worker count.
 
+Blocks arrive in the tape's row width: int64, or int32 from a narrow
+tape (every id in ``[0, 2^31)``).  No kernel widens a block: narrow ids
+hash to the slots of their int64 keys (:meth:`KeySet.find`), pack
+straight into edge keys (:func:`_packed_block`), and only hit-sized
+outputs (offers, neighbours) are widened to int64, so every table,
+union, charge and partial is the same at either width.
+
 Edge keys are packed into 64 bits when their ids fit in unsigned 32 bits;
 a watch counts its keys that do not fit by per-row lookups in a
 key -> rank index, made only for the tape rows holding such an id, and
@@ -145,7 +152,9 @@ class KeySet:
     ``find`` therefore runs no binary search on a value whose entry names a
     rank: it compares the value with that key, and only values in
     ``0xFFFF`` slots go through ``searchsorted``.  Keys may be int64 vertex
-    ids or uint64 packed edge keys; probes must share the keys' dtype.
+    ids or uint64 packed edge keys; probes share the keys' dtype, except
+    that int64 keys also take int32 probes (a narrow tape's ids), which
+    hash to the same slots and compare equal without a widening copy.
 
     A built set is never mutated, so every sweep thread probes the same
     instance concurrently.
@@ -175,7 +184,13 @@ class KeySet:
         return len(self.keys)
 
     def _slots(self, values: np.ndarray) -> np.ndarray:
-        slots = values.view(np.uint64) * _HASH_MULTIPLIER
+        if values.dtype.itemsize == 8:
+            slots = values.view(np.uint64) * _HASH_MULTIPLIER
+        else:
+            # Narrow (int32) ids hash as the uint64 pattern of their int64
+            # value, so they find the slots of the int64 keys.
+            slots = values.astype(np.uint64)
+            slots *= _HASH_MULTIPLIER
         slots >>= self._shift
         if self._range is not None:
             slots *= self._range
@@ -266,7 +281,18 @@ def unique_edge_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _packed_block(rows: np.ndarray) -> np.ndarray:
     """The block's packed edge keys; rows with ids outside the packing are
-    dropped (they cannot match any packed key)."""
+    dropped (they cannot match any packed key).
+
+    Narrow (int32) rows come from a tape whose ids all lie in ``[0, 2^31)``:
+    each id is stored straight into its 32-bit half of the little-endian
+    key, with no widening copy and no range check.
+    """
+    if rows.dtype.itemsize == 4:
+        packed = np.empty(len(rows), dtype="<u8")
+        halves = packed.view("<u4").reshape(-1, 2)
+        halves[:, 0] = rows[:, 1]
+        halves[:, 1] = rows[:, 0]
+        return packed
     packed = pack_canonical_rows(rows)
     if packed is None:
         packed = pack_canonical_rows(rows[packable(rows)])
@@ -691,7 +717,7 @@ def _neighbor_kernel(spec, start_row: int, rows: np.ndarray):
     if not len(positions):
         return None
     # The far endpoint of flattened endpoint 2i + j is 2i + (1 - j).
-    event_neighbor = rows.reshape(-1)[positions ^ 1]
+    event_neighbor = rows.reshape(-1)[positions ^ 1].astype(np.int64, copy=False)
     order = np.argsort(event_owner, kind="stable")
     grouped_owner = event_owner[order]
     counts = np.bincount(grouped_owner, minlength=len(owners))

@@ -34,7 +34,8 @@ class EdgeStream(ABC):
     and matches the standard convention in the streaming literature).
 
     Streams may additionally support *chunked* passes (:meth:`iter_chunks`),
-    which deliver the same sequence as ``(k, 2)`` int64 NumPy arrays so that
+    which deliver the same sequence as ``(k, 2)`` int64 NumPy arrays (int32
+    from a narrow ``.etape`` tape, whose ids all lie in ``[0, 2^31)``) so that
     pass kernels can process blocks of edges with vectorized operations
     instead of one Python-level iteration per edge.  The base class batches
     :meth:`__iter__`; implementations that can do better (contiguous array
@@ -50,7 +51,8 @@ class EdgeStream(ABC):
         """Return the number of edges ``m`` in the stream."""
 
     def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_EDGES) -> Iterator["numpy.ndarray"]:
-        """Start a fresh pass delivered as ``(k, 2)`` int64 arrays.
+        """Start a fresh pass delivered as ``(k, 2)`` int64 (or, from a narrow
+        tape, int32) arrays.
 
         Concatenating the yielded chunks reproduces exactly one
         :meth:`__iter__` pass; every chunk has ``1 <= k <= chunk_size`` rows

@@ -3,11 +3,14 @@
 Multi-pass estimates re-read the whole tape once per physical sweep, so a
 text edge list would be re-parsed on every sweep.  The ``.etape`` format
 stores the *parsed* tape once: a 64-byte header followed by the edges as
-a contiguous C-order little-endian ``int64[m, 2]`` array.  Re-sweeps then
-become memory-bandwidth-bound instead of parse-bound:
+a contiguous C-order little-endian ``int32[m, 2]`` array when every id
+lies in ``[0, 2^31)`` (8 bytes per edge), else as ``int64[m, 2]``
+(16 bytes per edge).  Re-sweeps then become memory-bandwidth-bound
+instead of parse-bound:
 
 * :meth:`MmapEdgeStream.iter_chunks` yields zero-copy read-only slices
-  of the memory-mapped payload (no parsing, no allocation per sweep);
+  of the memory-mapped payload (no parsing, no allocation per sweep), in
+  the tape's own row width;
 * ``stats()`` / ``len()`` come straight from the header in O(1) - no
   statistics sweep at all;
 * threaded sweeps hand those same slices to every worker thread.
@@ -21,13 +24,21 @@ Header layout (64 bytes, all integers little-endian)::
     offset  size  field
     ------  ----  -----------------------------------------------------
     0       8     magic  b"\\x89ETAPE\\r\\n"
-    8       4     format version (currently 1)
-    12      4     flags (bit 0: every row is canonical 0 <= u < v)
+    8       4     format version (1 or 2; the writer writes 2)
+    12      4     flags (bit 0: every row is canonical 0 <= u < v;
+                  bit 1, version 2 only: narrow rows, two int32 ids)
     16      8     edge count m
     24      8     max vertex id (-1 for an empty tape)
     32      8     vertex bound n  (= max vertex id + 1)
     40      8     CRC-32 of the payload bytes (zero-extended)
     48      16    reserved (zero)
+
+A version-1 tape always holds int64 rows and reads exactly as before.
+The writer picks narrow rows while every id seen lies in ``[0, 2^31)``;
+the first id outside widens the rows already written in place (the CRC
+is of the bytes the tape ends up holding), so a wide tape is never
+silently narrowed.  ``repro convert``, ``stats`` and ``tape-info`` print
+the width.
 
 Structural violations raise :class:`~repro.errors.TapeFormatError`.  The
 checksum is computed by the writer (which touches every byte anyway) and
@@ -70,17 +81,24 @@ from .file import FileEdgeStream, _maybe_inject_read_fault
 #: translation would mangle.
 MAGIC = b"\x89ETAPE\r\n"
 
-#: Current (and only) format version.
-VERSION = 1
-
-#: Bytes per edge row: two int64 endpoints.
-ROW_BYTES = 16
+#: The format version the writer writes; version 1 tapes still read.
+VERSION = 2
 
 #: Fixed header size; the payload starts at this offset.
 HEADER_BYTES = 64
 
 #: Header flag bit 0: every payload row satisfies ``0 <= u < v``.
 FLAG_CANONICAL = 1
+
+#: Header flag bit 1 (version 2): rows are two int32 ids, all in
+#: ``[0, NARROW_LIMIT)``; without it rows are two int64 ids.
+FLAG_NARROW = 2
+
+#: Ids in ``[0, NARROW_LIMIT)`` fit a narrow row.
+NARROW_LIMIT = 1 << 31
+
+#: Row id dtypes: narrow (8 bytes per edge) and wide (16 bytes per edge).
+NARROW, WIDE = np.dtype("<i4"), np.dtype("<i8")
 
 #: ``<`` = little-endian: 8s magic, I version, I flags, q edges,
 #: q max vertex, q vertex bound, Q checksum, 16x reserved = 64 bytes.
@@ -109,9 +127,30 @@ class TapeHeader:
         return bool(self.flags & FLAG_CANONICAL)
 
     @property
+    def id_dtype(self) -> np.dtype:
+        """The dtype of one payload id: :data:`NARROW` or :data:`WIDE`."""
+        return NARROW if self.flags & FLAG_NARROW else WIDE
+
+    @property
+    def row_bytes(self) -> int:
+        """Bytes per edge row: 8 (narrow) or 16 (wide)."""
+        return 2 * self.id_dtype.itemsize
+
+    @property
+    def width(self) -> str:
+        """The row width, as ``repro convert``, ``stats`` and ``tape-info``
+        print it; a wide tape says why it is wide."""
+        width = f"{8 * self.id_dtype.itemsize}-bit ids, {self.row_bytes} bytes per edge"
+        if self.flags & FLAG_NARROW:
+            return width
+        if self.version == 1:
+            return f"{width} (version 1)"
+        return f"{width} (an id lies outside [0, 2^31))"
+
+    @property
     def payload_bytes(self) -> int:
-        """Exact payload size implied by the edge count."""
-        return self.num_edges * ROW_BYTES
+        """Exact payload size implied by the edge count and row width."""
+        return self.num_edges * self.row_bytes
 
 
 def is_tape(path: Union[str, "os.PathLike[str]"]) -> bool:
@@ -152,21 +191,22 @@ def read_header(path: Union[str, "os.PathLike[str]"]) -> TapeHeader:
     magic, version, flags, m, max_vertex, n_upper, checksum = _HEADER_STRUCT.unpack(raw)
     if magic != MAGIC:
         raise TapeFormatError(f"{path}: bad magic {magic!r}; not an .etape tape")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise TapeFormatError(
-            f"{path}: unsupported tape version {version} (this build reads {VERSION})"
+            f"{path}: unsupported tape version {version} (this build reads 1 and {VERSION})"
         )
-    if m < 0 or max_vertex < -1 or n_upper != max_vertex + 1:
+    narrow = flags & FLAG_NARROW
+    if (
+        m < 0
+        or max_vertex < -1
+        or n_upper != max_vertex + 1
+        or (narrow and (version == 1 or max_vertex >= NARROW_LIMIT))
+    ):
         raise TapeFormatError(
-            f"{path}: corrupt header (m={m}, max_vertex={max_vertex}, n={n_upper})"
+            f"{path}: corrupt header (version={version}, flags={flags:#x}, m={m}, "
+            f"max_vertex={max_vertex}, n={n_upper})"
         )
-    expected = HEADER_BYTES + m * ROW_BYTES
-    if size != expected:
-        raise TapeFormatError(
-            f"{path}: payload size mismatch - header promises {m} edges "
-            f"({expected} bytes total), file has {size} bytes"
-        )
-    return TapeHeader(
+    header = TapeHeader(
         version=version,
         flags=flags,
         num_edges=m,
@@ -175,6 +215,13 @@ def read_header(path: Union[str, "os.PathLike[str]"]) -> TapeHeader:
         checksum=checksum,
         raw=raw,
     )
+    expected = HEADER_BYTES + header.payload_bytes
+    if size != expected:
+        raise TapeFormatError(
+            f"{path}: payload size mismatch - header promises {m} edges "
+            f"({expected} bytes total), file has {size} bytes"
+        )
+    return header
 
 
 def _sample_starts(m: int) -> Iterator[int]:
@@ -209,8 +256,8 @@ def tape_fingerprint(path: Union[str, "os.PathLike[str]"]) -> str:
             with open(path, "rb") as handle:
                 for start in _sample_starts(header.num_edges):
                     rows = min(_SAMPLE_ROWS, header.num_edges - start)
-                    handle.seek(HEADER_BYTES + start * ROW_BYTES)
-                    digest.update(handle.read(rows * ROW_BYTES))
+                    handle.seek(HEADER_BYTES + start * header.row_bytes)
+                    digest.update(handle.read(rows * header.row_bytes))
         except OSError as exc:
             raise StreamReadError(f"{path}: cannot read tape for fingerprint: {exc}") from exc
     return digest.hexdigest()
@@ -227,15 +274,10 @@ def verify_tape(path: Union[str, "os.PathLike[str]"]) -> TapeHeader:
     """
     path = os.fspath(path)
     header = read_header(path)
-    crc = 0
     try:
         with open(path, "rb") as handle:
             handle.seek(HEADER_BYTES)
-            while True:
-                piece = handle.read(1 << 20)
-                if not piece:
-                    break
-                crc = zlib.crc32(piece, crc)
+            crc = _crc_to_end(handle)
     except OSError as exc:
         raise StreamReadError(f"{path}: cannot read tape for verification: {exc}") from exc
     if crc != header.checksum:
@@ -259,9 +301,9 @@ def write_tape(
     copied through the same streaming path).  Rows are written exactly in
     stream order - conversion never reorders or canonicalizes, so the
     tape replays the identical sequence and estimates stay bit-identical.
-    The canonical header flag, the extrema, and the payload CRC-32 are
-    accumulated per chunk while streaming; the header is patched in at
-    the end.  Returns the written :class:`TapeHeader`.
+    The canonical and narrow header flags, the extrema, and the payload
+    CRC-32 are accumulated per chunk while streaming; the header is
+    patched in at the end.  Returns the written :class:`TapeHeader`.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -271,26 +313,37 @@ def write_tape(
 
 
 def _write_blocks(blocks: Iterator[np.ndarray], path: str) -> TapeHeader:
-    """The body of :func:`write_tape`: one pass over ``blocks`` into ``path``."""
+    """The body of :func:`write_tape`: one pass over ``blocks`` into ``path``.
+
+    Rows are written narrow until a block holds an id outside
+    ``[0, NARROW_LIMIT)``; from then on they are wide, and the rows
+    already written are widened first (:func:`_widen`).
+    """
     m = 0
     max_vertex = -1
     crc = 0
     canonical = True
-    with open(path, "wb") as out:
+    narrow = True
+    with open(path, "w+b") as out:
         out.write(b"\x00" * HEADER_BYTES)
         for block in blocks:
-            block = np.ascontiguousarray(block, dtype=np.dtype("<i8"))
             if not len(block):
                 continue
+            high = int(block.max())
+            if narrow and (high >= NARROW_LIMIT or int(block.min()) < 0):
+                crc = _widen(out, m)
+                narrow = False
             m += len(block)
-            max_vertex = max(max_vertex, int(block.max()))
+            max_vertex = max(max_vertex, high)
             if canonical:
                 u, v = block[:, 0], block[:, 1]
                 canonical = bool((u >= 0).all() and (u < v).all())
-            payload = block.data  # the contiguous rows' own buffer, no copy
+            rows = np.ascontiguousarray(block, dtype=NARROW if narrow else WIDE)
+            payload = rows.data  # the contiguous rows' own buffer
             crc = zlib.crc32(payload, crc)
             out.write(payload)
-        flags = FLAG_CANONICAL if canonical else 0  # an empty tape is trivially canonical
+        # An empty tape is trivially canonical and narrow.
+        flags = (FLAG_CANONICAL if canonical else 0) | (FLAG_NARROW if narrow else 0)
         raw = _HEADER_STRUCT.pack(MAGIC, VERSION, flags, m, max_vertex, max_vertex + 1, crc)
         out.seek(0)
         out.write(raw)
@@ -303,6 +356,35 @@ def _write_blocks(blocks: Iterator[np.ndarray], path: str) -> TapeHeader:
         checksum=crc,
         raw=raw,
     )
+
+
+def _widen(out, m: int) -> int:
+    """Rewrite the ``m`` narrow rows written to ``out`` as wide rows, in
+    place, and return the CRC-32 of the widened payload.
+
+    Pieces of :data:`DEFAULT_CHUNK_EDGES` rows are widened last first, so
+    a piece's wide bytes only cover narrow bytes already read; ``out`` is
+    left at the payload's end.
+    """
+    step = DEFAULT_CHUNK_EDGES
+    for start in reversed(range(0, m, step)):
+        rows = min(step, m - start)
+        out.seek(HEADER_BYTES + start * 2 * NARROW.itemsize)
+        piece = np.frombuffer(out.read(rows * 2 * NARROW.itemsize), dtype=NARROW)
+        out.seek(HEADER_BYTES + start * 2 * WIDE.itemsize)
+        out.write(piece.astype(WIDE).data)
+    out.seek(HEADER_BYTES)
+    return _crc_to_end(out)
+
+
+def _crc_to_end(handle) -> int:
+    """CRC-32 of ``handle``'s bytes from its position to the end."""
+    crc = 0
+    while True:
+        piece = handle.read(1 << 20)
+        if not piece:
+            return crc
+        crc = zlib.crc32(piece, crc)
 
 
 def convert_text(text: FileEdgeStream, directory: str) -> "MmapEdgeStream":
@@ -345,7 +427,8 @@ def open_edge_stream(
 
     An ``.etape`` file is mapped in place; anything else is parsed as a
     text edge list (:class:`FileEdgeStream`, with ``validate`` forwarded)
-    and converted into a private tape (16 bytes per edge) in a fresh
+    and converted into a private tape (8 bytes per edge when every id
+    lies in ``[0, 2^31)``, else 16; see the module docstring) in a fresh
     ``tempfile.mkdtemp`` directory, removed when the returned stream is
     collected or the interpreter exits.  Nothing is cached across calls:
     the text fingerprint only samples bytes, so a cache keyed on it could
@@ -422,7 +505,8 @@ class MmapEdgeStream(EdgeStream):
             )
 
     def _rows(self) -> np.ndarray:
-        """The ``(m, 2)`` read-only mapped payload, mapped once per stream.
+        """The ``(m, 2)`` read-only mapped payload, mapped once per stream,
+        in the header's id dtype (int32 rows are never widened here).
 
         A plain-ndarray view whose base is the ``np.memmap``: slicing and
         viewing an ``np.memmap`` runs its Python ``__array_finalize__``
@@ -431,12 +515,12 @@ class MmapEdgeStream(EdgeStream):
         """
         if self._rows_map is None:
             if self._header.num_edges == 0:
-                self._rows_map = np.empty((0, 2), dtype=np.int64)
+                self._rows_map = np.empty((0, 2), dtype=self._header.id_dtype)
             else:
                 try:
                     self._rows_map = np.memmap(
                         self._path,
-                        dtype=np.dtype("<i8"),
+                        dtype=self._header.id_dtype,
                         mode="r",
                         offset=HEADER_BYTES,
                         shape=(self._header.num_edges, 2),

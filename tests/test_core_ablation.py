@@ -99,3 +99,17 @@ class TestExactAssignerVariant:
 
         b = run_single_estimate(stream, plan, random.Random(3), assign=exact_assignment(graph))
         assert a.estimate == b.estimate
+
+    def test_prebuilt_hook_matches_building_it_per_run(self):
+        from repro.core import exact_assignment
+
+        graph = wheel_graph(50)
+        plan = plan_for(graph, 3)
+        stream = InMemoryEdgeStream.from_graph(graph)
+        hook = exact_assignment(graph)
+        for seed in range(3):
+            per_run = run_single_estimate_exact_assigner(stream, plan, random.Random(seed), graph)
+            shared = run_single_estimate_exact_assigner(
+                stream, plan, random.Random(seed), graph, hook=hook
+            )
+            assert shared == per_run

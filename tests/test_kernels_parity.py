@@ -426,3 +426,98 @@ class TestPassOracles:
         assert hits_and_space(contextlib.nullcontext) == expected
         if name != "empty":
             assert any(expected[0])
+
+
+#: The oracle streams a narrow tape can hold (every id in ``[0, 2^31)``).
+NARROW_EDGES = [name for name in ORACLE_EDGES if name != "big-ids"]
+
+
+def _narrow_tape(edges, directory):
+    """``edges`` on a version-2 tape, whose chunks are int32 rows."""
+    from repro.streams import MmapEdgeStream, write_tape
+
+    path = directory / "narrow.etape"
+    write_tape(InMemoryEdgeStream(edges, validate=False), path)
+    stream = MmapEdgeStream(path)
+    assert stream.header.id_dtype == np.int32
+    return stream
+
+
+def _assert_partials_equal(narrow, wide, label):
+    """Equal kernel partials, array by array (values; dtypes may differ
+    only where a block's own rows are handed on, as in pass 1)."""
+    if isinstance(wide, tuple):
+        assert isinstance(narrow, tuple) and len(narrow) == len(wide), label
+        for a, b in zip(narrow, wide):
+            _assert_partials_equal(a, b, label)
+    elif isinstance(wide, np.ndarray):
+        np.testing.assert_array_equal(narrow, wide, err_msg=label)
+    else:
+        assert narrow == wide, label
+
+
+class TestNarrowBlocks:
+    """int32 blocks (a narrow tape's rows) give every probe, kernel partial
+    and plan result what the same rows as int64 give: no kernel widens a
+    block, and hit-sized outputs come back as int64."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 257, 10**6])
+    @pytest.mark.parametrize("name", NARROW_EDGES)
+    def test_every_plan_matches_its_fold(self, name, chunk, workers, tmp_path):
+        edges = _oracle_edges(name)
+        stream = _narrow_tape(edges, tmp_path)
+        wide = InMemoryEdgeStream(edges, validate=False)
+        for label, fold, plan, read_fold, read_plan in _pass_cases(edges, np.random.default_rng(1)):
+            ref.fold_stream(wide, [fold])
+            run_plan(PassScheduler(stream), plan, chunk_size=chunk, workers=workers)
+            np.testing.assert_array_equal(read_plan(plan), read_fold(fold), err_msg=label)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 257, 10**6])
+    @pytest.mark.parametrize("name", NARROW_EDGES)
+    def test_every_plan_in_one_shared_sweep_matches_its_fold(self, name, chunk, workers, tmp_path):
+        edges = _oracle_edges(name)
+        stream = _narrow_tape(edges, tmp_path)
+        cases = _pass_cases(edges, np.random.default_rng(2))
+        ref.fold_stream(InMemoryEdgeStream(edges, validate=False), [c[1] for c in cases])
+        run_plans(PassScheduler(stream), [c[2] for c in cases], chunk_size=chunk, workers=workers)
+        for label, fold, plan, read_fold, read_plan in cases:
+            np.testing.assert_array_equal(read_plan(plan), read_fold(fold), err_msg=label)
+
+    @pytest.mark.parametrize("name", ["planted", "duplicates", "hubs"])
+    def test_kernel_partials_equal_across_widths(self, name):
+        rows = np.asarray(_oracle_edges(name), dtype=np.int64)
+        narrow = rows.astype(np.int32)
+        for label, _, plan, _, _ in _pass_cases(_oracle_edges(name), np.random.default_rng(3)):
+            spec = plan.spec()
+            for start, stop in ((0, len(rows)), (5, 77)):
+                wide_partial = plan.kernel(spec, start, rows[start:stop])
+                narrow_partial = plan.kernel(spec, start, narrow[start:stop])
+                _assert_partials_equal(narrow_partial, wide_partial, label)
+                if label in ("pass3", "pass5") and wide_partial is not None:
+                    assert narrow_partial[-1].dtype == np.int64, label  # widened hits
+
+    @pytest.mark.parametrize("slots", [None, 1 << 16], ids=["own-table", "union-table"])
+    def test_keyset_finds_int32_values_like_int64(self, slots):
+        rng = np.random.default_rng(5)
+        keys = kernels.sorted_unique(rng.integers(0, 1 << 31, 6000))
+        values = np.concatenate((rng.choice(keys, 3000), rng.integers(0, 1 << 31, 20000)))
+        keyset = kernels.KeySet(keys, slots)
+        assert (keyset.table == kernels._COLLIDED).any()  # the exact search runs too
+        positions, ranks = keyset.find(values)
+        assert len(positions) >= 3000
+        strided = np.repeat(values.astype(np.int32), 2)[::2]  # not contiguous
+        for narrow in (values.astype(np.int32), strided):
+            found = keyset.find(narrow)
+            np.testing.assert_array_equal(found[0], positions)
+            np.testing.assert_array_equal(found[1], ranks)
+
+    def test_packed_block_packs_int32_rows_without_widening(self):
+        rng = np.random.default_rng(6)
+        rows = np.sort(rng.integers(0, 1 << 31, (5000, 2)), axis=1)
+        expected = kernels.pack_canonical_rows(rows)
+        np.testing.assert_array_equal(kernels._packed_block(rows.astype(np.int32)), expected)
+        strided = rows.astype(np.int32)[::3]  # not contiguous
+        np.testing.assert_array_equal(kernels._packed_block(strided), expected[::3])
+        assert kernels._packed_block(rows[:0].astype(np.int32)).dtype == np.uint64

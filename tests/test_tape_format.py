@@ -482,15 +482,22 @@ class TestTextOpensAsTape:
 
 
 class TestPinnedTapeBytes:
-    """A text's tape is pinned byte for byte.  The digests were recorded
-    with the line-loop text parser the byte-block parser replaced: the
-    header, its CRC and :func:`tape_fingerprint` must not move, so
-    snapshots and serve cache keys bound to converted tapes still bind."""
+    """A text's tape is pinned byte for byte: the header, its CRC and
+    :func:`tape_fingerprint` must not move, so snapshots and serve cache
+    keys bound to converted tapes still bind.
+
+    The version-2 digests were recorded when the writer began writing
+    narrow (int32) rows; the version-1 digests, recorded with the
+    line-loop text parser and the int64-only writer, stay pinned on a
+    version-1 tape built from the same rows, which must still read the
+    same rows, stats and fingerprint."""
 
     TEXT_SHA256 = "58611c6b07459829ac8d8995cdea4f186d9cff1b4d9c652868bce854f323b93d"
-    TAPE_SHA256 = "0fc118bc41e8f4895527f16ce456ace6160dadb7d1bfb8d2698d790c347dc133"
+    TAPE_SHA256 = "9d9003323db005f1a63c15857785df090c030c8e09793dbe33d894fa014bcb5b"
     #: The tape is under 64k rows, so its fingerprint hashes every byte.
-    FINGERPRINT = "0fc118bc41e8f4895527f16ce456ace6160dadb7d1bfb8d2698d790c347dc133"
+    FINGERPRINT = "9d9003323db005f1a63c15857785df090c030c8e09793dbe33d894fa014bcb5b"
+    V1_TAPE_SHA256 = "0fc118bc41e8f4895527f16ce456ace6160dadb7d1bfb8d2698d790c347dc133"
+    V1_FINGERPRINT = "0fc118bc41e8f4895527f16ce456ace6160dadb7d1bfb8d2698d790c347dc133"
 
     @staticmethod
     def _sha256(path):
@@ -528,3 +535,25 @@ class TestPinnedTapeBytes:
         assert tape_fingerprint(tape) == self.FINGERPRINT
         converted = open_edge_stream(text)
         assert self._sha256(type(tape)(converted.path)) == self.TAPE_SHA256
+
+    def test_version1_tape_reads_the_same_rows_stats_and_fingerprint(self, text, tmp_path):
+        import numpy as np
+
+        from tape_v1 import write_v1_tape
+
+        tape = tmp_path / "planted.etape"
+        write_tape(text, tape)
+        narrow = MmapEdgeStream(tape)
+        old = tmp_path / "planted-v1.etape"
+        write_v1_tape(np.concatenate(list(FileEdgeStream(text).iter_chunks())), old)
+        assert self._sha256(old) == self.V1_TAPE_SHA256
+        assert tape_fingerprint(old) == self.V1_FINGERPRINT
+        wide = MmapEdgeStream(old)
+        assert (wide.header.version, wide.header.id_dtype) == (1, np.dtype("<i8"))
+        assert (narrow.header.version, narrow.header.id_dtype) == (2, np.dtype("<i4"))
+        assert wide.fingerprint() == self.V1_FINGERPRINT
+        assert verify_tape(old).checksum == wide.header.checksum
+        assert wide.stats() == narrow.stats() == FileEdgeStream(text).stats()
+        assert list(wide) == list(narrow) == list(FileEdgeStream(text))
+        for a, b in zip(wide.iter_chunks(1000), narrow.iter_chunks(1000)):
+            np.testing.assert_array_equal(a, b)
