@@ -80,6 +80,7 @@ from .core import engine
 from .core.driver import EstimatorConfig, TriangleCountEstimator, stop_requested
 from .core.estimator import PASS_BUDGET_PER_ROUND
 from .core.exact_reference import ExactStreamingCounter
+from .core.knobs import check_count
 from .generators import standard_suite, workload_by_name
 from .graph.properties import summary
 from .graph.triangles import per_edge_triangle_counts
@@ -97,13 +98,26 @@ from .streams.tape import (
 )
 
 
-def _engine_mode(value: str) -> str:
-    """``--engine`` values: a usage error (exit 2) names the removed engine."""
-    try:
-        engine.check_mode(value)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def _checked(check, convert=int):
+    """An argparse ``type`` that converts, then ``check``s: a value the
+    library rejects is a usage error (exit 2) naming the option, raised
+    before any input is read."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def _field(name: str, convert=int):
+    """The ``type`` of an option setting :class:`EstimatorConfig`'s ``name``."""
+    return _checked(lambda value: EstimatorConfig(**{name: value}), convert)
 
 
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
@@ -127,50 +141,18 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
 
     p_est = add_command("estimate", help="run the paper's estimator")
     p_est.add_argument("edgelist")
-    p_est.add_argument("--kappa", type=int, required=True, help="degeneracy upper bound (promise)")
-    p_est.add_argument("--epsilon", type=float, default=0.25)
+    p_est.add_argument(
+        "--kappa",
+        type=_checked(functools.partial(check_count, "kappa")),
+        required=True,
+        help="degeneracy upper bound (promise)",
+    )
+    p_est.add_argument("--epsilon", type=_field("epsilon", float), default=0.25)
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--repetitions", type=int, default=5)
-    p_est.add_argument(
-        "--engine",
-        default=None,
-        type=_engine_mode,
-        metavar="{auto,chunked,sharded}",
-        help="engine mode name (synonyms of the one engine)",
-    )
-    p_est.add_argument(
-        "--chunk-size", type=int, default=None, help="edges per chunk of every sweep"
-    )
-    p_est.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="threads per sweep (default: all cores; 1 = serial)",
-    )
-    p_est.add_argument(
-        "--speculate-depth",
-        type=int,
-        default=None,
-        help=(
-            "max guessing rounds per window: round i and up to K-1 pre-drawn "
-            "later rounds share each pass's tape sweep; the prefix up to the "
-            "first acceptance is committed and the rest discarded (identical "
-            "estimates, ~K-fold fewer sweeps on multi-round estimates; 1 = the "
-            "sequential loop; default: REPRO_SPECULATE_DEPTH policy, 4)"
-        ),
-    )
-    p_est.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help=(
-            "retries per failed unit of work before the recovery ladder "
-            "degrades a tier (0 = degrade immediately; default: "
-            "REPRO_MAX_RETRIES policy, 2)"
-        ),
-    )
+    p_est.add_argument("--repetitions", type=_field("repetitions"), default=5)
     p_est.add_argument(
         "--faults",
+        type=_field("faults", str),
         default=None,
         help=(
             "deterministic fault-injection spec, e.g. "
@@ -178,7 +160,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
             "default: REPRO_FAULTS policy)"
         ),
     )
-    _add_snapshot_arguments(p_est)
+    _add_run_arguments(p_est)
 
     p_bounds = add_command("bounds", help="Table 1 predicted bounds for an instance")
     p_bounds.add_argument("edgelist")
@@ -198,7 +180,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     )
     p_conv.add_argument(
         "--chunk-size",
-        type=int,
+        type=_field("chunk_size"),
         default=DEFAULT_CHUNK_EDGES,
         help="edges per streamed conversion batch (bounded memory)",
     )
@@ -219,18 +201,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         "snapshot", help=".esnap file, or a checkpoint directory (newest valid snapshot)"
     )
     p_resume.add_argument("edgelist", help="the run's input (fingerprint must match)")
-    p_resume.add_argument(
-        "--engine",
-        default=None,
-        type=_engine_mode,
-        metavar="{auto,chunked,sharded}",
-        help="override the snapshot's stored engine mode name (synonyms)",
-    )
-    p_resume.add_argument("--chunk-size", type=int, default=None)
-    p_resume.add_argument("--workers", type=int, default=None)
-    p_resume.add_argument("--speculate-depth", type=int, default=None)
-    p_resume.add_argument("--max-retries", type=int, default=None)
-    _add_snapshot_arguments(p_resume)
+    _add_run_arguments(p_resume)
 
     p_sinfo = add_command("snapshot-info", help="dump an .esnap snapshot header and state summary")
     p_sinfo.add_argument(
@@ -271,7 +242,46 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine, recovery and snapshot options of ``estimate`` and ``resume``."""
+    parser.add_argument(
+        "--engine",
+        default=None,
+        type=_field("engine_mode", str),
+        metavar="{auto,chunked,sharded}",
+        help="engine mode name (synonyms of the one engine)",
+    )
+    parser.add_argument(
+        "--chunk-size", type=_field("chunk_size"), default=None, help="edges per chunk of every sweep"
+    )
+    parser.add_argument(
+        "--workers",
+        type=_field("workers"),
+        default=None,
+        help="threads per sweep (default: all cores; 1 = serial)",
+    )
+    parser.add_argument(
+        "--speculate-depth",
+        type=_field("speculate_depth"),
+        default=None,
+        help=(
+            "max guessing rounds per window: round i and up to K-1 pre-drawn "
+            "later rounds share each pass's tape sweep; the prefix up to the "
+            "first acceptance is committed and the rest discarded (identical "
+            "estimates, ~K-fold fewer sweeps on multi-round estimates; 1 = the "
+            "sequential loop; default: REPRO_SPECULATE_DEPTH policy, 4)"
+        ),
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=_field("max_retries"),
+        default=None,
+        help=(
+            "retries per failed unit of work before the recovery ladder "
+            "degrades a tier (0 = degrade immediately; default: "
+            "REPRO_MAX_RETRIES policy, 2)"
+        ),
+    )
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -283,13 +293,13 @@ def _add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--snapshot-every",
-        type=int,
+        type=_field("snapshot_every"),
         default=None,
         help="committed rounds between persisted snapshots (default: REPRO_SNAPSHOT_EVERY, 1)",
     )
     parser.add_argument(
         "--snapshot-keep",
-        type=int,
+        type=_field("snapshot_keep"),
         default=None,
         help="snapshots retained in the rotation (default: REPRO_SNAPSHOT_KEEP, 3)",
     )
@@ -601,12 +611,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Expected failure modes - missing or unreadable inputs, malformed
-    tapes and snapshots, mismatched resume state, serve misconfiguration
-    - exit 2 with a one-line ``repro <command>: <message>`` on stderr
-    instead of a traceback.  Genuinely unexpected exceptions (and
-    :class:`~repro.errors.ParameterError`, which argparse-level
-    validation should have caught first) still propagate: a traceback is
-    the right interface for a bug.
+    text, tapes and snapshots, mismatched resume state, serve
+    misconfiguration - exit 2 with a one-line ``repro <command>:
+    <message>`` on stderr instead of a traceback.  An option value the
+    library would reject exits 2 from argparse, naming the option, before
+    any input is read (see :func:`_checked`).  Genuinely unexpected
+    exceptions - a :class:`~repro.errors.ParameterError` included - still
+    propagate: a traceback is the right interface for a bug.
     """
     parser, commands = _build_parser()
     args, unknown = parser.parse_known_args(argv)

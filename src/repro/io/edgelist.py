@@ -1,9 +1,11 @@
 """Reading and writing whitespace-separated edge-list files.
 
 The format is the SNAP-style "u v" per line with ``#`` comments.  Reading
-goes through :class:`~repro.graph.builder.GraphBuilder` so callers choose
-how to treat the dirt real files contain (duplicates, self-loops); writing
-emits canonical sorted order so files are deterministic and diff-friendly.
+parses text with :class:`~repro.streams.file.FileEdgeStream`'s block
+parser - the one edge-list grammar every reader shares - and collects the
+edges in a :class:`~repro.graph.builder.GraphBuilder`, so callers choose how
+to treat the dirt real files contain (duplicates, self-loops); writing emits
+canonical sorted order so files are deterministic and diff-friendly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from ..errors import StreamError
 from ..graph.adjacency import Graph
 from ..graph.builder import GraphBuilder
 
@@ -26,33 +27,20 @@ def read_edgelist(
     Defaults are permissive (drop duplicates and self-loops) because that is
     what real edge-list files need; pass ``"error"`` policies for strict
     ingestion.  Malformed lines always raise
-    :class:`~repro.errors.StreamError` with the offending location.
+    :class:`~repro.errors.StreamError` naming the offending ``path:lineno``.
 
     The format is auto-detected by magic bytes: a binary ``.etape`` tape
     (:mod:`repro.streams.tape`) is ingested through its mapped payload,
     anything else parses as text.
     """
-    builder = GraphBuilder(on_duplicate=on_duplicate, on_self_loop=on_self_loop)
-    path = os.fspath(path)
+    from ..streams.file import FileEdgeStream
     from ..streams.tape import MmapEdgeStream, is_tape
 
-    if is_tape(path):
-        for u, v in MmapEdgeStream(path):
-            builder.add_edge(u, v)
-        return builder.build()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) < 2:
-                raise StreamError(f"{path}:{lineno}: expected 'u v', got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise StreamError(f"{path}:{lineno}: non-integer vertex in {text!r}") from exc
-            builder.add_edge(u, v)
+    path = os.fspath(path)
+    stream = MmapEdgeStream(path) if is_tape(path) else FileEdgeStream(path, validate=False)
+    builder = GraphBuilder(on_duplicate=on_duplicate, on_self_loop=on_self_loop)
+    for u, v in stream:
+        builder.add_edge(u, v)
     return builder.build()
 
 

@@ -6,7 +6,14 @@ graphs far larger than RAM.  The on-disk format is the de-facto standard
 "u v" per line, with ``#`` comments and blank lines ignored (the format used
 by SNAP and most public graph repositories).
 
-Chunked passes read the file in 128 KiB byte blocks cut after their last
+One grammar holds for every reader - per-edge iteration, chunked passes,
+the tape conversion and :func:`~repro.io.edgelist.read_edgelist`: that of
+``numpy.loadtxt(int64, comments="#", usecols=(0, 1))`` over the file's
+universal-newline lines, blank and ``#`` lines skipped.  So ``+3``,
+``007``, tabs, a third column and a trailing ``# note`` are accepted, and
+``1_000``, non-ASCII digits and ids past int64 are not.
+
+The parser reads the file in 128 KiB byte blocks cut after their last
 newline.  A block whose every line is ``digits SP digits`` (checked
 exactly: the block's shape once its digits are deleted, two values per
 line, no saturated ``INT64_MAX``) parses in one ``np.fromstring`` call;
@@ -14,11 +21,12 @@ any other block - comments, CRLF, tabs, signs, extra columns, bad tokens -
 falls back to ``numpy.loadtxt`` over its comment- and blank-filtered data
 lines.  Both yield the rows the former line-by-line batch parser did, in
 the same ``chunk_size``-row chunks, canonicalized in place with vectorized
-min/max, and fail with its errors at the same point.  On perfbench's
-solo-tape text (13.6 MB, 1M edges, 2-core x86_64) ``write_tape`` takes
-0.11-0.15 s, against 0.33-0.54 s with the line loop.  The per-line Python
-cost of :meth:`__iter__` is paid only by per-edge readers and by the
-line-numbered diagnostics of a malformed file.
+min/max, and fail at the same point.  The block reader counts lines as it
+goes (a fast-path block's rows are its lines), so a malformed line's error
+names ``path:lineno`` - the first line ``loadtxt`` rejects on its own -
+without a second scan.  On perfbench's solo-tape text (13.6 MB, 1M edges,
+2-core x86_64) ``write_tape`` takes 0.11-0.15 s, against 0.33-0.54 s with
+the line loop.
 
 Estimates do not sweep this stream repeatedly:
 :func:`~repro.streams.tape.open_edge_stream` parses a text input once into
@@ -32,7 +40,8 @@ from __future__ import annotations
 
 import codecs
 import os
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+import re
+from typing import TYPE_CHECKING, Generator, Iterator, List, Optional, Tuple
 
 from ..errors import StreamError, StreamReadError
 from ..types import Edge, canonical_edge
@@ -113,6 +122,50 @@ def _loadtxt(np, lines: List[str]) -> "numpy.ndarray":
     return np.loadtxt(lines, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2).reshape(-1, 2)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _complaint(line: str) -> str:
+    """Why :func:`_loadtxt` rejects the data line ``line`` on its own."""
+    text = line.strip()
+    fields = text.partition("#")[0].split()
+    if len(fields) < 2:
+        return f"expected 'u v', got {text!r}"
+    if all(_DECIMAL.fullmatch(field) for field in fields[:2]):
+        return f"vertex id out of int64 range in {text!r}"
+    return f"non-integer vertex in {text!r}"
+
+
+class _Lines:
+    """Unparsed data lines: ``lines`` starts at data line ``at`` of a block
+    whose split lines are ``block`` and whose first line is the file's line
+    ``first``."""
+
+    __slots__ = ("lines", "block", "first", "at")
+
+    def __init__(self, lines: List[str], block: List[str], first: int, at: int = 0) -> None:
+        self.lines = lines
+        self.block = block
+        self.first = first
+        self.at = at
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, cut: slice) -> "_Lines":
+        return _Lines(self.lines[cut], self.block, self.first, self.at + cut.start)
+
+    def numbers(self) -> List[int]:
+        """The file's line number of each of ``lines``: the block filtered
+        again, a cost only a malformed part pays."""
+        numbers = [
+            number
+            for number, line in enumerate(self.block, self.first)
+            if (head := line.lstrip()) and head[0] != "#"
+        ]
+        return numbers[self.at : self.at + len(self.lines)]
+
+
 def _maybe_inject_read_fault(path: str) -> None:
     # Imported lazily: repro.streams loads during repro.core's own import.
     from ..core import faults
@@ -129,20 +182,21 @@ class FileEdgeStream(EdgeStream):
     path:
         Path to the edge-list file.
     validate:
-        When ``True`` (default), edges are canonicalized on the fly and
-        malformed lines raise :class:`~repro.errors.StreamError`.  Duplicate
-        detection would require O(m) memory, defeating the purpose of a
-        file stream, so it is *not* performed here; use
-        :class:`~repro.graph.builder.GraphBuilder` to sanitize files first.
+        When ``True`` (default), edges are canonicalized on the fly (a self
+        loop or negative id raises).  Duplicate detection would require
+        O(m) memory, defeating the purpose of a file stream, so it is *not*
+        performed here; use :class:`~repro.graph.builder.GraphBuilder` to
+        sanitize files first.
 
-    The stream length is computed lazily on first use of ``len()`` (one extra
-    file sweep) and cached.
+    Every pass - :meth:`__iter__`, :meth:`iter_chunks`, :meth:`stats` and
+    ``len()`` - runs the one block parser, so a malformed line raises the
+    same :class:`~repro.errors.StreamError`, naming ``path:lineno``, on
+    each.  The statistics and the length come from one sweep, cached.
     """
 
     def __init__(self, path: str | os.PathLike[str], validate: bool = True) -> None:
         self._path = os.fspath(path)
         self._validate = validate
-        self._length: int | None = None
         self._stats: StreamStats | None = None
         if not os.path.exists(self._path):
             raise StreamError(f"edge-list file not found: {self._path}")
@@ -152,30 +206,12 @@ class FileEdgeStream(EdgeStream):
         """The edge-list file this stream reads (snapshot fingerprinting)."""
         return self._path
 
-    def _parse(self, line: str, lineno: int) -> Edge | None:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            return None
-        parts = text.split()
-        if len(parts) < 2:
-            raise StreamError(f"{self._path}:{lineno}: expected 'u v', got {text!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise StreamError(f"{self._path}:{lineno}: non-integer vertex in {text!r}") from exc
-        if self._validate:
-            return canonical_edge(u, v)
-        return (u, v)
-
     def __iter__(self) -> Iterator[Edge]:
-        with open(self._path, "r", encoding="utf-8") as handle:
-            try:
-                for lineno, line in enumerate(handle, start=1):
-                    edge = self._parse(line, lineno)
-                    if edge is not None:
-                        yield edge
-            except UnicodeDecodeError as exc:
-                raise self._not_text(exc) from exc
+        # The batch parser without the fault site: per-edge passes count no
+        # ``file.read`` events, as before.
+        for block in self._parse_chunks(DEFAULT_CHUNK_EDGES):
+            for u, v in block.tolist():  # tolist: Python ints, like the tape
+                yield (u, v)
 
     def _not_text(self, exc: UnicodeDecodeError) -> StreamError:
         """The typed error for a file that is neither a tape nor UTF-8 text."""
@@ -186,10 +222,9 @@ class FileEdgeStream(EdgeStream):
     def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_EDGES) -> Iterator["numpy.ndarray"]:
         """Parse the file in ``chunk_size``-row batches of int64 pairs.
 
-        Yields the same edge sequence as :meth:`__iter__` (including
-        canonicalization when ``validate`` is set), but parses whole byte
-        blocks (see :meth:`_parse_chunks`) - comments and blank lines are
-        skipped without counting toward the batch size.  The ``file.read``
+        The edges :meth:`__iter__` yields (canonicalized when ``validate``
+        is set), as :meth:`_parse_chunks` batches them - comments and blank
+        lines do not count toward the batch size.  The ``file.read``
         fault-injection site fires once per yielded chunk.
         """
         if chunk_size < 1:
@@ -200,22 +235,17 @@ class FileEdgeStream(EdgeStream):
 
     def _parse_chunks(self, chunk_size: int) -> Iterator["numpy.ndarray"]:
         """The batch parser, without the fault-injection site - the tape
-        conversion reads through it.
+        conversion and :meth:`__iter__` read through it.
 
         Yields exactly what one ``numpy.loadtxt`` call per ``chunk_size``
         data lines would: the file's data rows cut into ``chunk_size``-row
         chunks (the last one shorter), each canonicalized when ``validate``
         is set.  The rows come from :meth:`_pieces` as parsed fast-path
-        arrays or as unparsed data lines; a chunk's data lines are parsed
-        only once the chunk is complete, so malformed lines, self loops and
-        undecodable bytes fail in the order the line-by-line batch parser
-        met them.
-
-        A parse failure is re-diagnosed with the per-line parser (one extra
-        sweep of an already-failing file) so the raised
-        :class:`~repro.errors.StreamError` carries the standard
-        line-numbered message wherever the chunks were consumed - a plain
-        chunked pass, a tape conversion, or a threaded sweep.
+        arrays or as unparsed, numbered data lines; a chunk's data lines
+        are parsed only once the chunk is complete, so malformed lines,
+        self loops and undecodable bytes fail in the order the
+        line-by-line batch parser met them, and a malformed line's
+        :class:`~repro.errors.StreamError` names its ``path:lineno``.
         """
         import numpy as np
 
@@ -248,7 +278,7 @@ class FileEdgeStream(EdgeStream):
         Each :data:`_BLOCK_BYTES` read is cut after its last ``\\n``; the
         rest carries over to the next read.  A block yields its rows as one
         ``(n, 2)`` int64 array when :func:`_fast_rows` takes it, else its
-        data lines (comment and blank lines dropped) as a list of strings.
+        data lines (comment and blank lines dropped) as :class:`_Lines`.
         A leading comment header stays off that fallback's cost: the block
         is split after the line holding its last ``#`` and the rest is
         re-checked.  Every read is checked to decode as UTF-8 in the
@@ -258,6 +288,7 @@ class FileEdgeStream(EdgeStream):
         """
         decoder = codecs.getincrementaldecoder("utf-8")()
         carry = b""
+        lines = 0  # the lines of the blocks before this one
         while True:
             try:
                 data = handle.read(_BLOCK_BYTES)
@@ -276,85 +307,75 @@ class FileEdgeStream(EdgeStream):
                 last_lf = buffer.rfind(b"\n", 0, stop)
                 last_cr = buffer.rfind(b"\r", 0, max(stop - 1, 0))
                 end = max(last_lf, last_cr) + 1
-                yield from self._block_pieces(np, buffer[:end])
+                yield from self._block_pieces(np, buffer[:end], lines)
                 raise self._not_text(exc)
             if eof:
                 if buffer and not buffer.endswith(b"\n"):
                     buffer += b"\n"
-                yield from self._block_pieces(np, buffer)
+                yield from self._block_pieces(np, buffer, lines)
                 return
             end = buffer.rfind(b"\n") + 1
-            yield from self._block_pieces(np, buffer[:end])
+            lines += yield from self._block_pieces(np, buffer[:end], lines)
             carry = buffer[end:]
 
-    def _block_pieces(self, np, block: bytes) -> Iterator:
-        """One block's pieces: the block ends with a line end, or is empty."""
+    def _block_pieces(self, np, block: bytes, before: int) -> Generator:
+        """One block's pieces; returns its line count.  The block ends with a
+        line end, or is empty; ``before`` lines of the file precede it.
+
+        A fast-path block's line count is its row count (its only line end
+        is ``\\n``); a header's or fallback block's is that of
+        :meth:`_data_lines`' split.
+        """
+        lines = 0
         header = block.rfind(b"#")
         if header >= 0:
             header = block.find(b"\n", header) + 1 or len(block)
-            lines = self._data_lines(block[:header])
-            if lines:
-                yield lines
+            text, lines = self._data_lines(block[:header], before)
+            if text:
+                yield text
             block = block[header:]
         rows = _fast_rows(np, block)
-        if rows is None:
-            rows = self._data_lines(block)
+        if rows is not None:
+            count = len(rows)
+        else:
+            rows, count = self._data_lines(block, before + lines)
         if len(rows):
             yield rows
+        return lines + count
 
     @staticmethod
-    def _data_lines(block: bytes) -> List[str]:
-        """The block's data lines, split and filtered as text-mode reading does:
-        ``\\r\\n`` and a bare ``\\r`` end a line too, and a line that is blank
-        or whose first non-space character is ``#`` is dropped."""
+    def _data_lines(block: bytes, before: int) -> Tuple[_Lines, int]:
+        """The block's data lines, numbered after ``before`` lines, and its
+        line count.  Split and filtered as text-mode reading does: ``\\r\\n``
+        and a bare ``\\r`` end a line too, and a line that is blank or whose
+        first non-space character is ``#`` is dropped."""
         text = block.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         lines = text.split("\n")
         lines.pop()  # the empty rest after the block's last line end
-        return [line for line in lines if (head := line.lstrip()) and head[0] != "#"]
+        data = [line for line in lines if (head := line.lstrip()) and head[0] != "#"]
+        return _Lines(data, lines, before + 1), len(lines)
 
     def _chunk(self, np, parts: list) -> "numpy.ndarray":
         """One chunk from its parts, data lines parsed as ``loadtxt`` batches."""
-        rows, before = [], 0
-        for part in parts:
-            rows.append(self._parse_lines(np, part, before) if isinstance(part, list) else part)
-            before += len(part)
+        rows = [self._parse_lines(np, part) if isinstance(part, _Lines) else part for part in parts]
         block = rows[0] if len(rows) == 1 else np.concatenate(rows)
         if self._validate:
             self._canonicalize(np, block)
         return block
 
-    def _parse_lines(self, np, lines: List[str], before: int) -> "numpy.ndarray":
-        """``lines`` through ``numpy.loadtxt``; ``before`` chunk rows precede them."""
+    def _parse_lines(self, np, part: _Lines) -> "numpy.ndarray":
+        """``part`` through ``numpy.loadtxt``.  On failure, the error names
+        the first of its lines that ``loadtxt`` rejects on its own."""
         try:
-            return _loadtxt(np, lines)
+            return _loadtxt(np, part.lines)
         except ValueError as exc:
             error = exc
-        if before:
-            # Name the failing line by its row in the whole chunk, as one
-            # loadtxt call over the chunk's lines does (the rows before it
-            # parsed, so stand-ins parse the same).
+        for number, line in zip(part.numbers(), part.lines):
             try:
-                _loadtxt(np, ["0 0"] * before + lines)
-            except ValueError as exc:
-                error = exc
-        raise self._line_numbered_error(error) from error
-
-    def _line_numbered_error(self, exc: Exception) -> StreamError:
-        """Locate the first malformed line for the standard diagnostic.
-
-        ``numpy.loadtxt`` reports batch errors without a usable line
-        number (and the handle has already advanced), so the file is
-        re-scanned with the per-line parser, whose failure carries
-        ``path:lineno``.  If the per-line parser somehow accepts every
-        line (a batch-only artifact), the original batch error is wrapped
-        instead.
-        """
-        try:
-            for _ in self:
-                pass
-        except StreamError as located:
-            return located
-        return StreamError(f"{self._path}: malformed edge-list line ({exc})")
+                _loadtxt(np, [line])
+            except ValueError:
+                raise StreamError(f"{self._path}:{number}: {_complaint(line)}") from error
+        raise StreamError(f"{self._path}: malformed edge-list line ({error})") from error
 
     def _canonicalize(self, np, block: "numpy.ndarray") -> None:
         """Vectorized ``canonical_edge`` over one parsed batch, in place."""
@@ -375,44 +396,17 @@ class FileEdgeStream(EdgeStream):
         already demands it), so the statistics are cached like
         :class:`~repro.streams.memory.InMemoryEdgeStream`'s; the scan
         itself runs over :meth:`iter_chunks` - one vectorized ``max`` per
-        parsed batch instead of one interpreter iteration per edge - and
-        also settles the cached length for free.
+        parsed batch instead of one interpreter iteration per edge.
         """
         if self._stats is None:
-            try:
-                m = 0
-                max_vertex = -1
-                for block in self.iter_chunks():
-                    m += len(block)
-                    max_vertex = max(max_vertex, int(block.max()))
-                self._stats = StreamStats(num_edges=m, max_vertex_id=max_vertex)
-            except StreamReadError:
-                # Transient tape failure, not a malformed file: the
-                # per-line rescan would mask it as a silent retry -
-                # propagate so the recovery layer decides.
-                raise
-            except StreamError:
-                # Re-scan per line so malformed files fail with the
-                # standard line-numbered diagnostic, not a batch error.
-                self._stats = super().stats()
-            self._length = self._stats.num_edges
+            m = 0
+            max_vertex = -1
+            for block in self.iter_chunks():
+                m += len(block)
+                max_vertex = max(max_vertex, int(block.max()))
+            self._stats = StreamStats(num_edges=m, max_vertex_id=max_vertex)
         return self._stats
 
     def __len__(self) -> int:
-        """The stream length ``m``, computed lazily and cached.
-
-        Reuses the cached :meth:`stats` length when available; otherwise
-        one chunked sweep sums the parsed batch lengths.
-        """
-        if self._length is None:
-            if self._stats is not None:
-                self._length = self._stats.num_edges
-            else:
-                try:
-                    self._length = sum(len(block) for block in self.iter_chunks())
-                except StreamReadError:
-                    raise  # transient, not malformed - see stats()
-                except StreamError:
-                    # Per-line rescan for the line-numbered diagnostic.
-                    self._length = sum(1 for _ in self)
-        return self._length
+        """The stream length ``m``: the :meth:`stats` sweep's, cached with it."""
+        return self.stats().num_edges

@@ -29,7 +29,8 @@ Header layout (64 bytes, all integers little-endian)::
                   bit 1, version 2 only: narrow rows, two int32 ids)
     16      8     edge count m
     24      8     max vertex id (-1 for an empty tape)
-    32      8     vertex bound n  (= max vertex id + 1)
+    32      8     vertex bound n  (= max vertex id + 1; unsigned, so
+                  an id of 2^63 - 1 has one)
     40      8     CRC-32 of the payload bytes (zero-extended)
     48      16    reserved (zero)
 
@@ -101,8 +102,8 @@ NARROW_LIMIT = 1 << 31
 NARROW, WIDE = np.dtype("<i4"), np.dtype("<i8")
 
 #: ``<`` = little-endian: 8s magic, I version, I flags, q edges,
-#: q max vertex, q vertex bound, Q checksum, 16x reserved = 64 bytes.
-_HEADER_STRUCT = struct.Struct("<8sIIqqqQ16x")
+#: q max vertex, Q vertex bound, Q checksum, 16x reserved = 64 bytes.
+_HEADER_STRUCT = struct.Struct("<8sIIqqQQ16x")
 
 #: Strided-fingerprint sampling: up to this many blocks of this many rows.
 _SAMPLE_BLOCKS = 64

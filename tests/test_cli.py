@@ -133,12 +133,6 @@ class TestEstimate:
         sweeps = lambda out: int(field(out, "sweeps:").split()[1])  # noqa: E731
         assert sweeps(deep) <= sweeps(pair)
 
-    def test_speculate_depth_validation(self, wheel_file):
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="speculate_depth"):
-            main(["estimate", wheel_file, "--kappa", "3", "--speculate-depth", "0"])
-
     def test_depth_one_prints_the_sequential_lines(self, tmp_path, capsys):
         # Depth 1 is the sequential loop: these are the lines the removed
         # --no-speculate switch printed on this input, sweeps included.
@@ -504,14 +498,40 @@ class TestTypedErrors:
         bad.write_bytes(b"ETAPE???" + b"\x00" * 8)  # bad magic/truncated header
         self._assert_one_line_failure(["tape-info", str(bad)], capsys)
 
-    def test_parameter_errors_still_raise(self, wheel_file):
-        # Infeasible parameters are caller bugs, not input failures: the
-        # typed handler must not swallow ParameterError (see
-        # test_speculate_depth_validation).
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            main(["estimate", wheel_file, "--kappa", "3", "--epsilon", "2.0"])
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            ("estimate", ["--workers", "0"]),
+            ("estimate", ["--chunk-size", "0"]),
+            ("estimate", ["--speculate-depth", "0"]),
+            ("estimate", ["--repetitions", "0"]),
+            ("estimate", ["--epsilon", "2"]),
+            ("estimate", ["--max-retries", "-1"]),
+            ("estimate", ["--snapshot-every", "0"]),
+            ("estimate", ["--snapshot-keep", "0"]),
+            ("estimate", ["--faults", "bogus@1"]),
+            ("estimate", ["--kappa", "0"]),
+            ("resume", ["--workers", "0"]),
+            ("resume", ["--speculate-depth", "0"]),
+            ("resume", ["--snapshot-every", "0"]),
+            ("convert", ["--chunk-size", "0"]),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_option_value_errors_exit_2(self, wheel_file, command, option, capsys):
+        """A value the library would reject is a usage error naming the
+        option, raised before the input is read."""
+        args = {
+            "estimate": [wheel_file, "--kappa", "2"],
+            "resume": ["no-such-checkpoint", wheel_file],
+            "convert": [wheel_file],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *args, *option])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: argument {option[0]}: " in err, err
+        assert "Traceback" not in err
 
 
 class TestParser:

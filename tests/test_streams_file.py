@@ -59,9 +59,7 @@ class TestFileEdgeStream:
         assert stats.num_edges == 3
         assert stats.max_vertex_id == 2
         assert s.stats() is stats  # cached, no second sweep
-        # The stats sweep settles the length too: no extra counting pass.
-        assert s._length == 3
-        assert len(s) == 3
+        assert len(s) == 3  # the stats sweep's (test_len_reuses_cached_stats)
 
     def test_len_reuses_cached_stats(self, edge_file):
         s = FileEdgeStream(edge_file)

@@ -5,12 +5,14 @@ it reads the file as text, skips comment and blank lines in a Python loop,
 and parses each ``chunk_size``-line batch with one ``numpy.loadtxt`` call.
 The parser-equivalence tests compare the byte-block parser with it on rows,
 chunk lengths and every error's type and message.  It reuses only the
-stream's per-line diagnostics (``__iter__``, ``_not_text``), which the
-byte-block parser did not change.
+stream's ``_not_text`` error.  A batch that ``loadtxt`` rejects is
+diagnosed by the oracle's own rule: the first line its text loop reads
+that ``loadtxt`` rejects on its own, numbered, in the stream's words.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 import numpy as np
@@ -20,12 +22,24 @@ from repro.streams import FileEdgeStream
 from repro.types import canonical_edge
 
 
-def _line_numbered_error(stream: FileEdgeStream, exc: Exception) -> StreamError:
-    try:
-        for _ in stream:
-            pass
-    except StreamError as located:
-        return located
+def _rejected_line(stream: FileEdgeStream, exc: Exception) -> StreamError:
+    """The error naming the file's first line ``loadtxt`` rejects alone."""
+    with open(stream.path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                np.loadtxt([line], dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
+            except ValueError:
+                fields = text.partition("#")[0].split()
+                if len(fields) < 2:
+                    why = f"expected 'u v', got {text!r}"
+                elif all(re.fullmatch(r"[+-]?[0-9]+", field) for field in fields[:2]):
+                    why = f"vertex id out of int64 range in {text!r}"
+                else:
+                    why = f"non-integer vertex in {text!r}"
+                return StreamError(f"{stream.path}:{lineno}: {why}")
     return StreamError(f"{stream.path}: malformed edge-list line ({exc})")
 
 
@@ -67,7 +81,7 @@ def line_loop_parse_chunks(stream: FileEdgeStream, chunk_size: int) -> Iterator[
             try:
                 block = np.loadtxt(lines, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
             except ValueError as exc:
-                raise _line_numbered_error(stream, exc) from exc
+                raise _rejected_line(stream, exc) from exc
             block = block.reshape(-1, 2)
             if stream._validate:
                 block = _canonicalize(stream, block)
