@@ -107,3 +107,13 @@ def test_the_line_number_counts_blocks_before_it(tmp_path, monkeypatch):
             for _ in FileEdgeStream(path).iter_chunks(chunk_size):
                 pass
         assert str(error.value) == expected
+
+
+def test_an_accepted_line_is_never_named(tmp_path):
+    """``1 2#c`` parses, so the error names the malformed line after it (a
+    per-line ``int()`` re-scan named the ``1 2#c`` line)."""
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2#c\n3 4\nx y\n", encoding="utf-8")
+    expected = f"{path}:3: non-integer vertex in 'x y'"
+    for name, read in _readers(path, tmp_path).items():
+        assert _outcome(read) == expected, name
