@@ -115,6 +115,25 @@ def _checked(check, convert=int):
     return parse
 
 
+def _resolve_knobs(args: argparse.Namespace, snapshots: bool) -> None:
+    """Resolve every ``REPRO_*`` knob the command reads, before any input
+    is read, as the library will (its options win): a malformed variable
+    exits 2 naming it.  ``snapshots`` adds the snapshot cadence knobs."""
+    from .core import faults, snapshot
+
+    option = vars(args).get
+    try:
+        engine.resolve(args)  # reads the engine fields the command has
+        faults.policy_from_env(option("max_retries"))
+        faults.plan_from(option("faults"))
+        if snapshots:
+            snapshot.resolve_snapshot_every(option("snapshot_every"))
+            snapshot.resolve_snapshot_keep(option("snapshot_keep"))
+    except ParameterError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _field(name: str, convert=int):
     """The ``type`` of an option setting :class:`EstimatorConfig`'s ``name``."""
     return _checked(lambda value: EstimatorConfig(**{name: value}), convert)
@@ -391,6 +410,7 @@ def _interrupted(checkpoint_dir: Optional[str]) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from .core.snapshot import resolve_checkpoint_dir
 
+    _resolve_knobs(args, snapshots=resolve_checkpoint_dir(args.checkpoint_dir) is not None)
     stream = open_edge_stream(args.edgelist)
     config = EstimatorConfig(
         epsilon=args.epsilon,
@@ -420,6 +440,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     from .core.driver import resume_from
     from .core.snapshot import load_source, resolve_checkpoint_dir
 
+    _resolve_knobs(args, snapshots=True)
     snap = load_source(args.snapshot)
     stream = open_edge_stream(args.edgelist)
     overrides = {
@@ -585,6 +606,7 @@ def _cmd_tape_info(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.daemon import serve_forever
 
+    _resolve_knobs(args, snapshots=False)
     return serve_forever(
         socket_path=args.socket,
         port=args.port,
@@ -615,8 +637,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     misconfiguration - exit 2 with a one-line ``repro <command>:
     <message>`` on stderr instead of a traceback.  An option value the
     library would reject exits 2 from argparse, naming the option, before
-    any input is read (see :func:`_checked`).  Genuinely unexpected
-    exceptions - a :class:`~repro.errors.ParameterError` included - still
+    any input is read (see :func:`_checked`); so does a malformed
+    ``REPRO_*`` variable that ``estimate``, ``resume`` or ``serve`` reads
+    (see :func:`_resolve_knobs`).  Genuinely unexpected exceptions - any
+    other :class:`~repro.errors.ParameterError` included - still
     propagate: a traceback is the right interface for a bug.
     """
     parser, commands = _build_parser()

@@ -17,14 +17,15 @@ the final, accepted round - i.e. still ``O~(m * kappa / T)``.  A graph with
 no triangles walks the guess below 1 and yields estimate 0.
 
 The loop has exactly one implementation, :func:`estimate_program`: a
-generator that yields the stage batches each tape sweep must serve and
-reports every committed round boundary.  It has one library driver,
-:func:`run_estimate_program`, which serves the batches on private
-per-window schedulers and turns retry, degradation, snapshots and
-crash-resume into one primitive - restart the program from a committed
-boundary (:class:`ResumeState`).  :meth:`TriangleCountEstimator.estimate`
-and :func:`resume_from` return its result; the serving layer merges the
-batches of many programs into shared sweeps.
+generator that yields the stage batches each tape sweep must serve,
+is sent each sweep's outcome, retries and degrades itself, and reports
+every committed round boundary.  Its one library driver,
+:func:`run_estimate_program`, serves the batches on one private
+scheduler and adds snapshots; crash-resume restarts the program from a
+committed boundary (:class:`ResumeState`).
+:meth:`TriangleCountEstimator.estimate` and :func:`resume_from` return
+its result; the serving layer merges the batches of many programs into
+shared sweeps.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import math
 import os
 import random
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
@@ -53,7 +53,7 @@ from ..streams.tape import MmapEdgeStream
 from . import engine
 from . import faults as faults_module
 from . import snapshot as snapshot_module
-from .estimator import PASS_BUDGET_PER_ROUND, SinglePassStackResult
+from .estimator import SinglePassStackResult
 from .faults import FailureReport
 from .knobs import check_count
 from .params import ParameterPlan, PlanConstants
@@ -228,10 +228,7 @@ class ResumeState:
     ones; the accounting fields restore the result totals; ``rng_state``
     is the root generator's ``getstate()`` at the boundary;
     ``degradations`` are the recovery ladder's recorded
-    reports up to the snapshot.  ``num_edges`` / ``num_vertices`` are the
-    stream statistics read before the first round: a boundary the loop
-    reported carries them so a restart need not re-read the stream, while
-    a decoded snapshot leaves them ``None`` (the resume re-reads them).
+    reports up to the snapshot.
     """
 
     round_index: int
@@ -243,8 +240,6 @@ class ResumeState:
     passes_wasted: int
     rng_state: tuple
     degradations: Tuple[FailureReport, ...]
-    num_edges: Optional[int] = None
-    num_vertices: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -411,23 +406,22 @@ def estimate_program(
     owner_prefix: str = "",
     *,
     start: Optional[ResumeState] = None,
-    root: Optional[random.Random] = None,
-    on_window: Optional[Callable[[int], None]] = None,
     on_boundary: Optional[Callable[[ResumeState], None]] = None,
-) -> "Generator[List[TaggedStage], None, ProgramOutcome]":
+) -> "Generator[List[TaggedStage], Optional[BaseException], ProgramOutcome]":
     """The guessing loop as a stage program: yields, never sweeps.
 
     The one implementation of the loop.  It yields each pending batch of
     owner-tagged stages (one batch per tape sweep) and leaves the
     *execution* of those sweeps to whoever drives it -
-    :func:`run_estimate_program` with private per-window schedulers, or
-    the serving layer's per-tape scheduler, which merges batches from many
-    live programs into shared traversals.  Stage owners are tagged
-    ``f"{owner_prefix}{round_tag}"``, so a batch on a shared scheduler
-    names the jobs riding it.  Each window books its own sweeps: the
-    most stages any committed round rode are committed, the rest wasted
-    (one stage per pass, so ``max(passes_used)`` over the committed
-    rounds against the same over all rounds).
+    :func:`run_estimate_program` on one private scheduler, or the serving
+    layer's per-tape scheduler, which merges batches from many live
+    programs into shared traversals.  The driver sends each sweep's
+    outcome back: ``None``, or the exception the sweep raised.  Stage
+    owners are tagged ``f"{owner_prefix}{round_tag}"``, so a batch on a
+    shared scheduler names the jobs riding it.  Each window books its own
+    sweeps: the most stages any committed round rode are committed, the
+    rest wasted (one stage per pass, so ``max(passes_used)`` over the
+    committed rounds against the same over all rounds).
 
     Each *window* is ``depth`` guessing rounds run in lockstep
     (:func:`~repro.core.speculate.window_program`), at most the
@@ -439,16 +433,16 @@ def estimate_program(
     (:func:`repro.core.engine.resolve`); chunking and threads are the
     policy of whoever sweeps its batches.
 
-    Restart contract: ``start`` is a committed round boundary to continue
-    from (a decoded snapshot, or a state this program reported) and
-    ``root`` the root generator to continue on (built by
-    :func:`make_rng` when omitted); the program restores the boundary's
-    root state itself.  ``on_window(depth)`` is called as each window
-    opens and ``on_boundary(state)`` at every committed boundary,
-    including the start one - a driver that restarts from the last
-    reported state reproduces the uninterrupted run bit for bit.  A
-    failed sweep propagates to (and through) the driving entity, which
-    must ``close()`` the generator so round programs clean up.
+    The recovery ladder lives here, for every driver.  A transient
+    failure (a sweep's, or the stats read's) is retried after the
+    ``max_retries`` backoff: the window restarts from its root state,
+    its yielded sweeps and passes booked as wasted, so the committed
+    trajectory never depends on the attempts a round took.  Spent
+    retries on a speculative window drop the rest of the run to one
+    round per window; anything else propagates.  ``degradations`` are
+    the active recovery context's reports.  ``start`` is a decoded
+    snapshot to continue from; ``on_boundary(state)`` is called at every
+    committed boundary, the start one included.
     """
     cfg = config if config is not None else EstimatorConfig()
     if kappa < 1:
@@ -459,33 +453,12 @@ def estimate_program(
         raise StreamError(f"{stream.display_name}: {msg}")
     from .speculate import _owner_tags, window_program
 
-    if root is None:
-        root = make_rng(cfg.seed)
-    if start is not None and start.num_vertices is not None:
-        m, n = start.num_edges, start.num_vertices
-    else:
-        # The model assumes n is known a priori (Table 1 notes this is the
-        # standard assumption); one statistics pass recovers an upper bound.
-        m = len(stream)
-        n = stream.stats().num_vertices_upper if m else 0
-    degradations = start.degradations if start is not None else ()
-    if m == 0:
-        return ProgramOutcome(
-            result=EstimateResult(
-                estimate=0.0,
-                rounds=[],
-                space_words_peak=0,
-                passes_total=0,
-                final_plan=None,
-                degradations=degradations,
-            ),
-            root_state=root.getstate(),
-        )
-    policy = engine.resolve(cfg)
-    max_depth = policy.speculate_depth
+    root = make_rng(cfg.seed)
+    retry = faults_module.policy_from_env(cfg.max_retries)
+    max_depth = engine.resolve(cfg).speculate_depth
     if cfg.t_hint is not None or cfg.space_budget_words is not None:
         max_depth = 1
-    guesses = _guess_schedule(cfg, 2.0 * m * kappa)  # Corollary 3.2 upper bound
+    attempts = 0  # failed attempts since the last progress
 
     def build_plan(t_guess: float) -> ParameterPlan:
         return ParameterPlan.build(
@@ -503,6 +476,23 @@ def estimate_program(
             spawn(root, f"round{round_index}/rep{rep}")
             for rep in range(cfg.repetitions)
         ]
+
+    def recover(exc: Exception, depth: int) -> bool:
+        """One ladder step after a failure; False when it must propagate."""
+        nonlocal attempts, max_depth
+        attempts += 1
+        if faults_module.retry_transient(exc, attempts, retry):
+            return True
+        if depth < 2:
+            return False  # no tier left to drop: the failure is the answer
+        site = faults_module.site_of(exc)
+        faults_module.degrade(faults_module.ACTION_SEQUENTIAL, site, attempts, exc)
+        max_depth, attempts = 1, 0
+        return True
+
+    def reports() -> Tuple[FailureReport, ...]:
+        recovery = faults_module.active_recovery()
+        return tuple(recovery.reports) if recovery is not None else ()
 
     base = start if start is not None else ResumeState(
         round_index=0,
@@ -527,7 +517,6 @@ def estimate_program(
     sweeps_total = base.sweeps_total
     sweeps_wasted = base.sweeps_wasted
     passes_wasted = base.passes_wasted
-    final_plan = build_plan(rounds[-1].t_guess) if rounds else None
     estimate = rounds[-1].median_estimate if rounds else 0.0
     owners = [f"{owner_prefix}{tag}" for tag in _owner_tags(max_depth)]
 
@@ -541,10 +530,24 @@ def estimate_program(
             sweeps_wasted=sweeps_wasted,
             passes_wasted=passes_wasted,
             rng_state=root.getstate(),
-            degradations=degradations,
-            num_edges=m,
-            num_vertices=n,
+            degradations=reports(),
         )
+
+    while True:
+        try:
+            # The model assumes n is known a priori (Table 1 notes this is
+            # the standard assumption); one statistics pass recovers an
+            # upper bound.
+            m = len(stream)
+            n = stream.stats().num_vertices_upper if m else 0
+            if m and on_boundary is not None:
+                on_boundary(boundary())
+            break
+        except Exception as exc:
+            if not recover(exc, 0):
+                raise
+    attempts = 0
+    guesses = _guess_schedule(cfg, 2.0 * m * kappa) if m else []  # Corollary 3.2 upper bound
 
     def commit(t_guess: float, runs: List[SinglePassStackResult], plan: ParameterPlan) -> bool:
         """Append one committed round and apply the acceptance rule."""
@@ -558,8 +561,7 @@ def estimate_program(
         estimate = med
         return accepted
 
-    if on_boundary is not None:
-        on_boundary(boundary())
+    final_plan = build_plan(rounds[-1].t_guess) if rounds else None
     accepted = False
     while round_index < len(guesses):
         t_guess = guesses[round_index]
@@ -572,6 +574,7 @@ def estimate_program(
         )
         window_guesses = guesses[round_index : round_index + depth]
         plans = [build_plan(g) for g in window_guesses]
+        window_start = root.getstate()
         rng_lists = [spawn_round(round_index)]
         # Checkpoint the root generator before each speculative round's
         # spawns: if an earlier round accepts, the sequential loop would
@@ -583,17 +586,31 @@ def estimate_program(
             checkpoints.append(root.getstate())
             rng_lists.append(spawn_round(round_index + j))
         meters = [SpaceMeter(budget_words=cfg.space_budget_words) for _ in range(depth)]
-        if on_window is not None:
-            on_window(depth)
+        window = window_program(m, plans, rng_lists, meters, owners[:depth])
+        yielded = staged = 0  # the window's sweeps and passes so far
         try:
-            results = yield from window_program(m, plans, rng_lists, meters, owners[:depth])
-        except BaseException:
-            # A failed shared sweep aborts the whole window; the
-            # speculative rounds' RNG consumption must not leak into the
-            # root generator's state.
+            batch = next(window)
+            while True:
+                yielded += 1
+                staged += len(batch)
+                batch = window.send((yield batch))
+        except StopIteration as stop:
+            results = stop.value
+        except Exception as exc:
+            # The attempt's sweeps were real traversals lost to the
+            # failure: wasted, never committed.  The speculative rounds'
+            # RNG consumption must not leak into the root's state, whether
+            # the failure stands or the window restarts from its start.
+            sweeps_wasted += yielded
+            passes_wasted += staged
             if checkpoints:
                 root.setstate(checkpoints[0])
-            raise
+            if not recover(exc, depth):
+                raise
+            root.setstate(window_start)
+            continue
+        finally:
+            window.close()
         # Walk the window in sequential order: commit every round up
         # to (and including) the first acceptance, discard the rest.
         rode = [runs[0].passes_used for runs in results]  # one stage per pass
@@ -614,6 +631,7 @@ def estimate_program(
         sweeps_total += needed
         sweeps_wasted += max(rode) - needed
         round_index += committed
+        attempts = 0
         if accepted:
             break
         if on_boundary is not None:
@@ -631,7 +649,7 @@ def estimate_program(
             sweeps_total=sweeps_total,
             sweeps_wasted=sweeps_wasted,
             passes_wasted=passes_wasted,
-            degradations=degradations,
+            degradations=reports(),
         ),
         root_state=root.getstate(),
     )
@@ -649,129 +667,54 @@ def run_estimate_program(
     Every sweep runs under ``config``'s engine settings laid over the
     policy in force, inside a recovery scope (retry policy, fault plan,
     :class:`~repro.core.faults.FailureReport` collection) that no ladder
-    step outlives.  Each window the program opens gets a fresh
-    :class:`PassScheduler` budgeted at six passes per round.  A transient
-    failure books the aborted attempt's sweeps and passes as wasted and
-    restarts the program from the last boundary it reported, on the same
-    root generator rewound to that boundary, so the committed trajectory
-    never depends on how many attempts a round took: first after
-    :class:`~repro.core.faults.RetryPolicy` backoff, then once more one
-    round per window (``speculative->sequential``, only when the failed
-    window was speculative), else the failure propagates.  A crashed
-    sweep task never gets here: the executor retries it and finishes the
-    sweep inline itself.  The stream statistics
-    reads run inside the program, so they recover the same way.  Every
-    new boundary goes to the snapshot writer when a checkpoint dir is in
-    force, and a set :data:`stop_requested` stops the run there.
-    ``resume`` is a decoded snapshot to continue from (use
-    :func:`resume_from`).
+    step outlives, on one :class:`PassScheduler`; each sweep's outcome
+    goes back to the program, which retries or degrades itself.  A
+    crashed sweep task never gets there: the executor retries it and
+    finishes the sweep inline itself.  Every boundary goes to the
+    snapshot writer when a checkpoint dir is in force, and a set
+    :data:`stop_requested` stops the run there.  ``resume`` is a decoded
+    snapshot to continue from (use :func:`resume_from`).
     """
     cfg = config if config is not None else EstimatorConfig()
     with engine.engine_overrides(cfg), faults_module.recovery_scope(
         policy=faults_module.policy_from_env(cfg.max_retries),
         plan=cfg.faults,
     ) as recovery:
-        root = make_rng(cfg.seed)
         if resume is not None:
             recovery.reports.extend(resume.degradations)
         checkpoint_dir = snapshot_module.resolve_checkpoint_dir(cfg.checkpoint_dir)
         writer: Optional[snapshot_module.SnapshotWriter] = None
-        committed: Optional[ResumeState] = None  # the last boundary reported
-        schedulers: List[PassScheduler] = []  # the windows since that boundary
-        depth = 0  # the depth of the window in flight
-        attempts = 0
-
-        def on_window(window_depth: int) -> None:
-            nonlocal depth
-            depth = window_depth
-            schedulers.append(
-                PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND * window_depth)
-            )
 
         def on_boundary(state: ResumeState) -> None:
-            nonlocal committed, writer, attempts
-            schedulers.clear()
-            # A restart re-reports the boundary it started from; that one
-            # is neither progress nor a new snapshot.
-            if committed is None or state.round_index != committed.round_index:
-                attempts = 0
-                if checkpoint_dir is not None and writer is None:
-                    # Built after the stats reads: fingerprinting a generic
-                    # stream is itself a sweep of it.
-                    writer = snapshot_module.SnapshotWriter(
-                        checkpoint_dir,
-                        config_digest=snapshot_module.config_hash(_config_state(cfg), kappa),
-                        fingerprint=snapshot_module.stream_fingerprint(stream),
-                        every=cfg.snapshot_every,
-                        keep=cfg.snapshot_keep,
-                    )
-                if writer is not None:
-                    writer.boundary(
-                        state.round_index,
-                        _boundary_payload(cfg, kappa, state, recovery.reports),
-                    )
-            committed = state
+            nonlocal writer
+            if checkpoint_dir is not None and writer is None:
+                # Built after the stats reads: fingerprinting a generic
+                # stream is itself a sweep of it.
+                writer = snapshot_module.SnapshotWriter(
+                    checkpoint_dir,
+                    config_digest=snapshot_module.config_hash(_config_state(cfg), kappa),
+                    fingerprint=snapshot_module.stream_fingerprint(stream),
+                    every=cfg.snapshot_every,
+                    keep=cfg.snapshot_keep,
+                )
+            if writer is not None:
+                writer.boundary(state.round_index, _boundary_payload(cfg, kappa, state))
             if stop_requested.is_set():
                 raise KeyboardInterrupt("stop requested at a round boundary")
 
-        start = resume
+        scheduler = PassScheduler(stream)
+        program = estimate_program(stream, kappa, cfg, start=resume, on_boundary=on_boundary)
         try:
+            outcome: Optional[Exception] = None
             while True:
-                program = estimate_program(
-                    stream,
-                    kappa,
-                    # The ladder's sequential step: restart one round per window.
-                    dataclasses.replace(cfg, speculate_depth=1)
-                    if recovery.speculation_degraded
-                    else cfg,
-                    start=start,
-                    root=root,
-                    on_window=on_window,
-                    on_boundary=on_boundary,
-                )
+                batch = program.send(outcome)
                 try:
-                    try:
-                        batch = next(program)
-                        while True:
-                            sweep_tagged_stages(schedulers[-1], batch)
-                            batch = program.send(None)
-                    finally:
-                        program.close()
-                except StopIteration as stop:
-                    outcome: ProgramOutcome = stop.value
-                    return dataclasses.replace(
-                        outcome,
-                        result=dataclasses.replace(
-                            outcome.result, degradations=tuple(recovery.reports)
-                        ),
-                    )
+                    sweep_tagged_stages(scheduler, batch)
+                    outcome = None
                 except Exception as exc:
-                    if not faults_module.is_transient(exc):
-                        raise
-                    attempts += 1
-                    if attempts < recovery.policy.max_attempts:
-                        delay = recovery.policy.backoff_delay(attempts)
-                        if delay > 0:
-                            time.sleep(delay)
-                    elif depth < 2 or recovery.speculation_degraded:
-                        raise  # no tier left to drop: the failure is the answer
-                    else:
-                        site = faults_module.site_of(exc)
-                        faults_module.degrade(faults_module.ACTION_SEQUENTIAL, site, attempts, exc)
-                        attempts = 0
-                    start = committed if committed is not None else resume
-                    if start is not None:
-                        # The aborted attempt's sweeps were real traversals
-                        # lost to the failure: wasted, never committed.
-                        start = dataclasses.replace(
-                            start,
-                            sweeps_wasted=start.sweeps_wasted
-                            + sum(s.sweeps_used for s in schedulers),
-                            passes_wasted=start.passes_wasted
-                            + sum(s.passes_used for s in schedulers),
-                        )
-                    schedulers.clear()
-                    depth = 0
+                    outcome = exc
+        except StopIteration as stop:
+            return stop.value
         except (KeyboardInterrupt, SystemExit):
             # Process shutdown mid-round: the root generator may be
             # mid-window, so the durable state is the *retained boundary*
@@ -779,6 +722,8 @@ def run_estimate_program(
             if writer is not None:
                 writer.write_final()
             raise
+        finally:
+            program.close()
 
 
 # ---------------------------------------------------------------------------
@@ -846,12 +791,7 @@ def _round_from_state(state: Dict[str, object]) -> GuessRound:
     )
 
 
-def _boundary_payload(
-    cfg: EstimatorConfig,
-    kappa: int,
-    state: ResumeState,
-    degradations: List[FailureReport],
-) -> Dict[str, object]:
+def _boundary_payload(cfg: EstimatorConfig, kappa: int, state: ResumeState) -> Dict[str, object]:
     """The snapshot document of the estimator state at one round boundary."""
     return {
         "kappa": kappa,
@@ -866,7 +806,7 @@ def _boundary_payload(
             "passes_wasted": state.passes_wasted,
         },
         "rng": {"state": encode_state(state.rng_state)},
-        "degradations": [dataclasses.asdict(rep) for rep in degradations],
+        "degradations": [dataclasses.asdict(rep) for rep in state.degradations],
     }
 
 

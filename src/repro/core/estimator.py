@@ -66,9 +66,9 @@ from .params import ParameterPlan
 from .stages import RoundStage, charge_prefilter
 
 #: Theorem 5.1's constant-pass budget: one guessing round - however many
-#: parallel instances it carries - opens at most six logical passes.  The
-#: round runners budget their schedulers with it directly; the driver
-#: budgets ``6 * k`` for a window of ``k`` speculative rounds.
+#: parallel instances it carries - opens at most six logical passes.
+#: :func:`~repro.core.parallel.round_program` checks it for every driver:
+#: a seventh stage raises :class:`~repro.errors.PassBudgetExceeded`.
 PASS_BUDGET_PER_ROUND = 6
 
 #: A draw's apex when its pass-3 position was never served.

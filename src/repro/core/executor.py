@@ -282,7 +282,9 @@ def _sweep(
         active = tuple(i for i, state in enumerate(states) if not state.done)
         task = _Task(active, offset - batch_rows, rows)
         batch, batch_rows = [], 0
-        crash = pool is not None and faults.task_injection()
+        # One worker.crash event per new task (a retry is not one), decided
+        # here on the sweeping thread; the task raises on its worker.
+        crash = pool is not None and faults.fires(faults.WORKER_CRASH)
         window.append(task)
         if inline:
             task.partials = compute(task)

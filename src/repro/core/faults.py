@@ -14,13 +14,15 @@ cooperating pieces:
   seeds the exponential delay, ``jitter_seed`` derives the (deterministic)
   jitter stream - never the estimator's root RNG.  The default comes
   from ``REPRO_MAX_RETRIES`` (extra attempts after the first).
+  :func:`retry_transient` classifies a failure and backs off.
 
 * the **degradation ladder** - when retries exhaust at one tier the run
   drops a tier and re-executes instead of failing the estimate:
   threaded -> serial sweep (``sharded->serial``, taken by the executor
   itself for a task that keeps crashing: the sweep finishes inline, so
   the crash never reaches the driver), speculative window -> sequential
-  rounds (taken by :func:`repro.core.driver.run_estimate_program`),
+  rounds (taken by the guessing loop itself,
+  :func:`repro.core.driver.estimate_program`, whoever drives it),
   snapshots -> skipped.  Every estimate sweeps a tape
   (a text input is converted when it is opened), so there is no reader
   tier to drop: a read fault that outlives its retries and every other
@@ -41,12 +43,13 @@ cooperating pieces:
 
 The installed (retry policy, fault plan, recovery context) triple is held
 in a :class:`contextvars.ContextVar`, like :mod:`repro.core.engine`'s
-policy: :func:`recovery_scope` installs it for one estimate and
-:func:`fault_scope` for bare executor or scheduler sweeps, and each
-restores the previous triple on exit, so estimates on different threads
-never see each other's plan or context.  Outside every scope no plan is
-armed.  Injection decisions are made on the sweeping thread, never on a
-worker thread.
+policy: :func:`recovery_scope` installs it for one estimate,
+:func:`fault_scope` for bare executor sweeps and :func:`recovering` a
+served traversal's or job's context, and each restores the previous
+triple on exit, so estimates on different threads never see each
+other's plan or context.  Outside every scope no plan is armed.
+Injection decisions are made on the sweeping thread, never on a worker
+thread.
 """
 
 from __future__ import annotations
@@ -54,10 +57,11 @@ from __future__ import annotations
 import logging
 import os
 import random
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import ContextManager, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import (
     ParameterError,
@@ -97,7 +101,7 @@ ACTION_SEQUENTIAL = "speculative->sequential"
 ACTION_NO_SNAPSHOT = "snapshot->skip"
 
 #: Every degradation action, in ladder order (``sharded->serial`` is taken
-#: by the executor, ``speculative->sequential`` by the estimate driver,
+#: by the executor, ``speculative->sequential`` by the guessing loop,
 #: ``snapshot->skip`` by the snapshot writer).
 LADDER = (
     ACTION_SERIAL,
@@ -235,10 +239,6 @@ class FaultPlan:
             return True
         return False
 
-    def armed(self, site: str) -> bool:
-        """Whether ``site`` still has scheduled indices left to fire."""
-        return bool(self._pending.get(site))
-
     def describe(self) -> str:
         """The plan in ``REPRO_FAULTS`` syntax (normalized)."""
         return ";".join(
@@ -271,14 +271,11 @@ def plan_from(value: Union[None, str, FaultPlan]) -> Optional[FaultPlan]:
 
 @dataclass
 class RecoveryContext:
-    """Mutable recovery state for one estimate (or one explicit scope)."""
+    """Where one estimate's (or one served traversal's) ladder steps are recorded."""
 
     policy: RetryPolicy
     plan: Optional[FaultPlan] = None
     reports: List[FailureReport] = field(default_factory=list)
-    #: Ladder flags - which tiers this context has already dropped.
-    speculation_degraded: bool = False
-    snapshot_degraded: bool = False
 
 
 class _Installed(NamedTuple):
@@ -312,40 +309,21 @@ def fires(site: str) -> bool:
     return plan is not None and plan.fires(site)
 
 
-def task_injection() -> bool:
-    """Whether one *new* threaded sweep task should crash (``worker.crash``).
-
-    Consulted on the sweeping thread exactly once per first submission
-    (retries of the same task are not new events); a crashing task raises
-    :class:`~repro.errors.WorkerCrashError` on its worker thread.
-    """
-    return fires(WORKER_CRASH)
-
-
 def degrade(action: str, site: str, attempts: int, cause: BaseException) -> None:
     """Apply one ladder step under the active recovery context; record and log it.
 
     Without a context (bare executor calls outside an estimate) this is a
-    no-op: the caller handles its own sweep-local fallback.  Under a
-    context the step persists for the rest of the estimate and no longer:
-    the serial tier is set in the recovery scope's engine policy, which
-    the scope unwinds on exit.
+    no-op: the caller handles its own sweep-local fallback.  Only the
+    serial tier is set here, in the scope's engine policy, which the
+    scope (an estimate's, or a served traversal's) unwinds on exit.
     """
+    if action not in LADDER:  # pragma: no cover - defensive
+        raise ValueError(f"unknown degradation action {action!r}")
     ctx = active_recovery()
     if ctx is None:
         return
     if action == ACTION_SERIAL:
         engine.serial_until_scope_exit()
-    elif action == ACTION_SEQUENTIAL:
-        # The driver restarts the program at window depth 1 in its config
-        # (programs read the depth from their config).
-        ctx.speculation_degraded = True
-    elif action == ACTION_NO_SNAPSHOT:
-        # The writer itself stops persisting (see core.snapshot); the
-        # context only records that durability was dropped for this run.
-        ctx.snapshot_degraded = True
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown degradation action {action!r}")
     ctx.reports.append(
         FailureReport(site=site, action=action, attempts=attempts, cause=repr(cause))
     )
@@ -369,6 +347,20 @@ def is_transient(exc: BaseException) -> bool:
     return isinstance(exc, OSError)
 
 
+def retry_transient(exc: Exception, attempts: int, policy: RetryPolicy) -> bool:
+    """Re-raise ``exc`` unless transient; else back off and return True
+    while failed attempt ``attempts`` (1-based) leaves attempts, or
+    return False - the caller then degrades or lets the failure stand."""
+    if not is_transient(exc):
+        raise exc
+    if attempts >= policy.max_attempts:
+        return False
+    delay = policy.backoff_delay(attempts)
+    if delay > 0:
+        time.sleep(delay)
+    return True
+
+
 def site_of(exc: BaseException) -> str:
     """The fault site an exception is classified under (for reports)."""
     if isinstance(exc, SnapshotWriteError):
@@ -378,8 +370,6 @@ def site_of(exc: BaseException) -> str:
 
 @contextmanager
 def _install(installed: _Installed) -> Iterator[None]:
-    if installed.plan is not None:
-        installed.plan.reset()
     token = _INSTALLED.set(installed)
     try:
         yield
@@ -395,9 +385,11 @@ def fault_scope(
     """Install a fault plan (``REPRO_FAULTS`` when not given, counters
     re-armed) and optionally a policy, without a recovery context - the
     hook for sweeps driven outside an estimate (executor and scheduler
-    tests, the serving daemon's sweep thread)."""
+    tests)."""
     current = _INSTALLED.get()
     resolved = plan_from(plan)
+    if resolved is not None:
+        resolved.reset()
     with _install(
         current._replace(
             policy=policy if policy is not None else current.policy, plan=resolved
@@ -406,11 +398,10 @@ def fault_scope(
         yield resolved
 
 
-@contextmanager
 def recovery_scope(
     policy: Optional[RetryPolicy] = None,
     plan: Union[None, str, FaultPlan] = None,
-) -> Iterator[RecoveryContext]:
+) -> ContextManager[RecoveryContext]:
     """Install the recovery machinery for one estimate.
 
     Sets up the retry policy (env-derived when not given), the fault plan
@@ -419,11 +410,21 @@ def recovery_scope(
     On exit the previous installation is restored.  No step of the ladder
     outlives the estimate: the serial tier lives in the engine policy of
     the scope opened here, and the sequential tier only lives in the
-    restarted program's config.
+    guessing loop's own window depth.
     """
     ctx = RecoveryContext(
         policy=policy if policy is not None else policy_from_env(),
         plan=plan_from(plan),
     )
+    if ctx.plan is not None:
+        ctx.plan.reset()
+    return recovering(ctx)
+
+
+@contextmanager
+def recovering(ctx: RecoveryContext) -> Iterator[RecoveryContext]:
+    """Install ``ctx`` as it stands - its plan's counters keep counting -
+    in a fresh engine scope, so a serial tier taken inside ends with the
+    block; the previous installation returns on exit."""
     with engine.engine_overrides(), _install(_Installed(ctx.policy, ctx.plan, ctx)):
         yield ctx

@@ -52,11 +52,13 @@ bit-identical to sequential execution at any depth.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import PassBudgetExceeded
 from ..streams.base import EdgeStream
 from ..streams.multipass import PassScheduler
 from ..streams.space import SpaceMeter
@@ -101,8 +103,7 @@ def run_parallel_estimates(
     ``assign`` replaces passes 5-6 (see :func:`round_program`).
     """
     meter = meter if meter is not None else SpaceMeter()
-    scheduler = PassScheduler(stream, max_passes=PASS_BUDGET_PER_ROUND)
-    return drive_round(scheduler, round_program(len(stream), plan, rngs, meter, assign))
+    return drive_round(PassScheduler(stream), round_program(len(stream), plan, rngs, meter, assign))
 
 
 def drive_round(
@@ -118,6 +119,28 @@ def drive_round(
         return stop.value
 
 
+def _budgeted(body):
+    """Theorem 5.1's budget on a round program, whoever drives it: a stage
+    past :data:`~repro.core.estimator.PASS_BUDGET_PER_ROUND` raises
+    :class:`~repro.errors.PassBudgetExceeded`."""
+
+    @functools.wraps(body)
+    def program(*args, **kwargs) -> RoundProgram:
+        stages = body(*args, **kwargs)
+        try:
+            stage = next(stages)
+            for _ in range(PASS_BUDGET_PER_ROUND):
+                stage = stages.send((yield stage))
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            stages.close()
+        raise PassBudgetExceeded(f"a round opened more than {PASS_BUDGET_PER_ROUND} passes")
+
+    return program
+
+
+@_budgeted
 def round_program(
     m: int,
     plan: ParameterPlan,
@@ -135,7 +158,8 @@ def round_program(
     regardless of whether the driver shared the physical traversals.
 
     ``assign`` (the ablations' hook) resolves each instance's candidate
-    triangles without a pass in place of Algorithm 3.
+    triangles without a pass in place of Algorithm 3.  The six-pass
+    budget is checked for every driver (:func:`_budgeted`).
     """
     if not rngs:
         raise ValueError("need at least one instance")

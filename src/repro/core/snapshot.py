@@ -51,7 +51,6 @@ import json
 import os
 import struct
 import tempfile
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -505,13 +504,8 @@ class SnapshotWriter:
             try:
                 self._write(round_index, payload)
             except Exception as exc:
-                if not faults_module.is_transient(exc):
-                    raise
                 attempts += 1
-                if attempts < policy.max_attempts:
-                    delay = policy.backoff_delay(attempts)
-                    if delay > 0:
-                        time.sleep(delay)
+                if faults_module.retry_transient(exc, attempts, policy):
                     continue
                 faults_module.degrade(
                     faults_module.ACTION_NO_SNAPSHOT,

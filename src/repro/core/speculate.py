@@ -43,15 +43,17 @@ so every committed estimate, diagnostic, and logical-pass count is
 bit-identical to the sequential loop **at any depth** - at any worker
 count.
 
-Cleanup contract: if a shared sweep raises, closing the window program
-closes every still-live round program before the exception propagates, so
-their generator ``finally`` blocks run.
+Failure contract: the driver sends each sweep's outcome back - ``None``,
+or the exception the sweep raised - and the window program raises that
+exception itself, closing every still-live round program on the way out
+so their generator ``finally`` blocks run.  The guessing loop catches it
+there and decides whether to retry the window.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from ..streams.space import SpaceMeter
 from .estimator import SinglePassStackResult
@@ -75,21 +77,18 @@ def window_program(
     rng_lists: Sequence[List[random.Random]],
     meters: Sequence[SpaceMeter],
     owners: Sequence[str],
-) -> Generator[List[TaggedStage], None, List[List[SinglePassStackResult]]]:
+) -> Generator[List[TaggedStage], Optional[BaseException], List[List[SinglePassStackResult]]]:
     """The lockstep window as a stage program: yields, never sweeps.
 
     Drives ``len(plans)`` independent round programs in lockstep, yielding
     at each step the pending owner-tagged stages of every still-running
     round as one batch.  The *caller* executes each batch - as one shared
     sweep (the solo driver), or merged with other windows' batches on a
-    shared scheduler (the serving layer) - then resumes the
-    program with ``send(None)``; the program collects each stage's
-    ``finish()`` itself.  Returns the per-round result lists, aligned with
-    ``owners``.
-
-    Cleanup contract: if the caller's sweep raises, closing this generator
-    (which a ``finally`` in the caller must do) closes every still-live
-    round program so their cleanup runs before the exception propagates.
+    shared scheduler (the serving layer) - then resumes the program with
+    the sweep's outcome: ``send(None)``, and the program collects each
+    stage's ``finish()`` itself, or ``send(exc)``, and the program raises
+    ``exc``, closing every still-live round program first.  Returns the
+    per-round result lists, aligned with ``owners``.
     """
     depth = len(plans)
     if depth < 1:
@@ -107,7 +106,9 @@ def window_program(
             stages[owner] = next(programs[owner])
         while stages:
             live = [owner for owner in owners if owner in stages]
-            yield [(owner, stages[owner]) for owner in live]
+            failure = yield [(owner, stages[owner]) for owner in live]
+            if failure is not None:
+                raise failure
             for owner in live:
                 try:
                     stages[owner] = programs[owner].send(stages[owner].finish())

@@ -114,6 +114,7 @@ class EstimateServer:
         # Every tape's sweep thread resolves these variables again; a
         # malformed one fails the daemon here, not each request.
         engine.policy()
+        faults.policy_from_env()
         faults.plan_from(None)
         self.socket_path = socket_path
         self.port = port

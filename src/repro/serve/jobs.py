@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..core.driver import ProgramOutcome
+from ..core.faults import RecoveryContext
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class Job:
         #: another job (counted by the scheduler).
         self.sweeps_rode = 0
         self.sweeps_shared = 0
+        #: Where the job's recovery ladder steps are recorded: its own and
+        #: those of the traversals it rode (set at admission).
+        self.recovery: Optional[RecoveryContext] = None
         self.outcome: Optional[ProgramOutcome] = None
         self.accounting: Optional[JobAccounting] = None
         self.error: Optional[BaseException] = None

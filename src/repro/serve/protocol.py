@@ -24,7 +24,9 @@ Responses are ``{"ok": true, ...}`` or
 ``{"ok": false, "error": {"type": ..., "message": ...}}`` where ``type``
 is the exception class name (``StreamError``, ``ParameterError``, ...).
 An estimate response carries the full solo-equivalent result - estimate,
-per-round trajectory with per-run estimates, pass/sweep accounting, and
+per-round trajectory with per-run estimates, pass/sweep accounting, the
+recovery ladder's ``degradations`` (one ``{site, action, attempts,
+cause}`` object per step, as on a solo run's result), and
 ``root_rng_sha256``, a digest of the final root-RNG state that lets a
 client verify bit-identity against a solo run without shipping the whole
 state - plus the job's share of the tape's physical sweeps.
@@ -32,6 +34,7 @@ state - plus the job's share of the tape's physical sweeps.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Dict, Optional, Tuple
@@ -135,6 +138,7 @@ def result_document(
         "sweeps_wasted": result.sweeps_wasted,
         "passes_wasted": result.passes_wasted,
         "space_words_peak": result.space_words_peak,
+        "degradations": [dataclasses.asdict(report) for report in result.degradations],
         "root_rng_sha256": root_rng_digest(outcome.root_state),
         "tape_fingerprint": fingerprint_hex,
     }

@@ -33,12 +33,12 @@ committed and wasted sweeps in its result - while the scheduler counts,
 per job, the steps the job rode and how many of them it shared with
 another job.
 
-Failure behavior: a physical sweep that raises kills exactly the jobs
-riding it - their programs are closed (running the round-program
-cleanup) and the error is delivered to each waiter - while the
-scheduler, the tape, and jobs admitted later keep working.  This is the
-shared-fate contract documented in DESIGN.md: co-riding jobs share the
-traversal, so they share its I/O fate.
+Failure behavior: each traversal runs under its own recovery context
+(a ``sharded->serial`` step lasts for it alone, and its reports go to
+every rider), and a failed one sends its exception to every rider's
+program, which retries, degrades or fails on its own, as a solo run
+does; the scheduler, the tape, and jobs admitted later keep working.
+Retry backoff sleeps on the sweep thread, delaying the tape's jobs.
 """
 
 from __future__ import annotations
@@ -69,10 +69,12 @@ class SweepScheduler:
         self._stream = stream
         self._scheduler = PassScheduler(stream)
         # The sweep thread's scope: the engine policy in force here (the
-        # environment's, in the daemon) and the REPRO_FAULTS plan, read
-        # now so a malformed variable fails the caller, not the thread.
-        # Each job's window depth still comes from its config.
+        # environment's, in the daemon), REPRO_MAX_RETRIES and the
+        # REPRO_FAULTS plan, read now so a malformed variable fails the
+        # caller, not the thread.  Each job's window depth and retries
+        # still come from its config.
         self._policy = engine.policy()
+        self._retry = faults.policy_from_env()
         self._faults = faults.plan_from(None)
         self._batch_window = batch_window
         self._lock = threading.Lock()
@@ -139,7 +141,7 @@ class SweepScheduler:
     # -- the lockstep loop ------------------------------------------------
 
     def _run(self) -> None:
-        with engine.engine_overrides(self._policy), faults.fault_scope(self._faults):
+        with engine.engine_overrides(self._policy):
             self._loop()
 
     def _loop(self) -> None:
@@ -164,43 +166,39 @@ class SweepScheduler:
                 self._step()
 
     def _admit(self, job: Job) -> None:
-        try:
-            batch = next(job.program)
-        except StopIteration as stop:
-            # A program can finish without ever needing the tape (m == 0).
-            self._finish(job, stop.value)
-        except BaseException as exc:  # noqa: BLE001 - delivered to the waiter
-            self._fail(job, exc)
-        else:
-            self._active[job] = batch
+        job.recovery = faults.RecoveryContext(self._retry, self._faults)
+        # A program can finish without ever needing the tape (m == 0).
+        self._advance(job, None)
 
     def _step(self) -> None:
-        """Serve every live job's pending batch with shared traversals."""
+        """Serve every live job's pending batch with one shared traversal."""
         jobs = list(self._active)
         merged = [tagged for job in jobs for tagged in self._active[job]]
-        try:
-            sweep_tagged_stages(self._scheduler, merged)
-        except BaseException as exc:  # noqa: BLE001 - shared-fate failure
-            # The traversal died: every rider's stages are unserved, so
-            # every rider fails.  Close the programs (running round-program
-            # cleanup) and deliver the error; the scheduler itself and any
-            # pending jobs continue.
-            for job in jobs:
-                del self._active[job]
-                job.program.close()
-                self._fail(job, exc)
-            return
+        traversal = faults.RecoveryContext(self._retry, self._faults)
+        failure: Optional[BaseException] = None
+        with faults.recovering(traversal):
+            try:
+                sweep_tagged_stages(self._scheduler, merged)
+            except BaseException as exc:  # noqa: BLE001 - each rider recovers or fails
+                failure = exc
         for job in jobs:
             job.sweeps_rode += 1
             job.sweeps_shared += len(jobs) > 1
-            try:
-                self._active[job] = job.program.send(None)
-            except StopIteration as stop:
-                del self._active[job]
-                self._finish(job, stop.value)
-            except BaseException as exc:  # noqa: BLE001
-                del self._active[job]
-                self._fail(job, exc)
+            job.recovery.reports.extend(traversal.reports)
+            self._advance(job, failure)
+
+    def _advance(self, job: Job, outcome: Optional[BaseException]) -> None:
+        """Send ``job``'s program its last sweep's outcome, under its own
+        recovery context; park its next batch, or settle the job."""
+        try:
+            with faults.recovering(job.recovery):
+                self._active[job] = job.program.send(outcome)
+        except StopIteration as stop:
+            self._active.pop(job, None)
+            self._finish(job, stop.value)
+        except BaseException as exc:  # noqa: BLE001 - delivered to the waiter
+            self._active.pop(job, None)
+            self._fail(job, exc)
 
     def _finish(self, job: Job, outcome) -> None:
         self._jobs_completed += 1

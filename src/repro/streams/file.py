@@ -275,10 +275,12 @@ class FileEdgeStream(EdgeStream):
     def _pieces(self, np, handle) -> Iterator:
         """The file's data rows in stream order, one newline-cut block at a time.
 
-        Each :data:`_BLOCK_BYTES` read is cut after its last ``\\n``; the
-        rest carries over to the next read.  A block yields its rows as one
-        ``(n, 2)`` int64 array when :func:`_fast_rows` takes it, else its
-        data lines (comment and blank lines dropped) as :class:`_Lines`.
+        Each :data:`_BLOCK_BYTES` read is cut after its last line end - a
+        ``\\n``, or a ``\\r`` with a whole character behind it - so the
+        rest that carries over to the next read stays under one block.  A block
+        yields its rows as one ``(n, 2)`` int64 array when
+        :func:`_fast_rows` takes it, else its data lines (comment and
+        blank lines dropped) as :class:`_Lines`.
         A leading comment header stays off that fallback's cost: the block
         is split after the line holding its last ``#`` and the rest is
         re-checked.  Every read is checked to decode as UTF-8 in the
@@ -314,7 +316,11 @@ class FileEdgeStream(EdgeStream):
                     buffer += b"\n"
                 yield from self._block_pieces(np, buffer, lines)
                 return
-            end = buffer.rfind(b"\n") + 1
+            # Cut after the last line end: a \n, or a \r with a whole
+            # character behind it - one ending the read may be the first
+            # half of a \r\n, and one before an incomplete UTF-8 tail (at
+            # most 3 bytes) waits like the undecodable branch's.
+            end = max(buffer.rfind(b"\n"), buffer.rfind(b"\r", 0, len(buffer) - 4)) + 1
             lines += yield from self._block_pieces(np, buffer[:end], lines)
             carry = buffer[end:]
 

@@ -533,6 +533,39 @@ class TestTypedErrors:
         assert f"repro {command}: error: argument {option[0]}: " in err, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,name,raw,message",
+        [
+            ("estimate", "REPRO_WORKERS", "0", "REPRO_WORKERS must be >= 1, got 0"),
+            ("estimate", "REPRO_SPECULATE_DEPTH", "x", "REPRO_SPECULATE_DEPTH must be an integer"),
+            ("estimate", "REPRO_MAX_RETRIES", "-1", "REPRO_MAX_RETRIES must be >= 0, got -1"),
+            ("estimate", "REPRO_FAULTS", "bogus@1", "unknown fault site 'bogus'"),
+            ("estimate", "REPRO_SNAPSHOT_KEEP", "x", "REPRO_SNAPSHOT_KEEP must be an integer"),
+            ("resume", "REPRO_WORKERS", "0", "REPRO_WORKERS must be >= 1, got 0"),
+            ("resume", "REPRO_SNAPSHOT_EVERY", "0", "REPRO_SNAPSHOT_EVERY must be >= 1, got 0"),
+            ("serve", "REPRO_WORKERS", "0", "REPRO_WORKERS must be >= 1, got 0"),
+            ("serve", "REPRO_MAX_RETRIES", "x", "REPRO_MAX_RETRIES must be an integer"),
+        ],
+        ids=lambda value: value if isinstance(value, str) and value.isupper() else None,
+    )
+    def test_variable_value_errors_exit_2(
+        self, wheel_file, tmp_path, monkeypatch, command, name, raw, message, capsys
+    ):
+        """A malformed ``REPRO_*`` variable the command reads is a usage
+        error too: one line naming it, before the input is read."""
+        args = {
+            "estimate": [wheel_file, "--kappa", "2", "--checkpoint-dir", str(tmp_path / "ck")],
+            "resume": ["no-such-checkpoint", wheel_file],
+            "serve": ["--port", "0"],
+        }[command]
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *args])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: {message}"), err
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestParser:
     def test_version(self, capsys):

@@ -8,8 +8,12 @@ import pytest
 
 from repro import EstimatorConfig, TriangleCountEstimator
 from repro.analysis.variance import empirical_moments
+from repro.core import parallel
+from repro.core.driver import estimate_program
+from repro.core.estimator import PASS_BUDGET_PER_ROUND
 from repro.core.params import ParameterPlan
 from repro.core.parallel import run_parallel_estimates
+from repro.errors import PassBudgetExceeded
 from repro.generators import book_graph, cycle_graph, wheel_graph
 from repro.graph import count_triangles
 from repro.streams import InMemoryEdgeStream, SpaceMeter
@@ -138,3 +142,48 @@ class TestDriverIntegration:
         cfg = EstimatorConfig(seed=2, repetitions=5)
         result = TriangleCountEstimator(cfg).estimate(stream, kappa=3)
         assert result.passes_total <= 6 * len(result.rounds)
+
+
+def _seven_stages(m, plan, rngs, meter, assign=None):
+    """A round body that overruns Theorem 5.1's budget by one pass."""
+    import numpy as np
+
+    from repro.core import kernels
+    from repro.core.stages import RoundStage
+
+    for _ in range(PASS_BUDGET_PER_ROUND + 1):
+        yield RoundStage(plan=kernels.DegreeCountPlan(np.arange(2, dtype=np.int64)))
+    return []
+
+
+class TestRoundPassBudget:
+    """The six-pass budget lives in the round program: every driver of a
+    round - the solo driver and a served job alike - is checked."""
+
+    def test_seventh_stage_raises(self):
+        program = parallel._budgeted(_seven_stages)(0, None, [], None)
+        next(program)
+        for _ in range(PASS_BUDGET_PER_ROUND - 1):
+            program.send(None)
+        with pytest.raises(PassBudgetExceeded, match="more than 6 passes"):
+            program.send(None)
+
+    def test_solo_and_served_estimates_are_budgeted(self, monkeypatch):
+        from repro.core import speculate
+        from repro.serve import SweepScheduler
+        from repro.serve.jobs import Job
+
+        monkeypatch.setattr(speculate, "round_program", parallel._budgeted(_seven_stages))
+        stream = InMemoryEdgeStream.from_graph(wheel_graph(40))
+        config = EstimatorConfig(seed=1, repetitions=3)
+        with pytest.raises(PassBudgetExceeded):
+            TriangleCountEstimator(config).estimate(stream, kappa=3)
+        shared = SweepScheduler(stream)
+        job = Job("budget", estimate_program(stream, 3, config, owner_prefix="budget/"))
+        shared.submit(job)
+        shared.start()
+        try:
+            assert job.wait(60.0)
+        finally:
+            shared.shutdown()
+        assert isinstance(job.error, PassBudgetExceeded)

@@ -54,13 +54,20 @@ def default_policy(monkeypatch):
 
 
 def _window_depths(stream, kappa, config):
-    """The depth of every window the loop opens, and the rounds it commits."""
-    depths = []
-    program = estimate_program(stream, kappa, config, on_window=depths.append)
+    """The depth of every window the loop opens, and the rounds it commits.
+
+    Every window opens after a reported boundary, and its first batch
+    carries one stage per round.
+    """
+    depths, boundaries = [], []
+    program = estimate_program(stream, kappa, config, on_boundary=boundaries.append)
     scheduler = PassScheduler(stream)
     try:
         batch = next(program)
         while True:
+            if boundaries:
+                depths.append(len(batch))
+                boundaries.clear()
             driver_module.sweep_tagged_stages(scheduler, batch)
             batch = program.send(None)
     except StopIteration as stop:

@@ -8,9 +8,10 @@ compare the loop with itself, so every path here is checked against
 ``run_parallel_estimates`` - at every engine and speculation setting,
 for resumed and fault-recovered runs, and for served jobs.
 
-The restart contract is pinned too: retries and ladder steps restart the
-program from its last committed boundary on the *same* root generator
-(``make_rng`` runs once per ``estimate()``), and a space budget runs
+The recovery contract is pinned too: retries and ladder steps rewind
+the program's window to its start on the *same* root generator
+(``make_rng`` runs once per ``estimate()``), served riders recover from
+a shared traversal's fault on their own, and a space budget runs
 through the program like every other configuration.
 """
 
@@ -301,3 +302,67 @@ class TestServedJobsMatchReference:
             assert job.error is None
             reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
             assert_matches_reference(job.outcome.result, job.outcome.root_state, reference)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_riders_recover_from_a_transient_sweep_fault(self, edges, monkeypatch, traced):
+        """A transient fault in a traversal two riders share: each rider's
+        program retries its own window and still matches the reference
+        bit for bit, its lost traversal booked as waste.  Under the
+        benchmark tracer the served programs are proxies offering only
+        ``__next__``, ``send`` and ``close``."""
+        from repro.serve import daemon
+
+        configs = [
+            EstimatorConfig(seed=3, repetitions=3, speculate_depth=3),
+            EstimatorConfig(seed=9, repetitions=3, speculate_depth=1),
+        ]
+        monkeypatch.setenv("REPRO_FAULTS", "sweep.mid_stage@2")
+        restore = None
+        if traced:
+            tracer = _load_tracer()
+            restore = tracer.install(tracer.Tracer(), serve=True)
+        try:
+            shared = SweepScheduler(InMemoryEdgeStream(edges))
+            jobs = []
+            for config in configs:
+                job_id = next_job_id()
+                program = daemon.estimate_program(
+                    shared.stream, KAPPA, config, owner_prefix=f"{job_id}/"
+                )
+                assert (type(program).__name__ == "_ProgramProxy") == traced
+                jobs.append(Job(job_id, program))
+            for job in jobs:
+                shared.submit(job)
+            shared.start()
+            try:
+                for job in jobs:
+                    assert job.wait(120.0)
+            finally:
+                shared.shutdown()
+        finally:
+            if restore is not None:
+                restore()
+        for job, config in zip(jobs, configs):
+            assert job.error is None
+            result = job.outcome.result
+            reference = reference_estimate(InMemoryEdgeStream(edges), KAPPA, config)
+            assert_matches_reference(
+                result, job.outcome.root_state, reference, speculated=config.speculate_depth > 1
+            )
+            assert result.sweeps_wasted > 0 and result.degradations == ()
+            accounting = job.accounting
+            assert accounting.sweeps_committed + accounting.sweeps_wasted == (
+                accounting.sweeps_physical
+            )
+
+
+def _load_tracer():
+    """``perfbench/tracer.py`` as it is (it is not a package module)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

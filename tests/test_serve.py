@@ -9,8 +9,9 @@ Three strata, matching the layer's own structure:
 * **shared scheduler** - N concurrent jobs on one
   :class:`~repro.serve.scheduler.SweepScheduler` each match their solo
   run exactly while the tape performs strictly fewer physical sweeps
-  than the solo runs combined, and a sweep failure kills exactly the
-  co-riding jobs (shared fate) while the scheduler survives;
+  than the solo runs combined; a transient sweep failure is retried by
+  each rider on its own, a non-transient one fails exactly the riders,
+  and the scheduler survives both;
 * **daemon end-to-end** - unix-socket and HTTP transports, result
   caching with zero extra sweeps, cleanly-cold restarts, and typed
   error responses.
@@ -269,11 +270,92 @@ class TestSweepScheduler:
             assert job.accounting.sweeps_shared == rode[0]
         assert shared.sweeps_physical == rode[1]
 
-    def test_sweep_failure_is_shared_fate_but_scheduler_survives(self):
+    def test_sweep_failure_is_retried_per_rider_and_scheduler_survives(self):
         edges = wheel_graph(60).edge_list()
+        configs = [
+            EstimatorConfig(seed=3, repetitions=3),
+            EstimatorConfig(seed=9, repetitions=3),
+        ]
+        solos = [_solo_with_root(edges, KAPPA, config) for config in configs]
         # Admission costs one stats pass per job (passes 1-2), so the
-        # first *shared* traversal - both jobs riding - is pass 3.
+        # first *shared* traversal - both jobs riding - is pass 3.  Its
+        # IOError is transient: each rider retries its window on its own.
         stream = _SweepFailingStream(edges, fail_pass=3)
+        shared = SweepScheduler(stream)
+        riders = [_job_for(stream, KAPPA, config) for config in configs]
+        for job in riders:
+            shared.submit(job)
+        shared.start()
+        try:
+            for job in riders:
+                assert job.wait(60.0)
+        finally:
+            shared.shutdown()
+        assert shared.jobs_failed == 0
+        for job, (solo_result, solo_root) in zip(riders, solos):
+            assert job.error is None
+            result = job.outcome.result
+            # The committed run is the solo run's; the lost traversal is
+            # booked as waste, and the job's slice of the tape adds up.
+            assert result.estimate == solo_result.estimate
+            assert _trajectory(result) == _trajectory(solo_result)
+            assert result.passes_total == solo_result.passes_total
+            assert result.sweeps_total == solo_result.sweeps_total
+            assert job.outcome.root_state == solo_root
+            assert result.sweeps_wasted == solo_result.sweeps_wasted + 1
+            accounting = job.accounting
+            assert accounting.sweeps_physical == (
+                accounting.sweeps_committed + accounting.sweeps_wasted
+            )
+
+    def test_served_job_reports_the_degradations_of_its_solo_run(self, monkeypatch):
+        """A worker crash in a served traversal drops that traversal to one
+        thread and lands on the rider's result and response, exactly as the
+        same estimate's solo run reports it."""
+        from repro.core import faults
+        from repro.serve.protocol import result_document
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.crash@0")
+        edges = _ba_edges()
+        config = EstimatorConfig(seed=3, repetitions=3)
+        solo_result, solo_root = _solo_with_root(edges, KAPPA, config)
+        assert [(r.site, r.action) for r in solo_result.degradations] == [
+            (faults.WORKER_CRASH, faults.ACTION_SERIAL)
+        ]
+        shared = SweepScheduler(InMemoryEdgeStream(edges))
+        job = _job_for(shared.stream, KAPPA, config)
+        shared.submit(job)
+        shared.start()
+        try:
+            assert job.wait(120.0)
+        finally:
+            shared.shutdown()
+        assert job.error is None
+        _assert_outcome_matches_solo(job.outcome, solo_result, solo_root)
+        assert job.outcome.result.degradations == solo_result.degradations
+        document = result_document(job.outcome, job.accounting, cached=False, fingerprint_hex="")
+        assert document["degradations"] == [
+            dict(site=r.site, action=r.action, attempts=r.attempts, cause=r.cause)
+            for r in solo_result.degradations
+        ]
+
+    def test_non_transient_sweep_failure_fails_exactly_its_riders(self, monkeypatch):
+        import repro.serve.scheduler as scheduler_module
+
+        edges = wheel_graph(60).edge_list()
+        real = scheduler_module.sweep_tagged_stages
+        failures = iter([RuntimeError("tape controller bug")])
+
+        def failing_once(pass_scheduler, tagged):
+            error = next(failures, None)
+            if error is not None:
+                raise error
+            return real(pass_scheduler, tagged)
+
+        monkeypatch.setattr(scheduler_module, "sweep_tagged_stages", failing_once)
+        stream = InMemoryEdgeStream(edges)
         shared = SweepScheduler(stream)
         riders = [
             _job_for(stream, KAPPA, EstimatorConfig(seed=3, repetitions=3)),
@@ -285,14 +367,13 @@ class TestSweepScheduler:
         try:
             for job in riders:
                 assert job.wait(60.0)
-            # Both riders died with the traversal...
+            # Not transient: both riders of the traversal fail with it...
             for job in riders:
-                assert isinstance(job.error, IOError)
+                assert isinstance(job.error, RuntimeError)
             assert shared.jobs_failed == 2
 
-            # ...but the scheduler and tape keep serving: the failing
-            # pass is spent, so a later job completes and still matches
-            # its solo run bit-for-bit.
+            # ...but the scheduler and tape keep serving, and a later job
+            # still matches its solo run bit-for-bit.
             config = EstimatorConfig(seed=5, repetitions=3)
             solo_result, solo_root = _solo_with_root(edges, KAPPA, config)
             survivor = _job_for(stream, KAPPA, config)

@@ -172,3 +172,48 @@ def test_line_end_just_before_an_undecodable_region(tail, tmp_path, monkeypatch)
     path = tmp_path / "edges.txt"
     path.write_bytes(text)
     _compare(path, monkeypatch)
+
+
+def _spans_blocks(text: bytes, tmp_path, monkeypatch, name="edges.txt"):
+    """The outcome of a parse at the smallest block size, and the longest
+    block the reader handed to the parser."""
+    path = tmp_path / name
+    path.write_bytes(text)
+    _compare(path, monkeypatch)
+    longest = []
+    real = FileEdgeStream._block_pieces
+
+    def spy(self, np, block, before):
+        longest.append(len(block))
+        return (yield from real(self, np, block, before))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(file_module, "_BLOCK_BYTES", SMALL_BLOCK)
+        patch.setattr(FileEdgeStream, "_block_pieces", spy)
+        outcome = _outcome(FileEdgeStream(path)._parse_chunks(4096))
+    return outcome, max(longest)
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "malformed-line"])
+def test_bare_cr_text_is_read_in_bounded_blocks(bad, tmp_path, monkeypatch):
+    """A CR-only file over three blocks long gives the LF file's rows and
+    line numbers, and no block carries more than one read's rest."""
+    lines = [b"%d %d" % (i, i + 1) for i in range(6000)]
+    if bad:
+        lines[5000] = b"5000 x"
+    lf, lf_longest = _spans_blocks(b"\n".join(lines) + b"\n", tmp_path, monkeypatch)
+    cr, cr_longest = _spans_blocks(b"\r".join(lines) + b"\r", tmp_path, monkeypatch)
+    assert len(b"\r".join(lines)) > 3 * SMALL_BLOCK
+    assert cr == lf
+    assert (cr[1] is not None) == bad and (not bad or ":5001: " in cr[1][1])
+    assert max(lf_longest, cr_longest) < 2 * SMALL_BLOCK
+
+
+def test_crlf_split_at_a_block_boundary_is_one_line_end(tmp_path, monkeypatch):
+    """A ``\\r\\n`` whose ``\\r`` ends a read is one line end, between bare
+    ``\\r`` lines: the lines after it are numbered as text reading does."""
+    text = b"10 20\r" * 1364 + b"1 23456\r\n" + b"30 40\r" * 3000 + b"7 y\r"
+    assert text[SMALL_BLOCK - 1 : SMALL_BLOCK + 1] == b"\r\n"
+    (rows, error), _ = _spans_blocks(text, tmp_path, monkeypatch)
+    assert [len(chunk) for chunk in rows] == [4096]  # the chunk the bad line cuts is lost
+    assert error is not None and f":{1364 + 1 + 3000 + 1}: " in error[1]
